@@ -769,7 +769,10 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
     Raises InternalCheckError when degree-0 coboundaries are not 1-cocycles
     (possible for valid inputs; see the module docstring): reporting a
     quotient by a space that is not inside the cocycles would be wrong.
+    Raises MalformedInputError for a negative ``max_degree``.
     """
+    if max_degree < 0:
+        raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
     witness = validate_bimodule(b)
     if witness is not None:
         raise PreconditionError(f"bimodule invalid: {witness.describe()}")

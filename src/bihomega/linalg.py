@@ -2,7 +2,9 @@
 
 Provides the reduced row echelon form, rank, null-space bases, and linear
 solves that the rest of the workbench is built on.  Everything is exact over
-the rationals; nothing ever rounds.
+the rationals; nothing ever rounds.  The one division is the pivot
+normalization in :func:`sparse_rref`, whose inverse is an exact rational;
+entries that come out integral are stored as ``int`` (see ``rationals``).
 
 Conventions that downstream determinism depends on:
 
@@ -96,9 +98,6 @@ class Mat:
     def col(self, j: int) -> list:
         return [self.entries[i * self.cols + j] for i in range(self.rows)]
 
-    def to_rows(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
-
     # -- arithmetic ------------------------------------------------------
 
     def mul(self, other: "Mat") -> "Mat":
@@ -145,13 +144,6 @@ class Mat:
     def scale(self, factor) -> "Mat":
         f = Rat(factor)
         return Mat(self.rows, self.cols, [f * a for a in self.entries])
-
-    def transpose(self) -> "Mat":
-        out = Mat.zeros(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.entries[j * self.rows + i] = self.entries[i * self.cols + j]
-        return out
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -205,8 +197,9 @@ def sparse_rref(rows: list, ncols: int) -> list:
     Pivot selection: for each column in increasing order, the first remaining
     row with a nonzero in that column.  The output rows form the unique RREF
     (pivots 1, pivot columns cleared elsewhere), pivot columns increasing.
+    Every integral entry of the result is an ``int``.
     """
-    active = [dict(r) for r in rows if r]
+    active = [{c: v if type(v) is int else Rat(v) for c, v in r.items()} for r in rows if r]
     reduced: list = []
     for col in range(ncols):
         pivot_idx = -1
@@ -217,18 +210,18 @@ def sparse_rref(rows: list, ncols: int) -> list:
         if pivot_idx < 0:
             continue
         pivot = active.pop(pivot_idx)
-        inv = ONE / pivot[col]
-        if inv != ONE:
-            pivot = {c: inv * v for c, v in pivot.items()}
+        if pivot[col] != 1:
+            inv = Rat(1, pivot[col])
+            pivot = {c: Rat(inv * v) for c, v in pivot.items()}
         for group in (active, [r for _, r in reduced]):
             for r in group:
                 factor = r.get(col)
                 if factor is None:
                     continue
                 for c, v in pivot.items():
-                    new = r.get(c, ZERO) - factor * v
+                    new = r.get(c, 0) - factor * v
                     if new:
-                        r[c] = new
+                        r[c] = new if type(new) is int else Rat(new)
                     else:
                         r.pop(c, None)
         active = [r for r in active if r]

@@ -1,11 +1,24 @@
-"""Exact rational scalars and their canonical text form.
+"""Exact scalars: plain ``int`` when integral, a rational only otherwise.
 
-Every number in the workbench is an exact rational.  The scalar type is
-gmpy2's ``mpq`` when available (about an order of magnitude faster) and
-``fractions.Fraction`` otherwise; both keep values reduced with a positive
+Every number in the workbench is an exact rational, and almost every one is
+an integer: structure maps, fixture data, random cochains and the entries
+of δ, δ-matrices and brackets.  So an integral value is stored as a plain
+Python ``int``, whose arithmetic is much cheaper than a rational's (see
+``BENCH_scalars.json``), and only a non-integral value is the backend
+rational: gmpy2's ``mpq`` when it is installed (the ``gmpy2`` extra) and
+``fractions.Fraction`` otherwise.  Both keep values reduced with a positive
 denominator, which is exactly the invariant the canonical text form relies
-on.  All formatting goes through :func:`format_rational` so serialized output
-does not depend on the backend.
+on.
+
+Sums, differences and products of ints stay ints, so non-integral values
+arise only where the input holds them (a ``1/2`` in a fixture, a sampled
+``Rat(1, 2)``) and where elimination divides by a pivot
+(``linalg.sparse_rref``); a rational result that happens to be integral is
+turned back into an ``int`` there by :func:`Rat`, the one canonicalizing
+constructor.  Mixed arithmetic elsewhere may leave an integral value in
+rational form; it compares, hashes and formats like the ``int``.  All
+formatting goes through :func:`format_rational`, so serialized output does
+not depend on the representation or the backend.
 
 Canonical text form: optional leading ``-``, an integer, and an optional
 ``/`` followed by a positive integer, with gcd(numerator, denominator) = 1
@@ -17,27 +30,33 @@ from __future__ import annotations
 import re
 
 try:
-    from gmpy2 import mpq as Rat
+    from gmpy2 import mpq as _Q
 
     RAT_BACKEND = "gmpy2"
 except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rat
+    from fractions import Fraction as _Q
 
     RAT_BACKEND = "fractions"
 
-ZERO = Rat(0)
-ONE = Rat(1)
+ZERO = 0
+ONE = 1
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-def rat(value) -> Rat:
-    """Coerce an int, string, or rational to the scalar type."""
-    if isinstance(value, int):
-        return Rat(value)
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Rat(value)
+def Rat(num=0, den=1):
+    """The exact scalar ``num / den``: an ``int`` when integral, else a rational.
+
+    Accepts an int, a rational, a string the backend reads (``"-3/2"``,
+    ``"7"``) or a numerator and denominator that are ints or rationals.
+    """
+    if den == 1:
+        if type(num) is int:
+            return num
+        q = _Q(num)
+    else:
+        q = _Q(num) / _Q(den)
+    return int(q.numerator) if q.denominator == 1 else q
 
 
 def format_rational(value) -> str:
@@ -48,7 +67,7 @@ def format_rational(value) -> str:
     return f"{num}/{den}"
 
 
-def parse_rational(text: str) -> Rat:
+def parse_rational(text: str):
     """Parse the canonical text form, rejecting non-canonical spellings.
 
     Raises ValueError whose message suggests the canonical spelling when the
@@ -60,7 +79,7 @@ def parse_rational(text: str) -> Rat:
     num = int(match.group(1))
     den_text = match.group(2)
     if den_text is None:
-        value = Rat(num)
+        value = num
     else:
         den = int(den_text)
         if den == 0:
@@ -70,11 +89,3 @@ def parse_rational(text: str) -> Rat:
     if canonical != text:
         raise ValueError(f"non-canonical rational {text!r}; write {canonical!r}")
     return value
-
-
-def is_canonical_rational(text: str) -> bool:
-    try:
-        parse_rational(text)
-    except ValueError:
-        return False
-    return True

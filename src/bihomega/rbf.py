@@ -404,7 +404,8 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     Combined degree-0 coboundaries: when the degree-0 image leaves the
     product of equivariant spaces, the coboundary dimension is that of the
     exact intersection (the algebra part constrains it; the operator part is
-    unconstrained), and the report is flagged.
+    unconstrained), and the report is flagged.  A negative ``max_degree``
+    is refused by the first :func:`cohomology_dims` call.
     """
     alg_report = cohomology_dims(ctx.bimodule, max_degree)
     rbf_report = cohomology_dims(ctx.star_bimodule(), max_degree)

@@ -1,3 +1,4 @@
+import pytest
 from conftest import fixture_path
 
 from bihomega.cli import render_report, run_command
@@ -48,6 +49,17 @@ def test_cohomology_rbfa_all_three_tables():
     )
     assert code == 0
     assert set(report["tables"]) == {"alg", "rbf", "rbfa"}
+
+
+@pytest.mark.parametrize("complex_name", ["alg", "rbfa"])
+def test_cohomology_negative_max_degree_refused(complex_name):
+    report, code = run(
+        ["--no-timing", "cohomology", fixture_path("e0_rbf.json"), "--complex", complex_name, "--max-degree", "-1"]
+    )
+    assert code == 2
+    assert report["status"] == "error"
+    assert "max_degree" in report["error"]
+    assert "tables" not in report
 
 
 def test_mc_check_ok_and_witness():

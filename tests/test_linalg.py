@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bihomega.linalg import Mat, kernel_basis, rank, rref, solve
+from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_rref
 from bihomega.rationals import Rat, format_rational, parse_rational
 
 
@@ -110,3 +110,42 @@ def test_rational_text_forms():
         parse_rational("+3")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+
+
+def test_integral_scalars_are_plain_ints():
+    assert type(Rat(4, 2)) is int
+    assert type(Rat("7")) is int
+    assert type(Rat(Rat(3, 2) + Rat(1, 2))) is int
+    half = Rat(1, 2)
+    assert type(half) is not int and half.denominator == 2
+    assert format_rational(half) == "1/2"
+
+
+def _assert_exact(values):
+    for v in values:
+        assert not isinstance(v, float)
+        if v.denominator == 1:
+            assert type(v) is int
+
+
+def test_pivot_two_results_exact_and_integer_first():
+    # Pivot 2 in column 0 makes the first row [1, 1/2, 2]; the second row then
+    # reduces through rational arithmetic to [0, 1, -3], which must be ints.
+    m = Mat.from_rows([[2, 1, 4], [4, 4, 2]])
+    reduced = sparse_rref([{0: 2, 1: 1, 2: 4}, {0: 4, 1: 4, 2: 2}], 3)
+    assert [c for c, _ in reduced] == [0, 1]
+    for _, row in reduced:
+        _assert_exact(row.values())
+    assert reduced[0][1] == {0: 1, 2: Rat(7, 2)}
+    assert reduced[1][1] == {1: 1, 2: -3}
+    assert type(reduced[1][1][2]) is int
+    r, pivots = rref(m)
+    assert pivots == (0, 1)
+    _assert_exact(r.entries)
+    kb = kernel_basis(m)
+    _assert_exact(kb.entries)
+    assert kb == Mat.from_cols([[Rat(-7, 2), 3, 1]])
+    x = solve(m, [2, 8])
+    _assert_exact(x)
+    assert x == [0, 2, 0]
+    assert all(type(v) is int for v in x)
