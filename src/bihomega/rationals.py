@@ -4,9 +4,8 @@ Every number in the workbench is an exact rational, and almost every one is
 an integer: structure maps, fixture data, random cochains and the entries
 of δ, δ-matrices and brackets.  So an integral value is stored as a plain
 Python ``int``, whose arithmetic is much cheaper than a rational's (see
-``BENCH_scalars.json``), and only a non-integral value is the backend
-rational: gmpy2's ``mpq`` when it is installed (the ``gmpy2`` extra) and
-``fractions.Fraction`` otherwise.  Both keep values reduced with a positive
+``BENCH_scalars.json``), and only a non-integral value is a
+``fractions.Fraction``.  It keeps values reduced with a positive
 denominator, which is exactly the invariant the canonical text form relies
 on.
 
@@ -18,7 +17,7 @@ turned back into an ``int`` there by :func:`Rat`, the one canonicalizing
 constructor.  Mixed arithmetic elsewhere may leave an integral value in
 rational form; it compares, hashes and formats like the ``int``.  All
 formatting goes through :func:`format_rational`, so serialized output does
-not depend on the representation or the backend.
+not depend on the representation.
 
 Canonical text form: optional leading ``-``, an integer, and an optional
 ``/`` followed by a positive integer, with gcd(numerator, denominator) = 1
@@ -28,15 +27,9 @@ and no denominator of 1 spelled out.  Examples: ``-3/2``, ``7``, ``0``.
 from __future__ import annotations
 
 import re
+from fractions import Fraction as _Q
 
-try:
-    from gmpy2 import mpq as _Q
-
-    RAT_BACKEND = "gmpy2"
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _Q
-
-    RAT_BACKEND = "fractions"
+RAT_BACKEND = "fractions"
 
 ZERO = 0
 ONE = 1
@@ -47,7 +40,7 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 def Rat(num=0, den=1):
     """The exact scalar ``num / den``: an ``int`` when integral, else a rational.
 
-    Accepts an int, a rational, a string the backend reads (``"-3/2"``,
+    Accepts an int, a rational, a string ``Fraction`` reads (``"-3/2"``,
     ``"7"``) or a numerator and denominator that are ints or rationals.
     """
     if den == 1:
@@ -56,12 +49,12 @@ def Rat(num=0, den=1):
         q = _Q(num)
     else:
         q = _Q(num) / _Q(den)
-    return int(q.numerator) if q.denominator == 1 else q
+    return q.numerator if q.denominator == 1 else q
 
 
 def format_rational(value) -> str:
-    num = int(value.numerator)
-    den = int(value.denominator)
+    num = value.numerator
+    den = value.denominator
     if den == 1:
         return str(num)
     return f"{num}/{den}"
