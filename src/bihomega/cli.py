@@ -3,8 +3,10 @@
 Every command reads workbench JSON files, runs the corresponding operation,
 and prints a canonical JSON report (sorted keys, two-space indent) on
 standard output.  Exit codes: 0 success, 1 a validator produced a witness
-or a check failed, 2 usage or input errors.  Pass --no-timing for
-byte-reproducible reports.
+or a check failed, 2 usage or input errors, 3 an internal consistency check
+failed.  Every error report carries ``error_kind``: ``"input"`` for usage
+and input errors, ``"internal"`` for internal consistency failures.  Pass
+--no-timing for byte-reproducible reports.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .deformation import (
     psi_n,
     rigidity_report,
 )
-from .errors import InternalCheckError, MalformedInputError, ParseError, PreconditionError, WorkbenchError
+from .errors import InternalCheckError, MalformedInputError, ParseError, WorkbenchError
 from .extension import CocyclePair, build_extension, compare_extensions, extract_cocycle
 from .gerstenhaber import algebra_with_product, mc_residual, mu_cochain
 from .monoid import validate_monoid
@@ -49,6 +51,7 @@ from .serialization import WorkbenchFile, parse_workbench, workbench_to_json
 EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _load(path: str) -> WorkbenchFile:
@@ -402,24 +405,20 @@ def run_command(argv) -> tuple[dict, int]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_ERROR
-        return {"command": argv[:1] or [""], "status": "error", "error": "usage"}, (
-            EXIT_ERROR if code != 0 else EXIT_OK
-        )
+        report = {"command": argv[:1] or [""], "status": "error", "error": "usage", "error_kind": "input"}
+        return report, EXIT_ERROR if code != 0 else EXIT_OK
     started = time.perf_counter()
     report = {"command": args.command}
     try:
         payload, code = args.func(args)
     except ParseError as exc:
-        report.update({"status": "error", "error": f"parse error: {exc}"})
-        code = EXIT_ERROR
-    except (MalformedInputError, PreconditionError) as exc:
-        report.update({"status": "error", "error": str(exc)})
+        report.update(status="error", error=f"parse error: {exc}", error_kind="input")
         code = EXIT_ERROR
     except InternalCheckError as exc:
-        report.update({"status": "error", "error": f"internal consistency failure: {exc}"})
-        code = EXIT_ERROR
+        report.update(status="error", error=f"internal consistency failure: {exc}", error_kind="internal")
+        code = EXIT_INTERNAL
     except WorkbenchError as exc:
-        report.update({"status": "error", "error": str(exc)})
+        report.update(status="error", error=str(exc), error_kind="input")
         code = EXIT_ERROR
     else:
         report.update(payload)

@@ -161,6 +161,34 @@ def test_parse_error_exit_two(tmp_path):
     assert report["status"] == "error"
 
 
+def test_parse_error_reports_input_kind(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    report, code = run(["--no-timing", "validate", str(bad)])
+    assert code == 2
+    assert report["status"] == "error"
+    assert report["error_kind"] == "input"
+    assert report["error"].startswith("parse error: ")
+
+
+def test_internal_check_error_exit_three(monkeypatch):
+    from bihomega import cli
+    from bihomega.errors import InternalCheckError
+
+    def disagree(args):
+        raise InternalCheckError("routes disagree")
+
+    monkeypatch.setattr(cli, "cmd_validate", disagree)
+    report, code = run(["--no-timing", "validate", fixture_path("e1.json")])
+    assert code == 3
+    assert report == {
+        "command": "validate",
+        "status": "error",
+        "error": "internal consistency failure: routes disagree",
+        "error_kind": "internal",
+    }
+
+
 def test_reports_deterministic_without_timing():
     a1 = render_report(run(["--no-timing", "cohomology", fixture_path("e1.json"), "--max-degree", "2"])[0])
     a2 = render_report(run(["--no-timing", "cohomology", fixture_path("e1.json"), "--max-degree", "2"])[0])

@@ -25,33 +25,47 @@ from bihomega.rbf import (
 )
 
 
-def phi2_subset_oracle(ctx, f):
-    """Hand-rolled subset enumeration for the degree-2 comparison map."""
+def phi_subset_oracle(ctx, f):
+    """Literal subset enumeration of the comparison map, any degree.
+
+    On each tuple and basis argument multi-index: f on all-R-twisted
+    arguments minus, for every proper subset of slots, weight^(n - 1 - |S|)
+    times T at the tuple product applied to f with R inserted at exactly
+    those slots.  One full multilinear evaluation per subset; independent of
+    the slot-by-slot recurrence in production ``phi``.
+    """
     a = ctx.algebra
     b = ctx.bimodule
     om = a.omega
     d, m = a.dim, b.dim_m
     w = ctx.rb.weight
-    out = Cochain.zero(2, om.size, d, m)
-    for alpha in om.tuples(2):
-        t_all = b.tmap[om.product_of(alpha)]
-        for args in product(range(d), repeat=2):
-            r0 = ctx.rb.maps[alpha[0]].col(args[0])
-            r1 = ctx.rb.maps[alpha[1]].col(args[1])
-            e0 = a.basis_vector(args[0])
-            e1v = a.basis_vector(args[1])
-            acc = f.evaluate(alpha, [r0, r1])
-            # k = 0: weight^1 times T(f(a, b))
-            term = t_all.matvec(f.evaluate(alpha, [e0, e1v]))
-            for k in range(m):
-                acc[k] -= w * term[k]
-            # k = 1: T(f with R at one slot)
-            for slot in (0, 1):
-                vecs = [r0 if slot == 0 else e0, r1 if slot == 1 else e1v]
-                term = t_all.matvec(f.evaluate(alpha, vecs))
-                for k in range(m):
-                    acc[k] -= term[k]
-            base = out.block_base(alpha) + (args[0] * d + args[1]) * m
+    n = f.degree
+    if n == 0:
+        return Cochain(0, om.size, d, m, list(f.coords))
+    out = Cochain.zero(n, om.size, d, m)
+    rmaps, tmaps = ctx.rb.maps, b.tmap
+    for alpha in om.tuples(n):
+        t_all = tmaps[om.product_of(alpha)]
+        base_tuple = out.block_base(alpha)
+        r_cols = [rmaps[alpha[s]] for s in range(n)]
+        for args in product(range(d), repeat=n):
+            acc = f.evaluate(alpha, [r_cols[s].col(args[s]) for s in range(n)])
+            for size in range(n):
+                coeff = w ** (n - 1 - size) if n - 1 - size else ONE
+                if not coeff:
+                    continue
+                for subset in combinations(range(n), size):
+                    vectors = []
+                    for s in range(n):
+                        if s in subset:
+                            vectors.append(r_cols[s].col(args[s]))
+                        else:
+                            vectors.append(a.basis_vector(args[s]))
+                    term = t_all.matvec(f.evaluate(alpha, vectors))
+                    for k in range(m):
+                        if term[k]:
+                            acc[k] -= coeff * term[k]
+            base = base_tuple + sum(x * d ** (n - 1 - i) for i, x in enumerate(args)) * m
             for k in range(m):
                 out.coords[base + k] = acc[k]
     return out
@@ -133,33 +147,67 @@ def test_phi_degree_two_matches_subset_oracle(e1_ctx, c2_ctx):
     for ctx in (e1_ctx, c2_ctx):
         for _ in range(3):
             f = random_equivariant(ctx.bimodule, 2, rng)
-            assert phi(ctx, f) == phi2_subset_oracle(ctx, f)
+            assert phi(ctx, f) == phi_subset_oracle(ctx, f)
 
 
 def test_phi_degree_three_matches_subset_oracle(e1_ctx):
     """General-degree comparison map against a literal subset enumeration."""
     ctx = e1_ctx
-    a, b = ctx.algebra, ctx.bimodule
-    om = a.omega
-    d, m = a.dim, b.dim_m
-    w = ctx.rb.weight
     rng = random.Random(33)
-    f = random_equivariant(b, 3, rng)
+    f = random_equivariant(ctx.bimodule, 3, rng)
     image = phi(ctx, f)
-    for alpha in om.tuples(3):
-        t_all = b.tmap[om.product_of(alpha)]
-        for args in product(range(d), repeat=3):
-            r_cols = [ctx.rb.maps[alpha[s]].col(args[s]) for s in range(3)]
-            e_cols = [a.basis_vector(args[s]) for s in range(3)]
-            acc = f.evaluate(alpha, r_cols)
-            for size in range(3):
-                coeff = w ** (2 - size) if 2 - size else None
-                for subset in combinations(range(3), size):
-                    vecs = [r_cols[s] if s in subset else e_cols[s] for s in range(3)]
-                    term = t_all.matvec(f.evaluate(alpha, vecs))
-                    for k in range(m):
-                        acc[k] -= term[k] if coeff is None else coeff * term[k]
-            assert image.value(alpha, args) == acc
+    expected = phi_subset_oracle(ctx, f)
+    for alpha in ctx.algebra.omega.tuples(3):
+        for args in product(range(ctx.algebra.dim), repeat=3):
+            assert image.value(alpha, args) == expected.value(alpha, args)
+
+
+def test_phi_matches_subset_oracle_on_basis_cochains(e1_ctx, c2_ctx):
+    """Every basis cochain and its coboundary on e1 at degrees 1-3 and on c2
+    (two monoid elements, weight -1) at degrees 1-3; at degree 4 on c2,
+    seeded dense equivariant cochains and coboundaries of degree-3 ones."""
+    for ctx in (e1_ctx, c2_ctx):
+        for n in (1, 2, 3):
+            basis = ctx.basis(n)
+            for j in range(basis.dim()):
+                f = basis.cochain(j)
+                assert phi(ctx, f) == phi_subset_oracle(ctx, f), (n, j)
+                if n < 3:
+                    df = apply_delta(ctx.bimodule, f, check=False)
+                    assert phi(ctx, df) == phi_subset_oracle(ctx, df), (n, j)
+    rng = random.Random(39)
+    for _ in range(2):
+        f = random_equivariant(c2_ctx.bimodule, 4, rng)
+        df = apply_delta(c2_ctx.bimodule, random_equivariant(c2_ctx.bimodule, 3, rng), check=False)
+        for g in (f, df):
+            assert not g.is_zero()
+            assert phi(c2_ctx, g) == phi_subset_oracle(c2_ctx, g)
+
+
+def test_phi_matches_subset_oracle_weight_zero_nonzero_tmap(e1):
+    """Unvalidated weight-0 context whose tmap is not zero: of the proper
+    subsets only those of size n - 1 (the w^0 terms) survive."""
+    rb = samples.searched_rb(e1)
+    rb0 = RotaBaxterFamily(ZERO, {0: rb.maps[0]})
+    bim = zero_bimodule(e1, 2, tmap={0: Mat.from_rows([[1, 2], [0, -1]])})
+    ctx = RbfContext(e1, rb0, bim)
+    rng = random.Random(41)
+    for n in (1, 2, 3):
+        f = Cochain(n, 1, 2, 2, [Rat(rng.randint(-3, 3)) for _ in range(2**n * 2)])
+        image = phi(ctx, f)
+        assert image == phi_subset_oracle(ctx, f)
+        assert not image.is_zero()
+
+
+def test_phi_matches_subset_oracle_on_raw_rational_cochains(e1_ctx, c2_ctx):
+    """Non-equivariant cochains with non-integral entries."""
+    rng = random.Random(43)
+    for ctx in (e1_ctx, c2_ctx):
+        om, d, m = ctx.dims()
+        for n in (1, 2, 3):
+            size = om.size**n * d**n * m
+            f = Cochain(n, om.size, d, m, [Rat(rng.randint(-4, 4), 3) for _ in range(size)])
+            assert phi(ctx, f) == phi_subset_oracle(ctx, f)
 
 
 def test_d_combined_zero_and_square(e1_ctx):
