@@ -77,10 +77,6 @@ def bilinear(tensor, x, y, dim_out: int) -> list:
     return out
 
 
-def _vec_eq(a, b) -> bool:
-    return all(x == y for x, y in zip(a, b))
-
-
 @dataclass(eq=False)
 class OmegaAlgebra:
     omega: Monoid
@@ -177,7 +173,7 @@ def validate_algebra(a: OmegaAlgebra) -> Witness | None:
                     for j in range(d):
                         lhs = m_xy.matvec(a.mul_basis(key, i, j))
                         rhs = a.mul_vec(key, mx.col(i), my.col(j))
-                        if not _vec_eq(lhs, rhs):
+                        if lhs != rhs:
                             return Witness(name, (x, y), (i, j), tuple(lhs), tuple(rhs))
     for x in om.elements():
         for y in om.elements():
@@ -191,7 +187,7 @@ def validate_algebra(a: OmegaAlgebra) -> Witness | None:
                         for k in range(d):
                             lhs = a.mul_vec((x, yz), pi, a.mul_basis((y, z), j, k))
                             rhs = a.mul_vec((xy, z), a.mul_basis((x, y), i, j), qz.col(k))
-                            if not _vec_eq(lhs, rhs):
+                            if lhs != rhs:
                                 return Witness(
                                     "bihom-associativity",
                                     (x, y, z),
@@ -244,7 +240,7 @@ def check_rota_baxter(a: OmegaAlgebra, rb: RotaBaxterFamily) -> Witness | None:
                         for t, v in enumerate(a.mul_basis(key, i, j)):
                             inner[t] += w * v
                     rhs = rxy.matvec(inner)
-                    if not _vec_eq(lhs, rhs):
+                    if lhs != rhs:
                         return Witness("rota-baxter", (x, y), (i, j), tuple(lhs), tuple(rhs))
     return None
 
@@ -312,7 +308,7 @@ def is_homomorphism(f: dict, src: OmegaAlgebra, dst: OmegaAlgebra) -> Witness | 
                 for j in range(src.dim):
                     lhs = fxy.matvec(src.mul_basis((x, y), i, j))
                     rhs = dst.mul_vec((x, y), fx.col(i), fy.col(j))
-                    if not _vec_eq(lhs, rhs):
+                    if lhs != rhs:
                         return Witness("hom-multiplicative", (x, y), (i, j), tuple(lhs), tuple(rhs))
     return None
 

@@ -31,10 +31,6 @@ from .linalg import Mat
 from .rationals import ONE, ZERO
 
 
-def _vec_eq(a, b) -> bool:
-    return all(x == y for x, y in zip(a, b))
-
-
 @dataclass(eq=False)
 class OmegaBimodule:
     base: OmegaAlgebra
@@ -57,22 +53,6 @@ class OmegaBimodule:
 
     def act_right_basis(self, key, l: int, j: int) -> list:
         return self.right[key][l][j]
-
-    def pm_power(self, w: int, k: int) -> Mat:
-        key = ("pm", w, k)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.pmap[w].power(k)
-            self._cache[key] = hit
-        return hit
-
-    def qm_power(self, w: int, k: int) -> Mat:
-        key = ("qm", w, k)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.qmap[w].power(k)
-            self._cache[key] = hit
-        return hit
 
     def m_basis_vector(self, l: int) -> list:
         v = [ZERO] * self.dim_m
@@ -139,7 +119,7 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
                     for l in range(dm):
                         lhs = mmaps[xy].matvec(b.act_left_basis(key, i, l))
                         rhs = b.act_left(key, amaps[x].col(i), mmaps[y].col(l))
-                        if not _vec_eq(lhs, rhs):
+                        if lhs != rhs:
                             return Witness(name, (x, y), (i, l), tuple(lhs), tuple(rhs))
     for x in om.elements():
         for y in om.elements():
@@ -153,7 +133,7 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
                             rhs = b.act_left(
                                 (xy, z), a.mul_basis((x, y), i, j), b.qmap[z].col(l)
                             )
-                            if not _vec_eq(lhs, rhs):
+                            if lhs != rhs:
                                 return Witness(
                                     "left-module-assoc", (x, y, z), (i, j, l), tuple(lhs), tuple(rhs)
                                 )
@@ -169,7 +149,7 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
                     for j in range(d):
                         lhs = mmaps[xy].matvec(b.act_right_basis(key, l, j))
                         rhs = b.act_right(key, mmaps[x].col(l), amaps[y].col(j))
-                        if not _vec_eq(lhs, rhs):
+                        if lhs != rhs:
                             return Witness(name, (x, y), (l, j), tuple(lhs), tuple(rhs))
     for x in om.elements():
         for y in om.elements():
@@ -183,7 +163,7 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
                             rhs = b.act_right(
                                 (xy, z), b.act_right_basis((x, y), l, i), a.qmap[z].col(j)
                             )
-                            if not _vec_eq(lhs, rhs):
+                            if lhs != rhs:
                                 return Witness(
                                     "right-module-assoc",
                                     (x, y, z),
@@ -203,7 +183,7 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
                             rhs = b.act_right(
                                 (xy, z), b.act_left_basis((x, y), i, l), a.qmap[z].col(j)
                             )
-                            if not _vec_eq(lhs, rhs):
+                            if lhs != rhs:
                                 return Witness(
                                     "bimodule-mixed", (x, y, z), (i, l, j), tuple(lhs), tuple(rhs)
                                 )
@@ -328,7 +308,7 @@ def validate_bimodule_algebra(b: OmegaBimodule, extra: BimoduleAlgebraData) -> W
                                 rhs = bullet_apply(
                                     (xy, z), b.act_left_basis((x, y), i, l), b.qmap[z].col(l2)
                                 )
-                                if not _vec_eq(lhs, rhs):
+                                if lhs != rhs:
                                     return Witness(
                                         "bimodule-algebra-left",
                                         (x, y, z),
@@ -351,7 +331,7 @@ def validate_bimodule_algebra(b: OmegaBimodule, extra: BimoduleAlgebraData) -> W
                                 rhs = b.act_right(
                                     (xy, z), extra.bullet[(x, y)][l][l2], a.qmap[z].col(j)
                                 )
-                                if not _vec_eq(lhs, rhs):
+                                if lhs != rhs:
                                     return Witness(
                                         "bimodule-algebra-right",
                                         (x, y, z),
@@ -374,7 +354,7 @@ def validate_bimodule_algebra(b: OmegaBimodule, extra: BimoduleAlgebraData) -> W
                                 rhs = bullet_apply(
                                     (xy, z), b.act_right_basis((x, y), l, j), b.qmap[z].col(l2)
                                 )
-                                if not _vec_eq(lhs, rhs):
+                                if lhs != rhs:
                                     return Witness(
                                         "bimodule-algebra-mixed",
                                         (x, y, z),
@@ -449,7 +429,7 @@ def validate_rbf_bimodule(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | N
                         for k, v in enumerate(b.act_left_basis(key, i, l)):
                             inner[k] += w * v
                     rhs = txy.matvec(inner)
-                    if not _vec_eq(lhs, rhs):
+                    if lhs != rhs:
                         return Witness("rbf-bimodule-left", (x, y), (i, l), tuple(lhs), tuple(rhs))
     for x in om.elements():
         for y in om.elements():
@@ -470,7 +450,7 @@ def validate_rbf_bimodule(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | N
                         for k, v in enumerate(b.act_right_basis(key, l, j)):
                             inner[k] += w * v
                     rhs = txy.matvec(inner)
-                    if not _vec_eq(lhs, rhs):
+                    if lhs != rhs:
                         return Witness("rbf-bimodule-right", (x, y), (l, j), tuple(lhs), tuple(rhs))
     return None
 

@@ -404,9 +404,10 @@ def run_command(argv) -> tuple[dict, int]:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_ERROR
-        report = {"command": argv[:1] or [""], "status": "error", "error": "usage", "error_kind": "input"}
-        return report, EXIT_ERROR if code != 0 else EXIT_OK
+        command = next((arg for arg in argv if not arg.startswith("-")), "")
+        if exc.code == 0:  # --help
+            return {"command": command, "status": "ok"}, EXIT_OK
+        return {"command": command, "status": "error", "error": "usage", "error_kind": "input"}, EXIT_ERROR
     started = time.perf_counter()
     report = {"command": args.command}
     try:

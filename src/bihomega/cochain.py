@@ -13,11 +13,11 @@ multi-index, output index), flattened as
 
 Degree 0 carries no constraint: C^0 = M.
 
-The coboundary has two implementations kept deliberately separate:
-:func:`apply_delta` evaluates the alternating sum term by term, while
-:func:`delta_op` compiles the same sum once into a sparse matrix on raw
-coordinates (used by the matrix-level machinery).  Tests compare the two on
-every basis cochain.
+The coboundary has one implementation: :func:`delta_op` compiles the
+alternating sum once per (bimodule, degree) into a cached sparse matrix on
+raw coordinates, and :func:`apply_delta`, the matrices and the cohomology
+tables all go through it.  Independent term-by-term transcriptions of the
+sum live only in the test oracles (``tests/oracles.py``).
 
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
@@ -33,7 +33,7 @@ from itertools import product as iproduct
 
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, rank, solve, sparse_kernel, sparse_rref
+from .linalg import Mat, rank, solve, sparse_kernel
 from .monoid import Monoid
 from .rationals import ONE, ZERO, Rat
 
@@ -305,13 +305,6 @@ class EquivariantBasis:
             coords.extend(local_coords)
         return coords
 
-    def contains(self, f: Cochain) -> bool:
-        try:
-            self.coords_of(f.coords)
-        except InternalCheckError:
-            return False
-        return True
-
     def combine(self, coords) -> Cochain:
         """Linear combination of basis elements with the given coordinates."""
         f = Cochain.zero(self.degree, self.omega_size, self.dim_in, self.dim_out)
@@ -335,23 +328,6 @@ class EquivariantBasis:
         return m
 
 
-def _kernel_with_frees(rows: list, ncols: int):
-    reduced = sparse_rref(rows, ncols)
-    pivot_set = {c for c, _ in reduced}
-    basis, frees = [], []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: ONE}
-        for pc, row in reduced:
-            coeff = row.get(free)
-            if coeff:
-                vec[pc] = -coeff
-        basis.append(vec)
-        frees.append(free)
-    return basis, frees
-
-
 def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     """Kernel of the stacked equivariance constraints, blockwise per tuple."""
     if n < 0:
@@ -372,9 +348,11 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     else:
         for om_tuple in om.tuples(n):
             rows = _constraint_rows(b, om_tuple, n)
-            basis, free_cols = _kernel_with_frees(rows, block)
+            # one vector per free column, and that column is the vector's
+            # largest key: an RREF row has nonzeros only right of its pivot
+            basis = sparse_kernel(rows, block)
             vectors.append(basis)
-            frees.append(free_cols)
+            frees.append([max(vec) for vec in basis])
             offsets.append(offsets[-1] + len(basis))
     result = EquivariantBasis(n, om.size, d, m, block, vectors, frees, offsets)
     b._cache[cache_key] = result
@@ -597,62 +575,19 @@ def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
 
 
 def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
-    """Evaluate the coboundary of an equivariant cochain term by term."""
+    """Coboundary of an equivariant cochain, through the compiled :func:`delta_op`."""
     a = b.base
-    om = a.omega
-    if f.omega_size != om.size or f.dim_in != a.dim or f.dim_out != b.dim_m:
+    n = f.degree
+    shape = (a.omega.size, a.dim, b.dim_m)
+    if (
+        n < 0
+        or (f.omega_size, f.dim_in, f.dim_out) != shape
+        or len(f.coords) != _pow(a.omega.size, n) * _pow(a.dim, n) * b.dim_m
+    ):
         raise MalformedInputError("cochain does not match the bimodule")
     if check and not is_equivariant(b, f):
         raise PreconditionError("cochain is not equivariant")
-    n = f.degree
-    d, m = a.dim, b.dim_m
-    out = Cochain.zero(n + 1, om.size, d, m)
-    if n == 0:
-        unit = om.unit
-        mv = list(f.coords)
-        for x in om.elements():
-            for j in range(d):
-                ej = a.basis_vector(j)
-                val = b.act_left((x, unit), ej, mv)
-                sub = b.act_right((unit, x), mv, ej)
-                base = out.block_base((x,)) + j * m
-                for k in range(m):
-                    out.coords[base + k] = val[k] - sub[k]
-        return out
-    for beta in om.tuples(n + 1):
-        tail, head = beta[1:], beta[:-1]
-        prod_tail, prod_head = om.product_of(tail), om.product_of(head)
-        p_pow = a.p_power(beta[0], n - 1)
-        q_pow = a.q_power(beta[-1], n - 1)
-        base_tuple = out.block_base(beta)
-        for args in iproduct(range(d), repeat=n + 1):
-            acc = b.act_left(
-                (beta[0], prod_tail), p_pow.col(args[0]), f.value(tail, args[1:])
-            )
-            for i in range(1, n + 1):
-                sign = ONE if i % 2 == 0 else -ONE
-                merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
-                vectors = []
-                for t in range(i - 1):
-                    vectors.append(a.pmap[beta[t]].col(args[t]))
-                vectors.append(a.mul_basis((beta[i - 1], beta[i]), args[i - 1], args[i]))
-                for t in range(i + 1, n + 1):
-                    vectors.append(a.qmap[beta[t]].col(args[t]))
-                term = f.evaluate(merged, vectors)
-                for k in range(m):
-                    if term[k]:
-                        acc[k] += sign * term[k]
-            sign_last = ONE if (n + 1) % 2 == 0 else -ONE
-            term = b.act_right(
-                (prod_head, beta[-1]), f.value(head, args[:-1]), q_pow.col(args[-1])
-            )
-            for k in range(m):
-                if term[k]:
-                    acc[k] += sign_last * term[k]
-            base = base_tuple + _tuple_rank(args, d) * m
-            for k in range(m):
-                out.coords[base + k] = acc[k]
-    return out
+    return Cochain(n + 1, *shape, delta_op(b, n).apply_dense(f.coords))
 
 
 def delta_matrix(b: OmegaBimodule, n: int) -> Mat:

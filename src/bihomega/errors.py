@@ -17,7 +17,7 @@ class InternalCheckError(WorkbenchError):
     """A runtime consistency assertion failed.
 
     These guard facts the theory promises (images staying in the equivariant
-    subspace, dual evaluation routes agreeing).  A failure indicates either a
+    subspace, coboundaries squaring to zero).  A failure indicates either a
     bug or an input outside the theory's guarantees; it is never silently
     repaired.
     """

@@ -6,9 +6,9 @@ bimodule over it.  Three complexes live here:
 * the algebra complex (coboundary from :mod:`bihomega.cochain`);
 * the operator complex: the same cochain spaces, with differential equal to
   the coboundary taken over the derived (star) algebra and its induced
-  bimodule.  :func:`partial` evaluates it both ways (via the star
-  structures, and via the expanded sum in the original structures) and
-  insists the routes agree;
+  bimodule.  :func:`partial` is exactly that: the compiled coboundary of the
+  star bimodule.  The expanded sum in the original structures is kept only
+  as a test oracle (``tests/oracles.py``);
 * the combined complex mixing a degree-n algebra cochain with a degree-(n-1)
   operator cochain,  d(f, g) = (delta f, -partial g - phi f), and
   d(m) = (delta m, -m) at degree 0.
@@ -19,7 +19,7 @@ slots, weight^(n - 1 - |S|) times the bimodule operator T at the tuple
 product applied after inserting R at exactly the slots in S.  It computes
 that subset sum in Horner form, applying R and R + weight I once per slot
 (2n slot products per monoid tuple instead of 2^n full evaluations); the
-literal subset enumeration is kept as the oracle in ``tests/test_rbf.py``.
+literal subset enumeration is kept as the oracle in ``tests/oracles.py``.
 
 Ranks and kernels of the combined differential are computed against raw
 target coordinates (source in equivariant bases), which stays well-defined
@@ -30,7 +30,6 @@ images is still checked where the theory promises it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 from .algebra import OmegaAlgebra, RotaBaxterFamily, Witness, check_rota_baxter, star_product, validate_algebra
 from .bimodule import OmegaBimodule, induced_module_star, validate_rbf_bimodule
@@ -39,7 +38,6 @@ from .cochain import (
     CohomologyReport,
     DegreeRow,
     EquivariantBasis,
-    _tuple_rank,
     apply_delta,
     cohomology_dims,
     delta_op,
@@ -106,95 +104,9 @@ class RbfContext:
 
 
 def partial(ctx: RbfContext, f: Cochain, check: bool = True) -> Cochain:
-    """Operator-complex differential, evaluated by two independent routes.
-
-    Route one: the coboundary over the star algebra with the induced
-    bimodule.  Route two: the expanded sum in the original structures.
-    Exact disagreement raises InternalCheckError.
-    """
-    route_star = apply_delta(ctx.star_bimodule(), f, check=check)
-    route_direct = _partial_expanded(ctx, f)
-    if route_star != route_direct:
-        raise InternalCheckError(
-            f"operator differential routes disagree at degree {f.degree}"
-        )
-    return route_star
-
-
-def _partial_expanded(ctx: RbfContext, f: Cochain) -> Cochain:
-    a = ctx.algebra
-    b = ctx.bimodule
-    om = a.omega
-    d, m = a.dim, b.dim_m
-    w = ctx.rb.weight
-    rmaps, tmaps = ctx.rb.maps, b.tmap
-    n = f.degree
-    out = Cochain.zero(n + 1, om.size, d, m)
-    if n == 0:
-        unit = om.unit
-        mv = list(f.coords)
-        for x in om.elements():
-            rx, tx = rmaps[x], tmaps[x]
-            for j in range(d):
-                ej = a.basis_vector(j)
-                acc = b.act_left((x, unit), rx.col(j), mv)
-                for k, v in enumerate(tx.matvec(b.act_left((x, unit), ej, mv))):
-                    acc[k] -= v
-                for k, v in enumerate(b.act_right((unit, x), mv, rx.col(j))):
-                    acc[k] -= v
-                for k, v in enumerate(tx.matvec(b.act_right((unit, x), mv, ej))):
-                    acc[k] += v
-                base = out.block_base((x,)) + j * m
-                for k in range(m):
-                    out.coords[base + k] = acc[k]
-        return out
-    for beta in om.tuples(n + 1):
-        tail, head = beta[1:], beta[:-1]
-        prod_tail, prod_head = om.product_of(tail), om.product_of(head)
-        t_all = tmaps[om.product_of(beta)]
-        p_pow = a.p_power(beta[0], n - 1)
-        q_pow = a.q_power(beta[-1], n - 1)
-        r_first, r_last = rmaps[beta[0]], rmaps[beta[-1]]
-        base_tuple = out.block_base(beta)
-        for args in iproduct(range(d), repeat=n + 1):
-            pa1 = p_pow.col(args[0])
-            tail_val = f.value(tail, args[1:])
-            acc = b.act_left((beta[0], prod_tail), r_first.matvec(pa1), tail_val)
-            for k, v in enumerate(t_all.matvec(b.act_left((beta[0], prod_tail), pa1, tail_val))):
-                acc[k] -= v
-            for i in range(1, n + 1):
-                sign = ONE if i % 2 == 0 else -ONE
-                merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
-                key = (beta[i - 1], beta[i])
-                ei = a.basis_vector(args[i - 1])
-                ej = a.basis_vector(args[i])
-                star_arg = a.mul_vec(key, ei, rmaps[beta[i]].col(args[i]))
-                for k, v in enumerate(a.mul_vec(key, rmaps[beta[i - 1]].col(args[i - 1]), ej)):
-                    star_arg[k] += v
-                if w:
-                    for k, v in enumerate(a.mul_basis(key, args[i - 1], args[i])):
-                        star_arg[k] += w * v
-                vectors = []
-                for t in range(i - 1):
-                    vectors.append(a.pmap[beta[t]].col(args[t]))
-                vectors.append(star_arg)
-                for t in range(i + 1, n + 1):
-                    vectors.append(a.qmap[beta[t]].col(args[t]))
-                term = f.evaluate(merged, vectors)
-                for k in range(m):
-                    if term[k]:
-                        acc[k] += sign * term[k]
-            sign_last = ONE if (n + 1) % 2 == 0 else -ONE
-            head_val = f.value(head, args[:-1])
-            qan = q_pow.col(args[-1])
-            term = b.act_right((prod_head, beta[-1]), head_val, r_last.matvec(qan))
-            term2 = t_all.matvec(b.act_right((prod_head, beta[-1]), head_val, qan))
-            for k in range(m):
-                acc[k] += sign_last * (term[k] - term2[k])
-            base = base_tuple + _tuple_rank(args, d) * m
-            for k in range(m):
-                out.coords[base + k] = acc[k]
-    return out
+    """Operator-complex differential: the coboundary over the star algebra
+    with the induced bimodule (same errors as :func:`apply_delta`)."""
+    return apply_delta(ctx.star_bimodule(), f, check=check)
 
 
 def phi(ctx: RbfContext, f: Cochain) -> Cochain:

@@ -17,7 +17,7 @@ from itertools import product as iproduct
 
 from .algebra import OmegaAlgebra, RotaBaxterFamily
 from .bimodule import OmegaBimodule
-from .cochain import Cochain
+from .cochain import Cochain, _tuple_rank
 from .deformation import DeformationJet
 from .errors import ParseError
 from .extension import CocyclePair, ExtensionPresentation
@@ -171,17 +171,10 @@ def _parse_cochain_values(obj, omega: Monoid, degree: int, dim_in: int, dim_out:
                 sub = _expect_list(sub, dim_in, sub_path)[idx]
                 sub_path += f"[{idx}]"
             vec = _vector(sub, dim_out, sub_path)
-            base = f.block_base(om_tuple) + _arg_rank(args, dim_in) * dim_out
+            base = f.block_base(om_tuple) + _tuple_rank(args, dim_in) * dim_out
             for k in range(dim_out):
                 f.coords[base + k] = vec[k]
     return f
-
-
-def _arg_rank(args, d: int) -> int:
-    r = 0
-    for x in args:
-        r = r * d + x
-    return r
 
 
 def parse_workbench(text: str) -> WorkbenchFile:

@@ -1,0 +1,194 @@
+"""Independent routes kept only to check production code.
+
+Each oracle transcribes a definition literally, with none of the compiled
+or factored evaluation that production uses:
+
+* :func:`delta_direct_oracle` -- the coboundary as the alternating sum,
+  term by term (production: the compiled ``cochain.delta_op``);
+* :func:`partial_expanded_oracle` -- the operator-complex differential as
+  the expanded sum in the original structures (production: ``rbf.partial``,
+  the compiled coboundary of the star bimodule);
+* :func:`phi_subset_oracle` -- the comparison map by enumerating subsets of
+  slots (production: the slot-by-slot recurrence in ``rbf.phi``).
+"""
+
+from itertools import combinations, product
+
+from bihomega.cochain import Cochain, _tuple_rank
+from bihomega.rationals import ONE
+
+
+def delta_direct_oracle(b, f):
+    """Term-by-term transcription of the alternating sum, any bimodule."""
+    a = b.base
+    om = a.omega
+    n = f.degree
+    d, m = a.dim, b.dim_m
+    out = Cochain.zero(n + 1, om.size, d, m)
+    if n == 0:
+        unit = om.unit
+        for x in om.elements():
+            for j in range(d):
+                val = b.act_left((x, unit), a.basis_vector(j), list(f.coords))
+                sub = b.act_right((unit, x), list(f.coords), a.basis_vector(j))
+                base = out.block_base((x,)) + j * m
+                for k in range(m):
+                    out.coords[base + k] = val[k] - sub[k]
+        return out
+    for beta in om.tuples(n + 1):
+        for args in product(range(d), repeat=n + 1):
+            acc = b.act_left(
+                (beta[0], om.product_of(beta[1:])),
+                a.p_power(beta[0], n - 1).col(args[0]),
+                f.value(beta[1:], args[1:]),
+            )
+            for i in range(1, n + 1):
+                sign = ONE if i % 2 == 0 else -ONE
+                merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
+                vectors = [a.pmap[beta[t]].col(args[t]) for t in range(i - 1)]
+                vectors.append(a.mul_basis((beta[i - 1], beta[i]), args[i - 1], args[i]))
+                vectors.extend(a.qmap[beta[t]].col(args[t]) for t in range(i + 1, n + 1))
+                term = f.evaluate(merged, vectors)
+                for k in range(m):
+                    acc[k] += sign * term[k]
+            sign = ONE if (n + 1) % 2 == 0 else -ONE
+            term = b.act_right(
+                (om.product_of(beta[:-1]), beta[-1]),
+                f.value(beta[:-1], args[:-1]),
+                a.q_power(beta[-1], n - 1).col(args[-1]),
+            )
+            for k in range(m):
+                acc[k] += sign * term[k]
+            base = out.block_base(beta) + sum(
+                x * d ** (n - i) for i, x in enumerate(args, start=0)
+            ) * m
+            for k in range(m):
+                out.coords[base + k] = acc[k]
+    return out
+
+
+def partial_expanded_oracle(ctx, f):
+    """Operator-complex differential as the expanded sum in the original
+    structures: every star product a *_R b = R(a) b + a R(b) + weight ab and
+    every induced action T-twisted, written out term by term.  Independent
+    of the star bimodule that production ``partial`` compiles.
+    """
+    a = ctx.algebra
+    b = ctx.bimodule
+    om = a.omega
+    d, m = a.dim, b.dim_m
+    w = ctx.rb.weight
+    rmaps, tmaps = ctx.rb.maps, b.tmap
+    n = f.degree
+    out = Cochain.zero(n + 1, om.size, d, m)
+    if n == 0:
+        unit = om.unit
+        mv = list(f.coords)
+        for x in om.elements():
+            rx, tx = rmaps[x], tmaps[x]
+            for j in range(d):
+                ej = a.basis_vector(j)
+                acc = b.act_left((x, unit), rx.col(j), mv)
+                for k, v in enumerate(tx.matvec(b.act_left((x, unit), ej, mv))):
+                    acc[k] -= v
+                for k, v in enumerate(b.act_right((unit, x), mv, rx.col(j))):
+                    acc[k] -= v
+                for k, v in enumerate(tx.matvec(b.act_right((unit, x), mv, ej))):
+                    acc[k] += v
+                base = out.block_base((x,)) + j * m
+                for k in range(m):
+                    out.coords[base + k] = acc[k]
+        return out
+    for beta in om.tuples(n + 1):
+        tail, head = beta[1:], beta[:-1]
+        prod_tail, prod_head = om.product_of(tail), om.product_of(head)
+        t_all = tmaps[om.product_of(beta)]
+        p_pow = a.p_power(beta[0], n - 1)
+        q_pow = a.q_power(beta[-1], n - 1)
+        r_first, r_last = rmaps[beta[0]], rmaps[beta[-1]]
+        base_tuple = out.block_base(beta)
+        for args in product(range(d), repeat=n + 1):
+            pa1 = p_pow.col(args[0])
+            tail_val = f.value(tail, args[1:])
+            acc = b.act_left((beta[0], prod_tail), r_first.matvec(pa1), tail_val)
+            for k, v in enumerate(t_all.matvec(b.act_left((beta[0], prod_tail), pa1, tail_val))):
+                acc[k] -= v
+            for i in range(1, n + 1):
+                sign = ONE if i % 2 == 0 else -ONE
+                merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
+                key = (beta[i - 1], beta[i])
+                ei = a.basis_vector(args[i - 1])
+                ej = a.basis_vector(args[i])
+                star_arg = a.mul_vec(key, ei, rmaps[beta[i]].col(args[i]))
+                for k, v in enumerate(a.mul_vec(key, rmaps[beta[i - 1]].col(args[i - 1]), ej)):
+                    star_arg[k] += v
+                if w:
+                    for k, v in enumerate(a.mul_basis(key, args[i - 1], args[i])):
+                        star_arg[k] += w * v
+                vectors = []
+                for t in range(i - 1):
+                    vectors.append(a.pmap[beta[t]].col(args[t]))
+                vectors.append(star_arg)
+                for t in range(i + 1, n + 1):
+                    vectors.append(a.qmap[beta[t]].col(args[t]))
+                term = f.evaluate(merged, vectors)
+                for k in range(m):
+                    if term[k]:
+                        acc[k] += sign * term[k]
+            sign_last = ONE if (n + 1) % 2 == 0 else -ONE
+            head_val = f.value(head, args[:-1])
+            qan = q_pow.col(args[-1])
+            term = b.act_right((prod_head, beta[-1]), head_val, r_last.matvec(qan))
+            term2 = t_all.matvec(b.act_right((prod_head, beta[-1]), head_val, qan))
+            for k in range(m):
+                acc[k] += sign_last * (term[k] - term2[k])
+            base = base_tuple + _tuple_rank(args, d) * m
+            for k in range(m):
+                out.coords[base + k] = acc[k]
+    return out
+
+
+def phi_subset_oracle(ctx, f):
+    """Literal subset enumeration of the comparison map, any degree.
+
+    On each tuple and basis argument multi-index: f on all-R-twisted
+    arguments minus, for every proper subset of slots, weight^(n - 1 - |S|)
+    times T at the tuple product applied to f with R inserted at exactly
+    those slots.  One full multilinear evaluation per subset; independent of
+    the slot-by-slot recurrence in production ``phi``.
+    """
+    a = ctx.algebra
+    b = ctx.bimodule
+    om = a.omega
+    d, m = a.dim, b.dim_m
+    w = ctx.rb.weight
+    n = f.degree
+    if n == 0:
+        return Cochain(0, om.size, d, m, list(f.coords))
+    out = Cochain.zero(n, om.size, d, m)
+    rmaps, tmaps = ctx.rb.maps, b.tmap
+    for alpha in om.tuples(n):
+        t_all = tmaps[om.product_of(alpha)]
+        base_tuple = out.block_base(alpha)
+        r_cols = [rmaps[alpha[s]] for s in range(n)]
+        for args in product(range(d), repeat=n):
+            acc = f.evaluate(alpha, [r_cols[s].col(args[s]) for s in range(n)])
+            for size in range(n):
+                coeff = w ** (n - 1 - size) if n - 1 - size else ONE
+                if not coeff:
+                    continue
+                for subset in combinations(range(n), size):
+                    vectors = []
+                    for s in range(n):
+                        if s in subset:
+                            vectors.append(r_cols[s].col(args[s]))
+                        else:
+                            vectors.append(a.basis_vector(args[s]))
+                    term = t_all.matvec(f.evaluate(alpha, vectors))
+                    for k in range(m):
+                        if term[k]:
+                            acc[k] -= coeff * term[k]
+            base = base_tuple + sum(x * d ** (n - 1 - i) for i, x in enumerate(args)) * m
+            for k in range(m):
+                out.coords[base + k] = acc[k]
+    return out

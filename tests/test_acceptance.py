@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import FIXTURES, ROOT, fixture_path
+from oracles import delta_direct_oracle, partial_expanded_oracle
 
 from bihomega import samples
 from bihomega.algebra import validate_algebra
@@ -210,7 +211,9 @@ def test_criterion_04_bracket_form_coboundary():
                 basis = equivariant_basis(reg, n)
                 for j in range(basis.dim()):
                     f = basis.cochain(j)
-                    assert delta_via_bracket(a, f, check=False) == apply_delta(reg, f, check=False)
+                    image = apply_delta(reg, f, check=False)
+                    assert delta_via_bracket(a, f, check=False) == image
+                    assert image == delta_direct_oracle(reg, f)
 
 
 def _rbf_contexts():
@@ -223,18 +226,23 @@ def _rbf_contexts():
 
 
 def test_criterion_05_chain_map_and_dual_route():
-    with criterion(5, "comparison square commutes (0..3) and both differential routes agree"):
+    with criterion(5, "comparison square commutes (0..3) and the differential routes agree"):
         for name, ctx in _rbf_contexts().items():
             assert chain_map_check(ctx, 3) is None, name
             om, d, m = ctx.dims()
+            star = ctx.star_bimodule()
+            cochains = []
             for j in range(m):
                 f = Cochain.zero(0, om.size, d, m)
                 f.coords[j] = ONE
-                partial(ctx, f, check=False)  # raises on route disagreement
+                cochains.append(f)
             for n in (1, 2, 3):
                 basis = ctx.basis(n)
-                for j in range(basis.dim()):
-                    partial(ctx, basis.cochain(j), check=False)
+                cochains.extend(basis.cochain(j) for j in range(basis.dim()))
+            for f in cochains:
+                image = partial(ctx, f, check=False)
+                assert image == partial_expanded_oracle(ctx, f), (name, f.degree)
+                assert image == delta_direct_oracle(star, f), (name, f.degree)
 
 
 def test_criterion_06_star_and_induced_structures():

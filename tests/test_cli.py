@@ -153,6 +153,28 @@ def test_unknown_flag_exit_two():
     assert code == 2
 
 
+def test_usage_error_report_names_the_command_as_a_string(capsys):
+    report, code = run(["validate", fixture_path("e1.json"), "--frobnicate"])
+    assert (report, code) == (
+        {"command": "validate", "status": "error", "error": "usage", "error_kind": "input"},
+        2,
+    )
+    for argv, command in (([], ""), (["--no-timing"], ""), (["--no-timing", "bogus"], "bogus")):
+        report, code = run(argv)
+        assert (report, code) == (
+            {"command": command, "status": "error", "error": "usage", "error_kind": "input"},
+            2,
+        )
+
+
+def test_help_request_reports_ok(capsys):
+    for argv, command in ((["--help"], ""), (["--no-timing", "cohomology", "--help"], "cohomology")):
+        report, code = run(argv)
+        assert code == 0
+        assert report == {"command": command, "status": "ok"}
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_parse_error_exit_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")

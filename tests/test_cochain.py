@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import fixture_text
+from oracles import delta_direct_oracle
 
 from bihomega import samples
 from bihomega.algebra import zero_algebra
@@ -60,55 +61,6 @@ def dense_constraint_matrix(b, n):
     return Mat.from_rows(rows) if rows else Mat.zeros(0, raw)
 
 
-def delta_direct_oracle(b, f):
-    """Term-by-term transcription of the alternating sum (test-local copy)."""
-    a = b.base
-    om = a.omega
-    n = f.degree
-    d, m = a.dim, b.dim_m
-    out = Cochain.zero(n + 1, om.size, d, m)
-    if n == 0:
-        unit = om.unit
-        for x in om.elements():
-            for j in range(d):
-                val = b.act_left((x, unit), a.basis_vector(j), list(f.coords))
-                sub = b.act_right((unit, x), list(f.coords), a.basis_vector(j))
-                base = out.block_base((x,)) + j * m
-                for k in range(m):
-                    out.coords[base + k] = val[k] - sub[k]
-        return out
-    for beta in om.tuples(n + 1):
-        for args in product(range(d), repeat=n + 1):
-            acc = b.act_left(
-                (beta[0], om.product_of(beta[1:])),
-                a.p_power(beta[0], n - 1).col(args[0]),
-                f.value(beta[1:], args[1:]),
-            )
-            for i in range(1, n + 1):
-                sign = ONE if i % 2 == 0 else -ONE
-                merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
-                vectors = [a.pmap[beta[t]].col(args[t]) for t in range(i - 1)]
-                vectors.append(a.mul_basis((beta[i - 1], beta[i]), args[i - 1], args[i]))
-                vectors.extend(a.qmap[beta[t]].col(args[t]) for t in range(i + 1, n + 1))
-                term = f.evaluate(merged, vectors)
-                for k in range(m):
-                    acc[k] += sign * term[k]
-            sign = ONE if (n + 1) % 2 == 0 else -ONE
-            term = b.act_right(
-                (om.product_of(beta[:-1]), beta[-1]),
-                f.value(beta[:-1], args[:-1]),
-                a.q_power(beta[-1], n - 1).col(args[-1]),
-            )
-            for k in range(m):
-                acc[k] += sign * term[k]
-            base = out.block_base(beta) + sum(
-                x * d ** (n - i) for i, x in enumerate(args, start=0)
-            ) * m
-            for k in range(m):
-                out.coords[base + k] = acc[k]
-    return out
-
-
 def test_identity_maps_full_space():
     a = zero_algebra(trivial_monoid(), 2)
     b = regular_bimodule(a)
@@ -144,6 +96,18 @@ def test_equivariant_bases_match_dense_oracle_on_fixtures(e1_regular, e1_ctx, c2
             assert basis.dim() == kernel_basis(constraint).cols
             for j in range(basis.dim()):
                 assert all(v == 0 for v in constraint.matvec(basis.cochain(j).coords))
+
+
+def test_basis_free_columns_read_off_coordinates(e1_regular, c2_ctx):
+    """Basis vector i of a block is 1 at free column i and 0 at every other
+    free column of that block, so coords_of can read coordinates there."""
+    for b in (e1_regular, c2_ctx.bimodule, regular_bimodule(samples.build_c2_example(1))):
+        for n in (1, 2, 3):
+            basis = equivariant_basis(b, n)
+            for vectors, frees in zip(basis.vectors, basis.frees):
+                assert frees == sorted(set(frees))
+                for i, vec in enumerate(vectors):
+                    assert [vec.get(c, 0) for c in frees] == [int(k == i) for k in range(len(frees))]
 
 
 def test_basis_matrix_and_coordinates_round_trip(e1_regular):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_rref
+from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_kernel, sparse_rref
 from bihomega.rationals import Rat, format_rational, parse_rational
 
 
@@ -59,6 +59,28 @@ def test_kernel_zero_matrix_standard_basis():
 def test_kernel_free_coordinate_convention():
     kb = kernel_basis(Mat.from_rows([[1, 1]]))
     assert kb == Mat.from_cols([[Rat(-1), Rat(1)]])
+
+
+def test_sparse_kernel_free_column_is_the_largest_key():
+    """Each kernel vector is 1 at its free column, which is its largest key
+    (RREF pivots increase, so a pivot row touches only columns right of its
+    pivot); the frees are exactly the non-pivot columns, in increasing order."""
+    rng = random.Random(53)
+    for _ in range(40):
+        ncols = rng.randint(1, 7)
+        rows = []
+        for _ in range(rng.randint(0, 6)):
+            row = {c: Rat(rng.randint(-3, 3), rng.randint(1, 2)) for c in range(ncols) if rng.random() < 0.5}
+            rows.append({c: v for c, v in row.items() if v})
+        pivots = {c for c, _ in sparse_rref(rows, ncols)}
+        basis = sparse_kernel(rows, ncols)
+        frees = [max(vec) for vec in basis]
+        assert frees == [c for c in range(ncols) if c not in pivots]
+        for vec, free in zip(basis, frees):
+            assert vec[free] == 1
+            assert all(c in pivots for c in vec if c != free)
+            for r in rows:
+                assert sum(v * vec.get(c, 0) for c, v in r.items()) == 0
 
 
 def test_rank_nullity_random():

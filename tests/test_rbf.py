@@ -2,12 +2,16 @@ import json
 import random
 from itertools import combinations, product
 
+import pytest
+
 from conftest import fixture_text
+from oracles import delta_direct_oracle, partial_expanded_oracle, phi_subset_oracle
 
 from bihomega import samples
 from bihomega.algebra import RotaBaxterFamily, zero_rb
 from bihomega.bimodule import regular_bimodule, zero_bimodule
-from bihomega.cochain import Cochain, apply_delta, delta_op, random_equivariant
+from bihomega.cochain import Cochain, apply_delta, delta_op, is_equivariant, random_equivariant
+from bihomega.errors import PreconditionError
 from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat, kernel_basis
 from bihomega.rationals import ONE, ZERO, Rat
@@ -23,52 +27,6 @@ from bihomega.rbf import (
     phi,
     rbfa_cohomology_dims,
 )
-
-
-def phi_subset_oracle(ctx, f):
-    """Literal subset enumeration of the comparison map, any degree.
-
-    On each tuple and basis argument multi-index: f on all-R-twisted
-    arguments minus, for every proper subset of slots, weight^(n - 1 - |S|)
-    times T at the tuple product applied to f with R inserted at exactly
-    those slots.  One full multilinear evaluation per subset; independent of
-    the slot-by-slot recurrence in production ``phi``.
-    """
-    a = ctx.algebra
-    b = ctx.bimodule
-    om = a.omega
-    d, m = a.dim, b.dim_m
-    w = ctx.rb.weight
-    n = f.degree
-    if n == 0:
-        return Cochain(0, om.size, d, m, list(f.coords))
-    out = Cochain.zero(n, om.size, d, m)
-    rmaps, tmaps = ctx.rb.maps, b.tmap
-    for alpha in om.tuples(n):
-        t_all = tmaps[om.product_of(alpha)]
-        base_tuple = out.block_base(alpha)
-        r_cols = [rmaps[alpha[s]] for s in range(n)]
-        for args in product(range(d), repeat=n):
-            acc = f.evaluate(alpha, [r_cols[s].col(args[s]) for s in range(n)])
-            for size in range(n):
-                coeff = w ** (n - 1 - size) if n - 1 - size else ONE
-                if not coeff:
-                    continue
-                for subset in combinations(range(n), size):
-                    vectors = []
-                    for s in range(n):
-                        if s in subset:
-                            vectors.append(r_cols[s].col(args[s]))
-                        else:
-                            vectors.append(a.basis_vector(args[s]))
-                    term = t_all.matvec(f.evaluate(alpha, vectors))
-                    for k in range(m):
-                        if term[k]:
-                            acc[k] -= coeff * term[k]
-            base = base_tuple + sum(x * d ** (n - 1 - i) for i, x in enumerate(args)) * m
-            for k in range(m):
-                out.coords[base + k] = acc[k]
-    return out
 
 
 def test_partial_zero(e1_ctx):
@@ -89,6 +47,13 @@ def test_partial_weight_one_trivial_family_reduces_to_composition(e1):
         assert image.value((0, 0), args) == expect
 
 
+def _partial_routes_agree(ctx, f):
+    """partial equals the expanded sum and the term-by-term star coboundary."""
+    image = partial(ctx, f, check=False)
+    assert image == partial_expanded_oracle(ctx, f)
+    assert image == delta_direct_oracle(ctx.star_bimodule(), f)
+
+
 def test_partial_dual_route_on_every_basis_cochain(e1_ctx, c2_ctx, e0_ctx):
     for ctx in (e1_ctx, c2_ctx, e0_ctx):
         m = ctx.bimodule.dim_m
@@ -96,11 +61,35 @@ def test_partial_dual_route_on_every_basis_cochain(e1_ctx, c2_ctx, e0_ctx):
         for j in range(m):
             f = Cochain.zero(0, om.size, d, m)
             f.coords[j] = ONE
-            partial(ctx, f, check=False)  # raises on route disagreement
+            _partial_routes_agree(ctx, f)
         for n in (1, 2):
             basis = ctx.basis(n)
             for j in range(basis.dim()):
-                partial(ctx, basis.cochain(j), check=False)
+                _partial_routes_agree(ctx, basis.cochain(j))
+
+
+def test_compiled_coboundaries_match_oracles_on_raw_rational_cochains(e1_ctx, c2_ctx):
+    """apply_delta and partial against the term-by-term and expanded-sum
+    oracles on non-equivariant cochains with entries in (1/3)Z."""
+    rng = random.Random(47)
+    for ctx in (e1_ctx, c2_ctx):
+        om, d, m = ctx.dims()
+        for n in (0, 1, 2, 3):
+            size = om.size**n * d**n * m
+            for _ in range(2):
+                f = Cochain(n, om.size, d, m, [Rat(rng.randint(-4, 4), 3) for _ in range(size)])
+                assert apply_delta(ctx.bimodule, f, check=False) == delta_direct_oracle(ctx.bimodule, f)
+                _partial_routes_agree(ctx, f)
+
+
+def test_partial_check_refuses_non_equivariant_cochain(e1_ctx):
+    f = Cochain.zero(1, 1, 2, 2)
+    f.coords[2] = ONE  # not q-compatible (see test_apply_delta_requires_equivariance)
+    assert not is_equivariant(e1_ctx.star_bimodule(), f)
+    with pytest.raises(PreconditionError):
+        partial(e1_ctx, f)
+    with pytest.raises(PreconditionError):
+        d_combined(e1_ctx, CombinedCochain(Cochain.zero(2, 1, 2, 2), f))
 
 
 def test_phi_degree_low_cases(e1_ctx):
