@@ -13,11 +13,25 @@ multi-index, output index), flattened as
 
 Degree 0 carries no constraint: C^0 = M.
 
+The equivariance constraints of each monoid-tuple block are sparse rows
+(:func:`_constraint_rows`, cached per tuple).  Their kernel is the basis of
+C^n (:func:`equivariant_basis`), and applying them to a raw vector is the
+one membership test (:func:`_in_subspace`), behind :func:`is_equivariant`
+and every check that a coboundary image lies in C^{n+1}.
+
 The coboundary has one implementation: :func:`delta_op` compiles the
 alternating sum once per (bimodule, degree) into a cached sparse matrix on
 raw coordinates, and :func:`apply_delta`, the matrices and the cohomology
 tables all go through it.  Independent term-by-term transcriptions of the
 sum live only in the test oracles (``tests/oracles.py``).
+
+Cohomology tables stay sparse end to end: for each degree k,
+:func:`cohomology_dims` applies ``delta_op`` to the C^k basis, verifies
+every raw image against the degree-(k+1) constraint rows, and takes one
+rank by forward elimination on the raw images (the coordinate map of C^{k+1}
+is injective, so this is the rank of δ_k on C^k).  No basis-coordinate
+matrix and no basis of C^{max_degree+1} is built.  :func:`delta_matrix`
+(basis coordinates, via ``coords_of``) remains for solving.
 
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
@@ -33,7 +47,7 @@ from itertools import product as iproduct
 
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, rank, solve, sparse_kernel
+from .linalg import Mat, reduce_into, solve, sparse_kernel, sparse_rank
 from .monoid import Monoid
 from .rationals import ONE, ZERO, Rat
 
@@ -210,27 +224,46 @@ def maps_from_cochain(f: Cochain, omega: Monoid) -> dict:
 
 
 def is_equivariant(b: OmegaBimodule, f: Cochain) -> bool:
-    """Direct slotwise check of both structure-map constraints."""
-    a = b.base
-    om = a.omega
-    n = f.degree
+    """Do both structure-map constraints hold on every block of ``f``?"""
+    return _in_subspace(b, f.degree, {i: v for i, v in enumerate(f.coords) if v})
+
+
+def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
+    """Does the raw degree-n vector (sparse dict) lie in C^n?
+
+    Applies the constraint rows of every monoid-tuple block the vector
+    touches, column by column over the vector's entries; exact, never a
+    projection.
+    """
     if n == 0:
         return True
-    d = a.dim
-    for om_tuple in om.tuples(n):
-        prod = om.product_of(om_tuple)
-        pm, qm = b.pmap[prod], b.qmap[prod]
-        for args in iproduct(range(d), repeat=n):
-            val = f.value(om_tuple, args)
-            lhs = pm.matvec(val)
-            rhs = f.evaluate(om_tuple, [a.pmap[om_tuple[t]].col(args[t]) for t in range(n)])
-            if lhs != rhs:
-                return False
-            lhs = qm.matvec(val)
-            rhs = f.evaluate(om_tuple, [a.qmap[om_tuple[t]].col(args[t]) for t in range(n)])
-            if lhs != rhs:
-                return False
+    size = _pow(b.base.dim, n) * b.dim_m
+    blocks: dict = {}
+    for idx, v in vec.items():
+        blocks.setdefault(idx // size, {})[idx % size] = v
+    tuples = b.base.omega.tuples(n)
+    for t, local in blocks.items():
+        by_col = _constraint_columns(b, tuples[t])
+        residual: dict = {}
+        for c, x in local.items():
+            for i, v in by_col.get(c, ()):
+                residual[i] = residual.get(i, 0) + v * x
+        if any(residual.values()):
+            return False
     return True
+
+
+def _constraint_columns(b: OmegaBimodule, om_tuple) -> dict:
+    """The tuple's :func:`_constraint_rows` indexed by column: {col: [(row, coeff)]} (cached)."""
+    cache_key = ("constraint_columns", om_tuple)
+    hit = b._cache.get(cache_key)
+    if hit is None:
+        hit = {}
+        for i, row in enumerate(_constraint_rows(b, om_tuple)):
+            for c, v in row.items():
+                hit.setdefault(c, []).append((i, v))
+        b._cache[cache_key] = hit
+    return hit
 
 
 @dataclass(eq=False)
@@ -347,7 +380,7 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
         offsets.append(m)
     else:
         for om_tuple in om.tuples(n):
-            rows = _constraint_rows(b, om_tuple, n)
+            rows = _constraint_rows(b, om_tuple)
             # one vector per free column, and that column is the vector's
             # largest key: an RREF row has nonzeros only right of its pivot
             basis = sparse_kernel(rows, block)
@@ -359,8 +392,17 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     return result
 
 
-def _constraint_rows(b: OmegaBimodule, om_tuple, n: int) -> list:
-    """Sparse rows of (module map) o f - f o (slotwise maps) for pmap and qmap."""
+def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
+    """Sparse rows of (module map) o f - f o (slotwise maps) for pmap and qmap.
+
+    Block-local columns of the tuple's block; cached per tuple, since both
+    the basis and the membership test :func:`_in_subspace` apply them.
+    """
+    cache_key = ("constraint_rows", om_tuple)
+    hit = b._cache.get(cache_key)
+    if hit is not None:
+        return hit
+    n = len(om_tuple)
     a = b.base
     d, m = a.dim, b.dim_m
     prod = a.omega.product_of(om_tuple)
@@ -396,6 +438,7 @@ def _constraint_rows(b: OmegaBimodule, om_tuple, n: int) -> list:
                     else:
                         row_of[k].pop(col, None)
             rows.extend(r for r in row_of if r)
+    b._cache[cache_key] = rows
     return rows
 
 
@@ -427,6 +470,14 @@ class SparseOp:
                 for row, c in self.cols[col]:
                     out[row] += c * v
         return out
+
+    def image(self, vec: dict) -> dict:
+        """Image of a sparse vector as a sparse dict (no zero entries)."""
+        out: dict = {}
+        for col, v in vec.items():
+            for row, c in self.cols[col]:
+                out[row] = out.get(row, 0) + c * v
+        return {row: x for row, x in out.items() if x}
 
     def matrix(self) -> Mat:
         m = Mat.zeros(self.nrows, self.ncols)
@@ -590,6 +641,27 @@ def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
     return Cochain(n + 1, *shape, delta_op(b, n).apply_dense(f.coords))
 
 
+def _coboundary_images(b: OmegaBimodule, n: int) -> list:
+    """Raw images of the C^n basis under δ, as sparse dicts, each verified in C^{n+1}.
+
+    Raises InternalCheckError at the first image that violates a degree-(n+1)
+    constraint (possible at n = 0; see the module docstring).
+    """
+    basis = equivariant_basis(b, n)
+    op = delta_op(b, n)
+    images = []
+    for j in range(basis.dim()):
+        image = op.image(basis.cochain_sparse(j))
+        if not _in_subspace(b, n + 1, image):
+            raise InternalCheckError(
+                f"coboundary image of degree-{n} basis element {j} left the "
+                f"equivariant subspace: vector is not in the degree-{n + 1} "
+                f"equivariant subspace"
+            )
+        images.append(image)
+    return images
+
+
 def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
     """Coboundary in equivariant-basis coordinates, C^n -> C^{n+1}.
 
@@ -600,19 +672,8 @@ def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
     hit = b._cache.get(cache_key)
     if hit is not None:
         return hit
-    src = equivariant_basis(b, n)
     dst = equivariant_basis(b, n + 1)
-    op = delta_op(b, n)
-    cols = []
-    for j in range(src.dim()):
-        image = op.apply_sparse(src.cochain_sparse(j))
-        try:
-            cols.append(dst.coords_of(image))
-        except InternalCheckError as exc:
-            raise InternalCheckError(
-                f"coboundary image of degree-{n} basis element {j} left the "
-                f"equivariant subspace: {exc}"
-            ) from exc
+    cols = [dst.coords_of(image) for image in _coboundary_images(b, n)]
     result = Mat.from_cols(cols, nrows=dst.dim()) if cols else Mat.zeros(dst.dim(), 0)
     b._cache[cache_key] = result
     return result
@@ -651,55 +712,49 @@ class CohomologyReport:
         }
 
 
-def _image_intersection_generators(b: OmegaBimodule) -> tuple[list, int]:
-    """Raw generators of im(delta_0) ∩ C^1 and the rank of delta_0.
+def degree0_preimages(b: OmegaBimodule) -> list:
+    """Sparse vectors y in C^0 = M whose coboundaries δ_0 y lie in C^1.
 
-    Used when the degree-0 differential leaves the equivariant subspace.
+    Read off the kernel of [basis of C^1 | -images of δ_0] (pairs (x, y)
+    with B x = W y), keeping the nonzero y parts; together with ker δ_0
+    they span {y : δ_0 y in C^1}.
     """
     op = delta_op(b, 0)
-    m = b.dim_m
-    images = []
-    for l in range(m):
-        images.append(op.apply_sparse({l: ONE}))
     basis1 = equivariant_basis(b, 1)
     width_b = basis1.dim()
-    img_rank = rank(Mat.from_cols(images, nrows=op.nrows)) if images else 0
-    # kernel of [basis_matrix | -images]: pairs (x, y) with B x = W y
-    rows_needed = op.nrows
-    cols_total = width_b + len(images)
-    sparse_rows = [dict() for _ in range(rows_needed)]
+    rows = [dict() for _ in range(op.nrows)]
     for j in range(width_b):
         for idx, v in basis1.cochain_sparse(j).items():
-            sparse_rows[idx][j] = v
-    for jj, img in enumerate(images):
-        for idx, v in enumerate(img):
-            if v:
-                sparse_rows[idx][width_b + jj] = -v
-    pairs = sparse_kernel([r for r in sparse_rows if r], cols_total)
-    gens = []
+            rows[idx][j] = v
+    for l in range(b.dim_m):
+        for idx, v in op.image({l: ONE}).items():
+            rows[idx][width_b + l] = -v
+    pairs = sparse_kernel([r for r in rows if r], width_b + b.dim_m)
+    preimages = []
     for vec in pairs:
-        coeffs = [vec.get(width_b + jj, ZERO) for jj in range(len(images))]
-        if all(not c for c in coeffs):
-            continue  # relation purely inside the basis span
-        g = [ZERO] * op.nrows
-        for jj, c in enumerate(coeffs):
-            if c:
-                for idx, v in enumerate(images[jj]):
-                    if v:
-                        g[idx] += c * v
-        if any(g):
-            gens.append(g)
-    # reduce generators to an independent set via rank bookkeeping
-    independent = []
-    for g in gens:
-        trial = independent + [g]
-        if rank(Mat.from_cols(trial, nrows=op.nrows)) == len(trial):
-            independent.append(g)
-    return independent, img_rank
+        y = {c - width_b: v for c, v in vec.items() if c >= width_b}
+        if y:
+            preimages.append(y)
+    return preimages
+
+
+def _image_intersection_generators(b: OmegaBimodule) -> list:
+    """Independent raw generators of im(delta_0) ∩ C^1, as sparse dicts.
+
+    Used when the degree-0 differential leaves the equivariant subspace; a
+    generator is kept when it opens a new pivot.
+    """
+    op = delta_op(b, 0)
+    pivots: dict = {}
+    return [g for g in (op.image(y) for y in degree0_preimages(b)) if reduce_into(pivots, g)]
 
 
 def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
     """Cocycle/coboundary/cohomology dimensions for degrees 0..max_degree.
+
+    rank(δ_k on C^k) is taken once per degree on the raw images of the
+    C^k basis, each verified to satisfy the degree-(k+1) constraints, so no
+    basis of C^{max_degree+1} is built.
 
     Raises InternalCheckError when degree-0 coboundaries are not 1-cocycles
     (possible for valid inputs; see the module docstring): reporting a
@@ -711,54 +766,42 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
     witness = validate_bimodule(b)
     if witness is not None:
         raise PreconditionError(f"bimodule invalid: {witness.describe()}")
-    dims_c = [equivariant_basis(b, k).dim() for k in range(max_degree + 2)]
-    mats: dict = {}
-    degree0_intersected = False
+    dims_c = [equivariant_basis(b, k).dim() for k in range(max_degree + 1)]
+    images0 = [delta_op(b, 0).image({l: ONE}) for l in range(b.dim_m)]  # C^0 = M
     b1_dim = None
-    z0_dim = None
-    try:
-        mats[0] = delta_matrix(b, 0)
-    except InternalCheckError:
-        degree0_intersected = True
-        gens, img_rank = _image_intersection_generators(b)
-        z0_dim = b.dim_m - img_rank
+    if not all(_in_subspace(b, 1, img) for img in images0):
+        gens = _image_intersection_generators(b)
         b1_dim = len(gens)
-        op1 = delta_op(b, 1)
-        basis1 = equivariant_basis(b, 1)
         for g in gens:
-            basis1.coords_of(g)  # membership assertion: must lie in C^1
-            if any(op1.apply_dense(g)):
+            if not _in_subspace(b, 1, g):
+                raise InternalCheckError("vector is not in the degree-1 equivariant subspace")
+            if delta_op(b, 1).image(g):
                 raise InternalCheckError(
                     "degree-0 coboundary generator is not a 1-cocycle; "
                     "the complex is inconsistent on this input"
                 )
-    for k in range(1, max_degree + 1):
-        mats[k] = delta_matrix(b, k)
-    if 0 in mats and max_degree >= 1 and not mats[1].mul(mats[0]).is_zero():
+    ranks = [sparse_rank(images0)]
+    ranks += [sparse_rank(_coboundary_images(b, k)) for k in range(1, max_degree + 1)]
+    if b1_dim is None and max_degree >= 1 and any(delta_op(b, 1).image(g) for g in images0):
         raise InternalCheckError(
             "degree-0 coboundaries are not 1-cocycles; "
             "the complex is inconsistent on this input"
         )
     rows = []
     for k in range(max_degree + 1):
+        z = dims_c[k] - ranks[k]
         if k == 0:
-            if degree0_intersected:
-                z = z0_dim
-            else:
-                z = dims_c[0] - rank(mats[0])
             bdim = 0
+        elif b1_dim is not None and k == 1:
+            bdim = b1_dim
         else:
-            z = dims_c[k] - rank(mats[k])
-            if k == 1 and degree0_intersected:
-                bdim = b1_dim
-            else:
-                bdim = rank(mats[k - 1])
+            bdim = ranks[k - 1]
         if bdim > z:
             raise InternalCheckError(
                 f"degree-{k} coboundary space is larger than the cocycle space"
             )
         rows.append(DegreeRow(k, dims_c[k], z, bdim, z - bdim))
-    return CohomologyReport(rows, degree0_intersected)
+    return CohomologyReport(rows, b1_dim is not None)
 
 
 def degree0_sound(b: OmegaBimodule) -> bool:
@@ -771,19 +814,10 @@ def degree0_sound(b: OmegaBimodule) -> bool:
     """
     op0 = delta_op(b, 0)
     op1 = delta_op(b, 1)
-    basis1 = equivariant_basis(b, 1)
-    images = [op0.apply_sparse({l: ONE}) for l in range(b.dim_m)]
-    all_inside = True
-    for img in images:
-        try:
-            basis1.coords_of(img)
-        except InternalCheckError:
-            all_inside = False
-            break
-    if all_inside:
-        return all(not any(op1.apply_dense(img)) for img in images)
-    gens, _ = _image_intersection_generators(b)
-    return all(not any(op1.apply_dense(g)) for g in gens)
+    images = [op0.image({l: ONE}) for l in range(b.dim_m)]
+    if not all(_in_subspace(b, 1, img) for img in images):
+        images = _image_intersection_generators(b)
+    return not any(op1.image(img) for img in images)
 
 
 def is_cocycle(b: OmegaBimodule, f: Cochain) -> bool:

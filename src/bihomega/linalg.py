@@ -1,10 +1,19 @@
-"""Dense exact rational linear algebra.
+"""Exact rational linear algebra on sparse rows.
 
 Provides the reduced row echelon form, rank, null-space bases, and linear
 solves that the rest of the workbench is built on.  Everything is exact over
 the rationals; nothing ever rounds.  The one division is the pivot
-normalization in :func:`sparse_rref`, whose inverse is an exact rational;
+normalization in :func:`reduce_into`, whose inverse is an exact rational;
 entries that come out integral are stored as ``int`` (see ``rationals``).
+
+Elimination works on sparse row dicts {column: nonzero value}, one row at a
+time: :func:`reduce_into` eliminates a row against a {pivot_col: row}
+echelon and stores it at its leading column, so the cost follows the
+nonzeros, not the shape.  A rank needs only this forward phase;
+:func:`sparse_rref` back-substitutes in decreasing pivot order for the RREF.
+:class:`Mat` is a small dense matrix for structure maps and for callers that
+want one; its ``rank``/``rref``/``kernel_basis``/``solve`` convert it to
+sparse rows.
 
 Conventions that downstream determinism depends on:
 
@@ -12,11 +21,6 @@ Conventions that downstream determinism depends on:
 * ``kernel_basis`` assigns one basis column per free column, taken in
   increasing column order, with the free coordinate set to 1;
 * ``solve`` returns the solution whose free coordinates are all 0.
-
-Elimination is done on sparse row dictionaries so that the highly structured
-(permutation/diagonal/triangular) constraint systems produced by the cochain
-machinery reduce in roughly linear time, while dense inputs still go through
-the same code path.
 """
 
 from __future__ import annotations
@@ -191,66 +195,83 @@ def commutes(a: Mat, b: Mat) -> bool:
 # directly by the cochain machinery, which produces very sparse systems.
 
 
-def sparse_rref(rows: list, ncols: int) -> list:
-    """Reduce sparse rows in place; returns list of (pivot_col, row_dict).
+def reduce_into(pivots: dict, row: dict) -> bool:
+    """Forward-eliminate one row against the echelon ``pivots``; keep the rest.
 
-    Pivot selection: for each column in increasing order, the first remaining
-    row with a nonzero in that column.  The output rows form the unique RREF
-    (pivots 1, pivot columns cleared elsewhere), pivot columns increasing.
-    Every integral entry of the result is an ``int``.
+    ``pivots`` maps each pivot column to its row, normalized so that the
+    pivot is 1 and is the row's smallest column.  The row (not modified) is
+    reduced by the pivot rows at its leading column until it is zero or
+    leads at a new column; in that case it is normalized, stored, and True
+    is returned.
     """
-    active = [{c: v if type(v) is int else Rat(v) for c, v in r.items()} for r in rows if r]
-    reduced: list = []
-    for col in range(ncols):
-        pivot_idx = -1
-        for idx, r in enumerate(active):
-            if col in r:
-                pivot_idx = idx
-                break
-        if pivot_idx < 0:
-            continue
-        pivot = active.pop(pivot_idx)
-        if pivot[col] != 1:
-            inv = Rat(1, pivot[col])
-            pivot = {c: Rat(inv * v) for c, v in pivot.items()}
-        for group in (active, [r for _, r in reduced]):
-            for r in group:
-                factor = r.get(col)
-                if factor is None:
-                    continue
-                for c, v in pivot.items():
-                    new = r.get(c, 0) - factor * v
-                    if new:
-                        r[c] = new if type(new) is int else Rat(new)
-                    else:
-                        r.pop(c, None)
-        active = [r for r in active if r]
-        reduced.append((col, pivot))
-        if not active:
-            break
-    return reduced
+    row = {c: v if type(v) is int else Rat(v) for c, v in row.items() if v}
+    while row:
+        col = min(row)
+        pivot = pivots.get(col)
+        if pivot is None:
+            lead = row[col]
+            if lead != 1:
+                inv = Rat(1, lead)
+                row = {c: Rat(inv * v) for c, v in row.items()}
+            pivots[col] = row
+            return True
+        _axpy(row, -row[col], pivot)
+    return False
+
+
+def _axpy(row: dict, factor, other: dict):
+    """row += factor * other, dropping zeros; integral results stay ints."""
+    for c, v in other.items():
+        new = row.get(c, 0) + factor * v
+        if new:
+            row[c] = new if type(new) is int else Rat(new)
+        else:
+            del row[c]
+
+
+def sparse_rank(rows) -> int:
+    """Rank of the sparse rows: the forward elimination phase only."""
+    pivots: dict = {}
+    for r in rows:
+        reduce_into(pivots, r)
+    return len(pivots)
+
+
+def sparse_rref(rows: list, ncols: int) -> list:
+    """The unique RREF of sparse rows over columns ``0..ncols-1``.
+
+    Returns a list of (pivot_col, row_dict), pivot columns increasing, pivots
+    1 and pivot columns cleared in every other row; the input is not
+    modified.  Rows are eliminated one at a time into a {pivot_col: row}
+    echelon (:func:`reduce_into`), then back-substituted in decreasing pivot
+    order, so each row is cleared by rows that are already reduced.  Every
+    integral entry of the result is an ``int``.
+    """
+    pivots: dict = {}
+    for r in rows:
+        reduce_into(pivots, r)
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for c in [c for c in row if c != col and c in pivots]:
+            _axpy(row, -row[c], pivots[c])
+    return [(c, pivots[c]) for c in sorted(pivots)]
 
 
 def sparse_kernel(rows: list, ncols: int) -> list:
     """Basis of the null space of the sparse system, as sparse column dicts.
 
     One basis vector per free column, in increasing column order, free
-    coordinate = 1 (matching :func:`kernel_basis`).
+    coordinate = 1 (matching :func:`kernel_basis`); built in one pass over
+    the entries of the reduced rows.
     """
     reduced = sparse_rref(rows, ncols)
-    pivot_cols = [c for c, _ in reduced]
-    pivot_set = set(pivot_cols)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = {free: ONE}
-        for pc, row in reduced:
-            coeff = row.get(free)
-            if coeff:
-                vec[pc] = -coeff
-        basis.append(vec)
-    return basis
+    pivot_set = {c for c, _ in reduced}
+    basis = {free: {free: ONE} for free in range(ncols) if free not in pivot_set}
+    for pc, row in reduced:
+        for c, v in row.items():
+            if c != pc:
+                basis[c][pc] = -v
+    return list(basis.values())
 
 
 def _to_sparse_rows(m: Mat) -> list:
@@ -273,7 +294,7 @@ def rref(m: Mat):
 
 
 def rank(m: Mat) -> int:
-    return len(sparse_rref(_to_sparse_rows(m), m.cols))
+    return sparse_rank(_to_sparse_rows(m))
 
 
 def kernel_basis(m: Mat) -> Mat:

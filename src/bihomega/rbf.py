@@ -40,11 +40,13 @@ from .cochain import (
     EquivariantBasis,
     apply_delta,
     cohomology_dims,
+    degree0_preimages,
     delta_op,
     equivariant_basis,
+    is_equivariant,
 )
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, kernel_basis, rank, solve, sparse_kernel
+from .linalg import Mat, kernel_basis, rank, solve, sparse_rank
 from .rationals import ONE, ZERO
 
 
@@ -313,15 +315,11 @@ def combined_raw_matrix(ctx: RbfContext, n: int) -> Mat:
 def _combined_target_membership(ctx: RbfContext, n: int, raw: list) -> bool:
     """Does a raw image vector lie in C^{n+1}_alg (+) C^n_rbf?"""
     om, d, m = ctx.dims()
-    s = om.size
-    alg_rows = (s ** (n + 1)) * (d ** (n + 1)) * m
-    try:
-        ctx.basis(n + 1).coords_of(raw[:alg_rows])
-        if n >= 1:
-            ctx.basis(n).coords_of(raw[alg_rows:])
-    except InternalCheckError:
-        return False
-    return True
+    alg_rows = (om.size ** (n + 1)) * (d ** (n + 1)) * m
+    b = ctx.bimodule
+    return is_equivariant(b, Cochain(n + 1, om.size, d, m, raw[:alg_rows])) and is_equivariant(
+        b, Cochain(n, om.size, d, m, raw[alg_rows:])
+    )
 
 
 def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
@@ -377,40 +375,16 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
 def _combined_degree0_intersection(ctx: RbfContext) -> int:
     """dim( im(d^0) ∩ (C^1_alg (+) C^0_rbf) ); the map m -> (delta m, -m) is
     injective, so this is the dimension of {c in M : delta0(c) in C^1}."""
-    om, d, m = ctx.dims()
     b = ctx.bimodule
-    op0 = delta_op(b, 0)
-    basis1 = ctx.basis(1)
-    width_b = basis1.dim()
-    rows = [dict() for _ in range(op0.nrows)]
-    for j in range(width_b):
-        for idx, v in basis1.cochain_sparse(j).items():
-            rows[idx][j] = v
-    images = []
-    for l in range(m):
-        img = op0.apply_sparse({l: ONE})
-        images.append(img)
-        for idx, v in enumerate(img):
-            if v:
-                rows[idx][width_b + l] = -v
-    pairs = sparse_kernel([r for r in rows if r], width_b + m)
-    c_vectors = []
-    for vec in pairs:
-        c = [vec.get(width_b + l, ZERO) for l in range(m)]
-        if any(c):
-            c_vectors.append(c)
-    if not c_vectors:
-        return 0
-    v_dim = rank(Mat.from_cols(c_vectors, nrows=m))
+    c_vectors = degree0_preimages(b)
     # runtime assertion: generators of the defined part are killed by d^1
-    op1 = delta_op(b, 1)
+    op0, op1 = delta_op(b, 0), delta_op(b, 1)
     for c in c_vectors:
-        img0 = op0.apply_dense(c)
-        if any(op1.apply_dense(img0)):
+        if op1.image(op0.image(c)):
             raise InternalCheckError(
                 "combined degree-0 coboundary generator is not killed at degree 1"
             )
-    return v_dim
+    return sparse_rank(c_vectors)
 
 
 def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:

@@ -9,9 +9,16 @@ or factored evaluation that production uses:
   the expanded sum in the original structures (production: ``rbf.partial``,
   the compiled coboundary of the star bimodule);
 * :func:`phi_subset_oracle` -- the comparison map by enumerating subsets of
-  slots (production: the slot-by-slot recurrence in ``rbf.phi``).
+  slots (production: the slot-by-slot recurrence in ``rbf.phi``);
+* :func:`is_equivariant_oracle` -- both structure-map constraints evaluated
+  slot by slot through ``Cochain.evaluate`` (production:
+  ``cochain.is_equivariant``, the cached constraint rows);
+* :func:`gauss_jordan_oracle` -- dense Gauss-Jordan elimination on lists of
+  ``Fraction`` (production: the sparse row-by-row elimination in
+  ``linalg``).
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from bihomega.cochain import Cochain, _tuple_rank
@@ -192,3 +199,53 @@ def phi_subset_oracle(ctx, f):
             for k in range(m):
                 out.coords[base + k] = acc[k]
     return out
+
+
+def is_equivariant_oracle(b, f):
+    """Direct slotwise check of both structure-map constraints."""
+    a = b.base
+    om = a.omega
+    n = f.degree
+    if n == 0:
+        return True
+    d = a.dim
+    for om_tuple in om.tuples(n):
+        prod = om.product_of(om_tuple)
+        pm, qm = b.pmap[prod], b.qmap[prod]
+        for args in product(range(d), repeat=n):
+            val = f.value(om_tuple, args)
+            lhs = pm.matvec(val)
+            rhs = f.evaluate(om_tuple, [a.pmap[om_tuple[t]].col(args[t]) for t in range(n)])
+            if lhs != rhs:
+                return False
+            lhs = qm.matvec(val)
+            rhs = f.evaluate(om_tuple, [a.qmap[om_tuple[t]].col(args[t]) for t in range(n)])
+            if lhs != rhs:
+                return False
+    return True
+
+
+def gauss_jordan_oracle(matrix, ncols):
+    """Literal dense Gauss-Jordan elimination: (nonzero RREF rows, pivot columns).
+
+    Column by column: take the first remaining row with a nonzero in the
+    column, swap it up, divide it by its pivot, and clear the column in every
+    other row.  Entries are ``Fraction``s throughout.
+    """
+    rows = [[Fraction(x) for x in r] for r in matrix]
+    pivots = []
+    top = 0
+    for c in range(ncols):
+        pick = next((i for i in range(top, len(rows)) if rows[i][c] != 0), None)
+        if pick is None:
+            continue
+        rows[top], rows[pick] = rows[pick], rows[top]
+        p = rows[top][c]
+        rows[top] = [x / p for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][c] != 0:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(c)
+        top += 1
+    return rows[:top], pivots

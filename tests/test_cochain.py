@@ -5,9 +5,9 @@ from itertools import product
 import pytest
 
 from conftest import fixture_text
-from oracles import delta_direct_oracle
+from oracles import delta_direct_oracle, is_equivariant_oracle
 
-from bihomega import samples
+from bihomega import cochain, samples
 from bihomega.algebra import zero_algebra
 from bihomega.bimodule import regular_bimodule, zero_bimodule
 from bihomega.cochain import (
@@ -25,7 +25,7 @@ from bihomega.cochain import (
 )
 from bihomega.errors import InternalCheckError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
-from bihomega.linalg import Mat, kernel_basis
+from bihomega.linalg import Mat, kernel_basis, rank
 from bihomega.monoid import trivial_monoid
 from bihomega.rationals import ONE, ZERO, Rat
 
@@ -337,3 +337,101 @@ def test_degree_zero_composite_can_fail_on_valid_input():
     assert witnessed
     with pytest.raises(InternalCheckError):
         cohomology_dims(b, 2)
+
+
+def test_is_equivariant_matches_slotwise_oracle(e1_regular, c2_ctx):
+    """Constraint rows agree with the slotwise evaluation on basis cochains,
+    on their perturbations and on raw cochains with entries in (1/3)Z."""
+    rng = random.Random(67)
+    verdicts = set()
+    for b in (e1_regular, c2_ctx.bimodule):
+        for n in range(4):
+            basis = equivariant_basis(b, n)
+            for j in range(basis.dim()):
+                f = basis.cochain(j)
+                assert is_equivariant(b, f) and is_equivariant_oracle(b, f)
+                f.coords[rng.randrange(len(f.coords))] += Rat(rng.choice((-1, 1)), 3)
+                verdict = is_equivariant(b, f)
+                assert verdict == is_equivariant_oracle(b, f), (n, j)
+                verdicts.add(verdict)
+            for _ in range(3):
+                raw = Cochain.zero(n, b.base.omega.size, b.base.dim, b.dim_m)
+                raw.coords = [Rat(rng.randint(-3, 3), 3) for _ in raw.coords]
+                verdict = is_equivariant(b, raw)
+                assert verdict == is_equivariant_oracle(b, raw), n
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+LADDER_TABLES = {
+    # (cochains, cocycles, coboundaries, cohomology) per degree
+    "c2_variant0": [(2, 0, 0, 0), (4, 1, 1, 0), (16, 7, 3, 4), (64, 25, 9, 16), (256, 103, 39, 64)],
+    "semidirect": [
+        (3, 1, 0, 1),
+        (5, 2, 1, 1),
+        (13, 7, 3, 4),
+        (35, 19, 6, 13),
+        (97, 56, 16, 40),
+        (275, 162, 41, 121),
+    ],
+}
+
+
+def test_ladder_tables_pinned_without_a_basis_past_max_degree():
+    cases = (
+        ("c2_variant0", samples.build_c2_example(0)),
+        ("semidirect", samples.build_e1_semidirect()),
+    )
+    for name, a in cases:
+        want = LADDER_TABLES[name]
+        b = regular_bimodule(a)
+        rep = cohomology_dims(b, len(want) - 1)
+        got = [(r.dim_cochains, r.dim_cocycles, r.dim_coboundaries, r.dim_cohomology) for r in rep.rows]
+        assert got == want, name
+        assert rep.degree0_intersected  # both take the degree-0 intersection
+        assert ("equivariant_basis", len(want) - 1) in b._cache
+        assert ("equivariant_basis", len(want)) not in b._cache, name
+
+
+def test_cohomology_dims_still_verifies_coboundary_images(monkeypatch):
+    """A δ whose image of one basis cochain leaves C^{n+1} is refused."""
+    a = samples.build_c2_example(0)
+    b = regular_bimodule(a)
+    n = 2
+    real_op = delta_op(b, n)
+
+    def unit(r):
+        f = Cochain.zero(n + 1, a.omega.size, a.dim, b.dim_m)
+        f.coords[r] = ONE
+        return f
+
+    outside = next(r for r in range(real_op.nrows) if not is_equivariant(b, unit(r)))
+    free = equivariant_basis(b, n).frees[0][0]  # nonzero in basis cochain 0 only
+    cols = [dict(entries) for entries in real_op.cols]
+    cols[free][outside] = cols[free].get(outside, 0) + 1
+    broken = cochain.SparseOp(real_op.nrows, real_op.ncols, cols)
+    real_delta_op = cochain.delta_op
+    monkeypatch.setattr(cochain, "delta_op", lambda bb, k: broken if k == n else real_delta_op(bb, k))
+    with pytest.raises(InternalCheckError, match="degree-2 basis element 0 left the equivariant"):
+        cohomology_dims(b, 3)
+
+
+def test_image_intersection_generators_span_the_intersection(e1_regular):
+    """Independent generators of im(δ_0) ∩ C^1, counted against
+    dim U + dim V - dim(U + V) with dense ranks."""
+    cases = [e1_regular] + [regular_bimodule(samples.build_c2_example(v)) for v in (0, 1, 2, 3)]
+    for b in cases:
+        shape = (b.base.omega.size, b.base.dim, b.dim_m)
+        op0 = delta_op(b, 0)
+        images = [op0.apply_sparse({l: ONE}) for l in range(b.dim_m)]
+        assert not all(is_equivariant(b, Cochain(1, *shape, g)) for g in images)
+        basis1 = equivariant_basis(b, 1)
+        c1 = [basis1.cochain(j).coords for j in range(basis1.dim())]
+        gens = [[g.get(i, 0) for i in range(op0.nrows)] for g in cochain._image_intersection_generators(b)]
+        want = rank(Mat.from_cols(images)) + len(c1) - rank(Mat.from_cols(images + c1))
+        assert len(gens) == want
+        if gens:
+            assert rank(Mat.from_cols(gens)) == len(gens)
+        for g in gens:
+            assert is_equivariant(b, Cochain(1, *shape, g))
+            assert rank(Mat.from_cols(images + [g])) == rank(Mat.from_cols(images))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import gauss_jordan_oracle
 
 from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_kernel, sparse_rref
 from bihomega.rationals import Rat, format_rational, parse_rational
@@ -171,3 +172,94 @@ def test_pivot_two_results_exact_and_integer_first():
     _assert_exact(x)
     assert x == [0, 2, 0]
     assert all(type(v) is int for v in x)
+
+
+def _random_systems(rng):
+    """Seeded dense matrices covering the shapes elimination must handle.
+
+    Integer and one-third-integer entries, zero and duplicate rows, rows
+    that are combinations of earlier ones, tall and wide shapes, and rows
+    scaled so that pivots are not 1.
+    """
+    for case in range(120):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        if case % 3 == 1:
+            nrows = ncols + rng.randint(2, 5)  # tall
+        elif case % 3 == 2:
+            ncols = nrows + rng.randint(2, 5)  # wide
+        denom = 3 if case % 2 else 1
+        density = rng.choice((0.25, 0.5, 0.9))
+        rows = [
+            [Rat(rng.randint(-4, 4), denom) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        for i in range(nrows):
+            kind = rng.randrange(5)
+            if kind == 0:
+                rows[i] = [0] * ncols
+            elif kind == 1 and i:
+                rows[i] = list(rows[rng.randrange(i)])
+            elif kind == 2 and i >= 2:
+                p, q = rng.sample(range(i), 2)
+                lam, mu = rng.randint(-3, 3), Rat(rng.randint(-3, 3), 2)
+                rows[i] = [lam * x + mu * y for x, y in zip(rows[p], rows[q])]
+            elif kind == 3:
+                scale = rng.choice((2, -3, 5, Rat(2, 3)))
+                rows[i] = [scale * x for x in rows[i]]
+        yield [[Rat(x) for x in r] for r in rows], ncols
+
+
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _kernel_from_rref(reduced, pivots, ncols):
+    vectors = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = {free: 1}
+        for pc, row in zip(pivots, reduced):
+            if row[free]:
+                vec[pc] = -row[free]
+        vectors.append(vec)
+    return vectors
+
+
+def test_elimination_matches_dense_gauss_jordan_oracle():
+    rng = random.Random(61)
+    seen = {"rational": False, "deficient": False, "zero_row": False, "inconsistent": False}
+    for rows, ncols in _random_systems(rng):
+        reduced, pivots = gauss_jordan_oracle(rows, ncols)
+        seen["rational"] |= any(v.denominator != 1 for r in reduced for v in r)
+        seen["deficient"] |= len(pivots) < min(len(rows), ncols)
+        seen["zero_row"] |= any(not any(r) for r in rows)
+        sparse = _sparse(rows)
+        got = sparse_rref(sparse, ncols)
+        assert [c for c, _ in got] == pivots
+        assert [row for _, row in got] == _sparse(reduced)
+        for _, row in got:
+            _assert_exact(row.values())
+        assert sparse == _sparse(rows)  # the input is left alone
+        want_kernel = _kernel_from_rref(reduced, pivots, ncols)
+        assert sparse_kernel(sparse, ncols) == want_kernel
+        m = Mat.from_rows(rows)
+        assert rank(m) == len(pivots)
+        kb = kernel_basis(m)
+        assert [kb.col(j) for j in range(kb.cols)] == [
+            [vec.get(c, 0) for c in range(ncols)] for vec in want_kernel
+        ]
+        x0 = [Rat(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(ncols)]
+        for rhs in (m.matvec(x0), [Rat(rng.randint(-3, 3)) for _ in range(len(rows))]):
+            aug_reduced, aug_pivots = gauss_jordan_oracle(
+                [r + [b] for r, b in zip(rows, rhs)], ncols + 1
+            )
+            x = solve(m, rhs)
+            if ncols in aug_pivots:
+                assert x is None
+                seen["inconsistent"] = True
+                continue
+            want = [0] * ncols
+            for pc, row in zip(aug_pivots, aug_reduced):
+                want[pc] = row[ncols]
+            assert x == want
+            _assert_exact(x)
+    assert all(seen.values()), seen
