@@ -100,12 +100,9 @@ class Cochain:
             raise MalformedInputError("wrong number of arguments")
         if self.degree == 0:
             return list(self.coords)
-        return self.contract_block(self.block_base(om_tuple), vectors)
-
-    def contract_block(self, base: int, vectors) -> list:
-        """Evaluate at a precomputed block offset (hot path for insertions)."""
         d = self.dim_in
         width = _pow(d, self.degree - 1) * self.dim_out
+        base = self.block_base(om_tuple)
         block = self.coords[base : base + width * d]
         for v in vectors:
             new = [ZERO] * width

@@ -10,13 +10,29 @@ indices merge through the monoid product.  The bracket is the graded
 commutator of the induced pre-Lie sums; a product family is exactly a
 bracket-square-zero (Maurer-Cartan) degree-2 element, and the graded
 commutator with the product family reproduces the coboundary up to sign.
+
+Insertion is compiled.  For each (n, m, i) the algebra caches a plan in
+its own ``_cache`` (:func:`_insertion_plan`): one entry per block of f,
+i.e. per merged tuple pre + (x,) + post, holding the twist of its outer
+slots as index gathers (None for the identity, one layer per monomial
+twist) and the inner tuples beta with product x.  ``circ_i`` twists each
+block of f once, before g widens its slot, and writes each output block
+pre + beta + post as the sum over r of outer products of g's r-th output
+column with the block's rows at slot value r (:func:`_kernel`).  Cochains
+of another shape are refused before a plan is looked up.  ``bracket``
+accumulates its signed ``circ_i`` terms into one coordinate list.  The
+slot-by-slot contraction this replaces is the test oracle
+``circ_i_oracle`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import add, mul, neg, sub
+
 from .algebra import OmegaAlgebra
 from .bimodule import regular_bimodule
-from .cochain import Cochain, cochain_from_tensors, is_equivariant
+from .cochain import Cochain, _tuple_rank, cochain_from_tensors, is_equivariant
 from .errors import MalformedInputError, PreconditionError
 from .rationals import ONE, ZERO
 
@@ -26,159 +42,141 @@ def mu_cochain(a: OmegaAlgebra) -> Cochain:
     return cochain_from_tensors(a.omega, 2, a.dim, a.dim, a.product)
 
 
-def identity_cochain(a: OmegaAlgebra) -> Cochain:
-    """The constant identity family as a degree-1 cochain."""
-    f = Cochain.zero(1, a.omega.size, a.dim, a.dim)
-    for x in a.omega.elements():
-        base = f.block_base((x,))
-        for j in range(a.dim):
-            f.coords[base + j * a.dim + j] = ONE
-    return f
-
-
-def _require_equivariant(a: OmegaAlgebra, f: Cochain, check: bool):
-    if check and not is_equivariant(regular_bimodule(a), f):
+def _require_cochains(a: OmegaAlgebra, check: bool, *cochains):
+    """Refuse cochains not on the carrier, then, when ``check``, non-equivariant ones."""
+    size, d = a.omega.size, a.dim
+    for f in cochains:
+        shape = (f.omega_size, f.dim_in, f.dim_out, len(f.coords))
+        if shape != (size, d, d, (size * d) ** f.degree * d):
+            raise MalformedInputError("cochain does not match the algebra")
+    if check and not all(is_equivariant(regular_bimodule(a), f) for f in cochains):
         raise PreconditionError("cochain is not equivariant")
 
 
-def _contract_slot(block, pre: int, d_old: int, w_new: int, post: int, rows):
-    """Replace one tensor slot by composing with a matrix.
+def _twist(mats, d: int):
+    """The Kronecker product of ``mats`` (None: identity) as index gathers.
 
-    ``block`` is flat with shape (pre, d_old, post); ``rows[r][c]`` is the
-    matrix entry sending new index c through old index r.  Returns the flat
-    (pre, w_new, post) tensor of  sum_r block[p, r, q] * rows[r][c].
+    Layer ``(idx, coeffs)`` sends position t (one index per factor,
+    lexicographic) to coeffs[t] * block[idx[t]], ``coeffs`` None when all
+    are 1; the twist is the sum of its layers.  A factor contributes as many
+    layers as its fullest column has nonzeros, so a monomial twist is one
+    layer.  Returns None for the identity.
     """
-    out = [ZERO] * (pre * w_new * post)
-    for p in range(pre):
-        in_base = p * d_old * post
-        out_base = p * w_new * post
-        for r in range(d_old):
-            row = rows[r]
-            src = in_base + r * post
-            for c in range(w_new):
-                coeff = row[c]
-                if not coeff:
-                    continue
-                dst = out_base + c * post
-                if coeff == ONE:
-                    for q in range(post):
-                        v = block[src + q]
-                        if v:
-                            out[dst + q] += v
-                else:
-                    for q in range(post):
-                        v = block[src + q]
-                        if v:
-                            out[dst + q] += coeff * v
-    return out
+    layers = [([0], [ONE])]
+    for mat in mats:
+        if mat is None:
+            split = [[(r, ONE) for r in range(d)]]
+        else:
+            cols = [[(r, mat.at(r, c)) for r in range(d) if mat.at(r, c)] for c in range(d)]
+            depth = max([1] + [len(col) for col in cols])
+            split = [[col[k] if k < len(col) else (0, ZERO) for col in cols] for k in range(depth)]
+        layers = [
+            ([j * d + r for j in idx for r, _ in part], [cj * c for cj in cf for _, c in part])
+            for idx, cf in layers
+            for part in split
+        ]
+    layers = [(idx, None if all(c == ONE for c in cf) else cf) for idx, cf in layers]
+    (idx, coeffs), *rest = layers
+    return None if not rest and coeffs is None and idx == list(range(len(idx))) else layers
 
 
-def _mat_rows(mat) -> list:
-    return [[mat.at(r, c) for c in range(mat.cols)] for r in range(mat.rows)]
+def _insertion_plan(a: OmegaAlgebra, n: int, m: int, i: int) -> list:
+    """Compiled f oc_i g for arities (n, m), cached in the algebra.
+
+    Entries ``(f_base, twist, out_base, fiber)``, one per merged tuple
+    pre + (x,) + post: ``twist`` is :func:`_twist` of pmap^(m-1) at pre,
+    the inserted slot, qmap^(m-1) at post and the output index (shared
+    between equal matrices); ``fiber`` lists the ranks b of the inner tuples
+    beta with product x, and block b of g fills output block
+    pre + beta + post at ``out_base`` + b * size^(n-i) * d^(n+m).
+    """
+    key = ("circ_i", n, m, i)
+    plan = a._cache.get(key)
+    if plan is not None:
+        return plan
+    om, d = a.omega, a.dim
+    size, tails = om.size, om.size ** (n - i)
+    fiber = {x: [] for x in om.elements()}
+    for beta in om.tuples(m):
+        fiber[om.product_of(beta)].append(_tuple_rank(beta, size))
+    plan, twists = [], {}
+    for pre_rank, pre in enumerate(om.tuples(i - 1)):
+        for post_rank, post in enumerate(om.tuples(n - i)):
+            mats = [a.p_power(x, m - 1) for x in pre] + [None]
+            mats += [a.q_power(x, m - 1) for x in post] + [None]
+            twist_key = tuple(None if mat is None else tuple(mat.entries) for mat in mats)
+            if twist_key not in twists:
+                twists[twist_key] = _twist(mats, d)
+            out_base = (pre_rank * size**m * tails + post_rank) * d ** (n + m)
+            for x in om.elements():
+                if fiber[x]:
+                    merged = (pre_rank * size + x) * tails + post_rank
+                    plan.append((merged * d ** (n + 1), twists[twist_key], out_base, fiber[x]))
+    a._cache[key] = plan
+    return plan
+
+
+@lru_cache(maxsize=None)
+def _kernel(d: int):
+    """``kernel(gb, rt)``: one pre-index of an output block, compiled once per d.
+
+    Lists sum_r gb[c * d + r] * rt[t][r] over c, then t, where ``gb`` is a
+    flat block of g (output index innermost) and ``rt[t]`` the d values of
+    the twisted f block at slot value r: the sum over r of the outer
+    products of g's r-th output column with f's r-th row, unrolled in r.
+    """
+    cs = ", ".join(f"c{r}" for r in range(d))
+    vs = ", ".join(f"v{r}" for r in range(d))
+    terms = " + ".join(f"c{r} * v{r}" for r in range(d))
+    return eval(f"lambda gb, rt: [{terms} for {cs}, in zip(*[iter(gb)] * {d}) for {vs}, in rt]")
 
 
 def circ_i(a: OmegaAlgebra, f: Cochain, g: Cochain, i: int, check: bool = True) -> Cochain:
     """Insert g into slot i of f; result has arity f.degree + g.degree - 1.
 
-    Computed blockwise: for each output index tuple, the stored block of f
-    at the merged tuple is contracted slot by slot, with the twisting-map
-    power matrices on the outer slots and the block of g on the inserted
-    slot (which widens that slot from d to d^arity(g) argument columns).
+    Runs the cached :func:`_insertion_plan`: each block of f is twisted
+    once, split per pre-index into d rows (slot value r), and multiplied
+    with each inner block of g by :func:`_kernel`.
     """
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise MalformedInputError("insertion needs arities >= 1")
     if not 1 <= i <= n:
         raise MalformedInputError(f"slot {i} out of range 1..{n}")
-    _require_equivariant(a, f, check)
-    _require_equivariant(a, g, check)
-    om = a.omega
+    _require_cochains(a, check, f, g)
     d = a.dim
-    out_deg = n + m - 1
-    out = Cochain.zero(out_deg, om.size, d, d)
-    dm_block = d**m
-    f_block_len = (d**n) * d
-    for alpha in om.tuples(out_deg):
-        block_tuple = alpha[i - 1 : i + m - 1]
-        merged = alpha[: i - 1] + (om.product_of(block_tuple),) + alpha[i + m - 1 :]
-        f_base = f.block_base(merged)
-        block = f.coords[f_base : f_base + f_block_len]
-        g_base = g.block_base(block_tuple)
-        # slot widths after each contraction; slots processed left to right
-        post = (d ** (n - 1)) * d
-        pre = 1
-        for s in range(n):
-            if s == i - 1:
-                rows = [
-                    [g.coords[g_base + c * d + r] for c in range(dm_block)] for r in range(d)
-                ]
-                width = dm_block
-            else:
-                mat = a.p_power(alpha[s], m - 1) if s < i - 1 else a.q_power(
-                    alpha[s + m - 1], m - 1
-                )
-                rows = _mat_rows(mat)
-                width = d
-            block = _contract_slot(block, pre, d, width, post, rows)
-            pre *= width
-            post //= d
-        base_tuple = out.block_base(alpha)
-        out.coords[base_tuple : base_tuple + len(block)] = block
-    return out
-
-
-def circ_full(a: OmegaAlgebra, f: Cochain, gs, check: bool = True) -> Cochain:
-    """Simultaneous composition: slot l of f receives gs[l] on its own block.
-
-    Block l's value is post-composed with pmap^(sum of later graded degrees)
-    and qmap^(sum of earlier graded degrees) at the block's merged index;
-    f is evaluated at the tuple of merged block indices.
-    """
-    gs = list(gs)
-    n = f.degree
-    if len(gs) != n:
-        raise MalformedInputError(f"need exactly {n} cochains to compose, got {len(gs)}")
-    if n < 1 or any(g.degree < 1 for g in gs):
-        raise MalformedInputError("composition needs arities >= 1")
-    _require_equivariant(a, f, check)
-    for g in gs:
-        _require_equivariant(a, g, check)
-    om = a.omega
-    d = a.dim
-    arities = [g.degree for g in gs]
-    out_deg = sum(arities)
-    starts = []
-    pos = 0
-    for ar in arities:
-        starts.append(pos)
-        pos += ar
-    p_exp = [sum(arities[t] - 1 for t in range(l + 1, n)) for l in range(n)]
-    q_exp = [sum(arities[t] - 1 for t in range(l)) for l in range(n)]
-    out = Cochain.zero(out_deg, om.size, d, d)
-    f_block_len = (d**n) * d
-    for alpha in om.tuples(out_deg):
-        blocks = [alpha[starts[l] : starts[l] + arities[l]] for l in range(n)]
-        prods = [om.product_of(bl) for bl in blocks]
-        merged = tuple(prods)
-        f_base = f.block_base(merged)
-        block = f.coords[f_base : f_base + f_block_len]
-        pre = 1
-        post = (d ** (n - 1)) * d
-        for l in range(n):
-            p_mat = a.p_power(prods[l], p_exp[l])
-            q_mat = a.q_power(prods[l], q_exp[l])
-            g_base = gs[l].block_base(blocks[l])
-            width = d ** arities[l]
-            cols = []
-            for c in range(width):
-                v = gs[l].coords[g_base + c * d : g_base + (c + 1) * d]
-                cols.append(p_mat.matvec(q_mat.matvec(v)))
-            rows = [[cols[c][r] for c in range(width)] for r in range(d)]
-            block = _contract_slot(block, pre, d, width, post, rows)
-            pre *= width
-            post //= d
-        base_tuple = out.block_base(alpha)
-        out.coords[base_tuple : base_tuple + len(block)] = block
+    out = Cochain.zero(n + m - 1, a.omega.size, d, d)
+    if not d:  # no coordinates, and no kernel to compile
+        return out
+    f_len, g_len = d ** (n + 1), d ** (m + 1)
+    width = d ** (n - i + 1)  # one row: the slots after i and the output index
+    stride = a.omega.size ** (n - i) * d ** (n + m)  # output offset per fiber rank
+    zero_rows, kernel = [ZERO] * (d**m * width), _kernel(d)
+    fc, gc, oc = f.coords, g.coords, out.coords
+    for f_base, twist, out_base, fiber in _insertion_plan(a, n, m, i):
+        block = fc[f_base : f_base + f_len]
+        if not any(block):
+            continue
+        if twist is not None:
+            twisted = None
+            for idx, coeffs in twist:
+                vals = list(map(block.__getitem__, idx))
+                if coeffs is not None:
+                    vals = list(map(mul, coeffs, vals))
+                twisted = vals if twisted is None else list(map(add, twisted, vals))
+            block = twisted
+        pres = []  # per pre-index: its d rows, transposed to a d-tuple per position
+        for k in range(0, f_len, d * width):
+            rows = [block[k + r * width : k + (r + 1) * width] for r in range(d)]
+            pres.append(list(zip(*rows)) if any(map(any, rows)) else None)
+        for b in fiber:
+            gb = gc[b * g_len : (b + 1) * g_len]
+            if any(gb):
+                new = []
+                for rt in pres:
+                    new += zero_rows if rt is None else kernel(gb, rt)
+                start = out_base + b * stride
+                oc[start : start + len(new)] = new
     return out
 
 
@@ -192,19 +190,17 @@ def bracket(a: OmegaAlgebra, f: Cochain, g: Cochain, check: bool = True) -> Coch
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise MalformedInputError("bracket needs arities >= 1")
-    _require_equivariant(a, f, check)
-    _require_equivariant(a, g, check)
-    out = Cochain.zero(n + m - 1, a.omega.size, a.dim, a.dim)
-    for i in range(1, n + 1):
-        term = circ_i(a, f, g, i, check=False)
-        sign = -ONE if ((m - 1) * (i - 1)) % 2 else ONE
-        out = out.add(term.scale(sign))
-    outer = -ONE if ((n - 1) * (m - 1)) % 2 else ONE
-    for i in range(1, m + 1):
-        term = circ_i(a, g, f, i, check=False)
-        sign = -ONE if ((n - 1) * (i - 1)) % 2 else ONE
-        out = out.sub(term.scale(outer * sign))
-    return out
+    _require_cochains(a, check, f, g)
+    terms = [(f, g, i, (m - 1) * (i - 1)) for i in range(1, n + 1)]
+    terms += [(g, f, i, (n - 1) * (m - 1) + (n - 1) * (i - 1) + 1) for i in range(1, m + 1)]
+    acc = None
+    for x, y, i, parity in terms:
+        coords = circ_i(a, x, y, i, check=False).coords
+        if acc is None:
+            acc = list(map(neg, coords)) if parity % 2 else coords
+        else:
+            acc = list(map(sub if parity % 2 else add, acc, coords))
+    return Cochain(n + m - 1, a.omega.size, a.dim, a.dim, acc)
 
 
 def mc_residual(a: OmegaAlgebra, candidate: Cochain, check: bool = True) -> Cochain:
@@ -232,17 +228,10 @@ def delta_via_bracket(a: OmegaAlgebra, f: Cochain, check: bool = True) -> Cochai
 
 def algebra_with_product(a: OmegaAlgebra, candidate: Cochain) -> OmegaAlgebra:
     """Same carrier and structure maps, product replaced by the candidate."""
-    if candidate.degree != 2 or candidate.dim_in != a.dim or candidate.dim_out != a.dim:
-        raise MalformedInputError("candidate must be a degree-2 cochain on the carrier")
     d = a.dim
-    product = {}
-    for x in a.omega.elements():
-        for y in a.omega.elements():
-            t = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-            for i in range(d):
-                for j in range(d):
-                    v = candidate.value((x, y), (i, j))
-                    for k in range(d):
-                        t[i][j][k] = v[k]
-            product[(x, y)] = t
+    shape = (candidate.degree, candidate.omega_size, candidate.dim_in, candidate.dim_out)
+    if shape != (2, a.omega.size, d, d):
+        raise MalformedInputError("candidate must be a degree-2 cochain on the carrier")
+    pairs = [(x, y) for x in a.omega.elements() for y in a.omega.elements()]
+    product = {xy: [[candidate.value(xy, (i, j)) for j in range(d)] for i in range(d)] for xy in pairs}
     return OmegaAlgebra(a.omega, d, product, dict(a.pmap), dict(a.qmap))

@@ -15,14 +15,24 @@ or factored evaluation that production uses:
   ``cochain.is_equivariant``, the cached constraint rows);
 * :func:`gauss_jordan_oracle` -- dense Gauss-Jordan elimination on lists of
   ``Fraction`` (production: the sparse row-by-row elimination in
-  ``linalg``).
+  ``linalg``);
+* :func:`circ_i_oracle` -- the insertion of g into slot i of f as a
+  slot-by-slot contraction of the dense block of f at the merged tuple
+  (production: the compiled insertion plan in ``gerstenhaber.circ_i``);
+* :func:`bracket_oracle` -- the graded commutator of the oracle insertion
+  sums, one signed ``Cochain`` sum per term (production:
+  ``gerstenhaber.bracket``);
+* :func:`circ_full_oracle` -- the simultaneous composition f(g_1, ..., g_n)
+  by the same slot-by-slot contraction;
+* :func:`identity_cochain` -- the constant identity family, the unit of
+  insertion.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from bihomega.cochain import Cochain, _tuple_rank
-from bihomega.rationals import ONE
+from bihomega.rationals import ONE, ZERO
 
 
 def delta_direct_oracle(b, f):
@@ -249,3 +259,155 @@ def gauss_jordan_oracle(matrix, ncols):
         pivots.append(c)
         top += 1
     return rows[:top], pivots
+
+
+def identity_cochain(a):
+    """The constant identity family as a degree-1 cochain."""
+    f = Cochain.zero(1, a.omega.size, a.dim, a.dim)
+    for x in a.omega.elements():
+        base = f.block_base((x,))
+        for j in range(a.dim):
+            f.coords[base + j * a.dim + j] = ONE
+    return f
+
+
+def _contract_slot(block, pre, d_old, w_new, post, rows):
+    """Replace one tensor slot by composing with a matrix.
+
+    ``block`` is flat with shape (pre, d_old, post); ``rows[r][c]`` is the
+    matrix entry sending new index c through old index r.  Returns the flat
+    (pre, w_new, post) tensor of  sum_r block[p, r, q] * rows[r][c].
+    """
+    out = [ZERO] * (pre * w_new * post)
+    for p in range(pre):
+        in_base = p * d_old * post
+        out_base = p * w_new * post
+        for r in range(d_old):
+            row = rows[r]
+            src = in_base + r * post
+            for c in range(w_new):
+                coeff = row[c]
+                if not coeff:
+                    continue
+                dst = out_base + c * post
+                if coeff == ONE:
+                    for q in range(post):
+                        v = block[src + q]
+                        if v:
+                            out[dst + q] += v
+                else:
+                    for q in range(post):
+                        v = block[src + q]
+                        if v:
+                            out[dst + q] += coeff * v
+    return out
+
+
+def _mat_rows(mat):
+    return [[mat.at(r, c) for c in range(mat.cols)] for r in range(mat.rows)]
+
+
+def circ_i_oracle(a, f, g, i):
+    """Insert g into slot i of f by contracting the block of f slot by slot.
+
+    For each output index tuple, the stored block of f at the merged tuple
+    is contracted left to right, with the twisting-map power matrices on the
+    outer slots and the block of g on the inserted slot (which widens that
+    slot from d to d^arity(g) argument columns).
+    """
+    n, m = f.degree, g.degree
+    om = a.omega
+    d = a.dim
+    out_deg = n + m - 1
+    out = Cochain.zero(out_deg, om.size, d, d)
+    dm_block = d**m
+    f_block_len = (d**n) * d
+    for alpha in om.tuples(out_deg):
+        block_tuple = alpha[i - 1 : i + m - 1]
+        merged = alpha[: i - 1] + (om.product_of(block_tuple),) + alpha[i + m - 1 :]
+        f_base = f.block_base(merged)
+        block = f.coords[f_base : f_base + f_block_len]
+        g_base = g.block_base(block_tuple)
+        # slot widths after each contraction; slots processed left to right
+        post = (d ** (n - 1)) * d
+        pre = 1
+        for s in range(n):
+            if s == i - 1:
+                rows = [
+                    [g.coords[g_base + c * d + r] for c in range(dm_block)] for r in range(d)
+                ]
+                width = dm_block
+            else:
+                mat = a.p_power(alpha[s], m - 1) if s < i - 1 else a.q_power(
+                    alpha[s + m - 1], m - 1
+                )
+                rows = _mat_rows(mat)
+                width = d
+            block = _contract_slot(block, pre, d, width, post, rows)
+            pre *= width
+            post //= d
+        base_tuple = out.block_base(alpha)
+        out.coords[base_tuple : base_tuple + len(block)] = block
+    return out
+
+
+def bracket_oracle(a, f, g):
+    """[f, g] = sum_i (-1)^{(m-1)(i-1)} f oc_i g
+    - (-1)^{(n-1)(m-1)} sum_i (-1)^{(n-1)(i-1)} g oc_i f, through circ_i_oracle."""
+    n, m = f.degree, g.degree
+    out = Cochain.zero(n + m - 1, a.omega.size, a.dim, a.dim)
+    for i in range(1, n + 1):
+        out = out.add(circ_i_oracle(a, f, g, i).scale((-1) ** ((m - 1) * (i - 1))))
+    outer = (-1) ** ((n - 1) * (m - 1))
+    for i in range(1, m + 1):
+        out = out.sub(circ_i_oracle(a, g, f, i).scale(outer * (-1) ** ((n - 1) * (i - 1))))
+    return out
+
+
+def circ_full_oracle(a, f, gs):
+    """Simultaneous composition: slot l of f receives gs[l] on its own block.
+
+    Block l's value is post-composed with pmap^(sum of later graded degrees)
+    and qmap^(sum of earlier graded degrees) at the block's merged index;
+    f is evaluated at the tuple of merged block indices.
+    """
+    gs = list(gs)
+    n = f.degree
+    assert len(gs) == n and n >= 1 and all(g.degree >= 1 for g in gs)
+    om = a.omega
+    d = a.dim
+    arities = [g.degree for g in gs]
+    out_deg = sum(arities)
+    starts = []
+    pos = 0
+    for ar in arities:
+        starts.append(pos)
+        pos += ar
+    p_exp = [sum(arities[t] - 1 for t in range(l + 1, n)) for l in range(n)]
+    q_exp = [sum(arities[t] - 1 for t in range(l)) for l in range(n)]
+    out = Cochain.zero(out_deg, om.size, d, d)
+    f_block_len = (d**n) * d
+    for alpha in om.tuples(out_deg):
+        blocks = [alpha[starts[l] : starts[l] + arities[l]] for l in range(n)]
+        prods = [om.product_of(bl) for bl in blocks]
+        merged = tuple(prods)
+        f_base = f.block_base(merged)
+        block = f.coords[f_base : f_base + f_block_len]
+        pre = 1
+        post = (d ** (n - 1)) * d
+        for l in range(n):
+            p_mat = a.p_power(prods[l], p_exp[l])
+            q_mat = a.q_power(prods[l], q_exp[l])
+            g_base = gs[l].block_base(blocks[l])
+            width = d ** arities[l]
+            cols = []
+            for c in range(width):
+                v = gs[l].coords[g_base + c * d : g_base + (c + 1) * d]
+                cols.append(p_mat.matvec(q_mat.matvec(v)))
+            rows = [[cols[c][r] for c in range(width)] for r in range(d)]
+            block = _contract_slot(block, pre, d, width, post, rows)
+            pre *= width
+            post //= d
+        base_tuple = out.block_base(alpha)
+        out.coords[base_tuple : base_tuple + len(block)] = block
+    return out

@@ -170,7 +170,7 @@ def test_equivalence_shift_cases(e1_ctx):
     z = Cochain.zero(1, 1, 2, 2)
     shift = equivalence_shift(e1_ctx, z)
     assert shift.is_zero()
-    from bihomega.gerstenhaber import identity_cochain
+    from oracles import identity_cochain
 
     ident = identity_cochain(e1_ctx.algebra)
     shift = equivalence_shift(e1_ctx, ident)

@@ -2,22 +2,26 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bihomega.algebra import validate_algebra
+from bihomega import samples
+from bihomega.algebra import OmegaAlgebra, tensor_zeros, validate_algebra, zero_algebra
 from bihomega.bimodule import regular_bimodule
 from bihomega.cochain import Cochain, apply_delta, equivariant_basis, random_equivariant
 from bihomega.errors import MalformedInputError
 from bihomega.gerstenhaber import (
     algebra_with_product,
     bracket,
-    circ_full,
     circ_i,
     delta_via_bracket,
-    identity_cochain,
     mc_residual,
     mu_cochain,
 )
+from bihomega.linalg import Mat
+from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, Rat
+from oracles import bracket_oracle, circ_full_oracle, circ_i_oracle, identity_cochain
 
 
 def mu_circ1_mu_oracle(a):
@@ -69,11 +73,11 @@ def test_circ_full_collapses(e1, e1_regular):
     mu = mu_cochain(e1)
     for n in (1, 2, 3):
         f = random_equivariant(e1_regular, n, rng)
-        assert circ_full(e1, f, [idc] * n, check=False) == f
+        assert circ_full_oracle(e1, f, [idc] * n) == f
     g = random_equivariant(e1_regular, 2, rng)
     f1 = random_equivariant(e1_regular, 1, rng)
-    assert circ_full(e1, f1, [g], check=False) == circ_i(e1, f1, g, 1, check=False)
-    assert circ_full(e1, mu, [mu, idc], check=False) == circ_i(e1, mu, mu, 1, check=False)
+    assert circ_full_oracle(e1, f1, [g]) == circ_i(e1, f1, g, 1, check=False)
+    assert circ_full_oracle(e1, mu, [mu, idc]) == circ_i(e1, mu, mu, 1, check=False)
 
 
 def circ_full_cell_oracle(a, f, gs, alpha, args):
@@ -111,7 +115,7 @@ def test_circ_full_mixed_arities_matches_cell_oracle(c2_ctx):
     f = random_equivariant(reg, 2, rng)
     g = random_equivariant(reg, 2, rng)
     h = random_equivariant(reg, 3, rng)
-    out = circ_full(a, f, [g, h], check=False)
+    out = circ_full_oracle(a, f, [g, h])
     assert out.degree == 5
     for alpha in a.omega.tuples(5):
         for args in iproduct(range(a.dim), repeat=5):
@@ -214,3 +218,118 @@ def test_delta_via_bracket_collapse_cases(e1, e1_regular):
     assert delta_via_bracket(e1, z, check=False).is_zero()
     ident = identity_cochain(e1)
     assert delta_via_bracket(e1, ident, check=False) == mu_cochain(e1)
+
+
+def test_cochains_of_another_shape_are_refused(e1, c2_ctx):
+    rng = random.Random(14)
+    c2 = c2_ctx.algebra
+    semi = samples.build_e1_semidirect()
+    f_c2 = random_equivariant(c2_ctx.bimodule, 2, rng)
+    g_e1 = random_equivariant(regular_bimodule(e1), 1, rng)
+    f_e1 = random_equivariant(regular_bimodule(e1), 2, rng)
+    wide_out = Cochain.zero(2, 1, 2, 3)
+    short = Cochain(2, 1, 2, 2, f_e1.coords[:-1])
+    cases = [
+        (e1, f_c2, g_e1),  # omega_size
+        (c2, g_e1, f_c2),
+        (semi, f_e1, g_e1),  # dim_in and dim_out
+        (e1, wide_out, g_e1),  # dim_out
+        (e1, f_e1, short),  # coordinate count
+    ]
+    for a, f, g in cases:
+        for check in (False, True):
+            with pytest.raises(MalformedInputError):
+                circ_i(a, f, g, 1, check=check)
+            with pytest.raises(MalformedInputError):
+                bracket(a, f, g, check=check)
+    with pytest.raises(MalformedInputError):
+        mc_residual(e1, f_c2, check=False)
+    with pytest.raises(MalformedInputError):
+        delta_via_bracket(semi, f_e1, check=False)
+
+
+def _assert_matches_oracle(a, f, g):
+    for i in range(1, f.degree + 1):
+        assert circ_i(a, f, g, i, check=False) == circ_i_oracle(a, f, g, i)
+    assert bracket(a, f, g, check=False) == bracket_oracle(a, f, g)
+
+
+def test_compiled_insertion_matches_oracle_on_equivariant_cochains(e1, c2_ctx):
+    rng = random.Random(71)
+    carriers = [e1, c2_ctx.algebra, samples.build_e1_semidirect()]
+    pairs = [(n, m) for n in range(1, 5) for m in range(1, 5) if n + m <= 6]
+    for a in carriers:
+        reg = regular_bimodule(a)
+        for n, m in pairs:
+            _assert_matches_oracle(a, random_equivariant(reg, n, rng), random_equivariant(reg, m, rng))
+
+
+def _mixed_twist_algebra():
+    """Unvalidated carrier whose twist powers have a column with two
+    nonzeros and a non-unit diagonal, beside a monomial and a permutation."""
+    mat = Mat.from_rows
+    third = Rat(1, 3)
+    pmap = {0: mat([[1, 1], [1, 2]]), 1: mat([[-1, 0], [0, 3]])}
+    qmap = {0: mat([[0, 1], [1, 0]]), 1: mat([[2, third], [0, 1]])}
+    product = {(x, y): tensor_zeros(2, 2, 2) for x in range(2) for y in range(2)}
+    return OmegaAlgebra(cyclic_monoid(2), 2, product, pmap, qmap)
+
+
+def test_compiled_insertion_matches_oracle_on_raw_cochains_and_dense_twists():
+    a = _mixed_twist_algebra()
+    assert any(
+        sum(1 for r in range(2) if a.p_power(0, k).at(r, c)) >= 2 for k in (1, 2) for c in range(2)
+    )
+    rng = random.Random(72)
+
+    def raw(n):
+        f = Cochain.zero(n, 2, 2, 2)
+        f.coords = [Rat(rng.randint(-3, 3), 3) for _ in f.coords]
+        return f
+
+    for n, m in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]:
+        _assert_matches_oracle(a, raw(n), raw(m))
+    # dimension 0: no coordinates (the oracle divides by the dimension)
+    a0 = zero_algebra(trivial_monoid(), 0)
+    f0, g0 = Cochain.zero(2, 1, 0, 0), Cochain.zero(1, 1, 0, 0)
+    assert circ_i(a0, f0, g0, 2, check=False) == bracket(a0, f0, g0) == f0
+
+
+_SCALARS = [0, 1, -1, 2, Rat(1, 3), Rat(-2, 3)]
+
+
+@st.composite
+def _algebra_and_cochains(draw):
+    omega = draw(st.sampled_from([trivial_monoid(), cyclic_monoid(2), boolean_monoid()]))
+    d = draw(st.integers(1, 3 if omega.size == 1 else 2))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    scalar = st.sampled_from(_SCALARS)
+
+    def matrix():
+        return Mat(d, d, draw(st.lists(scalar, min_size=d * d, max_size=d * d)))
+
+    def cochain(k):
+        size = (omega.size * d) ** k * d
+        return Cochain(k, omega.size, d, d, draw(st.lists(scalar, min_size=size, max_size=size)))
+
+    pmap = {x: matrix() for x in omega.elements()}
+    qmap = {x: matrix() for x in omega.elements()}
+    product = {(x, y): tensor_zeros(d, d, d) for x in omega.elements() for y in omega.elements()}
+    return OmegaAlgebra(omega, d, product, pmap, qmap), cochain(n), cochain(m)
+
+
+@settings(
+    derandomize=True,
+    max_examples=30,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_algebra_and_cochains())
+def test_insertion_properties_on_random_carriers(case):
+    """Compiled == oracle and graded skew-symmetry, on raw cochains over
+    unvalidated carriers with arbitrary twist matrices."""
+    a, f, g = case
+    _assert_matches_oracle(a, f, g)
+    sign = -(-1) ** ((f.degree - 1) * (g.degree - 1))
+    assert bracket(a, f, g, check=False) == bracket(a, g, f, check=False).scale(sign)
