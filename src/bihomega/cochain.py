@@ -101,6 +101,8 @@ class Cochain:
         if self.degree == 0:
             return list(self.coords)
         d = self.dim_in
+        if not d:  # a multilinear map on the zero space
+            return [ZERO] * self.dim_out
         width = _pow(d, self.degree - 1) * self.dim_out
         base = self.block_base(om_tuple)
         block = self.coords[base : base + width * d]

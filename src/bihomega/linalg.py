@@ -10,7 +10,8 @@ Elimination works on sparse row dicts {column: nonzero value}, one row at a
 time: :func:`reduce_into` eliminates a row against a {pivot_col: row}
 echelon and stores it at its leading column, so the cost follows the
 nonzeros, not the shape.  A rank needs only this forward phase;
-:func:`sparse_rref` back-substitutes in decreasing pivot order for the RREF.
+:func:`sparse_rref` back-substitutes in decreasing pivot order for the RREF,
+which :func:`sparse_kernel` and :func:`sparse_solve` read off.
 :class:`Mat` is a small dense matrix for structure maps and for callers that
 want one; its ``rank``/``rref``/``kernel_basis``/``solve`` convert it to
 sparse rows.
@@ -307,22 +308,23 @@ def kernel_basis(m: Mat) -> Mat:
     return out
 
 
+def sparse_solve(rows: list, rhs, ncols: int) -> list | None:
+    """One exact solution of the sparse system ``rows x = rhs`` or None.
+
+    ``rhs`` has one entry per row; the solution is a dense list over columns
+    ``0..ncols-1`` whose free coordinates are 0.
+    """
+    if len(rhs) != len(rows):
+        raise MalformedInputError("right-hand side length mismatch")
+    aug = [{**row, ncols: Rat(v)} if v else row for row, v in zip(rows, rhs)]
+    x = [ZERO] * ncols
+    for pc, row in sparse_rref(aug, ncols + 1):
+        if pc == ncols:
+            return None
+        x[pc] = row.get(ncols, ZERO)
+    return x
+
+
 def solve(m: Mat, rhs) -> list | None:
     """One exact solution of ``m x = rhs`` or None; free coordinates are 0."""
-    if len(rhs) != m.rows:
-        raise MalformedInputError("right-hand side length mismatch")
-    rows = []
-    aug = m.cols  # augmented column index
-    for i in range(m.rows):
-        base = i * m.cols
-        row = {j: m.entries[base + j] for j in range(m.cols) if m.entries[base + j]}
-        if rhs[i]:
-            row[aug] = Rat(rhs[i])
-        rows.append(row)
-    reduced = sparse_rref(rows, m.cols + 1)
-    x = [ZERO] * m.cols
-    for pc, row in reduced:
-        if pc == aug:
-            return None
-        x[pc] = row.get(aug, ZERO)
-    return x
+    return sparse_solve(_to_sparse_rows(m), rhs, m.cols)

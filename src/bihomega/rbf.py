@@ -16,14 +16,18 @@ bimodule over it.  Three complexes live here:
 :func:`phi` is the comparison map.  By definition it evaluates a cochain on
 all-R-twisted arguments and subtracts, for every proper subset S of the
 slots, weight^(n - 1 - |S|) times the bimodule operator T at the tuple
-product applied after inserting R at exactly the slots in S.  It computes
-that subset sum in Horner form, applying R and R + weight I once per slot
-(2n slot products per monoid tuple instead of 2^n full evaluations); the
+product applied after inserting R at exactly the slots in S.  Like the
+coboundary it is compiled once per (context, degree) into a cached sparse
+matrix, :func:`phi_op`, whose columns come from the subset sum in Horner
+form (R and R + weight I once per slot, as sparse tensor products); the
 literal subset enumeration is kept as the oracle in ``tests/oracles.py``.
 
-Ranks and kernels of the combined differential are computed against raw
-target coordinates (source in equivariant bases), which stays well-defined
-even when a degree-0 image leaves the equivariant subspace; membership of
+The combined complex runs on sparse images.  For each degree the images of
+the combined basis under d are cached as sparse dicts over the raw target
+coordinates (source in equivariant bases), which stays well-defined even
+when a degree-0 image leaves the equivariant subspace.  Cohomology tables
+take one forward elimination on them per degree, and kernels and solves
+transpose them into sparse rows; no dense matrix is built.  Membership of
 images is still checked where the theory promises it.
 """
 
@@ -38,15 +42,16 @@ from .cochain import (
     CohomologyReport,
     DegreeRow,
     EquivariantBasis,
+    SparseOp,
+    _in_subspace,
     apply_delta,
     cohomology_dims,
     degree0_preimages,
     delta_op,
     equivariant_basis,
-    is_equivariant,
 )
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, kernel_basis, rank, solve, sparse_rank
+from .linalg import Mat, _to_sparse_rows, sparse_kernel, sparse_rank, sparse_solve
 from .rationals import ONE, ZERO
 
 
@@ -111,6 +116,70 @@ def partial(ctx: RbfContext, f: Cochain, check: bool = True) -> Cochain:
     return apply_delta(ctx.star_bimodule(), f, check=check)
 
 
+def phi_op(ctx: RbfContext, n: int) -> SparseOp:
+    """The comparison map compiled on raw degree-n coordinates (cached).
+
+    Degree 0 is the identity.  For n >= 1 the map is blockwise, and the
+    column of the raw basis cochain (alpha, j_1..j_n, l) is the subset sum
+    of :func:`phi` in Horner form, as sparse tensor products over the
+    slots: from A = 1 and P = 0, slot by slot,
+
+        P <- P (x) row_{j_s}(R_{alpha_s} + weight I)  +  A (x) e_{j_s},
+        A <- A (x) row_{j_s}(R_{alpha_s}),
+
+    so A ends as the all-R term and P as the weighted sum over proper
+    subsets, and the column is A (x) e_l - P (x) T_{prod alpha} e_l.
+    Columns that share a prefix j_1..j_s share its (A, P); no division.
+    """
+    hit = ctx._cache.get(("phi_op", n))
+    if hit is not None:
+        return hit
+    om, d, m = ctx.dims()
+    size = om.size**n * d**n * m
+    if n == 0:
+        colmaps = [{l: ONE} for l in range(m)]
+    else:
+        shifted = Mat.scalar(d, ctx.rb.weight)
+        rows_r = {x: _to_sparse_rows(r) for x, r in ctx.rb.maps.items()}
+        rows_rw = {x: _to_sparse_rows(r.add(shifted)) for x, r in ctx.rb.maps.items()}
+        colmaps = []
+        for t, alpha in enumerate(om.tuples(n)):
+            prefixes = [({0: ONE}, {})]
+            for x in alpha:
+                prefixes = [
+                    _horner_step(lifted, corr, rows_r[x][j], rows_rw[x][j], j, d)
+                    for lifted, corr in prefixes
+                    for j in range(d)
+                ]
+            t_all = ctx.bimodule.tmap[om.product_of(alpha)]
+            t_cols = [[(k, v) for k, v in enumerate(t_all.col(l)) if v] for l in range(m)]
+            base = t * d**n
+            for lifted, corr in prefixes:
+                for l in range(m):
+                    col = {(base + i) * m + l: c for i, c in lifted.items()}
+                    for i, c in corr.items():
+                        for k, v in t_cols[l]:
+                            row = (base + i) * m + k
+                            col[row] = col.get(row, 0) - c * v
+                    colmaps.append({row: v for row, v in col.items() if v})
+    op = SparseOp(size, size, colmaps)
+    ctx._cache[("phi_op", n)] = op
+    return op
+
+
+def _horner_step(lifted: dict, corr: dict, r_row: dict, rw_row: dict, j: int, d: int) -> tuple:
+    """One slot of the :func:`phi_op` recurrence on sparse tensors:
+    (A (x) r_row,  P (x) rw_row + A (x) e_j)."""
+    new_corr = {i * d + k: c * v for i, c in corr.items() for k, v in rw_row.items()}
+    for i, c in lifted.items():
+        new = new_corr.get(i * d + j, 0) + c
+        if new:
+            new_corr[i * d + j] = new
+        else:
+            new_corr.pop(i * d + j, None)
+    return {i * d + k: c * v for i, c in lifted.items() for k, v in r_row.items()}, new_corr
+
+
 def phi(ctx: RbfContext, f: Cochain) -> Cochain:
     """Comparison map from the algebra complex to the operator complex.
 
@@ -121,70 +190,11 @@ def phi(ctx: RbfContext, f: Cochain) -> Cochain:
                          weight^(n - 1 - |S|) T_{prod alpha} o f_alpha o X_S,
 
     where X_S applies R_{alpha_s} at the slots s in S and the identity
-    elsewhere (degree 1: f o R - T o f).  The subset sum is computed in
-    Horner form, one slot at a time: from A_0 = f_alpha and P_0 = 0,
-
-        P_{s+1} = (R_{alpha_s} + weight I) at slot s of P_s  +  A_s,
-        A_{s+1} = R_{alpha_s} at slot s of A_s,
-
-    so A_n is the all-R term and P_n the weighted sum over proper subsets,
-    and phi(f)_alpha = A_n - T_{prod alpha} P_n.  That is 2n slot products
-    per tuple instead of 2^n multilinear evaluations, and no division.
+    elsewhere (degree 1: f o R - T o f).  Applied through the compiled
+    :func:`phi_op`.
     """
-    a = ctx.algebra
-    b = ctx.bimodule
-    om = a.omega
-    d, m = a.dim, b.dim_m
-    w = ctx.rb.weight
-    n = f.degree
-    if n == 0:
-        return Cochain(0, om.size, d, m, list(f.coords))
-    out = Cochain.zero(n, om.size, d, m)
-    shifted = Mat.scalar(d, w)
-    r_cols = {x: _slot_columns(r) for x, r in ctx.rb.maps.items()}
-    rw_cols = {x: _slot_columns(r.add(shifted)) for x, r in ctx.rb.maps.items()}
-    width = d**n * m
-    strides = [d ** (n - 1 - s) * m for s in range(n)]
-    for alpha in om.tuples(n):
-        base = out.block_base(alpha)
-        lifted = f.coords[base : base + width]
-        if not any(lifted):
-            continue  # phi is linear blockwise: a zero block maps to zero
-        corrections = [ZERO] * width
-        for s, x in enumerate(alpha):
-            corrections = _slot_product(corrections, rw_cols[x], strides[s])
-            corrections = [u + v for u, v in zip(corrections, lifted)]
-            lifted = _slot_product(lifted, r_cols[x], strides[s])
-        t_all = b.tmap[om.product_of(alpha)]
-        for off in range(0, width, m):
-            term = t_all.matvec(corrections[off : off + m])
-            for k in range(m):
-                out.coords[base + off + k] = lifted[off + k] - term[k]
-    return out
-
-
-def _slot_columns(mat: Mat) -> list:
-    """Per column i of a square matrix, its nonzero entries as (j, mat[j][i])."""
-    return [[(j, c) for j, c in enumerate(mat.col(i)) if c] for i in range(mat.cols)]
-
-
-def _slot_product(block: list, cols: list, stride: int) -> list:
-    """Apply a matrix at one argument slot of a flat block.
-
-    The slot's index steps by ``stride``; the new entry at slot index i is
-    sum_j mat[j][i] times the old entry at slot index j, i.e. the block
-    evaluated with the basis vector e_i replaced by mat e_i in that slot.
-    """
-    out = []
-    for outer in range(0, len(block), stride * len(cols)):
-        for col in cols:
-            acc = [ZERO] * stride
-            for j, c in col:
-                src = outer + j * stride
-                segment = block[src : src + stride]
-                acc = [u + c * v if v else u for u, v in zip(acc, segment)]
-            out.extend(acc)
-    return out
+    om, d, m = ctx.dims()
+    return Cochain(f.degree, om.size, d, m, phi_op(ctx, f.degree).apply_dense(f.coords))
 
 
 @dataclass(eq=False)
@@ -267,65 +277,58 @@ def combined_from_coords(ctx: RbfContext, n: int, coords) -> CombinedCochain:
     )
 
 
-def combined_raw_matrix(ctx: RbfContext, n: int) -> Mat:
-    """Matrix of the combined differential: source in basis coordinates,
-    target in raw coordinates (alg raw block stacked over operator raw block).
+def _combined_images(ctx: RbfContext, n: int) -> list:
+    """Raw images of the combined basis at degree n, as sparse dicts (cached).
 
-    Always well-defined; used for ranks, kernels, and solving.  Cached.
+    Target coordinates: the raw C^{n+1}, then the raw C^n shifted by its
+    length.  Sources: (delta e, -phi e) for each basis cochain e of C^n
+    (C^0 = M), then (0, -partial e) for each basis cochain e of C^{n-1}.
     """
-    hit = ctx._cache.get(("combined_raw_matrix", n))
+    hit = ctx._cache.get(("combined_images", n))
     if hit is not None:
         return hit
-    om, d, m = ctx.dims()
-    b = ctx.bimodule
-    sb = ctx.star_bimodule()
-    s = om.size
-    alg_rows = (s ** (n + 1)) * (d ** (n + 1)) * m
-    rbf_rows = (s**n) * (d**n) * m
-    cols = []
-    if n == 0:
-        op0 = delta_op(b, 0)
-        for l in range(m):
-            img = op0.apply_sparse({l: ONE})
-            tail = [ZERO] * m
-            tail[l] = -ONE
-            cols.append(img + tail)
-    else:
-        b_alg = ctx.basis(n)
-        b_rbf = ctx.basis(n - 1)
-        alg_op = delta_op(b, n)
-        for j in range(b_alg.dim()):
-            f = b_alg.cochain(j)
-            img = alg_op.apply_sparse(b_alg.cochain_sparse(j))
-            ph = phi(ctx, f)
-            cols.append(img + [-v for v in ph.coords])
-        rbf_op = delta_op(sb, n - 1)
-        for j in range(b_rbf.dim()):
-            img = rbf_op.apply_sparse(b_rbf.cochain_sparse(j))
-            cols.append([ZERO] * alg_rows + [-v for v in img])
-    result = (
-        Mat.from_cols(cols, nrows=alg_rows + rbf_rows)
-        if cols
-        else Mat.zeros(alg_rows + rbf_rows, 0)
-    )
-    ctx._cache[("combined_raw_matrix", n)] = result
-    return result
+    alg_op, to_rbf = delta_op(ctx.bimodule, n), phi_op(ctx, n)
+    shift = alg_op.nrows
+    images = []
+    basis = ctx.basis(n)
+    for j in range(basis.dim()):
+        e = basis.cochain_sparse(j)
+        image = alg_op.image(e)
+        image.update((shift + i, -v) for i, v in to_rbf.image(e).items())
+        images.append(image)
+    if n >= 1:
+        rbf_op, basis = delta_op(ctx.star_bimodule(), n - 1), ctx.basis(n - 1)
+        for j in range(basis.dim()):
+            images.append({shift + i: -v for i, v in rbf_op.image(basis.cochain_sparse(j)).items()})
+    ctx._cache[("combined_images", n)] = images
+    return images
 
 
-def _combined_target_membership(ctx: RbfContext, n: int, raw: list) -> bool:
-    """Does a raw image vector lie in C^{n+1}_alg (+) C^n_rbf?"""
-    om, d, m = ctx.dims()
-    alg_rows = (om.size ** (n + 1)) * (d ** (n + 1)) * m
+def _combined_rows(ctx: RbfContext, n: int) -> list:
+    """The degree-n combined differential as sparse rows, one per raw target
+    coordinate, over the combined basis coordinates."""
+    op = delta_op(ctx.bimodule, n)
+    rows = [dict() for _ in range(op.nrows + op.ncols)]
+    for j, image in enumerate(_combined_images(ctx, n)):
+        for i, v in image.items():
+            rows[i][j] = v
+    return rows
+
+
+def _in_combined_target(ctx: RbfContext, n: int, image: dict) -> bool:
+    """Does a raw combined image lie in C^{n+1}_alg (+) C^n_rbf?"""
     b = ctx.bimodule
-    return is_equivariant(b, Cochain(n + 1, om.size, d, m, raw[:alg_rows])) and is_equivariant(
-        b, Cochain(n, om.size, d, m, raw[alg_rows:])
-    )
+    shift = delta_op(b, n).nrows
+    alg = {i: v for i, v in image.items() if i < shift}
+    rbf = {i - shift: v for i, v in image.items() if i >= shift}
+    return _in_subspace(b, n + 1, alg) and _in_subspace(b, n, rbf)
 
 
 def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     """Reports for all three complexes, degrees 0..max_degree.
 
-    Combined degree-0 coboundaries: when the degree-0 image leaves the
+    Each combined rank is one forward elimination on that degree's cached
+    sparse images.  Combined degree-0 coboundaries: when the degree-0 image leaves the
     product of equivariant spaces, the coboundary dimension is that of the
     exact intersection (the algebra part constrains it; the operator part is
     unconstrained), and the report is flagged.  A negative ``max_degree``
@@ -334,16 +337,13 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     alg_report = cohomology_dims(ctx.bimodule, max_degree)
     rbf_report = cohomology_dims(ctx.star_bimodule(), max_degree)
     m = ctx.bimodule.dim_m
-    mats = {k: combined_raw_matrix(ctx, k) for k in range(max_degree + 1)}
+    images = {k: _combined_images(ctx, k) for k in range(max_degree + 1)}
     dims_c = {k: combined_dim(ctx, k) for k in range(max_degree + 1)}
-    ranks = {k: rank(mats[k]) for k in range(max_degree + 1)}
+    ranks = {k: sparse_rank(images[k]) for k in range(max_degree + 1)}
     degree0_intersected = False
     b1_dim = None
     if max_degree >= 1:
-        clean = all(
-            _combined_target_membership(ctx, 0, mats[0].col(j)) for j in range(mats[0].cols)
-        )
-        if clean:
+        if all(_in_combined_target(ctx, 0, image) for image in images[0]):
             b1_dim = ranks[0]
             om, d, _ = ctx.dims()
             for l in range(m):
@@ -390,56 +390,44 @@ def _combined_degree0_intersection(ctx: RbfContext) -> int:
 def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
     """partial^n o phi^n = phi^{n+1} o delta^n on every basis cochain.
 
-    Both compositions are compared as raw coordinate vectors (equality as
-    linear maps on C^n), degree by degree from 0 to max_degree.
+    Both compositions are compared as sparse raw images (equality as linear
+    maps on C^n), degree by degree from 0 to max_degree.  The witness names
+    the degree, the basis cochain, the first raw index where they differ and
+    both values there (zero where an image has no entry).
     """
-    b = ctx.bimodule
-    sb = ctx.star_bimodule()
-    om, d, m = ctx.dims()
+    b, sb = ctx.bimodule, ctx.star_bimodule()
     for n in range(max_degree + 1):
-        if n == 0:
-            width = m
-        else:
-            width = ctx.basis(n).dim()
-        alg_op = delta_op(b, n)
-        star_op = delta_op(sb, n)
-        for j in range(width):
-            if n == 0:
-                f = Cochain.zero(0, om.size, d, m)
-                f.coords[j] = ONE
-            else:
-                f = ctx.basis(n).cochain(j)
-            lhs_coords = star_op.apply_dense(phi(ctx, f).coords)
-            delta_f = Cochain(
-                n + 1, om.size, d, m, alg_op.apply_dense(f.coords)
-            )
-            rhs = phi(ctx, delta_f)
-            if lhs_coords != rhs.coords:
-                for idx, (u, v) in enumerate(zip(lhs_coords, rhs.coords)):
-                    if u != v:
-                        return Witness(
-                            "chain-map", (n,), (j, idx), (u,), (v,)
-                        )
+        basis = ctx.basis(n)
+        alg_op, star_op = delta_op(b, n), delta_op(sb, n)
+        phi_n, phi_next = phi_op(ctx, n), phi_op(ctx, n + 1)
+        for j in range(basis.dim()):
+            e = basis.cochain_sparse(j)
+            lhs = star_op.image(phi_n.image(e))
+            rhs = phi_next.image(alg_op.image(e))
+            if lhs != rhs:
+                idx = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i, ZERO) != rhs.get(i, ZERO))
+                return Witness("chain-map", (n,), (j, idx), (lhs.get(idx, ZERO),), (rhs.get(idx, ZERO),))
     return None
 
 
 def combined_kernel(ctx: RbfContext, n: int) -> list:
     """Basis of ker(d^n) as CombinedCochains (deterministic kernel order)."""
-    mat = combined_raw_matrix(ctx, n)
-    kb = kernel_basis(mat)
+    width = combined_dim(ctx, n)
     out = []
-    for j in range(kb.cols):
-        out.append(combined_from_coords(ctx, n, kb.col(j)))
+    for vec in sparse_kernel(_combined_rows(ctx, n), width):
+        coords = [ZERO] * width
+        for j, v in vec.items():
+            coords[j] = v
+        out.append(combined_from_coords(ctx, n, coords))
     return out
 
 
 def solve_combined(ctx: RbfContext, n: int, target: CombinedCochain):
     """Coordinates x with d^n(x) = target, free coordinates zero, or None."""
-    mat = combined_raw_matrix(ctx, n)
     if target.degree != n + 1:
         raise MalformedInputError("target degree mismatch")
-    vec = list(target.alg.coords) + list(target.rbf.coords)
-    x = solve(mat, vec)
+    rhs = list(target.alg.coords) + list(target.rbf.coords)
+    x = sparse_solve(_combined_rows(ctx, n), rhs, combined_dim(ctx, n))
     if x is None:
         return None
     return combined_from_coords(ctx, n, x)

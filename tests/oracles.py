@@ -9,7 +9,10 @@ or factored evaluation that production uses:
   the expanded sum in the original structures (production: ``rbf.partial``,
   the compiled coboundary of the star bimodule);
 * :func:`phi_subset_oracle` -- the comparison map by enumerating subsets of
-  slots (production: the slot-by-slot recurrence in ``rbf.phi``);
+  slots (production: the compiled ``rbf.phi_op``);
+* :func:`combined_raw_matrix_oracle` -- the dense matrix of the combined
+  differential, built from the two oracles above (production: the cached
+  sparse images in ``rbf``);
 * :func:`is_equivariant_oracle` -- both structure-map constraints evaluated
   slot by slot through ``Cochain.evaluate`` (production:
   ``cochain.is_equivariant``, the cached constraint rows);
@@ -32,6 +35,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from bihomega.cochain import Cochain, _tuple_rank
+from bihomega.linalg import Mat
 from bihomega.rationals import ONE, ZERO
 
 
@@ -172,7 +176,7 @@ def phi_subset_oracle(ctx, f):
     arguments minus, for every proper subset of slots, weight^(n - 1 - |S|)
     times T at the tuple product applied to f with R inserted at exactly
     those slots.  One full multilinear evaluation per subset; independent of
-    the slot-by-slot recurrence in production ``phi``.
+    the compiled Horner recurrence in production ``phi_op``.
     """
     a = ctx.algebra
     b = ctx.bimodule
@@ -209,6 +213,33 @@ def phi_subset_oracle(ctx, f):
             for k in range(m):
                 out.coords[base + k] = acc[k]
     return out
+
+
+def combined_raw_matrix_oracle(ctx, n):
+    """Dense matrix of the degree-n combined differential, column by column.
+
+    Source: the basis of C^n (C^0 = M), then the basis of C^{n-1}; target:
+    raw C^{n+1} coordinates stacked over raw C^n coordinates.  Column
+    (delta f, -phi f) for f in the first block and (0, -partial g) for g in
+    the second, with delta and partial from :func:`delta_direct_oracle` and
+    phi from :func:`phi_subset_oracle`; independent of the compiled sparse
+    images in production ``rbf``.
+    """
+    b, sb = ctx.bimodule, ctx.star_bimodule()
+    om, d, m = ctx.dims()
+    alg_rows = (om.size * d) ** (n + 1) * m
+    rbf_rows = (om.size * d) ** n * m
+    cols = []
+    basis = ctx.basis(n)
+    for j in range(basis.dim()):
+        f = basis.cochain(j)
+        cols.append(delta_direct_oracle(b, f).coords + [-v for v in phi_subset_oracle(ctx, f).coords])
+    if n >= 1:
+        basis = ctx.basis(n - 1)
+        for j in range(basis.dim()):
+            image = delta_direct_oracle(sb, basis.cochain(j))
+            cols.append([ZERO] * alg_rows + [-v for v in image.coords])
+    return Mat.from_cols(cols) if cols else Mat.zeros(alg_rows + rbf_rows, 0)
 
 
 def is_equivariant_oracle(b, f):
@@ -320,6 +351,8 @@ def circ_i_oracle(a, f, g, i):
     d = a.dim
     out_deg = n + m - 1
     out = Cochain.zero(out_deg, om.size, d, d)
+    if not d:  # no coordinates to contract
+        return out
     dm_block = d**m
     f_block_len = (d**n) * d
     for alpha in om.tuples(out_deg):
@@ -386,6 +419,8 @@ def circ_full_oracle(a, f, gs):
     p_exp = [sum(arities[t] - 1 for t in range(l + 1, n)) for l in range(n)]
     q_exp = [sum(arities[t] - 1 for t in range(l)) for l in range(n)]
     out = Cochain.zero(out_deg, om.size, d, d)
+    if not d:  # no coordinates to contract
+        return out
     f_block_len = (d**n) * d
     for alpha in om.tuples(out_deg):
         blocks = [alpha[starts[l] : starts[l] + arities[l]] for l in range(n)]

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import fixture_text
-from oracles import delta_direct_oracle, is_equivariant_oracle
+from oracles import circ_full_oracle, circ_i_oracle, delta_direct_oracle, is_equivariant_oracle
 
 from bihomega import cochain, samples
 from bihomega.algebra import zero_algebra
@@ -435,3 +435,17 @@ def test_image_intersection_generators_span_the_intersection(e1_regular):
         for g in gens:
             assert is_equivariant(b, Cochain(1, *shape, g))
             assert rank(Mat.from_cols(images + [g])) == rank(Mat.from_cols(images))
+
+
+def test_evaluation_on_a_dimension_zero_algebra_is_empty():
+    """Degrees 1 and 2 over the zero space: evaluation and the insertion
+    oracles give the empty vector instead of dividing by the dimension."""
+    a0 = zero_algebra(trivial_monoid(), 0)
+    g = Cochain.zero(1, 1, 0, 0)
+    for n in (1, 2):
+        f = Cochain.zero(n, 1, 0, 0)
+        assert f.evaluate((0,) * n, [[]] * n) == []
+        assert Cochain.zero(n, 1, 0, 2).evaluate((0,) * n, [[]] * n) == [ZERO, ZERO]
+        for i in range(1, n + 1):
+            assert circ_i_oracle(a0, f, g, i) == f
+        assert circ_full_oracle(a0, f, [g] * n) == f

@@ -9,7 +9,7 @@ from bihomega import samples
 from bihomega.algebra import OmegaAlgebra, tensor_zeros, validate_algebra, zero_algebra
 from bihomega.bimodule import regular_bimodule
 from bihomega.cochain import Cochain, apply_delta, equivariant_basis, random_equivariant
-from bihomega.errors import MalformedInputError
+from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import (
     algebra_with_product,
     bracket,
@@ -21,7 +21,7 @@ from bihomega.gerstenhaber import (
 from bihomega.linalg import Mat
 from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, Rat
-from oracles import bracket_oracle, circ_full_oracle, circ_i_oracle, identity_cochain
+from oracles import bracket_oracle, circ_full_oracle, circ_i_oracle, identity_cochain, is_equivariant_oracle
 
 
 def mu_circ1_mu_oracle(a):
@@ -289,10 +289,11 @@ def test_compiled_insertion_matches_oracle_on_raw_cochains_and_dense_twists():
 
     for n, m in [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2), (4, 1)]:
         _assert_matches_oracle(a, raw(n), raw(m))
-    # dimension 0: no coordinates (the oracle divides by the dimension)
+    # dimension 0: no coordinates
     a0 = zero_algebra(trivial_monoid(), 0)
     f0, g0 = Cochain.zero(2, 1, 0, 0), Cochain.zero(1, 1, 0, 0)
     assert circ_i(a0, f0, g0, 2, check=False) == bracket(a0, f0, g0) == f0
+    assert circ_i_oracle(a0, f0, g0, 2) == bracket_oracle(a0, f0, g0) == f0
 
 
 _SCALARS = [0, 1, -1, 2, Rat(1, 3), Rat(-2, 3)]
@@ -333,3 +334,29 @@ def test_insertion_properties_on_random_carriers(case):
     _assert_matches_oracle(a, f, g)
     sign = -(-1) ** ((f.degree - 1) * (g.degree - 1))
     assert bracket(a, f, g, check=False) == bracket(a, g, f, check=False).scale(sign)
+
+
+def test_checked_brackets_build_the_constraint_rows_once(monkeypatch):
+    """The equivariance check keeps one regular bimodule per algebra, so a
+    second checked bracket rebuilds no constraint rows; a non-equivariant
+    cochain is still refused."""
+    from bihomega import cochain
+
+    a = samples.build_c2_example(0)
+    rng = random.Random(81)
+    f, g = random_equivariant(regular_bimodule(a), 3, rng), random_equivariant(regular_bimodule(a), 3, rng)
+    bad = Cochain(f.degree, f.omega_size, f.dim_in, f.dim_out, list(f.coords))
+    bad.coords[0] += Rat(1, 3)
+    assert not is_equivariant_oracle(regular_bimodule(a), bad)
+    built = []
+    original = cochain._constraint_rows
+    monkeypatch.setattr(cochain, "_constraint_rows", lambda b, t: built.append(t) or original(b, t))
+    first = bracket(a, f, g)
+    assert built and first == bracket(a, f, g, check=False)
+    count = len(built)
+    assert bracket(a, f, g) == first
+    assert len(built) == count
+    with pytest.raises(PreconditionError):
+        bracket(a, bad, g)
+    with pytest.raises(PreconditionError):
+        circ_i(a, g, bad, 1)

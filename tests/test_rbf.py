@@ -1,31 +1,39 @@
 import json
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
 from conftest import fixture_text
-from oracles import delta_direct_oracle, partial_expanded_oracle, phi_subset_oracle
+from oracles import (
+    combined_raw_matrix_oracle,
+    delta_direct_oracle,
+    partial_expanded_oracle,
+    phi_subset_oracle,
+)
 
 from bihomega import samples
-from bihomega.algebra import RotaBaxterFamily, zero_rb
+from bihomega.algebra import RotaBaxterFamily, Witness, zero_rb
 from bihomega.bimodule import regular_bimodule, zero_bimodule
 from bihomega.cochain import Cochain, apply_delta, delta_op, is_equivariant, random_equivariant
 from bihomega.errors import PreconditionError
 from bihomega.gerstenhaber import mu_cochain
-from bihomega.linalg import Mat, kernel_basis
+from bihomega.linalg import Mat, kernel_basis, solve
 from bihomega.rationals import ONE, ZERO, Rat
 from bihomega.rbf import (
     CombinedCochain,
     RbfContext,
     chain_map_check,
+    _combined_images,
     combined_dim,
+    combined_from_coords,
     combined_kernel,
-    combined_raw_matrix,
     d_combined,
     partial,
     phi,
     rbfa_cohomology_dims,
+    solve_combined,
 )
 
 
@@ -351,6 +359,110 @@ def test_combined_kernel_split_characterization(e1_ctx):
         rhs = phi(ctx, x.alg).scale(-1)
         assert lhs == rhs
     # and conversely: any pair passing both tests lies in the kernel
-    mat = combined_raw_matrix(ctx, 2)
+    mat = combined_raw_matrix_oracle(ctx, 2)
     kb = kernel_basis(mat)
     assert kb.cols == len(combined_kernel(ctx, 2))
+
+
+def _sparse(column):
+    return {i: v for i, v in enumerate(column) if v}
+
+
+def _oracle_image(ctx, n, coords):
+    """d^n of a combined cochain from the oracles alone: (delta f, -partial g - phi f)."""
+    x = combined_from_coords(ctx, n, coords)
+    alg = delta_direct_oracle(ctx.bimodule, x.alg).coords
+    rbf = phi_subset_oracle(ctx, x.alg)
+    if x.rbf is not None:
+        rbf = rbf.add(delta_direct_oracle(ctx.star_bimodule(), x.rbf))
+    return alg + [-v for v in rbf.coords]
+
+
+def _dim_m_zero_context(e1):
+    bim = zero_bimodule(e1, 0, tmap={0: Mat.zeros(0, 0)})
+    return RbfContext.validated(e1, samples.searched_rb(e1), bim)
+
+
+def test_combined_images_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx, c2_ctx, e1):
+    """The cached sparse images are the columns of the dense oracle matrix at
+    degrees 0-4.  On c2 at degree 4 (320 columns, about 30 s of oracle
+    work) the check takes seeded single columns and random combinations."""
+    for ctx in (e0_ctx, e1_ctx, zero1_ctx, c2_ctx, _dim_m_zero_context(e1)):
+        for n in range(4 if ctx is c2_ctx else 5):
+            images = _combined_images(ctx, n)
+            mat = combined_raw_matrix_oracle(ctx, n)
+            assert len(images) == mat.cols == combined_dim(ctx, n), n
+            assert [_sparse(mat.col(j)) for j in range(mat.cols)] == images, n
+    images = _combined_images(c2_ctx, 4)
+    width = len(images)
+    assert width == combined_dim(c2_ctx, 4) == 256 + 64
+    rng = random.Random(57)
+    for j in (0, rng.randrange(256), 255, rng.randrange(256, width), width - 1):
+        unit = [ZERO] * width
+        unit[j] = ONE
+        assert _sparse(_oracle_image(c2_ctx, 4, unit)) == images[j], j
+    for _ in range(2):
+        coords = [Rat(rng.randint(-3, 3)) for _ in range(width)]
+        total = {}
+        for c, image in zip(coords, images):
+            for i, v in image.items():
+                total[i] = total.get(i, 0) + c * v
+        assert _sparse(_oracle_image(c2_ctx, 4, coords)) == {i: v for i, v in total.items() if v}
+
+
+def test_combined_kernel_and_solve_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
+    """combined_kernel and solve_combined against kernel_basis and solve on
+    the oracle matrix: solvable targets (images of seeded sources) and raw
+    (1/3)Z targets."""
+    rng = random.Random(61)
+    unsolvable = 0
+    for ctx in (e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
+        om, d, m = ctx.dims()
+        for n in (0, 1, 2):
+            mat = combined_raw_matrix_oracle(ctx, n)
+            kb = kernel_basis(mat)
+            assert combined_kernel(ctx, n) == [combined_from_coords(ctx, n, kb.col(j)) for j in range(kb.cols)]
+            cut = (om.size * d) ** (n + 1) * m
+            targets = [mat.matvec([Rat(rng.randint(-2, 2)) for _ in range(mat.cols)]) for _ in range(2)]
+            targets.append([Rat(rng.randint(-3, 3), 3) for _ in range(mat.rows)])
+            for vec in targets:
+                target = CombinedCochain(
+                    Cochain(n + 1, om.size, d, m, vec[:cut]), Cochain(n, om.size, d, m, vec[cut:])
+                )
+                x = solve(mat, vec)
+                assert x is None or mat.matvec(x) == vec
+                expected = None if x is None else combined_from_coords(ctx, n, x)
+                assert solve_combined(ctx, n, target) == expected, (n, vec)
+                unsolvable += x is None
+    assert unsolvable
+
+
+def _dense_chain_map_witness(ctx, max_degree):
+    """First mismatch of partial o phi and phi o delta, from the oracles on dense vectors."""
+    for n in range(max_degree + 1):
+        basis = ctx.basis(n)
+        for j in range(basis.dim()):
+            f = basis.cochain(j)
+            lhs = partial_expanded_oracle(ctx, phi_subset_oracle(ctx, f)).coords
+            rhs = phi_subset_oracle(ctx, delta_direct_oracle(ctx.bimodule, f)).coords
+            for idx, (u, v) in enumerate(zip(lhs, rhs)):
+                if u != v:
+                    return Witness("chain-map", (n,), (j, idx), (u,), (v,))
+    return None
+
+
+def test_chain_map_witness_matches_dense_comparison(e1_ctx, c2_ctx):
+    """An unvalidated context with one tmap entry altered breaks the square;
+    the witness (degree, basis cochain, first raw index, both values) is the
+    one a dense comparison finds first."""
+    for ctx, x, entry in ((e1_ctx, 0, 2), (c2_ctx, 1, 1)):
+        b = ctx.bimodule
+        t = b.tmap[x]
+        entries = list(t.entries)
+        entries[entry] += 1
+        tmap = dict(b.tmap)
+        tmap[x] = Mat(t.rows, t.cols, entries)
+        broken = RbfContext(ctx.algebra, ctx.rb, replace(b, tmap=tmap, _cache={}))
+        witness = chain_map_check(broken, 2)
+        assert witness is not None
+        assert witness == _dense_chain_map_witness(broken, 2)
