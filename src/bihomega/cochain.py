@@ -22,13 +22,15 @@ and every check that a coboundary image lies in C^{n+1}.
 The coboundary has one implementation: :func:`delta_op` compiles the
 alternating sum once per (bimodule, degree) into a cached sparse matrix on
 raw coordinates, and :func:`apply_delta`, the matrices and the cohomology
-tables all go through it.  Independent term-by-term transcriptions of the
-sum live only in the test oracles (``tests/oracles.py``).
+tables all go through it.  It and the constraint rows are built as sparse
+Kronecker products of rows and columns of the structure maps
+(:func:`_kron`), visiting only nonzeros.  Independent term-by-term
+transcriptions of the sum live only in the test oracles (``tests/oracles.py``).
 
 Cohomology tables stay sparse end to end: for each degree k,
 :func:`cohomology_dims` applies ``delta_op`` to the C^k basis, verifies
 every raw image against the degree-(k+1) constraint rows, and takes one
-rank by forward elimination on the raw images (the coordinate map of C^{k+1}
+fraction-free integer rank of the raw images (the coordinate map of C^{k+1}
 is injective, so this is the rank of δ_k on C^k).  No basis-coordinate
 matrix and no basis of C^{max_degree+1} is built.  :func:`delta_matrix`
 (basis coordinates, via ``coords_of``) remains for solving.
@@ -43,17 +45,12 @@ the exact intersection of the image with C^1, flagging the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .linalg import Mat, reduce_into, solve, sparse_kernel, sparse_rank
 from .monoid import Monoid
 from .rationals import ONE, ZERO, Rat
-
-
-def _pow(base: int, exp: int) -> int:
-    return base**exp
 
 
 def _tuple_rank(t, size: int) -> int:
@@ -75,15 +72,12 @@ class Cochain:
 
     @classmethod
     def zero(cls, degree: int, omega_size: int, dim_in: int, dim_out: int) -> "Cochain":
-        size = _pow(omega_size, degree) * _pow(dim_in, degree) * dim_out
+        size = omega_size**degree * dim_in**degree * dim_out
         return cls(degree, omega_size, dim_in, dim_out, [ZERO] * size)
-
-    def raw_dim(self) -> int:
-        return len(self.coords)
 
     def block_base(self, om_tuple) -> int:
         n, d = self.degree, self.dim_in
-        return _tuple_rank(om_tuple, self.omega_size) * _pow(d, n) * self.dim_out
+        return _tuple_rank(om_tuple, self.omega_size) * d**n * self.dim_out
 
     def value(self, om_tuple, args) -> list:
         """Value on basis arguments, as a coefficient vector in M."""
@@ -103,7 +97,7 @@ class Cochain:
         d = self.dim_in
         if not d:  # a multilinear map on the zero space
             return [ZERO] * self.dim_out
-        width = _pow(d, self.degree - 1) * self.dim_out
+        width = d ** (self.degree - 1) * self.dim_out
         base = self.block_base(om_tuple)
         block = self.coords[base : base + width * d]
         for v in vectors:
@@ -236,7 +230,7 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
     """
     if n == 0:
         return True
-    size = _pow(b.base.dim, n) * b.dim_m
+    size = b.base.dim**n * b.dim_m
     blocks: dict = {}
     for idx, v in vec.items():
         blocks.setdefault(idx // size, {})[idx % size] = v
@@ -286,13 +280,13 @@ class EquivariantBasis:
 
     @property
     def raw_dim(self) -> int:
-        return _pow(self.omega_size, self.degree) * self.block_size
+        return self.omega_size**self.degree * self.block_size
 
     def dim(self) -> int:
         return self.offsets[-1] if self.offsets else 0
 
     def _block_count(self) -> int:
-        return _pow(self.omega_size, self.degree)
+        return self.omega_size**self.degree
 
     def cochain_sparse(self, j: int) -> dict:
         """Global raw coordinates of basis element j, as a sparse dict."""
@@ -371,7 +365,7 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     a = b.base
     om = a.omega
     d, m = a.dim, b.dim_m
-    block = _pow(d, n) * m
+    block = d**n * m
     vectors, frees, offsets = [], [], [0]
     if n == 0:
         vectors.append([{k: ONE} for k in range(m)])
@@ -395,50 +389,56 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     """Sparse rows of (module map) o f - f o (slotwise maps) for pmap and qmap.
 
     Block-local columns of the tuple's block; cached per tuple, since both
-    the basis and the membership test :func:`_in_subspace` apply them.
+    the basis and the membership test :func:`_in_subspace` apply them.  Per
+    argument tuple, in lex order, the slot-map part is the Kronecker product
+    of the slot maps' columns at the arguments.
     """
     cache_key = ("constraint_rows", om_tuple)
     hit = b._cache.get(cache_key)
     if hit is not None:
         return hit
-    n = len(om_tuple)
     a = b.base
-    d, m = a.dim, b.dim_m
+    m = b.dim_m
     prod = a.omega.product_of(om_tuple)
     rows = []
     for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)):
         big = mmaps[prod]
-        slot_cols = []  # slot_cols[t][j] = sparse support of column j of the slot map
-        for t in range(n):
-            mat = amaps[om_tuple[t]]
-            slot_cols.append(
-                [[(i, mat.at(i, j)) for i in range(d) if mat.at(i, j)] for j in range(d)]
-            )
-        for args in iproduct(range(d), repeat=n):
-            arg_rank = _tuple_rank(args, d)
-            row_of = [dict() for _ in range(m)]
-            for k in range(m):
-                for l in range(m):
-                    coeff = big.at(k, l)
-                    if coeff:
-                        col = arg_rank * m + l
-                        row_of[k][col] = row_of[k].get(col, ZERO) + coeff
-            for combo in iproduct(*[slot_cols[t][args[t]] for t in range(n)]):
-                coeff = ONE
-                i_rank = 0
-                for i, v in combo:
-                    coeff *= v
-                    i_rank = i_rank * d + i
-                for k in range(m):
+        big_rows = [[(l, v) for l, v in enumerate(big.row(k)) if v] for k in range(m)]
+        tables = [(a.dim, _supports(amaps[x], by_col=True)) for x in om_tuple]
+        for arg_rank, slot_part in enumerate(_kron(tables)):
+            row_of = [{arg_rank * m + l: v for l, v in big_rows[k]} for k in range(m)]
+            for i_rank, coeff in slot_part:
+                for k, row in enumerate(row_of):
                     col = i_rank * m + k
-                    new = row_of[k].get(col, ZERO) - coeff
+                    new = row.get(col, ZERO) - coeff
                     if new:
-                        row_of[k][col] = new
+                        row[col] = new
                     else:
-                        row_of[k].pop(col, None)
+                        row.pop(col, None)
             rows.extend(r for r in row_of if r)
     b._cache[cache_key] = rows
     return rows
+
+
+def _supports(mat: Mat, by_col: bool = False) -> list:
+    """Sparse rows (or columns) of a square matrix: [[(index, nonzero)]]."""
+    line = mat.col if by_col else mat.row
+    return [[(i, v) for i, v in enumerate(line(j)) if v] for j in range(mat.rows)]
+
+
+def _kron(tables) -> list:
+    """Sparse Kronecker products, one per index tuple (j_1..j_k) in lex order.
+
+    ``tables[s] = (width, entries)``: ``entries[j]`` is the sparse vector
+    [(position, coeff)] that index j selects at slot s.  A product is
+    [(mixed-radix rank of the positions, coeff)]; tuples that share a prefix
+    share its partial product, and only nonzeros are visited.
+    """
+    prods = [[(0, ONE)]]
+    for width, entries in tables:
+        prods = [[(r * width + p, c * v) for r, c in prod for p, v in entry]
+                 for prod in prods for entry in entries]
+    return prods
 
 
 # -- the coboundary -------------------------------------------------------
@@ -452,7 +452,7 @@ class SparseOp:
     def __init__(self, nrows: int, ncols: int, colmaps: list):
         self.nrows = nrows
         self.ncols = ncols
-        self.cols = [list(cm.items()) for cm in colmaps]
+        self.cols = [[(row, v) for row, v in cm.items() if v] for cm in colmaps]
 
     def apply_dense(self, vec) -> list:
         out = [ZERO] * self.nrows
@@ -487,7 +487,13 @@ class SparseOp:
 
 
 def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
-    """Compiled coboundary on raw coordinates, degree n -> n+1 (cached)."""
+    """Compiled coboundary on raw coordinates, degree n -> n+1 (cached).
+
+    For n >= 1, on output block beta, the first and last terms are one m x m
+    action matrix per outer argument, repeated at d^n offsets.  Middle term
+    i is P_{beta_0} (x) ... (x) mu_{beta_{i-1},beta_i} (x) Q_{beta_{i+1}} (x)
+    ... (x) I_m, built from sparse rows by :func:`_kron`.
+    """
     cache_key = ("delta_op", n)
     hit = b._cache.get(cache_key)
     if hit is not None:
@@ -496,18 +502,9 @@ def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
     om = a.omega
     d, m = a.dim, b.dim_m
     s = om.size
-    ncols = _pow(s, n) * _pow(d, n) * m
-    nrows = _pow(s, n + 1) * _pow(d, n + 1) * m
+    ncols = s**n * d**n * m
+    nrows = s ** (n + 1) * d ** (n + 1) * m
     colmaps = [dict() for _ in range(ncols)]
-
-    def emit(row: int, col: int, coeff):
-        cm = colmaps[col]
-        new = cm.get(row, ZERO) + coeff
-        if new:
-            cm[row] = new
-        else:
-            cm.pop(row, None)
-
     unit = om.unit
     if n == 0:
         # (a |> m at (x, unit)) - (m <| a at (unit, x))
@@ -518,126 +515,91 @@ def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
                 for k in range(m):
                     row = (x * d + j) * m + k
                     for l in range(m):
-                        if lt[j][l][k]:
-                            emit(row, l, lt[j][l][k])
-                        if rt[l][j][k]:
-                            emit(row, l, -rt[l][j][k])
+                        cm = colmaps[l]
+                        cm[row] = cm.get(row, ZERO) + lt[j][l][k] - rt[l][j][k]
         op = SparseOp(nrows, ncols, colmaps)
         b._cache[cache_key] = op
         return op
 
-    d_out = _pow(d, n + 1)
-    dn = _pow(d, n)
-    tuples_in = om.tuples(n)
-    in_rank = {t: i for i, t in enumerate(tuples_in)}
+    dn = d**n
+    in_rank = {t: i for i, t in enumerate(om.tuples(n))}
+    slots = [(l, k) for l in range(m) for k in range(m)]
+    p_rows = {x: _supports(a.pmap[x]) for x in om.elements()}
+    q_rows = {x: _supports(a.qmap[x]) for x in om.elements()}
+    pairs = [(j, jj) for j in range(d) for jj in range(d)]
+    mu_rows = {  # per merged argument r: [(j * d + jj, mu[j][jj][r])]
+        key: [[(j * d + jj, mu[j][jj][r]) for j, jj in pairs if mu[j][jj][r]] for r in range(d)]
+        for key, mu in a.product.items()
+    }
+
+    def repeat(act, row_start: int, row_stride: int, col_start: int):
+        # act = [(l, k, coeff)] at each of the dn offsets of the other arguments
+        for r in range(dn):
+            row0, col0 = row_start + r * row_stride, col_start + r * m
+            for l, k, v in act:
+                cm = colmaps[col0 + l]
+                cm[row0 + k] = cm.get(row0 + k, ZERO) + v
+
     for t_rank, beta in enumerate(om.tuples(n + 1)):
-        row_base_tuple = t_rank * d_out * m
-        tail = beta[1:]
-        head = beta[:-1]
-        tail_base = in_rank[tail] * dn * m
-        head_base = in_rank[head] * dn * m
-        prod_tail = om.product_of(tail)
-        prod_head = om.product_of(head)
-        lt = b.left[(beta[0], prod_tail)]
-        rt = b.right[(prod_head, beta[-1])]
+        row_base = t_rank * d * dn * m
+        tail_base = in_rank[beta[1:]] * dn * m
+        head_base = in_rank[beta[:-1]] * dn * m
+        lt = b.left[(beta[0], om.product_of(beta[1:]))]
+        rt = b.right[(om.product_of(beta[:-1]), beta[-1])]
         p_pow = a.p_power(beta[0], n - 1)
         q_pow = a.q_power(beta[-1], n - 1)
-
-        # first term: p^{n-1}(a_1) acting on the value at the tail
-        for j1 in range(d):
-            u = p_pow.col(j1)
-            act = [[ZERO] * m for _ in range(m)]  # act[l][k]
-            for i, ui in enumerate(u):
-                if not ui:
-                    continue
-                for l in range(m):
-                    rowv = lt[i][l]
-                    for k in range(m):
-                        if rowv[k]:
-                            act[l][k] += ui * rowv[k]
-            for tail_rank in range(dn):
-                row0 = row_base_tuple + (j1 * dn + tail_rank) * m
-                col0 = tail_base + tail_rank * m
-                for l in range(m):
-                    for k in range(m):
-                        if act[l][k]:
-                            emit(row0 + k, col0 + l, act[l][k])
-
-        # last term: value at the head acted on by q^{n-1}(a_{n+1})
         sign_last = ONE if (n + 1) % 2 == 0 else -ONE
-        for jl in range(d):
-            v = q_pow.col(jl)
-            act = [[ZERO] * m for _ in range(m)]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                for l in range(m):
-                    if rt[l][j]:
-                        rowv = rt[l][j]
-                        for k in range(m):
-                            if rowv[k]:
-                                act[l][k] += vj * rowv[k]
-            for head_rank in range(dn):
-                row0 = row_base_tuple + (head_rank * d + jl) * m
-                col0 = head_base + head_rank * m
-                for l in range(m):
-                    for k in range(m):
-                        if act[l][k]:
-                            emit(row0 + k, col0 + l, sign_last * act[l][k])
+
+        for j in range(d):
+            # first term: p^{n-1}(a_1) acting on the value at the tail
+            u, v = p_pow.col(j), q_pow.col(j)
+            act = [(l, k, c) for l, k in slots
+                   if (c := sum(ui * lt[i][l][k] for i, ui in enumerate(u)))]
+            repeat(act, row_base + j * dn * m, m, tail_base)
+            # last term: value at the head acted on by q^{n-1}(a_{n+1})
+            act = [(l, k, sign_last * c) for l, k in slots
+                   if (c := sum(vi * rt[l][i][k] for i, vi in enumerate(v)))]
+            repeat(act, row_base + j * m, d * m, head_base)
 
         # middle terms: slot i of the output is merged through the product
         for i in range(1, n + 1):
             sign = ONE if i % 2 == 0 else -ONE
             merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
             merged_base = in_rank[merged] * dn * m
-            mu_t = a.product[(beta[i - 1], beta[i])]
-            p_cols = [
-                [[(r, mat.at(r, c)) for r in range(d) if mat.at(r, c)] for c in range(d)]
-                for mat in (a.pmap[beta[t]] for t in range(i - 1))
-            ]
-            q_cols = [
-                [[(r, mat.at(r, c)) for r in range(d) if mat.at(r, c)] for c in range(d)]
-                for mat in (a.qmap[beta[t]] for t in range(i + 1, n + 1))
-            ]
-            for args in iproduct(range(d), repeat=n + 1):
-                row0 = row_base_tuple + _tuple_rank(args, d) * m
-                slot_supports = []
-                for t in range(i - 1):
-                    slot_supports.append(p_cols[t][args[t]])
-                mu_vec = mu_t[args[i - 1]][args[i]]
-                slot_supports.append([(r, mu_vec[r]) for r in range(d) if mu_vec[r]])
-                for t in range(i + 1, n + 1):
-                    slot_supports.append(q_cols[t - i - 1][args[t]])
-                if any(not sup for sup in slot_supports):
-                    continue
-                for combo in iproduct(*slot_supports):
-                    coeff = sign
-                    i_rank = 0
-                    for idx, v in combo:
-                        coeff *= v
-                        i_rank = i_rank * d + idx
-                    col0 = merged_base + i_rank * m
-                    for k in range(m):
-                        emit(row0 + k, col0 + k, coeff)
+            tables = [(d, p_rows[x]) for x in beta[: i - 1]]
+            tables.append((d * d, mu_rows[(beta[i - 1], beta[i])]))
+            tables += [(d, q_rows[x]) for x in beta[i + 1 :]]
+            for r_rank, terms in enumerate(_kron(tables)):
+                terms = [(row_base + r * m, sign * c) for r, c in terms]
+                col0 = merged_base + r_rank * m
+                for k in range(m):
+                    cm = colmaps[col0 + k]
+                    for row0, c in terms:
+                        cm[row0 + k] = cm.get(row0 + k, ZERO) + c
     op = SparseOp(nrows, ncols, colmaps)
     b._cache[cache_key] = op
     return op
 
 
-def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
-    """Coboundary of an equivariant cochain, through the compiled :func:`delta_op`."""
+def _require_shape(b: OmegaBimodule, f: Cochain):
+    """Refuse a cochain whose degree, shape or length does not fit C^n(A, M)."""
     a = b.base
     n = f.degree
-    shape = (a.omega.size, a.dim, b.dim_m)
     if (
         n < 0
-        or (f.omega_size, f.dim_in, f.dim_out) != shape
-        or len(f.coords) != _pow(a.omega.size, n) * _pow(a.dim, n) * b.dim_m
+        or (f.omega_size, f.dim_in, f.dim_out) != (a.omega.size, a.dim, b.dim_m)
+        or len(f.coords) != a.omega.size**n * a.dim**n * b.dim_m
     ):
         raise MalformedInputError("cochain does not match the bimodule")
+
+
+def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
+    """Coboundary of an equivariant cochain, through the compiled :func:`delta_op`."""
+    _require_shape(b, f)
     if check and not is_equivariant(b, f):
         raise PreconditionError("cochain is not equivariant")
-    return Cochain(n + 1, *shape, delta_op(b, n).apply_dense(f.coords))
+    n = f.degree
+    return Cochain(n + 1, f.omega_size, f.dim_in, f.dim_out, delta_op(b, n).apply_dense(f.coords))
 
 
 def _coboundary_images(b: OmegaBimodule, n: int) -> list:

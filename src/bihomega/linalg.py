@@ -2,19 +2,20 @@
 
 Provides the reduced row echelon form, rank, null-space bases, and linear
 solves that the rest of the workbench is built on.  Everything is exact over
-the rationals; nothing ever rounds.  The one division is the pivot
-normalization in :func:`reduce_into`, whose inverse is an exact rational;
-entries that come out integral are stored as ``int`` (see ``rationals``).
+the rationals; nothing ever rounds.
 
 Elimination works on sparse row dicts {column: nonzero value}, one row at a
-time: :func:`reduce_into` eliminates a row against a {pivot_col: row}
-echelon and stores it at its leading column, so the cost follows the
-nonzeros, not the shape.  A rank needs only this forward phase;
-:func:`sparse_rref` back-substitutes in decreasing pivot order for the RREF,
-which :func:`sparse_kernel` and :func:`sparse_solve` read off.
-:class:`Mat` is a small dense matrix for structure maps and for callers that
-want one; its ``rank``/``rref``/``kernel_basis``/``solve`` convert it to
-sparse rows.
+time against a {pivot_col: row} echelon, so the cost follows the nonzeros,
+not the shape.  :func:`sparse_rank` is fraction-free, in the spirit of
+Bareiss 1968: rows scaled to integers are reduced by
+row <- (p/g) row - (r/g) pivot with g = gcd(p, r), and stored divided by
+their content, so it builds no rational.  :func:`reduce_into` instead
+normalizes each pivot to 1, the one rational division; integral entries stay
+``int`` (see ``rationals``).  :func:`sparse_rref` back-substitutes that
+echelon for the RREF, which :func:`sparse_kernel` and :func:`sparse_solve`
+read off.  :class:`Mat` is a small dense matrix for structure maps and for
+callers that want one; its ``rank``/``rref``/``kernel_basis``/``solve``
+convert it to sparse rows.
 
 Conventions that downstream determinism depends on:
 
@@ -25,6 +26,8 @@ Conventions that downstream determinism depends on:
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import MalformedInputError
 from .rationals import ONE, ZERO, Rat, format_rational
@@ -191,9 +194,6 @@ def commutes(a: Mat, b: Mat) -> bool:
 
 
 # -- sparse elimination core ---------------------------------------------
-#
-# Rows are dicts {column: nonzero value}.  The functions below are also used
-# directly by the cochain machinery, which produces very sparse systems.
 
 
 def reduce_into(pivots: dict, row: dict) -> bool:
@@ -231,11 +231,46 @@ def _axpy(row: dict, factor, other: dict):
 
 
 def sparse_rank(rows) -> int:
-    """Rank of the sparse rows: the forward elimination phase only."""
+    """Rank of the sparse rows: the pivot count of :func:`_integer_echelon`."""
+    return len(_integer_echelon(rows))
+
+
+def _integer_echelon(rows) -> dict:
+    """Fraction-free forward elimination into {pivot_col: primitive int row}.
+
+    Each row is scaled to integers by the lcm of its denominators, which
+    keeps its span, and reduced by :func:`_cross_eliminate`; a row that opens
+    a pivot is divided by its content, sign included, so its lead is positive.
+    """
     pivots: dict = {}
     for r in rows:
-        reduce_into(pivots, r)
-    return len(pivots)
+        den = lcm(*(v.denominator for v in r.values() if type(v) is not int))
+        row = {c: v.numerator * (den // v.denominator) for c, v in r.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                g = gcd(*row.values()) if row[col] > 0 else -gcd(*row.values())
+                pivots[col] = {c: v // g for c, v in row.items()}
+                break
+            row = _cross_eliminate(row, pivot, col)
+    return pivots
+
+
+def _cross_eliminate(row: dict, pivot: dict, col: int) -> dict:
+    """row <- (p/g) row - (r/g) pivot for p = pivot[col] > 0, r = row[col] and
+    g = gcd(p, r): ``col`` cleared, entries integral, zeros dropped."""
+    p, r = pivot[col], row[col]
+    g = gcd(p, r)
+    row = {c: (p // g) * v for c, v in row.items()} if g != p else row
+    factor = r // g
+    for c, v in pivot.items():
+        new = row.get(c, 0) - factor * v
+        if new:
+            row[c] = new
+        else:
+            del row[c]
+    return row
 
 
 def sparse_rref(rows: list, ncols: int) -> list:

@@ -44,6 +44,7 @@ from .cochain import (
     EquivariantBasis,
     SparseOp,
     _in_subspace,
+    _require_shape,
     apply_delta,
     cohomology_dims,
     degree0_preimages,
@@ -161,7 +162,7 @@ def phi_op(ctx: RbfContext, n: int) -> SparseOp:
                         for k, v in t_cols[l]:
                             row = (base + i) * m + k
                             col[row] = col.get(row, 0) - c * v
-                    colmaps.append({row: v for row, v in col.items() if v})
+                    colmaps.append(col)
     op = SparseOp(size, size, colmaps)
     ctx._cache[("phi_op", n)] = op
     return op
@@ -191,10 +192,11 @@ def phi(ctx: RbfContext, f: Cochain) -> Cochain:
 
     where X_S applies R_{alpha_s} at the slots s in S and the identity
     elsewhere (degree 1: f o R - T o f).  Applied through the compiled
-    :func:`phi_op`.
+    :func:`phi_op`; a cochain of another shape is refused as in :func:`partial`.
     """
-    om, d, m = ctx.dims()
-    return Cochain(f.degree, om.size, d, m, phi_op(ctx, f.degree).apply_dense(f.coords))
+    _require_shape(ctx.bimodule, f)
+    coords = phi_op(ctx, f.degree).apply_dense(f.coords)
+    return Cochain(f.degree, f.omega_size, f.dim_in, f.dim_out, coords)
 
 
 @dataclass(eq=False)

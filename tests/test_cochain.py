@@ -3,13 +3,21 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text
-from oracles import circ_full_oracle, circ_i_oracle, delta_direct_oracle, is_equivariant_oracle
+from oracles import (
+    circ_full_oracle,
+    circ_i_oracle,
+    delta_direct_oracle,
+    identity_cochain,
+    is_equivariant_oracle,
+)
 
 from bihomega import cochain, samples
-from bihomega.algebra import zero_algebra
-from bihomega.bimodule import regular_bimodule, zero_bimodule
+from bihomega.algebra import OmegaAlgebra, zero_algebra
+from bihomega.bimodule import OmegaBimodule, regular_bimodule, zero_bimodule
 from bihomega.cochain import (
     Cochain,
     apply_delta,
@@ -26,7 +34,7 @@ from bihomega.cochain import (
 from bihomega.errors import InternalCheckError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat, kernel_basis, rank
-from bihomega.monoid import trivial_monoid
+from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, ZERO, Rat
 
 
@@ -449,3 +457,137 @@ def test_evaluation_on_a_dimension_zero_algebra_is_empty():
         for i in range(1, n + 1):
             assert circ_i_oracle(a0, f, g, i) == f
         assert circ_full_oracle(a0, f, [g] * n) == f
+
+
+class _Formal(dict):
+    """A formal linear combination {raw index j: coefficient} of raw basis
+    cochains.  The oracle is linear in its cochain, so on the cochain whose
+    coordinate j is the symbol {j: 1} it returns, at output coordinate i,
+    row i of its operator: every column of the oracle in one call."""
+
+    def __add__(self, other):
+        if not isinstance(other, _Formal):
+            if other:
+                raise TypeError("a formal combination plus a nonzero scalar")
+            return self
+        out = _Formal(self)
+        for j, v in other.items():
+            w = out.get(j, 0) + v
+            if w:
+                out[j] = w
+            else:
+                del out[j]
+        return out
+
+    __radd__ = __add__
+
+    def __mul__(self, c):
+        return _Formal({j: c * v for j, v in self.items()}) if c else _Formal()
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+
+_SMALL = [0, 0, 0, 1, -1, 2, 3]
+_NON_UNIT = [2, -1, Rat(1, 3)]
+_THIRDS = [0, 1, -1, 2, Rat(1, 3), Rat(-2, 3)]
+
+
+@st.composite
+def _twisted_carriers(draw):
+    """Unvalidated carriers over a two-element monoid whose twists are
+    neither identities nor diagonal: column 0 of every twist has two
+    nonzeros and a non-unit diagonal entry, and p differs from q.  Shapes
+    (d, m) with d*m <= 4 keep the formal oracle calls cheap."""
+    omega = draw(st.sampled_from([cyclic_monoid(2), boolean_monoid()]))
+    d, m = draw(st.sampled_from([(2, 2), (2, 1), (2, 2), (3, 1)]))
+
+    def flat(size, scalars=_SMALL):
+        return draw(st.lists(st.sampled_from(scalars), min_size=size, max_size=size))
+
+    def tensor(d1, d2, d3):
+        v = flat(d1 * d2 * d3)
+        return [[v[(i * d2 + j) * d3 : (i * d2 + j + 1) * d3] for j in range(d2)] for i in range(d1)]
+
+    def twist(k):
+        if k == 1:
+            return Mat(1, 1, [draw(st.sampled_from(_NON_UNIT))])
+        entries = flat(k * k)
+        entries[0] = draw(st.sampled_from(_NON_UNIT))
+        entries[k] = draw(st.sampled_from(_NON_UNIT + [1]))
+        return Mat(k, k, entries)
+
+    pairs = [(x, y) for x in omega.elements() for y in omega.elements()]
+    pmap = {x: twist(d) for x in omega.elements()}
+    qmap = {x: twist(d) for x in omega.elements()}
+    assume(pmap != qmap)
+    a = OmegaAlgebra(omega, d, {key: tensor(d, d, d) for key in pairs}, pmap, qmap)
+    left = {key: tensor(d, m, m) for key in pairs}
+    right = {key: tensor(m, d, m) for key in pairs}
+    if m == d:  # the algebra's own twists, so C^1 holds the identity family
+        b = OmegaBimodule(a, m, left, right, pmap, qmap)
+    else:
+        b = OmegaBimodule(a, m, left, right, *[{x: twist(m) for x in omega.elements()} for _ in "pq"])
+    raw = [flat(omega.size**n * d**n * m, scalars=_THIRDS) for n in (1, 2, 3)]
+    return b, raw
+
+
+@settings(
+    derandomize=True,
+    max_examples=30,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_twisted_carriers())
+def test_delta_op_and_equivariance_match_oracles_on_twisted_carriers(case):
+    """Every column of delta_op against delta_direct_oracle on its raw basis
+    cochain (all columns in one formal oracle call) at degrees 0-2, and at
+    degree 3 for d = 2, m = 1 (larger degree-3 oracles take 0.1-0.5 s each);
+    is_equivariant against is_equivariant_oracle on the identity family when
+    M carries the algebra's twists, on raw 1/3-integral cochains of degrees
+    1-3, and at degrees 1-2 on an element of C^n and on that element
+    perturbed."""
+    b, raw = case
+    om, d, m = b.base.omega, b.base.dim, b.dim_m
+    for n in range(4 if (d, m) == (2, 1) else 3):
+        op = delta_op(b, n)
+        generic = Cochain(n, om.size, d, m, [_Formal({j: 1}) for j in range(op.ncols)])
+        columns = [{} for _ in range(op.ncols)]
+        for i, entry in enumerate(delta_direct_oracle(b, generic).coords):
+            assert isinstance(entry, _Formal) or entry == 0
+            for j, v in (entry.items() if entry else ()):
+                columns[j][i] = v
+        assert [dict(col) for col in op.cols] == columns
+    if m == d:
+        assert is_equivariant(b, identity_cochain(b.base)) and is_equivariant_oracle(b, identity_cochain(b.base))
+    for n, coords in enumerate(raw, start=1):
+        f = Cochain(n, om.size, d, m, coords)
+        assert is_equivariant(b, f) == is_equivariant_oracle(b, f)
+        if n < 3:
+            basis = equivariant_basis(b, n)
+            g = basis.combine([Rat(1 + j % 3, 3) for j in range(basis.dim())])
+            assert is_equivariant(b, g) and is_equivariant_oracle(b, g)
+            g.coords[-1] += Rat(1, 3)
+            assert is_equivariant(b, g) == is_equivariant_oracle(b, g)
+
+
+@settings(derandomize=True, max_examples=15, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32 - 1))
+def test_dd_zero_from_degree_one_on_random_pairs(seed):
+    """δ_{n+1} ∘ δ_n = 0 on C^n for n = 1, 2, 3 on a seeded random valid pair."""
+    a, b = samples.random_valid_pair(random.Random(seed))
+    for n in (1, 2, 3):
+        basis = equivariant_basis(b, n)
+        op_n, op_next = delta_op(b, n), delta_op(b, n + 1)
+        for j in range(basis.dim()):
+            assert not op_next.image(op_n.image(basis.cochain_sparse(j)))

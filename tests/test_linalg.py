@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from oracles import gauss_jordan_oracle
 
-from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_kernel, sparse_rref
+from bihomega import linalg
+from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_kernel, sparse_rank, sparse_rref
 from bihomega.rationals import Rat, format_rational, parse_rational
 
 
@@ -263,3 +266,91 @@ def test_elimination_matches_dense_gauss_jordan_oracle():
             assert x == want
             _assert_exact(x)
     assert all(seen.values()), seen
+
+
+def _mixed_systems(rng):
+    """Seeded systems whose rows mix denominators 1, 2, 3 and 7, carry
+    entries above 2^64, lead with 2, -3 or 2/3, and include exact
+    combinations of earlier rows (so the rank is deficient)."""
+    big = 2**64 + 13
+    for case in range(60):
+        nrows, ncols = rng.randint(2, 8), rng.randint(2, 8)
+        rows = []
+        for i in range(nrows):
+            kind = rng.randrange(4)
+            if kind == 0 and i >= 2:
+                p, q = rng.sample(range(i), 2)
+                lam, mu = Rat(big + rng.randint(0, 9), 7), Rat(-rng.randint(1, 5), 2)
+                rows.append([lam * x + mu * y for x, y in zip(rows[p], rows[q])])
+                continue
+            row = [
+                Rat(rng.randint(-3, 3) * (big if rng.random() < 0.3 else 1), rng.choice((1, 2, 3, 7)))
+                if rng.random() < 0.6
+                else 0
+                for _ in range(ncols)
+            ]
+            lead = rng.randrange(ncols)
+            row[:lead] = [0] * lead
+            row[lead] = rng.choice((2, -3, Rat(2, 3)))
+            rows.append(row)
+        yield rows, ncols
+
+
+def test_integer_rank_matches_oracle_on_mixed_denominators_and_large_entries():
+    rng = random.Random(89)
+    seen = {"deficient": False, "large": False, "denominators": set()}
+    for rows, ncols in _mixed_systems(rng):
+        want = len(gauss_jordan_oracle(rows, ncols)[1])
+        seen["deficient"] |= want < min(len(rows), ncols)
+        seen["large"] |= any(abs(v) > 2**64 for r in rows for v in r)
+        seen["denominators"] |= {Fraction(v).denominator for r in rows for v in r}
+        sparse = _sparse(rows)
+        assert sparse_rank(sparse) == want
+        assert sparse == _sparse(rows)  # the input is left alone
+    assert seen["deficient"] and seen["large"] and {1, 2, 3, 7} <= seen["denominators"]
+
+
+def test_integer_echelon_rows_are_primitive_with_positive_leads():
+    """Each stored pivot row is divided by its content, sign included, on a
+    system whose rows share large factors."""
+    big = 3**45
+    rows = [
+        {0: 2 * big, 1: 4 * big, 2: 6},
+        {0: -3 * big, 1: 5, 2: 9 * big},
+        {0: 4, 1: 8 * big, 3: 12},
+        {1: -6, 2: 3 * big, 3: 9},
+    ]
+    pivots = linalg._integer_echelon(rows)
+    assert sorted(pivots) == [0, 1, 2, 3]
+    for col, row in pivots.items():
+        assert col == min(row) and row[col] > 0
+        assert gcd(*row.values()) == 1
+        assert all(type(v) is int for v in row.values())
+
+
+def test_cross_elimination_divides_by_the_gcd_of_the_leads():
+    """row <- (p/g) row - (r/g) pivot: leads 4 and 6 share g = 2."""
+    row = {0: 6, 1: 1, 2: 5}
+    assert linalg._cross_eliminate(row, {0: 4, 1: 1}, 0) == {1: -1, 2: 10}
+    assert linalg._cross_eliminate({0: -9, 3: 1}, {0: 3, 3: 2}, 0) == {3: 7}
+
+
+def test_integer_rank_builds_no_rational(monkeypatch):
+    """Integral rows, with pivots 2 and -3 and rank-deficient combinations,
+    are ranked without one Fraction or one call to Rat."""
+    rng = random.Random(97)
+    systems = []
+    for rows, ncols in _random_systems(rng):
+        if all(type(v) is int for r in rows for v in r):
+            systems.append((_sparse(rows), len(gauss_jordan_oracle(rows, ncols)[1])))
+    systems.append(([{0: 2, 1: 4}, {0: -3, 1: 5}, {0: 1, 1: 2}, {1: 22}], 2))
+    assert len(systems) > 20
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rational was built")
+
+    monkeypatch.setattr(linalg, "Rat", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    got = [sparse_rank(rows) for rows, _ in systems]
+    monkeypatch.undo()
+    assert got == [want for _, want in systems]

@@ -17,7 +17,7 @@ from bihomega import samples
 from bihomega.algebra import RotaBaxterFamily, Witness, zero_rb
 from bihomega.bimodule import regular_bimodule, zero_bimodule
 from bihomega.cochain import Cochain, apply_delta, delta_op, is_equivariant, random_equivariant
-from bihomega.errors import PreconditionError
+from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat, kernel_basis, solve
 from bihomega.rationals import ONE, ZERO, Rat
@@ -98,6 +98,26 @@ def test_partial_check_refuses_non_equivariant_cochain(e1_ctx):
         partial(e1_ctx, f)
     with pytest.raises(PreconditionError):
         d_combined(e1_ctx, CombinedCochain(Cochain.zero(2, 1, 2, 2), f))
+
+
+def test_phi_and_partial_refuse_cochains_of_another_shape(e1_ctx, c2_ctx):
+    """phi refuses what partial refuses: another monoid, dimension, output
+    dimension, coordinate count or a negative degree."""
+    om, d, m = c2_ctx.dims()
+    good = c2_ctx.basis(2).cochain(0)
+    wrong = [
+        e1_ctx.basis(2).cochain(0),  # the trivial monoid: 8 coordinates, not 32
+        Cochain.zero(2, om.size + 1, d, m),
+        Cochain.zero(2, om.size, d + 1, m),
+        Cochain.zero(2, om.size, d, m + 1),
+        Cochain(2, om.size, d, m, good.coords[:-1]),
+        Cochain(-1, om.size, d, m, [ZERO]),
+    ]
+    for f in wrong:
+        for route in (phi, partial):
+            with pytest.raises(MalformedInputError, match="does not match the bimodule"):
+                route(c2_ctx, f)
+    assert len(phi(c2_ctx, good).coords) == len(good.coords)
 
 
 def test_phi_degree_low_cases(e1_ctx):

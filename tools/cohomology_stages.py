@@ -8,7 +8,8 @@ semidirect product (degrees 0-5), each repeat starts from a fresh bimodule
 and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 
 * ``basis``  -- ``equivariant_basis`` of C^k;
-* ``op``     -- compiling ``delta_op`` at k and applying it to the C^k basis;
+* ``compile`` -- compiling ``delta_op`` at k;
+* ``apply``  -- applying it to the C^k basis (raw images as sparse dicts);
 * ``verify`` -- the membership test of every raw image in C^{k+1}, which
   includes building the degree-(k+1) constraint rows (the basis of C^{k+1}
   then reuses them, so ``basis`` is only the kernel for k >= 1);
@@ -49,7 +50,7 @@ from bihomega.rationals import RAT_BACKEND
 from bihomega.rbf import RbfContext, _combined_images, _in_combined_target, phi_op
 
 CASES = (("c2_variant0", lambda: samples.build_c2_example(0), 4), ("semidirect", samples.build_e1_semidirect, 5))
-STAGES = ("basis", "op", "verify", "rank")
+STAGES = ("basis", "compile", "apply", "verify", "rank")
 COMBINED_STAGES = ("phi_op", "images", "rank")
 COMBINED_MAX_DEGREE = 5
 
@@ -63,14 +64,15 @@ def one_pass(a, max_degree: int) -> list:
         basis = equivariant_basis(b, k)
         t1 = clock()
         op = delta_op(b, k)
-        images = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
         t2 = clock()
-        inside = all(_in_subspace(b, k + 1, img) for img in images)
+        images = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
         t3 = clock()
-        r = sparse_rank(images)
+        inside = all(_in_subspace(b, k + 1, img) for img in images)
         t4 = clock()
-        rows.append({"degree": k, "dim": basis.dim(), "rank": r, "inside": inside,
-                     "basis": t1 - t0, "op": t2 - t1, "verify": t3 - t2, "rank_s": t4 - t3})
+        r = sparse_rank(images)
+        t5 = clock()
+        rows.append({"degree": k, "dim": basis.dim(), "rank": r, "inside": inside, "basis": t1 - t0,
+                     "compile": t2 - t1, "apply": t3 - t2, "verify": t4 - t3, "rank_s": t5 - t4})
     return rows
 
 
@@ -115,7 +117,7 @@ def main() -> int:
     for name, build, max_degree in CASES:
         a = build()
         runs = [one_pass(a, max_degree) for _ in range(max(1, args.repeats))]
-        out["cases"][name] = median_table(runs, max_degree, STAGES, ("basis", "op", "verify", "rank_s"))
+        out["cases"][name] = median_table(runs, max_degree, STAGES, ("basis", "compile", "apply", "verify", "rank_s"))
     ctx = samples.c2_rbf_context()
     passes = [combined_pass(ctx.algebra, ctx.rb, COMBINED_MAX_DEGREE) for _ in range(max(1, args.repeats))]
     out["cases"]["c2_rbf_combined"] = {
