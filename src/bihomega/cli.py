@@ -7,11 +7,17 @@ or a check failed, 2 usage or input errors, 3 an internal consistency check
 failed.  Every error report carries ``error_kind``: ``"input"`` for usage
 and input errors, ``"internal"`` for internal consistency failures.  Pass
 --no-timing for byte-reproducible reports.
+
+``run_command`` may be called any number of times in one process.  The
+argument parser does not depend on the input, so it is built once; each
+command is dispatched by name to ``cmd_<name>``, and reads, parses and
+validates its files afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -276,12 +282,16 @@ def cmd_compare_ext(args) -> tuple[dict, int]:
 
 
 def cmd_search_rbf(args) -> tuple[dict, int]:
+    try:
+        weight = Rat(args.weight)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInputError(f"--weight is not a rational number: {args.weight!r}") from None
     wf = _load(args.file)
     a = _need_algebra(wf)
     witness = validate_algebra(a)
     if witness is not None:
         return {"witness": witness.to_json()}, EXIT_WITNESS
-    hits = search_rbf(a, args.bound, Rat(args.weight), cap=args.cap)
+    hits = search_rbf(a, args.bound, weight, cap=args.cap)
     out = {
         "count": len(hits),
         "families": [
@@ -299,6 +309,8 @@ def cmd_selftest(args) -> tuple[dict, int]:
     from . import samples
     from .cochain import random_equivariant
 
+    if args.samples < 0:
+        raise MalformedInputError(f"--samples must be non-negative, got {args.samples}")
     rng = random.Random(args.seed)
     results = {}
     e1 = samples.build_e1()
@@ -334,75 +346,68 @@ def cmd_selftest(args) -> tuple[dict, int]:
     return {"results": results, "seed": args.seed}, EXIT_OK if all_ok else EXIT_WITNESS
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Each subcommand ``name`` runs the module function ``cmd_<name>`` (``-``
+    read as ``_``), looked up by :func:`run_command` at call time.
+    """
     parser = argparse.ArgumentParser(prog="bihomega", description=__doc__)
     parser.add_argument("--no-timing", action="store_true", help="omit the timing field")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate every block in a file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("cohomology", help="cohomology dimension tables")
     p.add_argument("file")
     p.add_argument("--complex", choices=("alg", "rbf", "rbfa"), default="alg")
     p.add_argument("--max-degree", type=int, default=2)
-    p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("mc-check", help="bracket-square test of the product family")
     p.add_argument("file")
-    p.set_defaults(func=cmd_mc_check)
 
     p = sub.add_parser("star", help="derived product from the operator family")
     p.add_argument("file")
-    p.set_defaults(func=cmd_star)
 
     p = sub.add_parser("yau-twist", help="twist an untwisted algebra by map families")
     p.add_argument("file")
-    p.set_defaults(func=cmd_yau_twist)
 
     p = sub.add_parser("nijenhuis", help="check a Nijenhuis family and its deformed product")
     p.add_argument("file")
-    p.set_defaults(func=cmd_nijenhuis)
 
     p = sub.add_parser("deform-check", help="order-by-order deformation identities")
     p.add_argument("file")
     p.add_argument("--order", type=int, default=None)
-    p.set_defaults(func=cmd_deform_check)
 
     p = sub.add_parser("extend", help="build an extension from a cocycle pair")
     p.add_argument("file")
-    p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("extract-cocycle", help="extract the classifying pair of an extension")
     p.add_argument("file")
-    p.set_defaults(func=cmd_extract_cocycle)
 
     p = sub.add_parser("compare-ext", help="decide whether two extensions share a class")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=cmd_compare_ext)
 
     p = sub.add_parser("search-rbf", help="bounded search for operator families")
     p.add_argument("file")
     p.add_argument("--bound", type=int, default=1)
     p.add_argument("--weight", default="0")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_search_rbf)
 
     p = sub.add_parser("selftest", help="run the built-in invariant battery")
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--samples", type=int, default=25)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def run_command(argv) -> tuple[dict, int]:
     """Dispatch a command line; returns (report, exit_code)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         command = next((arg for arg in argv if not arg.startswith("-")), "")
         if exc.code == 0:  # --help
@@ -411,7 +416,7 @@ def run_command(argv) -> tuple[dict, int]:
     started = time.perf_counter()
     report = {"command": args.command}
     try:
-        payload, code = args.func(args)
+        payload, code = globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParseError as exc:
         report.update(status="error", error=f"parse error: {exc}", error_kind="input")
         code = EXIT_ERROR

@@ -2,8 +2,8 @@
 
 The formal parameter is never reified: a deformation is stored as its list
 of order components, and every statement about it is checked coefficient by
-coefficient.  :class:`TPoly` supplies truncated polynomial scalars for the
-independent expansion route used by the tests.
+coefficient.  The independent route through truncated polynomial scalars
+lives with the other test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .algebra import (
     OmegaAlgebra,
-    RotaBaxterFamily,
     Witness,
     is_homomorphism,
     tensor_zeros,
@@ -23,82 +22,8 @@ from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equiv
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .gerstenhaber import algebra_with_product, mu_cochain
 from .linalg import commutes
-from .rationals import ONE, ZERO, Rat
+from .rationals import ONE, ZERO
 from .rbf import CombinedCochain, RbfContext, d_combined, phi, rbfa_cohomology_dims
-
-
-class TPoly:
-    """Polynomial in one formal variable truncated at a fixed order.
-
-    Coefficients are exact rationals; ``order`` is the highest retained
-    power.  Arithmetic mixes freely with plain rationals and ints.
-    """
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs=None):
-        self.order = order
-        if coeffs is None:
-            self.coeffs = [ZERO] * (order + 1)
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != order + 1:
-                raise MalformedInputError("coefficient list does not match order")
-            self.coeffs = coeffs
-
-    @classmethod
-    def constant(cls, order: int, value) -> "TPoly":
-        p = cls(order)
-        p.coeffs[0] = Rat(value)
-        return p
-
-    def _coerce(self, other) -> "TPoly":
-        if isinstance(other, TPoly):
-            if other.order != self.order:
-                raise MalformedInputError("mixed truncation orders")
-            return other
-        return TPoly.constant(self.order, other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return TPoly(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return TPoly(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        out = [ZERO] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TPoly(self.order, out)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return TPoly(self.order, [-a for a in self.coeffs])
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, TPoly):
-            return self.order == other.order and self.coeffs == other.coeffs
-        return self == self._coerce(other)
-
-    def __repr__(self):
-        return f"TPoly({self.coeffs})"
 
 
 @dataclass(frozen=True)
@@ -281,224 +206,6 @@ def psi_n(a: OmegaAlgebra, maps: dict) -> tuple[Cochain, PsiReport]:
     if deformed_valid != psi_cocycle:
         raise InternalCheckError("deformed-product validity disagrees with the cocycle test")
     return psi, PsiReport(psi_zero, nijenhuis_ok, deformed_valid, psi_cocycle)
-
-
-# -- truncated-polynomial oracles ----------------------------------------
-
-
-def _tp_mats(mats: dict, order: int) -> dict:
-    return {
-        x: [[TPoly.constant(order, m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-        for x, m in mats.items()
-    }
-
-
-def _tp_matvec(rows, vec):
-    if not vec:
-        return []
-    zero = TPoly(vec[0].order)
-    return [sum((rows[i][j] * vec[j] for j in range(len(vec))), zero) for i in range(len(rows))]
-
-
-def _tp_bilinear(tensor, x_vec, y_vec, dim_out):
-    order = x_vec[0].order
-    out = [TPoly(order) for _ in range(dim_out)]
-    for i, xi in enumerate(x_vec):
-        if not xi:
-            continue
-        for j, yj in enumerate(y_vec):
-            if not yj:
-                continue
-            coeff = xi * yj
-            for k in range(dim_out):
-                c = tensor[i][j][k]
-                if c:
-                    out[k] = out[k] + coeff * c
-    return out
-
-
-def _tp_product_tensor(a: OmegaAlgebra, mu_orders, order: int) -> dict:
-    """Polynomial structure constants mu + t mu1 + ... as TPoly tensors."""
-    d = a.dim
-    out = {}
-    for key in a.product:
-        t = [[[TPoly(order) for _ in range(d)] for _ in range(d)] for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    coeffs = [a.product[key][i][j][k]]
-                    for comp in mu_orders:
-                        coeffs.append(comp.value(key, (i, j))[k])
-                    coeffs += [ZERO] * (order + 1 - len(coeffs))
-                    t[i][j][k] = TPoly(order, coeffs[: order + 1])
-        out[key] = t
-    return out
-
-
-def truncated_algebra_check(a: OmegaAlgebra, mu_orders, order: int) -> bool:
-    """Multiplicativity and associativity of the polynomial product, exactly,
-    modulo t^(order+1).  The independent route for deformation statements."""
-    om = a.omega
-    d = a.dim
-    tensor = _tp_product_tensor(a, mu_orders, order)
-    pmap = _tp_mats(a.pmap, order)
-    qmap = _tp_mats(a.qmap, order)
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            xy = om.mul(x, y)
-            for i in range(d):
-                for j in range(d):
-                    prod = [tensor[key][i][j][k] for k in range(d)]
-                    for maps in (pmap, qmap):
-                        lhs = _tp_matvec(maps[xy], prod)
-                        rhs = _tp_bilinear(
-                            tensor[key], _tp_col(maps[x], i, order), _tp_col(maps[y], j, order), d
-                        )
-                        if lhs != rhs:
-                            return False
-    for x in om.elements():
-        for y in om.elements():
-            for z in om.elements():
-                yz, xy = om.mul(y, z), om.mul(x, y)
-                for i in range(d):
-                    pi = _tp_col(pmap[x], i, order)
-                    for j in range(d):
-                        for k in range(d):
-                            inner = [tensor[(y, z)][j][k][t] for t in range(d)]
-                            lhs = _tp_bilinear(tensor[(x, yz)], pi, inner, d)
-                            inner2 = [tensor[(x, y)][i][j][t] for t in range(d)]
-                            rhs = _tp_bilinear(
-                                tensor[(xy, z)], inner2, _tp_col(qmap[z], k, order), d
-                            )
-                            if lhs != rhs:
-                                return False
-    return True
-
-
-def _tp_col(rows, j, order):
-    return [rows[i][j] for i in range(len(rows))]
-
-
-def truncated_rb_check(
-    a: OmegaAlgebra, rb: RotaBaxterFamily, mu_orders, r_orders, order: int
-) -> bool:
-    """Weighted operator identity for polynomial product and operator family."""
-    om = a.omega
-    d = a.dim
-    tensor = _tp_product_tensor(a, mu_orders, order)
-    rmaps = {}
-    for x in om.elements():
-        rows = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(d):
-                coeffs = [rb.maps[x].at(i, j)]
-                for comp in r_orders:
-                    coeffs.append(comp.value((x,), (j,))[i])
-                coeffs += [ZERO] * (order + 1 - len(coeffs))
-                rows[i][j] = TPoly(order, coeffs[: order + 1])
-        rmaps[x] = rows
-    w = TPoly.constant(order, rb.weight)
-
-    def basis_tp(i):
-        v = [TPoly(order) for _ in range(d)]
-        v[i] = TPoly.constant(order, ONE)
-        return v
-
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            rxy = rmaps[om.mul(x, y)]
-            for i in range(d):
-                rxi = _tp_col(rmaps[x], i, order)
-                for j in range(d):
-                    ryj = _tp_col(rmaps[y], j, order)
-                    lhs = _tp_bilinear(tensor[key], rxi, ryj, d)
-                    inner = _tp_bilinear(tensor[key], rxi, basis_tp(j), d)
-                    t2 = _tp_bilinear(tensor[key], basis_tp(i), ryj, d)
-                    t3 = _tp_bilinear(tensor[key], basis_tp(i), basis_tp(j), d)
-                    for k in range(d):
-                        inner[k] = inner[k] + t2[k] + w * t3[k]
-                    rhs = _tp_matvec(rxy, inner)
-                    if lhs != rhs:
-                        return False
-    return True
-
-
-def trivial_deformation_check(a: OmegaAlgebra, nf: NijenhuisFamily) -> dict:
-    """The three triviality identities for mu1 = deformed product, with
-    intertwiner id + t N, each checked directly and via the polynomial route."""
-    om = a.omega
-    d = a.dim
-    maps = nf.maps
-    tri3 = all(
-        commutes(maps[x], a.pmap[x]) and commutes(maps[x], a.qmap[x]) for x in om.elements()
-    )
-    mun = deformed_product_tensor(a, maps)
-    tri4 = True  # mu1 is defined as exactly that combination; verify anyway
-    for key in a.product:
-        x, y = key
-        nx, ny, nxy = maps[x], maps[y], maps[om.mul(x, y)]
-        for i in range(d):
-            for j in range(d):
-                expect = a.mul_vec(key, nx.col(i), a.basis_vector(j))
-                for k, v in enumerate(a.mul_vec(key, a.basis_vector(i), ny.col(j))):
-                    expect[k] += v
-                for k, v in enumerate(nxy.matvec(a.mul_basis(key, i, j))):
-                    expect[k] -= v
-                if expect != mun[key][i][j]:
-                    tri4 = False
-    tri5 = True
-    for key in a.product:
-        x, y = key
-        nxy = maps[om.mul(x, y)]
-        for i in range(d):
-            for j in range(d):
-                lhs = nxy.matvec(mun[key][i][j])
-                rhs = a.mul_vec(key, maps[x].col(i), maps[y].col(j))
-                if lhs != rhs:
-                    tri5 = False
-    # polynomial route: (id + tN) intertwines mu + t mu1 with mu, mod t^3
-    order = 2
-    mu1 = Cochain.zero(2, om.size, d, d)
-    for key in a.product:
-        base = mu1.block_base(key)
-        for i in range(d):
-            for j in range(d):
-                off = base + (i * d + j) * d
-                for k in range(d):
-                    mu1.coords[off + k] = mun[key][i][j][k]
-    tensor = _tp_product_tensor(a, [mu1], order)
-    plain = _tp_product_tensor(a, [], order)
-    twist = {}
-    for x in om.elements():
-        rows = [
-            [
-                TPoly(order, [maps[x].at(i, j) if t == 1 else (ONE if (t == 0 and i == j) else ZERO) for t in range(order + 1)])
-                for j in range(d)
-            ]
-            for i in range(d)
-        ]
-        twist[x] = rows
-    intertwines = True
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            txy = twist[om.mul(x, y)]
-            for i in range(d):
-                for j in range(d):
-                    lhs = _tp_matvec(txy, [tensor[key][i][j][k] for k in range(d)])
-                    rhs = _tp_bilinear(
-                        plain[key], _tp_col(twist[x], i, order), _tp_col(twist[y], j, order), d
-                    )
-                    if lhs != rhs:
-                        intertwines = False
-    return {
-        "structure_commute": tri3,
-        "direction_matches_family": tri4,
-        "family_absorbs_square": tri5,
-        "polynomial_intertwiner": intertwines,
-    }
 
 
 # -- formal deformation jets ----------------------------------------------

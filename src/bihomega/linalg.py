@@ -6,14 +6,16 @@ the rationals; nothing ever rounds.
 
 Elimination works on sparse row dicts {column: nonzero value}, one row at a
 time against a {pivot_col: row} echelon, so the cost follows the nonzeros,
-not the shape.  :func:`sparse_rank` is fraction-free, in the spirit of
-Bareiss 1968: rows scaled to integers are reduced by
-row <- (p/g) row - (r/g) pivot with g = gcd(p, r), and stored divided by
-their content, so it builds no rational.  :func:`reduce_into` instead
-normalizes each pivot to 1, the one rational division; integral entries stay
-``int`` (see ``rationals``).  :func:`sparse_rref` back-substitutes that
-echelon for the RREF, which :func:`sparse_kernel` and :func:`sparse_solve`
-read off.  :class:`Mat` is a small dense matrix for structure maps and for
+not the shape.  It is fraction-free, in the spirit of Bareiss 1968: rows
+scaled to integers are reduced by row <- (p/g) row - (r/g) pivot with
+g = gcd(p, r), and stored divided by their content.  :func:`sparse_rank`
+counts the pivots of that echelon and builds no rational.
+:func:`sparse_rref` back-substitutes it the same way, in integers, and
+divides each row by its pivot once at the end, the one rational division of
+the RREF that :func:`sparse_kernel` and :func:`sparse_solve` read off;
+integral entries stay ``int`` (see ``rationals``).  :func:`reduce_into`
+keeps a rational echelon with pivots normalized to 1, one row at a time, for
+the degree-0 image intersection in ``cochain``.  :class:`Mat` is a small dense matrix for structure maps and for
 callers that want one; its ``rank``/``rref``/``kernel_basis``/``solve``
 convert it to sparse rows.
 
@@ -278,19 +280,27 @@ def sparse_rref(rows: list, ncols: int) -> list:
 
     Returns a list of (pivot_col, row_dict), pivot columns increasing, pivots
     1 and pivot columns cleared in every other row; the input is not
-    modified.  Rows are eliminated one at a time into a {pivot_col: row}
-    echelon (:func:`reduce_into`), then back-substituted in decreasing pivot
-    order, so each row is cleared by rows that are already reduced.  Every
-    integral entry of the result is an ``int``.
+    modified.  The integer echelon of :func:`_integer_echelon` is
+    back-substituted in decreasing pivot order by :func:`_cross_eliminate`,
+    so each row is cleared by rows that are already reduced, and stays
+    integral and primitive; each row is divided by its pivot once, at the
+    end.  Every integral entry of the result is an ``int``.
     """
-    pivots: dict = {}
-    for r in rows:
-        reduce_into(pivots, r)
+    pivots = _integer_echelon(rows)
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for c in [c for c in row if c != col and c in pivots]:
-            _axpy(row, -row[c], pivots[c])
-    return [(c, pivots[c]) for c in sorted(pivots)]
+            row = _cross_eliminate(row, pivots[c], c)
+        g = gcd(*row.values())
+        pivots[col] = {c: v // g for c, v in row.items()} if g > 1 else row
+    reduced = []
+    for col in sorted(pivots):
+        row = pivots[col]
+        lead = row[col]
+        if lead != 1:
+            row = {c: v // lead if v % lead == 0 else Rat(v, lead) for c, v in row.items()}
+        reduced.append((col, row))
+    return reduced
 
 
 def sparse_kernel(rows: list, ncols: int) -> list:

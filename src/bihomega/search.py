@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .algebra import OmegaAlgebra, RotaBaxterFamily, check_rota_baxter
-from .errors import PreconditionError
+from .errors import MalformedInputError, PreconditionError
 from .linalg import Mat
 from .rationals import Rat
 
@@ -21,6 +21,17 @@ DEFAULT_CAP = 200_000
 def enumeration_size(a: OmegaAlgebra, bound: int) -> int:
     cells = a.dim * a.dim * a.omega.size
     return (2 * bound + 1) ** cells
+
+
+def _require_enumerable(a: OmegaAlgebra, bound: int, cap: int):
+    """Refuse a negative bound, and an enumeration larger than ``cap``."""
+    if bound < 0:
+        raise MalformedInputError(f"search bound must be non-negative, got {bound}")
+    total = enumeration_size(a, bound)
+    if total > cap:
+        raise PreconditionError(
+            f"enumeration size {total} exceeds cap {cap}; use a smaller bound"
+        )
 
 
 def iter_map_families(a: OmegaAlgebra, bound: int):
@@ -41,11 +52,7 @@ def search_rbf(
     a: OmegaAlgebra, bound: int, weight, cap: int = DEFAULT_CAP
 ) -> list[RotaBaxterFamily]:
     """All weight-``weight`` families within the bound, in scan order."""
-    total = enumeration_size(a, bound)
-    if total > cap:
-        raise PreconditionError(
-            f"enumeration size {total} exceeds cap {cap}; use a smaller bound"
-        )
+    _require_enumerable(a, bound, cap)
     weight = Rat(weight)
     hits = []
     for maps in iter_map_families(a, bound):
@@ -82,11 +89,7 @@ def search_nijenhuis(a: OmegaAlgebra, bound: int, cap: int = DEFAULT_CAP) -> lis
     """All Nijenhuis families within the bound, in scan order."""
     from .deformation import NijenhuisFamily, check_nijenhuis
 
-    total = enumeration_size(a, bound)
-    if total > cap:
-        raise PreconditionError(
-            f"enumeration size {total} exceeds cap {cap}; use a smaller bound"
-        )
+    _require_enumerable(a, bound, cap)
     hits = []
     for maps in iter_map_families(a, bound):
         nf = NijenhuisFamily(maps)

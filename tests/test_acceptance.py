@@ -12,7 +12,12 @@ import time
 from contextlib import contextmanager
 
 from conftest import FIXTURES, ROOT, fixture_path
-from oracles import delta_direct_oracle, partial_expanded_oracle
+from oracles import (
+    delta_direct_oracle,
+    partial_expanded_oracle,
+    trivial_deformation_check,
+    truncated_algebra_check,
+)
 
 from bihomega import samples
 from bihomega.algebra import validate_algebra
@@ -34,8 +39,6 @@ from bihomega.deformation import (
     deformed_product,
     equivalence_shift,
     psi_n,
-    trivial_deformation_check,
-    truncated_algebra_check,
 )
 from bihomega.errors import InternalCheckError
 from bihomega.extension import CocyclePair, build_extension, compare_extensions, extract_cocycle

@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 from conftest import fixture_path
 
@@ -209,6 +211,76 @@ def test_internal_check_error_exit_three(monkeypatch):
         "error": "internal consistency failure: routes disagree",
         "error_kind": "internal",
     }
+
+
+def _subcommand_names(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return set(sub.choices)
+
+
+def test_every_subcommand_dispatches_to_a_command_function():
+    from bihomega import cli
+
+    names = _subcommand_names(cli._build_parser())
+    assert len(names) == 12
+    commands = {name[len("cmd_"):].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    assert names == commands
+    for name in names:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+
+
+def test_parser_is_built_once():
+    from bihomega import cli
+
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_interleaved_commands_report_alike_in_either_order(capsys):
+    """One parser serves every call: no option, default or command of an
+    earlier call leaks into a later one."""
+    sequence = [
+        ["--no-timing", "cohomology", fixture_path("e0_rbf.json"), "--complex", "rbfa", "--max-degree", "1"],
+        ["--no-timing", "cohomology", fixture_path("e1.json")],
+        ["--no-timing", "validate", fixture_path("e1.json"), "--frobnicate"],
+        ["--no-timing", "cohomology", "--help"],
+        ["--no-timing", "selftest", "--samples", "5"],
+    ]
+    forward = [run(argv) for argv in sequence]
+    backward = [run(argv) for argv in reversed(sequence)][::-1]
+    assert [(render_report(r), c) for r, c in forward] == [(render_report(r), c) for r, c in backward]
+    rbfa, defaults, usage, help_request, selftest = forward
+    assert set(rbfa[0]["tables"]) == {"alg", "rbf", "rbfa"}
+    assert list(defaults[0]["tables"]) == ["alg"]
+    assert [r["degree"] for r in defaults[0]["tables"]["alg"]["degrees"]] == [0, 1, 2]
+    assert usage == ({"command": "validate", "status": "error", "error": "usage", "error_kind": "input"}, 2)
+    assert help_request == ({"command": "cohomology", "status": "ok"}, 0)
+    assert selftest[0]["results"]["mc_equivalence_trials"] == 5
+
+
+@pytest.mark.parametrize("weight", ["abc", "1/0", "", "1/2/3"])
+def test_search_rbf_unreadable_weight_refused(weight):
+    report, code = run(["--no-timing", "search-rbf", fixture_path("e1.json"), "--weight", weight])
+    assert code == 2
+    assert report["status"] == "error" and report["error_kind"] == "input"
+    assert "--weight" in report["error"]
+
+
+def test_search_rbf_readable_weights_accepted():
+    families = {}
+    for weight in ("-1", "4/2", "1/3", "2"):
+        report, code = run(["--no-timing", "search-rbf", fixture_path("e0.json"), "--bound", "1", "--weight", weight])
+        assert code == 0, report
+        families[weight] = report["families"]
+    assert families["4/2"] == families["2"]
+
+
+def test_meaningless_counts_refused():
+    report, code = run(["--no-timing", "search-rbf", fixture_path("e1.json"), "--bound", "-1"])
+    assert code == 2 and report["error_kind"] == "input" and "bound" in report["error"]
+    report, code = run(["--no-timing", "selftest", "--samples", "-3"])
+    assert code == 2 and report["error_kind"] == "input" and "--samples" in report["error"]
+    report, code = run(["--no-timing", "selftest", "--samples", "0"])
+    assert code == 0 and report["results"]["mc_equivalence_trials"] == 0
 
 
 def test_reports_deterministic_without_timing():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import TPoly, trivial_deformation_check, truncated_algebra_check, truncated_rb_check
 
 from bihomega import samples
 from bihomega.algebra import validate_algebra
@@ -9,7 +10,6 @@ from bihomega.cochain import Cochain, random_equivariant
 from bihomega.deformation import (
     DeformationJet,
     NijenhuisFamily,
-    TPoly,
     check_jet,
     check_linear_deformation,
     check_nijenhuis,
@@ -17,9 +17,6 @@ from bihomega.deformation import (
     equivalence_shift,
     psi_n,
     rigidity_report,
-    trivial_deformation_check,
-    truncated_algebra_check,
-    truncated_rb_check,
 )
 from bihomega.errors import PreconditionError
 from bihomega.gerstenhaber import mu_cochain
@@ -221,3 +218,16 @@ def test_linear_deformation_order_checks_via_theorem(e1):
                 for k in range(2):
                     mu1.coords[off + k] = mun[key][i][j][k]
     assert truncated_algebra_check(e1, [mu1], 2)
+
+
+def test_searches_refuse_a_negative_bound(e1):
+    """(2 * bound + 1)^cells is 1 for bound = -1 and an even number of
+    cells, so the size cap alone let the empty search answer "none found"."""
+    from bihomega.errors import MalformedInputError
+    from bihomega.search import search_rbf
+
+    for bound in (-1, -2):
+        with pytest.raises(MalformedInputError, match="non-negative"):
+            search_rbf(e1, bound, 0)
+        with pytest.raises(MalformedInputError, match="non-negative"):
+            search_nijenhuis(e1, bound)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import gauss_jordan_oracle
+from oracles import gauss_jordan_oracle, sparse_rref_oracle
 
 from bihomega import linalg
 from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_kernel, sparse_rank, sparse_rref
@@ -308,6 +308,23 @@ def test_integer_rank_matches_oracle_on_mixed_denominators_and_large_entries():
         assert sparse_rank(sparse) == want
         assert sparse == _sparse(rows)  # the input is left alone
     assert seen["deficient"] and seen["large"] and {1, 2, 3, 7} <= seen["denominators"]
+
+
+def test_integer_rref_matches_rational_oracle_on_mixed_denominators():
+    """The fraction-free RREF equals the rational one entry for entry, type
+    included: an integral entry is an int, any other a reduced rational."""
+    rng = random.Random(103)
+    systems = list(_mixed_systems(rng)) + list(_random_systems(rng))
+    seen_rational = False
+    for rows, ncols in systems:
+        sparse = _sparse(rows)
+        got = sparse_rref(sparse, ncols)
+        assert got == sparse_rref_oracle(sparse, ncols)
+        for _, row in got:
+            _assert_exact(row.values())
+            seen_rational |= any(type(v) is not int for v in row.values())
+        assert sparse == _sparse(rows)  # the input is left alone
+    assert seen_rational
 
 
 def test_integer_echelon_rows_are_primitive_with_positive_leads():
