@@ -442,13 +442,3 @@ def zero_algebra(omega: Monoid, dim: int, pmap: dict | None = None, qmap: dict |
 
 def zero_rb(a: OmegaAlgebra, weight=ZERO) -> RotaBaxterFamily:
     return RotaBaxterFamily(Rat(weight), {x: Mat.zeros(a.dim, a.dim) for x in a.omega.elements()})
-
-
-def algebra_equal(a: OmegaAlgebra, b: OmegaAlgebra) -> bool:
-    return (
-        a.omega == b.omega
-        and a.dim == b.dim
-        and a.product == b.product
-        and a.pmap == b.pmap
-        and a.qmap == b.qmap
-    )

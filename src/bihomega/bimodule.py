@@ -502,14 +502,3 @@ def induced_module_star(b: OmegaBimodule, rb: RotaBaxterFamily, check: bool = Tr
                 rt[l][j] = [u - v for u, v in zip(acc, sub)]
         right[key] = rt
     return OmegaBimodule(star, dm, left, right, dict(b.pmap), dict(b.qmap), None)
-
-
-def bimodule_equal(b1: OmegaBimodule, b2: OmegaBimodule) -> bool:
-    return (
-        b1.dim_m == b2.dim_m
-        and b1.left == b2.left
-        and b1.right == b2.right
-        and b1.pmap == b2.pmap
-        and b1.qmap == b2.qmap
-        and b1.tmap == b2.tmap
-    )

@@ -20,11 +20,13 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 import time
 
 from .algebra import (
     check_rota_baxter,
+    is_homomorphism,
     star_product,
     validate_algebra,
     yau_twist,
@@ -41,8 +43,7 @@ from .deformation import (
     NijenhuisFamily,
     check_jet,
     check_nijenhuis,
-    deformed_product,
-    psi_n,
+    psi_of_checked,
     rigidity_report,
 )
 from .errors import InternalCheckError, MalformedInputError, ParseError, WorkbenchError
@@ -187,17 +188,17 @@ def cmd_nijenhuis(args) -> tuple[dict, int]:
     a = _need_algebra(wf)
     if wf.nijenhuis is None:
         raise MalformedInputError("file has no nijenhuis block")
-    witness = check_nijenhuis(a, NijenhuisFamily(wf.nijenhuis))
+    nf = NijenhuisFamily(wf.nijenhuis)
+    witness = check_nijenhuis(a, nf)
     if witness is not None:
         return {"nijenhuis": "witness", "witness": witness.to_json()}, EXIT_WITNESS
-    deformed, hom_witness = deformed_product(a, NijenhuisFamily(wf.nijenhuis), check=False)
-    deformed_witness = validate_algebra(deformed)
-    _, psi_report = psi_n(a, wf.nijenhuis)
+    _, psi_report = psi_of_checked(a, nf, witness)
+    deformed = psi_report.deformed
     out_wf = WorkbenchFile(wf.monoid, algebra=deformed)
     out = {
         "nijenhuis": "ok",
-        "deformed_valid": deformed_witness is None,
-        "homomorphism": hom_witness is None,
+        "deformed_valid": psi_report.deformed_valid,
+        "homomorphism": is_homomorphism(nf.maps, deformed, a) is None,
         "psi_zero": psi_report.psi_zero,
         "output": workbench_to_json(out_wf),
     }
@@ -282,6 +283,8 @@ def cmd_compare_ext(args) -> tuple[dict, int]:
 
 
 def cmd_search_rbf(args) -> tuple[dict, int]:
+    if re.search(r"[eE][-+]?\d", args.weight):  # Fraction would expand the exponent into all its digits
+        raise MalformedInputError(f"--weight takes no exponent: {args.weight!r}")
     try:
         weight = Rat(args.weight)
     except (ValueError, ZeroDivisionError):

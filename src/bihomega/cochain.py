@@ -14,8 +14,11 @@ multi-index, output index), flattened as
 Degree 0 carries no constraint: C^0 = M.
 
 The equivariance constraints of each monoid-tuple block are sparse rows
-(:func:`_constraint_rows`, cached per tuple).  Their kernel is the basis of
-C^n (:func:`equivariant_basis`), and applying them to a raw vector is the
+(:func:`_constraint_rows`).  They depend only on the twists at the tuple's
+product and entries, so they are cached per twist signature
+(:func:`_twist_signature`): tuples whose structure maps agree share one set
+of rows and one kernel.  That kernel is the basis of C^n
+(:func:`equivariant_basis`), and applying the rows to a raw vector is the
 one membership test (:func:`_in_subspace`), behind :func:`is_equivariant`
 and every check that a coboundary image lies in C^{n+1}.
 
@@ -234,9 +237,14 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
     blocks: dict = {}
     for idx, v in vec.items():
         blocks.setdefault(idx // size, {})[idx % size] = v
-    tuples = b.base.omega.tuples(n)
+    # the columns of each tuple are resolved once per degree, not per vector
+    table = b._cache.get(("block_columns", n))
+    if table is None:
+        table = b._cache[("block_columns", n)] = [None] * b.base.omega.size**n
     for t, local in blocks.items():
-        by_col = _constraint_columns(b, tuples[t])
+        by_col = table[t]
+        if by_col is None:
+            by_col = table[t] = _constraint_columns(b, b.base.omega.tuples(n)[t])
         residual: dict = {}
         for c, x in local.items():
             for i, v in by_col.get(c, ()):
@@ -247,8 +255,11 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
 
 
 def _constraint_columns(b: OmegaBimodule, om_tuple) -> dict:
-    """The tuple's :func:`_constraint_rows` indexed by column: {col: [(row, coeff)]} (cached)."""
-    cache_key = ("constraint_columns", om_tuple)
+    """The tuple's :func:`_constraint_rows` indexed by column: {col: [(row, coeff)]}.
+
+    Cached per twist signature, like the rows.
+    """
+    cache_key = ("constraint_columns", _twist_signature(b, om_tuple))
     hit = b._cache.get(cache_key)
     if hit is None:
         hit = {}
@@ -256,6 +267,33 @@ def _constraint_columns(b: OmegaBimodule, om_tuple) -> dict:
             for c, v in row.items():
                 hit.setdefault(c, []).append((i, v))
         b._cache[cache_key] = hit
+    return hit
+
+
+def _twist_signature(b: OmegaBimodule, om_tuple) -> tuple:
+    """What the equivariance constraints of a tuple block depend on.
+
+    The class of M's (pmap, qmap) at the tuple's product, then the class of
+    A's (pmap, qmap) at each entry.  Tuples with equal signatures have the
+    same block-local constraint rows and the same kernel.
+    """
+    module_class, algebra_class = _twist_classes(b)
+    return (module_class[b.base.omega.product_of(om_tuple)],) + tuple(algebra_class[x] for x in om_tuple)
+
+
+def _twist_classes(b: OmegaBimodule) -> tuple:
+    """Per monoid element, class ids of M's and of A's (pmap, qmap) pairs.
+
+    Two elements share a class when both maps agree entry for entry (cached).
+    """
+    hit = b._cache.get("twist_classes")
+    if hit is None:
+        def classes(pmap: dict, qmap: dict) -> list:
+            ids: dict = {}
+            return [ids.setdefault((tuple(pmap[x].entries), tuple(qmap[x].entries)), len(ids))
+                    for x in b.base.omega.elements()]
+
+        hit = b._cache["twist_classes"] = (classes(b.pmap, b.qmap), classes(b.base.pmap, b.base.qmap))
     return hit
 
 
@@ -372,13 +410,17 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
         frees.append(list(range(m)))
         offsets.append(m)
     else:
+        kernels: dict = {}  # one kernel per twist signature, shared by its tuples
         for om_tuple in om.tuples(n):
-            rows = _constraint_rows(b, om_tuple)
-            # one vector per free column, and that column is the vector's
-            # largest key: an RREF row has nonzeros only right of its pivot
-            basis = sparse_kernel(rows, block)
+            sig = _twist_signature(b, om_tuple)
+            if sig not in kernels:
+                # one vector per free column, and that column is the vector's
+                # largest key: an RREF row has nonzeros only right of its pivot
+                basis = sparse_kernel(_constraint_rows(b, om_tuple), block)
+                kernels[sig] = basis, [max(vec) for vec in basis]
+            basis, free = kernels[sig]
             vectors.append(basis)
-            frees.append([max(vec) for vec in basis])
+            frees.append(free)
             offsets.append(offsets[-1] + len(basis))
     result = EquivariantBasis(n, om.size, d, m, block, vectors, frees, offsets)
     b._cache[cache_key] = result
@@ -388,12 +430,13 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
 def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     """Sparse rows of (module map) o f - f o (slotwise maps) for pmap and qmap.
 
-    Block-local columns of the tuple's block; cached per tuple, since both
-    the basis and the membership test :func:`_in_subspace` apply them.  Per
-    argument tuple, in lex order, the slot-map part is the Kronecker product
-    of the slot maps' columns at the arguments.
+    Block-local columns of the tuple's block; cached per twist signature
+    (:func:`_twist_signature`), since both the basis and the membership test
+    :func:`_in_subspace` apply them and tuples with equal signatures share
+    them.  Per argument tuple, in lex order, the slot-map part is the
+    Kronecker product of the slot maps' columns at the arguments.
     """
-    cache_key = ("constraint_rows", om_tuple)
+    cache_key = ("constraint_rows", _twist_signature(b, om_tuple))
     hit = b._cache.get(cache_key)
     if hit is not None:
         return hit

@@ -21,7 +21,6 @@ from .bimodule import regular_bimodule
 from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equivariant
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .gerstenhaber import algebra_with_product, mu_cochain
-from .linalg import commutes
 from .rationals import ONE, ZERO
 from .rbf import CombinedCochain, RbfContext, d_combined, phi, rbfa_cohomology_dims
 
@@ -162,6 +161,7 @@ class PsiReport:
     nijenhuis_ok: bool
     deformed_valid: bool
     psi_cocycle: bool
+    deformed: OmegaAlgebra  # the algebra with the deformed product, valid or not
 
 
 def psi_n(a: OmegaAlgebra, maps: dict) -> tuple[Cochain, PsiReport]:
@@ -171,14 +171,21 @@ def psi_n(a: OmegaAlgebra, maps: dict) -> tuple[Cochain, PsiReport]:
     on the instance: psi = 0 iff the family is Nijenhuis, and the deformed
     product is an algebra iff psi is a 2-cocycle.
     """
+    nf = NijenhuisFamily(maps)
+    witness = check_nijenhuis(a, nf)
+    if witness is not None and witness.equation.endswith("-commute"):
+        x = witness.omega_indices[0]
+        raise PreconditionError(f"family map [{x}] does not commute with structure maps")
+    return psi_of_checked(a, nf, witness)
+
+
+def psi_of_checked(
+    a: OmegaAlgebra, nf: NijenhuisFamily, witness: Witness | None
+) -> tuple[Cochain, PsiReport]:
+    """:func:`psi_n` of a commuting family whose :func:`check_nijenhuis` gave ``witness``."""
     om = a.omega
     d = a.dim
-    for x in om.elements():
-        n = maps.get(x)
-        if n is None or n.rows != d or n.cols != d:
-            raise MalformedInputError(f"family map [{x}] is not {d}x{d}")
-        if not commutes(n, a.pmap[x]) or not commutes(n, a.qmap[x]):
-            raise PreconditionError(f"family map [{x}] does not commute with structure maps")
+    maps = nf.maps
     mun = deformed_product_tensor(a, maps)
     psi = Cochain.zero(2, om.size, d, d)
     for x in om.elements():
@@ -195,7 +202,7 @@ def psi_n(a: OmegaAlgebra, maps: dict) -> tuple[Cochain, PsiReport]:
                     off = base + (i * d + j) * d
                     for k in range(d):
                         psi.coords[off + k] = val[k]
-    nijenhuis_ok = check_nijenhuis(a, NijenhuisFamily(maps)) is None
+    nijenhuis_ok = witness is None
     psi_zero = psi.is_zero()
     if psi_zero != nijenhuis_ok:
         raise InternalCheckError("psi = 0 disagrees with the Nijenhuis check")
@@ -205,7 +212,7 @@ def psi_n(a: OmegaAlgebra, maps: dict) -> tuple[Cochain, PsiReport]:
     psi_cocycle = not any(delta_op(reg, 2).apply_dense(psi.coords))
     if deformed_valid != psi_cocycle:
         raise InternalCheckError("deformed-product validity disagrees with the cocycle test")
-    return psi, PsiReport(psi_zero, nijenhuis_ok, deformed_valid, psi_cocycle)
+    return psi, PsiReport(psi_zero, nijenhuis_ok, deformed_valid, psi_cocycle, deformed)
 
 
 # -- formal deformation jets ----------------------------------------------

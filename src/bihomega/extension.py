@@ -262,23 +262,6 @@ def _section_ok(e: ExtensionPresentation, sect: dict) -> bool:
     return True
 
 
-def section_shift(e: ExtensionPresentation, eta: Cochain) -> dict:
-    """New section s + incl o eta from an equivariant degree-1 cochain."""
-    if eta.degree != 1 or eta.dim_in != e.base.dim or eta.dim_out != e.dim_m:
-        raise MalformedInputError("shift must be a degree-1 cochain into the module")
-    om = e.base.omega
-    mats = maps_from_cochain(eta, om)
-    for x in om.elements():
-        if e.pmap_m[x].mul(mats[x]) != mats[x].mul(e.base.pmap[x]):
-            raise PreconditionError("shift cochain is not p-equivariant")
-        if e.qmap_m[x].mul(mats[x]) != mats[x].mul(e.base.qmap[x]):
-            raise PreconditionError("shift cochain is not q-equivariant")
-    out = {}
-    for x in om.elements():
-        out[x] = e.sect[x].add(e.incl[x].mul(mats[x]))
-    return out
-
-
 def extract_cocycle(
     e: ExtensionPresentation, section: dict | None = None
 ) -> tuple[CocyclePair, OmegaBimodule]:

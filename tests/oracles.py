@@ -16,6 +16,11 @@ or factored evaluation that production uses:
 * :func:`is_equivariant_oracle` -- both structure-map constraints evaluated
   slot by slot through ``Cochain.evaluate`` (production:
   ``cochain.is_equivariant``, the cached constraint rows);
+* :func:`equivariant_basis_oracle` -- the basis of C^n, tuple by tuple:
+  each block's constraint rows written out densely from the definition and
+  solved by :func:`gauss_jordan_oracle`, with nothing shared between tuples
+  (production: ``cochain.equivariant_basis``, one cached kernel per twist
+  signature);
 * :func:`gauss_jordan_oracle` -- dense Gauss-Jordan elimination on lists of
   ``Fraction`` (production: the sparse row-by-row elimination in
   ``linalg``);
@@ -36,14 +41,19 @@ or factored evaluation that production uses:
   :func:`trivial_deformation_check` -- deformation identities expanded in
   :class:`TPoly`, polynomials in the formal parameter truncated at a fixed
   order (production: the order-by-order convolutions in ``deformation``).
+
+Structural helpers that only tests need close the module:
+:func:`algebra_equal` and :func:`bimodule_equal` compare structures field by
+field, and :func:`section_shift` moves the section of an extension
+presentation by an equivariant degree-1 cochain.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
-from bihomega.cochain import Cochain, _tuple_rank
+from bihomega.cochain import Cochain, _tuple_rank, maps_from_cochain
 from bihomega.deformation import deformed_product_tensor
-from bihomega.errors import MalformedInputError
+from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.linalg import Mat, _axpy, commutes, reduce_into
 from bihomega.rationals import ONE, ZERO, Rat
 
@@ -273,6 +283,49 @@ def is_equivariant_oracle(b, f):
             if lhs != rhs:
                 return False
     return True
+
+
+def equivariant_basis_oracle(b, n):
+    """Per-tuple kernels of the degree-n equivariance constraints, n >= 1.
+
+    Returns ``(vectors, frees)`` indexed by tuple rank, in the layout of
+    ``cochain.EquivariantBasis``: one sparse block-local vector per free
+    column, in increasing order, with free coordinate 1.  Every tuple's rows
+    are built from scratch: for each argument tuple and output index k,
+    (M's map at the product applied to the value) minus (the value on the
+    slotwise images of the arguments), once for p and once for q.
+    """
+    a = b.base
+    d, m = a.dim, b.dim_m
+    width = d**n * m
+    vectors, frees = [], []
+    for om_tuple in a.omega.tuples(n):
+        prod = a.omega.product_of(om_tuple)
+        rows = []
+        for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)):
+            for args in product(range(d), repeat=n):
+                for k in range(m):
+                    row = [ZERO] * width
+                    for l in range(m):
+                        row[_tuple_rank(args, d) * m + l] += mmaps[prod].at(k, l)
+                    for args_in in product(range(d), repeat=n):
+                        coeff = ONE
+                        for t in range(n):
+                            coeff *= amaps[om_tuple[t]].at(args_in[t], args[t])
+                        row[_tuple_rank(args_in, d) * m + k] -= coeff
+                    rows.append(row)
+        reduced, pivots = gauss_jordan_oracle(rows, width)
+        free_cols = [c for c in range(width) if c not in pivots]
+        basis = []
+        for free in free_cols:
+            vec = {free: ONE}
+            for row, pc in zip(reduced, pivots):
+                if row[free]:
+                    vec[pc] = -row[free]
+            basis.append(vec)
+        vectors.append(basis)
+        frees.append(free_cols)
+    return vectors, frees
 
 
 def gauss_jordan_oracle(matrix, ncols):
@@ -757,3 +810,46 @@ def trivial_deformation_check(a, nf):
         "family_absorbs_square": tri5,
         "polynomial_intertwiner": intertwines,
     }
+
+
+# -- structural helpers for tests ----------------------------------------
+
+
+def algebra_equal(a, b):
+    """Equal monoid, dimension, product and structure maps."""
+    return (
+        a.omega == b.omega
+        and a.dim == b.dim
+        and a.product == b.product
+        and a.pmap == b.pmap
+        and a.qmap == b.qmap
+    )
+
+
+def bimodule_equal(b1, b2):
+    """Equal module dimension, actions, structure maps and operator family."""
+    return (
+        b1.dim_m == b2.dim_m
+        and b1.left == b2.left
+        and b1.right == b2.right
+        and b1.pmap == b2.pmap
+        and b1.qmap == b2.qmap
+        and b1.tmap == b2.tmap
+    )
+
+
+def section_shift(e, eta):
+    """New section s + incl o eta from an equivariant degree-1 cochain."""
+    if eta.degree != 1 or eta.dim_in != e.base.dim or eta.dim_out != e.dim_m:
+        raise MalformedInputError("shift must be a degree-1 cochain into the module")
+    om = e.base.omega
+    mats = maps_from_cochain(eta, om)
+    for x in om.elements():
+        if e.pmap_m[x].mul(mats[x]) != mats[x].mul(e.base.pmap[x]):
+            raise PreconditionError("shift cochain is not p-equivariant")
+        if e.qmap_m[x].mul(mats[x]) != mats[x].mul(e.base.qmap[x]):
+            raise PreconditionError("shift cochain is not q-equivariant")
+    out = {}
+    for x in om.elements():
+        out[x] = e.sect[x].add(e.incl[x].mul(mats[x]))
+    return out

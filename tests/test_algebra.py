@@ -2,13 +2,13 @@ import random
 from itertools import product
 
 import pytest
+from oracles import algebra_equal
 
 from bihomega import samples
 from bihomega.algebra import (
     ExampleParams,
     OmegaAlgebra,
     RotaBaxterFamily,
-    algebra_equal,
     build_example_algebra,
     check_rota_baxter,
     is_homomorphism,

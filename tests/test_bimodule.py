@@ -1,13 +1,13 @@
 import random
 
 import pytest
+from oracles import bimodule_equal
 
 from bihomega import samples
 from bihomega.algebra import validate_algebra, zero_rb
 from bihomega.bimodule import (
     BimoduleAlgebraData,
     OmegaBimodule,
-    bimodule_equal,
     induced_module_star,
     rbf_semidirect,
     regular_bimodule,

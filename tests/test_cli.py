@@ -1,4 +1,5 @@
 import argparse
+import time
 
 import pytest
 from conftest import fixture_path
@@ -89,6 +90,25 @@ def test_nijenhuis_command():
     assert code == 0
     assert report["nijenhuis"] == "ok"
     assert report["deformed_valid"] and report["homomorphism"] and report["psi_zero"]
+
+
+def test_nijenhuis_command_checks_and_deforms_once(monkeypatch):
+    """One nijenhuis command runs the Nijenhuis check, the deformed product
+    and the validation of the deformed algebra once each."""
+    from bihomega import cli, deformation
+
+    calls = []
+    for module, name in (
+        (deformation, "check_nijenhuis"),
+        (deformation, "deformed_product_tensor"),
+        (deformation, "validate_algebra"),
+        (cli, "check_nijenhuis"),
+    ):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    report, code = run(["--no-timing", "nijenhuis", fixture_path("e1_nijenhuis.json")])
+    assert code == 0 and report["psi_zero"]
+    assert sorted(calls) == ["check_nijenhuis", "deformed_product_tensor", "validate_algebra"]
 
 
 def test_deform_check_command():
@@ -265,13 +285,26 @@ def test_search_rbf_unreadable_weight_refused(weight):
     assert "--weight" in report["error"]
 
 
+@pytest.mark.parametrize("weight", ["1e2", "1E2", "2.5e-1", "1e999999999"])
+def test_search_rbf_exponent_weight_refused_at_once(weight):
+    """An exponent is refused before it is expanded: Fraction would build
+    all 10^k digits of 1e999999999 first."""
+    start = time.perf_counter()
+    report, code = run(["--no-timing", "search-rbf", fixture_path("e1.json"), "--weight", weight])
+    assert time.perf_counter() - start < 0.1
+    assert code == 2
+    assert report["status"] == "error" and report["error_kind"] == "input"
+    assert "--weight" in report["error"]
+
+
 def test_search_rbf_readable_weights_accepted():
     families = {}
-    for weight in ("-1", "4/2", "1/3", "2"):
+    for weight in ("-1", "0", "4/2", "1/3", "0.5", "1/2", "2"):
         report, code = run(["--no-timing", "search-rbf", fixture_path("e0.json"), "--bound", "1", "--weight", weight])
         assert code == 0, report
         families[weight] = report["families"]
     assert families["4/2"] == families["2"]
+    assert families["0.5"] == families["1/2"]
 
 
 def test_meaningless_counts_refused():

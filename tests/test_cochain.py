@@ -11,13 +11,15 @@ from oracles import (
     circ_full_oracle,
     circ_i_oracle,
     delta_direct_oracle,
+    equivariant_basis_oracle,
+    gauss_jordan_oracle,
     identity_cochain,
     is_equivariant_oracle,
 )
 
 from bihomega import cochain, samples
 from bihomega.algebra import OmegaAlgebra, zero_algebra
-from bihomega.bimodule import OmegaBimodule, regular_bimodule, zero_bimodule
+from bihomega.bimodule import OmegaBimodule, regular_bimodule, validate_bimodule, zero_bimodule
 from bihomega.cochain import (
     Cochain,
     apply_delta,
@@ -577,6 +579,186 @@ def test_delta_op_and_equivariance_match_oracles_on_twisted_carriers(case):
         assert is_equivariant(b, g) and is_equivariant_oracle(b, g)
         g.coords[-1] += Rat(1, 3)
         assert is_equivariant(b, g) == is_equivariant_oracle(b, g)
+
+
+_POOL_DIAGONAL = [1, -1, 2, Rat(1, 2)]
+
+
+@st.composite
+def _pooled_carriers(draw):
+    """Carriers whose twists come from a pool of two (p, q) pairs for A and
+    two for M, so that twist signatures repeat across monoid tuples.  The
+    second pair of each pool differs from the first in one entry of p and one
+    of q.  The pattern fixes what varies across the monoid:
+
+    * ``q_only`` -- A and M keep p = identity everywhere; their q differs
+      between the unit and the other elements;
+    * ``module_only`` -- A keeps one (p, q) everywhere; M's pair differs
+      between the unit and the other elements, so tuples with equal algebra
+      twists meet different module twists at their products;
+    * ``pooled`` -- each element draws A's pair and M's pair from the pools.
+
+    A ``valid`` carrier has zero product and actions and diagonal twists, a
+    valid pair for ``cohomology_dims``; the others have random tensors and
+    non-diagonal twists.  Shapes over the three-element monoid stay at
+    d * m = 2 to keep the oracles cheap.  Also returns raw 1/3-integral
+    cochains of degrees 1-3 and one coordinate per degree to perturb."""
+    omega = draw(st.sampled_from([cyclic_monoid(2), boolean_monoid(), cyclic_monoid(3)]))
+    shapes = [(2, 1), (1, 2)] if omega.size == 3 else [(2, 1), (2, 2), (1, 2), (3, 1)]
+    d, m = draw(st.sampled_from(shapes))
+    valid = draw(st.booleans())
+    pattern = draw(st.sampled_from(["q_only", "module_only", "pooled"]))
+
+    def flat(size, scalars=_SMALL):
+        return draw(st.lists(st.sampled_from(scalars), min_size=size, max_size=size))
+
+    def tensor(d1, d2, d3):
+        if valid:
+            return [[[ZERO] * d3 for _ in range(d2)] for _ in range(d1)]
+        v = flat(d1 * d2 * d3)
+        return [[v[(i * d2 + j) * d3 : (i * d2 + j + 1) * d3] for j in range(d2)] for i in range(d1)]
+
+    def twist(k):
+        if valid:
+            diagonal = flat(k, _POOL_DIAGONAL)
+            return Mat(k, k, [diagonal[i] if i == j else ZERO for i in range(k) for j in range(k)])
+        entries = flat(k * k)
+        entries[0] = draw(st.sampled_from(_NON_UNIT))
+        return Mat(k, k, entries)
+
+    def variant(mat):  # the same map but for entry (0, 0)
+        scalars = _POOL_DIAGONAL if valid else _NON_UNIT
+        entries = list(mat.entries)
+        entries[0] = draw(st.sampled_from([v for v in scalars if v != entries[0]]))
+        return Mat(mat.rows, mat.cols, entries)
+
+    def pool(k):
+        p, q = twist(k), twist(k)
+        return [(p, q), (variant(p), variant(q))]
+
+    alg_pool, mod_pool = pool(d), pool(m)
+    elements = omega.elements()
+    if pattern == "q_only":  # p = identity leaves the kernel to q alone
+        alg = {x: (Mat.identity(d), alg_pool[x != omega.unit][1]) for x in elements}
+        mod = {x: (Mat.identity(m), mod_pool[x != omega.unit][1]) for x in elements}
+    elif pattern == "module_only":
+        alg = {x: alg_pool[0] for x in elements}
+        mod = {x: mod_pool[x != omega.unit] for x in elements}
+    else:
+        alg = {x: alg_pool[draw(st.integers(0, 1))] for x in elements}
+        mod = {x: mod_pool[draw(st.integers(0, 1))] for x in elements}
+    pairs = [(x, y) for x in elements for y in elements]
+    product = {key: tensor(d, d, d) for key in pairs}
+    a = OmegaAlgebra(omega, d, product, {x: alg[x][0] for x in elements}, {x: alg[x][1] for x in elements})
+    left = {key: tensor(d, m, m) for key in pairs}
+    right = {key: tensor(m, d, m) for key in pairs}
+    b = OmegaBimodule(a, m, left, right, {x: mod[x][0] for x in elements}, {x: mod[x][1] for x in elements})
+    sizes = [omega.size**n * d**n * m for n in (1, 2, 3)]
+    raw = [flat(size, scalars=_THIRDS) for size in sizes]
+    pokes = [draw(st.integers(0, size - 1)) for size in sizes]
+    return b, raw, pokes, valid
+
+
+def _dims_from_oracles(b, max_degree):
+    """(cochains, cocycles, rank of δ) per degree, from the per-tuple oracle
+    basis, the term-by-term coboundary and dense Gauss-Jordan ranks."""
+    om, d, m = b.base.omega, b.base.dim, b.dim_m
+    out = []
+    for k in range(max_degree + 1):
+        size = om.size**k * d**k * m
+        if k == 0:
+            cochains = [Cochain(0, om.size, d, m, [ONE if i == j else ZERO for i in range(m)]) for j in range(m)]
+        else:
+            cochains = []
+            for t, vectors in enumerate(equivariant_basis_oracle(b, k)[0]):
+                for vec in vectors:
+                    f = Cochain.zero(k, om.size, d, m)
+                    for c, v in vec.items():
+                        f.coords[t * d**k * m + c] = v
+                    cochains.append(f)
+        images = [delta_direct_oracle(b, f).coords for f in cochains]
+        r = len(gauss_jordan_oracle(images, size * om.size * d)[1]) if images else 0
+        out.append((len(cochains), len(cochains) - r, r))
+    return out
+
+
+def _assert_table_matches_oracles(b, max_degree):
+    rep = cohomology_dims(b, max_degree)
+    want = _dims_from_oracles(b, max_degree)
+    assert [(r.dim_cochains, r.dim_cocycles) for r in rep.rows] == [w[:2] for w in want]
+    first = 1 if not rep.degree0_intersected else 2
+    assert [r.dim_coboundaries for r in rep.rows[first:]] == [w[2] for w in want[first - 1 : -1]]
+
+
+@settings(
+    derandomize=True,
+    max_examples=30,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_pooled_carriers())
+def test_twist_signatures_match_per_tuple_oracles_on_pooled_carriers(case):
+    """Kernels and constraint rows shared per twist signature agree with the
+    per-tuple oracles: at degrees 1-3 (1-2 when d * m > 2) the basis
+    (vectors and free columns of every tuple) equals equivariant_basis_oracle, and is_equivariant equals
+    is_equivariant_oracle on a raw cochain from cold caches, on an element of
+    C^n and on that element perturbed at one drawn coordinate; on valid
+    carriers, the cohomology table to degree 2 matches the oracle ranks."""
+    b, raw, pokes, valid = case
+    om, d, m = b.base.omega, b.base.dim, b.dim_m
+    top = 3 if d * m <= 2 else 2  # dense rational oracles on 16-27 columns per tuple take seconds
+    for n, (coords, poke) in enumerate(zip(raw[:top], pokes), start=1):
+        f = Cochain(n, om.size, d, m, coords)
+        assert is_equivariant(b, f) == is_equivariant_oracle(b, f)
+        basis = equivariant_basis(b, n)
+        assert (basis.vectors, basis.frees) == equivariant_basis_oracle(b, n)
+        g = basis.combine([Rat(1 + j % 3, 3) for j in range(basis.dim())])
+        assert is_equivariant(b, g) and is_equivariant_oracle(b, g)
+        g.coords[poke] += Rat(1, 3)
+        assert is_equivariant(b, g) == is_equivariant_oracle(b, g)
+    if valid:
+        assert validate_bimodule(b) is None
+        _assert_table_matches_oracles(b, 2)
+
+
+def test_twist_signatures_on_named_inputs():
+    """c2 variant 0 and the c2 Rota-Baxter context carry one (p, q) at both
+    monoid elements; c2 variants 2 and 3 share p but not q.  Their bases
+    match the per-tuple oracle to degree 3, and the tables of the valid,
+    unrefused ones match the oracle ranks to degree 2."""
+    ctx = samples.c2_rbf_context()
+    shared = [regular_bimodule(samples.build_c2_example(0)), ctx.bimodule, ctx.star_bimodule()]
+    p_only = [regular_bimodule(samples.build_c2_example(v)) for v in (2, 3)]
+    for b in shared + p_only:
+        for n in (1, 2, 3):
+            basis = equivariant_basis(b, n)
+            assert (basis.vectors, basis.frees) == equivariant_basis_oracle(b, n)
+    for b in shared:
+        _assert_table_matches_oracles(b, 2)
+
+
+def test_constraint_rows_built_once_per_twist_signature(monkeypatch):
+    """The 16 degree-4 tuples of c2 variant 0 share one twist signature: the
+    basis and the membership test build one constraint system between them,
+    and every tuple reuses one kernel."""
+    b = regular_bimodule(samples.build_c2_example(0))
+    built = []
+    original = cochain._constraint_rows
+
+    def counting(bb, om_tuple):
+        if ("constraint_rows", cochain._twist_signature(bb, om_tuple)) not in bb._cache:
+            built.append(om_tuple)
+        return original(bb, om_tuple)
+
+    monkeypatch.setattr(cochain, "_constraint_rows", counting)
+    basis = equivariant_basis(b, 4)
+    assert len(basis.vectors) == 16 and all(v is basis.vectors[0] for v in basis.vectors)
+    f = random_equivariant(b, 4, random.Random(11))
+    bad = Cochain(4, f.omega_size, f.dim_in, f.dim_out, list(f.coords))
+    bad.coords[-1] += Rat(1, 3)
+    assert is_equivariant(b, f) and not is_equivariant(b, bad)
+    assert len(built) == 1
 
 
 @settings(derandomize=True, max_examples=15, database=None, deadline=None,

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from oracles import section_shift
+
 from bihomega.algebra import check_rota_baxter, validate_algebra
 from bihomega.bimodule import rbf_semidirect, validate_rbf_bimodule
 from bihomega.cochain import Cochain, equivariant_basis, random_equivariant
@@ -10,7 +12,6 @@ from bihomega.extension import (
     build_extension,
     compare_extensions,
     extract_cocycle,
-    section_shift,
     validate_extension,
 )
 from bihomega.linalg import Mat

@@ -61,8 +61,7 @@ def test_random_structures_survive_serialization():
     import random
 
     from bihomega import samples
-    from bihomega.algebra import algebra_equal
-    from bihomega.bimodule import bimodule_equal
+    from oracles import algebra_equal, bimodule_equal
     from bihomega.serialization import WorkbenchFile
 
     rng = random.Random(2718)
