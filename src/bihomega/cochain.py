@@ -87,42 +87,6 @@ class Cochain:
         base = self.block_base(om_tuple) + _tuple_rank(args, self.dim_in) * self.dim_out
         return self.coords[base : base + self.dim_out]
 
-    def evaluate(self, om_tuple, vectors) -> list:
-        """Multilinear evaluation on general coordinate vectors.
-
-        Contracts the stored block one argument at a time (leftmost first),
-        which keeps the inner loops on flat lists.
-        """
-        if len(vectors) != self.degree:
-            raise MalformedInputError("wrong number of arguments")
-        if self.degree == 0:
-            return list(self.coords)
-        d = self.dim_in
-        if not d:  # a multilinear map on the zero space
-            return [ZERO] * self.dim_out
-        width = d ** (self.degree - 1) * self.dim_out
-        base = self.block_base(om_tuple)
-        block = self.coords[base : base + width * d]
-        for v in vectors:
-            new = [ZERO] * width
-            for i, vi in enumerate(v):
-                if not vi:
-                    continue
-                off = i * width
-                if vi == ONE:
-                    for t in range(width):
-                        c = block[off + t]
-                        if c:
-                            new[t] += c
-                else:
-                    for t in range(width):
-                        c = block[off + t]
-                        if c:
-                            new[t] += vi * c
-            block = new
-            width //= d
-        return block
-
     def add(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
         return Cochain(
@@ -221,6 +185,7 @@ def maps_from_cochain(f: Cochain, omega: Monoid) -> dict:
 
 def is_equivariant(b: OmegaBimodule, f: Cochain) -> bool:
     """Do both structure-map constraints hold on every block of ``f``?"""
+    _require_shape(b, f)
     return _in_subspace(b, f.degree, {i: v for i, v in enumerate(f.coords) if v})
 
 

@@ -2,27 +2,49 @@
 
 The formal parameter is never reified: a deformation is stored as its list
 of order components, and every statement about it is checked coefficient by
-coefficient.  The independent route through truncated polynomial scalars
-lives with the other test oracles, in ``tests/oracles.py``.
+coefficient.  Each identity is a signed sum of insertions, computed by
+``gerstenhaber.circ_i`` (:func:`_insertions`):
+
+* the order-n coefficient of a jet's product equation is the Maurer-Cartan
+  equation of the insertion bracket (Gerstenhaber 1964, Ann. Math. 79),
+  sum_t (mu_t oc_1 mu_{n-t} - mu_t oc_2 mu_{n-t}) = 0, and its operator
+  equation is the matching sum of :func:`_jet_operator_order`;
+* a degree-2 direction is self-associative when the one-term jet [mu1]
+  satisfies the order-0 product equation;
+* the Nijenhuis deformed product is mu^N = mu oc_1 N + mu oc_2 N - N oc_1 mu,
+  and its defect is psi = (mu oc_1 N) oc_2 N - N oc_1 mu^N.
+
+Equivariance of the components is reported, not required, so the
+insertions run unchecked.  Three cross-checks against independent routes
+raise ``InternalCheckError``: the order-1 jet equations against
+``rbf.d_combined``, psi = 0 against the witness search of
+:func:`check_nijenhuis`, and validity of mu^N against the cocycle test of
+psi.  The route through truncated polynomial scalars lives with the other
+test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (
-    OmegaAlgebra,
-    Witness,
-    is_homomorphism,
-    tensor_zeros,
-    validate_algebra,
-)
+from .algebra import OmegaAlgebra, Witness, is_homomorphism, validate_algebra
 from .bimodule import regular_bimodule
 from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equivariant
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .gerstenhaber import algebra_with_product, mu_cochain
-from .rationals import ONE, ZERO
+from .gerstenhaber import algebra_with_product, circ_i, mu_cochain
+from .rationals import ONE
 from .rbf import CombinedCochain, RbfContext, d_combined, phi, rbfa_cohomology_dims
+
+
+def _insertions(a: OmegaAlgebra, terms) -> Cochain:
+    """The sum of c * (f oc_i g) over the ``terms`` (c, f, g, i), unchecked."""
+    acc = None
+    for c, f, g, i in terms:
+        term = circ_i(a, f, g, i, check=False)
+        if c != ONE:
+            term = term.scale(c)
+        acc = term if acc is None else acc.add(term)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -48,29 +70,8 @@ def check_linear_deformation(a: OmegaAlgebra, mu1: Cochain) -> LinearDeformation
     reg = regular_bimodule(a)
     equivariant = is_equivariant(reg, mu1)
     cocycle = not any(delta_op(reg, 2).apply_dense(mu1.coords))
-    cand = algebra_with_product(a, mu1)
-    self_associative = _associativity_only(cand) is None
+    self_associative = _jet_assoc_order(a, [mu1], 0)
     return LinearDeformationReport(equivariant, cocycle, self_associative)
-
-
-def _associativity_only(a: OmegaAlgebra) -> Witness | None:
-    om = a.omega
-    d = a.dim
-    for x in om.elements():
-        for y in om.elements():
-            for z in om.elements():
-                yz, xy = om.mul(y, z), om.mul(x, y)
-                for i in range(d):
-                    pi = a.pmap[x].col(i)
-                    for j in range(d):
-                        for k in range(d):
-                            lhs = a.mul_vec((x, yz), pi, a.mul_basis((y, z), j, k))
-                            rhs = a.mul_vec((xy, z), a.mul_basis((x, y), i, j), a.qmap[z].col(k))
-                            if lhs != rhs:
-                                return Witness(
-                                    "bihom-associativity", (x, y, z), (i, j, k), tuple(lhs), tuple(rhs)
-                                )
-    return None
 
 
 @dataclass(eq=False)
@@ -78,14 +79,20 @@ class NijenhuisFamily:
     maps: dict  # a -> d x d Mat
 
 
+def _require_family(a: OmegaAlgebra, maps: dict):
+    """Refuse a family that misses a monoid element or has a map of the wrong size."""
+    d = a.dim
+    for x in a.omega.elements():
+        n = maps.get(x)
+        if n is None or n.rows != d or n.cols != d:
+            raise MalformedInputError(f"family map [{x}] is not {d}x{d}")
+
+
 def check_nijenhuis(a: OmegaAlgebra, nf: NijenhuisFamily) -> Witness | None:
     """Structure-map commutation, then the deformed-product identity."""
     om = a.omega
     d = a.dim
-    for x in om.elements():
-        n = nf.maps.get(x)
-        if n is None or n.rows != d or n.cols != d:
-            raise MalformedInputError(f"family map [{x}] is not {d}x{d}")
+    _require_family(a, nf.maps)
     for x in om.elements():
         n = nf.maps[x]
         for name, m in (("nijenhuis-p-commute", a.pmap[x]), ("nijenhuis-q-commute", a.qmap[x])):
@@ -117,26 +124,11 @@ def check_nijenhuis(a: OmegaAlgebra, nf: NijenhuisFamily) -> Witness | None:
     return None
 
 
-def deformed_product_tensor(a: OmegaAlgebra, maps: dict) -> dict:
-    """mu(N x, y) + mu(x, N y) - N mu(x, y), as structure constants."""
-    d = a.dim
-    out = {}
-    for key in a.product:
-        x, y = key
-        nx, ny, nxy = maps[x], maps[y], maps[a.omega.mul(x, y)]
-        t = tensor_zeros(d, d, d)
-        for i in range(d):
-            nxi = nx.col(i)
-            ei = a.basis_vector(i)
-            for j in range(d):
-                acc = a.mul_vec(key, nxi, a.basis_vector(j))
-                for k, v in enumerate(a.mul_vec(key, ei, ny.col(j))):
-                    acc[k] += v
-                for k, v in enumerate(nxy.matvec(a.mul_basis(key, i, j))):
-                    acc[k] -= v
-                t[i][j] = acc
-        out[key] = t
-    return out
+def deformed_mu(a: OmegaAlgebra, maps: dict) -> Cochain:
+    """mu^N = mu oc_1 N + mu oc_2 N - N oc_1 mu: mu(N x, y) + mu(x, N y) - N mu(x, y)."""
+    _require_family(a, maps)
+    mu, n = mu_cochain(a), cochain_from_maps(a.omega, maps, a.dim, a.dim)
+    return _insertions(a, [(ONE, mu, n, 1), (ONE, mu, n, 2), (-ONE, n, mu, 1)])
 
 
 def deformed_product(
@@ -148,9 +140,7 @@ def deformed_product(
         witness = check_nijenhuis(a, nf)
         if witness is not None:
             raise PreconditionError(f"not a Nijenhuis family: {witness.describe()}")
-    deformed = OmegaAlgebra(
-        a.omega, a.dim, deformed_product_tensor(a, nf.maps), dict(a.pmap), dict(a.qmap)
-    )
+    deformed = algebra_with_product(a, deformed_mu(a, nf.maps))
     hom_witness = is_homomorphism(nf.maps, deformed, a)
     return deformed, hom_witness
 
@@ -183,30 +173,14 @@ def psi_of_checked(
     a: OmegaAlgebra, nf: NijenhuisFamily, witness: Witness | None
 ) -> tuple[Cochain, PsiReport]:
     """:func:`psi_n` of a commuting family whose :func:`check_nijenhuis` gave ``witness``."""
-    om = a.omega
-    d = a.dim
-    maps = nf.maps
-    mun = deformed_product_tensor(a, maps)
-    psi = Cochain.zero(2, om.size, d, d)
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            nx, ny, nxy = maps[x], maps[y], maps[om.mul(x, y)]
-            base = psi.block_base(key)
-            for i in range(d):
-                nxi = nx.col(i)
-                for j in range(d):
-                    val = a.mul_vec(key, nxi, ny.col(j))
-                    for k, v in enumerate(nxy.matvec(mun[key][i][j])):
-                        val[k] -= v
-                    off = base + (i * d + j) * d
-                    for k in range(d):
-                        psi.coords[off + k] = val[k]
+    mu, n = mu_cochain(a), cochain_from_maps(a.omega, nf.maps, a.dim, a.dim)
+    mun = deformed_mu(a, nf.maps)
+    psi = _insertions(a, [(ONE, circ_i(a, mu, n, 1, check=False), n, 2), (-ONE, n, mun, 1)])
     nijenhuis_ok = witness is None
     psi_zero = psi.is_zero()
     if psi_zero != nijenhuis_ok:
         raise InternalCheckError("psi = 0 disagrees with the Nijenhuis check")
-    deformed = OmegaAlgebra(om, d, mun, dict(a.pmap), dict(a.qmap))
+    deformed = algebra_with_product(a, mun)
     deformed_valid = validate_algebra(deformed) is None
     reg = regular_bimodule(a)
     psi_cocycle = not any(delta_op(reg, 2).apply_dense(psi.coords))
@@ -231,6 +205,11 @@ class DeformationJet:
             raise MalformedInputError("jet order must be >= 1")
         if len(self.mu_orders) != self.order or len(self.r_orders) != self.order:
             raise MalformedInputError("jet component count does not match order")
+        if any(f.degree != 2 for f in self.mu_orders) or any(f.degree != 1 for f in self.r_orders):
+            raise MalformedInputError("jet components need degree 2 (product) and 1 (operator)")
+        components = [*self.mu_orders, *self.r_orders]
+        if len({(f.omega_size, f.dim_in, f.dim_out) for f in components}) > 1:
+            raise MalformedInputError("jet components differ in shape")
 
 
 @dataclass(frozen=True)
@@ -250,20 +229,16 @@ class JetReport:
 
 
 def check_jet(ctx: RbfContext, jet: DeformationJet) -> JetReport:
-    """Order-by-order convolution identities for a deformation jet.
+    """Order-by-order identities of a deformation jet, as insertion sums.
 
     At order 1 the pair of identities is additionally asserted equivalent to
     the pair being a combined 2-cocycle.
     """
     a = ctx.algebra
-    om = a.omega
-    d = a.dim
     reg = regular_bimodule(a)
-    equivariant = all(is_equivariant(reg, f) for f in jet.mu_orders) and all(
-        is_equivariant(reg, f) for f in jet.r_orders
-    )
+    equivariant = all(is_equivariant(reg, f) for f in [*jet.mu_orders, *jet.r_orders])
     mu_all = [mu_cochain(a)] + list(jet.mu_orders)
-    r_all = [cochain_from_maps(om, ctx.rb.maps, d, d)] + list(jet.r_orders)
+    r_all = [cochain_from_maps(a.omega, ctx.rb.maps, a.dim, a.dim)] + list(jet.r_orders)
     orders = []
     for n in range(1, jet.order + 1):
         assoc = _jet_assoc_order(a, mu_all, n)
@@ -280,76 +255,29 @@ def check_jet(ctx: RbfContext, jet: DeformationJet) -> JetReport:
 
 
 def _jet_assoc_order(a: OmegaAlgebra, mu_all, n: int) -> bool:
-    om = a.omega
-    d = a.dim
-    for x in om.elements():
-        for y in om.elements():
-            for z in om.elements():
-                yz, xy = om.mul(y, z), om.mul(x, y)
-                for i in range(d):
-                    pi = a.pmap[x].col(i)
-                    for j in range(d):
-                        for k in range(d):
-                            qk = a.qmap[z].col(k)
-                            lhs = [ZERO] * d
-                            rhs = [ZERO] * d
-                            for t in range(n + 1):
-                                inner = mu_all[n - t].value((x, y), (i, j))
-                                term = mu_all[t].evaluate((xy, z), [inner, qk])
-                                for s in range(d):
-                                    lhs[s] += term[s]
-                                inner = mu_all[n - t].value((y, z), (j, k))
-                                term = mu_all[t].evaluate((x, yz), [pi, inner])
-                                for s in range(d):
-                                    rhs[s] += term[s]
-                            if lhs != rhs:
-                                return False
-    return True
+    """Order n of the product equation: sum_t (mu_t oc_1 mu_{n-t} - mu_t oc_2 mu_{n-t}) = 0."""
+    slots = ((ONE, 1), (-ONE, 2))
+    terms = [(c, mu_all[t], mu_all[n - t], i) for t in range(n + 1) for c, i in slots]
+    return _insertions(a, terms).is_zero()
 
 
 def _jet_operator_order(ctx: RbfContext, mu_all, r_all, n: int) -> bool:
+    """Order n of the operator equation R(x) R(y) = R(R(x) y + x R(y) + weight x y):
+
+    sum over s1 + s2 + s3 = n of (mu_s1 oc_1 R_s2) oc_2 R_s3
+    - R_s1 oc_1 (mu_s2 oc_2 R_s3) - R_s1 oc_1 (mu_s2 oc_1 R_s3),
+    minus weight * sum_s R_s oc_1 mu_{n-s}, vanishes.
+    """
     a = ctx.algebra
-    om = a.omega
-    d = a.dim
-    w = ctx.rb.weight
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            xy = om.mul(x, y)
-            for i in range(d):
-                for j in range(d):
-                    lhs = [ZERO] * d
-                    ei, ej = a.basis_vector(i), a.basis_vector(j)
-                    for s1 in range(n + 1):
-                        for s2 in range(n + 1 - s1):
-                            s3 = n - s1 - s2
-                            rx = r_all[s2].evaluate((x,), [ei])
-                            ry = r_all[s3].evaluate((y,), [ej])
-                            term = mu_all[s1].evaluate(key, [rx, ry])
-                            for t in range(d):
-                                lhs[t] += term[t]
-                    rhs = [ZERO] * d
-                    for s1 in range(n + 1):
-                        for s2 in range(n + 1 - s1):
-                            s3 = n - s1 - s2
-                            ry = r_all[s3].evaluate((y,), [ej])
-                            inner = mu_all[s2].evaluate(key, [ei, ry])
-                            term = r_all[s1].evaluate((xy,), [inner])
-                            for t in range(d):
-                                rhs[t] += term[t]
-                            rx = r_all[s3].evaluate((x,), [ei])
-                            inner = mu_all[s2].evaluate(key, [rx, ej])
-                            term = r_all[s1].evaluate((xy,), [inner])
-                            for t in range(d):
-                                rhs[t] += term[t]
-                    for s1 in range(n + 1):
-                        inner = mu_all[n - s1].value(key, (i, j))
-                        term = r_all[s1].evaluate((xy,), [inner])
-                        for t in range(d):
-                            rhs[t] += w * term[t]
-                    if lhs != rhs:
-                        return False
-    return True
+    terms = []
+    for s1 in range(n + 1):
+        for s2 in range(n + 1 - s1):
+            r3 = r_all[n - s1 - s2]
+            terms.append((ONE, circ_i(a, mu_all[s1], r_all[s2], 1, check=False), r3, 2))
+            for i in (2, 1):
+                terms.append((-ONE, r_all[s1], circ_i(a, mu_all[s2], r3, i, check=False), 1))
+        terms.append((-ctx.rb.weight, r_all[s1], mu_all[n - s1], 1))
+    return _insertions(a, terms).is_zero()
 
 
 def equivalence_shift(ctx: RbfContext, psi1: Cochain) -> CombinedCochain:

@@ -20,8 +20,9 @@ block of f once, before g widens its slot, and writes each output block
 pre + beta + post as the sum over r of outer products of g's r-th output
 column with the block's rows at slot value r (:func:`_kernel`).  Cochains
 of another shape are refused before a plan is looked up.  ``bracket``
-accumulates its signed ``circ_i`` terms into one coordinate list.  The
-slot-by-slot contraction this replaces is the test oracle
+accumulates its signed ``circ_i`` terms into one coordinate list, and
+``deformation`` writes its jet equations, the Nijenhuis deformed product
+and its defect as signed ``circ_i`` sums.  The slot-by-slot contraction this replaces is the test oracle
 ``circ_i_oracle`` in ``tests/oracles.py``.
 """
 

@@ -3,6 +3,9 @@
 Each oracle transcribes a definition literally, with none of the compiled
 or factored evaluation that production uses:
 
+* :func:`evaluate_oracle` -- multilinear evaluation of a cochain on general
+  coordinate vectors, one argument at a time (production evaluates nothing
+  pointwise: it composes cochains with ``gerstenhaber.circ_i``);
 * :func:`delta_direct_oracle` -- the coboundary as the alternating sum,
   term by term (production: the compiled ``cochain.delta_op``);
 * :func:`partial_expanded_oracle` -- the operator-complex differential as
@@ -14,7 +17,7 @@ or factored evaluation that production uses:
   differential, built from the two oracles above (production: the cached
   sparse images in ``rbf``);
 * :func:`is_equivariant_oracle` -- both structure-map constraints evaluated
-  slot by slot through ``Cochain.evaluate`` (production:
+  slot by slot through :func:`evaluate_oracle` (production:
   ``cochain.is_equivariant``, the cached constraint rows);
 * :func:`equivariant_basis_oracle` -- the basis of C^n, tuple by tuple:
   each block's constraint rows written out densely from the definition and
@@ -40,7 +43,8 @@ or factored evaluation that production uses:
 * :func:`truncated_algebra_check`, :func:`truncated_rb_check` and
   :func:`trivial_deformation_check` -- deformation identities expanded in
   :class:`TPoly`, polynomials in the formal parameter truncated at a fixed
-  order (production: the order-by-order convolutions in ``deformation``).
+  order (production: the signed ``circ_i`` sums of ``deformation``, one
+  per order of the jet equation and one each for mu^N and its defect).
 
 Structural helpers that only tests need close the module:
 :func:`algebra_equal` and :func:`bimodule_equal` compare structures field by
@@ -52,10 +56,36 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from bihomega.cochain import Cochain, _tuple_rank, maps_from_cochain
-from bihomega.deformation import deformed_product_tensor
+from bihomega.deformation import deformed_mu
 from bihomega.errors import MalformedInputError, PreconditionError
+from bihomega.gerstenhaber import algebra_with_product
 from bihomega.linalg import Mat, _axpy, commutes, reduce_into
 from bihomega.rationals import ONE, ZERO, Rat
+
+
+def evaluate_oracle(f, om_tuple, vectors):
+    """Multilinear evaluation of ``f`` at ``om_tuple`` on general coordinate
+    vectors, contracting the stored block one argument at a time."""
+    if len(vectors) != f.degree:
+        raise MalformedInputError("wrong number of arguments")
+    if f.degree == 0:
+        return list(f.coords)
+    d = f.dim_in
+    if not d:  # a multilinear map on the zero space
+        return [ZERO] * f.dim_out
+    width = d ** (f.degree - 1) * f.dim_out
+    base = f.block_base(om_tuple)
+    block = f.coords[base : base + width * d]
+    for v in vectors:
+        new = [ZERO] * width
+        for i, vi in enumerate(v):
+            if vi:
+                off = i * width
+                for t in range(width):
+                    new[t] += vi * block[off + t]
+        block = new
+        width //= d
+    return block
 
 
 def delta_direct_oracle(b, f):
@@ -88,7 +118,7 @@ def delta_direct_oracle(b, f):
                 vectors = [a.pmap[beta[t]].col(args[t]) for t in range(i - 1)]
                 vectors.append(a.mul_basis((beta[i - 1], beta[i]), args[i - 1], args[i]))
                 vectors.extend(a.qmap[beta[t]].col(args[t]) for t in range(i + 1, n + 1))
-                term = f.evaluate(merged, vectors)
+                term = evaluate_oracle(f, merged, vectors)
                 for k in range(m):
                     acc[k] += sign * term[k]
             sign = ONE if (n + 1) % 2 == 0 else -ONE
@@ -171,7 +201,7 @@ def partial_expanded_oracle(ctx, f):
                 vectors.append(star_arg)
                 for t in range(i + 1, n + 1):
                     vectors.append(a.qmap[beta[t]].col(args[t]))
-                term = f.evaluate(merged, vectors)
+                term = evaluate_oracle(f, merged, vectors)
                 for k in range(m):
                     if term[k]:
                         acc[k] += sign * term[k]
@@ -212,7 +242,7 @@ def phi_subset_oracle(ctx, f):
         base_tuple = out.block_base(alpha)
         r_cols = [rmaps[alpha[s]] for s in range(n)]
         for args in product(range(d), repeat=n):
-            acc = f.evaluate(alpha, [r_cols[s].col(args[s]) for s in range(n)])
+            acc = evaluate_oracle(f, alpha, [r_cols[s].col(args[s]) for s in range(n)])
             for size in range(n):
                 coeff = w ** (n - 1 - size) if n - 1 - size else ONE
                 if not coeff:
@@ -224,7 +254,7 @@ def phi_subset_oracle(ctx, f):
                             vectors.append(r_cols[s].col(args[s]))
                         else:
                             vectors.append(a.basis_vector(args[s]))
-                    term = t_all.matvec(f.evaluate(alpha, vectors))
+                    term = t_all.matvec(evaluate_oracle(f, alpha, vectors))
                     for k in range(m):
                         if term[k]:
                             acc[k] -= coeff * term[k]
@@ -275,11 +305,11 @@ def is_equivariant_oracle(b, f):
         for args in product(range(d), repeat=n):
             val = f.value(om_tuple, args)
             lhs = pm.matvec(val)
-            rhs = f.evaluate(om_tuple, [a.pmap[om_tuple[t]].col(args[t]) for t in range(n)])
+            rhs = evaluate_oracle(f, om_tuple, [a.pmap[om_tuple[t]].col(args[t]) for t in range(n)])
             if lhs != rhs:
                 return False
             lhs = qm.matvec(val)
-            rhs = f.evaluate(om_tuple, [a.qmap[om_tuple[t]].col(args[t]) for t in range(n)])
+            rhs = evaluate_oracle(f, om_tuple, [a.qmap[om_tuple[t]].col(args[t]) for t in range(n)])
             if lhs != rhs:
                 return False
     return True
@@ -745,7 +775,8 @@ def trivial_deformation_check(a, nf):
     tri3 = all(
         commutes(maps[x], a.pmap[x]) and commutes(maps[x], a.qmap[x]) for x in om.elements()
     )
-    mun = deformed_product_tensor(a, maps)
+    mu1 = deformed_mu(a, maps)
+    mun = algebra_with_product(a, mu1).product
     tri4 = True  # mu1 is defined as exactly that combination; verify anyway
     for key in a.product:
         x, y = key
@@ -771,14 +802,6 @@ def trivial_deformation_check(a, nf):
                     tri5 = False
     # polynomial route: (id + tN) intertwines mu + t mu1 with mu, mod t^3
     order = 2
-    mu1 = Cochain.zero(2, om.size, d, d)
-    for key in a.product:
-        base = mu1.block_base(key)
-        for i in range(d):
-            for j in range(d):
-                off = base + (i * d + j) * d
-                for k in range(d):
-                    mu1.coords[off + k] = mun[key][i][j][k]
     tensor = _tp_product_tensor(a, [mu1], order)
     plain = _tp_product_tensor(a, [], order)
     twist = {}

@@ -281,18 +281,9 @@ def test_criterion_07_nijenhuis_battery():
             td = trivial_deformation_check(e1, nf)
             assert all(td.values()), td
             # first-order deformed product stays an algebra modulo t^2
-            from bihomega.deformation import deformed_product_tensor
+            from bihomega.deformation import deformed_mu
 
-            mun = deformed_product_tensor(e1, nf.maps)
-            mu1 = Cochain.zero(2, 1, 2, 2)
-            for key in e1.product:
-                base = mu1.block_base(key)
-                for i in range(2):
-                    for j in range(2):
-                        off = base + (i * 2 + j) * 2
-                        for k in range(2):
-                            mu1.coords[off + k] = mun[key][i][j][k]
-            assert truncated_algebra_check(e1, [mu1], 2)
+            assert truncated_algebra_check(e1, [deformed_mu(e1, nf.maps)], 2)
         rng = random.Random(90210)
         carriers = [samples.build_diag(2), samples.build_truncated_poly(2)]
         non_members = 0

@@ -100,7 +100,7 @@ def test_nijenhuis_command_checks_and_deforms_once(monkeypatch):
     calls = []
     for module, name in (
         (deformation, "check_nijenhuis"),
-        (deformation, "deformed_product_tensor"),
+        (deformation, "deformed_mu"),
         (deformation, "validate_algebra"),
         (cli, "check_nijenhuis"),
     ):
@@ -108,7 +108,7 @@ def test_nijenhuis_command_checks_and_deforms_once(monkeypatch):
         monkeypatch.setattr(module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
     report, code = run(["--no-timing", "nijenhuis", fixture_path("e1_nijenhuis.json")])
     assert code == 0 and report["psi_zero"]
-    assert sorted(calls) == ["check_nijenhuis", "deformed_product_tensor", "validate_algebra"]
+    assert sorted(calls) == ["check_nijenhuis", "deformed_mu", "validate_algebra"]
 
 
 def test_deform_check_command():

@@ -12,6 +12,7 @@ from oracles import (
     circ_i_oracle,
     delta_direct_oracle,
     equivariant_basis_oracle,
+    evaluate_oracle,
     gauss_jordan_oracle,
     identity_cochain,
     is_equivariant_oracle,
@@ -33,7 +34,7 @@ from bihomega.cochain import (
     is_equivariant,
     random_equivariant,
 )
-from bihomega.errors import InternalCheckError, PreconditionError
+from bihomega.errors import InternalCheckError, MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat, kernel_basis, rank
 from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
@@ -260,8 +261,8 @@ def test_degree_two_kernel_satisfies_pointwise_identities(e1, e1_regular):
                 t1 = e1_regular.act_left(
                     (x, yz), a.pmap[x].col(i), h.value((y, z), (j, k))
                 )
-                t2 = h.evaluate((xy, z), [a.mul_basis((x, y), i, j), a.qmap[z].col(k)])
-                t3 = h.evaluate((x, yz), [a.pmap[x].col(i), a.mul_basis((y, z), j, k)])
+                t2 = evaluate_oracle(h, (xy, z), [a.mul_basis((x, y), i, j), a.qmap[z].col(k)])
+                t3 = evaluate_oracle(h, (x, yz), [a.pmap[x].col(i), a.mul_basis((y, z), j, k)])
                 t4 = e1_regular.act_right(
                     (xy, z), h.value((x, y), (i, j)), a.qmap[z].col(k)
                 )
@@ -454,8 +455,8 @@ def test_evaluation_on_a_dimension_zero_algebra_is_empty():
     g = Cochain.zero(1, 1, 0, 0)
     for n in (1, 2):
         f = Cochain.zero(n, 1, 0, 0)
-        assert f.evaluate((0,) * n, [[]] * n) == []
-        assert Cochain.zero(n, 1, 0, 2).evaluate((0,) * n, [[]] * n) == [ZERO, ZERO]
+        assert evaluate_oracle(f, (0,) * n, [[]] * n) == []
+        assert evaluate_oracle(Cochain.zero(n, 1, 0, 2), (0,) * n, [[]] * n) == [ZERO, ZERO]
         for i in range(1, n + 1):
             assert circ_i_oracle(a0, f, g, i) == f
         assert circ_full_oracle(a0, f, [g] * n) == f
@@ -772,3 +773,16 @@ def test_dd_zero_from_degree_one_on_random_pairs(seed):
         op_n, op_next = delta_op(b, n), delta_op(b, n + 1)
         for j in range(basis.dim()):
             assert not op_next.image(op_n.image(basis.cochain_sparse(j)))
+
+
+def test_is_equivariant_refuses_a_cochain_of_another_shape(e1_regular):
+    """A cochain whose dimensions or length do not fit C^n(A, M) is refused,
+    as apply_delta refuses it, instead of being judged on the rows that happen
+    to line up (False, False, and an IndexError on the last one)."""
+    for f in (
+        Cochain(1, 1, 3, 3, [1] * 9),
+        Cochain(1, 1, 4, 2, [1] + [0] * 7),
+        Cochain(1, 1, 4, 2, [0] * 7 + [1]),
+    ):
+        with pytest.raises(MalformedInputError, match="does not match"):
+            is_equivariant(e1_regular, f)

@@ -4,21 +4,22 @@ import pytest
 from oracles import TPoly, trivial_deformation_check, truncated_algebra_check, truncated_rb_check
 
 from bihomega import samples
-from bihomega.algebra import validate_algebra
+from bihomega.algebra import tensor_zeros, validate_algebra
 from bihomega.bimodule import regular_bimodule
-from bihomega.cochain import Cochain, random_equivariant
+from bihomega.cochain import Cochain, cochain_from_maps, cochain_from_tensors, random_equivariant
 from bihomega.deformation import (
     DeformationJet,
     NijenhuisFamily,
     check_jet,
     check_linear_deformation,
     check_nijenhuis,
+    deformed_mu,
     deformed_product,
     equivalence_shift,
     psi_n,
     rigidity_report,
 )
-from bihomega.errors import PreconditionError
+from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat
 from bihomega.rationals import ONE, Rat
@@ -80,6 +81,14 @@ def test_nijenhuis_zero_deforms_to_zero_product(e1):
     )
     assert validate_algebra(deformed) is None
     assert hom is None
+
+
+def test_deformed_product_refuses_a_family_of_the_wrong_shape():
+    """Unchecked, a family missing a monoid element used to raise KeyError."""
+    a = samples.build_c2_example(0)
+    for maps in ({}, {0: Mat.identity(2)}, {0: Mat.identity(3), 1: Mat.identity(3)}):
+        with pytest.raises(MalformedInputError, match="is not 2x2"):
+            deformed_product(a, NijenhuisFamily(maps), check=False)
 
 
 def test_enumerated_nijenhuis_battery(e1):
@@ -206,24 +215,12 @@ def test_linear_deformation_order_checks_via_theorem(e1):
     """Any Nijenhuis direction gives an algebra modulo t^2."""
     hits = search_nijenhuis(e1, 1)
     nf = first_nonscalar(hits)
-    from bihomega.deformation import deformed_product_tensor
-
-    mun = deformed_product_tensor(e1, nf.maps)
-    mu1 = Cochain.zero(2, 1, 2, 2)
-    for key in e1.product:
-        base = mu1.block_base(key)
-        for i in range(2):
-            for j in range(2):
-                off = base + (i * 2 + j) * 2
-                for k in range(2):
-                    mu1.coords[off + k] = mun[key][i][j][k]
-    assert truncated_algebra_check(e1, [mu1], 2)
+    assert truncated_algebra_check(e1, [deformed_mu(e1, nf.maps)], 2)
 
 
 def test_searches_refuse_a_negative_bound(e1):
     """(2 * bound + 1)^cells is 1 for bound = -1 and an even number of
     cells, so the size cap alone let the empty search answer "none found"."""
-    from bihomega.errors import MalformedInputError
     from bihomega.search import search_rbf
 
     for bound in (-1, -2):
@@ -231,3 +228,90 @@ def test_searches_refuse_a_negative_bound(e1):
             search_rbf(e1, bound, 0)
         with pytest.raises(MalformedInputError, match="non-negative"):
             search_nijenhuis(e1, bound)
+
+
+def test_jet_refuses_components_of_the_wrong_degree_or_shape():
+    """An order-2 operator component of degree 2, an order-2 product
+    component of degree 3 or 1, and components of different shapes are
+    refused when the jet is built, before any insertion runs."""
+    z2, z1 = Cochain.zero(2, 1, 2, 2), Cochain.zero(1, 1, 2, 2)
+    bad = [
+        ([z2, z2], [z1, Cochain.zero(2, 1, 2, 2)]),
+        ([z2, Cochain.zero(3, 1, 2, 2)], [z1, z1]),
+        ([z2, Cochain.zero(1, 1, 2, 2)], [z1, z1]),
+        ([z2, Cochain.zero(2, 2, 2, 2)], [z1, z1]),
+        ([z2, z2], [z1, Cochain.zero(1, 1, 3, 3)]),
+    ]
+    for mu_orders, r_orders in bad:
+        with pytest.raises(MalformedInputError):
+            DeformationJet(2, mu_orders, r_orders)
+
+
+def _conjugated_jet(a, rb, nmat, order):
+    """Orders 1..order of the conjugate of (mu, R) by phi_t = id + t N.
+
+    mu_t(u, v) = phi_t^-1 mu(phi_t u, phi_t v) and R_t = phi_t^-1 R phi_t,
+    with phi_t^-1 = sum_k (-t N)^k; written out with matrices, not insertions.
+    N commutes with the structure maps, so the conjugate is again an algebra
+    with a Rota-Baxter family of the same weight, to every order.
+    """
+    om, d = a.omega, a.dim
+    neg = [nmat.scale(-1).power(k) for k in range(order + 1)]
+    nb = [Mat.identity(d), nmat]
+    mu_orders, r_orders = [], []
+    for k in range(1, order + 1):
+        split = [(k - b - c, b, c) for b in (0, 1) for c in (0, 1) if b + c <= k]
+        tensors = {}
+        for key in a.product:
+            t = tensor_zeros(d, d, d)
+            for i in range(d):
+                for j in range(d):
+                    for s, b, c in split:
+                        v = neg[s].matvec(a.mul_vec(key, nb[b].col(i), nb[c].col(j)))
+                        t[i][j] = [u + w for u, w in zip(t[i][j], v)]
+            tensors[key] = t
+        mu_orders.append(cochain_from_tensors(om, 2, d, d, tensors))
+        maps = {x: neg[k].mul(r).add(neg[k - 1].mul(r).mul(nmat)) for x, r in rb.maps.items()}
+        r_orders.append(cochain_from_maps(om, maps, d, d))
+    return mu_orders, r_orders
+
+
+def _order_flags(ctx, mu_orders, r_orders):
+    rep = check_jet(ctx, DeformationJet(len(mu_orders), mu_orders, r_orders))
+    return [o.associativity and o.operator_identity for o in rep.orders]
+
+
+def test_conjugated_jets_pass_every_order_and_perturbations_fail():
+    """Conjugating by id + t N gives jets that pass check_jet at orders 1-3
+    and the truncated-polynomial oracles; on the identity-twisted carriers
+    every component is nonzero.  A perturbed order-k component fails order k."""
+    rng = random.Random(71)
+    order = 3
+    cases = []
+    for a in (samples.build_truncated_poly(2), samples.build_diag(2)):
+        for weight in (Rat(-1), Rat(1)):
+            rb = samples.searched_rb(a, weight)
+            for _ in range(2):
+                nmat = Mat.from_rows([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+                cases.append((a, rb, nmat))
+    c2 = samples.c2_rbf_context()
+    q = c2.algebra.qmap[0]
+    for coef_i, coef_q in ((1, 2), (-1, 1)):
+        cases.append((c2.algebra, c2.rb, Mat.identity(2).scale(coef_i).add(q.scale(coef_q))))
+    for a, rb, nmat in cases:
+        ctx = RbfContext.validated(a, rb, regular_bimodule(a, rb))
+        mu_orders, r_orders = _conjugated_jet(a, rb, nmat, order)
+        if a is not c2.algebra:  # on c2, N commutes with R and only mu_1 is nonzero
+            assert not any(f.is_zero() for f in mu_orders + r_orders)
+        assert _order_flags(ctx, mu_orders, r_orders) == [True] * order
+        assert truncated_algebra_check(a, mu_orders, order)
+        assert truncated_rb_check(a, rb, mu_orders, r_orders, order)
+        for k in range(order):
+            for comps in (mu_orders, r_orders):
+                bumped = list(comps)
+                f = comps[k]
+                coords = [v + rng.randint(-2, 2) for v in f.coords]
+                bumped[k] = Cochain(f.degree, f.omega_size, f.dim_in, f.dim_out, coords)
+                pair = (bumped, r_orders) if comps is mu_orders else (mu_orders, bumped)
+                flags = _order_flags(ctx, *pair)
+                assert flags[:k] == [True] * k and not flags[k]

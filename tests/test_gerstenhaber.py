@@ -21,7 +21,14 @@ from bihomega.gerstenhaber import (
 from bihomega.linalg import Mat
 from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, Rat
-from oracles import bracket_oracle, circ_full_oracle, circ_i_oracle, identity_cochain, is_equivariant_oracle
+from oracles import (
+    bracket_oracle,
+    circ_full_oracle,
+    circ_i_oracle,
+    evaluate_oracle,
+    identity_cochain,
+    is_equivariant_oracle,
+)
 
 
 def mu_circ1_mu_oracle(a):
@@ -103,7 +110,7 @@ def circ_full_cell_oracle(a, f, gs, alpha, args):
         v = a.q_power(prod, q_exp).matvec(v)
         v = a.p_power(prod, p_exp).matvec(v)
         vectors.append(v)
-    return f.evaluate(tuple(merged), vectors)
+    return evaluate_oracle(f, tuple(merged), vectors)
 
 
 def test_circ_full_mixed_arities_matches_cell_oracle(c2_ctx):
