@@ -1,0 +1,219 @@
+"""Blocks of the coboundary δ_n (n >= 1), shared by pair key.
+
+The coboundary of a degree-n cochain is an alternating sum of n + 2 face
+terms.  The term that maps the block of a source tuple alpha to the block of
+an output tuple beta reads structure data at beta only: p^{n-1} and the left
+action at its head, q^{n-1} and the right action at its tail, or p, mu and q
+around the merged slot (the BiHom conventions of Graziani, Makhlouf, Menini
+and Panaite, SIGMA 11 (2015), 086).  Those data are interned by exact
+entries (:func:`structure_classes`), and the *pair key* of (beta, alpha) is
+the ordered tuple of the keys of the face terms that send alpha to beta.
+Equal pair keys have equal blocks, so :class:`CoboundaryPlan` compiles one
+block per key (:func:`compile_blocks`: all of a key's terms into one
+accumulator, as sparse Kronecker products of the rows of the structure maps,
+visiting only nonzeros), and keeps each block's product with the kernel of
+a source twist signature once per (pair key, source signature).  The
+operator ``cochain.delta_op`` and the basis images of the cohomology tables
+(``cochain._basis_images``) are both built from these blocks.
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+
+from .bimodule import OmegaBimodule
+from .linalg import Mat, _kron, _supports
+from .rationals import ONE, ZERO
+
+
+def structure_classes(b: OmegaBimodule) -> tuple:
+    """Class ids of the structure data the face terms of δ read (cached).
+
+    A's pmap and qmap per monoid element, then A's product and M's left and
+    right actions per pair of elements; two keys share a class when their
+    data agree entry for entry.
+    """
+    hit = b._cache.get("structure_classes")
+    if hit is None:
+        a = b.base
+
+        def intern(family: dict, flat) -> dict:
+            ids: dict = {}
+            return {key: ids.setdefault(flat(v), len(ids)) for key, v in family.items()}
+
+        def matrix(mat: Mat) -> tuple:
+            return tuple(mat.entries)
+
+        def tensor(t) -> tuple:
+            return tuple(map(tuple, chain.from_iterable(t)))
+
+        hit = b._cache["structure_classes"] = (
+            intern(a.pmap, matrix),
+            intern(a.qmap, matrix),
+            intern(a.product, tensor),
+            intern(b.left, tensor),
+            intern(b.right, tensor),
+        )
+    return hit
+
+
+def coboundary_plan(b: OmegaBimodule, n: int) -> "CoboundaryPlan":
+    """The :class:`CoboundaryPlan` of δ_n, n >= 1 (cached per degree)."""
+    hit = b._cache.get(("coboundary_plan", n))
+    if hit is None:
+        hit = b._cache[("coboundary_plan", n)] = CoboundaryPlan(b, n)
+    return hit
+
+
+class CoboundaryPlan:
+    """δ_n for n >= 1 as blocks shared by pair key.
+
+    Face term i sends the block of a source tuple to the block of output
+    tuple beta: term 0 to the tail beta[1:], term n+1 to the head beta[:-1],
+    middle term i to beta with slots i-1 and i merged.  A term's key is i and
+    the classes (:func:`structure_classes`) of what it reads at beta:
+    p^{n-1} at beta_0 and the left action at (beta_0, prod beta[1:]); q^{n-1}
+    at beta_n and the right action at (prod beta[:-1], beta_n); or p before
+    slot i-1, mu at slots i-1 and i, and q after slot i.
+
+    ``faces[s]`` lists the pairs (output tuple number, pair key number) of
+    source tuple number s, and ``reps`` maps each pair key, in the order of
+    its number, to an output tuple where it occurs; caches are keyed by the
+    numbers, not by the nested key tuples.  Blocks are kept per pair key,
+    their products with the kernel of a source twist signature per (pair
+    key, source signature), and ``failures`` keeps, per (output signature,
+    pair key, source signature), the indices of the products that violate
+    the constraints of an output block (``cochain`` fills it).  The
+    bimodule is passed to each method rather than kept, so that the plan,
+    cached in the bimodule, does not refer back to it.
+    """
+
+    def __init__(self, b: OmegaBimodule, n: int):
+        om = b.base.omega
+        self.n = n
+        self.blocks: list | None = None  # per key number
+        self.products: dict = {}
+        self.failures: dict = {}
+        if om.size == 1:  # one tuple per degree: one pair holds all n + 2 terms
+            self.faces = [[(0, 0)]]
+            self.reps = {tuple((i,) for i in range(n + 2)): om.tuples(n + 1)[0]}
+            return
+        p_cls, q_cls, mu_cls, left_cls, right_cls = structure_classes(b)
+        in_rank = {t: i for i, t in enumerate(om.tuples(n))}
+        numbers: dict = {}
+        self.faces = [[] for _ in in_rank]
+        self.reps = {}
+        for t, beta in enumerate(om.tuples(n + 1)):
+            head, tail = beta[:-1], beta[1:]
+            ps, qs = tuple([p_cls[x] for x in beta]), tuple([q_cls[x] for x in beta])
+            terms = {in_rank[tail]: [(0, ps[0], left_cls[(beta[0], om.product_of(tail))])]}
+            for i in range(1, n + 1):
+                merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
+                key = (i, ps[: i - 1], mu_cls[(beta[i - 1], beta[i])], qs[i + 1 :])
+                terms.setdefault(in_rank[merged], []).append(key)
+            last = (n + 1, qs[-1], right_cls[(om.product_of(head), beta[-1])])
+            terms.setdefault(in_rank[head], []).append(last)
+            for s, keys in terms.items():
+                key = tuple(keys)
+                if key not in self.reps:
+                    self.reps[key] = beta
+                    numbers[key] = len(numbers)
+                self.faces[s].append((t, numbers[key]))
+
+    def block(self, b: OmegaBimodule, key: int) -> list:
+        """The block of pair key number ``key``: local columns [(local row, coeff)].
+
+        The first call compiles the blocks of all keys of the degree, one per key.
+        """
+        if self.blocks is None:
+            self.blocks = compile_blocks(b, self.n, self.reps)
+        return self.blocks[key]
+
+    def product(self, b: OmegaBimodule, key: int, sig, vectors: list) -> list:
+        """The block of key number ``key`` applied to the kernel ``vectors``
+        of source signature ``sig``: one local sparse dict per vector."""
+        hit = self.products.get((key, sig))
+        if hit is None:
+            block = self.block(b, key)
+            hit = []
+            for vec in vectors:
+                out: dict = {}
+                for c, x in vec.items():
+                    for r, v in block[c]:
+                        out[r] = out.get(r, 0) + v * x
+                hit.append({r: v for r, v in out.items() if v})
+            self.products[(key, sig)] = hit
+        return hit
+
+
+def compile_blocks(b: OmegaBimodule, n: int, reps: dict) -> list:
+    """The block of each pair key of ``reps`` ({pair key: an output tuple
+    beta where it occurs}), in order: the sum of the key's face terms from
+    one source block to output block beta, as local columns [(local row,
+    coeff)], zeros dropped.
+
+    The first and last terms are one m x m action matrix per outer argument,
+    repeated at d^n offsets.  Middle term i is P_{beta_0} (x) ... (x)
+    mu_{beta_{i-1},beta_i} (x) Q_{beta_{i+1}} (x) ... (x) I_m, built from
+    sparse rows by ``linalg._kron``.  All terms of a key accumulate into one set
+    of columns; the sparse rows of the structure maps are read once for all
+    keys.
+    """
+    a = b.base
+    om = a.omega
+    d, m = a.dim, b.dim_m
+    dn = d**n
+    slots = [(l, k) for l in range(m) for k in range(m)]
+    p_rows = {x: _supports(a.pmap[x]) for x in om.elements()}
+    q_rows = {x: _supports(a.qmap[x]) for x in om.elements()}
+    pairs = [(j, jj) for j in range(d) for jj in range(d)]
+    mu_rows = {  # per merged argument r: [(j * d + jj, mu[j][jj][r])]
+        key: [[(j * d + jj, mu[j][jj][r]) for j, jj in pairs if mu[j][jj][r]] for r in range(d)]
+        for key, mu in a.product.items()
+    }
+    signs = [ONE if i % 2 == 0 else -ONE for i in range(n + 2)]
+
+    def repeat(cols: list, act, row_start: int, row_stride: int):
+        # act = [(l, k, coeff)] at each of the dn offsets of the other arguments
+        for r in range(dn):
+            row0, col0 = row_start + r * row_stride, r * m
+            for l, k, v in act:
+                cm = cols[col0 + l]
+                cm[row0 + k] = cm.get(row0 + k, ZERO) + v
+
+    blocks = []
+    for key, beta in reps.items():
+        cols = [dict() for _ in range(dn * m)]
+        for i, *_ in key:
+            if i == 0:
+                # p^{n-1}(a_1) acting on the value at the tail
+                lt = b.left[(beta[0], om.product_of(beta[1:]))]
+                p_pow = a.p_power(beta[0], n - 1)
+                for j in range(d):
+                    u = p_pow.col(j)
+                    act = [(l, k, c) for l, k in slots
+                           if (c := sum(ui * lt[s][l][k] for s, ui in enumerate(u)))]
+                    repeat(cols, act, j * dn * m, m)
+            elif i == n + 1:
+                # the value at the head acted on by q^{n-1}(a_{n+1})
+                rt = b.right[(om.product_of(beta[:-1]), beta[-1])]
+                q_pow = a.q_power(beta[-1], n - 1)
+                for j in range(d):
+                    v = q_pow.col(j)
+                    act = [(l, k, signs[i] * c) for l, k in slots
+                           if (c := sum(vi * rt[l][s][k] for s, vi in enumerate(v)))]
+                    repeat(cols, act, j * m, d * m)
+            else:
+                # slot i of the output is merged through the product
+                tables = [(d, p_rows[x]) for x in beta[: i - 1]]
+                tables.append((d * d, mu_rows[(beta[i - 1], beta[i])]))
+                tables += [(d, q_rows[x]) for x in beta[i + 1 :]]
+                for r_rank, terms in enumerate(_kron(tables)):
+                    terms = [(r * m, signs[i] * c) for r, c in terms]
+                    col0 = r_rank * m
+                    for k in range(m):
+                        cm = cols[col0 + k]
+                        for row0, c in terms:
+                            cm[row0 + k] = cm.get(row0 + k, ZERO) + c
+        blocks.append([[(r, v) for r, v in cm.items() if v] for cm in cols])
+    return blocks

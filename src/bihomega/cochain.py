@@ -22,21 +22,29 @@ of rows and one kernel.  That kernel is the basis of C^n
 one membership test (:func:`_in_subspace`), behind :func:`is_equivariant`
 and every check that a coboundary image lies in C^{n+1}.
 
-The coboundary has one implementation: :func:`delta_op` compiles the
-alternating sum once per (bimodule, degree) into a cached sparse matrix on
-raw coordinates, and :func:`apply_delta`, the matrices and the cohomology
-tables all go through it.  It and the constraint rows are built as sparse
-Kronecker products of rows and columns of the structure maps
-(:func:`_kron`), visiting only nonzeros.  Independent term-by-term
-transcriptions of the sum live only in the test oracles (``tests/oracles.py``).
+The coboundary has one implementation for n >= 1: the blocks of
+:mod:`bihomega.blocks`, one per *pair key* (the structure classes of the
+face terms that send a source tuple block to an output tuple block, so
+that equal keys have equal blocks).  :func:`delta_op` places each pair's
+block at its offsets, once per (bimodule, degree), and :func:`apply_delta`
+and every operator caller go through it; degree 0 keeps its own formula.
+The blocks and the constraint rows are built as sparse Kronecker products
+of rows and columns of the structure maps (``linalg._kron``), visiting only
+nonzeros.  Independent term-by-term transcriptions of the sum live only in
+the test oracles (``tests/oracles.py``).
 
-Cohomology tables stay sparse end to end: for each degree k,
-:func:`cohomology_dims` applies ``delta_op`` to the C^k basis, verifies
-every raw image against the degree-(k+1) constraint rows, and takes one
-fraction-free integer rank of the raw images (the coordinate map of C^{k+1}
-is injective, so this is the rank of δ_k on C^k).  No basis-coordinate
-matrix and no basis of C^{max_degree+1} is built.  :func:`delta_matrix`
-(basis coordinates, via ``coords_of``) remains for solving.
+Cohomology tables never assemble δ for n >= 1: :func:`_basis_images`
+forms each block times the kernel of a source twist signature once per
+(pair key, source signature), and verifies that product against the
+constraint columns of the output block once per (output signature, pair
+key, source signature).  An image lies in C^{n+1} exactly when each of its
+output blocks meets that block's constraints, and each output block of a
+basis image is one such product, so every image is still verified.  The
+images are then assembled one at a time and streamed into one
+fraction-free integer rank per degree (the coordinate map of C^{k+1} is
+injective, so this is the rank of δ_k on C^k).  No basis-coordinate matrix
+and no basis of C^{max_degree+1} is built.  :func:`delta_matrix` (basis
+coordinates, via ``coords_of``) remains for solving.
 
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
@@ -47,11 +55,13 @@ the exact intersection of the image with C^1, flagging the report.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, reduce_into, solve, sparse_kernel, sparse_rank
+from .blocks import coboundary_plan
+from .linalg import Mat, _kron, _supports, reduce_into, solve, sparse_kernel, sparse_rank
 from .monoid import Monoid
 from .rationals import ONE, ZERO, Rat
 
@@ -210,13 +220,18 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
         by_col = table[t]
         if by_col is None:
             by_col = table[t] = _constraint_columns(b, b.base.omega.tuples(n)[t])
-        residual: dict = {}
-        for c, x in local.items():
-            for i, v in by_col.get(c, ()):
-                residual[i] = residual.get(i, 0) + v * x
-        if any(residual.values()):
+        if _violates(by_col, local):
             return False
     return True
+
+
+def _violates(by_col: dict, local: dict) -> bool:
+    """Does a block-local sparse vector fail a constraint row of ``by_col``?"""
+    residual: dict = {}
+    for c, x in local.items():
+        for i, v in by_col.get(c, ()):
+            residual[i] = residual.get(i, 0) + v * x
+    return any(residual.values())
 
 
 def _constraint_columns(b: OmegaBimodule, om_tuple) -> dict:
@@ -293,12 +308,11 @@ class EquivariantBasis:
 
     def cochain_sparse(self, j: int) -> dict:
         """Global raw coordinates of basis element j, as a sparse dict."""
-        for t in range(self._block_count()):
-            if self.offsets[t] <= j < self.offsets[t + 1]:
-                local = self.vectors[t][j - self.offsets[t]]
-                base = t * self.block_size
-                return {base + c: v for c, v in local.items()}
-        raise MalformedInputError(f"basis index {j} out of range")
+        if not 0 <= j < self.dim():
+            raise MalformedInputError(f"basis index {j} out of range")
+        t = bisect_right(self.offsets, j) - 1  # the last block that starts at or before j
+        base = t * self.block_size
+        return {base + c: v for c, v in self.vectors[t][j - self.offsets[t]].items()}
 
     def cochain(self, j: int) -> Cochain:
         f = Cochain.zero(self.degree, self.omega_size, self.dim_in, self.dim_out)
@@ -428,39 +442,26 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     return rows
 
 
-def _supports(mat: Mat, by_col: bool = False) -> list:
-    """Sparse rows (or columns) of a square matrix: [[(index, nonzero)]]."""
-    line = mat.col if by_col else mat.row
-    return [[(i, v) for i, v in enumerate(line(j)) if v] for j in range(mat.rows)]
-
-
-def _kron(tables) -> list:
-    """Sparse Kronecker products, one per index tuple (j_1..j_k) in lex order.
-
-    ``tables[s] = (width, entries)``: ``entries[j]`` is the sparse vector
-    [(position, coeff)] that index j selects at slot s.  A product is
-    [(mixed-radix rank of the positions, coeff)]; tuples that share a prefix
-    share its partial product, and only nonzeros are visited.
-    """
-    prods = [[(0, ONE)]]
-    for width, entries in tables:
-        prods = [[(r * width + p, c * v) for r, c in prod for p, v in entry]
-                 for prod in prods for entry in entries]
-    return prods
-
-
 # -- the coboundary -------------------------------------------------------
 
 
 class SparseOp:
-    """Sparse linear map on raw cochain coordinates, stored column-wise."""
+    """Sparse linear map on raw cochain coordinates, stored column-wise.
+
+    ``cols[c]`` lists the (row, nonzero coefficient) pairs of column c.
+    """
 
     __slots__ = ("nrows", "ncols", "cols")
 
-    def __init__(self, nrows: int, ncols: int, colmaps: list):
+    def __init__(self, nrows: int, ncols: int, cols: list):
         self.nrows = nrows
         self.ncols = ncols
-        self.cols = [[(row, v) for row, v in cm.items() if v] for cm in colmaps]
+        self.cols = cols
+
+    @classmethod
+    def from_dicts(cls, nrows: int, ncols: int, colmaps: list) -> "SparseOp":
+        """From one {row: coeff} dict per column; zero coefficients are dropped."""
+        return cls(nrows, ncols, [[(row, v) for row, v in cm.items() if v] for cm in colmaps])
 
     def apply_dense(self, vec) -> list:
         out = [ZERO] * self.nrows
@@ -494,29 +495,31 @@ class SparseOp:
         return m
 
 
+def _raw_size(b: OmegaBimodule, n: int) -> int:
+    """Number of raw coordinates of a degree-n cochain."""
+    a = b.base
+    return a.omega.size**n * a.dim**n * b.dim_m
+
+
 def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
     """Compiled coboundary on raw coordinates, degree n -> n+1 (cached).
 
-    For n >= 1, on output block beta, the first and last terms are one m x m
-    action matrix per outer argument, repeated at d^n offsets.  Middle term
-    i is P_{beta_0} (x) ... (x) mu_{beta_{i-1},beta_i} (x) Q_{beta_{i+1}} (x)
-    ... (x) I_m, built from sparse rows by :func:`_kron`.
+    For n >= 1 each pair (output tuple, source tuple) of
+    :func:`bihomega.blocks.coboundary_plan` places its pair key's shared
+    block at the pair's offsets.
     """
     cache_key = ("delta_op", n)
     hit = b._cache.get(cache_key)
     if hit is not None:
         return hit
     a = b.base
-    om = a.omega
     d, m = a.dim, b.dim_m
-    s = om.size
-    ncols = s**n * d**n * m
-    nrows = s ** (n + 1) * d ** (n + 1) * m
-    colmaps = [dict() for _ in range(ncols)]
-    unit = om.unit
+    ncols, nrows = _raw_size(b, n), _raw_size(b, n + 1)
     if n == 0:
         # (a |> m at (x, unit)) - (m <| a at (unit, x))
-        for x in om.elements():
+        unit = a.omega.unit
+        colmaps = [dict() for _ in range(ncols)]
+        for x in a.omega.elements():
             lt = b.left[(x, unit)]
             rt = b.right[(unit, x)]
             for j in range(d):
@@ -525,66 +528,19 @@ def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
                     for l in range(m):
                         cm = colmaps[l]
                         cm[row] = cm.get(row, ZERO) + lt[j][l][k] - rt[l][j][k]
-        op = SparseOp(nrows, ncols, colmaps)
-        b._cache[cache_key] = op
-        return op
-
-    dn = d**n
-    in_rank = {t: i for i, t in enumerate(om.tuples(n))}
-    slots = [(l, k) for l in range(m) for k in range(m)]
-    p_rows = {x: _supports(a.pmap[x]) for x in om.elements()}
-    q_rows = {x: _supports(a.qmap[x]) for x in om.elements()}
-    pairs = [(j, jj) for j in range(d) for jj in range(d)]
-    mu_rows = {  # per merged argument r: [(j * d + jj, mu[j][jj][r])]
-        key: [[(j * d + jj, mu[j][jj][r]) for j, jj in pairs if mu[j][jj][r]] for r in range(d)]
-        for key, mu in a.product.items()
-    }
-
-    def repeat(act, row_start: int, row_stride: int, col_start: int):
-        # act = [(l, k, coeff)] at each of the dn offsets of the other arguments
-        for r in range(dn):
-            row0, col0 = row_start + r * row_stride, col_start + r * m
-            for l, k, v in act:
-                cm = colmaps[col0 + l]
-                cm[row0 + k] = cm.get(row0 + k, ZERO) + v
-
-    for t_rank, beta in enumerate(om.tuples(n + 1)):
-        row_base = t_rank * d * dn * m
-        tail_base = in_rank[beta[1:]] * dn * m
-        head_base = in_rank[beta[:-1]] * dn * m
-        lt = b.left[(beta[0], om.product_of(beta[1:]))]
-        rt = b.right[(om.product_of(beta[:-1]), beta[-1])]
-        p_pow = a.p_power(beta[0], n - 1)
-        q_pow = a.q_power(beta[-1], n - 1)
-        sign_last = ONE if (n + 1) % 2 == 0 else -ONE
-
-        for j in range(d):
-            # first term: p^{n-1}(a_1) acting on the value at the tail
-            u, v = p_pow.col(j), q_pow.col(j)
-            act = [(l, k, c) for l, k in slots
-                   if (c := sum(ui * lt[i][l][k] for i, ui in enumerate(u)))]
-            repeat(act, row_base + j * dn * m, m, tail_base)
-            # last term: value at the head acted on by q^{n-1}(a_{n+1})
-            act = [(l, k, sign_last * c) for l, k in slots
-                   if (c := sum(vi * rt[l][i][k] for i, vi in enumerate(v)))]
-            repeat(act, row_base + j * m, d * m, head_base)
-
-        # middle terms: slot i of the output is merged through the product
-        for i in range(1, n + 1):
-            sign = ONE if i % 2 == 0 else -ONE
-            merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
-            merged_base = in_rank[merged] * dn * m
-            tables = [(d, p_rows[x]) for x in beta[: i - 1]]
-            tables.append((d * d, mu_rows[(beta[i - 1], beta[i])]))
-            tables += [(d, q_rows[x]) for x in beta[i + 1 :]]
-            for r_rank, terms in enumerate(_kron(tables)):
-                terms = [(row_base + r * m, sign * c) for r, c in terms]
-                col0 = merged_base + r_rank * m
-                for k in range(m):
-                    cm = colmaps[col0 + k]
-                    for row0, c in terms:
-                        cm[row0 + k] = cm.get(row0 + k, ZERO) + c
-    op = SparseOp(nrows, ncols, colmaps)
+        op = SparseOp.from_dicts(nrows, ncols, colmaps)
+    else:
+        plan = coboundary_plan(b, n)
+        in_width, out_width = d**n * m, d ** (n + 1) * m
+        cols = [[] for _ in range(ncols)]
+        for s, faces in enumerate(plan.faces):
+            col0 = s * in_width
+            for t, key in faces:
+                row0 = t * out_width
+                for c, entries in enumerate(plan.block(b, key), start=col0):
+                    if entries:
+                        cols[c] += [(row0 + r, v) for r, v in entries] if row0 else entries
+        op = SparseOp(nrows, ncols, cols)
     b._cache[cache_key] = op
     return op
 
@@ -596,7 +552,7 @@ def _require_shape(b: OmegaBimodule, f: Cochain):
     if (
         n < 0
         or (f.omega_size, f.dim_in, f.dim_out) != (a.omega.size, a.dim, b.dim_m)
-        or len(f.coords) != a.omega.size**n * a.dim**n * b.dim_m
+        or len(f.coords) != _raw_size(b, n)
     ):
         raise MalformedInputError("cochain does not match the bimodule")
 
@@ -610,25 +566,75 @@ def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
     return Cochain(n + 1, f.omega_size, f.dim_in, f.dim_out, delta_op(b, n).apply_dense(f.coords))
 
 
-def _coboundary_images(b: OmegaBimodule, n: int) -> list:
-    """Raw images of the C^n basis under δ, as sparse dicts, each verified in C^{n+1}.
+def _basis_images(b: OmegaBimodule, n: int, verify: bool = True):
+    """Raw images of the C^n basis under δ, in basis order, as fresh sparse dicts.
 
-    Raises InternalCheckError at the first image that violates a degree-(n+1)
-    constraint (possible at n = 0; see the module docstring).
+    Degree 0 applies :func:`delta_op`.  For n >= 1 the image of basis element
+    (source tuple s, kernel vector k) is, on each output block of s, the
+    product of that pair's block with vector k
+    (:class:`bihomega.blocks.CoboundaryPlan`); δ is never assembled.  With
+    ``verify`` every image is checked against the degree-(n+1) constraints,
+    block by block, before it is yielded (each output block of an image is
+    one product, so its verdict is shared, :func:`_violations`), and
+    InternalCheckError names the lowest basis element whose image leaves
+    C^{n+1} (possible at n = 0; see the module docstring).
     """
     basis = equivariant_basis(b, n)
-    op = delta_op(b, n)
-    images = []
-    for j in range(basis.dim()):
-        image = op.image(basis.cochain_sparse(j))
-        if not _in_subspace(b, n + 1, image):
-            raise InternalCheckError(
-                f"coboundary image of degree-{n} basis element {j} left the "
-                f"equivariant subspace: vector is not in the degree-{n + 1} "
-                f"equivariant subspace"
-            )
-        images.append(image)
-    return images
+    if n == 0:
+        op = delta_op(b, 0)
+        for j in range(basis.dim()):
+            image = op.image(basis.cochain_sparse(j))
+            if verify and not _in_subspace(b, 1, image):
+                raise _left_subspace(n, j)
+            yield image
+        return
+    plan = coboundary_plan(b, n)
+    om = b.base.omega
+    sources, outputs = om.tuples(n), om.tuples(n + 1)
+    out_width = b.base.dim ** (n + 1) * b.dim_m
+    for s, faces in enumerate(plan.faces):
+        vectors = basis.vectors[s]
+        if not vectors:
+            continue
+        sig = _twist_signature(b, sources[s])
+        parts, bad = [], set()
+        for t, key in faces:
+            products = plan.product(b, key, sig, vectors)
+            if verify:
+                bad |= _violations(b, plan, outputs[t], key, sig, products)
+            parts.append((t * out_width, products))
+        for k in range(len(vectors)):
+            if k in bad:
+                raise _left_subspace(n, basis.offsets[s] + k)
+            image: dict = {}
+            for row0, products in parts:
+                for r, v in products[k].items():
+                    image[row0 + r] = v
+            yield image
+
+
+def _violations(b: OmegaBimodule, plan, beta, key: int, sig, products: list) -> frozenset:
+    """Indices of ``products`` (pair key number ``key``, source signature
+    ``sig``) that violate the constraints of output block ``beta``, kept in
+    ``plan.failures`` per (output signature, key, source signature).  Zero
+    products satisfy every constraint, so when all are zero none is built."""
+    if not any(products):
+        return frozenset()
+    verdict_key = (_twist_signature(b, beta), key, sig)
+    hit = plan.failures.get(verdict_key)
+    if hit is None:
+        by_col = _constraint_columns(b, beta)
+        bad = frozenset(k for k, vec in enumerate(products) if _violates(by_col, vec))
+        hit = plan.failures[verdict_key] = bad
+    return hit
+
+
+def _left_subspace(n: int, j: int) -> InternalCheckError:
+    return InternalCheckError(
+        f"coboundary image of degree-{n} basis element {j} left the "
+        f"equivariant subspace: vector is not in the degree-{n + 1} "
+        f"equivariant subspace"
+    )
 
 
 def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
@@ -642,7 +648,7 @@ def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
     if hit is not None:
         return hit
     dst = equivariant_basis(b, n + 1)
-    cols = [dst.coords_of(image) for image in _coboundary_images(b, n)]
+    cols = [dst.coords_of(image) for image in _basis_images(b, n)]
     result = Mat.from_cols(cols, nrows=dst.dim()) if cols else Mat.zeros(dst.dim(), 0)
     b._cache[cache_key] = result
     return result
@@ -722,8 +728,9 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
     """Cocycle/coboundary/cohomology dimensions for degrees 0..max_degree.
 
     rank(δ_k on C^k) is taken once per degree on the raw images of the
-    C^k basis, each verified to satisfy the degree-(k+1) constraints, so no
-    basis of C^{max_degree+1} is built.
+    C^k basis, streamed from :func:`_basis_images` and each verified to
+    satisfy the degree-(k+1) constraints, so no basis of C^{max_degree+1}
+    and, for k >= 1, no matrix of δ_k is built.
 
     Raises InternalCheckError when degree-0 coboundaries are not 1-cocycles
     (possible for valid inputs; see the module docstring): reporting a
@@ -750,7 +757,7 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
                     "the complex is inconsistent on this input"
                 )
     ranks = [sparse_rank(images0)]
-    ranks += [sparse_rank(_coboundary_images(b, k)) for k in range(1, max_degree + 1)]
+    ranks += [sparse_rank(_basis_images(b, k)) for k in range(1, max_degree + 1)]
     if b1_dim is None and max_degree >= 1 and any(delta_op(b, 1).image(g) for g in images0):
         raise InternalCheckError(
             "degree-0 coboundaries are not 1-cocycles; "
@@ -787,6 +794,19 @@ def degree0_sound(b: OmegaBimodule) -> bool:
     if not all(_in_subspace(b, 1, img) for img in images):
         images = _image_intersection_generators(b)
     return not any(op1.image(img) for img in images)
+
+
+def dd_zero_witness(b: OmegaBimodule, degrees) -> tuple | None:
+    """The first (n, j), over the given degrees n in order, such that
+    δ_{n+1} δ_n is not zero on basis cochain j of C^n; None when there is
+    none.  Raw coordinates, so a degree-0 image outside C^1 still counts."""
+    for n in degrees:
+        basis = equivariant_basis(b, n)
+        op_n, op_next = delta_op(b, n), delta_op(b, n + 1)
+        for j in range(basis.dim()):
+            if op_next.image(op_n.image(basis.cochain_sparse(j))):
+                return n, j
+    return None
 
 
 def is_cocycle(b: OmegaBimodule, f: Cochain) -> bool:

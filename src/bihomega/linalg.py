@@ -195,6 +195,30 @@ def commutes(a: Mat, b: Mat) -> bool:
     return a.mul(b) == b.mul(a)
 
 
+# -- sparse tensor products ----------------------------------------------
+
+
+def _supports(mat: Mat, by_col: bool = False) -> list:
+    """Sparse rows (or columns) of a square matrix: [[(index, nonzero)]]."""
+    line = mat.col if by_col else mat.row
+    return [[(i, v) for i, v in enumerate(line(j)) if v] for j in range(mat.rows)]
+
+
+def _kron(tables) -> list:
+    """Sparse Kronecker products, one per index tuple (j_1..j_k) in lex order.
+
+    ``tables[s] = (width, entries)``: ``entries[j]`` is the sparse vector
+    [(position, coeff)] that index j selects at slot s.  A product is
+    [(mixed-radix rank of the positions, coeff)]; tuples that share a prefix
+    share its partial product, and only nonzeros are visited.
+    """
+    prods = [[(0, ONE)]]
+    for width, entries in tables:
+        prods = [[(r * width + p, c * v) for r, c in prod for p, v in entry]
+                 for prod in prods for entry in entries]
+    return prods
+
+
 # -- sparse elimination core ---------------------------------------------
 
 

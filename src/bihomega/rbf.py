@@ -25,10 +25,12 @@ literal subset enumeration is kept as the oracle in ``tests/oracles.py``.
 The combined complex runs on sparse images.  For each degree the images of
 the combined basis under d are cached as sparse dicts over the raw target
 coordinates (source in equivariant bases), which stays well-defined even
-when a degree-0 image leaves the equivariant subspace.  Cohomology tables
-take one forward elimination on them per degree, and kernels and solves
-transpose them into sparse rows; no dense matrix is built.  Membership of
-images is still checked where the theory promises it.
+when a degree-0 image leaves the equivariant subspace.  Their delta and
+partial parts are assembled from the block products that the single
+tables of the two bimodules cached, so no coboundary is applied twice.
+Cohomology tables take one forward elimination on them per degree, and
+kernels and solves transpose them into sparse rows; no dense matrix is
+built.  Membership of images is still checked where the theory promises it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from .cochain import (
     DegreeRow,
     EquivariantBasis,
     SparseOp,
+    _basis_images,
     _in_subspace,
+    _raw_size,
     _require_shape,
     apply_delta,
     cohomology_dims,
@@ -136,7 +140,7 @@ def phi_op(ctx: RbfContext, n: int) -> SparseOp:
     if hit is not None:
         return hit
     om, d, m = ctx.dims()
-    size = om.size**n * d**n * m
+    size = _raw_size(ctx.bimodule, n)
     if n == 0:
         colmaps = [{l: ONE} for l in range(m)]
     else:
@@ -163,7 +167,7 @@ def phi_op(ctx: RbfContext, n: int) -> SparseOp:
                             row = (base + i) * m + k
                             col[row] = col.get(row, 0) - c * v
                     colmaps.append(col)
-    op = SparseOp(size, size, colmaps)
+    op = SparseOp.from_dicts(size, size, colmaps)
     ctx._cache[("phi_op", n)] = op
     return op
 
@@ -285,23 +289,24 @@ def _combined_images(ctx: RbfContext, n: int) -> list:
     Target coordinates: the raw C^{n+1}, then the raw C^n shifted by its
     length.  Sources: (delta e, -phi e) for each basis cochain e of C^n
     (C^0 = M), then (0, -partial e) for each basis cochain e of C^{n-1}.
+    The delta and partial parts are the unverified basis images of the
+    algebra and star bimodules (:func:`bihomega.cochain._basis_images`), so
+    the block products their tables cached are reused, not recomputed.
     """
     hit = ctx._cache.get(("combined_images", n))
     if hit is not None:
         return hit
-    alg_op, to_rbf = delta_op(ctx.bimodule, n), phi_op(ctx, n)
-    shift = alg_op.nrows
-    images = []
+    to_rbf = phi_op(ctx, n)
+    shift = _raw_size(ctx.bimodule, n + 1)
     basis = ctx.basis(n)
-    for j in range(basis.dim()):
-        e = basis.cochain_sparse(j)
-        image = alg_op.image(e)
-        image.update((shift + i, -v) for i, v in to_rbf.image(e).items())
+    images = []
+    for j, image in enumerate(_basis_images(ctx.bimodule, n, verify=False)):
+        image.update((shift + i, -v) for i, v in to_rbf.image(basis.cochain_sparse(j)).items())
         images.append(image)
     if n >= 1:
-        rbf_op, basis = delta_op(ctx.star_bimodule(), n - 1), ctx.basis(n - 1)
-        for j in range(basis.dim()):
-            images.append({shift + i: -v for i, v in rbf_op.image(basis.cochain_sparse(j)).items()})
+        ctx.basis(n - 1)  # the star bimodule shares the algebra bimodule's basis
+        for image in _basis_images(ctx.star_bimodule(), n - 1, verify=False):
+            images.append({shift + i: -v for i, v in image.items()})
     ctx._cache[("combined_images", n)] = images
     return images
 
@@ -309,8 +314,8 @@ def _combined_images(ctx: RbfContext, n: int) -> list:
 def _combined_rows(ctx: RbfContext, n: int) -> list:
     """The degree-n combined differential as sparse rows, one per raw target
     coordinate, over the combined basis coordinates."""
-    op = delta_op(ctx.bimodule, n)
-    rows = [dict() for _ in range(op.nrows + op.ncols)]
+    b = ctx.bimodule
+    rows = [dict() for _ in range(_raw_size(b, n + 1) + _raw_size(b, n))]
     for j, image in enumerate(_combined_images(ctx, n)):
         for i, v in image.items():
             rows[i][j] = v
@@ -320,7 +325,7 @@ def _combined_rows(ctx: RbfContext, n: int) -> list:
 def _in_combined_target(ctx: RbfContext, n: int, image: dict) -> bool:
     """Does a raw combined image lie in C^{n+1}_alg (+) C^n_rbf?"""
     b = ctx.bimodule
-    shift = delta_op(b, n).nrows
+    shift = _raw_size(b, n + 1)
     alg = {i: v for i, v in image.items() if i < shift}
     rbf = {i - shift: v for i, v in image.items() if i >= shift}
     return _in_subspace(b, n + 1, alg) and _in_subspace(b, n, rbf)
@@ -393,19 +398,20 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
     """partial^n o phi^n = phi^{n+1} o delta^n on every basis cochain.
 
     Both compositions are compared as sparse raw images (equality as linear
-    maps on C^n), degree by degree from 0 to max_degree.  The witness names
-    the degree, the basis cochain, the first raw index where they differ and
-    both values there (zero where an image has no entry).
+    maps on C^n), degree by degree from 0 to max_degree; delta^n e is the
+    basis image of :func:`bihomega.cochain._basis_images`, from the block
+    products the tables share.  The witness names the degree, the basis
+    cochain, the first raw index where they differ and both values there
+    (zero where an image has no entry).
     """
-    b, sb = ctx.bimodule, ctx.star_bimodule()
+    sb = ctx.star_bimodule()
     for n in range(max_degree + 1):
         basis = ctx.basis(n)
-        alg_op, star_op = delta_op(b, n), delta_op(sb, n)
+        star_op = delta_op(sb, n)
         phi_n, phi_next = phi_op(ctx, n), phi_op(ctx, n + 1)
-        for j in range(basis.dim()):
-            e = basis.cochain_sparse(j)
-            lhs = star_op.image(phi_n.image(e))
-            rhs = phi_next.image(alg_op.image(e))
+        for j, image in enumerate(_basis_images(ctx.bimodule, n, verify=False)):
+            lhs = star_op.image(phi_n.image(basis.cochain_sparse(j)))
+            rhs = phi_next.image(image)
             if lhs != rhs:
                 idx = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i, ZERO) != rhs.get(i, ZERO))
                 return Witness("chain-map", (n,), (j, idx), (lhs.get(idx, ZERO),), (rhs.get(idx, ZERO),))

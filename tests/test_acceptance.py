@@ -27,6 +27,7 @@ from bihomega.cochain import (
     Cochain,
     apply_delta,
     cohomology_dims,
+    dd_zero_witness,
     delta_op,
     equivariant_basis,
     random_equivariant,
@@ -80,26 +81,23 @@ def dd_zero_raw(b, source_degrees):
     coordinate checks.
     """
     for n in source_degrees:
-        basis = equivariant_basis(b, n)
-        op_n = delta_op(b, n)
-        op_next = delta_op(b, n + 1)
-        if n == 0:
-            basis1 = equivariant_basis(b, 1)
-            clean = True
-            for j in range(basis.dim()):
-                image = op_n.apply_sparse(basis.cochain_sparse(j))
-                try:
-                    basis1.coords_of(image)
-                except InternalCheckError:
-                    clean = False
-                    break
-                assert not any(op_next.apply_dense(image)), (n, j)
-            if not clean:
-                cohomology_dims(b, 1)  # asserts the defined part is killed
+        if n >= 1:
+            witness = dd_zero_witness(b, [n])
+            assert witness is None, witness
             continue
+        basis, basis1 = equivariant_basis(b, 0), equivariant_basis(b, 1)
+        op_0, op_1 = delta_op(b, 0), delta_op(b, 1)
+        clean = True
         for j in range(basis.dim()):
-            image = op_n.apply_sparse(basis.cochain_sparse(j))
-            assert not any(op_next.apply_dense(image)), (n, j)
+            image = op_0.apply_sparse(basis.cochain_sparse(j))
+            try:
+                basis1.coords_of(image)
+            except InternalCheckError:
+                clean = False
+                break
+            assert not any(op_1.apply_dense(image)), (n, j)
+        if not clean:
+            cohomology_dims(b, 1)  # asserts the defined part is killed
 
 
 def dd_zero_matrices(b, max_source: int):

@@ -18,7 +18,7 @@ from oracles import (
     is_equivariant_oracle,
 )
 
-from bihomega import cochain, samples
+from bihomega import blocks, cochain, samples
 from bihomega.algebra import OmegaAlgebra, zero_algebra
 from bihomega.bimodule import OmegaBimodule, regular_bimodule, validate_bimodule, zero_bimodule
 from bihomega.cochain import (
@@ -26,6 +26,7 @@ from bihomega.cochain import (
     apply_delta,
     cochain_from_maps,
     cohomology_dims,
+    dd_zero_witness,
     delta_matrix,
     delta_op,
     equivariant_basis,
@@ -222,13 +223,7 @@ def test_dd_zero_on_fixative_structures(e1_regular, e1_ctx, c2_ctx):
     sd = samples.build_e1_semidirect()
     cases = [e1_regular, regular_bimodule(sd), c2_ctx.bimodule]
     for b in cases:
-        for n in range(0, 3):
-            basis = equivariant_basis(b, n)
-            op_n = delta_op(b, n)
-            op_next = delta_op(b, n + 1)
-            for j in range(basis.dim()):
-                img = op_n.apply_sparse(basis.cochain_sparse(j))
-                assert not any(op_next.apply_dense(img))
+        assert dd_zero_witness(b, range(0, 3)) is None
 
 
 def test_delta_linearity(e1_regular):
@@ -293,13 +288,7 @@ def test_random_pairs_dd_zero():
     rng = random.Random(77)
     for _ in range(8):
         a, b = samples.random_valid_pair(rng)
-        for n in range(0, 3):
-            basis = equivariant_basis(b, n)
-            op_n = delta_op(b, n)
-            op_next = delta_op(b, n + 1)
-            for j in range(basis.dim()):
-                img = op_n.apply_sparse(basis.cochain_sparse(j))
-                assert not any(op_next.apply_dense(img))
+        assert dd_zero_witness(b, range(0, 3)) is None
 
 
 def test_dim_m_zero_everywhere_trivial(e1):
@@ -346,6 +335,7 @@ def test_degree_zero_composite_can_fail_on_valid_input():
             assert not apply_delta(b, f1).is_zero()
             witnessed = True
     assert witnessed
+    assert dd_zero_witness(b, range(0, 3))[0] == 0
     with pytest.raises(InternalCheckError):
         cohomology_dims(b, 2)
 
@@ -404,26 +394,42 @@ def test_ladder_tables_pinned_without_a_basis_past_max_degree():
         assert ("equivariant_basis", len(want)) not in b._cache, name
 
 
-def test_cohomology_dims_still_verifies_coboundary_images(monkeypatch):
-    """A δ whose image of one basis cochain leaves C^{n+1} is refused."""
+def test_cohomology_dims_still_verifies_coboundary_images():
+    """A shared block of δ_2 corrupted so that some images leave C^3 is
+    refused, and the message names the degree and the lowest basis element
+    whose image leaves, found here by scanning the basis through delta_op,
+    which is assembled from the same corrupted block."""
     a = samples.build_c2_example(0)
     b = regular_bimodule(a)
     n = 2
-    real_op = delta_op(b, n)
+    basis = equivariant_basis(b, n)
+    plan = blocks.coboundary_plan(b, n)
+    owners: dict = {}  # pair key -> source tuples, in order
+    for s, faces in enumerate(plan.faces):
+        for _, key in faces:
+            owners.setdefault(key, []).append(s)
+    # a key shared by several pairs whose first source is not tuple 0
+    key, sources = next((k, v) for k, v in owners.items() if len(v) > 1 and v[0] > 0)
+    width = a.dim ** (n + 1) * b.dim_m
+    t = a.omega.tuples(n + 1).index(list(plan.reps.values())[key])
 
     def unit(r):
         f = Cochain.zero(n + 1, a.omega.size, a.dim, b.dim_m)
-        f.coords[r] = ONE
+        f.coords[t * width + r] = ONE
         return f
 
-    outside = next(r for r in range(real_op.nrows) if not is_equivariant(b, unit(r)))
-    free = equivariant_basis(b, n).frees[0][0]  # nonzero in basis cochain 0 only
-    cols = [dict(entries) for entries in real_op.cols]
-    cols[free][outside] = cols[free].get(outside, 0) + 1
-    broken = cochain.SparseOp(real_op.nrows, real_op.ncols, cols)
-    real_delta_op = cochain.delta_op
-    monkeypatch.setattr(cochain, "delta_op", lambda bb, k: broken if k == n else real_delta_op(bb, k))
-    with pytest.raises(InternalCheckError, match="degree-2 basis element 0 left the equivariant"):
+    outside = next(r for r in range(width) if not is_equivariant(b, unit(r)))
+    column = basis.frees[sources[0]][0]  # nonzero in one kernel vector of the source only
+    block = plan.block(b, key)
+    entries = dict(block[column])
+    entries[outside] = entries.get(outside, 0) + 1
+    block[column] = list(entries.items())
+    op = delta_op(b, n)
+    leaving = [j for j in range(basis.dim())
+               if not is_equivariant(b, Cochain(n + 1, a.omega.size, a.dim, b.dim_m,
+                                                op.apply_sparse(basis.cochain_sparse(j))))]
+    assert len(leaving) > 1 and leaving[0] > 0
+    with pytest.raises(InternalCheckError, match=f"degree-2 basis element {leaving[0]} left the equivariant"):
         cohomology_dims(b, 3)
 
 
@@ -499,6 +505,20 @@ class _Formal(dict):
         return -self + other
 
 
+def _oracle_columns(b, n) -> list:
+    """Every column of delta_direct_oracle at degree n, as {row: coeff}
+    dicts, from one formal call."""
+    om, d, m = b.base.omega, b.base.dim, b.dim_m
+    ncols = om.size**n * d**n * m
+    generic = Cochain(n, om.size, d, m, [_Formal({j: 1}) for j in range(ncols)])
+    columns = [{} for _ in range(ncols)]
+    for i, entry in enumerate(delta_direct_oracle(b, generic).coords):
+        assert isinstance(entry, _Formal) or entry == 0
+        for j, v in (entry.items() if entry else ()):
+            columns[j][i] = v
+    return columns
+
+
 _SMALL = [0, 0, 0, 1, -1, 2, 3]
 _NON_UNIT = [2, -1, Rat(1, 3)]
 _THIRDS = [0, 1, -1, 2, Rat(1, 3), Rat(-2, 3)]
@@ -562,14 +582,7 @@ def test_delta_op_and_equivariance_match_oracles_on_twisted_carriers(case):
     b, raw = case
     om, d, m = b.base.omega, b.base.dim, b.dim_m
     for n in range(4 if (d, m) == (2, 1) else 3):
-        op = delta_op(b, n)
-        generic = Cochain(n, om.size, d, m, [_Formal({j: 1}) for j in range(op.ncols)])
-        columns = [{} for _ in range(op.ncols)]
-        for i, entry in enumerate(delta_direct_oracle(b, generic).coords):
-            assert isinstance(entry, _Formal) or entry == 0
-            for j, v in (entry.items() if entry else ()):
-                columns[j][i] = v
-        assert [dict(col) for col in op.cols] == columns
+        assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
     if m == d:
         assert is_equivariant(b, identity_cochain(b.base)) and is_equivariant_oracle(b, identity_cochain(b.base))
     for n, coords in enumerate(raw, start=1):
@@ -768,11 +781,7 @@ def test_constraint_rows_built_once_per_twist_signature(monkeypatch):
 def test_dd_zero_from_degree_one_on_random_pairs(seed):
     """δ_{n+1} ∘ δ_n = 0 on C^n for n = 1, 2, 3 on a seeded random valid pair."""
     a, b = samples.random_valid_pair(random.Random(seed))
-    for n in (1, 2, 3):
-        basis = equivariant_basis(b, n)
-        op_n, op_next = delta_op(b, n), delta_op(b, n + 1)
-        for j in range(basis.dim()):
-            assert not op_next.image(op_n.image(basis.cochain_sparse(j)))
+    assert dd_zero_witness(b, (1, 2, 3)) is None
 
 
 def test_is_equivariant_refuses_a_cochain_of_another_shape(e1_regular):
@@ -786,3 +795,149 @@ def test_is_equivariant_refuses_a_cochain_of_another_shape(e1_regular):
     ):
         with pytest.raises(MalformedInputError, match="does not match"):
             is_equivariant(e1_regular, f)
+
+
+def _assert_basis_images_match_delta_op(b, n):
+    """The basis images of the tables equal delta_op on every basis cochain
+    of C^n.  Verified, they are refused exactly when some image leaves
+    C^{n+1} (is_equivariant on the dense image), naming the lowest one."""
+    om, d, m = b.base.omega, b.base.dim, b.dim_m
+    basis, op = equivariant_basis(b, n), delta_op(b, n)
+    want = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
+    assert list(cochain._basis_images(b, n, verify=False)) == want
+    leaving = [j for j in range(basis.dim())
+               if not is_equivariant(b, Cochain(n + 1, om.size, d, m, op.apply_sparse(basis.cochain_sparse(j))))]
+    if leaving:
+        with pytest.raises(InternalCheckError, match=f"degree-{n} basis element {leaving[0]} left"):
+            list(cochain._basis_images(b, n))
+    else:
+        assert list(cochain._basis_images(b, n)) == want
+
+
+def _assert_verdicts_match_is_equivariant(b, n):
+    """Each membership verdict of the degree-n plan, shared per (output
+    signature, pair key, source signature), equals is_equivariant on the
+    product placed at that face's own output block, face by face."""
+    om, d, m = b.base.omega, b.base.dim, b.dim_m
+    basis, plan = equivariant_basis(b, n), blocks.coboundary_plan(b, n)
+    width = d ** (n + 1) * m
+    for s, faces in enumerate(plan.faces):
+        vectors = basis.vectors[s]
+        if not vectors:
+            continue
+        sig = cochain._twist_signature(b, om.tuples(n)[s])
+        for t, key in faces:
+            products = plan.product(b, key, sig, vectors)
+            want = set()
+            for k, product in enumerate(products):
+                f = Cochain.zero(n + 1, om.size, d, m)
+                for r, v in product.items():
+                    f.coords[t * width + r] = v
+                if not is_equivariant(b, f):
+                    want.add(k)
+            assert cochain._violations(b, plan, om.tuples(n + 1)[t], key, sig, products) == want, (n, s, t)
+
+
+def _sign_carrier():
+    """An unvalidated carrier over Z/3 with d = m = 1: product, actions and
+    A's twists all 1, and M's twists 1, 1, -1 at 0, 1, 2.  Face terms with
+    equal pair keys and source signatures land in output blocks whose
+    products 1 and 2 give different constraints."""
+    omega = cyclic_monoid(3)
+    one = [[[ONE]]]
+    pairs = [(x, y) for x in omega.elements() for y in omega.elements()]
+    ident = {x: Mat.identity(1) for x in omega.elements()}
+    a = OmegaAlgebra(omega, 1, {key: one for key in pairs}, ident, dict(ident))
+    signs = {x: Mat(1, 1, [-ONE if x == 2 else ONE]) for x in omega.elements()}
+    return OmegaBimodule(a, 1, {key: one for key in pairs}, {key: one for key in pairs}, signs, dict(signs))
+
+
+def test_membership_verdicts_are_per_output_signature():
+    """On the sign carrier some (pair key, source signature) meets output
+    blocks of different signatures with different verdicts; every verdict
+    matches is_equivariant, and the images are refused at the lowest basis
+    element that leaves C^{n+1}."""
+    b = _sign_carrier()
+    for n in (1, 2, 3):
+        _assert_verdicts_match_is_equivariant(b, n)
+        _assert_basis_images_match_delta_op(b, n)
+        assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
+    verdicts: dict = {}
+    for (_, key, sig), bad in blocks.coboundary_plan(b, 2).failures.items():
+        verdicts.setdefault((key, sig), set()).add(frozenset(bad))
+    assert any(len(v) > 1 for v in verdicts.values())
+
+
+@settings(
+    derandomize=True,
+    max_examples=30,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_pooled_carriers())
+def test_coboundary_blocks_match_oracles_on_pooled_carriers(case):
+    """δ assembled from blocks shared by pair key equals delta_direct_oracle
+    column by column at degrees 1-3 (1-2 when d * m > 2), on carriers whose
+    structure data repeat across monoid elements; the basis images of the
+    tables equal delta_op on every basis cochain, and their membership
+    verdicts match is_equivariant image by image."""
+    b = case[0]
+    for n in range(1, 4 if b.base.dim * b.dim_m <= 2 else 3):
+        assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
+        _assert_basis_images_match_delta_op(b, n)
+
+
+def test_coboundary_blocks_match_oracles_on_named_inputs():
+    """c2 variants 0-3, the e1 semidirect product and the star bimodule of
+    the c2 Rota-Baxter context: delta_op equals delta_direct_oracle column by
+    column to degree 2, and the basis images equal delta_op to degree 4."""
+    cases = [regular_bimodule(samples.build_c2_example(v)) for v in range(4)]
+    cases += [regular_bimodule(samples.build_e1_semidirect()), samples.c2_rbf_context().star_bimodule()]
+    for b in cases:
+        for n in (1, 2):
+            assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
+        for n in range(1, 5):
+            _assert_basis_images_match_delta_op(b, n)
+
+
+def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
+    """On c2 variant 0 at degree 4, δ has 111 pairs (output tuple, source
+    tuple) but 24 distinct pair keys; the tables and delta_op together
+    compile one block per key, in one pass."""
+    b = regular_bimodule(samples.build_c2_example(0))
+    compiled = []
+    original = blocks.compile_blocks
+
+    def counting(bb, n, reps):
+        if n == 4:
+            compiled.append(len(reps))
+        return original(bb, n, reps)
+
+    monkeypatch.setattr(blocks, "compile_blocks", counting)
+    cohomology_dims(b, 4)
+    delta_op(b, 4)
+    plan = blocks.coboundary_plan(b, 4)
+    numbers = [key for faces in plan.faces for _, key in faces]
+    assert len(numbers) == 111
+    assert len(set(numbers)) == len(plan.reps) == 24
+    assert compiled == [24]
+
+
+def test_cochain_sparse_matches_per_tuple_expansion():
+    """Basis element j of the c2 degree-3 basis, located by bisection on the
+    offsets, equals the j-th vector of a walk over the tuples' blocks, as it
+    does on a basis with empty blocks (at the start, between and at the
+    end); indices outside the basis are refused."""
+    c2_basis = equivariant_basis(regular_bimodule(samples.build_c2_example(0)), 3)
+    vectors = [[], [{0: ONE}], [], [], [{0: ONE}, {1: Rat(2)}], []]
+    gappy = cochain.EquivariantBasis(1, 6, 1, 2, 2, vectors, [[], [0], [], [], [0, 1], []], [0, 0, 1, 1, 1, 3, 3])
+    for basis in (c2_basis, gappy):
+        walk = [{t * basis.block_size + c: v for c, v in vec.items()}
+                for t, vectors in enumerate(basis.vectors) for vec in vectors]
+        assert len(walk) == basis.dim()
+        assert [basis.cochain_sparse(j) for j in range(basis.dim())] == walk
+        for j in (-1, basis.dim()):
+            with pytest.raises(MalformedInputError, match="out of range"):
+                basis.cochain_sparse(j)
+    assert c2_basis.dim() == 64 and gappy.cochain_sparse(2) == {9: Rat(2)}

@@ -7,13 +7,22 @@ For the regular bimodules of c2 variant 0 (degrees 0-4) and the e1
 semidirect product (degrees 0-5), each repeat starts from a fresh bimodule
 and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 
-* ``basis``  -- ``equivariant_basis`` of C^k;
-* ``compile`` -- compiling ``delta_op`` at k;
-* ``apply``  -- applying it to the C^k basis (raw images as sparse dicts);
-* ``verify`` -- the membership test of every raw image in C^{k+1}, which
+* ``basis``    -- ``equivariant_basis`` of C^k;
+* ``plan``     -- the pair keys of δ_k (``blocks.coboundary_plan``);
+* ``blocks``   -- compiling one block per distinct pair key (at k = 0,
+  compiling ``delta_op``, which keeps its own formula there);
+* ``products`` -- each block times the kernel of each source twist
+  signature, once per (pair key, source signature);
+* ``verify``   -- the membership verdict of each product in its output
+  block, once per (output signature, pair key, source signature), which
   includes building the degree-(k+1) constraint rows (the basis of C^{k+1}
-  then reuses them, so ``basis`` is only the kernel for k >= 1);
-* ``rank``   -- one forward elimination on the raw images.
+  then reuses them, so ``basis`` is only the kernel for k >= 1); at k = 0,
+  the membership test of every image in C^1;
+* ``assemble`` -- the raw basis images from the cached products (the
+  tables stream them into the rank, with the cached verdicts; here they are
+  kept to time the rank alone); at k = 0, applying ``delta_op`` to the C^0
+  basis;
+* ``rank``     -- one forward elimination on the raw images.
 
 For the combined complex of ``samples.c2_rbf_context()`` (degrees 0-5),
 each repeat starts from a fresh context, runs the two single complexes as
@@ -21,9 +30,10 @@ each repeat starts from a fresh context, runs the two single complexes as
 then times per degree the stages of the combined table:
 
 * ``phi_op`` -- compiling the comparison map on C^k;
-* ``images`` -- building the sparse combined images of degree k, with the
-  membership test of each degree-0 image in C^1 (+) C^0 (``inside``; the
-  tables check no other degree);
+* ``images`` -- building the sparse combined images of degree k from the
+  block products the single tables cached, with the membership test of
+  each degree-0 image in C^1 (+) C^0 (``inside``; the tables check no
+  other degree);
 * ``rank``   -- one forward elimination on those images.
 
 Each figure is the median over the repeats, in unscaled seconds.
@@ -44,15 +54,63 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from bihomega import samples
 from bihomega.bimodule import regular_bimodule
-from bihomega.cochain import _in_subspace, cohomology_dims, delta_op, equivariant_basis
+from bihomega.blocks import coboundary_plan
+from bihomega.cochain import (
+    _basis_images,
+    _in_subspace,
+    _twist_signature,
+    _violations,
+    cohomology_dims,
+    delta_op,
+    equivariant_basis,
+)
 from bihomega.linalg import sparse_rank
 from bihomega.rationals import RAT_BACKEND
 from bihomega.rbf import RbfContext, _combined_images, _in_combined_target, phi_op
 
-CASES = (("c2_variant0", lambda: samples.build_c2_example(0), 4), ("semidirect", samples.build_e1_semidirect, 5))
-STAGES = ("basis", "compile", "apply", "verify", "rank")
+CASES = (
+    ("c2_variant0", lambda: samples.build_c2_example(0), 4),
+    ("semidirect", samples.build_e1_semidirect, 5),
+)
+STAGES = ("basis", "plan", "blocks", "products", "verify", "assemble", "rank")
 COMBINED_STAGES = ("phi_op", "images", "rank")
 COMBINED_MAX_DEGREE = 5
+
+
+def degree_zero(b, clock) -> tuple:
+    """(seconds per stage, images, inside) of degree 0, where δ keeps its own formula."""
+    t0 = clock()
+    op = delta_op(b, 0)
+    t1 = clock()
+    images = [op.image({l: 1}) for l in range(b.dim_m)]
+    t2 = clock()
+    inside = all(_in_subspace(b, 1, img) for img in images)
+    t3 = clock()
+    stages = {"plan": 0.0, "blocks": t1 - t0, "products": 0.0, "verify": t3 - t2, "assemble": t2 - t1}
+    return stages, images, inside
+
+
+def degree_k(b, k: int, basis, clock) -> tuple:
+    """(seconds per stage, images, inside) of degree k >= 1, stage by stage."""
+    tuples_in, tuples_out = b.base.omega.tuples(k), b.base.omega.tuples(k + 1)
+    t0 = clock()
+    plan = coboundary_plan(b, k)
+    t1 = clock()
+    for key in range(len(plan.reps)):  # the first call compiles every block
+        plan.block(b, key)
+    t2 = clock()
+    work = []
+    for s, faces in enumerate(plan.faces):
+        if basis.vectors[s]:
+            sig = _twist_signature(b, tuples_in[s])
+            work += [(t, key, sig, plan.product(b, key, sig, basis.vectors[s])) for t, key in faces]
+    t3 = clock()
+    inside = not any([_violations(b, plan, tuples_out[t], key, sig, prods) for t, key, sig, prods in work])
+    t4 = clock()
+    images = list(_basis_images(b, k, verify=False))  # verdicts were taken above
+    t5 = clock()
+    return {"plan": t1 - t0, "blocks": t2 - t1, "products": t3 - t2, "verify": t4 - t3,
+            "assemble": t5 - t4}, images, inside
 
 
 def one_pass(a, max_degree: int) -> list:
@@ -63,16 +121,12 @@ def one_pass(a, max_degree: int) -> list:
         t0 = clock()
         basis = equivariant_basis(b, k)
         t1 = clock()
-        op = delta_op(b, k)
+        stages, images, inside = degree_zero(b, clock) if k == 0 else degree_k(b, k, basis, clock)
         t2 = clock()
-        images = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
-        t3 = clock()
-        inside = all(_in_subspace(b, k + 1, img) for img in images)
-        t4 = clock()
         r = sparse_rank(images)
-        t5 = clock()
+        t3 = clock()
         rows.append({"degree": k, "dim": basis.dim(), "rank": r, "inside": inside, "basis": t1 - t0,
-                     "compile": t2 - t1, "apply": t3 - t2, "verify": t4 - t3, "rank_s": t5 - t4})
+                     **stages, "rank_s": t3 - t2})
     return rows
 
 
@@ -117,7 +171,7 @@ def main() -> int:
     for name, build, max_degree in CASES:
         a = build()
         runs = [one_pass(a, max_degree) for _ in range(max(1, args.repeats))]
-        out["cases"][name] = median_table(runs, max_degree, STAGES, ("basis", "compile", "apply", "verify", "rank_s"))
+        out["cases"][name] = median_table(runs, max_degree, STAGES, STAGES[:-1] + ("rank_s",))
     ctx = samples.c2_rbf_context()
     passes = [combined_pass(ctx.algebra, ctx.rb, COMBINED_MAX_DEGREE) for _ in range(max(1, args.repeats))]
     out["cases"]["c2_rbf_combined"] = {
