@@ -20,7 +20,12 @@ product and entries, so they are cached per twist signature
 of rows and one kernel.  That kernel is the basis of C^n
 (:func:`equivariant_basis`), and applying the rows to a raw vector is the
 one membership test (:func:`_in_subspace`), behind :func:`is_equivariant`
-and every check that a coboundary image lies in C^{n+1}.
+and every check that a coboundary image lies in C^{n+1}.  A map pair that
+is the identity at the product and at every entry builds no rows (its
+constraint reads f = f), and the rows are kept sorted by their largest
+column, descending, so that the kernel's elimination, which pivots at the
+smallest column, meets the rows that reach the free columns first; the
+RREF is unique, so the order changes the work, never the basis.
 
 The coboundary has one implementation for n >= 1: the blocks of
 :mod:`bihomega.blocks`, one per *pair key* (the structure classes of the
@@ -413,7 +418,9 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     (:func:`_twist_signature`), since both the basis and the membership test
     :func:`_in_subspace` apply them and tuples with equal signatures share
     them.  Per argument tuple, in lex order, the slot-map part is the
-    Kronecker product of the slot maps' columns at the arguments.
+    Kronecker product of the slot maps' columns at the arguments.  Identity
+    map pairs build no rows, and the rows are sorted by largest column,
+    descending (see the module docstring).
     """
     cache_key = ("constraint_rows", _twist_signature(b, om_tuple))
     hit = b._cache.get(cache_key)
@@ -425,6 +432,8 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     rows = []
     for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)):
         big = mmaps[prod]
+        if big.is_identity() and all(amaps[x].is_identity() for x in om_tuple):
+            continue
         big_rows = [[(l, v) for l, v in enumerate(big.row(k)) if v] for k in range(m)]
         tables = [(a.dim, _supports(amaps[x], by_col=True)) for x in om_tuple]
         for arg_rank, slot_part in enumerate(_kron(tables)):
@@ -438,6 +447,7 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
                     else:
                         row.pop(col, None)
             rows.extend(r for r in row_of if r)
+    rows.sort(key=max, reverse=True)
     b._cache[cache_key] = rows
     return rows
 

@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import FIXTURES, ROOT, fixture_path
+from generators import random_valid_algebra, random_valid_pair
 from oracles import (
     delta_direct_oracle,
     partial_expanded_oracle,
@@ -136,7 +137,7 @@ def test_criterion_01_dd_zero():
         rng = random.Random(20240817)
         drawn = 0
         while drawn < 50:
-            a, b = samples.random_valid_pair(rng)
+            a, b = random_valid_pair(rng)
             assert a.dim <= 3 and b.dim_m <= 2 and a.omega.size <= 2
             from bihomega.cochain import degree0_sound
 
@@ -153,7 +154,7 @@ def test_criterion_02_graded_lie_laws():
     with criterion(2, "graded skew-symmetry and Jacobi on 100 random triples", 120.0):
         rng = random.Random(424242)
         for trial in range(100):
-            a = samples.random_valid_algebra(rng, max_dim=2)
+            a = random_valid_algebra(rng, max_dim=2)
             reg = regular_bimodule(a)
             nf, ng, nh = (rng.randint(1, 3) for _ in range(3))
             f = random_equivariant(reg, nf, rng)

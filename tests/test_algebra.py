@@ -2,6 +2,7 @@ import random
 from itertools import product
 
 import pytest
+from generators import random_valid_algebra
 from oracles import algebra_equal
 
 from bihomega import samples
@@ -228,8 +229,18 @@ def test_c2_param_variants_validate():
         assert validate_algebra(a) is None
 
 
+def test_c2_variants_are_distinct_and_others_refused():
+    """The three c2 variants differ pairwise; any other number is refused
+    instead of silently building variant 2."""
+    params = [samples.c2_params(v)[1] for v in (0, 1, 2)]
+    assert len({repr((p.c, p.rmap, p.lmap)) for p in params}) == 3
+    for variant in (-1, 3, 99):
+        with pytest.raises(MalformedInputError, match="c2 variant must be 0, 1 or 2"):
+            samples.build_c2_example(variant)
+
+
 def test_random_twisted_algebras_validate():
     rng = random.Random(99)
     for _ in range(15):
-        a = samples.random_valid_algebra(rng)
+        a = random_valid_algebra(rng)
         assert validate_algebra(a) is None

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
+from generators import random_valid_pair
 from oracles import (
     circ_full_oracle,
     circ_i_oracle,
@@ -37,7 +38,7 @@ from bihomega.cochain import (
 )
 from bihomega.errors import InternalCheckError, MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
-from bihomega.linalg import Mat, kernel_basis, rank
+from bihomega.linalg import Mat, kernel_basis, rank, sparse_kernel
 from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, ZERO, Rat
 
@@ -287,7 +288,7 @@ def test_is_cocycle_and_is_coboundary(e1_regular):
 def test_random_pairs_dd_zero():
     rng = random.Random(77)
     for _ in range(8):
-        a, b = samples.random_valid_pair(rng)
+        a, b = random_valid_pair(rng)
         assert dd_zero_witness(b, range(0, 3)) is None
 
 
@@ -436,7 +437,7 @@ def test_cohomology_dims_still_verifies_coboundary_images():
 def test_image_intersection_generators_span_the_intersection(e1_regular):
     """Independent generators of im(δ_0) ∩ C^1, counted against
     dim U + dim V - dim(U + V) with dense ranks."""
-    cases = [e1_regular] + [regular_bimodule(samples.build_c2_example(v)) for v in (0, 1, 2, 3)]
+    cases = [e1_regular] + [regular_bimodule(samples.build_c2_example(v)) for v in (0, 1, 2)]
     for b in cases:
         shape = (b.base.omega.size, b.base.dim, b.dim_m)
         op0 = delta_op(b, 0)
@@ -738,13 +739,19 @@ def test_twist_signatures_match_per_tuple_oracles_on_pooled_carriers(case):
 
 def test_twist_signatures_on_named_inputs():
     """c2 variant 0 and the c2 Rota-Baxter context carry one (p, q) at both
-    monoid elements; c2 variants 2 and 3 share p but not q.  Their bases
-    match the per-tuple oracle to degree 3, and the tables of the valid,
-    unrefused ones match the oracle ranks to degree 2."""
+    monoid elements; c2 variant 1 shares q but not p, variant 2 shares p
+    but not q.  Their bases, and those of e1, the e1 semidirect product and
+    seeded random valid pairs (with the identity map pairs skipped and the
+    rows sorted by last column), match the per-tuple oracle to degree 3, and
+    the tables of the valid, unrefused ones match the oracle ranks to
+    degree 2."""
     ctx = samples.c2_rbf_context()
     shared = [regular_bimodule(samples.build_c2_example(0)), ctx.bimodule, ctx.star_bimodule()]
-    p_only = [regular_bimodule(samples.build_c2_example(v)) for v in (2, 3)]
-    for b in shared + p_only:
+    one_shared = [regular_bimodule(samples.build_c2_example(v)) for v in (1, 2)]
+    rng = random.Random(4243)
+    others = [regular_bimodule(samples.build_e1()), regular_bimodule(samples.build_e1_semidirect())]
+    others += [random_valid_pair(rng, max_dim_m=1)[1] for _ in range(6)]
+    for b in shared + one_shared + others:
         for n in (1, 2, 3):
             basis = equivariant_basis(b, n)
             assert (basis.vectors, basis.frees) == equivariant_basis_oracle(b, n)
@@ -780,7 +787,7 @@ def test_constraint_rows_built_once_per_twist_signature(monkeypatch):
 @given(st.integers(0, 2**32 - 1))
 def test_dd_zero_from_degree_one_on_random_pairs(seed):
     """δ_{n+1} ∘ δ_n = 0 on C^n for n = 1, 2, 3 on a seeded random valid pair."""
-    a, b = samples.random_valid_pair(random.Random(seed))
+    a, b = random_valid_pair(random.Random(seed))
     assert dd_zero_witness(b, (1, 2, 3)) is None
 
 
@@ -889,10 +896,10 @@ def test_coboundary_blocks_match_oracles_on_pooled_carriers(case):
 
 
 def test_coboundary_blocks_match_oracles_on_named_inputs():
-    """c2 variants 0-3, the e1 semidirect product and the star bimodule of
+    """c2 variants 0-2, the e1 semidirect product and the star bimodule of
     the c2 Rota-Baxter context: delta_op equals delta_direct_oracle column by
     column to degree 2, and the basis images equal delta_op to degree 4."""
-    cases = [regular_bimodule(samples.build_c2_example(v)) for v in range(4)]
+    cases = [regular_bimodule(samples.build_c2_example(v)) for v in range(3)]
     cases += [regular_bimodule(samples.build_e1_semidirect()), samples.c2_rbf_context().star_bimodule()]
     for b in cases:
         for n in (1, 2):
@@ -941,3 +948,92 @@ def test_cochain_sparse_matches_per_tuple_expansion():
             with pytest.raises(MalformedInputError, match="out of range"):
                 basis.cochain_sparse(j)
     assert c2_basis.dim() == 64 and gappy.cochain_sparse(2) == {9: Rat(2)}
+
+
+def _slot_carrier():
+    """A zero algebra over Z/2 with d = 2 and a zero bimodule with m = 1.
+    M's maps and A's q are the identity everywhere; A's p is the identity
+    at 0 and diag(1, -1) at 1.  So on a block with an entry 1, M's p at the
+    product is the identity but A's p at that entry is not."""
+    omega = cyclic_monoid(2)
+    flip = Mat(2, 2, [ONE, ZERO, ZERO, -ONE])
+    a = zero_algebra(omega, 2, {0: Mat.identity(2), 1: flip}, {x: Mat.identity(2) for x in (0, 1)})
+    return zero_bimodule(a, 1, {x: Mat.identity(1) for x in (0, 1)}, {x: Mat.identity(1) for x in (0, 1)})
+
+
+def test_constraint_rows_kept_when_only_an_algebra_map_moves():
+    """On the slot carrier only the blocks whose entries are all the unit
+    read f = f and build no rows; every other block keeps the rows of p.
+    The basis equals the per-tuple oracle to degree 3, and is_equivariant
+    equals is_equivariant_oracle on a member of C^n perturbed at each
+    coordinate in turn (both verdicts occur)."""
+    b = _slot_carrier()
+    assert validate_bimodule(b) is None
+    om, d, m = b.base.omega, b.base.dim, b.dim_m
+    verdicts = set()
+    for n in (1, 2, 3):
+        for om_tuple in om.tuples(n):
+            assert (cochain._constraint_rows(b, om_tuple) == []) == (set(om_tuple) == {0}), om_tuple
+        basis = equivariant_basis(b, n)
+        assert (basis.vectors, basis.frees) == equivariant_basis_oracle(b, n)
+        f = basis.combine([Rat(1 + j % 3, 3) for j in range(basis.dim())])
+        assert is_equivariant(b, f) and is_equivariant_oracle(b, f)
+        for i in range(len(f.coords)):
+            g = Cochain(n, om.size, d, m, list(f.coords))
+            g.coords[i] += ONE
+            verdict = is_equivariant(b, g)
+            assert verdict == is_equivariant_oracle(b, g), (n, i)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_kernel_of_shuffled_constraint_rows_is_the_cached_basis():
+    """The RREF is unique, so the order of the rows changes only the work:
+    the kernel of each twist signature's rows, in a seeded shuffled order,
+    equals the cached basis block, to degree 3 on c2 variants 0-2, e1, the
+    e1 semidirect product and both bimodules of the c2 Rota-Baxter context."""
+    ctx = samples.c2_rbf_context()
+    cases = [regular_bimodule(samples.build_c2_example(v)) for v in range(3)]
+    cases += [regular_bimodule(samples.build_e1()), regular_bimodule(samples.build_e1_semidirect())]
+    rng = random.Random(2029)
+    for b in cases + [ctx.bimodule, ctx.star_bimodule()]:
+        for n in (1, 2, 3):
+            basis = equivariant_basis(b, n)
+            seen = set()
+            for t, om_tuple in enumerate(b.base.omega.tuples(n)):
+                sig = cochain._twist_signature(b, om_tuple)
+                if sig in seen:
+                    continue
+                seen.add(sig)
+                rows = list(cochain._constraint_rows(b, om_tuple))
+                rng.shuffle(rows)
+                assert sparse_kernel(rows, basis.block_size) == basis.vectors[t], (n, om_tuple)
+
+
+def test_kernel_eliminations_stay_under_a_fifth_of_build_order():
+    """Work guard, exact and free of timing noise: with every map pair's
+    rows in the order they are built (p rows, then q rows, argument tuples
+    in lex order) the kernels of the semidirect product's C^6 and of c2
+    variant 1's C^5 took 15499 and 16864 row eliminations; sorted by last
+    column they must take under a fifth of that."""
+    from cohomology_stages import counting_eliminations
+
+    for a, n, build_order in ((samples.build_e1_semidirect(), 6, 15499), (samples.build_c2_example(1), 5, 16864)):
+        b = regular_bimodule(a)
+        _, calls = counting_eliminations(lambda: equivariant_basis(b, n))
+        assert 0 < calls <= build_order // 5, (n, calls)
+
+
+def test_stage_tool_reports_exact_work_counts():
+    """tools/cohomology_stages.py reports per degree the constraint rows of
+    C^k and the row eliminations of its kernel: exact counts, equal on
+    every run, so the work of the equivariance layer is checked without
+    timing noise."""
+    from cohomology_stages import one_pass
+
+    a = samples.build_e1_semidirect()
+    runs = [one_pass(a, 4) for _ in range(2)]
+    for run in runs:
+        assert [row["constraint_rows"] for row in run] == [0, 7, 23, 73, 227]
+        assert [row["kernel_eliminations"] for row in run] == [0, 3, 13, 51, 181]
+        assert [row["dim"] for row in run] == [r[0] for r in LADDER_TABLES["semidirect"][:5]]

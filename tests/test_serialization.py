@@ -60,13 +60,13 @@ def test_rejects_wrong_matrix_shape():
 def test_random_structures_survive_serialization():
     import random
 
-    from bihomega import samples
+    from generators import random_valid_pair
     from oracles import algebra_equal, bimodule_equal
     from bihomega.serialization import WorkbenchFile
 
     rng = random.Random(2718)
     for _ in range(10):
-        a, b = samples.random_valid_pair(rng)
+        a, b = random_valid_pair(rng)
         wf = WorkbenchFile(a.omega, algebra=a, bimodule=b)
         text = serialize_workbench(wf)
         back = parse_workbench(text)

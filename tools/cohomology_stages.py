@@ -24,6 +24,14 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
   basis;
 * ``rank``     -- one forward elimination on the raw images.
 
+Beside the seconds, each degree row of these two cases carries two exact
+counts that read the same on every run: ``constraint_rows``, the
+equivariance rows of C^k (one system per twist signature), and
+``kernel_eliminations``, the row eliminations (``linalg._cross_eliminate``
+calls) that solving them for the basis of C^k takes.  They are counted
+during the ``basis`` stage, which adds one call per elimination to its
+seconds.
+
 For the combined complex of ``samples.c2_rbf_context()`` (degrees 0-5),
 each repeat starts from a fresh context, runs the two single complexes as
 ``rbf.rbfa_cohomology_dims`` does first (``single_s``, once per repeat), and
@@ -52,11 +60,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bihomega import samples
+from bihomega import linalg, samples
 from bihomega.bimodule import regular_bimodule
 from bihomega.blocks import coboundary_plan
 from bihomega.cochain import (
     _basis_images,
+    _constraint_rows,
     _in_subspace,
     _twist_signature,
     _violations,
@@ -75,6 +84,7 @@ CASES = (
 STAGES = ("basis", "plan", "blocks", "products", "verify", "assemble", "rank")
 COMBINED_STAGES = ("phi_op", "images", "rank")
 COMBINED_MAX_DEGREE = 5
+COUNTS = ("degree", "dim", "rank", "inside", "constraint_rows", "kernel_eliminations")
 
 
 def degree_zero(b, clock) -> tuple:
@@ -113,20 +123,44 @@ def degree_k(b, k: int, basis, clock) -> tuple:
             "assemble": t5 - t4}, images, inside
 
 
+def counting_eliminations(build) -> tuple:
+    """(build(), the number of ``linalg._cross_eliminate`` calls it made)."""
+    calls = 0
+    original = linalg._cross_eliminate
+
+    def counting(row, pivot, col):
+        nonlocal calls
+        calls += 1
+        return original(row, pivot, col)
+
+    linalg._cross_eliminate = counting
+    try:
+        return build(), calls
+    finally:
+        linalg._cross_eliminate = original
+
+
+def constraint_row_count(b, k: int) -> int:
+    """Equivariance rows of C^k, counted once per twist signature (cached)."""
+    firsts = {_twist_signature(b, t): t for t in b.base.omega.tuples(k)} if k else {}
+    return sum(len(_constraint_rows(b, t)) for t in firsts.values())
+
+
 def one_pass(a, max_degree: int) -> list:
     b = regular_bimodule(a)
     clock = time.perf_counter
     rows = []
     for k in range(max_degree + 1):
         t0 = clock()
-        basis = equivariant_basis(b, k)
+        basis, eliminations = counting_eliminations(lambda: equivariant_basis(b, k))
         t1 = clock()
         stages, images, inside = degree_zero(b, clock) if k == 0 else degree_k(b, k, basis, clock)
         t2 = clock()
         r = sparse_rank(images)
         t3 = clock()
-        rows.append({"degree": k, "dim": basis.dim(), "rank": r, "inside": inside, "basis": t1 - t0,
-                     **stages, "rank_s": t3 - t2})
+        rows.append({"degree": k, "dim": basis.dim(), "rank": r, "inside": inside,
+                     "constraint_rows": constraint_row_count(b, k), "kernel_eliminations": eliminations,
+                     "basis": t1 - t0, **stages, "rank_s": t3 - t2})
     return rows
 
 
@@ -156,7 +190,7 @@ def median_table(runs: list, max_degree: int, stages: tuple, keys: tuple) -> lis
     table = []
     for k in range(max_degree + 1):
         first = runs[0][k]
-        row = {"degree": k, "dim": first["dim"], "rank": first["rank"], "inside": first["inside"]}
+        row = {key: first[key] for key in COUNTS if key in first}
         for stage, key in zip(stages, keys):
             row[f"{stage}_s"] = round(statistics.median(run[k][key] for run in runs), 6)
         table.append(row)
