@@ -18,7 +18,23 @@ the structure maps at equal indices and satisfying
 
 Validators return None for success or the first failing :class:`Witness` in
 lexicographic scan order (monoid indices before basis indices), so failures
-are reproducible.
+are reproducible.  Every identity of the algebras, bimodules and operator
+families is an instance of one of four scans, shared with
+:mod:`bihomega.bimodule` and :mod:`bihomega.deformation`:
+
+* column: two matrices compared column by column (commutation of the
+  structure maps with each other and with an operator family);
+* intertwining: g[ab] B(e_i, e_j) = B'(f[a] e_i, h[b] e_j) (multiplicativity,
+  equivariance of the actions, homomorphisms);
+* twisted associativity: B1(p[a] e_i, B2(e_j, e_k)) = B3(B4(e_i, e_j), q[c] e_k)
+  with the products at (a, bc), (b, c), (ab, c) and (a, b);
+* weighted: B(S[a] x, U[b] y) = V[ab](x * y), where
+  x * y = B(S[a] x, y) + B(x, U[b] y) + w B(x, y) is the star sum that
+  :func:`star_product` builds, so "R is Rota-Baxter" reads R(x)R(y) = R(x * y).
+
+A validator chains its scans in a fixed order and returns the first
+witness.  The equation name, indices and both sides of each witness are part
+of the contract; ``fixtures/witnesses.json`` pins them.
 """
 
 from __future__ import annotations
@@ -75,6 +91,113 @@ def bilinear(tensor, x, y, dim_out: int) -> list:
                 if row[k]:
                     out[k] += coeff * row[k]
     return out
+
+
+# -- the four scans (see the module docstring) -------------------------------
+
+
+def _first(witnesses) -> Witness | None:
+    """The first witness a lazily scanned sequence yields, or None."""
+    return next((w for w in witnesses if w is not None), None)
+
+
+def _column_witness(name: str, idx: tuple, lhs: Mat, rhs: Mat) -> Witness | None:
+    """The first column where two matrices differ, at monoid indices idx."""
+    if lhs != rhs:
+        for j in range(lhs.cols):
+            lc, rc = lhs.col(j), rhs.col(j)
+            if lc != rc:
+                return Witness(name, idx, (j,), tuple(lc), tuple(rc))
+    return None
+
+
+def _commute_scan(om: Monoid, t: dict, checks) -> Witness | None:
+    """m[a] t[a] = t[a] m[a] for each (name, m) in checks, over a."""
+    return _first(
+        _column_witness(name, (x,), m[x].mul(t[x]), t[x].mul(m[x]))
+        for x in om.elements()
+        for name, m in checks
+    )
+
+
+def _intertwining_scan(om: Monoid, checks) -> Witness | None:
+    """g[ab] B(e_i, e_j) = B'(f[a] e_i, h[b] e_j).
+
+    ``checks`` lists (name, g, B, B', f, h); the checks are interleaved
+    inside each (a, b), and each scans (i, j) lexicographically.
+    """
+    for x in om.elements():
+        for y in om.elements():
+            key, xy = (x, y), om.mul(x, y)
+            for name, g, tensor, tensor_out, f, h in checks:
+                gxy, fx, hy, t, t_out = g[xy], f[x], h[y], tensor[key], tensor_out[key]
+                for i in range(len(t)):
+                    fi = fx.col(i)
+                    for j in range(len(t[i])):
+                        lhs = gxy.matvec(t[i][j])
+                        rhs = bilinear(t_out, fi, hy.col(j), gxy.rows)
+                        if lhs != rhs:
+                            return Witness(name, key, (i, j), tuple(lhs), tuple(rhs))
+    return None
+
+
+def _assoc_scan(name: str, om: Monoid, dims: tuple, lo, li, ro, ri, p: dict, q: dict) -> Witness | None:
+    """Twisted associativity lo(p[a] e_i, li(e_j, e_k)) = ro(ri(e_i, e_j), q[c] e_k).
+
+    The products are at (a, bc), (b, c), (ab, c) and (a, b); ``dims`` gives
+    the ranges of i, j, k and the output dimension.  Scan order (a, b, c,
+    i, j, k), lexicographic.
+    """
+    n1, n2, n3, n_out = dims
+    for x in om.elements():
+        for y in om.elements():
+            xy, rin = om.mul(x, y), ri[(x, y)]
+            for z in om.elements():
+                yz = om.mul(y, z)
+                lout, lin, rout, px, qz = lo[(x, yz)], li[(y, z)], ro[(xy, z)], p[x], q[z]
+                for i in range(n1):
+                    pi = px.col(i)
+                    for j in range(n2):
+                        for k in range(n3):
+                            lhs = bilinear(lout, pi, lin[j][k], n_out)
+                            rhs = bilinear(rout, rin[i][j], qz.col(k), n_out)
+                            if lhs != rhs:
+                                return Witness(name, (x, y, z), (i, j, k), tuple(lhs), tuple(rhs))
+    return None
+
+
+def _star_entry(t, sxi, uyj, i: int, j: int, weight, n: int) -> list:
+    """B(s e_i, e_j) + B(e_i, u e_j) + weight B(e_i, e_j) for s e_i = sxi, u e_j = uyj."""
+    out = [weight * v for v in t[i][j]] if weight else [ZERO] * n
+    terms = [(c, t[k][j]) for k, c in enumerate(sxi)] + [(c, t[i][k]) for k, c in enumerate(uyj)]
+    for c, row in terms:
+        if c:
+            for k in range(n):
+                if row[k]:
+                    out[k] += c * row[k]
+    return out
+
+
+def _weighted_scan(
+    name: str, om: Monoid, tensors: dict, s: dict, u: dict, v: dict, weight, n: int
+) -> Witness | None:
+    """The weighted Rota-Baxter shape B(s[a] x, u[b] y) = v[ab](x *_{a,b} y).
+
+    x * y = B(s[a] x, y) + B(x, u[b] y) + weight B(x, y) is the star sum of
+    :func:`_star_entry`.  Scan order (a, b, i, j), lexicographic.
+    """
+    for x in om.elements():
+        for y in om.elements():
+            key, t, vxy, sx, uy = (x, y), tensors[(x, y)], v[om.mul(x, y)], s[x], u[y]
+            for i in range(len(t)):
+                sxi = sx.col(i)
+                for j in range(len(t[i])):
+                    uyj = uy.col(j)
+                    lhs = bilinear(t, sxi, uyj, n)
+                    rhs = vxy.matvec(_star_entry(t, sxi, uyj, i, j, weight, n))
+                    if lhs != rhs:
+                        return Witness(name, key, (i, j), tuple(lhs), tuple(rhs))
+    return None
 
 
 @dataclass(eq=False)
@@ -151,51 +274,18 @@ def validate_algebra(a: OmegaAlgebra) -> Witness | None:
     (a, b, i, j); twisted associativity over (a, b, c, i, j, k).
     """
     ensure_algebra_shapes(a)
-    om = a.omega
-    d = a.dim
-    for x in om.elements():
-        for y in om.elements():
-            lhs = a.pmap[x].mul(a.qmap[y])
-            rhs = a.qmap[y].mul(a.pmap[x])
-            if lhs != rhs:
-                for j in range(d):
-                    lc, rc = lhs.col(j), rhs.col(j)
-                    if lc != rc:
-                        return Witness("pq-commute", (x, y), (j,), tuple(lc), tuple(rc))
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            xy = om.mul(x, y)
-            for name, maps in (("multiplicativity-p", a.pmap), ("multiplicativity-q", a.qmap)):
-                m_xy = maps[xy]
-                mx, my = maps[x], maps[y]
-                for i in range(d):
-                    for j in range(d):
-                        lhs = m_xy.matvec(a.mul_basis(key, i, j))
-                        rhs = a.mul_vec(key, mx.col(i), my.col(j))
-                        if lhs != rhs:
-                            return Witness(name, (x, y), (i, j), tuple(lhs), tuple(rhs))
-    for x in om.elements():
-        for y in om.elements():
-            for z in om.elements():
-                yz = om.mul(y, z)
-                xy = om.mul(x, y)
-                px, qz = a.pmap[x], a.qmap[z]
-                for i in range(d):
-                    pi = px.col(i)
-                    for j in range(d):
-                        for k in range(d):
-                            lhs = a.mul_vec((x, yz), pi, a.mul_basis((y, z), j, k))
-                            rhs = a.mul_vec((xy, z), a.mul_basis((x, y), i, j), qz.col(k))
-                            if lhs != rhs:
-                                return Witness(
-                                    "bihom-associativity",
-                                    (x, y, z),
-                                    (i, j, k),
-                                    tuple(lhs),
-                                    tuple(rhs),
-                                )
-    return None
+    om, p, q, mu = a.omega, a.pmap, a.qmap, a.product
+    return (
+        _first(
+            _column_witness("pq-commute", (x, y), p[x].mul(q[y]), q[y].mul(p[x]))
+            for x in om.elements()
+            for y in om.elements()
+        )
+        or _intertwining_scan(
+            om, (("multiplicativity-p", p, mu, mu, p, p), ("multiplicativity-q", q, mu, mu, q, q))
+        )
+        or _assoc_scan("bihom-associativity", om, (a.dim,) * 4, mu, mu, mu, mu, p, q)
+    )
 
 
 def ensure_rb_shapes(a: OmegaAlgebra, rb: RotaBaxterFamily):
@@ -208,41 +298,14 @@ def ensure_rb_shapes(a: OmegaAlgebra, rb: RotaBaxterFamily):
 
 
 def check_rota_baxter(a: OmegaAlgebra, rb: RotaBaxterFamily) -> Witness | None:
-    """Structure-map commutation at equal indices, then the weighted identity."""
+    """Structure-map commutation at equal indices, then R(x)R(y) = R(x * y)
+    with * the star product of :func:`star_product`."""
     ensure_rb_shapes(a, rb)
-    om = a.omega
-    d = a.dim
-    w = rb.weight
-    for x in om.elements():
-        r = rb.maps[x]
-        for name, m in (("rb-p-commute", a.pmap[x]), ("rb-q-commute", a.qmap[x])):
-            lhs = m.mul(r)
-            rhs = r.mul(m)
-            if lhs != rhs:
-                for j in range(d):
-                    lc, rc = lhs.col(j), rhs.col(j)
-                    if lc != rc:
-                        return Witness(name, (x,), (j,), tuple(lc), tuple(rc))
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            rxy = rb.maps[om.mul(x, y)]
-            rx, ry = rb.maps[x], rb.maps[y]
-            for i in range(d):
-                rxi = rx.col(i)
-                for j in range(d):
-                    ryj = ry.col(j)
-                    lhs = a.mul_vec(key, rxi, ryj)
-                    inner = a.mul_vec(key, rxi, a.basis_vector(j))
-                    for t, v in enumerate(a.mul_vec(key, a.basis_vector(i), ryj)):
-                        inner[t] += v
-                    if w:
-                        for t, v in enumerate(a.mul_basis(key, i, j)):
-                            inner[t] += w * v
-                    rhs = rxy.matvec(inner)
-                    if lhs != rhs:
-                        return Witness("rota-baxter", (x, y), (i, j), tuple(lhs), tuple(rhs))
-    return None
+    r = rb.maps
+    return (
+        _commute_scan(a.omega, r, (("rb-p-commute", a.pmap), ("rb-q-commute", a.qmap)))
+        or _weighted_scan("rota-baxter", a.omega, a.product, r, r, r, rb.weight, a.dim)
+    )
 
 
 def star_product(a: OmegaAlgebra, rb: RotaBaxterFamily, check: bool = True) -> OmegaAlgebra:
@@ -254,25 +317,13 @@ def star_product(a: OmegaAlgebra, rb: RotaBaxterFamily, check: bool = True) -> O
         witness = check_rota_baxter(a, rb)
         if witness is not None:
             raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
-    d = a.dim
-    w = rb.weight
+    d, w = a.dim, rb.weight
     star = {}
-    for key in a.product:
-        x, y = key
+    for (x, y), t in a.product.items():
         rx, ry = rb.maps[x], rb.maps[y]
-        t = tensor_zeros(d, d, d)
-        for i in range(d):
-            rxi = rx.col(i)
-            ei = a.basis_vector(i)
-            for j in range(d):
-                acc = a.mul_vec(key, ei, ry.col(j))
-                for k, v in enumerate(a.mul_vec(key, rxi, a.basis_vector(j))):
-                    acc[k] += v
-                if w:
-                    for k, v in enumerate(a.mul_basis(key, i, j)):
-                        acc[k] += w * v
-                t[i][j] = acc
-        star[key] = t
+        star[(x, y)] = [
+            [_star_entry(t, rx.col(i), ry.col(j), i, j, w, d) for j in range(d)] for i in range(d)
+        ]
     return OmegaAlgebra(a.omega, d, star, dict(a.pmap), dict(a.qmap))
 
 
@@ -291,26 +342,11 @@ def is_homomorphism(f: dict, src: OmegaAlgebra, dst: OmegaAlgebra) -> Witness | 
             raise MalformedInputError(f"map family missing index {x}")
         if m.rows != dst.dim or m.cols != src.dim:
             raise MalformedInputError(f"map[{x}] is not {dst.dim}x{src.dim}")
-    for x in om.elements():
-        for name, smap, dmap in (("hom-p", src.pmap, dst.pmap), ("hom-q", src.qmap, dst.qmap)):
-            lhs = dmap[x].mul(f[x])
-            rhs = f[x].mul(smap[x])
-            if lhs != rhs:
-                for j in range(src.dim):
-                    lc, rc = lhs.col(j), rhs.col(j)
-                    if lc != rc:
-                        return Witness(name, (x,), (j,), tuple(lc), tuple(rc))
-    for x in om.elements():
-        for y in om.elements():
-            fxy = f[om.mul(x, y)]
-            fx, fy = f[x], f[y]
-            for i in range(src.dim):
-                for j in range(src.dim):
-                    lhs = fxy.matvec(src.mul_basis((x, y), i, j))
-                    rhs = dst.mul_vec((x, y), fx.col(i), fy.col(j))
-                    if lhs != rhs:
-                        return Witness("hom-multiplicative", (x, y), (i, j), tuple(lhs), tuple(rhs))
-    return None
+    return _first(
+        _column_witness(name, (x,), dmap[x].mul(f[x]), f[x].mul(smap[x]))
+        for x in om.elements()
+        for name, smap, dmap in (("hom-p", src.pmap, dst.pmap), ("hom-q", src.qmap, dst.qmap))
+    ) or _intertwining_scan(om, (("hom-multiplicative", f, src.product, dst.product, f, f),))
 
 
 def yau_twist(

@@ -10,6 +10,15 @@ Seven compatibility identities tie the actions to the algebra (structure-map
 equivariance of each action, one twisted associativity per action, and one
 mixed identity).  An optional operator family ``tmap`` makes the bimodule a
 Rota-Baxter family bimodule when the two weighted action identities hold.
+
+Each identity is one of the scans of :mod:`bihomega.algebra`, with the
+actions in place of the product: equivariance is an intertwining scan (p and
+q interleaved inside each monoid pair), the associativity, mixed and
+bimodule-algebra identities are twisted-associativity scans, the weighted
+action identities are weighted scans with (S, U, V) = (R, T, T) on the left
+action and (T, R, T) on the right, and the commutation of T with the module
+maps is a column scan.  Witnesses keep the scan order stated in each
+validator.
 """
 
 from __future__ import annotations
@@ -20,6 +29,12 @@ from .algebra import (
     OmegaAlgebra,
     RotaBaxterFamily,
     Witness,
+    _assoc_scan,
+    _column_witness,
+    _commute_scan,
+    _first,
+    _intertwining_scan,
+    _weighted_scan,
     bilinear,
     check_rota_baxter,
     star_product,
@@ -91,103 +106,30 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
     """Check the seven action identities (plus structure-map commutation).
 
     Scan order: module pq-commutation, then the identities in the order
-    left-1, left-2, left-assoc, right-1, right-2, right-assoc, mixed; inside
-    each, lexicographic over monoid then basis indices.
+    left-p/left-q (interleaved inside each monoid pair), left-assoc,
+    right-p/right-q, right-assoc, mixed; inside each, lexicographic over
+    monoid then basis indices.
     """
     ensure_bimodule_shapes(b)
     a = b.base
-    om = a.omega
-    d, dm = a.dim, b.dim_m
-    for x in om.elements():
-        for y in om.elements():
-            lhs = b.pmap[x].mul(b.qmap[y])
-            rhs = b.qmap[y].mul(b.pmap[x])
-            if lhs != rhs:
-                for j in range(dm):
-                    lc, rc = lhs.col(j), rhs.col(j)
-                    if lc != rc:
-                        return Witness("module-pq-commute", (x, y), (j,), tuple(lc), tuple(rc))
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            xy = om.mul(x, y)
-            for name, amaps, mmaps in (
-                ("left-module-p", a.pmap, b.pmap),
-                ("left-module-q", a.qmap, b.qmap),
-            ):
-                for i in range(d):
-                    for l in range(dm):
-                        lhs = mmaps[xy].matvec(b.act_left_basis(key, i, l))
-                        rhs = b.act_left(key, amaps[x].col(i), mmaps[y].col(l))
-                        if lhs != rhs:
-                            return Witness(name, (x, y), (i, l), tuple(lhs), tuple(rhs))
-    for x in om.elements():
-        for y in om.elements():
-            for z in om.elements():
-                yz, xy = om.mul(y, z), om.mul(x, y)
-                for i in range(d):
-                    pi = a.pmap[x].col(i)
-                    for j in range(d):
-                        for l in range(dm):
-                            lhs = b.act_left((x, yz), pi, b.act_left_basis((y, z), j, l))
-                            rhs = b.act_left(
-                                (xy, z), a.mul_basis((x, y), i, j), b.qmap[z].col(l)
-                            )
-                            if lhs != rhs:
-                                return Witness(
-                                    "left-module-assoc", (x, y, z), (i, j, l), tuple(lhs), tuple(rhs)
-                                )
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            xy = om.mul(x, y)
-            for name, amaps, mmaps in (
-                ("right-module-p", a.pmap, b.pmap),
-                ("right-module-q", a.qmap, b.qmap),
-            ):
-                for l in range(dm):
-                    for j in range(d):
-                        lhs = mmaps[xy].matvec(b.act_right_basis(key, l, j))
-                        rhs = b.act_right(key, mmaps[x].col(l), amaps[y].col(j))
-                        if lhs != rhs:
-                            return Witness(name, (x, y), (l, j), tuple(lhs), tuple(rhs))
-    for x in om.elements():
-        for y in om.elements():
-            for z in om.elements():
-                yz, xy = om.mul(y, z), om.mul(x, y)
-                for l in range(dm):
-                    pl = b.pmap[x].col(l)
-                    for i in range(d):
-                        for j in range(d):
-                            lhs = b.act_right((x, yz), pl, a.mul_basis((y, z), i, j))
-                            rhs = b.act_right(
-                                (xy, z), b.act_right_basis((x, y), l, i), a.qmap[z].col(j)
-                            )
-                            if lhs != rhs:
-                                return Witness(
-                                    "right-module-assoc",
-                                    (x, y, z),
-                                    (l, i, j),
-                                    tuple(lhs),
-                                    tuple(rhs),
-                                )
-    for x in om.elements():
-        for y in om.elements():
-            for z in om.elements():
-                yz, xy = om.mul(y, z), om.mul(x, y)
-                for i in range(d):
-                    pi = a.pmap[x].col(i)
-                    for l in range(dm):
-                        for j in range(d):
-                            lhs = b.act_left((x, yz), pi, b.act_right_basis((y, z), l, j))
-                            rhs = b.act_right(
-                                (xy, z), b.act_left_basis((x, y), i, l), a.qmap[z].col(j)
-                            )
-                            if lhs != rhs:
-                                return Witness(
-                                    "bimodule-mixed", (x, y, z), (i, l, j), tuple(lhs), tuple(rhs)
-                                )
-    return None
+    om, d, dm = a.omega, a.dim, b.dim_m
+    ap, aq, mp, mq, mu, lt, rt = a.pmap, a.qmap, b.pmap, b.qmap, a.product, b.left, b.right
+    return (
+        _first(
+            _column_witness("module-pq-commute", (x, y), mp[x].mul(mq[y]), mq[y].mul(mp[x]))
+            for x in om.elements()
+            for y in om.elements()
+        )
+        or _intertwining_scan(
+            om, (("left-module-p", mp, lt, lt, ap, mp), ("left-module-q", mq, lt, lt, aq, mq))
+        )
+        or _assoc_scan("left-module-assoc", om, (d, d, dm, dm), lt, lt, lt, mu, ap, mq)
+        or _intertwining_scan(
+            om, (("right-module-p", mp, rt, rt, mp, ap), ("right-module-q", mq, rt, rt, mq, aq))
+        )
+        or _assoc_scan("right-module-assoc", om, (dm, d, d, dm), rt, mu, rt, rt, mp, aq)
+        or _assoc_scan("bimodule-mixed", om, (d, dm, d, dm), lt, rt, rt, lt, ap, aq)
+    )
 
 
 def regular_bimodule(a: OmegaAlgebra, rb: RotaBaxterFamily | None = None) -> OmegaBimodule:
@@ -231,28 +173,20 @@ def _semidirect_algebra(b: OmegaBimodule, bullet: dict | None) -> OmegaAlgebra:
     d, dm = a.dim, b.dim_m
     n = d + dm
     product = {}
-    for key in a.product:
+    for key, mu in a.product.items():
         t = tensor_zeros(n, n, n)
-        mu = a.product[key]
         lt, rt = b.left[key], b.right[key]
         for i in range(d):
             for j in range(d):
-                for k in range(d):
-                    t[i][j][k] = mu[i][j][k]
-        for i in range(d):
+                t[i][j][:d] = mu[i][j]
             for l in range(dm):
-                for k in range(dm):
-                    t[i][d + l][d + k] = lt[i][l][k]
+                t[i][d + l][d:] = lt[i][l]
         for l in range(dm):
             for j in range(d):
-                for k in range(dm):
-                    t[d + l][j][d + k] = rt[l][j][k]
-        if bullet is not None:
-            bt = bullet[key]
-            for l in range(dm):
+                t[d + l][j][d:] = rt[l][j]
+            if bullet is not None:
                 for l2 in range(dm):
-                    for k in range(dm):
-                        t[d + l][d + l2][d + k] = bt[l][l2][k]
+                    t[d + l][d + l2][d:] = bullet[key][l][l2]
         product[key] = t
     pmap = {x: _block_diag(a.pmap[x], b.pmap[x]) for x in a.omega.elements()}
     qmap = {x: _block_diag(a.qmap[x], b.qmap[x]) for x in a.omega.elements()}
@@ -263,11 +197,10 @@ def _block_diag(top: Mat, bottom: Mat) -> Mat:
     n = top.rows + bottom.rows
     out = Mat.zeros(n, n)
     for i in range(top.rows):
-        for j in range(top.cols):
-            out.entries[i * n + j] = top.at(i, j)
+        out.entries[i * n : i * n + top.cols] = top.row(i)
     for i in range(bottom.rows):
-        for j in range(bottom.cols):
-            out.entries[(top.rows + i) * n + (top.cols + j)] = bottom.at(i, j)
+        start = (top.rows + i) * n + top.cols
+        out.entries[start : start + bottom.cols] = bottom.row(i)
     return out
 
 
@@ -289,92 +222,15 @@ def validate_bimodule_algebra(b: OmegaBimodule, extra: BimoduleAlgebraData) -> W
     if base_witness is not None:
         raise PreconditionError(f"base algebra invalid: {base_witness.describe()}")
     a = b.base
-    om = a.omega
-    d, dm = a.dim, b.dim_m
-
-    def bullet_apply(key, u, v):
-        return bilinear(extra.bullet[key], u, v, dm)
-
-    def scan_left_bullet():
-        for x in om.elements():
-            for y in om.elements():
-                for z in om.elements():
-                    yz, xy = om.mul(y, z), om.mul(x, y)
-                    for i in range(d):
-                        pi = a.pmap[x].col(i)
-                        for l in range(dm):
-                            for l2 in range(dm):
-                                lhs = b.act_left((x, yz), pi, extra.bullet[(y, z)][l][l2])
-                                rhs = bullet_apply(
-                                    (xy, z), b.act_left_basis((x, y), i, l), b.qmap[z].col(l2)
-                                )
-                                if lhs != rhs:
-                                    return Witness(
-                                        "bimodule-algebra-left",
-                                        (x, y, z),
-                                        (i, l, l2),
-                                        tuple(lhs),
-                                        tuple(rhs),
-                                    )
-        return None
-
-    def scan_right_bullet():
-        for x in om.elements():
-            for y in om.elements():
-                for z in om.elements():
-                    yz, xy = om.mul(y, z), om.mul(x, y)
-                    for l in range(dm):
-                        pl = b.pmap[x].col(l)
-                        for l2 in range(dm):
-                            for j in range(d):
-                                lhs = bullet_apply((x, yz), pl, b.act_right_basis((y, z), l2, j))
-                                rhs = b.act_right(
-                                    (xy, z), extra.bullet[(x, y)][l][l2], a.qmap[z].col(j)
-                                )
-                                if lhs != rhs:
-                                    return Witness(
-                                        "bimodule-algebra-right",
-                                        (x, y, z),
-                                        (l, l2, j),
-                                        tuple(lhs),
-                                        tuple(rhs),
-                                    )
-        return None
-
-    def scan_mixed_bullet():
-        for x in om.elements():
-            for y in om.elements():
-                for z in om.elements():
-                    yz, xy = om.mul(y, z), om.mul(x, y)
-                    for l in range(dm):
-                        pl = b.pmap[x].col(l)
-                        for j in range(d):
-                            for l2 in range(dm):
-                                lhs = bullet_apply((x, yz), pl, b.act_left_basis((y, z), j, l2))
-                                rhs = bullet_apply(
-                                    (xy, z), b.act_right_basis((x, y), l, j), b.qmap[z].col(l2)
-                                )
-                                if lhs != rhs:
-                                    return Witness(
-                                        "bimodule-algebra-mixed",
-                                        (x, y, z),
-                                        (l, j, l2),
-                                        tuple(lhs),
-                                        tuple(rhs),
-                                    )
-        return None
-
-    witness = validate_bimodule(b)
-    if witness is None:
-        m_algebra = OmegaAlgebra(om, dm, dict(extra.bullet), dict(b.pmap), dict(b.qmap))
-        witness = validate_algebra(m_algebra)
-    if witness is None:
-        witness = scan_left_bullet()
-    if witness is None:
-        witness = scan_right_bullet()
-    if witness is None:
-        witness = scan_mixed_bullet()
-
+    om, d, dm = a.omega, a.dim, b.dim_m
+    ap, aq, mp, mq, lt, rt, bt = a.pmap, a.qmap, b.pmap, b.qmap, b.left, b.right, extra.bullet
+    witness = (
+        validate_bimodule(b)
+        or validate_algebra(OmegaAlgebra(om, dm, dict(bt), dict(mp), dict(mq)))
+        or _assoc_scan("bimodule-algebra-left", om, (d, dm, dm, dm), lt, bt, bt, lt, ap, mq)
+        or _assoc_scan("bimodule-algebra-right", om, (dm, dm, d, dm), bt, rt, rt, bt, mp, aq)
+        or _assoc_scan("bimodule-algebra-mixed", om, (dm, d, dm, dm), bt, lt, bt, rt, mp, mq)
+    )
     total = _semidirect_algebra(b, bullet=extra.bullet)
     total_witness = validate_algebra(total)
     if (witness is None) != (total_witness is None):
@@ -396,63 +252,12 @@ def validate_rbf_bimodule(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | N
     witness = check_rota_baxter(b.base, rb)
     if witness is not None:
         raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
-    a = b.base
-    om = a.omega
-    d, dm = a.dim, b.dim_m
-    w = rb.weight
-    for x in om.elements():
-        t = b.tmap[x]
-        for name, m in (("t-p-commute", b.pmap[x]), ("t-q-commute", b.qmap[x])):
-            lhs_m = m.mul(t)
-            rhs_m = t.mul(m)
-            if lhs_m != rhs_m:
-                for j in range(dm):
-                    lc, rc = lhs_m.col(j), rhs_m.col(j)
-                    if lc != rc:
-                        return Witness(name, (x,), (j,), tuple(lc), tuple(rc))
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            txy = b.tmap[om.mul(x, y)]
-            rx, ty = rb.maps[x], b.tmap[y]
-            for i in range(d):
-                rxi = rx.col(i)
-                ei = a.basis_vector(i)
-                for l in range(dm):
-                    tl = ty.col(l)
-                    el = b.m_basis_vector(l)
-                    lhs = b.act_left(key, rxi, tl)
-                    inner = b.act_left(key, ei, tl)
-                    for k, v in enumerate(b.act_left(key, rxi, el)):
-                        inner[k] += v
-                    if w:
-                        for k, v in enumerate(b.act_left_basis(key, i, l)):
-                            inner[k] += w * v
-                    rhs = txy.matvec(inner)
-                    if lhs != rhs:
-                        return Witness("rbf-bimodule-left", (x, y), (i, l), tuple(lhs), tuple(rhs))
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            txy = b.tmap[om.mul(x, y)]
-            tx, ry = b.tmap[x], rb.maps[y]
-            for l in range(dm):
-                txl = tx.col(l)
-                el = b.m_basis_vector(l)
-                for j in range(d):
-                    ryj = ry.col(j)
-                    ej = a.basis_vector(j)
-                    lhs = b.act_right(key, txl, ryj)
-                    inner = b.act_right(key, el, ryj)
-                    for k, v in enumerate(b.act_right(key, txl, ej)):
-                        inner[k] += v
-                    if w:
-                        for k, v in enumerate(b.act_right_basis(key, l, j)):
-                            inner[k] += w * v
-                    rhs = txy.matvec(inner)
-                    if lhs != rhs:
-                        return Witness("rbf-bimodule-right", (x, y), (l, j), tuple(lhs), tuple(rhs))
-    return None
+    om, t, r = b.base.omega, b.tmap, rb.maps
+    return (
+        _commute_scan(om, t, (("t-p-commute", b.pmap), ("t-q-commute", b.qmap)))
+        or _weighted_scan("rbf-bimodule-left", om, b.left, r, t, t, rb.weight, b.dim_m)
+        or _weighted_scan("rbf-bimodule-right", om, b.right, t, r, t, rb.weight, b.dim_m)
+    )
 
 
 def rbf_semidirect(

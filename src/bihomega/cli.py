@@ -50,10 +50,10 @@ from .errors import InternalCheckError, MalformedInputError, ParseError, Workben
 from .extension import CocyclePair, build_extension, compare_extensions, extract_cocycle
 from .gerstenhaber import algebra_with_product, mc_residual, mu_cochain
 from .monoid import validate_monoid
-from .rationals import Rat, format_rational
+from .rationals import Rat
 from .rbf import RbfContext, chain_map_check, combined_kernel, rbfa_cohomology_dims
 from .search import DEFAULT_CAP, search_rbf
-from .serialization import WorkbenchFile, parse_workbench, workbench_to_json
+from .serialization import WorkbenchFile, _fmt_family, parse_workbench, workbench_to_json
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -275,10 +275,7 @@ def cmd_compare_ext(args) -> tuple[dict, int]:
     report = compare_extensions(wf1.extension, wf2.extension)
     out = {"cohomologous": report.cohomologous}
     if report.iso is not None:
-        out["iso"] = {
-            str(x): [[format_rational(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-            for x, m in report.iso.items()
-        }
+        out["iso"] = _fmt_family(report.iso)
     return out, EXIT_OK if report.cohomologous else EXIT_WITNESS
 
 
@@ -295,17 +292,7 @@ def cmd_search_rbf(args) -> tuple[dict, int]:
     if witness is not None:
         return {"witness": witness.to_json()}, EXIT_WITNESS
     hits = search_rbf(a, args.bound, weight, cap=args.cap)
-    out = {
-        "count": len(hits),
-        "families": [
-            {
-                str(x): [[format_rational(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-                for x, m in rb.maps.items()
-            }
-            for rb in hits
-        ],
-    }
-    return out, EXIT_OK
+    return {"count": len(hits), "families": [_fmt_family(rb.maps) for rb in hits]}, EXIT_OK
 
 
 def cmd_selftest(args) -> tuple[dict, int]:

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import OmegaAlgebra, Witness, is_homomorphism, validate_algebra
+from .algebra import OmegaAlgebra, Witness, _commute_scan, _star_entry, is_homomorphism, validate_algebra
 from .bimodule import regular_bimodule
 from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equivariant
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .gerstenhaber import algebra_with_product, circ_i, mu_cochain
-from .rationals import ONE
+from .rationals import ONE, ZERO
 from .rbf import CombinedCochain, RbfContext, d_combined, phi, rbfa_cohomology_dims
 
 
@@ -90,37 +90,24 @@ def _require_family(a: OmegaAlgebra, maps: dict):
 
 def check_nijenhuis(a: OmegaAlgebra, nf: NijenhuisFamily) -> Witness | None:
     """Structure-map commutation, then the deformed-product identity."""
-    om = a.omega
-    d = a.dim
-    _require_family(a, nf.maps)
-    for x in om.elements():
-        n = nf.maps[x]
-        for name, m in (("nijenhuis-p-commute", a.pmap[x]), ("nijenhuis-q-commute", a.qmap[x])):
-            lhs, rhs = m.mul(n), n.mul(m)
-            if lhs != rhs:
-                for j in range(d):
-                    lc, rc = lhs.col(j), rhs.col(j)
-                    if lc != rc:
-                        return Witness(name, (x,), (j,), tuple(lc), tuple(rc))
+    om, d, n = a.omega, a.dim, nf.maps
+    _require_family(a, n)
+    witness = _commute_scan(om, n, (("nijenhuis-p-commute", a.pmap), ("nijenhuis-q-commute", a.qmap)))
+    if witness is not None:
+        return witness
     for x in om.elements():
         for y in om.elements():
-            key = (x, y)
-            nxy = nf.maps[om.mul(x, y)]
-            nx, ny = nf.maps[x], nf.maps[y]
+            key, t, nxy = (x, y), a.product[(x, y)], n[om.mul(x, y)]
+            nx, ny = n[x], n[y]
             for i in range(d):
                 nxi = nx.col(i)
-                ei = a.basis_vector(i)
                 for j in range(d):
                     nyj = ny.col(j)
                     lhs = a.mul_vec(key, nxi, nyj)
-                    inner = a.mul_vec(key, ei, nyj)
-                    for k, v in enumerate(a.mul_vec(key, nxi, a.basis_vector(j))):
-                        inner[k] += v
-                    for k, v in enumerate(nxy.matvec(a.mul_basis(key, i, j))):
-                        inner[k] -= v
-                    rhs = nxy.matvec(inner)
+                    inner = _star_entry(t, nxi, nyj, i, j, ZERO, d)
+                    rhs = nxy.matvec([u - v for u, v in zip(inner, nxy.matvec(t[i][j]))])
                     if lhs != rhs:
-                        return Witness("nijenhuis", (x, y), (i, j), tuple(lhs), tuple(rhs))
+                        return Witness("nijenhuis", key, (i, j), tuple(lhs), tuple(rhs))
     return None
 
 

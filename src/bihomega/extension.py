@@ -6,11 +6,15 @@ inclusion and retraction for the kernel M, projection and section for the
 quotient A, all commuting with the structure maps and the operator
 families, with M multiplying trivially inside the total algebra.
 
-Building from a pair (psi, chi): total product adds psi into the module
-component of the semidirect formula, the total operator family is the block
-map (R, chi + T).  The total is a valid Rota-Baxter family algebra exactly
-when the pair is a combined 2-cocycle; both sides of that equivalence are
-computed and compared on every build.
+Building from a pair (psi, chi): the total starts as the semidirect product
+:func:`bihomega.bimodule.rbf_semidirect`; psi is written into the module
+component of the product on pairs of base vectors and chi into the
+lower-left block of the operator family, which becomes (R, chi + T).  The
+inclusion, projection, section and retraction are partial identities.  The
+total is a valid Rota-Baxter family algebra exactly when the pair is a
+combined 2-cocycle; both sides of that equivalence are computed and compared
+on every build, the validity side by the twisted-associativity and weighted
+scans of :mod:`bihomega.algebra` on A (+) M.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .algebra import (
     is_homomorphism,
     validate_algebra,
 )
-from .bimodule import OmegaBimodule, validate_rbf_bimodule
+from .bimodule import OmegaBimodule, rbf_semidirect, validate_rbf_bimodule
 from .cochain import Cochain, apply_delta, is_equivariant, maps_from_cochain
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .linalg import Mat
@@ -93,38 +97,18 @@ def build_extension(ctx: RbfContext, pair: CocyclePair) -> ExtensionBuild:
     if not is_equivariant(b, psi) or not is_equivariant(b, chi):
         raise PreconditionError("pair components must be equivariant")
     n = d + dm
-    product = {}
-    for key in a.product:
-        x, y = key
-        t = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        mu = a.product[key]
-        lt, rt = b.left[key], b.right[key]
+    total, total_rb = rbf_semidirect(b, ctx.rb, check=False)
+    for key, t in total.product.items():
         for i in range(d):
             for j in range(d):
-                for k in range(d):
-                    t[i][j][k] = mu[i][j][k]
-                pv = psi.value(key, (i, j))
-                for k in range(dm):
-                    t[i][j][d + k] = pv[k]
-        for i in range(d):
-            for l in range(dm):
-                for k in range(dm):
-                    t[i][d + l][d + k] = lt[i][l][k]
+                t[i][j][d:] = psi.value(key, (i, j))
+    for x, chi_x in maps_from_cochain(chi, om).items():
         for l in range(dm):
-            for j in range(d):
-                for k in range(dm):
-                    t[d + l][j][d + k] = rt[l][j][k]
-        product[key] = t
-    pmap = {x: _block(a.pmap[x], b.pmap[x], None) for x in om.elements()}
-    qmap = {x: _block(a.qmap[x], b.qmap[x], None) for x in om.elements()}
-    chi_mats = maps_from_cochain(chi, om)
-    tmaps = {x: _block(ctx.rb.maps[x], b.tmap[x], chi_mats[x]) for x in om.elements()}
-    total = OmegaAlgebra(om, n, product, pmap, qmap)
-    total_rb = RotaBaxterFamily(ctx.rb.weight, tmaps)
-    incl = {x: _incl_mat(d, dm) for x in om.elements()}
-    proj = {x: _proj_mat(d, dm) for x in om.elements()}
-    sect = {x: _sect_mat(d, dm) for x in om.elements()}
-    retr = {x: _retr_mat(d, dm) for x in om.elements()}
+            total_rb.maps[x].entries[(d + l) * n : (d + l) * n + d] = chi_x.row(l)
+    incl = {x: _partial_identity(n, dm, d) for x in om.elements()}
+    proj = {x: _partial_identity(d, n, 0) for x in om.elements()}
+    sect = {x: _partial_identity(n, d, 0) for x in om.elements()}
+    retr = {x: _partial_identity(dm, n, -d) for x in om.elements()}
     pres = ExtensionPresentation(
         a, ctx.rb, dm, dict(b.pmap), dict(b.qmap), dict(b.tmap), total, total_rb,
         incl, proj, sect, retr,
@@ -141,49 +125,14 @@ def build_extension(ctx: RbfContext, pair: CocyclePair) -> ExtensionBuild:
     return ExtensionBuild(pres, algebra_witness, rb_witness, alg_zero and rb_zero)
 
 
-def _block(top_left: Mat, bottom_right: Mat, bottom_left: Mat | None) -> Mat:
-    d = top_left.rows
-    dm = bottom_right.rows
-    n = d + dm
-    out = Mat.zeros(n, n)
-    for i in range(d):
-        for j in range(d):
-            out.entries[i * n + j] = top_left.at(i, j)
-    for i in range(dm):
-        for j in range(dm):
-            out.entries[(d + i) * n + (d + j)] = bottom_right.at(i, j)
-    if bottom_left is not None:
-        for i in range(dm):
-            for j in range(d):
-                out.entries[(d + i) * n + j] = bottom_left.at(i, j)
-    return out
-
-
-def _incl_mat(d: int, dm: int) -> Mat:
-    out = Mat.zeros(d + dm, dm)
-    for l in range(dm):
-        out.entries[(d + l) * dm + l] = ONE
-    return out
-
-
-def _proj_mat(d: int, dm: int) -> Mat:
-    out = Mat.zeros(d, d + dm)
-    for i in range(d):
-        out.entries[i * (d + dm) + i] = ONE
-    return out
-
-
-def _sect_mat(d: int, dm: int) -> Mat:
-    out = Mat.zeros(d + dm, d)
-    for i in range(d):
-        out.entries[i * d + i] = ONE
-    return out
-
-
-def _retr_mat(d: int, dm: int) -> Mat:
-    out = Mat.zeros(dm, d + dm)
-    for l in range(dm):
-        out.entries[l * (d + dm) + (d + l)] = ONE
+def _partial_identity(rows: int, cols: int, shift: int) -> Mat:
+    """Ones at (r, r - shift) where that column exists: with d = dim A and
+    n = d + dim M, the inclusion of M is (n, dim M, d), the projection onto A
+    (d, n, 0), the section (n, d, 0) and the retraction (dim M, n, -d)."""
+    out = Mat.zeros(rows, cols)
+    for r in range(rows):
+        if 0 <= r - shift < cols:
+            out.entries[r * cols + r - shift] = ONE
     return out
 
 

@@ -72,10 +72,11 @@ class RbfContext:
     def __post_init__(self):
         if self.bimodule.tmap is None:
             raise PreconditionError("context bimodule needs a tmap family")
-        if self.bimodule.base is not self.algebra:
-            # allow structurally identical bases
-            if self.bimodule.base.product != self.algebra.product:
-                raise MalformedInputError("bimodule base differs from the context algebra")
+        base, a = self.bimodule.base, self.algebra
+        if base is not a and (base.omega, base.dim, base.product, base.pmap, base.qmap) != (
+            a.omega, a.dim, a.product, a.pmap, a.qmap
+        ):
+            raise MalformedInputError("bimodule base differs from the context algebra")
 
     @classmethod
     def validated(cls, algebra, rb, bimodule) -> "RbfContext":

@@ -17,6 +17,7 @@ from bihomega.extension import (
 from bihomega.linalg import Mat
 from bihomega.rationals import Rat
 from bihomega.rbf import CombinedCochain, combined_kernel, d_combined, solve_combined
+from bihomega.serialization import WorkbenchFile, workbench_to_json
 
 
 def zero_pair(ctx):
@@ -41,6 +42,29 @@ def test_zero_pair_is_semidirect(e1_ctx):
     assert build.presentation.total.product == sd.product
     assert build.presentation.total_rb.maps == sd_rb.maps
     assert build.presentation.total_rb.weight == sd_rb.weight
+
+
+def test_build_leaves_context_and_semidirect_unchanged(c2_ctx):
+    """The cocycle pair is written into a fresh semidirect product in place."""
+    ctx = c2_ctx
+    nonzero = [x for x in combined_kernel(ctx, 2) if not (x.alg.is_zero() and x.rbf.is_zero())]
+    pair = CocyclePair(nonzero[0].alg, nonzero[0].rbf)
+
+    def snapshot(sd=None):
+        sd, sd_rb = sd or rbf_semidirect(ctx.bimodule, ctx.rb, check=False)
+        om = ctx.algebra.omega
+        return (
+            workbench_to_json(WorkbenchFile(om, algebra=ctx.algebra, rota_baxter=ctx.rb, bimodule=ctx.bimodule)),
+            workbench_to_json(WorkbenchFile(om, algebra=sd, rota_baxter=sd_rb)),
+        )
+
+    semidirect = rbf_semidirect(ctx.bimodule, ctx.rb, check=False)
+    before = snapshot(semidirect)
+    build = build_extension(ctx, pair)
+    assert build.valid() and build.is_cocycle
+    assert build.presentation.total.product != semidirect[0].product
+    assert snapshot(semidirect) == before
+    assert snapshot() == before
 
 
 def test_semidirect_extracts_zero_pair(e1_ctx):

@@ -150,6 +150,23 @@ def test_phi_all_r_when_tmap_zero_weight_zero(e1):
         assert image.value((0, 0), args) == expect
 
 
+@pytest.mark.parametrize("field", ["product", "pmap", "qmap", "dim", "omega"])
+def test_context_refuses_bimodule_over_another_base(e1_ctx, field):
+    a = e1_ctx.algebra
+    other = replace(a, _cache={})
+    if field == "product":
+        other.product = {(0, 0): [[[v + 1 for v in col] for col in plane] for plane in a.product[(0, 0)]]}
+    elif field == "dim":
+        other.dim = a.dim + 1
+    elif field == "omega":
+        other.omega = samples.build_c2_example(0).omega
+    else:
+        setattr(other, field, {0: Mat.scalar(2, 3)})
+    with pytest.raises(MalformedInputError, match="bimodule base differs"):
+        RbfContext(other, e1_ctx.rb, e1_ctx.bimodule)
+    assert RbfContext(replace(a, _cache={}), e1_ctx.rb, e1_ctx.bimodule).algebra.dim == a.dim
+
+
 def test_phi_zero_family_zero_tmap(e1):
     rb = zero_rb(e1)
     bim = zero_bimodule(e1, 1, tmap={0: Mat.zeros(1, 1)})

@@ -42,13 +42,7 @@ from bihomega.monoid import cyclic_monoid, trivial_monoid
 from bihomega.rationals import Rat, format_rational
 from bihomega.rbf import CombinedCochain, combined_kernel, d_combined, rbfa_cohomology_dims
 from bihomega.search import first_nonscalar, search_nijenhuis
-from bihomega.serialization import (
-    WorkbenchFile,
-    _fmt_pair_tensors,
-    parse_workbench,
-    serialize_workbench,
-    workbench_to_json,
-)
+from bihomega.serialization import WorkbenchFile, parse_workbench, serialize_workbench, workbench_to_json
 
 FIXTURES = ROOT / "fixtures"
 
@@ -259,12 +253,16 @@ def _battery_doc(a, rb, b, nij_maps) -> dict:
     return workbench_to_json(wf)
 
 
+def _nijenhuis_maps(a) -> dict:
+    """First non-scalar Nijenhuis family of the bounded search, else the identity."""
+    nij = first_nonscalar(search_nijenhuis(a, 1))
+    return nij.maps if nij is not None else {x: Mat.identity(a.dim) for x in a.omega.elements()}
+
+
 def _searched_doc(a) -> dict:
     """Regular bimodule of ``a`` with the first non-scalar searched families."""
     rb = samples.searched_rb(a)
-    nij = first_nonscalar(search_nijenhuis(a, 1))
-    nij_maps = nij.maps if nij is not None else {x: Mat.identity(a.dim) for x in a.omega.elements()}
-    return _battery_doc(a, rb, regular_bimodule(a, rb), nij_maps)
+    return _battery_doc(a, rb, regular_bimodule(a, rb), _nijenhuis_maps(a))
 
 
 def _leaf_paths(node, prefix):
@@ -304,13 +302,9 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _witness_row(doc: dict, bullet_doc: dict) -> dict:
+def _witness_row(doc: dict, bullet: BimoduleAlgebraData) -> dict:
     wf = parse_workbench(json.dumps(doc))
     a, rb, b = wf.algebra, wf.rota_baxter, wf.bimodule
-    bullet = BimoduleAlgebraData(
-        {(x, y): [[[Rat(v) for v in row] for row in plane] for plane in t]
-         for (x, y), t in ((tuple(int(s) for s in k.split(",")), t) for k, t in bullet_doc.items())}
-    )
     star = star_product(a, rb, check=False)
     star_b = induced_module_star(b, rb, check=False)
     return {
@@ -345,7 +339,6 @@ def _hand_cases() -> dict:
     the right action and of T holds for every tensor, and a perturbed action
     breaks an earlier identity first.  Each case is (document, bullet).
     """
-    om = trivial_monoid()
     e0, zero1 = samples.build_e0(), samples.build_zero1()
     zero_rb_e0 = zero_rb(e0)
     ident = {0: Mat.identity(1)}
@@ -399,9 +392,7 @@ def _hand_cases() -> dict:
     cases["t-p-commute"] = (
         _battery_doc(twisted, rb, b, {0: Mat.identity(2)}), _tensor((2, 2, 2), {})
     )
-    return {
-        name: (doc, _fmt_pair_tensors({(0, 0): bullet})) for name, (doc, bullet) in cases.items()
-    }
+    return {name: (doc, BimoduleAlgebraData({(0, 0): bullet})) for name, (doc, bullet) in cases.items()}
 
 
 def witness_table() -> dict:
@@ -414,16 +405,13 @@ def witness_table() -> dict:
         ("zero1", samples.zero1_rbf_context()),
         ("c2", samples.c2_rbf_context()),
     ):
-        a = ctx.algebra
-        nij = first_nonscalar(search_nijenhuis(a, 1))
-        nij_maps = nij.maps if nij is not None else {x: Mat.identity(a.dim) for x in a.omega.elements()}
-        docs[name] = _battery_doc(a, ctx.rb, ctx.bimodule, nij_maps)
+        docs[name] = _battery_doc(ctx.algebra, ctx.rb, ctx.bimodule, _nijenhuis_maps(ctx.algebra))
     docs["diag2_c2"] = _searched_doc(samples.build_diag(2, om2))
     docs["tpoly3"] = _searched_doc(samples.build_truncated_poly(3))
     table = {}
     for name, doc in docs.items():
         # the product itself is a bimodule-algebra structure on the regular bimodule
-        bullet = doc["algebra"]["product"]
+        bullet = BimoduleAlgebraData(parse_workbench(json.dumps(doc)).algebra.product)
         table[name] = _witness_row(doc, bullet)
         for label, perturbed in _perturbations(doc):
             table[f"{name} +1 {label}"] = _witness_row(perturbed, bullet)
