@@ -33,6 +33,7 @@ from .algebra import (
     _column_witness,
     _commute_scan,
     _first,
+    _star_entry,
     _intertwining_scan,
     _weighted_scan,
     bilinear,
@@ -43,7 +44,7 @@ from .algebra import (
 )
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .linalg import Mat
-from .rationals import ONE, ZERO
+from .rationals import ZERO
 
 
 @dataclass(eq=False)
@@ -63,16 +64,6 @@ class OmegaBimodule:
     def act_right(self, key, m_vec, x_vec) -> list:
         return bilinear(self.right[key], m_vec, x_vec, self.dim_m)
 
-    def act_left_basis(self, key, i: int, l: int) -> list:
-        return self.left[key][i][l]
-
-    def act_right_basis(self, key, l: int, j: int) -> list:
-        return self.right[key][l][j]
-
-    def m_basis_vector(self, l: int) -> list:
-        v = [ZERO] * self.dim_m
-        v[l] = ONE
-        return v
 
 
 def ensure_bimodule_shapes(b: OmegaBimodule):
@@ -243,15 +234,34 @@ def validate_bimodule_algebra(b: OmegaBimodule, extra: BimoduleAlgebraData) -> W
 
 
 def validate_rbf_bimodule(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | None:
-    """Check the weighted action identities for the tmap family."""
+    """Check the weighted action identities for the tmap family.
+
+    Preconditions, refused in this order with PreconditionError: a tmap
+    family and a valid bimodule (:func:`_require_bimodule`), then a valid
+    Rota-Baxter family.  :func:`_rbf_action_scan` is the check itself, for
+    callers that have established the preconditions already.
+    """
+    _require_bimodule(b)
+    witness = check_rota_baxter(b.base, rb)
+    if witness is not None:
+        raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
+    return _rbf_action_scan(b, rb)
+
+
+def _require_bimodule(b: OmegaBimodule):
+    """Refuse, with PreconditionError, a bimodule without a tmap family or
+    one that fails :func:`validate_bimodule`."""
     if b.tmap is None:
         raise PreconditionError("bimodule has no tmap family")
     witness = validate_bimodule(b)
     if witness is not None:
         raise PreconditionError(f"bimodule invalid: {witness.describe()}")
-    witness = check_rota_baxter(b.base, rb)
-    if witness is not None:
-        raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
+
+
+def _rbf_action_scan(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | None:
+    """The weighted action identities of a valid bimodule with a tmap family
+    over a valid family: commutation of T with the module maps, then the
+    left and right weighted scans."""
     om, t, r = b.base.omega, b.tmap, rb.maps
     return (
         _commute_scan(om, t, (("t-p-commute", b.pmap), ("t-q-commute", b.qmap)))
@@ -275,35 +285,26 @@ def induced_module_star(b: OmegaBimodule, rb: RotaBaxterFamily, check: bool = Tr
     """The derived bimodule over the star algebra.
 
     x |>' m = R(x) |> m - T(x |> m);  m <|' x = m <| R(x) - T(m <| x);
-    same structure maps, base = star algebra.
+    same structure maps, base = star algebra.  Each entry contracts an
+    action tensor with a column of R, as the weight-0 star sum of
+    ``algebra._star_entry``, and subtracts T at the key's product applied
+    to the action tensor's own entry.
     """
     if check:
         witness = validate_rbf_bimodule(b, rb)
         if witness is not None:
             raise PreconditionError(f"not a Rota-Baxter family bimodule: {witness.describe()}")
     a = b.base
-    om = a.omega
     d, dm = a.dim, b.dim_m
     star = star_product(a, rb, check=False)
+    zeros = [ZERO] * dm
+
+    def derived(t, sxi: list, uyj: list, i: int, j: int, txy: Mat) -> list:
+        return [u - v for u, v in zip(_star_entry(t, sxi, uyj, i, j, ZERO, dm), txy.matvec(t[i][j]))]
+
     left, right = {}, {}
-    for key in b.left:
-        x, y = key
-        txy = b.tmap[om.mul(x, y)]
-        rx, ry = rb.maps[x], rb.maps[y]
-        lt = tensor_zeros(d, dm, dm)
-        for i in range(d):
-            rxi = rx.col(i)
-            for l in range(dm):
-                acc = b.act_left(key, rxi, b.m_basis_vector(l))
-                sub = txy.matvec(b.act_left_basis(key, i, l))
-                lt[i][l] = [u - v for u, v in zip(acc, sub)]
-        left[key] = lt
-        rt = tensor_zeros(dm, d, dm)
-        for l in range(dm):
-            el = b.m_basis_vector(l)
-            for j in range(d):
-                acc = b.act_right(key, el, ry.col(j))
-                sub = txy.matvec(b.act_right_basis(key, l, j))
-                rt[l][j] = [u - v for u, v in zip(acc, sub)]
-        right[key] = rt
+    for (x, y), lt in b.left.items():
+        rt, txy, rx, ry = b.right[(x, y)], b.tmap[a.omega.mul(x, y)], rb.maps[x], rb.maps[y]
+        left[(x, y)] = [[derived(lt, rx.col(i), zeros, i, l, txy) for l in range(dm)] for i in range(d)]
+        right[(x, y)] = [[derived(rt, zeros, ry.col(j), l, j, txy) for j in range(d)] for l in range(dm)]
     return OmegaBimodule(star, dm, left, right, dict(b.pmap), dict(b.qmap), None)

@@ -32,11 +32,7 @@ from .algebra import (
     yau_twist,
     zero_rb,
 )
-from .bimodule import (
-    regular_bimodule,
-    validate_bimodule,
-    validate_rbf_bimodule,
-)
+from .bimodule import _rbf_action_scan, regular_bimodule, validate_bimodule
 from .cochain import cohomology_dims, dd_zero_witness
 from .deformation import (
     DeformationJet,
@@ -111,7 +107,7 @@ def cmd_validate(args) -> tuple[dict, int]:
         witness = validate_bimodule(wf.bimodule)
         checks["bimodule"] = "ok" if witness is None else "witness"
         if witness is None and wf.bimodule.tmap is not None and wf.rota_baxter is not None:
-            witness = validate_rbf_bimodule(wf.bimodule, wf.rota_baxter)
+            witness = _rbf_action_scan(wf.bimodule, wf.rota_baxter)  # its preconditions passed above
             checks["rbf_bimodule"] = "ok" if witness is None else "witness"
     out = {"checks": checks}
     if witness is not None:

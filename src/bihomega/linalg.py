@@ -8,8 +8,13 @@ Elimination works on sparse row dicts {column: nonzero value}, one row at a
 time against a {pivot_col: row} echelon, so the cost follows the nonzeros,
 not the shape.  It is fraction-free, in the spirit of Bareiss 1968: rows
 scaled to integers are reduced by row <- (p/g) row - (r/g) pivot with
-g = gcd(p, r), and stored divided by their content.  :func:`sparse_rank`
-counts the pivots of that echelon and builds no rational.
+g = gcd(p, r), and stored divided by their content.  Pivot rule: a row
+that meets a pivot with more nonzeros at its leading column takes its
+place and the displaced pivot is reduced instead, so the echelon fills in
+less.  The echelon then depends on the order of the rows; its pivot
+columns and the RREF, and so every rank, kernel and solve, do not.
+:func:`sparse_rank` counts the pivots of that echelon and builds no
+rational.
 :func:`sparse_rref` back-substitutes it the same way, in integers, and
 divides each row by its pivot once at the end, the one rational division of
 the RREF that :func:`sparse_kernel` and :func:`sparse_solve` read off;
@@ -264,22 +269,32 @@ def sparse_rank(rows) -> int:
 def _integer_echelon(rows) -> dict:
     """Fraction-free forward elimination into {pivot_col: primitive int row}.
 
-    Each row is scaled to integers by the lcm of its denominators, which
-    keeps its span, and reduced by :func:`_cross_eliminate`; a row that opens
-    a pivot is divided by its content, sign included, so its lead is positive.
+    A row of ints is copied once; any other row is scaled to integers by the
+    lcm of its denominators, which keeps its span.  The row is reduced by
+    :func:`_cross_eliminate` against the pivot at its leading column, unless
+    that pivot has more nonzeros: then the row takes the pivot's place and
+    the displaced pivot is reduced instead, so the echelon keeps the sparser
+    row of the two.  A row that is stored is divided by its content, sign
+    included, so its lead is positive.
     """
     pivots: dict = {}
     for r in rows:
-        den = lcm(*(v.denominator for v in r.values() if type(v) is not int))
-        row = {c: v.numerator * (den // v.denominator) for c, v in r.items() if v}
+        if all(type(v) is int for v in r.values()):
+            row = {c: v for c, v in r.items() if v}
+        else:
+            den = lcm(*(v.denominator for v in r.values() if type(v) is not int))
+            row = {c: v.numerator * (den // v.denominator) for c, v in r.items() if v}
         while row:
             col = min(row)
             pivot = pivots.get(col)
+            if pivot is not None and len(pivot) <= len(row):
+                row = _cross_eliminate(row, pivot, col)
+                continue
+            g = gcd(*row.values()) if row[col] > 0 else -gcd(*row.values())
+            pivots[col] = row = {c: v // g for c, v in row.items()} if g != 1 else row
             if pivot is None:
-                g = gcd(*row.values()) if row[col] > 0 else -gcd(*row.values())
-                pivots[col] = {c: v // g for c, v in row.items()}
                 break
-            row = _cross_eliminate(row, pivot, col)
+            row = _cross_eliminate(pivot, row, col)
     return pivots
 
 

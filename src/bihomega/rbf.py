@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import OmegaAlgebra, RotaBaxterFamily, Witness, check_rota_baxter, star_product, validate_algebra
-from .bimodule import OmegaBimodule, induced_module_star, validate_rbf_bimodule
+from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induced_module_star
 from .cochain import (
     Cochain,
     CohomologyReport,
@@ -86,7 +86,12 @@ class RbfContext:
         witness = check_rota_baxter(algebra, rb)
         if witness is not None:
             raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
-        witness = validate_rbf_bimodule(bimodule, rb)
+        _require_bimodule(bimodule)
+        if bimodule.base is not algebra:  # a distinct base object gets its own check of the family
+            witness = check_rota_baxter(bimodule.base, rb)
+            if witness is not None:
+                raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
+        witness = _rbf_action_scan(bimodule, rb)
         if witness is not None:
             raise PreconditionError(f"bimodule invalid for the family: {witness.describe()}")
         return cls(algebra, rb, bimodule)

@@ -910,18 +910,25 @@ def test_coboundary_blocks_match_oracles_on_named_inputs():
 
 def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
     """On c2 variant 0 at degree 4, δ has 111 pairs (output tuple, source
-    tuple) but 24 distinct pair keys; the tables and delta_op together
-    compile one block per key, in one pass."""
+    tuple) but 24 distinct pair keys, and 12 distinct face terms stand
+    behind those keys; the tables and delta_op together compile one block
+    per key, in one pass, and each face term once."""
     b = regular_bimodule(samples.build_c2_example(0))
-    compiled = []
-    original = blocks.compile_blocks
+    compiled, terms = [], []
+    original, original_term = blocks.compile_blocks, blocks._face_term
 
     def counting(bb, n, reps):
         if n == 4:
             compiled.append(len(reps))
         return original(bb, n, reps)
 
+    def counting_term(cols, bb, n, term, beta, rows):
+        if n == 4:
+            terms.append(term)
+        return original_term(cols, bb, n, term, beta, rows)
+
     monkeypatch.setattr(blocks, "compile_blocks", counting)
+    monkeypatch.setattr(blocks, "_face_term", counting_term)
     cohomology_dims(b, 4)
     delta_op(b, 4)
     plan = blocks.coboundary_plan(b, 4)
@@ -929,6 +936,8 @@ def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
     assert len(numbers) == 111
     assert len(set(numbers)) == len(plan.reps) == 24
     assert compiled == [24]
+    assert sum(map(len, plan.reps)) == 60
+    assert len(terms) == len(set(terms)) == len({term for key in plan.reps for term in key}) == 12
 
 
 def test_cochain_sparse_matches_per_tuple_expansion():
@@ -1026,8 +1035,10 @@ def test_kernel_eliminations_stay_under_a_fifth_of_build_order():
 
 def test_stage_tool_reports_exact_work_counts():
     """tools/cohomology_stages.py reports per degree the constraint rows of
-    C^k and the row eliminations of its kernel: exact counts, equal on
-    every run, so the work of the equivariance layer is checked without
+    C^k, the row eliminations of its kernel, the face terms of δ_k compiled
+    (k + 2 on a one-element monoid) and the nonzeros of the echelon the
+    rank leaves: exact counts, equal on every run, so the work of the
+    equivariance, coboundary and elimination layers is checked without
     timing noise."""
     from cohomology_stages import one_pass
 
@@ -1036,4 +1047,6 @@ def test_stage_tool_reports_exact_work_counts():
     for run in runs:
         assert [row["constraint_rows"] for row in run] == [0, 7, 23, 73, 227]
         assert [row["kernel_eliminations"] for row in run] == [0, 3, 13, 51, 181]
+        assert [row["face_terms"] for row in run] == [0, 3, 4, 5, 6]
+        assert [row["echelon_nonzeros"] for row in run] == [4, 15, 38, 175, 542]
         assert [row["dim"] for row in run] == [r[0] for r in LADDER_TABLES["semidirect"][:5]]

@@ -167,6 +167,15 @@ def test_context_refuses_bimodule_over_another_base(e1_ctx, field):
     assert RbfContext(replace(a, _cache={}), e1_ctx.rb, e1_ctx.bimodule).algebra.dim == a.dim
 
 
+def test_validated_checks_the_family_on_a_distinct_base(e1_ctx):
+    """The family is checked once per algebra object: on a bimodule over
+    another algebra (diag(2), a valid one on which the e1 family fails),
+    validated refuses the family before it compares the bases."""
+    bim = regular_bimodule(samples.build_diag(2), e1_ctx.rb)
+    with pytest.raises(PreconditionError, match="Rota-Baxter family invalid: rota-baxter fails"):
+        RbfContext.validated(e1_ctx.algebra, e1_ctx.rb, bim)
+
+
 def test_phi_zero_family_zero_tmap(e1):
     rb = zero_rb(e1)
     bim = zero_bimodule(e1, 1, tmap={0: Mat.zeros(1, 1)})

@@ -24,13 +24,16 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
   basis;
 * ``rank``     -- one forward elimination on the raw images.
 
-Beside the seconds, each degree row of these two cases carries two exact
+Beside the seconds, each degree row of these two cases carries four exact
 counts that read the same on every run: ``constraint_rows``, the
-equivariance rows of C^k (one system per twist signature), and
+equivariance rows of C^k (one system per twist signature);
 ``kernel_eliminations``, the row eliminations (``linalg._cross_eliminate``
-calls) that solving them for the basis of C^k takes.  They are counted
-during the ``basis`` stage, which adds one call per elimination to its
-seconds.
+calls) that solving them for the basis of C^k takes; ``face_terms``, the
+face terms of δ_k compiled (``blocks._face_term`` calls; 0 at k = 0); and
+``echelon_nonzeros``, the nonzero entries of the integer echelon that the
+rank leaves.  The eliminations are counted during the ``basis`` stage and
+the face terms during the stages of δ_k, which adds one call per count to
+their seconds.
 
 For the combined complex of ``samples.c2_rbf_context()`` (degrees 0-5),
 each repeat starts from a fresh context, runs the two single complexes as
@@ -60,7 +63,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bihomega import linalg, samples
+from bihomega import blocks, linalg, samples
 from bihomega.bimodule import regular_bimodule
 from bihomega.blocks import coboundary_plan
 from bihomega.cochain import (
@@ -73,7 +76,6 @@ from bihomega.cochain import (
     delta_op,
     equivariant_basis,
 )
-from bihomega.linalg import sparse_rank
 from bihomega.rationals import RAT_BACKEND
 from bihomega.rbf import RbfContext, _combined_images, _in_combined_target, phi_op
 
@@ -84,7 +86,8 @@ CASES = (
 STAGES = ("basis", "plan", "blocks", "products", "verify", "assemble", "rank")
 COMBINED_STAGES = ("phi_op", "images", "rank")
 COMBINED_MAX_DEGREE = 5
-COUNTS = ("degree", "dim", "rank", "inside", "constraint_rows", "kernel_eliminations")
+COUNTS = ("degree", "dim", "rank", "inside", "constraint_rows", "kernel_eliminations", "face_terms",
+          "echelon_nonzeros")
 
 
 def degree_zero(b, clock) -> tuple:
@@ -123,21 +126,26 @@ def degree_k(b, k: int, basis, clock) -> tuple:
             "assemble": t5 - t4}, images, inside
 
 
-def counting_eliminations(build) -> tuple:
-    """(build(), the number of ``linalg._cross_eliminate`` calls it made)."""
+def counting_calls(module, name: str, build) -> tuple:
+    """(build(), the number of calls to ``module.name`` it made)."""
     calls = 0
-    original = linalg._cross_eliminate
+    original = getattr(module, name)
 
-    def counting(row, pivot, col):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return original(row, pivot, col)
+        return original(*args)
 
-    linalg._cross_eliminate = counting
+    setattr(module, name, counting)
     try:
         return build(), calls
     finally:
-        linalg._cross_eliminate = original
+        setattr(module, name, original)
+
+
+def counting_eliminations(build) -> tuple:
+    """(build(), the number of ``linalg._cross_eliminate`` calls it made)."""
+    return counting_calls(linalg, "_cross_eliminate", build)
 
 
 def constraint_row_count(b, k: int) -> int:
@@ -154,12 +162,14 @@ def one_pass(a, max_degree: int) -> list:
         t0 = clock()
         basis, eliminations = counting_eliminations(lambda: equivariant_basis(b, k))
         t1 = clock()
-        stages, images, inside = degree_zero(b, clock) if k == 0 else degree_k(b, k, basis, clock)
+        build = (lambda: degree_zero(b, clock)) if k == 0 else (lambda: degree_k(b, k, basis, clock))
+        (stages, images, inside), face_terms = counting_calls(blocks, "_face_term", build)
         t2 = clock()
-        r = sparse_rank(images)
+        echelon = linalg._integer_echelon(images)  # what sparse_rank counts the pivots of
         t3 = clock()
-        rows.append({"degree": k, "dim": basis.dim(), "rank": r, "inside": inside,
+        rows.append({"degree": k, "dim": basis.dim(), "rank": len(echelon), "inside": inside,
                      "constraint_rows": constraint_row_count(b, k), "kernel_eliminations": eliminations,
+                     "face_terms": face_terms, "echelon_nonzeros": sum(map(len, echelon.values())),
                      "basis": t1 - t0, **stages, "rank_s": t3 - t2})
     return rows
 
@@ -179,7 +189,7 @@ def combined_pass(a, rb, max_degree: int) -> tuple:
         images = _combined_images(ctx, k)
         inside = all(_in_combined_target(ctx, 0, img) for img in images) if k == 0 else None
         t2 = clock()
-        r = sparse_rank(images)
+        r = linalg.sparse_rank(images)
         t3 = clock()
         rows.append({"degree": k, "dim": len(images), "rank": r, "inside": inside,
                      "phi_op": t1 - t0, "images": t2 - t1, "rank_s": t3 - t2})
