@@ -45,17 +45,21 @@ constraint columns of the output block once per (output signature, pair
 key, source signature).  An image lies in C^{n+1} exactly when each of its
 output blocks meets that block's constraints, and each output block of a
 basis image is one such product, so every image is still verified.  The
-images are then assembled one at a time and streamed into one
-fraction-free integer rank per degree (the coordinate map of C^{k+1} is
-injective, so this is the rank of δ_k on C^k).  No basis-coordinate matrix
-and no basis of C^{max_degree+1} is built.  :func:`delta_matrix` (basis
-coordinates, via ``coords_of``) remains for solving.
+same pass drops the *end columns* of the output block (the largest column
+of each constraint row) from each product.  That is injective on C^{k+1}:
+a member vanishing off the end columns meets, at its smallest nonzero end
+column, a row ending there with one nonzero term.  So the projected images,
+streamed into one fraction-free integer rank per degree k >= 1 (degree 0
+ranks raw images), give the rank of δ_k, and no matrix of δ_k and no basis
+or kernel of C^{max_degree+1} is built.  :func:`delta_matrix` (via
+``coords_of``) and the combined complex keep the raw products.
 
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
 equivariant subspace.  ``delta_matrix(b, 0)`` then raises
-InternalCheckError (never projecting), and ``cohomology_dims`` falls back to
-the exact intersection of the image with C^1, flagging the report.
+InternalCheckError (never forcing the image into C^1), and
+``cohomology_dims`` falls back to the exact intersection of the image with
+C^1, flagging the report.
 """
 
 from __future__ import annotations
@@ -230,12 +234,15 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
     return True
 
 
-def _violates(by_col: dict, local: dict) -> bool:
-    """Does a block-local sparse vector fail a constraint row of ``by_col``?"""
+def _violates(by_col: dict, local: dict, ends=(), kept: dict | None = None) -> bool:
+    """Does a block-local sparse vector fail a constraint row of ``by_col``?
+    Its entries off the columns ``ends`` are copied into ``kept``, if given."""
     residual: dict = {}
     for c, x in local.items():
         for i, v in by_col.get(c, ()):
             residual[i] = residual.get(i, 0) + v * x
+        if kept is not None and c not in ends:
+            kept[c] = x
     return any(residual.values())
 
 
@@ -420,9 +427,10 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     them.  Per argument tuple, in lex order, the slot-map part is the
     Kronecker product of the slot maps' columns at the arguments.  Identity
     map pairs build no rows, and the rows are sorted by largest column,
-    descending (see the module docstring).
+    descending (see the module docstring), caching those end columns.
     """
-    cache_key = ("constraint_rows", _twist_signature(b, om_tuple))
+    sig = _twist_signature(b, om_tuple)
+    cache_key = ("constraint_rows", sig)
     hit = b._cache.get(cache_key)
     if hit is not None:
         return hit
@@ -447,7 +455,8 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
                     else:
                         row.pop(col, None)
             rows.extend(r for r in row_of if r)
-    rows.sort(key=max, reverse=True)
+    ends = b._cache[("end_columns", sig)] = set()  # filled by the sort key: one max per row
+    rows.sort(key=lambda row: ends.add(end := max(row)) or end, reverse=True)
     b._cache[cache_key] = rows
     return rows
 
@@ -576,8 +585,8 @@ def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
     return Cochain(n + 1, f.omega_size, f.dim_in, f.dim_out, delta_op(b, n).apply_dense(f.coords))
 
 
-def _basis_images(b: OmegaBimodule, n: int, verify: bool = True):
-    """Raw images of the C^n basis under δ, in basis order, as fresh sparse dicts.
+def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool = False):
+    """Images of the C^n basis under δ, in basis order, as fresh sparse dicts.
 
     Degree 0 applies :func:`delta_op`.  For n >= 1 the image of basis element
     (source tuple s, kernel vector k) is, on each output block of s, the
@@ -587,7 +596,8 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True):
     block by block, before it is yielded (each output block of an image is
     one product, so its verdict is shared, :func:`_violations`), and
     InternalCheckError names the lowest basis element whose image leaves
-    C^{n+1} (possible at n = 0; see the module docstring).
+    C^{n+1} (possible at n = 0; see the module docstring).  ``project``
+    verifies and drops the end columns of C^{n+1} (n >= 1), keeping the rank.
     """
     basis = equivariant_basis(b, n)
     if n == 0:
@@ -610,8 +620,10 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True):
         parts, bad = [], set()
         for t, key in faces:
             products = plan.product(b, key, sig, vectors)
-            if verify:
-                bad |= _violations(b, plan, outputs[t], key, sig, products)
+            if verify or project:
+                failing, projected = _violations(b, plan, outputs[t], key, sig, products)
+                bad |= failing
+                products = projected if project else products
             parts.append((t * out_width, products))
         for k in range(len(vectors)):
             if k in bad:
@@ -623,19 +635,22 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True):
             yield image
 
 
-def _violations(b: OmegaBimodule, plan, beta, key: int, sig, products: list) -> frozenset:
-    """Indices of ``products`` (pair key number ``key``, source signature
-    ``sig``) that violate the constraints of output block ``beta``, kept in
+def _violations(b: OmegaBimodule, plan, beta, key: int, sig, products: list) -> tuple:
+    """(Indices of ``products`` (pair key number ``key``, source signature
+    ``sig``) that violate the constraints of output block ``beta``, the
+    products without the end columns of those constraints), kept in
     ``plan.failures`` per (output signature, key, source signature).  Zero
     products satisfy every constraint, so when all are zero none is built."""
     if not any(products):
-        return frozenset()
-    verdict_key = (_twist_signature(b, beta), key, sig)
-    hit = plan.failures.get(verdict_key)
+        return frozenset(), products
+    out_sig = _twist_signature(b, beta)
+    hit = plan.failures.get((out_sig, key, sig))
     if hit is None:
         by_col = _constraint_columns(b, beta)
-        bad = frozenset(k for k, vec in enumerate(products) if _violates(by_col, vec))
-        hit = plan.failures[verdict_key] = bad
+        ends = b._cache[("end_columns", out_sig)]
+        projected = [{} for _ in products]
+        bad = frozenset(k for k, vec in enumerate(products) if _violates(by_col, vec, ends, projected[k]))
+        hit = plan.failures[(out_sig, key, sig)] = bad, projected
     return hit
 
 
@@ -734,22 +749,23 @@ def _image_intersection_generators(b: OmegaBimodule) -> list:
     return [g for g in (op.image(y) for y in degree0_preimages(b)) if reduce_into(pivots, g)]
 
 
-def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
+def cohomology_dims(b: OmegaBimodule, max_degree: int, check: bool = True) -> CohomologyReport:
     """Cocycle/coboundary/cohomology dimensions for degrees 0..max_degree.
 
-    rank(δ_k on C^k) is taken once per degree on the raw images of the
-    C^k basis, streamed from :func:`_basis_images` and each verified to
-    satisfy the degree-(k+1) constraints, so no basis of C^{max_degree+1}
-    and, for k >= 1, no matrix of δ_k is built.
+    rank(δ_k on C^k) is taken once per degree on the images of the C^k
+    basis, streamed from :func:`_basis_images`, each verified to satisfy the
+    degree-(k+1) constraints and, for k >= 1, projected off their end
+    columns (see the module docstring).
 
     Raises InternalCheckError when degree-0 coboundaries are not 1-cocycles
     (possible for valid inputs; see the module docstring): reporting a
     quotient by a space that is not inside the cocycles would be wrong.
-    Raises MalformedInputError for a negative ``max_degree``.
+    Raises MalformedInputError for a negative ``max_degree``; ``check``
+    False skips validating a bimodule the caller has validated.
     """
     if max_degree < 0:
         raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
-    witness = validate_bimodule(b)
+    witness = validate_bimodule(b) if check else None
     if witness is not None:
         raise PreconditionError(f"bimodule invalid: {witness.describe()}")
     dims_c = [equivariant_basis(b, k).dim() for k in range(max_degree + 1)]
@@ -767,7 +783,7 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
                     "the complex is inconsistent on this input"
                 )
     ranks = [sparse_rank(images0)]
-    ranks += [sparse_rank(_basis_images(b, k)) for k in range(1, max_degree + 1)]
+    ranks += [sparse_rank(_basis_images(b, k, project=True)) for k in range(1, max_degree + 1)]
     if b1_dim is None and max_degree >= 1 and any(delta_op(b, 1).image(g) for g in images0):
         raise InternalCheckError(
             "degree-0 coboundaries are not 1-cocycles; "

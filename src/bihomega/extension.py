@@ -29,7 +29,7 @@ from .algebra import (
     is_homomorphism,
     validate_algebra,
 )
-from .bimodule import OmegaBimodule, rbf_semidirect, validate_rbf_bimodule
+from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, rbf_semidirect
 from .cochain import Cochain, apply_delta, is_equivariant, maps_from_cochain
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .linalg import Mat
@@ -142,6 +142,8 @@ def validate_extension(e: ExtensionPresentation):
     d, dm, n = e.base.dim, e.dim_m, e.total.dim
     if n != d + dm:
         raise MalformedInputError("total dimension is not base + module")
+    if e.total_rb.weight != e.rb.weight:
+        raise MalformedInputError("total and base operator families have different weights")
 
     def bad(name, x):
         raise MalformedInputError(f"extension law violated: {name} at index {x}")
@@ -218,7 +220,8 @@ def extract_cocycle(
 
     The returned pair is certified to be a combined 2-cocycle for the
     induced context; failure of any theory-promised step raises
-    InternalCheckError.
+    InternalCheckError.  The base family is implied by what
+    :func:`validate_extension` checks of the total family and the projection.
     """
     validate_extension(e)
     sect = e.sect if section is None else section
@@ -250,7 +253,8 @@ def extract_cocycle(
             left[key] = lt
             right[key] = rt
     bim = OmegaBimodule(a, dm, left, right, dict(e.pmap_m), dict(e.qmap_m), dict(e.tmap_m))
-    witness = validate_rbf_bimodule(bim, e.rb)
+    _require_bimodule(bim)
+    witness = _rbf_action_scan(bim, e.rb)
     if witness is not None:
         raise InternalCheckError(f"induced bimodule failed validation: {witness.describe()}")
     psi = Cochain.zero(2, om.size, d, dm)

@@ -345,9 +345,10 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     product of equivariant spaces, the coboundary dimension is that of the
     exact intersection (the algebra part constrains it; the operator part is
     unconstrained), and the report is flagged.  A negative ``max_degree``
-    is refused by the first :func:`cohomology_dims` call.
+    is refused by the first :func:`cohomology_dims` call, which skips the
+    context's bimodule, validated with the context, but not the star one.
     """
-    alg_report = cohomology_dims(ctx.bimodule, max_degree)
+    alg_report = cohomology_dims(ctx.bimodule, max_degree, check=False)
     rbf_report = cohomology_dims(ctx.star_bimodule(), max_degree)
     m = ctx.bimodule.dim_m
     images = {k: _combined_images(ctx, k) for k in range(max_degree + 1)}

@@ -231,3 +231,25 @@ def test_validate_extension_names_each_broken_law(e1_ctx):
     )
     with pytest.raises(MalformedInputError, match="abelian kernel"):
         validate_extension(_rebuild(pres, total=bad_total))
+
+
+def test_extract_cocycle_refuses_a_corrupted_base_family(e1_ctx, c2_ctx):
+    """extract_cocycle does not check the base family on its own, since the
+    total family and the projection imply it: one corrupted entry of the
+    base family is still refused, by the projection operator square, and a
+    base family of another weight is refused before any check."""
+    from bihomega.algebra import RotaBaxterFamily
+
+    for ctx in (e1_ctx, c2_ctx):
+        pres = build_extension(ctx, zero_pair(ctx)).presentation
+        x = ctx.algebra.omega.size - 1
+        maps = dict(pres.rb.maps)
+        entries = list(maps[x].entries)
+        entries[0] += 1
+        maps[x] = Mat(maps[x].rows, maps[x].cols, entries)
+        with pytest.raises(MalformedInputError, match=f"projection operator square at index {x}"):
+            extract_cocycle(_rebuild(pres, rb=RotaBaxterFamily(pres.rb.weight, maps)))
+        for weight in (pres.rb.weight + 1, Rat(1, 2)):
+            with pytest.raises(MalformedInputError, match="different weights"):
+                extract_cocycle(_rebuild(pres, rb=RotaBaxterFamily(weight, pres.rb.maps)))
+        assert extract_cocycle(pres)[0] == zero_pair(ctx)

@@ -14,24 +14,27 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 * ``products`` -- each block times the kernel of each source twist
   signature, once per (pair key, source signature);
 * ``verify``   -- the membership verdict of each product in its output
-  block, once per (output signature, pair key, source signature), which
-  includes building the degree-(k+1) constraint rows (the basis of C^{k+1}
-  then reuses them, so ``basis`` is only the kernel for k >= 1); at k = 0,
-  the membership test of every image in C^1;
-* ``assemble`` -- the raw basis images from the cached products (the
-  tables stream them into the rank, with the cached verdicts; here they are
-  kept to time the rank alone); at k = 0, applying ``delta_op`` to the C^0
-  basis;
-* ``rank``     -- one forward elimination on the raw images.
+  block, once per (output signature, pair key, source signature), with the
+  product's projection off the end columns of that block's constraint rows
+  taken in the same pass; it includes building the degree-(k+1) constraint
+  rows (the basis of C^{k+1} then reuses them, so ``basis`` is only the
+  kernel for k >= 1); at k = 0, the membership test of every image in C^1;
+* ``assemble`` -- the projected basis images from the cached projections
+  (the tables stream them into the rank; here they are kept to time the
+  rank alone); at k = 0, applying ``delta_op`` to the C^0 basis, whose
+  images the tables rank raw;
+* ``rank``     -- one forward elimination on those images, the rank the
+  tables take.
 
-Beside the seconds, each degree row of these two cases carries four exact
+Beside the seconds, each degree row of these two cases carries five exact
 counts that read the same on every run: ``constraint_rows``, the
 equivariance rows of C^k (one system per twist signature);
 ``kernel_eliminations``, the row eliminations (``linalg._cross_eliminate``
 calls) that solving them for the basis of C^k takes; ``face_terms``, the
-face terms of δ_k compiled (``blocks._face_term`` calls; 0 at k = 0); and
-``echelon_nonzeros``, the nonzero entries of the integer echelon that the
-rank leaves.  The eliminations are counted during the ``basis`` stage and
+face terms of δ_k compiled (``blocks._face_term`` calls; 0 at k = 0);
+``projected_nonzeros``, the nonzero entries of the images the rank takes;
+and ``echelon_nonzeros``, the nonzero entries of the integer echelon that
+the rank leaves.  The eliminations are counted during the ``basis`` stage and
 the face terms during the stages of δ_k, which adds one call per count to
 their seconds.
 
@@ -87,7 +90,7 @@ STAGES = ("basis", "plan", "blocks", "products", "verify", "assemble", "rank")
 COMBINED_STAGES = ("phi_op", "images", "rank")
 COMBINED_MAX_DEGREE = 5
 COUNTS = ("degree", "dim", "rank", "inside", "constraint_rows", "kernel_eliminations", "face_terms",
-          "echelon_nonzeros")
+          "projected_nonzeros", "echelon_nonzeros")
 
 
 def degree_zero(b, clock) -> tuple:
@@ -118,9 +121,9 @@ def degree_k(b, k: int, basis, clock) -> tuple:
             sig = _twist_signature(b, tuples_in[s])
             work += [(t, key, sig, plan.product(b, key, sig, basis.vectors[s])) for t, key in faces]
     t3 = clock()
-    inside = not any([_violations(b, plan, tuples_out[t], key, sig, prods) for t, key, sig, prods in work])
+    inside = not any([_violations(b, plan, tuples_out[t], key, sig, prods)[0] for t, key, sig, prods in work])
     t4 = clock()
-    images = list(_basis_images(b, k, verify=False))  # verdicts were taken above
+    images = list(_basis_images(b, k, project=True))  # verdicts and projections were taken above
     t5 = clock()
     return {"plan": t1 - t0, "blocks": t2 - t1, "products": t3 - t2, "verify": t4 - t3,
             "assemble": t5 - t4}, images, inside
@@ -169,7 +172,8 @@ def one_pass(a, max_degree: int) -> list:
         t3 = clock()
         rows.append({"degree": k, "dim": basis.dim(), "rank": len(echelon), "inside": inside,
                      "constraint_rows": constraint_row_count(b, k), "kernel_eliminations": eliminations,
-                     "face_terms": face_terms, "echelon_nonzeros": sum(map(len, echelon.values())),
+                     "face_terms": face_terms, "projected_nonzeros": sum(map(len, images)),
+                     "echelon_nonzeros": sum(map(len, echelon.values())),
                      "basis": t1 - t0, **stages, "rank_s": t3 - t2})
     return rows
 
