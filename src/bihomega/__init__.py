@@ -67,7 +67,7 @@ from .extension import (
     extract_cocycle,
 )
 from .gerstenhaber import bracket, circ_i, delta_via_bracket, mc_residual
-from .linalg import Mat, kernel_basis, rank, rref, solve
+from .linalg import Mat, rank
 from .monoid import Monoid, product_word, validate_monoid
 from .rationals import Rat, format_rational, parse_rational
 from .rbf import (

@@ -358,9 +358,9 @@ def yau_twist(
     family is carried over unchanged.  Preconditions checked here:
     the input has identity structure maps and validates together with rb;
     the twisting maps are invertible; pmap[a] qmap[b] = qmap[b] pmap[a] for
-    all a, b; and rb.maps[w] commutes with pmap[w] and qmap[w].  The caller
-    validates the returned pair (the construction does not guarantee it for
-    arbitrary twisting maps).
+    all a, b; and rb.maps[w] pmap[w] = pmap[w] rb.maps[w], likewise for
+    qmap.  The caller validates the returned pair (the construction does not
+    guarantee it for arbitrary twisting maps).
     """
     om = a.omega
     for x in om.elements():

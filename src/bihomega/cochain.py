@@ -52,7 +52,9 @@ column, a row ending there with one nonzero term.  So the projected images,
 streamed into one fraction-free integer rank per degree k >= 1 (degree 0
 ranks raw images), give the rank of δ_k, and no matrix of δ_k and no basis
 or kernel of C^{max_degree+1} is built.  :func:`delta_matrix` (via
-``coords_of``) and the combined complex keep the raw products.
+``coords_of``), :func:`is_coboundary` and the combined complex keep the raw
+products: a preimage is one ``sparse_solve`` of the raw images, transposed
+into rows by ``linalg.sparse_rows``, against the raw target.
 
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
@@ -70,7 +72,7 @@ from dataclasses import dataclass
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .blocks import coboundary_plan
-from .linalg import Mat, _kron, _supports, reduce_into, solve, sparse_kernel, sparse_rank
+from .linalg import Mat, _kron, _supports, reduce_into, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
 from .monoid import Monoid
 from .rationals import ONE, ZERO, Rat
 
@@ -374,14 +376,6 @@ class EquivariantBasis:
                         f.coords[base + col] += c * v
         return f
 
-    def matrix(self) -> Mat:
-        m = Mat.zeros(self.raw_dim, self.dim())
-        width = self.dim()
-        for j in range(width):
-            for idx, v in self.cochain_sparse(j).items():
-                m.entries[idx * width + j] = v
-        return m
-
 
 def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     """Kernel of the stacked equivariance constraints, blockwise per tuple."""
@@ -442,7 +436,7 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
         big = mmaps[prod]
         if big.is_identity() and all(amaps[x].is_identity() for x in om_tuple):
             continue
-        big_rows = [[(l, v) for l, v in enumerate(big.row(k)) if v] for k in range(m)]
+        big_rows = _supports(big)
         tables = [(a.dim, _supports(amaps[x], by_col=True)) for x in om_tuple]
         for arg_rank, slot_part in enumerate(_kron(tables)):
             row_of = [{arg_rank * m + l: v for l, v in big_rows[k]} for k in range(m)]
@@ -490,14 +484,6 @@ class SparseOp:
                     out[row] += c * v
         return out
 
-    def apply_sparse(self, vec: dict) -> list:
-        out = [ZERO] * self.nrows
-        for col, v in vec.items():
-            if v:
-                for row, c in self.cols[col]:
-                    out[row] += c * v
-        return out
-
     def image(self, vec: dict) -> dict:
         """Image of a sparse vector as a sparse dict (no zero entries)."""
         out: dict = {}
@@ -505,13 +491,6 @@ class SparseOp:
             for row, c in self.cols[col]:
                 out[row] = out.get(row, 0) + c * v
         return {row: x for row, x in out.items() if x}
-
-    def matrix(self) -> Mat:
-        m = Mat.zeros(self.nrows, self.ncols)
-        for col, entries in enumerate(self.cols):
-            for row, c in entries:
-                m.entries[row * self.ncols + col] = c
-        return m
 
 
 def _raw_size(b: OmegaBimodule, n: int) -> int:
@@ -665,8 +644,12 @@ def _left_subspace(n: int, j: int) -> InternalCheckError:
 def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
     """Coboundary in equivariant-basis coordinates, C^n -> C^{n+1}.
 
-    Raises InternalCheckError if any image leaves the equivariant subspace
-    (possible at n = 0 when unit-index structure maps are not the identity).
+    No table, solve or command reads it: ``tools/gen_fixtures.py`` writes
+    it into the ``*_delta1.json`` fixtures, and
+    ``perfbench/record_expected.py`` ranks it as a dense reference for its
+    pins.  Raises InternalCheckError if any image leaves the equivariant
+    subspace (possible at n = 0 when unit-index structure maps are not the
+    identity).
     """
     cache_key = ("delta_matrix", n)
     hit = b._cache.get(cache_key)
@@ -722,14 +705,9 @@ def degree0_preimages(b: OmegaBimodule) -> list:
     op = delta_op(b, 0)
     basis1 = equivariant_basis(b, 1)
     width_b = basis1.dim()
-    rows = [dict() for _ in range(op.nrows)]
-    for j in range(width_b):
-        for idx, v in basis1.cochain_sparse(j).items():
-            rows[idx][j] = v
-    for l in range(b.dim_m):
-        for idx, v in op.image({l: ONE}).items():
-            rows[idx][width_b + l] = -v
-    pairs = sparse_kernel([r for r in rows if r], width_b + b.dim_m)
+    cols = [basis1.cochain_sparse(j) for j in range(width_b)]
+    cols += [{idx: -v for idx, v in op.image({l: ONE}).items()} for l in range(b.dim_m)]
+    pairs = sparse_kernel([r for r in sparse_rows(cols, op.nrows) if r], width_b + b.dim_m)
     preimages = []
     for vec in pairs:
         y = {c - width_b: v for c, v in vec.items() if c >= width_b}
@@ -845,29 +823,21 @@ def is_cocycle(b: OmegaBimodule, f: Cochain) -> bool:
 def is_coboundary(b: OmegaBimodule, f: Cochain) -> Cochain | None:
     """A preimage with free coordinates zero, or None.
 
-    Degree 1 solves against all of C^0 = M directly (the degree-0 image need
-    not lie in C^1 in general, but a preimage of an equivariant target is
-    still meaningful); higher degrees solve in equivariant coordinates.
+    Solves the raw images of the C^{n-1} basis (:func:`_basis_images`)
+    against the raw coordinates of ``f``, as ``rbf.solve_combined`` does;
+    coordinates in the C^n basis are injective on C^n, so the solutions are
+    those of :func:`delta_matrix`.  The images are verified to lie in C^n
+    for n - 1 >= 1; degree-0 images need not lie in C^1, but a preimage of
+    an equivariant target is still meaningful.
     """
     if not is_equivariant(b, f):
         raise PreconditionError("cochain is not equivariant")
     n = f.degree
     if n == 0:
         return None
-    if n == 1:
-        op = delta_op(b, 0)
-        x = solve(op.matrix(), f.coords)
-        if x is None:
-            return None
-        return Cochain(0, f.omega_size, f.dim_in, f.dim_out, x)
-    src = equivariant_basis(b, n - 1)
-    dst = equivariant_basis(b, n)
-    mat = delta_matrix(b, n - 1)
-    target = dst.coords_of(f.coords)
-    x = solve(mat, target)
-    if x is None:
-        return None
-    return src.combine(x)
+    images = list(_basis_images(b, n - 1, verify=n >= 2))
+    x = sparse_solve(sparse_rows(images, len(f.coords)), f.coords, len(images))
+    return None if x is None else equivariant_basis(b, n - 1).combine(x)
 
 
 def random_equivariant(b: OmegaBimodule, n: int, rng, lo: int = -2, hi: int = 2) -> Cochain:

@@ -4,15 +4,20 @@ Provides the reduced row echelon form, rank, null-space bases, and linear
 solves that the rest of the workbench is built on.  Everything is exact over
 the rationals; nothing ever rounds.
 
-Elimination works on sparse row dicts {column: nonzero value}, one row at a
-time against a {pivot_col: row} echelon, so the cost follows the nonzeros,
-not the shape.  It is fraction-free, in the spirit of Bareiss 1968: rows
-scaled to integers are reduced by row <- (p/g) row - (r/g) pivot with
-g = gcd(p, r), and stored divided by their content.  Pivot rule: a row
-that meets a pivot with more nonzeros at its leading column takes its
-place and the displaced pivot is reduced instead, so the echelon fills in
-less.  The echelon then depends on the order of the rows; its pivot
-columns and the RREF, and so every rank, kernel and solve, do not.
+Sparse row dicts {column: nonzero value} are the one elimination interface:
+:func:`sparse_rows` transposes sparse columns (images of a basis) into them,
+and ``_supports`` reads the sparse rows or columns of a :class:`Mat`, the
+small dense matrix of the structure maps (:func:`rank` ranks its rows).
+
+Elimination reduces one row at a time against a {pivot_col: row} echelon,
+so the cost follows the nonzeros, not the shape.  It is fraction-free, in
+the spirit of Bareiss 1968: rows scaled to integers are reduced by
+row <- (p/g) row - (r/g) pivot with g = gcd(p, r), and stored divided by
+their content.  Pivot rule: a row that meets a pivot with more nonzeros at
+its leading column takes its place and the displaced pivot is reduced
+instead, so the echelon fills in less.  The echelon then depends on the
+order of the rows; its pivot columns and the RREF, and so every rank,
+kernel and solve, do not.
 :func:`sparse_rank` counts the pivots of that echelon and builds no
 rational.
 :func:`sparse_rref` back-substitutes it the same way, in integers, and
@@ -20,16 +25,14 @@ divides each row by its pivot once at the end, the one rational division of
 the RREF that :func:`sparse_kernel` and :func:`sparse_solve` read off;
 integral entries stay ``int`` (see ``rationals``).  :func:`reduce_into`
 keeps a rational echelon with pivots normalized to 1, one row at a time, for
-the degree-0 image intersection in ``cochain``.  :class:`Mat` is a small dense matrix for structure maps and for
-callers that want one; its ``rank``/``rref``/``kernel_basis``/``solve``
-convert it to sparse rows.
+the degree-0 image intersection in ``cochain``.
 
 Conventions that downstream determinism depends on:
 
 * the RREF is the (unique) reduced echelon form, pivots normalized to 1;
-* ``kernel_basis`` assigns one basis column per free column, taken in
+* :func:`sparse_kernel` assigns one basis vector per free column, taken in
   increasing column order, with the free coordinate set to 1;
-* ``solve`` returns the solution whose free coordinates are all 0.
+* :func:`sparse_solve` returns the solution whose free coordinates are all 0.
 """
 
 from __future__ import annotations
@@ -196,17 +199,27 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
-def commutes(a: Mat, b: Mat) -> bool:
-    return a.mul(b) == b.mul(a)
-
-
-# -- sparse tensor products ----------------------------------------------
+# -- sparse rows and tensor products --------------------------------------
 
 
 def _supports(mat: Mat, by_col: bool = False) -> list:
-    """Sparse rows (or columns) of a square matrix: [[(index, nonzero)]]."""
-    line = mat.col if by_col else mat.row
-    return [[(i, v) for i, v in enumerate(line(j)) if v] for j in range(mat.rows)]
+    """Sparse rows (or columns) of a matrix: [[(index, nonzero)]]."""
+    line, count = (mat.col, mat.cols) if by_col else (mat.row, mat.rows)
+    return [[(i, v) for i, v in enumerate(line(j)) if v] for j in range(count)]
+
+
+def sparse_rows(cols, nrows: int) -> list:
+    """The rows 0..nrows-1 of sparse columns ({row: value} each), as
+    {column: value} dicts; a row that no column touches is empty."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
+
+
+def rank(m: Mat) -> int:
+    return sparse_rank(map(dict, _supports(m)))
 
 
 def _kron(tables) -> list:
@@ -346,8 +359,7 @@ def sparse_kernel(rows: list, ncols: int) -> list:
     """Basis of the null space of the sparse system, as sparse column dicts.
 
     One basis vector per free column, in increasing column order, free
-    coordinate = 1 (matching :func:`kernel_basis`); built in one pass over
-    the entries of the reduced rows.
+    coordinate = 1; built in one pass over the entries of the reduced rows.
     """
     reduced = sparse_rref(rows, ncols)
     pivot_set = {c for c, _ in reduced}
@@ -357,39 +369,6 @@ def sparse_kernel(rows: list, ncols: int) -> list:
             if c != pc:
                 basis[c][pc] = -v
     return list(basis.values())
-
-
-def _to_sparse_rows(m: Mat) -> list:
-    rows = []
-    for i in range(m.rows):
-        base = i * m.cols
-        row = {j: m.entries[base + j] for j in range(m.cols) if m.entries[base + j]}
-        rows.append(row)
-    return rows
-
-
-def rref(m: Mat):
-    """Reduced row echelon form of ``m`` and its pivot columns."""
-    reduced = sparse_rref(_to_sparse_rows(m), m.cols)
-    out = Mat.zeros(m.rows, m.cols)
-    for i, (_, row) in enumerate(reduced):
-        for c, v in row.items():
-            out.entries[i * m.cols + c] = v
-    return out, tuple(c for c, _ in reduced)
-
-
-def rank(m: Mat) -> int:
-    return sparse_rank(_to_sparse_rows(m))
-
-
-def kernel_basis(m: Mat) -> Mat:
-    """Columns form the deterministic basis of the null space of ``m``."""
-    basis = sparse_kernel(_to_sparse_rows(m), m.cols)
-    out = Mat.zeros(m.cols, len(basis))
-    for j, vec in enumerate(basis):
-        for i, v in vec.items():
-            out.entries[i * len(basis) + j] = v
-    return out
 
 
 def sparse_solve(rows: list, rhs, ncols: int) -> list | None:
@@ -407,8 +386,3 @@ def sparse_solve(rows: list, rhs, ncols: int) -> list | None:
             return None
         x[pc] = row.get(ncols, ZERO)
     return x
-
-
-def solve(m: Mat, rhs) -> list | None:
-    """One exact solution of ``m x = rhs`` or None; free coordinates are 0."""
-    return sparse_solve(_to_sparse_rows(m), rhs, m.cols)

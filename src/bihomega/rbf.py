@@ -56,7 +56,7 @@ from .cochain import (
     equivariant_basis,
 )
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, _to_sparse_rows, sparse_kernel, sparse_rank, sparse_solve
+from .linalg import Mat, _supports, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
 from .rationals import ONE, ZERO
 
 
@@ -151,8 +151,8 @@ def phi_op(ctx: RbfContext, n: int) -> SparseOp:
         colmaps = [{l: ONE} for l in range(m)]
     else:
         shifted = Mat.scalar(d, ctx.rb.weight)
-        rows_r = {x: _to_sparse_rows(r) for x, r in ctx.rb.maps.items()}
-        rows_rw = {x: _to_sparse_rows(r.add(shifted)) for x, r in ctx.rb.maps.items()}
+        rows_r = {x: _supports(r) for x, r in ctx.rb.maps.items()}
+        rows_rw = {x: _supports(r.add(shifted)) for x, r in ctx.rb.maps.items()}
         colmaps = []
         for t, alpha in enumerate(om.tuples(n)):
             prefixes = [({0: ONE}, {})]
@@ -162,8 +162,7 @@ def phi_op(ctx: RbfContext, n: int) -> SparseOp:
                     for lifted, corr in prefixes
                     for j in range(d)
                 ]
-            t_all = ctx.bimodule.tmap[om.product_of(alpha)]
-            t_cols = [[(k, v) for k, v in enumerate(t_all.col(l)) if v] for l in range(m)]
+            t_cols = _supports(ctx.bimodule.tmap[om.product_of(alpha)], by_col=True)
             base = t * d**n
             for lifted, corr in prefixes:
                 for l in range(m):
@@ -178,17 +177,17 @@ def phi_op(ctx: RbfContext, n: int) -> SparseOp:
     return op
 
 
-def _horner_step(lifted: dict, corr: dict, r_row: dict, rw_row: dict, j: int, d: int) -> tuple:
+def _horner_step(lifted: dict, corr: dict, r_row: list, rw_row: list, j: int, d: int) -> tuple:
     """One slot of the :func:`phi_op` recurrence on sparse tensors:
     (A (x) r_row,  P (x) rw_row + A (x) e_j)."""
-    new_corr = {i * d + k: c * v for i, c in corr.items() for k, v in rw_row.items()}
+    new_corr = {i * d + k: c * v for i, c in corr.items() for k, v in rw_row}
     for i, c in lifted.items():
         new = new_corr.get(i * d + j, 0) + c
         if new:
             new_corr[i * d + j] = new
         else:
             new_corr.pop(i * d + j, None)
-    return {i * d + k: c * v for i, c in lifted.items() for k, v in r_row.items()}, new_corr
+    return {i * d + k: c * v for i, c in lifted.items() for k, v in r_row}, new_corr
 
 
 def phi(ctx: RbfContext, f: Cochain) -> Cochain:
@@ -277,13 +276,13 @@ def combined_dim(ctx: RbfContext, n: int) -> int:
 
 def combined_from_coords(ctx: RbfContext, n: int, coords) -> CombinedCochain:
     """Element with the given coordinates in the (alg block, rbf block) basis."""
+    if len(coords) != combined_dim(ctx, n):
+        raise MalformedInputError("combined coordinate length mismatch")
     if n == 0:
         om, d, m = ctx.dims()
         return CombinedCochain(Cochain(0, om.size, d, m, list(coords)), None)
     b_alg = ctx.basis(n)
     b_rbf = ctx.basis(n - 1)
-    if len(coords) != b_alg.dim() + b_rbf.dim():
-        raise MalformedInputError("combined coordinate length mismatch")
     return CombinedCochain(
         b_alg.combine(coords[: b_alg.dim()]), b_rbf.combine(coords[b_alg.dim() :])
     )
@@ -321,11 +320,7 @@ def _combined_rows(ctx: RbfContext, n: int) -> list:
     """The degree-n combined differential as sparse rows, one per raw target
     coordinate, over the combined basis coordinates."""
     b = ctx.bimodule
-    rows = [dict() for _ in range(_raw_size(b, n + 1) + _raw_size(b, n))]
-    for j, image in enumerate(_combined_images(ctx, n)):
-        for i, v in image.items():
-            rows[i][j] = v
-    return rows
+    return sparse_rows(_combined_images(ctx, n), _raw_size(b, n + 1) + _raw_size(b, n))
 
 
 def _in_combined_target(ctx: RbfContext, n: int, image: dict) -> bool:
@@ -441,6 +436,10 @@ def solve_combined(ctx: RbfContext, n: int, target: CombinedCochain):
     """Coordinates x with d^n(x) = target, free coordinates zero, or None."""
     if target.degree != n + 1:
         raise MalformedInputError("target degree mismatch")
+    if n < 0 or target.rbf is None or target.rbf.degree != n:
+        raise MalformedInputError("operator part must have degree one less")
+    for part in (target.alg, target.rbf):
+        _require_shape(ctx.bimodule, part)
     rhs = list(target.alg.coords) + list(target.rbf.coords)
     x = sparse_solve(_combined_rows(ctx, n), rhs, combined_dim(ctx, n))
     if x is None:

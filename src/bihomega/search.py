@@ -24,9 +24,11 @@ def enumeration_size(a: OmegaAlgebra, bound: int) -> int:
 
 
 def _require_enumerable(a: OmegaAlgebra, bound: int, cap: int):
-    """Refuse a negative bound, and an enumeration larger than ``cap``."""
+    """Refuse a negative bound or cap, and an enumeration larger than ``cap``."""
     if bound < 0:
         raise MalformedInputError(f"search bound must be non-negative, got {bound}")
+    if cap < 0:
+        raise MalformedInputError(f"search cap must be non-negative, got {cap}")
     total = enumeration_size(a, bound)
     if total > cap:
         raise PreconditionError(

@@ -26,7 +26,9 @@ or factored evaluation that production uses:
   signature);
 * :func:`gauss_jordan_oracle` -- dense Gauss-Jordan elimination on lists of
   ``Fraction`` (production: the sparse row-by-row elimination in
-  ``linalg``);
+  ``linalg``), and read off it, :func:`kernel_oracle` (free coordinate 1)
+  and :func:`solve_oracle` (free coordinates 0) for a dense ``Mat``
+  (production: ``linalg.sparse_kernel`` and ``linalg.sparse_solve``);
 * :func:`sparse_rref_oracle` -- the sparse RREF with rational row updates,
   pivots normalized to 1 as rows arrive (production: the fraction-free
   ``linalg.sparse_rref``);
@@ -47,8 +49,8 @@ or factored evaluation that production uses:
   per order of the jet equation and one each for mu^N and its defect).
 
 Structural helpers that only tests need close the module:
-:func:`algebra_equal` and :func:`bimodule_equal` compare structures field by
-field, and :func:`section_shift` moves the section of an extension
+:func:`commutes` multiplies two matrices both ways, :func:`algebra_equal` and
+:func:`bimodule_equal` compare structures field by field, and :func:`section_shift` moves the section of an extension
 presentation by an equivariant degree-1 cochain.
 """
 
@@ -59,7 +61,7 @@ from bihomega.cochain import Cochain, _tuple_rank, maps_from_cochain
 from bihomega.deformation import deformed_mu
 from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import algebra_with_product
-from bihomega.linalg import Mat, _axpy, commutes, reduce_into
+from bihomega.linalg import Mat, _axpy, reduce_into
 from bihomega.rationals import ONE, ZERO, Rat
 
 
@@ -382,6 +384,34 @@ def gauss_jordan_oracle(matrix, ncols):
         pivots.append(c)
         top += 1
     return rows[:top], pivots
+
+
+def kernel_oracle(mat):
+    """Null-space basis of a dense ``Mat`` read off :func:`gauss_jordan_oracle`:
+    one dense vector per free column, in increasing order, free coordinate 1."""
+    reduced, pivots = gauss_jordan_oracle([mat.row(i) for i in range(mat.rows)], mat.cols)
+    basis = []
+    for free in (c for c in range(mat.cols) if c not in pivots):
+        vec = [Fraction(0)] * mat.cols
+        vec[free] = Fraction(1)
+        for pc, row in zip(pivots, reduced):
+            vec[pc] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def solve_oracle(mat, rhs):
+    """The solution of ``mat x = rhs`` whose free coordinates are 0, read off
+    :func:`gauss_jordan_oracle` on the augmented matrix, or None."""
+    if len(rhs) != mat.rows:
+        raise MalformedInputError("right-hand side length mismatch")
+    reduced, pivots = gauss_jordan_oracle([mat.row(i) + [v] for i, v in enumerate(rhs)], mat.cols + 1)
+    if mat.cols in pivots:
+        return None
+    x = [Fraction(0)] * mat.cols
+    for pc, row in zip(pivots, reduced):
+        x[pc] = row[mat.cols]
+    return x
 
 
 def sparse_rref_oracle(rows, ncols):
@@ -836,6 +866,10 @@ def trivial_deformation_check(a, nf):
 
 
 # -- structural helpers for tests ----------------------------------------
+
+
+def commutes(a, b):
+    return a.mul(b) == b.mul(a)
 
 
 def algebra_equal(a, b):

@@ -90,7 +90,7 @@ def dd_zero_raw(b, source_degrees):
         op_0, op_1 = delta_op(b, 0), delta_op(b, 1)
         clean = True
         for j in range(basis.dim()):
-            image = op_0.apply_sparse(basis.cochain_sparse(j))
+            image = op_0.apply_dense(basis.cochain(j).coords)
             try:
                 basis1.coords_of(image)
             except InternalCheckError:

@@ -5,6 +5,8 @@ import pytest
 from conftest import fixture_path
 
 from bihomega.cli import render_report, run_command
+from bihomega.errors import MalformedInputError
+from bihomega.search import search_nijenhuis, search_rbf
 
 
 def run(args):
@@ -345,6 +347,18 @@ def test_meaningless_counts_refused():
     assert code == 2 and report["error_kind"] == "input" and "--samples" in report["error"]
     report, code = run(["--no-timing", "selftest", "--samples", "0"])
     assert code == 0 and report["results"]["mc_equivalence_trials"] == 0
+
+
+def test_negative_search_cap_refused(e1):
+    """A negative cap is a malformed input, in the CLI and the API alike, not
+    an enumeration too large for it: no smaller bound than 0 exists."""
+    report, code = run(["--no-timing", "search-rbf", fixture_path("e1.json"), "--bound", "0", "--cap", "-1"])
+    assert code == 2 and report["error_kind"] == "input" and "cap must be non-negative" in report["error"]
+    for search in (lambda: search_rbf(e1, 0, 0, cap=-1), lambda: search_nijenhuis(e1, 0, cap=-1)):
+        with pytest.raises(MalformedInputError, match="cap must be non-negative, got -1"):
+            search()
+    report, code = run(["--no-timing", "search-rbf", fixture_path("e1.json"), "--bound", "0", "--cap", "1"])
+    assert code == 0, report
 
 
 def test_reports_deterministic_without_timing():

@@ -17,6 +17,8 @@ from oracles import (
     gauss_jordan_oracle,
     identity_cochain,
     is_equivariant_oracle,
+    kernel_oracle,
+    solve_oracle,
 )
 
 from bihomega import blocks, cochain, samples
@@ -38,7 +40,7 @@ from bihomega.cochain import (
 )
 from bihomega.errors import InternalCheckError, MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
-from bihomega.linalg import Mat, kernel_basis, rank, sparse_kernel, sparse_rank
+from bihomega.linalg import Mat, rank, sparse_kernel, sparse_rank, sparse_rows
 from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, ZERO, Rat
 
@@ -88,7 +90,7 @@ def test_degree_zero_dimension_convention(e1_regular):
 
 def test_e1_degree_one_dimension_matches_dense_oracle_and_fixture(e1_regular):
     constraint = dense_constraint_matrix(e1_regular, 1)
-    oracle_dim = kernel_basis(constraint).cols
+    oracle_dim = len(kernel_oracle(constraint))
     basis = equivariant_basis(e1_regular, 1)
     assert basis.dim() == oracle_dim
     frozen = json.loads(fixture_text("e1_c1.json"))
@@ -106,7 +108,7 @@ def test_equivariant_bases_match_dense_oracle_on_fixtures(e1_regular, e1_ctx, c2
         for n in (1, 2):
             constraint = dense_constraint_matrix(b, n)
             basis = equivariant_basis(b, n)
-            assert basis.dim() == kernel_basis(constraint).cols
+            assert basis.dim() == len(kernel_oracle(constraint))
             for j in range(basis.dim()):
                 assert all(v == 0 for v in constraint.matvec(basis.cochain(j).coords))
 
@@ -127,10 +129,10 @@ def test_basis_matrix_and_coordinates_round_trip(e1_regular):
     rng = random.Random(101)
     for n in (1, 2):
         basis = equivariant_basis(e1_regular, n)
-        mat = basis.matrix()
-        assert mat.rows == basis.raw_dim and mat.cols == basis.dim()
+        rows = sparse_rows([basis.cochain_sparse(j) for j in range(basis.dim())], basis.raw_dim)
+        assert len(rows) == basis.raw_dim and all(0 <= j < basis.dim() for row in rows for j in row)
         for j in range(basis.dim()):
-            assert mat.col(j) == basis.cochain(j).coords
+            assert [row.get(j, 0) for row in rows] == basis.cochain(j).coords
         f = random_equivariant(e1_regular, n, rng)
         coords = basis.coords_of(f.coords)
         assert basis.combine(coords) == f
@@ -243,13 +245,12 @@ def test_delta_linearity(e1_regular):
 def test_degree_two_kernel_satisfies_pointwise_identities(e1, e1_regular):
     """Cross-check basis machinery against the displayed 2-cocycle identities."""
     dm2 = delta_matrix(e1_regular, 2)
-    kb = kernel_basis(dm2)
     basis2 = equivariant_basis(e1_regular, 2)
     a = e1
     om = a.omega
     found = 0
-    for col in range(kb.cols):
-        h = basis2.combine(kb.col(col))
+    for vec in kernel_oracle(dm2):
+        h = basis2.combine(vec)
         found += 1
         for x, y, z in product(range(om.size), repeat=3):
             yz, xy = om.mul(y, z), om.mul(x, y)
@@ -283,6 +284,53 @@ def test_is_cocycle_and_is_coboundary(e1_regular):
     if is_equivariant(e1_regular, h):
         pre = is_coboundary(e1_regular, h)
         assert pre is not None
+
+
+def test_is_coboundary_matches_the_dense_solve_oracle_on_named_inputs():
+    """At degrees 1-3, is_coboundary (one sparse solve on the raw images of
+    the C^{n-1} basis) returns, on seeded coboundaries and random members of
+    C^n, the solve_oracle solution of the dense delta_matrix system in
+    equivariant coordinates mapped through combine, or None when it has
+    none.  Where degree-0 images leave C^1, delta_matrix(b, 0) is refused:
+    there the degree-1 answer is checked against solve_oracle on the raw
+    matrix of the term-by-term δ_0, and δ(preimage) = f."""
+    cases = [regular_bimodule(a) for a in (samples.build_e0(), samples.build_e1(), samples.build_zero1())]
+    cases += [regular_bimodule(samples.build_c2_example(v)) for v in (0, 1, 2)]
+    cases += [regular_bimodule(samples.build_e1_semidirect()), samples.build_e1_bimodule(),
+              samples.c2_rbf_context().star_bimodule()]
+    rng = random.Random(1741)
+    found, missed, leaving = 0, 0, 0
+    for b in cases:
+        shape = (b.base.omega.size, b.base.dim, b.dim_m)
+        for n in (1, 2, 3):
+            src = equivariant_basis(b, n - 1)
+            if n == 1:  # unit vectors of M and the y with δ_0 y in C^1
+                sources = [src.cochain(l) for l in range(src.dim())]
+                sources += [Cochain(0, *shape, [y.get(k, 0) for k in range(b.dim_m)])
+                            for y in cochain.degree0_preimages(b)]
+            else:
+                sources = [random_equivariant(b, n - 1, rng) for _ in range(3)]
+            targets = [apply_delta(b, g, check=False) for g in sources]
+            targets = [f for f in targets if is_equivariant(b, f)]
+            targets += [random_equivariant(b, n, rng) for _ in range(3)]
+            try:
+                dense = delta_matrix(b, n - 1)
+            except InternalCheckError:
+                assert n == 1
+                leaving += 1
+                raw = Mat.from_cols([delta_direct_oracle(b, src.cochain(l)).coords for l in range(src.dim())])
+                dense = None
+            for f in targets:
+                pre = is_coboundary(b, f)
+                if dense is not None:
+                    want = solve_oracle(dense, equivariant_basis(b, n).coords_of(f.coords))
+                    assert pre == (None if want is None else src.combine(want)), (n, f.coords)
+                else:
+                    want = solve_oracle(raw, f.coords)
+                    assert pre == (None if want is None else Cochain(0, *shape, want)), f.coords
+                    assert pre is None or apply_delta(b, pre) == f
+                found, missed = found + (pre is not None), missed + (pre is None)
+    assert leaving >= 2 and found > 50 and missed > 50, (leaving, found, missed)
 
 
 def test_random_pairs_dd_zero():
@@ -324,7 +372,7 @@ def test_degree_zero_composite_can_fail_on_valid_input():
     basis1 = equivariant_basis(b, 1)
     witnessed = False
     for l in range(b.dim_m):
-        img = op0.apply_sparse({l: ONE})
+        img = op0.apply_dense([ONE if k == l else ZERO for k in range(b.dim_m)])
         try:
             basis1.coords_of(img)
         except InternalCheckError:
@@ -428,7 +476,7 @@ def test_cohomology_dims_still_verifies_coboundary_images():
     op = delta_op(b, n)
     leaving = [j for j in range(basis.dim())
                if not is_equivariant(b, Cochain(n + 1, a.omega.size, a.dim, b.dim_m,
-                                                op.apply_sparse(basis.cochain_sparse(j))))]
+                                                op.apply_dense(basis.cochain(j).coords)))]
     assert len(leaving) > 1 and leaving[0] > 0
     with pytest.raises(InternalCheckError, match=f"degree-2 basis element {leaving[0]} left the equivariant"):
         cohomology_dims(b, 3)
@@ -441,7 +489,7 @@ def test_image_intersection_generators_span_the_intersection(e1_regular):
     for b in cases:
         shape = (b.base.omega.size, b.base.dim, b.dim_m)
         op0 = delta_op(b, 0)
-        images = [op0.apply_sparse({l: ONE}) for l in range(b.dim_m)]
+        images = [op0.apply_dense([ONE if k == l else ZERO for k in range(b.dim_m)]) for l in range(b.dim_m)]
         assert not all(is_equivariant(b, Cochain(1, *shape, g)) for g in images)
         basis1 = equivariant_basis(b, 1)
         c1 = [basis1.cochain(j).coords for j in range(basis1.dim())]
@@ -821,7 +869,7 @@ def _assert_basis_images_match_delta_op(b, n):
     want = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
     assert list(cochain._basis_images(b, n, verify=False)) == want
     leaving = [j for j in range(basis.dim())
-               if not is_equivariant(b, Cochain(n + 1, om.size, d, m, op.apply_sparse(basis.cochain_sparse(j))))]
+               if not is_equivariant(b, Cochain(n + 1, om.size, d, m, op.apply_dense(basis.cochain(j).coords)))]
     for project in (False, True):
         if leaving:
             with pytest.raises(InternalCheckError, match=f"degree-{n} basis element {leaving[0]} left"):

@@ -3,45 +3,71 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from oracles import gauss_jordan_oracle, sparse_rref_oracle
+from oracles import gauss_jordan_oracle, kernel_oracle, solve_oracle, sparse_rref_oracle
 
 from bihomega import cochain, linalg, samples
 from bihomega.bimodule import regular_bimodule
-from bihomega.linalg import Mat, kernel_basis, rank, rref, solve, sparse_kernel, sparse_rank, sparse_rref
+from bihomega.linalg import (
+    Mat,
+    _supports,
+    rank,
+    sparse_kernel,
+    sparse_rank,
+    sparse_rows,
+    sparse_rref,
+    sparse_solve,
+)
 from bihomega.rationals import Rat, format_rational, parse_rational
 
 
+def _sparse(rows):
+    return [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+def _rref(rows, ncols):
+    """:func:`sparse_rref` of dense rows in the form of gauss_jordan_oracle:
+    (the nonzero reduced rows, dense, and the pivot columns)."""
+    reduced = sparse_rref(_sparse(rows), ncols)
+    return [[row.get(c, 0) for c in range(ncols)] for _, row in reduced], [c for c, _ in reduced]
+
+
+def _dense(vec, ncols):
+    return [vec.get(c, 0) for c in range(ncols)]
+
+
 def test_rref_identity():
-    m = Mat.identity(2)
-    reduced, pivots = rref(m)
-    assert reduced == Mat.identity(2)
-    assert pivots == (0, 1)
+    rows = [[1, 0], [0, 1]]
+    reduced, pivots = _rref(rows, 2)
+    assert reduced == [[1, 0], [0, 1]]
+    assert pivots == [0, 1]
+    assert (reduced, pivots) == gauss_jordan_oracle(rows, 2)
 
 
 def test_rref_rank_one():
-    m = Mat.from_rows([[2, 4], [1, 2]])
-    reduced, pivots = rref(m)
-    assert reduced == Mat.from_rows([[1, 2], [0, 0]])
-    assert pivots == (0,)
+    rows = [[2, 4], [1, 2]]
+    reduced, pivots = _rref(rows, 2)
+    assert reduced == [[1, 2]]
+    assert pivots == [0]
+    assert (reduced, pivots) == gauss_jordan_oracle(rows, 2)
 
 
 def test_rref_zero():
-    m = Mat.zeros(3, 3)
-    reduced, pivots = rref(m)
-    assert reduced.is_zero()
-    assert pivots == ()
+    rows = [[0] * 3 for _ in range(3)]
+    reduced, pivots = _rref(rows, 3)
+    assert reduced == []
+    assert pivots == []
+    assert (reduced, pivots) == gauss_jordan_oracle(rows, 3)
 
 
 def test_rref_idempotent_random():
     rng = random.Random(5)
     for _ in range(20):
-        rows = rng.randint(1, 5)
+        nrows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = Mat.from_rows(
-            [[Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
-        )
-        reduced, _ = rref(m)
-        again, _ = rref(reduced)
+        rows = [[Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)] for _ in range(nrows)]
+        reduced, pivots = _rref(rows, cols)
+        assert (reduced, pivots) == gauss_jordan_oracle(rows, cols)
+        again, _ = _rref(reduced, cols)
         assert again == reduced
 
 
@@ -52,18 +78,32 @@ def test_rank_examples():
 
 
 def test_kernel_identity_empty():
-    kb = kernel_basis(Mat.identity(3))
-    assert kb.cols == 0
+    assert sparse_kernel([{0: 1}, {1: 1}, {2: 1}], 3) == []
+    assert kernel_oracle(Mat.identity(3)) == []
 
 
 def test_kernel_zero_matrix_standard_basis():
-    kb = kernel_basis(Mat.zeros(2, 3))
-    assert kb == Mat.identity(3)
+    kb = sparse_kernel([{}, {}], 3)
+    assert kb == [{0: 1}, {1: 1}, {2: 1}]
+    assert [_dense(vec, 3) for vec in kb] == kernel_oracle(Mat.zeros(2, 3))
 
 
 def test_kernel_free_coordinate_convention():
-    kb = kernel_basis(Mat.from_rows([[1, 1]]))
-    assert kb == Mat.from_cols([[Rat(-1), Rat(1)]])
+    kb = sparse_kernel([{0: 1, 1: 1}], 2)
+    assert kb == [{0: Rat(-1), 1: Rat(1)}]
+    assert [_dense(vec, 2) for vec in kb] == kernel_oracle(Mat.from_rows([[1, 1]]))
+
+
+def test_sparse_rows_transpose_columns_and_supports_read_a_mat():
+    """sparse_rows puts entry i of column j at row i, column j, leaving
+    untouched rows empty; _supports reads the rows or columns of a Mat."""
+    cols = [{0: 2, 3: Rat(1, 2)}, {}, {3: -1}]
+    assert sparse_rows(cols, 5) == [{0: 2}, {}, {}, {0: Rat(1, 2), 2: -1}, {}]
+    assert sparse_rows([], 2) == [{}, {}]
+    m = Mat.from_rows([[1, 0, 2], [0, 0, -3]])
+    assert _supports(m) == [[(0, 1), (2, 2)], [(2, -3)]]
+    assert _supports(m, by_col=True) == [[(0, 1)], [], [(0, 2), (1, -3)]]
+    assert rank(m) == 2 and rank(Mat.zeros(0, 0)) == 0
 
 
 def test_sparse_kernel_free_column_is_the_largest_key():
@@ -91,36 +131,40 @@ def test_sparse_kernel_free_column_is_the_largest_key():
 def test_rank_nullity_random():
     rng = random.Random(17)
     for _ in range(30):
-        rows = rng.randint(1, 6)
+        nrows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
-        m = Mat.from_rows(
-            [[Rat(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)]
-        )
-        kb = kernel_basis(m)
-        assert rank(m) + kb.cols == cols
-        for j in range(kb.cols):
-            assert all(v == 0 for v in m.matvec(kb.col(j)))
+        rows = [[Rat(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(nrows)]
+        m = Mat.from_rows(rows)
+        kb = [_dense(vec, cols) for vec in sparse_kernel(_sparse(rows), cols)]
+        assert kb == kernel_oracle(m)
+        assert rank(m) + len(kb) == cols
+        for vec in kb:
+            assert all(v == 0 for v in m.matvec(vec))
 
 
 def test_solve_roundtrip_and_inconsistent():
     rng = random.Random(23)
     for _ in range(20):
-        rows = rng.randint(1, 5)
+        nrows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
-        m = Mat.from_rows([[Rat(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(rows)])
+        rows = [[Rat(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(nrows)]
+        m = Mat.from_rows(rows)
         x = [Rat(rng.randint(-2, 2)) for _ in range(cols)]
         b = m.matvec(x)
-        got = solve(m, b)
+        got = sparse_solve(_sparse(rows), b, cols)
         assert got is not None
+        assert got == solve_oracle(m, b)
         assert m.matvec(got) == b
-    assert solve(Mat.from_rows([[0]]), [Rat(1)]) is None
+    assert sparse_solve([{}], [Rat(1)], 1) is None
+    assert solve_oracle(Mat.from_rows([[0]]), [Rat(1)]) is None
 
 
 def test_exact_arithmetic_no_rounding():
-    m = Mat.from_rows([[Rat(1, 3), Rat(1, 7)], [Rat(1, 11), Rat(1, 13)]])
-    reduced, pivots = rref(m)
-    assert pivots == (0, 1)
-    assert reduced == Mat.identity(2)
+    rows = [[Rat(1, 3), Rat(1, 7)], [Rat(1, 11), Rat(1, 13)]]
+    reduced, pivots = _rref(rows, 2)
+    assert pivots == [0, 1]
+    assert reduced == [[1, 0], [0, 1]]
+    assert (reduced, pivots) == gauss_jordan_oracle(rows, 2)
     third = Rat(1, 3)
     assert third + third + third == Rat(1)
 
@@ -158,23 +202,23 @@ def _assert_exact(values):
 def test_pivot_two_results_exact_and_integer_first():
     # Pivot 2 in column 0 makes the first row [1, 1/2, 2]; the second row then
     # reduces through rational arithmetic to [0, 1, -3], which must be ints.
-    m = Mat.from_rows([[2, 1, 4], [4, 4, 2]])
-    reduced = sparse_rref([{0: 2, 1: 1, 2: 4}, {0: 4, 1: 4, 2: 2}], 3)
+    rows = [{0: 2, 1: 1, 2: 4}, {0: 4, 1: 4, 2: 2}]
+    reduced = sparse_rref(rows, 3)
     assert [c for c, _ in reduced] == [0, 1]
     for _, row in reduced:
         _assert_exact(row.values())
     assert reduced[0][1] == {0: 1, 2: Rat(7, 2)}
     assert reduced[1][1] == {1: 1, 2: -3}
     assert type(reduced[1][1][2]) is int
-    r, pivots = rref(m)
-    assert pivots == (0, 1)
-    _assert_exact(r.entries)
-    kb = kernel_basis(m)
-    _assert_exact(kb.entries)
-    assert kb == Mat.from_cols([[Rat(-7, 2), 3, 1]])
-    x = solve(m, [2, 8])
+    m = Mat.from_rows([[2, 1, 4], [4, 4, 2]])
+    assert [c for c, _ in reduced] == gauss_jordan_oracle([m.row(0), m.row(1)], 3)[1]
+    kb = sparse_kernel(rows, 3)
+    _assert_exact(kb[0].values())
+    assert kb == [{0: Rat(-7, 2), 1: 3, 2: 1}]
+    assert [_dense(kb[0], 3)] == kernel_oracle(m)
+    x = sparse_solve(rows, [2, 8], 3)
     _assert_exact(x)
-    assert x == [0, 2, 0]
+    assert x == [0, 2, 0] == solve_oracle(m, [2, 8])
     assert all(type(v) is int for v in x)
 
 
@@ -213,21 +257,6 @@ def _random_systems(rng):
         yield [[Rat(x) for x in r] for r in rows], ncols
 
 
-def _sparse(rows):
-    return [{c: v for c, v in enumerate(r) if v} for r in rows]
-
-
-def _kernel_from_rref(reduced, pivots, ncols):
-    vectors = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        vec = {free: 1}
-        for pc, row in zip(pivots, reduced):
-            if row[free]:
-                vec[pc] = -row[free]
-        vectors.append(vec)
-    return vectors
-
-
 def test_elimination_matches_dense_gauss_jordan_oracle():
     rng = random.Random(61)
     seen = {"rational": False, "deficient": False, "zero_row": False, "inconsistent": False}
@@ -243,28 +272,16 @@ def test_elimination_matches_dense_gauss_jordan_oracle():
         for _, row in got:
             _assert_exact(row.values())
         assert sparse == _sparse(rows)  # the input is left alone
-        want_kernel = _kernel_from_rref(reduced, pivots, ncols)
-        assert sparse_kernel(sparse, ncols) == want_kernel
         m = Mat.from_rows(rows)
         assert rank(m) == len(pivots)
-        kb = kernel_basis(m)
-        assert [kb.col(j) for j in range(kb.cols)] == [
-            [vec.get(c, 0) for c in range(ncols)] for vec in want_kernel
-        ]
+        assert sparse_kernel(sparse, ncols) == _sparse(kernel_oracle(m))
         x0 = [Rat(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(ncols)]
         for rhs in (m.matvec(x0), [Rat(rng.randint(-3, 3)) for _ in range(len(rows))]):
-            aug_reduced, aug_pivots = gauss_jordan_oracle(
-                [r + [b] for r, b in zip(rows, rhs)], ncols + 1
-            )
-            x = solve(m, rhs)
-            if ncols in aug_pivots:
-                assert x is None
+            x = sparse_solve(sparse, rhs, ncols)
+            assert x == solve_oracle(m, rhs)
+            if x is None:
                 seen["inconsistent"] = True
                 continue
-            want = [0] * ncols
-            for pc, row in zip(aug_pivots, aug_reduced):
-                want[pc] = row[ncols]
-            assert x == want
             _assert_exact(x)
     assert all(seen.values()), seen
 

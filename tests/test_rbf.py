@@ -10,8 +10,10 @@ from oracles import (
     combined_raw_matrix_oracle,
     delta_direct_oracle,
     evaluate_oracle,
+    kernel_oracle,
     partial_expanded_oracle,
     phi_subset_oracle,
+    solve_oracle,
 )
 
 from bihomega import samples
@@ -20,7 +22,7 @@ from bihomega.bimodule import regular_bimodule, zero_bimodule
 from bihomega.cochain import Cochain, apply_delta, delta_op, is_equivariant, random_equivariant
 from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
-from bihomega.linalg import Mat, kernel_basis, solve
+from bihomega.linalg import Mat
 from bihomega.rationals import ONE, ZERO, Rat
 from bihomega.rbf import (
     CombinedCochain,
@@ -407,8 +409,7 @@ def test_combined_kernel_split_characterization(e1_ctx):
         assert lhs == rhs
     # and conversely: any pair passing both tests lies in the kernel
     mat = combined_raw_matrix_oracle(ctx, 2)
-    kb = kernel_basis(mat)
-    assert kb.cols == len(combined_kernel(ctx, 2))
+    assert len(kernel_oracle(mat)) == len(combined_kernel(ctx, 2))
 
 
 def _sparse(column):
@@ -458,17 +459,17 @@ def test_combined_images_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx, c2_ctx, 
 
 
 def test_combined_kernel_and_solve_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
-    """combined_kernel and solve_combined against kernel_basis and solve on
-    the oracle matrix: solvable targets (images of seeded sources) and raw
-    (1/3)Z targets."""
+    """combined_kernel and solve_combined against kernel_oracle and
+    solve_oracle on the oracle matrix: solvable targets (images of seeded
+    sources) and raw (1/3)Z targets."""
     rng = random.Random(61)
     unsolvable = 0
     for ctx in (e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
         om, d, m = ctx.dims()
         for n in (0, 1, 2):
             mat = combined_raw_matrix_oracle(ctx, n)
-            kb = kernel_basis(mat)
-            assert combined_kernel(ctx, n) == [combined_from_coords(ctx, n, kb.col(j)) for j in range(kb.cols)]
+            kb = kernel_oracle(mat)
+            assert combined_kernel(ctx, n) == [combined_from_coords(ctx, n, vec) for vec in kb]
             cut = (om.size * d) ** (n + 1) * m
             targets = [mat.matvec([Rat(rng.randint(-2, 2)) for _ in range(mat.cols)]) for _ in range(2)]
             targets.append([Rat(rng.randint(-3, 3), 3) for _ in range(mat.rows)])
@@ -476,12 +477,37 @@ def test_combined_kernel_and_solve_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx
                 target = CombinedCochain(
                     Cochain(n + 1, om.size, d, m, vec[:cut]), Cochain(n, om.size, d, m, vec[cut:])
                 )
-                x = solve(mat, vec)
+                x = solve_oracle(mat, vec)
                 assert x is None or mat.matvec(x) == vec
                 expected = None if x is None else combined_from_coords(ctx, n, x)
                 assert solve_combined(ctx, n, target) == expected, (n, vec)
                 unsolvable += x is None
     assert unsolvable
+
+
+def test_malformed_combined_targets_and_coordinates_are_refused(e1_ctx):
+    """A target of d^n needs n >= 0, an operator part of degree n and parts
+    of the context's shape, and degree-0 coordinates need dim M entries:
+    each is refused with d_combined's wording, not an AttributeError, a
+    length mismatch of the right-hand side, a preimage of a cochain of
+    another shape or a malformed cochain."""
+    ctx = e1_ctx
+    om, d, m = ctx.dims()
+    zero = {k: Cochain.zero(k, om.size, d, m) for k in range(3)}
+    malformed = [(0, CombinedCochain(zero[1], None)), (-1, CombinedCochain(zero[0], None)),
+                 (1, CombinedCochain(zero[2], zero[0])), (1, CombinedCochain(zero[2], zero[2]))]
+    for n, target in malformed:
+        with pytest.raises(MalformedInputError, match="operator part must have degree one less"):
+            solve_combined(ctx, n, target)
+    other = CombinedCochain(Cochain.zero(1, om.size, 1, d * m), Cochain.zero(0, om.size, 1, m))
+    assert len(other.alg.coords) == len(zero[1].coords)
+    with pytest.raises(MalformedInputError, match="cochain does not match the bimodule"):
+        solve_combined(ctx, 0, other)
+    for length in (m - 1, m + 1):
+        with pytest.raises(MalformedInputError, match="combined coordinate length mismatch"):
+            combined_from_coords(ctx, 0, [ONE] * length)
+    x = combined_from_coords(ctx, 0, [Rat(k + 1) for k in range(m)])
+    assert solve_combined(ctx, 0, d_combined(ctx, x)) == x
 
 
 def _dense_chain_map_witness(ctx, max_degree):
