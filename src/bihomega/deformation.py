@@ -2,8 +2,9 @@
 
 The formal parameter is never reified: a deformation is stored as its list
 of order components, and every statement about it is checked coefficient by
-coefficient.  Each identity is a signed sum of insertions, computed by
-``gerstenhaber.circ_i`` (:func:`_insertions`):
+coefficient.  Each identity is a signed sum of insertions, a list of
+terms (c, f, g, i) that ``gerstenhaber.insertion_sum`` adds up in one
+accumulating pass:
 
 * the order-n coefficient of a jet's product equation is the Maurer-Cartan
   equation of the insertion bracket (Gerstenhaber 1964, Ann. Math. 79),
@@ -31,20 +32,9 @@ from .algebra import OmegaAlgebra, Witness, _commute_scan, _star_entry, is_homom
 from .bimodule import regular_bimodule
 from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equivariant
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .gerstenhaber import algebra_with_product, circ_i, mu_cochain
+from .gerstenhaber import algebra_with_product, circ_i, insertion_sum, mu_cochain
 from .rationals import ONE, ZERO
 from .rbf import CombinedCochain, RbfContext, d_combined, phi, rbfa_cohomology_dims
-
-
-def _insertions(a: OmegaAlgebra, terms) -> Cochain:
-    """The sum of c * (f oc_i g) over the ``terms`` (c, f, g, i), unchecked."""
-    acc = None
-    for c, f, g, i in terms:
-        term = circ_i(a, f, g, i, check=False)
-        if c != ONE:
-            term = term.scale(c)
-        acc = term if acc is None else acc.add(term)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -115,7 +105,7 @@ def deformed_mu(a: OmegaAlgebra, maps: dict) -> Cochain:
     """mu^N = mu oc_1 N + mu oc_2 N - N oc_1 mu: mu(N x, y) + mu(x, N y) - N mu(x, y)."""
     _require_family(a, maps)
     mu, n = mu_cochain(a), cochain_from_maps(a.omega, maps, a.dim, a.dim)
-    return _insertions(a, [(ONE, mu, n, 1), (ONE, mu, n, 2), (-ONE, n, mu, 1)])
+    return insertion_sum(a, 2, [(ONE, mu, n, 1), (ONE, mu, n, 2), (-ONE, n, mu, 1)])
 
 
 def deformed_product(
@@ -162,7 +152,7 @@ def psi_of_checked(
     """:func:`psi_n` of a commuting family whose :func:`check_nijenhuis` gave ``witness``."""
     mu, n = mu_cochain(a), cochain_from_maps(a.omega, nf.maps, a.dim, a.dim)
     mun = deformed_mu(a, nf.maps)
-    psi = _insertions(a, [(ONE, circ_i(a, mu, n, 1, check=False), n, 2), (-ONE, n, mun, 1)])
+    psi = insertion_sum(a, 2, [(ONE, circ_i(a, mu, n, 1, check=False), n, 2), (-ONE, n, mun, 1)])
     nijenhuis_ok = witness is None
     psi_zero = psi.is_zero()
     if psi_zero != nijenhuis_ok:
@@ -245,7 +235,7 @@ def _jet_assoc_order(a: OmegaAlgebra, mu_all, n: int) -> bool:
     """Order n of the product equation: sum_t (mu_t oc_1 mu_{n-t} - mu_t oc_2 mu_{n-t}) = 0."""
     slots = ((ONE, 1), (-ONE, 2))
     terms = [(c, mu_all[t], mu_all[n - t], i) for t in range(n + 1) for c, i in slots]
-    return _insertions(a, terms).is_zero()
+    return insertion_sum(a, 3, terms).is_zero()
 
 
 def _jet_operator_order(ctx: RbfContext, mu_all, r_all, n: int) -> bool:
@@ -264,7 +254,7 @@ def _jet_operator_order(ctx: RbfContext, mu_all, r_all, n: int) -> bool:
             for i in (2, 1):
                 terms.append((-ONE, r_all[s1], circ_i(a, mu_all[s2], r3, i, check=False), 1))
         terms.append((-ctx.rb.weight, r_all[s1], mu_all[n - s1], 1))
-    return _insertions(a, terms).is_zero()
+    return insertion_sum(a, 2, terms).is_zero()
 
 
 def equivalence_shift(ctx: RbfContext, psi1: Cochain) -> CombinedCochain:

@@ -11,25 +11,31 @@ commutator of the induced pre-Lie sums; a product family is exactly a
 bracket-square-zero (Maurer-Cartan) degree-2 element, and the graded
 commutator with the product family reproduces the coboundary up to sign.
 
-Insertion is compiled.  For each (n, m, i) the algebra caches a plan in
-its own ``_cache`` (:func:`_insertion_plan`): one entry per block of f,
-i.e. per merged tuple pre + (x,) + post, holding the twist of its outer
-slots as index gathers (None for the identity, one layer per monomial
-twist) and the inner tuples beta with product x.  ``circ_i`` twists each
-block of f once, before g widens its slot, and writes each output block
-pre + beta + post as the sum over r of outer products of g's r-th output
-column with the block's rows at slot value r (:func:`_kernel`).  Cochains
-of another shape are refused before a plan is looked up.  ``bracket``
-accumulates its signed ``circ_i`` terms into one coordinate list, and
-``deformation`` writes its jet equations, the Nijenhuis deformed product
-and its defect as signed ``circ_i`` sums.  The slot-by-slot contraction this replaces is the test oracle
+Every sum of insertions sum_k c_k (f_k oc_ik g_k) is one call of
+:func:`insertion_sum`: ``circ_i`` is its one-term case, ``bracket`` and
+``mc_residual`` pass their signed terms, and ``deformation`` writes its jet
+equations, the Nijenhuis deformed product and its defect as term lists.
+For each (n, m, i) the algebra caches one plan (:func:`_insertion_plan`):
+one entry per block of f, i.e. per merged tuple pre + (x,) + post, holding
+the inner tuples beta with product x and the twist of the outer slots as
+index gathers (one layer per monomial twist).  The gathers also transpose
+the block into (pre-index, position, slot value) order, so one zip splits
+it into d-tuples; g is scaled by its coefficient and split into d-tuples
+once per call.  One call of the compiled :func:`_kernel` per output block
+pre + beta + post sums over r the outer products of g's r-th output column
+with the block's values at slot value r.  The first term writes each
+output block, and later terms add to it.  For g = f the bracket's two sums
+share their terms, so [f, f] = 2 sum_i (-1)^(i-1) f oc_i f at even arity
+and 0 at odd arity (:func:`bracket`), which halves ``mc_residual``.
+
+The slot-by-slot contraction this replaces is the test oracle
 ``circ_i_oracle`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul, neg, sub
+from operator import add, mul
 
 from .algebra import OmegaAlgebra
 from .bimodule import regular_bimodule
@@ -52,18 +58,17 @@ def _require_cochains(a: OmegaAlgebra, check: bool, *cochains):
             raise MalformedInputError("cochain does not match the algebra")
     if check:  # one regular bimodule per algebra, so its constraint rows are built once
         b = a._cache.setdefault("checking_bimodule", regular_bimodule(a))
-        if not all(is_equivariant(b, f) for f in cochains):
+        if not all(is_equivariant(b, f) for f in {id(f): f for f in cochains}.values()):
             raise PreconditionError("cochain is not equivariant")
 
 
-def _twist(mats, d: int):
+def _twist(mats, d: int, order: list):
     """The Kronecker product of ``mats`` (None: identity) as index gathers.
 
-    Layer ``(idx, coeffs)`` sends position t (one index per factor,
-    lexicographic) to coeffs[t] * block[idx[t]], ``coeffs`` None when all
-    are 1; the twist is the sum of its layers.  A factor contributes as many
-    layers as its fullest column has nonzeros, so a monomial twist is one
-    layer.  Returns None for the identity.
+    Layer ``(idx, coeffs)`` sends entry order[t] of the twisted block (one
+    index per factor, lexicographic) to coeffs[t] * block[idx[t]], ``coeffs``
+    None when all are 1; the twist is the sum of its layers.  A factor adds
+    as many layers as its fullest column has nonzeros.
     """
     layers = [([0], [ONE])]
     for mat in mats:
@@ -78,27 +83,28 @@ def _twist(mats, d: int):
             for idx, cf in layers
             for part in split
         ]
-    layers = [(idx, None if all(c == ONE for c in cf) else cf) for idx, cf in layers]
-    (idx, coeffs), *rest = layers
-    return None if not rest and coeffs is None and idx == list(range(len(idx))) else layers
+    layers = [([idx[t] for t in order], [cf[t] for t in order]) for idx, cf in layers]
+    return [(idx, None if all(c == ONE for c in cf) else cf) for idx, cf in layers]
 
 
 def _insertion_plan(a: OmegaAlgebra, n: int, m: int, i: int) -> list:
     """Compiled f oc_i g for arities (n, m), cached in the algebra.
 
     Entries ``(f_base, twist, out_base, fiber)``, one per merged tuple
-    pre + (x,) + post: ``twist`` is :func:`_twist` of pmap^(m-1) at pre,
-    the inserted slot, qmap^(m-1) at post and the output index (shared
-    between equal matrices); ``fiber`` lists the ranks b of the inner tuples
-    beta with product x, and block b of g fills output block
-    pre + beta + post at ``out_base`` + b * size^(n-i) * d^(n+m).
+    pre + (x,) + post: ``twist`` is :func:`_twist` of pmap^(m-1) at pre, the
+    inserted slot, qmap^(m-1) at post and the output index (shared between
+    equal matrices) in (pre-index, position after slot i, slot value) order;
+    ``fiber`` lists the ranks b of the inner tuples beta with product x, and
+    block b of g fills output block pre + beta + post at ``out_base`` +
+    b * size^(n-i) * d^(n+m).
     """
     key = ("circ_i", n, m, i)
     plan = a._cache.get(key)
     if plan is not None:
         return plan
     om, d = a.omega, a.dim
-    size, tails = om.size, om.size ** (n - i)
+    size, tails, width = om.size, om.size ** (n - i), d ** (n - i + 1)
+    order = [(p * d + r) * width + w for p in range(d ** (i - 1)) for w in range(width) for r in range(d)]
     fiber = {x: [] for x in om.elements()}
     for beta in om.tuples(m):
         fiber[om.product_of(beta)].append(_tuple_rank(beta, size))
@@ -109,7 +115,7 @@ def _insertion_plan(a: OmegaAlgebra, n: int, m: int, i: int) -> list:
             mats += [a.q_power(x, m - 1) for x in post] + [None]
             twist_key = tuple(None if mat is None else tuple(mat.entries) for mat in mats)
             if twist_key not in twists:
-                twists[twist_key] = _twist(mats, d)
+                twists[twist_key] = _twist(mats, d, order)
             out_base = (pre_rank * size**m * tails + post_rank) * d ** (n + m)
             for x in om.elements():
                 if fiber[x]:
@@ -121,66 +127,71 @@ def _insertion_plan(a: OmegaAlgebra, n: int, m: int, i: int) -> list:
 
 @lru_cache(maxsize=None)
 def _kernel(d: int):
-    """``kernel(gb, rt)``: one pre-index of an output block, compiled once per d.
+    """``kernel(gb, pres)``: one output block of an insertion, compiled once per d.
 
-    Lists sum_r gb[c * d + r] * rt[t][r] over c, then t, where ``gb`` is a
-    flat block of g (output index innermost) and ``rt[t]`` the d values of
-    the twisted f block at slot value r: the sum over r of the outer
-    products of g's r-th output column with f's r-th row, unrolled in r.
+    Lists sum_r c[r] * v[r] over the pre-indices, the d-tuples c of the g
+    block ``gb`` (output index r), then the d-tuples v of the pre-index
+    (slot value r): g's r-th output column times f's r-th row, unrolled.
     """
     cs = ", ".join(f"c{r}" for r in range(d))
     vs = ", ".join(f"v{r}" for r in range(d))
     terms = " + ".join(f"c{r} * v{r}" for r in range(d))
-    return eval(f"lambda gb, rt: [{terms} for {cs}, in zip(*[iter(gb)] * {d}) for {vs}, in rt]")
+    return eval(f"lambda gb, pres: [{terms} for rt in pres for {cs}, in gb for {vs}, in rt]")
 
 
-def circ_i(a: OmegaAlgebra, f: Cochain, g: Cochain, i: int, check: bool = True) -> Cochain:
-    """Insert g into slot i of f; result has arity f.degree + g.degree - 1.
+def insertion_sum(a: OmegaAlgebra, degree: int, terms, check: bool = False) -> Cochain:
+    """The sum of c * (f oc_i g) over ``terms`` (c, f, g, i) of arity ``degree``.
 
-    Runs the cached :func:`_insertion_plan`: each block of f is twisted
-    once, split per pre-index into d rows (slot value r), and multiplied
-    with each inner block of g by :func:`_kernel`.
+    Every term is refused or accepted, each distinct cochain checked once,
+    before any is computed; terms with c = 0 are not computed.
     """
-    n, m = f.degree, g.degree
-    if n < 1 or m < 1:
-        raise MalformedInputError("insertion needs arities >= 1")
-    if not 1 <= i <= n:
-        raise MalformedInputError(f"slot {i} out of range 1..{n}")
-    _require_cochains(a, check, f, g)
-    d = a.dim
-    out = Cochain.zero(n + m - 1, a.omega.size, d, d)
+    for _, f, g, i in terms:
+        n, m = f.degree, g.degree
+        if n < 1 or m < 1:
+            raise MalformedInputError("insertion needs arities >= 1")
+        if not 1 <= i <= n:
+            raise MalformedInputError(f"slot {i} out of range 1..{n}")
+        if n + m - 1 != degree:
+            raise MalformedInputError(f"insertion of arity {n + m - 1} in a sum of arity {degree}")
+    _require_cochains(a, check, *(h for _, f, g, _ in terms for h in (f, g)))
+    size, d = a.omega.size, a.dim
+    out = Cochain.zero(degree, size, d, d)
     if not d:  # no coordinates, and no kernel to compile
         return out
-    f_len, g_len = d ** (n + 1), d ** (m + 1)
-    width = d ** (n - i + 1)  # one row: the slots after i and the output index
-    stride = a.omega.size ** (n - i) * d ** (n + m)  # output offset per fiber rank
-    zero_rows, kernel = [ZERO] * (d**m * width), _kernel(d)
-    fc, gc, oc = f.coords, g.coords, out.coords
-    for f_base, twist, out_base, fiber in _insertion_plan(a, n, m, i):
-        block = fc[f_base : f_base + f_len]
-        if not any(block):
+    oc, kernel, first, g_split = out.coords, _kernel(d), True, {}
+    for c, f, g, i in terms:
+        if not c:
             continue
-        if twist is not None:
+        n, m, fc, key = f.degree, g.degree, f.coords, (id(g), c)
+        if key not in g_split:  # blocks of c * g as d-tuples, None when zero
+            gc = g.coords if c == ONE else [c * v for v in g.coords]
+            blocks = zip(*[iter(zip(*[iter(gc)] * d))] * d**m)
+            g_split[key] = [block if any(map(any, block)) else None for block in blocks]
+        g_blocks, f_len, width = g_split[key], d ** (n + 1), d ** (n - i + 1)
+        stride, out_len = size ** (n - i) * d ** (n + m), d ** (n + m)
+        for f_base, twist, out_base, fiber in _insertion_plan(a, n, m, i):
+            block = fc[f_base : f_base + f_len]
+            if not any(block):
+                continue
             twisted = None
             for idx, coeffs in twist:
                 vals = list(map(block.__getitem__, idx))
                 if coeffs is not None:
                     vals = list(map(mul, coeffs, vals))
                 twisted = vals if twisted is None else list(map(add, twisted, vals))
-            block = twisted
-        pres = []  # per pre-index: its d rows, transposed to a d-tuple per position
-        for k in range(0, f_len, d * width):
-            rows = [block[k + r * width : k + (r + 1) * width] for r in range(d)]
-            pres.append(list(zip(*rows)) if any(map(any, rows)) else None)
-        for b in fiber:
-            gb = gc[b * g_len : (b + 1) * g_len]
-            if any(gb):
-                new = []
-                for rt in pres:
-                    new += zero_rows if rt is None else kernel(gb, rt)
-                start = out_base + b * stride
-                oc[start : start + len(new)] = new
+            # per pre-index, the d slot values of each position as one tuple
+            pres = list(zip(*[iter(zip(*[iter(twisted)] * d))] * width))
+            for b in fiber:
+                if g_blocks[b] is not None:
+                    new, start = kernel(g_blocks[b], pres), out_base + b * stride
+                    oc[start : start + out_len] = new if first else map(add, oc[start : start + out_len], new)
+        first = False
     return out
+
+
+def circ_i(a: OmegaAlgebra, f: Cochain, g: Cochain, i: int, check: bool = True) -> Cochain:
+    """Insert g into slot i of f; result has arity f.degree + g.degree - 1."""
+    return insertion_sum(a, f.degree + g.degree - 1, [(ONE, f, g, i)], check)
 
 
 def bracket(a: OmegaAlgebra, f: Cochain, g: Cochain, check: bool = True) -> Cochain:
@@ -188,22 +199,21 @@ def bracket(a: OmegaAlgebra, f: Cochain, g: Cochain, check: bool = True) -> Coch
 
     [f, g] = sum_{i=1}^{n} (-1)^{(m-1)(i-1)} f oc_i g
              - (-1)^{(n-1)(m-1)} sum_{i=1}^{m} (-1)^{(n-1)(i-1)} g oc_i f,
-    with n = arity(f), m = arity(g).
+    with n = arity(f), m = arity(g).  For g = f both sums run over the
+    terms f oc_i f, and (-1)^{(n-1)(n-1)} = (-1)^{n-1}, so
+    [f, f] = (1 - (-1)^{n-1}) sum_i (-1)^{(n-1)(i-1)} f oc_i f: twice
+    sum_i (-1)^{i-1} f oc_i f at even n and zero at odd n, where its terms
+    are still refused or accepted but not computed.
     """
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise MalformedInputError("bracket needs arities >= 1")
-    _require_cochains(a, check, f, g)
-    terms = [(f, g, i, (m - 1) * (i - 1)) for i in range(1, n + 1)]
-    terms += [(g, f, i, (n - 1) * (m - 1) + (n - 1) * (i - 1) + 1) for i in range(1, m + 1)]
-    acc = None
-    for x, y, i, parity in terms:
-        coords = circ_i(a, x, y, i, check=False).coords
-        if acc is None:
-            acc = list(map(neg, coords)) if parity % 2 else coords
-        else:
-            acc = list(map(sub if parity % 2 else add, acc, coords))
-    return Cochain(n + m - 1, a.omega.size, a.dim, a.dim, acc)
+    if f is g:
+        terms = [((1 - (-1) ** (n - 1)) * (-1) ** ((n - 1) * (i - 1)), f, f, i) for i in range(1, n + 1)]
+    else:
+        terms = [((-1) ** ((m - 1) * (i - 1)), f, g, i) for i in range(1, n + 1)]
+        terms += [(-((-1) ** ((n - 1) * (m + i - 2))), g, f, i) for i in range(1, m + 1)]
+    return insertion_sum(a, n + m - 1, terms, check)
 
 
 def mc_residual(a: OmegaAlgebra, candidate: Cochain, check: bool = True) -> Cochain:
@@ -222,11 +232,8 @@ def delta_via_bracket(a: OmegaAlgebra, f: Cochain, check: bool = True) -> Cochai
     """(-1)^(arity-1) [product, f]; coincides with the coboundary."""
     if f.degree < 1:
         raise MalformedInputError("bracket route needs arity >= 1")
-    mu = mu_cochain(a)
-    out = bracket(a, mu, f, check=check)
-    if (f.degree - 1) % 2:
-        out = out.scale(-ONE)
-    return out
+    out = bracket(a, mu_cochain(a), f, check=check)
+    return out.scale(-ONE) if (f.degree - 1) % 2 else out
 
 
 def algebra_with_product(a: OmegaAlgebra, candidate: Cochain) -> OmegaAlgebra:

@@ -15,12 +15,14 @@ from bihomega.gerstenhaber import (
     bracket,
     circ_i,
     delta_via_bracket,
+    insertion_sum,
     mc_residual,
     mu_cochain,
 )
 from bihomega.linalg import Mat
 from bihomega.monoid import boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, Rat
+from generators import random_valid_algebra
 from oracles import (
     bracket_oracle,
     circ_full_oracle,
@@ -306,33 +308,57 @@ def test_compiled_insertion_matches_oracle_on_raw_cochains_and_dense_twists():
 _SCALARS = [0, 1, -1, 2, Rat(1, 3), Rat(-2, 3)]
 
 
-@st.composite
-def _algebra_and_cochains(draw):
-    omega = draw(st.sampled_from([trivial_monoid(), cyclic_monoid(2), boolean_monoid()]))
-    d = draw(st.integers(1, 3 if omega.size == 1 else 2))
-    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+def _raw_carrier(draw, omega, d):
+    """An unvalidated carrier with zero product and arbitrary twist matrices."""
     scalar = st.sampled_from(_SCALARS)
 
     def matrix():
         return Mat(d, d, draw(st.lists(scalar, min_size=d * d, max_size=d * d)))
 
-    def cochain(k):
-        size = (omega.size * d) ** k * d
-        return Cochain(k, omega.size, d, d, draw(st.lists(scalar, min_size=size, max_size=size)))
-
     pmap = {x: matrix() for x in omega.elements()}
     qmap = {x: matrix() for x in omega.elements()}
     product = {(x, y): tensor_zeros(d, d, d) for x in omega.elements() for y in omega.elements()}
-    return OmegaAlgebra(omega, d, product, pmap, qmap), cochain(n), cochain(m)
+    return OmegaAlgebra(omega, d, product, pmap, qmap)
 
 
-@settings(
+def _raw_cochain(draw, a, k):
+    size = (a.omega.size * a.dim) ** k * a.dim
+    coords = draw(st.lists(st.sampled_from(_SCALARS), min_size=size, max_size=size))
+    return Cochain(k, a.omega.size, a.dim, a.dim, coords)
+
+
+_MONOIDS = [trivial_monoid(), cyclic_monoid(2), boolean_monoid()]
+
+
+@st.composite
+def _algebra_and_cochains(draw):
+    omega = draw(st.sampled_from(_MONOIDS))
+    d = draw(st.integers(1, 3 if omega.size == 1 else 2))
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = _raw_carrier(draw, omega, d)
+    return a, _raw_cochain(draw, a, n), _raw_cochain(draw, a, m)
+
+
+@st.composite
+def _algebra_and_cochain(draw):
+    """One raw cochain of arity 1-4; at arity 4 the carrier is one size smaller."""
+    omega = draw(st.sampled_from(_MONOIDS))
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, (3 if omega.size == 1 else 2) - (n == 4)))
+    a = _raw_carrier(draw, omega, d)
+    return a, _raw_cochain(draw, a, n)
+
+
+_SETTINGS = settings(
     derandomize=True,
     max_examples=30,
     database=None,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+
+
+@_SETTINGS
 @given(_algebra_and_cochains())
 def test_insertion_properties_on_random_carriers(case):
     """Compiled == oracle and graded skew-symmetry, on raw cochains over
@@ -367,3 +393,124 @@ def test_checked_brackets_build_the_constraint_rows_once(monkeypatch):
         bracket(a, bad, g)
     with pytest.raises(PreconditionError):
         circ_i(a, g, bad, 1)
+
+
+def _copy(f):
+    return Cochain(f.degree, f.omega_size, f.dim_in, f.dim_out, list(f.coords))
+
+
+@_SETTINGS
+@given(_algebra_and_cochain())
+def test_self_bracket_matches_oracle_on_random_carriers(case):
+    """[f, f] by the sign identity (twice the alternating sum at even arity,
+    zero at odd arity) equals the oracle and the bracket with a distinct copy."""
+    a, f = case
+    assert bracket(a, f, f, check=False) == bracket(a, f, _copy(f), check=False) == bracket_oracle(a, f, f)
+
+
+def test_self_bracket_matches_oracle_on_dense_twists():
+    """Against the oracle at arities 1-3, and at arity 4 (integer
+    coordinates) against the general route of a distinct copy, since the
+    oracle takes seconds there."""
+    a = _mixed_twist_algebra()
+    rng = random.Random(73)
+    for n in (1, 2, 3, 4):
+        f = Cochain(n, 2, 2, 2, [Rat(rng.randint(-3, 3), 3 if n < 4 else 1) for _ in range(4**n * 2)])
+        general = bracket(a, f, _copy(f), check=False)
+        expected = general if n == 4 else bracket_oracle(a, f, f)
+        assert bracket(a, f, f, check=False) == general == expected
+        assert expected.is_zero() == (n % 2 == 1), n
+
+
+def test_self_bracket_still_refuses_first(e1, c2_ctx):
+    """A non-equivariant or misshapen f is refused by [f, f] at even and odd
+    arity, although the odd-arity terms are never computed."""
+    a, reg = c2_ctx.algebra, c2_ctx.bimodule
+    rng = random.Random(82)
+    for n in (1, 2, 3):
+        bad = _copy(random_equivariant(reg, n, rng))
+        bad.coords[1] += Rat(1, 3)
+        assert not is_equivariant_oracle(reg, bad)
+        assert bracket(a, bad, bad, check=False) == bracket_oracle(a, bad, bad)
+        with pytest.raises(PreconditionError):
+            bracket(a, bad, bad)
+        with pytest.raises(MalformedInputError):
+            bracket(e1, bad, bad, check=False)
+        if n == 2:
+            with pytest.raises(PreconditionError):
+                mc_residual(a, bad)
+
+
+def test_insertion_sum_matches_the_sum_of_oracle_terms(c2_ctx):
+    """Coefficients 1/3 and -2, a zero coefficient, a cochain inserted into
+    itself and one g under two coefficients, against circ_i_oracle."""
+    for a in (c2_ctx.algebra, _mixed_twist_algebra()):
+        rng = random.Random(74)
+
+        def raw(n):
+            return Cochain(n, 2, 2, 2, [Rat(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4**n * 2)])
+
+        f, g, h = raw(2), raw(2), raw(1)
+        terms = [(Rat(1, 3), f, g, 1), (-2, f, g, 2), (-2, g, f, 1), (0, g, g, 2), (Rat(1, 3), f, f, 2)]
+        terms += [(Rat(1, 3), circ_i(a, f, h, 1, check=False), g, 2)]
+        expected = Cochain.zero(3, 2, 2, 2)
+        for c, x, y, i in terms:
+            expected = expected.add(circ_i_oracle(a, x, y, i).scale(c))
+        assert insertion_sum(a, 3, terms) == expected
+        assert insertion_sum(a, 3, terms[:1]) == circ_i_oracle(a, f, g, 1).scale(Rat(1, 3))
+        assert insertion_sum(a, 3, []) == Cochain.zero(3, 2, 2, 2)
+        for wrong in ([(ONE, f, h, 1)], [(ONE, f, g, 3)], [(ONE, h, Cochain.zero(0, 2, 2, 2), 1)]):
+            with pytest.raises(MalformedInputError):
+                insertion_sum(a, 3, terms + wrong)
+
+
+def test_each_cochain_is_checked_for_equivariance_once(monkeypatch):
+    """A checked [f, f] (so mc_residual) tests f once, not once per term."""
+    from bihomega import gerstenhaber
+
+    a = samples.build_c2_example(0)
+    reg = regular_bimodule(a)
+    rng = random.Random(83)
+    f, g = random_equivariant(reg, 2, rng), random_equivariant(reg, 3, rng)
+    seen = []
+    original = gerstenhaber.is_equivariant
+    monkeypatch.setattr(gerstenhaber, "is_equivariant", lambda b, x: seen.append(id(x)) or original(b, x))
+    assert mc_residual(a, f) == bracket_oracle(a, f, f)
+    assert seen == [id(f)]
+    seen.clear()
+    assert bracket(a, f, g) == bracket_oracle(a, f, g)
+    assert sorted(seen) == sorted([id(f), id(g)])
+    seen.clear()
+    circ_i(a, g, g, 2)
+    assert seen == [id(g)]
+
+
+def test_graded_lie_laws_and_mc_equivalence_on_random_valid_algebras():
+    """On ten seeded valid carriers: graded skew-symmetry and Jacobi on
+    equivariant cochains, and mc_residual = 0 exactly when the candidate
+    product validates (the product itself, a perturbation and random ones)."""
+    nonzero = invalid = 0
+    for seed in range(10):
+        rng = random.Random(1800 + seed)
+        a = random_valid_algebra(rng)
+        reg = regular_bimodule(a)
+        for nf, ng, nh in ((1, 2, 2), (2, 2, 3), (1, 1, 3)):
+            f, g, h = (random_equivariant(reg, k, rng) for k in (nf, ng, nh))
+            df, dg, dh = nf - 1, ng - 1, nh - 1
+            fg = bracket(a, f, g)
+            nonzero += not fg.is_zero()
+            assert fg == bracket(a, g, f).scale(-((-1) ** (df * dg)))
+            t1 = bracket(a, f, bracket(a, g, h)).scale((-1) ** (df * dh))
+            t2 = bracket(a, g, bracket(a, h, f)).scale((-1) ** (dg * df))
+            t3 = bracket(a, h, bracket(a, f, g)).scale((-1) ** (dh * dg))
+            assert t1.add(t2).add(t3).is_zero(), seed
+        mu = mu_cochain(a)
+        candidates = [mu, mu.scale(-2)] + [random_equivariant(reg, 2, rng) for _ in range(3)]
+        candidates += [mu.add(c) for c in candidates[2:]]
+        for candidate in candidates:
+            residual_zero = mc_residual(a, candidate).is_zero()
+            valid = validate_algebra(algebra_with_product(a, candidate)) is None
+            assert residual_zero == valid, seed
+            invalid += not valid
+        assert mc_residual(a, mu).is_zero() and validate_algebra(a) is None
+    assert nonzero and invalid
