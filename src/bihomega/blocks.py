@@ -33,8 +33,9 @@ def structure_classes(b: OmegaBimodule) -> tuple:
     """Class ids of the structure data the face terms of δ read (cached).
 
     A's pmap and qmap per monoid element, then A's product and M's left and
-    right actions per pair of elements; two keys share a class when their
-    data agree entry for entry.
+    right actions per pair of elements, then M's pmap and qmap per element
+    (read by the equivariance constraints, ``cochain._twist_signature``);
+    two keys share a class when their data agree entry for entry.
     """
     hit = b._cache.get("structure_classes")
     if hit is None:
@@ -56,6 +57,8 @@ def structure_classes(b: OmegaBimodule) -> tuple:
             intern(a.product, tensor),
             intern(b.left, tensor),
             intern(b.right, tensor),
+            intern(b.pmap, matrix),
+            intern(b.qmap, matrix),
         )
     return hit
 
@@ -101,7 +104,7 @@ class CoboundaryPlan:
             self.faces = [[(0, 0)]]
             self.reps = {tuple((i,) for i in range(n + 2)): om.tuples(n + 1)[0]}
             return
-        p_cls, q_cls, mu_cls, left_cls, right_cls = structure_classes(b)
+        p_cls, q_cls, mu_cls, left_cls, right_cls, _, _ = structure_classes(b)
         in_rank = {t: i for i, t in enumerate(om.tuples(n))}
         numbers: dict = {}
         self.faces = [[] for _ in in_rank]

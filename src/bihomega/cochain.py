@@ -59,9 +59,12 @@ into rows by ``linalg.sparse_rows``, against the raw target.
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
 equivariant subspace.  ``delta_matrix(b, 0)`` then raises
-InternalCheckError (never forcing the image into C^1), and
-``cohomology_dims`` falls back to the exact intersection of the image with
-C^1, flagging the report.
+InternalCheckError (never forcing the image into C^1).  The tables take
+degree 0 from one place, :func:`_degree0_domain`: vectors spanning
+{y in M : δ_0 y in C^1}, the unit vectors of M when every image lies in
+C^1 and otherwise :func:`degree0_preimages`, which flags the report.  B^1
+is the rank of their images, each of which must be a 1-cocycle; on some
+valid inputs one is not, and the table is refused.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ from dataclasses import dataclass
 
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .blocks import coboundary_plan
-from .linalg import Mat, _kron, _supports, reduce_into, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
+from .blocks import coboundary_plan, structure_classes
+from .linalg import Mat, _kron, _supports, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
 from .monoid import Monoid
 from .rationals import ONE, ZERO, Rat
 
@@ -267,28 +270,17 @@ def _constraint_columns(b: OmegaBimodule, om_tuple) -> dict:
 def _twist_signature(b: OmegaBimodule, om_tuple) -> tuple:
     """What the equivariance constraints of a tuple block depend on.
 
-    The class of M's (pmap, qmap) at the tuple's product, then the class of
-    A's (pmap, qmap) at each entry.  Tuples with equal signatures have the
-    same block-local constraint rows and the same kernel.
+    The classes (:func:`bihomega.blocks.structure_classes`) of M's pmap and
+    qmap at the tuple's product, then of A's pmap and qmap at each entry.
+    Tuples with equal signatures have the same block-local constraint rows
+    and the same kernel.
     """
-    module_class, algebra_class = _twist_classes(b)
-    return (module_class[b.base.omega.product_of(om_tuple)],) + tuple(algebra_class[x] for x in om_tuple)
-
-
-def _twist_classes(b: OmegaBimodule) -> tuple:
-    """Per monoid element, class ids of M's and of A's (pmap, qmap) pairs.
-
-    Two elements share a class when both maps agree entry for entry (cached).
-    """
-    hit = b._cache.get("twist_classes")
-    if hit is None:
-        def classes(pmap: dict, qmap: dict) -> list:
-            ids: dict = {}
-            return [ids.setdefault((tuple(pmap[x].entries), tuple(qmap[x].entries)), len(ids))
-                    for x in b.base.omega.elements()]
-
-        hit = b._cache["twist_classes"] = (classes(b.pmap, b.qmap), classes(b.base.pmap, b.base.qmap))
-    return hit
+    p_cls, q_cls, _, _, _, mp_cls, mq_cls = structure_classes(b)
+    prod = b.base.omega.product_of(om_tuple)
+    sig = [mp_cls[prod], mq_cls[prod]]
+    for x in om_tuple:
+        sig += (p_cls[x], q_cls[x])
+    return tuple(sig)
 
 
 @dataclass(eq=False)
@@ -696,11 +688,11 @@ class CohomologyReport:
 
 
 def degree0_preimages(b: OmegaBimodule) -> list:
-    """Sparse vectors y in C^0 = M whose coboundaries δ_0 y lie in C^1.
+    """Sparse vectors y in C^0 = M spanning {y : δ_0 y in C^1}.
 
     Read off the kernel of [basis of C^1 | -images of δ_0] (pairs (x, y)
-    with B x = W y), keeping the nonzero y parts; together with ker δ_0
-    they span {y : δ_0 y in C^1}.
+    with B x = W y), keeping the nonzero y parts; the y parts of a kernel
+    basis span the y parts of the kernel, ker δ_0 included.
     """
     op = delta_op(b, 0)
     basis1 = equivariant_basis(b, 1)
@@ -716,15 +708,24 @@ def degree0_preimages(b: OmegaBimodule) -> list:
     return preimages
 
 
-def _image_intersection_generators(b: OmegaBimodule) -> list:
-    """Independent raw generators of im(delta_0) ∩ C^1, as sparse dicts.
+def _degree0_domain(b: OmegaBimodule) -> tuple:
+    """(ys, intersected): sparse vectors spanning {y in M : δ_0 y in C^1} (cached).
 
-    Used when the degree-0 differential leaves the equivariant subspace; a
-    generator is kept when it opens a new pivot.
+    The unit vectors of M when every δ_0 image lies in C^1, otherwise
+    :func:`degree0_preimages` and ``intersected`` True.  The one degree-0
+    decision of the algebra, operator and combined tables (see the module
+    docstring).
     """
-    op = delta_op(b, 0)
-    pivots: dict = {}
-    return [g for g in (op.image(y) for y in degree0_preimages(b)) if reduce_into(pivots, g)]
+    hit = b._cache.get("degree0_domain")
+    if hit is None:
+        op = delta_op(b, 0)
+        units = [{l: ONE} for l in range(b.dim_m)]
+        if all(_in_subspace(b, 1, op.image(y)) for y in units):
+            hit = units, False
+        else:
+            hit = degree0_preimages(b), True
+        b._cache["degree0_domain"] = hit
+    return hit
 
 
 def cohomology_dims(b: OmegaBimodule, max_degree: int, check: bool = True) -> CohomologyReport:
@@ -733,13 +734,15 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int, check: bool = True) -> Co
     rank(δ_k on C^k) is taken once per degree on the images of the C^k
     basis, streamed from :func:`_basis_images`, each verified to satisfy the
     degree-(k+1) constraints and, for k >= 1, projected off their end
-    columns (see the module docstring).
+    columns (see the module docstring).  B^1 is the rank of the images
+    δ_0 y over :func:`_degree0_domain`, each checked, before any rank, to
+    lie in C^1 and to be a 1-cocycle.
 
-    Raises InternalCheckError when degree-0 coboundaries are not 1-cocycles
-    (possible for valid inputs; see the module docstring): reporting a
-    quotient by a space that is not inside the cocycles would be wrong.
-    Raises MalformedInputError for a negative ``max_degree``; ``check``
-    False skips validating a bimodule the caller has validated.
+    Raises InternalCheckError when one is not (possible for valid inputs;
+    see the module docstring): reporting a quotient by a space that is not
+    inside the cocycles would be wrong.  Raises MalformedInputError for a
+    negative ``max_degree``; ``check`` False skips validating a bimodule
+    the caller has validated.
     """
     if max_degree < 0:
         raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
@@ -747,57 +750,43 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int, check: bool = True) -> Co
     if witness is not None:
         raise PreconditionError(f"bimodule invalid: {witness.describe()}")
     dims_c = [equivariant_basis(b, k).dim() for k in range(max_degree + 1)]
-    images0 = [delta_op(b, 0).image({l: ONE}) for l in range(b.dim_m)]  # C^0 = M
-    b1_dim = None
-    if not all(_in_subspace(b, 1, img) for img in images0):
-        gens = _image_intersection_generators(b)
-        b1_dim = len(gens)
-        for g in gens:
-            if not _in_subspace(b, 1, g):
-                raise InternalCheckError("vector is not in the degree-1 equivariant subspace")
-            if delta_op(b, 1).image(g):
-                raise InternalCheckError(
-                    "degree-0 coboundary generator is not a 1-cocycle; "
-                    "the complex is inconsistent on this input"
-                )
-    ranks = [sparse_rank(images0)]
+    ys, intersected = _degree0_domain(b)
+    op0, op1 = delta_op(b, 0), delta_op(b, 1)
+    images = [op0.image(y) for y in ys]
+    for g in images:
+        if not _in_subspace(b, 1, g):
+            raise InternalCheckError("vector is not in the degree-1 equivariant subspace")
+        if op1.image(g):
+            raise InternalCheckError(
+                "degree-0 coboundary generator is not a 1-cocycle; "
+                "the complex is inconsistent on this input"
+            )
+    b1_dim = sparse_rank(images)
+    # C^0 = M: δ_0 is ranked on the unit vectors, which ys are unless intersected
+    ranks = [sparse_rank(op0.image({l: ONE}) for l in range(b.dim_m)) if intersected else b1_dim]
     ranks += [sparse_rank(_basis_images(b, k, project=True)) for k in range(1, max_degree + 1)]
-    if b1_dim is None and max_degree >= 1 and any(delta_op(b, 1).image(g) for g in images0):
-        raise InternalCheckError(
-            "degree-0 coboundaries are not 1-cocycles; "
-            "the complex is inconsistent on this input"
-        )
     rows = []
     for k in range(max_degree + 1):
         z = dims_c[k] - ranks[k]
-        if k == 0:
-            bdim = 0
-        elif b1_dim is not None and k == 1:
-            bdim = b1_dim
-        else:
-            bdim = ranks[k - 1]
+        bdim = 0 if k == 0 else b1_dim if k == 1 else ranks[k - 1]
         if bdim > z:
             raise InternalCheckError(
                 f"degree-{k} coboundary space is larger than the cocycle space"
             )
         rows.append(DegreeRow(k, dims_c[k], z, bdim, z - bdim))
-    return CohomologyReport(rows, b1_dim is not None)
+    return CohomologyReport(rows, intersected)
 
 
 def degree0_sound(b: OmegaBimodule) -> bool:
     """Does the degree-0 differential compose to zero into the complex?
 
-    True when every degree-0 coboundary that lies in C^1 (all of them, or
-    the exact intersection when some image leaves the subspace) is killed
-    by the next differential.  Valid inputs exist for which this fails; see
-    the module docstring.
+    True when δ_1 kills δ_0 y for every y of :func:`_degree0_domain`: every
+    degree-0 coboundary that lies in C^1.  Valid inputs exist for which
+    this fails; see the module docstring.
     """
-    op0 = delta_op(b, 0)
-    op1 = delta_op(b, 1)
-    images = [op0.image({l: ONE}) for l in range(b.dim_m)]
-    if not all(_in_subspace(b, 1, img) for img in images):
-        images = _image_intersection_generators(b)
-    return not any(op1.image(img) for img in images)
+    ys, _ = _degree0_domain(b)
+    op0, op1 = delta_op(b, 0), delta_op(b, 1)
+    return not any(op1.image(op0.image(y)) for y in ys)
 
 
 def dd_zero_witness(b: OmegaBimodule, degrees) -> tuple | None:

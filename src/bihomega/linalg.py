@@ -23,9 +23,10 @@ rational.
 :func:`sparse_rref` back-substitutes it the same way, in integers, and
 divides each row by its pivot once at the end, the one rational division of
 the RREF that :func:`sparse_kernel` and :func:`sparse_solve` read off;
-integral entries stay ``int`` (see ``rationals``).  :func:`reduce_into`
-keeps a rational echelon with pivots normalized to 1, one row at a time, for
-the degree-0 image intersection in ``cochain``.
+integral entries stay ``int`` (see ``rationals``).  This is the one
+elimination algorithm of the package; a rational elimination with pivots
+normalized as rows arrive is kept only as a test oracle
+(``tests/oracles.py``).
 
 Conventions that downstream determinism depends on:
 
@@ -238,40 +239,6 @@ def _kron(tables) -> list:
 
 
 # -- sparse elimination core ---------------------------------------------
-
-
-def reduce_into(pivots: dict, row: dict) -> bool:
-    """Forward-eliminate one row against the echelon ``pivots``; keep the rest.
-
-    ``pivots`` maps each pivot column to its row, normalized so that the
-    pivot is 1 and is the row's smallest column.  The row (not modified) is
-    reduced by the pivot rows at its leading column until it is zero or
-    leads at a new column; in that case it is normalized, stored, and True
-    is returned.
-    """
-    row = {c: v if type(v) is int else Rat(v) for c, v in row.items() if v}
-    while row:
-        col = min(row)
-        pivot = pivots.get(col)
-        if pivot is None:
-            lead = row[col]
-            if lead != 1:
-                inv = Rat(1, lead)
-                row = {c: Rat(inv * v) for c, v in row.items()}
-            pivots[col] = row
-            return True
-        _axpy(row, -row[col], pivot)
-    return False
-
-
-def _axpy(row: dict, factor, other: dict):
-    """row += factor * other, dropping zeros; integral results stay ints."""
-    for c, v in other.items():
-        new = row.get(c, 0) + factor * v
-        if new:
-            row[c] = new if type(new) is int else Rat(new)
-        else:
-            del row[c]
 
 
 def sparse_rank(rows) -> int:

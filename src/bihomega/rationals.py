@@ -12,9 +12,9 @@ on.
 Sums, differences and products of ints stay ints, so non-integral values
 arise only where the input holds them (a ``1/2`` in a fixture, a sampled
 ``Rat(1, 2)``) and where elimination divides by a pivot: once per row at
-the end of ``linalg.sparse_rref``, and in ``linalg.reduce_into``.  A
-quotient that is integral stays an ``int``; any other goes through
-:func:`Rat`, the one canonicalizing constructor.  Mixed arithmetic elsewhere may leave an integral value in
+the end of ``linalg.sparse_rref``.  A quotient that is integral stays an
+``int``; any other goes through :func:`Rat`, the one canonicalizing
+constructor.  Mixed arithmetic elsewhere may leave an integral value in
 rational form; it compares, hashes and formats like the ``int``.  All
 formatting goes through :func:`format_rational`, so serialized output does
 not depend on the representation.

@@ -46,12 +46,11 @@ from .cochain import (
     EquivariantBasis,
     SparseOp,
     _basis_images,
-    _in_subspace,
+    _degree0_domain,
     _raw_size,
     _require_shape,
     apply_delta,
     cohomology_dims,
-    degree0_preimages,
     delta_op,
     equivariant_basis,
 )
@@ -323,77 +322,42 @@ def _combined_rows(ctx: RbfContext, n: int) -> list:
     return sparse_rows(_combined_images(ctx, n), _raw_size(b, n + 1) + _raw_size(b, n))
 
 
-def _in_combined_target(ctx: RbfContext, n: int, image: dict) -> bool:
-    """Does a raw combined image lie in C^{n+1}_alg (+) C^n_rbf?"""
-    b = ctx.bimodule
-    shift = _raw_size(b, n + 1)
-    alg = {i: v for i, v in image.items() if i < shift}
-    rbf = {i - shift: v for i, v in image.items() if i >= shift}
-    return _in_subspace(b, n + 1, alg) and _in_subspace(b, n, rbf)
-
-
 def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     """Reports for all three complexes, degrees 0..max_degree.
 
     Each combined rank is one forward elimination on that degree's cached
-    sparse images.  Combined degree-0 coboundaries: when the degree-0 image leaves the
-    product of equivariant spaces, the coboundary dimension is that of the
-    exact intersection (the algebra part constrains it; the operator part is
-    unconstrained), and the report is flagged.  A negative ``max_degree``
-    is refused by the first :func:`cohomology_dims` call, which skips the
-    context's bimodule, validated with the context, but not the star one.
+    sparse images.  Combined degree-0 coboundaries are the images
+    d(y) = (δ_0 y, -y) of the vectors y of ``cochain._degree0_domain``: the
+    operator part C^0_rbf = M is unconstrained, and y -> (δ_0 y, -y) is
+    injective, so b^1 is the rank of the ys, and the report is flagged
+    when the algebra table's is.  d(d(y)) = (δ_1 δ_0 y, ∂_0 y - φ_1 δ_0 y);
+    the algebra table has checked the first half, and the second is
+    checked here, before the ranks.  A negative ``max_degree`` is refused
+    by the first :func:`cohomology_dims` call, which skips the context's
+    bimodule, validated with the context, but not the star one.
     """
-    alg_report = cohomology_dims(ctx.bimodule, max_degree, check=False)
+    b = ctx.bimodule
+    alg_report = cohomology_dims(b, max_degree, check=False)
     rbf_report = cohomology_dims(ctx.star_bimodule(), max_degree)
-    m = ctx.bimodule.dim_m
-    images = {k: _combined_images(ctx, k) for k in range(max_degree + 1)}
-    dims_c = {k: combined_dim(ctx, k) for k in range(max_degree + 1)}
-    ranks = {k: sparse_rank(images[k]) for k in range(max_degree + 1)}
-    degree0_intersected = False
-    b1_dim = None
+    intersected, b1_dim = False, None
     if max_degree >= 1:
-        if all(_in_combined_target(ctx, 0, image) for image in images[0]):
-            b1_dim = ranks[0]
-            om, d, _ = ctx.dims()
-            for l in range(m):
-                unit_vec = Cochain.zero(0, om.size, d, m)
-                unit_vec.coords[l] = ONE
-                image = d_combined(ctx, CombinedCochain(unit_vec, None), check=False)
-                if not d_combined(ctx, image, check=False).is_zero():
-                    raise InternalCheckError(
-                        "combined degree-0 coboundaries are not 2-cocycles; "
-                        "the complex is inconsistent on this input"
-                    )
-        else:
-            degree0_intersected = True
-            b1_dim = _combined_degree0_intersection(ctx)
+        ys, intersected = _degree0_domain(b)
+        op0, star0, phi1 = delta_op(b, 0), delta_op(ctx.star_bimodule(), 0), phi_op(ctx, 1)
+        if any(star0.image(y) != phi1.image(op0.image(y)) for y in ys):
+            raise InternalCheckError(
+                "combined degree-0 coboundaries are not 2-cocycles; "
+                "the complex is inconsistent on this input"
+            )
+        b1_dim = sparse_rank(ys)
+    ranks = [sparse_rank(_combined_images(ctx, k)) for k in range(max_degree + 1)]
     rows = []
     for k in range(max_degree + 1):
-        z = dims_c[k] - ranks[k]
-        if k == 0:
-            bdim = 0
-        elif k == 1:
-            bdim = b1_dim
-        else:
-            bdim = ranks[k - 1]
-        rows.append(DegreeRow(k, dims_c[k], z, bdim, z - bdim))
-    combined_report = CohomologyReport(rows, degree0_intersected)
+        dim = combined_dim(ctx, k)
+        z = dim - ranks[k]
+        bdim = 0 if k == 0 else b1_dim if k == 1 else ranks[k - 1]
+        rows.append(DegreeRow(k, dim, z, bdim, z - bdim))
+    combined_report = CohomologyReport(rows, intersected)
     return {"alg": alg_report, "rbf": rbf_report, "rbfa": combined_report}
-
-
-def _combined_degree0_intersection(ctx: RbfContext) -> int:
-    """dim( im(d^0) ∩ (C^1_alg (+) C^0_rbf) ); the map m -> (delta m, -m) is
-    injective, so this is the dimension of {c in M : delta0(c) in C^1}."""
-    b = ctx.bimodule
-    c_vectors = degree0_preimages(b)
-    # runtime assertion: generators of the defined part are killed by d^1
-    op0, op1 = delta_op(b, 0), delta_op(b, 1)
-    for c in c_vectors:
-        if op1.image(op0.image(c)):
-            raise InternalCheckError(
-                "combined degree-0 coboundary generator is not killed at degree 1"
-            )
-    return sparse_rank(c_vectors)
 
 
 def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:

@@ -96,18 +96,22 @@ def _matrix(obj, rows: int, cols: int, path: str) -> Mat:
     return Mat(rows, cols, entries)
 
 
-def _map_family(obj, omega: Monoid, rows: int, cols: int, path: str) -> dict:
-    data = _expect_dict(obj, path)
-    out = {}
-    for x in omega.elements():
-        key = str(x)
+def _require_keys(data: dict, keys: list, path: str):
+    """Refuse ``data`` unless its keys are exactly the canonical index
+    ``keys``: a missing key is named first, then any unknown or
+    non-canonical one ("00", "0, 1")."""
+    for key in keys:
         if key not in data:
             raise ParseError(f"missing key {key!r}", path)
-        out[x] = _matrix(data[key], rows, cols, f"{path}[{key!r}]")
-    for key in data:
-        if not (key.isdigit() and int(key) < omega.size):
-            raise ParseError(f"unknown index key {key!r}", path)
-    return out
+    if len(data) != len(keys):
+        known = set(keys)
+        raise ParseError(f"unknown index key {next(k for k in data if k not in known)!r}", path)
+
+
+def _map_family(obj, omega: Monoid, rows: int, cols: int, path: str) -> dict:
+    data = _expect_dict(obj, path)
+    _require_keys(data, [str(x) for x in omega.elements()], path)
+    return {x: _matrix(data[str(x)], rows, cols, f"{path}['{x}']") for x in omega.elements()}
 
 
 def _tensor3(obj, d1: int, d2: int, d3: int, path: str) -> list:
@@ -121,14 +125,9 @@ def _tensor3(obj, d1: int, d2: int, d3: int, path: str) -> list:
 
 def _pair_tensors(obj, omega: Monoid, d1: int, d2: int, d3: int, path: str) -> dict:
     data = _expect_dict(obj, path)
-    out = {}
-    for x in omega.elements():
-        for y in omega.elements():
-            key = f"{x},{y}"
-            if key not in data:
-                raise ParseError(f"missing key {key!r}", path)
-            out[(x, y)] = _tensor3(data[key], d1, d2, d3, f"{path}[{key!r}]")
-    return out
+    keys = {(x, y): f"{x},{y}" for x, y in omega.tuples(2)}
+    _require_keys(data, list(keys.values()), path)
+    return {xy: _tensor3(data[key], d1, d2, d3, f"{path}[{key!r}]") for xy, key in keys.items()}
 
 
 def _parse_monoid(obj, path: str) -> Monoid:
@@ -158,10 +157,9 @@ def _parse_cochain_values(obj, omega: Monoid, degree: int, dim_in: int, dim_out:
         f.coords[:] = vec
         return f
     values = _expect_dict(_need(data, "values", path), f"{path}.values")
-    for om_tuple in omega.tuples(degree):
-        key = ",".join(str(x) for x in om_tuple)
-        if key not in values:
-            raise ParseError(f"missing key {key!r}", f"{path}.values")
+    keys = {om_tuple: ",".join(map(str, om_tuple)) for om_tuple in omega.tuples(degree)}
+    _require_keys(values, list(keys.values()), f"{path}.values")
+    for om_tuple, key in keys.items():
         node = values[key]
         node_path = f"{path}.values[{key!r}]"
         for args in iproduct(range(dim_in), repeat=degree):

@@ -61,7 +61,7 @@ from bihomega.cochain import Cochain, _tuple_rank, maps_from_cochain
 from bihomega.deformation import deformed_mu
 from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import algebra_with_product
-from bihomega.linalg import Mat, _axpy, reduce_into
+from bihomega.linalg import Mat
 from bihomega.rationals import ONE, ZERO, Rat
 
 
@@ -414,13 +414,43 @@ def solve_oracle(mat, rhs):
     return x
 
 
+def _reduce_into(pivots, row):
+    """Forward-eliminate one row against the echelon ``pivots``, which maps
+    each pivot column to its row, normalized so that the pivot is 1 and is
+    the row's smallest column.  The row (not modified) is reduced by the
+    pivot rows at its leading column until it is zero or leads at a new
+    column, where it is normalized and stored."""
+    row = {c: v if type(v) is int else Rat(v) for c, v in row.items() if v}
+    while row:
+        col = min(row)
+        pivot = pivots.get(col)
+        if pivot is None:
+            lead = row[col]
+            if lead != 1:
+                inv = Rat(1, lead)
+                row = {c: Rat(inv * v) for c, v in row.items()}
+            pivots[col] = row
+            return
+        _axpy(row, -row[col], pivot)
+
+
+def _axpy(row, factor, other):
+    """row += factor * other, dropping zeros; integral results stay ints."""
+    for c, v in other.items():
+        new = row.get(c, 0) + factor * v
+        if new:
+            row[c] = new if type(new) is int else Rat(new)
+        else:
+            del row[c]
+
+
 def sparse_rref_oracle(rows, ncols):
     """The rational sparse RREF: each row eliminated into a {pivot_col: row}
-    echelon with pivots normalized to 1 (``linalg.reduce_into``), then
+    echelon with pivots normalized to 1 (:func:`_reduce_into`), then
     back-substituted in decreasing pivot order by rational row updates."""
     pivots = {}
     for r in rows:
-        reduce_into(pivots, r)
+        _reduce_into(pivots, r)
     for col in sorted(pivots, reverse=True):
         row = pivots[col]
         for c in [c for c in row if c != col and c in pivots]:

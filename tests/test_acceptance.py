@@ -77,8 +77,8 @@ def dd_zero_raw(b, source_degrees):
 
     For source degree 0 the composite is checked on the part of the image
     that lies inside the complex: when some degree-0 image leaves the
-    equivariant subspace, the intersection generators are certified as
-    1-cocycles (cohomology_dims raises otherwise); degrees >= 1 are raw
+    equivariant subspace, the images of the degree-0 domain are certified
+    as 1-cocycles (cohomology_dims raises otherwise); degrees >= 1 are raw
     coordinate checks.
     """
     for n in source_degrees:
@@ -106,7 +106,7 @@ def dd_zero_matrices(b, max_source: int):
 
     When the degree-0 image leaves the equivariant subspace, degree 0 is
     covered through its defined part instead (cohomology_dims certifies the
-    intersection generators as 1-cocycles), and products start at degree 1.
+    images of the degree-0 domain as 1-cocycles), and products start at degree 1.
     """
     from bihomega.cochain import delta_matrix
 

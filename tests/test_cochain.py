@@ -482,25 +482,31 @@ def test_cohomology_dims_still_verifies_coboundary_images():
         cohomology_dims(b, 3)
 
 
-def test_image_intersection_generators_span_the_intersection(e1_regular):
-    """Independent generators of im(δ_0) ∩ C^1, counted against
-    dim U + dim V - dim(U + V) with dense ranks."""
+def test_degree0_domain_spans_the_intersection(e1_regular):
+    """_degree0_domain: on inputs whose degree-0 images leave C^1 the ys
+    are flagged, their images span im(δ_0) ∩ C^1 (rank dim U + dim V -
+    dim(U + V), dense) and lie in C^1, and rank(ys) is the dense count
+    dim{y : δ_0 y in C^1} = dim M + dim C^1 - rank[C^1 basis | δ_0]; on e0
+    every image lies in C^1 and the ys are the unit vectors of M."""
     cases = [e1_regular] + [regular_bimodule(samples.build_c2_example(v)) for v in (0, 1, 2)]
-    for b in cases:
+    e0 = regular_bimodule(samples.build_e0())
+    for b in cases + [e0]:
         shape = (b.base.omega.size, b.base.dim, b.dim_m)
         op0 = delta_op(b, 0)
         images = [op0.apply_dense([ONE if k == l else ZERO for k in range(b.dim_m)]) for l in range(b.dim_m)]
-        assert not all(is_equivariant(b, Cochain(1, *shape, g)) for g in images)
+        ys, intersected = cochain._degree0_domain(b)
+        assert intersected == (not all(is_equivariant(b, Cochain(1, *shape, g)) for g in images))
+        assert intersected == (b is not e0)
+        if not intersected:
+            assert ys == [{l: ONE} for l in range(b.dim_m)]
         basis1 = equivariant_basis(b, 1)
         c1 = [basis1.cochain(j).coords for j in range(basis1.dim())]
-        gens = [[g.get(i, 0) for i in range(op0.nrows)] for g in cochain._image_intersection_generators(b)]
+        gens = [op0.apply_dense([y.get(k, 0) for k in range(b.dim_m)]) for y in ys]
         want = rank(Mat.from_cols(images)) + len(c1) - rank(Mat.from_cols(images + c1))
-        assert len(gens) == want
-        if gens:
-            assert rank(Mat.from_cols(gens)) == len(gens)
+        assert (rank(Mat.from_cols(gens)) if gens else 0) == want
         for g in gens:
             assert is_equivariant(b, Cochain(1, *shape, g))
-            assert rank(Mat.from_cols(images + [g])) == rank(Mat.from_cols(images))
+        assert sparse_rank(ys) == b.dim_m + len(c1) - rank(Mat.from_cols(c1 + images))
 
 
 def test_evaluation_on_a_dimension_zero_algebra_is_empty():
@@ -1175,3 +1181,15 @@ def test_stage_tool_reports_exact_work_counts():
         assert [row["projected_nonzeros"] for row in run] == [4, 11, 43, 144, 503]
         assert [row["echelon_nonzeros"] for row in run] == [4, 7, 19, 72, 234]
         assert [row["dim"] for row in run] == [r[0] for r in LADDER_TABLES["semidirect"][:5]]
+
+
+def test_stage_tool_combined_pass_pins_dims_ranks_and_degree0_membership():
+    """tools/cohomology_stages.py's combined pass on the c2 context to
+    degree 2: the combined dimensions and ranks, and ``inside`` at degree 0
+    (read off the δ_0 part of each image; the c2 degree-0 images leave
+    C^1), None above."""
+    from cohomology_stages import combined_pass
+
+    ctx = samples.c2_rbf_context()
+    _, rows = combined_pass(ctx.algebra, ctx.rb, 2)
+    assert [(row["dim"], row["rank"], row["inside"]) for row in rows] == [(2, 2, False), (6, 4, None), (20, 13, None)]

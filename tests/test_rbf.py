@@ -16,11 +16,19 @@ from oracles import (
     solve_oracle,
 )
 
-from bihomega import samples
+from bihomega import rbf, samples
 from bihomega.algebra import RotaBaxterFamily, Witness, zero_rb
 from bihomega.bimodule import regular_bimodule, zero_bimodule
-from bihomega.cochain import Cochain, apply_delta, delta_op, is_equivariant, random_equivariant
-from bihomega.errors import MalformedInputError, PreconditionError
+from bihomega.cochain import (
+    Cochain,
+    SparseOp,
+    apply_delta,
+    cohomology_dims,
+    delta_op,
+    is_equivariant,
+    random_equivariant,
+)
+from bihomega.errors import InternalCheckError, MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat
 from bihomega.rationals import ONE, ZERO, Rat
@@ -327,6 +335,30 @@ def test_rbfa_dims_searched_contexts_match_frozen(e1_ctx, c2_ctx):
         assert {key: r.to_json() for key, r in reports.items()} == frozen
         # these carriers exhibit the degree-0 defect; the report says so
         assert frozen["alg"]["degree0_intersected"]
+
+
+@pytest.mark.parametrize("build", [samples.c2_rbf_context, samples.e1_rbf_context])
+def test_combined_degree0_check_refuses_a_non_chain_map(build, monkeypatch):
+    """On a context whose degree-0 images leave C^1, a comparison map that
+    is not a chain map at degree 0 (∂_0 y != φ_1 δ_0 y) is refused before
+    any combined rank.  No corrupted context reaches that check: the star
+    bimodule is built from the same R and T as φ, so ∂_0 = φ_1 δ_0 holds
+    identically, and a corrupted R or T fails the star bimodule's
+    validation first.  So ``rbf.phi_op`` is patched to return φ_1 + id,
+    which differs from φ_1 on every nonzero δ_0 y (on these contexts φ_1
+    kills them)."""
+    ctx = build()
+    assert cohomology_dims(ctx.bimodule, 1).degree0_intersected
+    original = rbf.phi_op
+
+    def shifted(c, n):
+        op = original(c, n)
+        return SparseOp(op.nrows, op.ncols, [col + [(j, 1)] for j, col in enumerate(op.cols)]) if n == 1 else op
+
+    monkeypatch.setattr(rbf, "phi_op", shifted)
+    with pytest.raises(InternalCheckError, match="combined degree-0 coboundaries are not 2-cocycles"):
+        rbfa_cohomology_dims(ctx, 1)
+    assert ("combined_images", 0) not in ctx._cache
 
 
 def test_rbfa_dims_dim_m_zero(e1):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -26,6 +27,27 @@ def test_missing_product_key_names_the_key():
     data = json.loads(fixture_text("c2.json"))
     del data["algebra"]["product"]["0,1"]
     with pytest.raises(ParseError, match="'0,1'"):
+        parse_workbench(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "name, path, key",
+    [
+        ("c2.json", ("algebra", "product"), "7,7"),  # a pair outside the monoid
+        ("c2.json", ("algebra", "p"), "00"),  # non-canonical spelling of element 0
+        ("e1_rbf_pair.json", ("cocycle_pair", "chi", "values"), "0,0"),  # a tuple of the wrong degree
+    ],
+)
+def test_unknown_index_key_refused_with_its_path(name, path, key):
+    """Index keys must be exactly the canonical ones: an extra key is
+    refused, naming the key and the node, instead of being ignored."""
+    data = json.loads(fixture_text(name))
+    node = data
+    for part in path:
+        node = node[part]
+    node[key] = next(iter(node.values()))
+    want = f"$.{'.'.join(path)}: unknown index key '{key}'"
+    with pytest.raises(ParseError, match=f"^{re.escape(want)}$"):
         parse_workbench(json.dumps(data))
 
 
