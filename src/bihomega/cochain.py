@@ -71,6 +71,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, sub
 
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
@@ -113,32 +115,21 @@ class Cochain:
 
     def add(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
-        return Cochain(
-            self.degree,
-            self.omega_size,
-            self.dim_in,
-            self.dim_out,
-            [a + b for a, b in zip(self.coords, other.coords)],
-        )
+        return self._like(list(map(add, self.coords, other.coords)))
 
     def sub(self, other: "Cochain") -> "Cochain":
         self._compatible(other)
-        return Cochain(
-            self.degree,
-            self.omega_size,
-            self.dim_in,
-            self.dim_out,
-            [a - b for a, b in zip(self.coords, other.coords)],
-        )
+        return self._like(list(map(sub, self.coords, other.coords)))
 
     def scale(self, factor) -> "Cochain":
         f = Rat(factor)
-        return Cochain(
-            self.degree, self.omega_size, self.dim_in, self.dim_out, [f * a for a in self.coords]
-        )
+        return self._like(list(self.coords) if f == ONE else list(map(mul, repeat(f), self.coords)))
 
     def is_zero(self) -> bool:
-        return all(not x for x in self.coords)
+        return not any(self.coords)
+
+    def _like(self, coords: list) -> "Cochain":
+        return Cochain(self.degree, self.omega_size, self.dim_in, self.dim_out, coords)
 
     def _compatible(self, other: "Cochain"):
         if (

@@ -21,10 +21,13 @@ the inner tuples beta with product x and the twist of the outer slots as
 index gathers (one layer per monomial twist).  The gathers also transpose
 the block into (pre-index, position, slot value) order, so one zip splits
 it into d-tuples; g is scaled by its coefficient and split into d-tuples
-once per call.  One call of the compiled :func:`_kernel` per output block
-pre + beta + post sums over r the outer products of g's r-th output column
-with the block's values at slot value r.  The first term writes each
-output block, and later terms add to it.  For g = f the bracket's two sums
+once per call.  Each gather layer is one ``operator.itemgetter`` call.
+One call of the compiled :func:`_kernel` per output block pre + beta + post
+sums over r the outer products of g's r-th output column with the block's
+values at slot value r.  Each output block is written once: its kernel
+results are collected across all terms, and a block with one result takes
+it as is, while k >= 2 results are summed in one pass by an adder compiled
+once per k (:func:`_adder`).  For g = f the bracket's two sums
 share their terms, so [f, f] = 2 sum_i (-1)^(i-1) f oc_i f at even arity
 and 0 at odd arity (:func:`bracket`), which halves ``mc_residual``.
 
@@ -35,7 +38,7 @@ The slot-by-slot contraction this replaces is the test oracle
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from .algebra import OmegaAlgebra
 from .bimodule import regular_bimodule
@@ -65,10 +68,13 @@ def _require_cochains(a: OmegaAlgebra, check: bool, *cochains):
 def _twist(mats, d: int, order: list):
     """The Kronecker product of ``mats`` (None: identity) as index gathers.
 
-    Layer ``(idx, coeffs)`` sends entry order[t] of the twisted block (one
-    index per factor, lexicographic) to coeffs[t] * block[idx[t]], ``coeffs``
+    Layer ``(gather, coeffs)`` sends entry order[t] of the twisted block (one
+    index per factor, lexicographic) to coeffs[t] * block[idx[t]], where
+    ``gather(block)`` is the tuple of the block[idx[t]] and ``coeffs`` is
     None when all are 1; the twist is the sum of its layers.  A factor adds
-    as many layers as its fullest column has nonzeros.
+    as many layers as its fullest column has nonzeros.  A one-entry block
+    (d = 1) gathers through ``tuple``: ``itemgetter`` of one index returns
+    the entry, not a tuple.
     """
     layers = [([0], [ONE])]
     for mat in mats:
@@ -84,7 +90,10 @@ def _twist(mats, d: int, order: list):
             for part in split
         ]
     layers = [([idx[t] for t in order], [cf[t] for t in order]) for idx, cf in layers]
-    return [(idx, None if all(c == ONE for c in cf) else cf) for idx, cf in layers]
+    return [
+        (itemgetter(*idx) if len(idx) > 1 else tuple, None if all(c == ONE for c in cf) else cf)
+        for idx, cf in layers
+    ]
 
 
 def _insertion_plan(a: OmegaAlgebra, n: int, m: int, i: int) -> list:
@@ -139,6 +148,15 @@ def _kernel(d: int):
     return eval(f"lambda gb, pres: [{terms} for rt in pres for {cs}, in gb for {vs}, in rt]")
 
 
+@lru_cache(maxsize=None)
+def _adder(k: int):
+    """``adder(l0, ..., l(k-1))``: the entrywise sum of k lists, compiled once per k."""
+    ls = ", ".join(f"l{j}" for j in range(k))
+    xs = ", ".join(f"x{j}" for j in range(k))
+    terms = " + ".join(f"x{j}" for j in range(k))
+    return eval(f"lambda {ls}: [{terms} for {xs} in zip({ls})]")
+
+
 def insertion_sum(a: OmegaAlgebra, degree: int, terms, check: bool = False) -> Cochain:
     """The sum of c * (f oc_i g) over ``terms`` (c, f, g, i) of arity ``degree``.
 
@@ -158,7 +176,7 @@ def insertion_sum(a: OmegaAlgebra, degree: int, terms, check: bool = False) -> C
     out = Cochain.zero(degree, size, d, d)
     if not d:  # no coordinates, and no kernel to compile
         return out
-    oc, kernel, first, g_split = out.coords, _kernel(d), True, {}
+    kernel, g_split, parts = _kernel(d), {}, {}
     for c, f, g, i in terms:
         if not c:
             continue
@@ -168,14 +186,14 @@ def insertion_sum(a: OmegaAlgebra, degree: int, terms, check: bool = False) -> C
             blocks = zip(*[iter(zip(*[iter(gc)] * d))] * d**m)
             g_split[key] = [block if any(map(any, block)) else None for block in blocks]
         g_blocks, f_len, width = g_split[key], d ** (n + 1), d ** (n - i + 1)
-        stride, out_len = size ** (n - i) * d ** (n + m), d ** (n + m)
+        stride = size ** (n - i) * d ** (n + m)
         for f_base, twist, out_base, fiber in _insertion_plan(a, n, m, i):
             block = fc[f_base : f_base + f_len]
             if not any(block):
                 continue
             twisted = None
-            for idx, coeffs in twist:
-                vals = list(map(block.__getitem__, idx))
+            for gather, coeffs in twist:
+                vals = gather(block)
                 if coeffs is not None:
                     vals = list(map(mul, coeffs, vals))
                 twisted = vals if twisted is None else list(map(add, twisted, vals))
@@ -183,9 +201,10 @@ def insertion_sum(a: OmegaAlgebra, degree: int, terms, check: bool = False) -> C
             pres = list(zip(*[iter(zip(*[iter(twisted)] * d))] * width))
             for b in fiber:
                 if g_blocks[b] is not None:
-                    new, start = kernel(g_blocks[b], pres), out_base + b * stride
-                    oc[start : start + out_len] = new if first else map(add, oc[start : start + out_len], new)
-        first = False
+                    parts.setdefault(out_base + b * stride, []).append(kernel(g_blocks[b], pres))
+    oc, out_len = out.coords, d ** (degree + 1)
+    for start, results in parts.items():
+        oc[start : start + out_len] = results[0] if len(results) == 1 else _adder(len(results))(*results)
     return out
 
 

@@ -52,12 +52,9 @@ def Rat(num=0, den=1):
     return q.numerator if q.denominator == 1 else q
 
 
-def format_rational(value) -> str:
-    num = value.numerator
-    den = value.denominator
-    if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+# The canonical text form is ``str``: a Fraction keeps its sign on the numerator
+# and prints no ``/1``, and an int prints as itself.
+format_rational = str
 
 
 def parse_rational(text: str):

@@ -1,7 +1,8 @@
 """Canonical JSON file format for every workbench object.
 
 One file carries a monoid plus optional blocks: algebra, rota_baxter,
-bimodule, twist, nijenhuis, cochain, jet, cocycle_pair, extension.  All
+bimodule, twist, nijenhuis, cochain, jet, cocycle_pair, extension.  An
+unknown block or key is refused with its path, never ignored.  All
 scalars use the canonical rational text form; serialization sorts keys and
 indents by two, so files are byte-stable under parse/serialize round trips.
 
@@ -26,6 +27,21 @@ from .monoid import Monoid
 from .rationals import Rat, format_rational, parse_rational
 
 SCHEMA = "bihomega/1"
+# The optional top-level blocks and the keys each may hold (a bimodule's "t"
+# is optional); a cochain block's keys are checked by _parse_cochain_values.
+_BLOCKS = {
+    "algebra": ("dim", "product", "p", "q"),
+    "rota_baxter": ("weight", "r"),
+    "bimodule": ("dim", "left", "right", "p", "q", "t"),
+    "twist": ("p", "q"),
+    "nijenhuis": ("n",),
+    "cochain": None,
+    "jet": ("order", "product_orders", "operator_orders"),
+    "cocycle_pair": ("psi", "chi"),
+    "extension": (
+        "total_dim", "total_product", "total_p", "total_q", "total_t", "incl", "proj", "sect", "retr",
+    ),
+}
 
 
 @dataclass
@@ -46,6 +62,21 @@ class WorkbenchFile:
 
 
 # -- parsing ---------------------------------------------------------------
+
+
+def _refuse_unknown(obj: dict, known, path: str):
+    """Refuse a key of ``obj`` outside ``known``, so that a misspelt optional
+    key is an error instead of silently dropped data."""
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"unknown key {key!r}", path)
+
+
+def _block(data: dict, name: str) -> dict:
+    """The top-level block ``name``: an object holding only its known keys."""
+    node = _expect_dict(data[name], f"$.{name}")
+    _refuse_unknown(node, _BLOCKS[name], f"$.{name}")
+    return node
 
 
 def _need(obj: dict, key: str, path: str):
@@ -132,6 +163,7 @@ def _pair_tensors(obj, omega: Monoid, d1: int, d2: int, d3: int, path: str) -> d
 
 def _parse_monoid(obj, path: str) -> Monoid:
     data = _expect_dict(obj, path)
+    _refuse_unknown(data, ("size", "unit", "table", "names"), path)
     size = _expect_int(_need(data, "size", path), f"{path}.size", 1)
     unit = _expect_int(_need(data, "unit", path), f"{path}.unit", 0)
     table_raw = _expect_list(_need(data, "table", path), size, f"{path}.table")
@@ -147,9 +179,14 @@ def _parse_monoid(obj, path: str) -> Monoid:
     return Monoid(size, unit, tuple(table))
 
 
-def _parse_cochain_values(obj, omega: Monoid, degree: int, dim_in: int, dim_out: int, path: str) -> Cochain:
+def _parse_cochain_values(
+    obj, omega: Monoid, degree: int, dim_in: int, dim_out: int, path: str, extra: tuple = ()
+) -> Cochain:
+    """The cochain of a node holding ``value`` (degree 0) or ``values``, an
+    optional ``degree`` that must match, and the caller's ``extra`` keys."""
     f = Cochain.zero(degree, omega.size, dim_in, dim_out)
     data = _expect_dict(obj, path)
+    _refuse_unknown(data, ("degree", "value" if degree == 0 else "values", *extra), path)
     if "degree" in data and data["degree"] != degree:
         raise ParseError(f"expected degree {degree}, found {data['degree']}", path)
     if degree == 0:
@@ -181,6 +218,7 @@ def parse_workbench(text: str) -> WorkbenchFile:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "$") from None
     data = _expect_dict(data, "$")
+    _refuse_unknown(data, ("schema", "monoid", *_BLOCKS), "$")
     schema = _need(data, "schema", "$")
     if schema != SCHEMA:
         raise ParseError(f"unsupported schema {schema!r}", "$.schema")
@@ -193,7 +231,7 @@ def parse_workbench(text: str) -> WorkbenchFile:
                 raise ParseError("names must be strings", f"$.monoid.names[{i}]")
         wf.monoid_names = list(names)
     if "algebra" in data:
-        node = _expect_dict(data["algebra"], "$.algebra")
+        node = _block(data, "algebra")
         dim = _expect_int(_need(node, "dim", "$.algebra"), "$.algebra.dim", 0)
         product = _pair_tensors(
             _need(node, "product", "$.algebra"), monoid, dim, dim, dim, "$.algebra.product"
@@ -204,7 +242,7 @@ def parse_workbench(text: str) -> WorkbenchFile:
     if "rota_baxter" in data:
         if wf.algebra is None:
             raise ParseError("rota_baxter block requires an algebra", "$.rota_baxter")
-        node = _expect_dict(data["rota_baxter"], "$.rota_baxter")
+        node = _block(data, "rota_baxter")
         weight = _rat(_need(node, "weight", "$.rota_baxter"), "$.rota_baxter.weight")
         maps = _map_family(
             _need(node, "r", "$.rota_baxter"), monoid, wf.algebra.dim, wf.algebra.dim, "$.rota_baxter.r"
@@ -213,7 +251,7 @@ def parse_workbench(text: str) -> WorkbenchFile:
     if "bimodule" in data:
         if wf.algebra is None:
             raise ParseError("bimodule block requires an algebra", "$.bimodule")
-        node = _expect_dict(data["bimodule"], "$.bimodule")
+        node = _block(data, "bimodule")
         dm = _expect_int(_need(node, "dim", "$.bimodule"), "$.bimodule.dim", 0)
         d = wf.algebra.dim
         left = _pair_tensors(_need(node, "left", "$.bimodule"), monoid, d, dm, dm, "$.bimodule.left")
@@ -229,14 +267,14 @@ def parse_workbench(text: str) -> WorkbenchFile:
     if "twist" in data:
         if wf.algebra is None:
             raise ParseError("twist block requires an algebra", "$.twist")
-        node = _expect_dict(data["twist"], "$.twist")
+        node = _block(data, "twist")
         d = wf.algebra.dim
         wf.twist_p = _map_family(_need(node, "p", "$.twist"), monoid, d, d, "$.twist.p")
         wf.twist_q = _map_family(_need(node, "q", "$.twist"), monoid, d, d, "$.twist.q")
     if "nijenhuis" in data:
         if wf.algebra is None:
             raise ParseError("nijenhuis block requires an algebra", "$.nijenhuis")
-        node = _expect_dict(data["nijenhuis"], "$.nijenhuis")
+        node = _block(data, "nijenhuis")
         d = wf.algebra.dim
         wf.nijenhuis = _map_family(_need(node, "n", "$.nijenhuis"), monoid, d, d, "$.nijenhuis.n")
     if "cochain" in data:
@@ -254,13 +292,13 @@ def parse_workbench(text: str) -> WorkbenchFile:
         else:
             dim_out = wf.algebra.dim
         wf.cochain = _parse_cochain_values(
-            node, monoid, degree, wf.algebra.dim, dim_out, "$.cochain"
+            node, monoid, degree, wf.algebra.dim, dim_out, "$.cochain", ("target",)
         )
         wf.cochain_target = target
     if "jet" in data:
         if wf.algebra is None:
             raise ParseError("jet block requires an algebra", "$.jet")
-        node = _expect_dict(data["jet"], "$.jet")
+        node = _block(data, "jet")
         order = _expect_int(_need(node, "order", "$.jet"), "$.jet.order", 1)
         d = wf.algebra.dim
         mu_raw = _expect_list(_need(node, "product_orders", "$.jet"), order, "$.jet.product_orders")
@@ -283,7 +321,7 @@ def parse_workbench(text: str) -> WorkbenchFile:
     if "cocycle_pair" in data:
         if wf.bimodule is None:
             raise ParseError("cocycle_pair block requires a bimodule", "$.cocycle_pair")
-        node = _expect_dict(data["cocycle_pair"], "$.cocycle_pair")
+        node = _block(data, "cocycle_pair")
         d, dm = wf.algebra.dim, wf.bimodule.dim_m
         psi = _parse_cochain_values(
             _expect_dict(_need(node, "psi", "$.cocycle_pair"), "$.cocycle_pair.psi"),
@@ -301,7 +339,7 @@ def parse_workbench(text: str) -> WorkbenchFile:
             )
         if wf.bimodule.tmap is None:
             raise ParseError("extension block requires the bimodule tmap", "$.extension")
-        node = _expect_dict(data["extension"], "$.extension")
+        node = _block(data, "extension")
         d, dm = wf.algebra.dim, wf.bimodule.dim_m
         n = _expect_int(_need(node, "total_dim", "$.extension"), "$.extension.total_dim", 0)
         product = _pair_tensors(

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -74,6 +75,28 @@ def dense_constraint_matrix(b, n):
                             row[coord(t_idx, args_in, k)] -= coeff
                     rows.append(row)
     return Mat.from_rows(rows) if rows else Mat.zeros(0, raw)
+
+
+def test_cochain_arithmetic_on_fractions():
+    """add, sub, scale and is_zero on rational coordinates, mixed with ints."""
+    half, third = Rat(1, 2), Rat(-1, 3)
+    f = Cochain(1, 1, 2, 1, [half, third])
+    g = Cochain(1, 1, 2, 1, [Rat(3, 2), 2])
+    assert f.scale(2).coords == [1, Rat(-2, 3)]
+    assert f.scale(-1).coords == [Rat(-1, 2), Rat(1, 3)]
+    assert f.scale(Rat(3, 2)).coords == [Rat(3, 4), Rat(-1, 2)]
+    same = f.scale(1)
+    assert same == f and same.coords is not f.coords
+    same.coords[0] = 0
+    assert f.coords == [half, third]
+    assert f.add(g).coords == [2, Rat(5, 3)]
+    assert f.sub(g).coords == [-1, Rat(-7, 3)]
+    assert g.sub(f).add(f) == g
+    assert f.sub(f).is_zero() and f.scale(0).is_zero()
+    assert Cochain(1, 1, 2, 1, [0, Fraction(0)]).is_zero()
+    assert not f.is_zero() and not Cochain(1, 1, 2, 1, [0, Rat(1, 7)]).is_zero()
+    with pytest.raises(MalformedInputError):
+        f.add(Cochain(1, 1, 1, 2, [0, 0]))
 
 
 def test_identity_maps_full_space():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -514,3 +515,68 @@ def test_graded_lie_laws_and_mc_equivalence_on_random_valid_algebras():
             invalid += not valid
         assert mc_residual(a, mu).is_zero() and validate_algebra(a) is None
     assert nonzero and invalid
+
+
+def _fraction_cochain(rng, n, size, d):
+    """Raw cochain whose coordinates are all nonzero Fractions."""
+    coords = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(2, 4)) for _ in range((size * d) ** n * d)]
+    return Cochain(n, size, d, d, coords)
+
+
+def test_blocks_hit_by_several_terms_are_summed_in_one_pass(c2_ctx, monkeypatch):
+    """Four terms of one arity pattern, Fraction coefficients and dense
+    Fraction coordinates: every output block gets four kernel results, summed
+    by the compiled adder of 4, and the sum is that of the oracle terms."""
+    from bihomega import gerstenhaber
+
+    a, rng = c2_ctx.algebra, random.Random(75)
+    f1, f2, g1, g2 = (_fraction_cochain(rng, 2, 2, 2) for _ in range(4))
+    terms = [(Fraction(1, 3), f1, g1, 1), (Fraction(-5, 2), f2, g1, 1)]
+    terms += [(Fraction(2, 7), f1, g2, 2), (-1, f2, g2, 2)]
+    adders, real = [], gerstenhaber._adder
+    monkeypatch.setattr(gerstenhaber, "_adder", lambda k: adders.append(k) or real(k))
+    expected = Cochain.zero(3, 2, 2, 2)
+    for c, f, g, i in terms:
+        expected = expected.add(circ_i_oracle(a, f, g, i).scale(c))
+    assert insertion_sum(a, 3, terms) == expected
+    assert adders == [4] * 2**3  # one adder call per output tuple block
+    adders.clear()
+    assert insertion_sum(a, 3, terms[:1]) == circ_i_oracle(a, f1, g1, 1).scale(Fraction(1, 3))
+    assert adders == []  # a block with one result is assigned as is
+
+
+def test_zero_coefficients_and_zero_blocks_of_g_leave_their_blocks_zero(c2_ctx):
+    a, rng = c2_ctx.algebra, random.Random(76)
+    f, g = _fraction_cochain(rng, 2, 2, 2), _fraction_cochain(rng, 1, 2, 2)
+    zero_g = Cochain.zero(1, 2, 2, 2)
+    assert insertion_sum(a, 2, [(0, f, g, 1), (Fraction(1, 2), f, zero_g, 2)]).is_zero()
+    half_g = Cochain(1, 2, 2, 2, g.coords[:4] + [0] * 4)  # zero at monoid element 1
+    out = insertion_sum(a, 2, [(Fraction(2, 3), f, half_g, 1), (0, f, g, 2), (3, f, zero_g, 1)])
+    assert out == circ_i_oracle(a, f, half_g, 1).scale(Fraction(2, 3))
+    for x in range(2):  # slot 1 holds g's output at element 1: those blocks stay zero
+        base = out.block_base((1, x))
+        assert out.coords[base : base + 8] == [0] * 8
+    assert not out.is_zero()
+
+
+def test_dimension_one_carriers_gather_through_tuple(e0, zero1):
+    """At d = 1 every block has one entry, where itemgetter would return a
+    scalar; the gather is tuple, with twist coefficients on a twisted carrier."""
+    from bihomega import gerstenhaber
+
+    mat = Mat.from_rows
+    twisted = OmegaAlgebra(
+        cyclic_monoid(2), 1, {(x, y): tensor_zeros(1, 1, 1) for x in range(2) for y in range(2)},
+        {0: mat([[1]]), 1: mat([[-1]])}, {0: mat([[1]]), 1: mat([[Rat(2, 3)]])},
+    )
+    rng = random.Random(77)
+    for a in (e0, zero1, twisted):
+        size = a.omega.size
+        for n, m in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (2, 3)]:
+            f, g = _fraction_cochain(rng, n, size, 1), _fraction_cochain(rng, m, size, 1)
+            for i in range(1, n + 1):
+                assert circ_i(a, f, g, i, check=False) == circ_i_oracle(a, f, g, i)
+                plan = gerstenhaber._insertion_plan(a, n, m, i)
+                assert {gather for entry in plan for gather, _ in entry[1]} == {tuple}
+            assert bracket(a, f, g, check=False) == bracket_oracle(a, f, g)
+    assert any(coeffs for entry in gerstenhaber._insertion_plan(twisted, 2, 2, 1) for _, coeffs in entry[1])

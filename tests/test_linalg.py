@@ -183,6 +183,15 @@ def test_rational_text_forms():
         parse_rational("1/0")
 
 
+def test_format_rational_prints_the_canonical_form_of_either_representation():
+    """An integral value in Fraction form prints like the int, with no /1,
+    and a negative rational keeps its sign on the numerator."""
+    cases = [(0, "0"), (7, "7"), (-3, "-3"), (Fraction(-3, 2), "-3/2"), (Fraction(4, 1), "4")]
+    for value, text in cases:
+        assert format_rational(value) == text
+        assert parse_rational(text) == value
+
+
 def test_integral_scalars_are_plain_ints():
     assert type(Rat(4, 2)) is int
     assert type(Rat("7")) is int

@@ -119,3 +119,62 @@ def test_parsed_objects_carry_expected_blocks():
     assert wf3.jet is not None and wf3.jet.order == 1
     wf4 = parse_workbench(fixture_text("e1_rbf_pair.json"))
     assert wf4.cocycle_pair is not None
+
+
+def test_misspelt_bimodule_t_refused():
+    """A bimodule "t" spelt "T" used to parse with no t family."""
+    data = json.loads(fixture_text("e1_rbf.json"))
+    data["bimodule"]["T"] = data["bimodule"].pop("t")
+    with pytest.raises(ParseError, match=f"^{re.escape('$.bimodule: unknown key')} 'T'$"):
+        parse_workbench(json.dumps(data))
+
+
+def test_misspelt_top_level_block_refused():
+    """A "rota_baxtr" block used to be ignored, leaving no family."""
+    data = json.loads(fixture_text("e1.json"))
+    data["rota_baxtr"] = json.loads(fixture_text("e1_rbf.json"))["rota_baxter"]
+    with pytest.raises(ParseError, match=f"^{re.escape('$: unknown key')} 'rota_baxtr'$"):
+        parse_workbench(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("c2.json", ("monoid",)),
+        ("c2.json", ("algebra",)),
+        ("c2_rbf.json", ("rota_baxter",)),
+        ("e1_bimodule.json", ("bimodule",)),
+        ("diag2_twist.json", ("twist",)),
+        ("e1_nijenhuis.json", ("nijenhuis",)),
+        ("e1_rbf_jet.json", ("jet",)),
+        ("e1_rbf_jet.json", ("jet", "product_orders", 0)),
+        ("e1_rbf_pair.json", ("cocycle_pair",)),
+        ("e1_rbf_pair.json", ("cocycle_pair", "psi")),
+        ("e1_rbf_extension.json", ("extension",)),
+    ],
+)
+def test_unknown_key_in_a_block_refused_with_its_path(name, path):
+    data = json.loads(fixture_text(name))
+    node = data
+    for part in path:
+        node = node[part]
+    node["extra"] = "1"
+    where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    with pytest.raises(ParseError, match=f"^{re.escape(where)}: unknown key 'extra'$"):
+        parse_workbench(json.dumps(data))
+
+
+def test_cochain_block_keys():
+    """A cochain block holds degree, target and value (degree 0) or values;
+    the degree is optional in a nested cochain, and no other key is read."""
+    data = json.loads(fixture_text("e1_rbf_pair.json"))
+    psi = data["cocycle_pair"]["psi"]
+    del psi["degree"]
+    assert parse_workbench(json.dumps(data)).cocycle_pair.psi.degree == 2
+    data = json.loads(fixture_text("e1.json"))
+    data["cochain"] = {"degree": 0, "target": "algebra", "value": ["1", "0"]}
+    assert parse_workbench(json.dumps(data)).cochain.coords == [1, 0]
+    for extra in ("values", "targt"):
+        bad = dict(data["cochain"], **{extra: {}})
+        with pytest.raises(ParseError, match=f"^{re.escape('$.cochain: unknown key')} '{extra}'$"):
+            parse_workbench(json.dumps(dict(data, cochain=bad)))

@@ -1,0 +1,117 @@
+"""Alternate benchmark runs of two checkouts and compare their end-to-end metrics.
+
+    python3 tools/ab_pairs.py --parent PARENT_DIR --change . --workload brackets \\
+        --seed 7 --seconds 15 --pairs 10 [--json ab.json]
+
+PARENT_DIR and the change are two checkouts of the repository, for example
+the parent commit unpacked by ``git archive`` and the working tree.  Each
+pair runs ``perfbench/run.py`` once in each checkout, the parent first in
+odd pairs and the change first in even ones, one run at a time.  For each
+end-to-end metric that the change's ``BENCHMARK.json`` declares, it prints
+both sides' median and quartiles (inclusive), the parent's interquartile
+range and the number of pairs the change wins (ties count for neither).  A
+gain holds when the change wins at least nine tenths of the pairs and the
+medians differ by more than the parent's interquartile range.  ``--json``
+writes every run and the summary.  A run whose outputs were wrong
+(``correct`` false) is printed and ends the comparison with exit code 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``checkout``: its metric values, plus
+    ``correct`` and the unscaled ``wall_s`` and pass count it prints."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    proc = subprocess.run(
+        cmd + ["--seconds", str(seconds)], cwd=checkout, capture_output=True, text=True, check=False
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    run = {name: m["value"] for name, m in result["metrics"].items()}
+    run["correct"] = result["correct"]
+    wall = next((line for line in lines if line.startswith("wall_s ")), "")
+    match = re.search(r"(\d+) passes \(unscaled ([\d.]+) s", wall)
+    if match:
+        run["passes"], run["wall_s_unscaled"] = int(match.group(1)), float(match.group(2))
+    return run
+
+
+def quartiles(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def summarize(parent: list, change: list, better: dict) -> dict:
+    """Per metric (``better``: name -> "lower" or "higher"), both sides'
+    quartiles, the change's wins over paired runs and whether it is a gain."""
+    out = {}
+    for name, direction in better.items():
+        p, c = [r[name] for r in parent], [r[name] for r in change]
+        sign = 1 if direction == "lower" else -1
+        wins = sum(1 for a, b in zip(p, c) if sign * (a - b) > 0)
+        ps, cs = quartiles(p), quartiles(c)
+        iqr = ps["q3"] - ps["q1"]
+        gap = sign * (ps["median"] - cs["median"])
+        out[name] = {
+            "parent": ps,
+            "change": cs,
+            "parent_iqr": iqr,
+            "relative_change": (cs["median"] - ps["median"]) / ps["median"] if ps["median"] else None,
+            "change_wins": wins,
+            "pairs": len(p),
+            "gain": wins * 10 >= 9 * len(p) and gap > iqr,
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, default=Path("."))
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=15)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", type=Path)
+    args = parser.parse_args(argv)
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    runs = {"parent": [], "change": []}
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            run = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            run["pair"] = pair
+            runs[side].append(run)
+            print(f"pair {pair} {side:6} " + " ".join(f"{k}={run[k]:.6g}" for k in better), flush=True)
+            if not run["correct"]:
+                print(f"pair {pair}: the {side} run reported wrong outputs", file=sys.stderr)
+                return 1
+    summary = summarize(runs["parent"], runs["change"], better)
+    for name, s in summary.items():
+        p, c = s["parent"], s["change"]
+        print(
+            f"{name:12} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+            f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+            f"  change wins {s['change_wins']}/{s['pairs']}  parent IQR {s['parent_iqr']:.3g}"
+            f"  {'gain' if s['gain'] else 'no gain'}"
+        )
+    if args.json:
+        method = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs}
+        args.json.write_text(json.dumps({"method": method, "runs": runs, "summary": summary}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
