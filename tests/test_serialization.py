@@ -178,3 +178,129 @@ def test_cochain_block_keys():
         bad = dict(data["cochain"], **{extra: {}})
         with pytest.raises(ParseError, match=f"^{re.escape('$.cochain: unknown key')} '{extra}'$"):
             parse_workbench(json.dumps(dict(data, cochain=bad)))
+
+
+E1_COCHAIN = {"degree": 1, "target": "algebra", "values": {"0": [["1", "0"], ["0", "1"]]}}
+
+
+def _drop(*paths):
+    """A mutation deleting each dotted path from the document."""
+
+    def mutate(data):
+        for path in paths:
+            *parents, last = path.split(".")
+            node = data
+            for part in parents:
+                node = node[part]
+            del node[last]
+
+    return mutate
+
+
+def _put(path, value):
+    """A mutation setting a dotted path (list indices as digits) to ``value``."""
+
+    def mutate(data):
+        *parents, last = path.split(".")
+        node = data
+        for part in parents:
+            node = node[int(part)] if isinstance(node, list) else node[part]
+        node[int(last) if isinstance(node, list) else last] = value
+
+    return mutate
+
+
+def _with_cochain(**changes):
+    return _put("cochain", dict(E1_COCHAIN, **changes))
+
+
+@pytest.mark.parametrize(
+    "name, mutate, want",
+    [
+        ("e0.json", lambda data: [], "$: expected an object"),
+        ("e0.json", _drop("schema"), "$: missing key 'schema'"),
+        ("e0.json", _drop("monoid"), "$: missing key 'monoid'"),
+        ("c2.json", _put("monoid.size", 0), "$.monoid.size: expected an integer >= 1"),
+        ("c2.json", _put("monoid.unit", 2), "$.monoid.unit: unit out of range"),
+        ("c2.json", _put("monoid.names", ["e", 1]), "$.monoid.names[1]: names must be strings"),
+        ("c2_rbf.json", _drop("algebra"), "$.rota_baxter: rota_baxter block requires an algebra"),
+        ("e1_bimodule.json", _drop("algebra"), "$.bimodule: bimodule block requires an algebra"),
+        ("diag2_twist.json", _drop("algebra", "rota_baxter"), "$.twist: twist block requires an algebra"),
+        ("e1_nijenhuis.json", _drop("algebra"), "$.nijenhuis: nijenhuis block requires an algebra"),
+        (
+            "e1.json",
+            lambda data: _with_cochain()(data) or _drop("algebra")(data),
+            "$.cochain: cochain block requires an algebra",
+        ),
+        (
+            "e1_rbf_jet.json",
+            _drop("algebra", "rota_baxter", "bimodule"),
+            "$.jet: jet block requires an algebra",
+        ),
+        (
+            "e1_rbf_pair.json",
+            _drop("bimodule"),
+            "$.cocycle_pair: cocycle_pair block requires a bimodule",
+        ),
+        (
+            "e1_rbf_extension.json",
+            _drop("rota_baxter"),
+            "$.extension: extension block requires algebra, rota_baxter, and bimodule",
+        ),
+        (
+            "e1_rbf_extension.json",
+            _drop("bimodule.t"),
+            "$.extension: extension block requires the bimodule tmap",
+        ),
+        (
+            "e1.json",
+            _with_cochain(target="other"),
+            "$.cochain.target: target must be 'module' or 'algebra'",
+        ),
+        (
+            "e1.json",
+            _with_cochain(target="module"),
+            "$.cochain: module-valued cochain requires a bimodule",
+        ),
+        ("c2.json", _drop("algebra.q"), "$.algebra: missing key 'q'"),
+        ("e1.json", _put("algebra.p.0", [["1", "0"]]), "$.algebra.p['0']: expected 2 entries, got 1"),
+        (
+            "e1.json",
+            _put("algebra.product.0,0.0.0.0", 1),
+            "$.algebra.product['0,0'][0][0][0]: rationals must be strings in canonical form",
+        ),
+        ("e1_rbf_jet.json", _put("jet.order", 0), "$.jet.order: expected an integer >= 1"),
+        (
+            "e1_rbf_jet.json",
+            lambda data: data["jet"]["product_orders"].append(data["jet"]["product_orders"][0]),
+            "$.jet.product_orders: expected 1 entries, got 2",
+        ),
+        (
+            "e1_rbf_jet.json",
+            _put("jet.product_orders.0.degree", 3),
+            "$.jet.product_orders[0]: expected degree 2, found 3",
+        ),
+        (
+            "e1_rbf_pair.json",
+            _put("cocycle_pair.psi.values.0,0.0.0", ["0"]),
+            "$.cocycle_pair.psi.values['0,0'][0][0]: expected 2 entries, got 1",
+        ),
+    ],
+)
+def test_single_defect_messages(name, mutate, want):
+    """Each single-defect mutation of a shipped fixture is refused with this
+    exact path and message; a mutation may return a replacement document."""
+    data = json.loads(fixture_text(name))
+    replaced = mutate(data)
+    text = json.dumps(data if replaced is None else replaced)
+    with pytest.raises(ParseError) as info:
+        parse_workbench(text)
+    assert str(info.value) == want
+
+
+def test_invalid_json_message():
+    with pytest.raises(ParseError) as info:
+        parse_workbench("{")
+    assert str(info.value) == (
+        "$: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
