@@ -246,6 +246,14 @@ def tensor_zeros(d1: int, d2: int, d3: int) -> list:
     return [[[ZERO] * d3 for _ in range(d2)] for _ in range(d1)]
 
 
+def ensure_family(maps: dict, omega: Monoid, rows: int, cols: int, name: str):
+    """Refuse a map family that misses a monoid element or holds a map that is not rows x cols."""
+    for x in omega.elements():
+        m = maps.get(x)
+        if m is None or m.rows != rows or m.cols != cols:
+            raise MalformedInputError(f"{name}[{x}] is not {rows}x{cols}")
+
+
 def ensure_algebra_shapes(a: OmegaAlgebra):
     ensure_monoid(a.omega)
     size = a.omega.size
@@ -258,13 +266,8 @@ def ensure_algebra_shapes(a: OmegaAlgebra):
                 len(ti) != a.dim or any(len(tij) != a.dim for tij in ti) for ti in t
             ):
                 raise MalformedInputError(f"product tensor ({x}, {y}) has wrong shape")
-    for name, maps in (("pmap", a.pmap), ("qmap", a.qmap)):
-        for x in range(size):
-            m = maps.get(x)
-            if m is None:
-                raise MalformedInputError(f"{name} missing index {x}")
-            if m.rows != a.dim or m.cols != a.dim:
-                raise MalformedInputError(f"{name}[{x}] is not {a.dim}x{a.dim}")
+    ensure_family(a.pmap, a.omega, a.dim, a.dim, "pmap")
+    ensure_family(a.qmap, a.omega, a.dim, a.dim, "qmap")
 
 
 def validate_algebra(a: OmegaAlgebra) -> Witness | None:
@@ -288,19 +291,10 @@ def validate_algebra(a: OmegaAlgebra) -> Witness | None:
     )
 
 
-def ensure_rb_shapes(a: OmegaAlgebra, rb: RotaBaxterFamily):
-    for x in a.omega.elements():
-        m = rb.maps.get(x)
-        if m is None:
-            raise MalformedInputError(f"Rota-Baxter family missing index {x}")
-        if m.rows != a.dim or m.cols != a.dim:
-            raise MalformedInputError(f"Rota-Baxter map [{x}] is not {a.dim}x{a.dim}")
-
-
 def check_rota_baxter(a: OmegaAlgebra, rb: RotaBaxterFamily) -> Witness | None:
     """Structure-map commutation at equal indices, then R(x)R(y) = R(x * y)
     with * the star product of :func:`star_product`."""
-    ensure_rb_shapes(a, rb)
+    ensure_family(rb.maps, a.omega, a.dim, a.dim, "Rota-Baxter map")
     r = rb.maps
     return (
         _commute_scan(a.omega, r, (("rb-p-commute", a.pmap), ("rb-q-commute", a.qmap)))
@@ -336,12 +330,7 @@ def is_homomorphism(f: dict, src: OmegaAlgebra, dst: OmegaAlgebra) -> Witness | 
     if src.omega != dst.omega:
         raise MalformedInputError("source and target index monoids differ")
     om = src.omega
-    for x in om.elements():
-        m = f.get(x)
-        if m is None:
-            raise MalformedInputError(f"map family missing index {x}")
-        if m.rows != dst.dim or m.cols != src.dim:
-            raise MalformedInputError(f"map[{x}] is not {dst.dim}x{src.dim}")
+    ensure_family(f, om, dst.dim, src.dim, "map")
     return _first(
         _column_witness(name, (x,), dmap[x].mul(f[x]), f[x].mul(smap[x]))
         for x in om.elements()
@@ -373,13 +362,9 @@ def yau_twist(
     if witness is not None:
         raise PreconditionError(f"input Rota-Baxter family invalid: {witness.describe()}")
     for name, maps in (("pmap", pmap), ("qmap", qmap)):
+        ensure_family(maps, om, a.dim, a.dim, f"twist {name}")
         for x in om.elements():
-            m = maps.get(x)
-            if m is None:
-                raise MalformedInputError(f"twist {name} missing index {x}")
-            if m.rows != a.dim or m.cols != a.dim:
-                raise MalformedInputError(f"twist {name}[{x}] has wrong shape")
-            if rank(m) != a.dim:
+            if rank(maps[x]) != a.dim:
                 raise PreconditionError(f"twist {name}[{x}] is not invertible")
     for x in om.elements():
         for y in om.elements():

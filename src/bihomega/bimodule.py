@@ -38,6 +38,7 @@ from .algebra import (
     _weighted_scan,
     bilinear,
     check_rota_baxter,
+    ensure_family,
     star_product,
     tensor_zeros,
     validate_algebra,
@@ -81,16 +82,9 @@ def ensure_bimodule_shapes(b: OmegaBimodule):
             rt = b.right[key]
             if len(rt) != dm or any(len(r) != d or any(len(c) != dm for c in r) for r in rt):
                 raise MalformedInputError(f"right action tensor {key} has wrong shape")
-    for name, maps in (("pmap", b.pmap), ("qmap", b.qmap)):
-        for x in range(size):
-            m = maps.get(x)
-            if m is None or m.rows != dm or m.cols != dm:
-                raise MalformedInputError(f"bimodule {name}[{x}] is not {dm}x{dm}")
-    if b.tmap is not None:
-        for x in range(size):
-            m = b.tmap.get(x)
-            if m is None or m.rows != dm or m.cols != dm:
-                raise MalformedInputError(f"bimodule tmap[{x}] is not {dm}x{dm}")
+    for name, maps in (("pmap", b.pmap), ("qmap", b.qmap), ("tmap", b.tmap)):
+        if maps is not None:
+            ensure_family(maps, a.omega, dm, dm, f"bimodule {name}")
 
 
 def validate_bimodule(b: OmegaBimodule) -> Witness | None:

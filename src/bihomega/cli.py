@@ -66,10 +66,6 @@ def _load(path: str) -> WorkbenchFile:
     return parse_workbench(text)
 
 
-def _report_table(report) -> dict:
-    return report.to_json()
-
-
 def _need_algebra(wf: WorkbenchFile):
     if wf.algebra is None:
         raise MalformedInputError("file has no algebra block")
@@ -125,12 +121,12 @@ def cmd_cohomology(args) -> tuple[dict, int]:
         if witness is not None:
             return {"witness": witness.to_json()}, EXIT_WITNESS
         report = cohomology_dims(bim, args.max_degree)
-        return {"tables": {"alg": _report_table(report)}}, EXIT_OK
+        return {"tables": {"alg": report.to_json()}}, EXIT_OK
     ctx = _context_from(wf)
     reports = rbfa_cohomology_dims(ctx, args.max_degree)
     if args.complex == "rbf":
-        return {"tables": {"rbf": _report_table(reports["rbf"])}}, EXIT_OK
-    return {"tables": {name: _report_table(rep) for name, rep in reports.items()}}, EXIT_OK
+        return {"tables": {"rbf": reports["rbf"].to_json()}}, EXIT_OK
+    return {"tables": {name: rep.to_json() for name, rep in reports.items()}}, EXIT_OK
 
 
 def cmd_mc_check(args) -> tuple[dict, int]:

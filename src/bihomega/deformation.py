@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import OmegaAlgebra, Witness, _commute_scan, _star_entry, is_homomorphism, validate_algebra
+from .algebra import (
+    OmegaAlgebra, Witness, _commute_scan, _star_entry, ensure_family, is_homomorphism, validate_algebra,
+)
 from .bimodule import regular_bimodule
 from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equivariant
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
@@ -69,19 +71,10 @@ class NijenhuisFamily:
     maps: dict  # a -> d x d Mat
 
 
-def _require_family(a: OmegaAlgebra, maps: dict):
-    """Refuse a family that misses a monoid element or has a map of the wrong size."""
-    d = a.dim
-    for x in a.omega.elements():
-        n = maps.get(x)
-        if n is None or n.rows != d or n.cols != d:
-            raise MalformedInputError(f"family map [{x}] is not {d}x{d}")
-
-
 def check_nijenhuis(a: OmegaAlgebra, nf: NijenhuisFamily) -> Witness | None:
     """Structure-map commutation, then the deformed-product identity."""
     om, d, n = a.omega, a.dim, nf.maps
-    _require_family(a, n)
+    ensure_family(n, om, d, d, "Nijenhuis map")
     witness = _commute_scan(om, n, (("nijenhuis-p-commute", a.pmap), ("nijenhuis-q-commute", a.qmap)))
     if witness is not None:
         return witness
@@ -103,7 +96,7 @@ def check_nijenhuis(a: OmegaAlgebra, nf: NijenhuisFamily) -> Witness | None:
 
 def deformed_mu(a: OmegaAlgebra, maps: dict) -> Cochain:
     """mu^N = mu oc_1 N + mu oc_2 N - N oc_1 mu: mu(N x, y) + mu(x, N y) - N mu(x, y)."""
-    _require_family(a, maps)
+    ensure_family(maps, a.omega, a.dim, a.dim, "Nijenhuis map")
     mu, n = mu_cochain(a), cochain_from_maps(a.omega, maps, a.dim, a.dim)
     return insertion_sum(a, 2, [(ONE, mu, n, 1), (ONE, mu, n, 2), (-ONE, n, mu, 1)])
 

@@ -1,24 +1,28 @@
 """Canonical JSON file format for every workbench object.
 
-One file carries a monoid plus optional blocks: algebra, rota_baxter,
-bimodule, twist, nijenhuis, cochain, jet, cocycle_pair, extension.  An
-unknown block or key is refused with its path, never ignored.  All
-scalars use the canonical rational text form; serialization sorts keys and
-indents by two, so files are byte-stable under parse/serialize round trips.
-
-Index keys are comma-joined monoid element lists ("0,1"); tensors are
-argument-nested arrays whose innermost lists are coefficient vectors.
+One file carries a monoid plus the optional blocks of the table ``_BLOCKS``;
+parsing, formatting and the refusal of unknown keys (with their path) walk
+that table.  Scalars use the canonical rational text form, and serialization
+sorts keys and indents by two, so files are byte-stable under round trips.
+Index keys are comma-joined monoid element lists ("0,1"); tensors are nested
+arrays whose innermost lists are coefficient vectors.  Parsing holds no more
+than the file does: index keys are made one at a time, up to the first
+missing one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import product as iproduct
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, product
+from math import prod
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from .algebra import OmegaAlgebra, RotaBaxterFamily
 from .bimodule import OmegaBimodule
-from .cochain import Cochain, _tuple_rank
+from .cochain import Cochain
 from .deformation import DeformationJet
 from .errors import ParseError
 from .extension import CocyclePair, ExtensionPresentation
@@ -27,21 +31,6 @@ from .monoid import Monoid
 from .rationals import Rat, format_rational, parse_rational
 
 SCHEMA = "bihomega/1"
-# The optional top-level blocks and the keys each may hold (a bimodule's "t"
-# is optional); a cochain block's keys are checked by _parse_cochain_values.
-_BLOCKS = {
-    "algebra": ("dim", "product", "p", "q"),
-    "rota_baxter": ("weight", "r"),
-    "bimodule": ("dim", "left", "right", "p", "q", "t"),
-    "twist": ("p", "q"),
-    "nijenhuis": ("n",),
-    "cochain": None,
-    "jet": ("order", "product_orders", "operator_orders"),
-    "cocycle_pair": ("psi", "chi"),
-    "extension": (
-        "total_dim", "total_product", "total_p", "total_q", "total_t", "incl", "proj", "sect", "retr",
-    ),
-}
 
 
 @dataclass
@@ -61,22 +50,11 @@ class WorkbenchFile:
     extension: ExtensionPresentation | None = None
 
 
-# -- parsing ---------------------------------------------------------------
-
-
 def _refuse_unknown(obj: dict, known, path: str):
-    """Refuse a key of ``obj`` outside ``known``, so that a misspelt optional
-    key is an error instead of silently dropped data."""
+    """Refuse a key outside ``known``: a misspelt key is an error, not dropped data."""
     for key in obj:
         if key not in known:
             raise ParseError(f"unknown key {key!r}", path)
-
-
-def _block(data: dict, name: str) -> dict:
-    """The top-level block ``name``: an object holding only its known keys."""
-    node = _expect_dict(data[name], f"$.{name}")
-    _refuse_unknown(node, _BLOCKS[name], f"$.{name}")
-    return node
 
 
 def _need(obj: dict, key: str, path: str):
@@ -91,10 +69,10 @@ def _expect_dict(obj, path: str) -> dict:
     return obj
 
 
-def _expect_list(obj, length: int | None, path: str) -> list:
+def _expect_list(obj, length: int, path: str) -> list:
     if not isinstance(obj, list):
         raise ParseError("expected an array", path)
-    if length is not None and len(obj) != length:
+    if len(obj) != length:
         raise ParseError(f"expected {length} entries, got {len(obj)}", path)
     return obj
 
@@ -114,355 +92,295 @@ def _rat(obj, path: str) -> Rat:
         raise ParseError(str(exc), path) from None
 
 
-def _vector(obj, length: int, path: str) -> list:
-    items = _expect_list(obj, length, path)
-    return [_rat(v, f"{path}[{i}]") for i, v in enumerate(items)]
+def _index(flat: int, shape) -> str:
+    """The path suffix "[i][j]..." of entry ``flat`` of a row-major array of ``shape``."""
+    digits = ""
+    for size in reversed(shape):
+        flat, digit = divmod(flat, size)
+        digits = f"[{digit}]{digits}"
+    return digits
 
 
-def _matrix(obj, rows: int, cols: int, path: str) -> Mat:
-    data = _expect_list(obj, rows, path)
-    entries = []
-    for i, row in enumerate(data):
-        entries.extend(_vector(row, cols, f"{path}[{i}]"))
-    return Mat(rows, cols, entries)
+def _nest(flat: list, shape) -> list:
+    """The row-major list ``flat`` as nested lists of ``shape``."""
+    for axis in range(len(shape) - 1, 0, -1):
+        flat = [flat[i * shape[axis] : (i + 1) * shape[axis]] for i in range(prod(shape[:axis]))]
+    return flat
 
 
-def _require_keys(data: dict, keys: list, path: str):
-    """Refuse ``data`` unless its keys are exactly the canonical index
-    ``keys``: a missing key is named first, then any unknown or
-    non-canonical one ("00", "0, 1")."""
-    for key in keys:
-        if key not in data:
-            raise ParseError(f"missing key {key!r}", path)
-    if len(data) != len(keys):
-        known = set(keys)
-        raise ParseError(f"unknown index key {next(k for k in data if k not in known)!r}", path)
+# Each distinct string is parsed once; _Reader.array names a refused one's path.
+_parse_rational = lru_cache(maxsize=1024)(parse_rational)
 
 
-def _map_family(obj, omega: Monoid, rows: int, cols: int, path: str) -> dict:
-    data = _expect_dict(obj, path)
-    _require_keys(data, [str(x) for x in omega.elements()], path)
-    return {x: _matrix(data[str(x)], rows, cols, f"{path}['{x}']") for x in omega.elements()}
+@dataclass
+class _Reader:
+    """Parse state of one file: its monoid and the dimensions read so far, by shape letter."""
+
+    omega: Monoid
+    dims: dict = field(default_factory=dict)
+
+    def shape(self, letters: str) -> tuple:
+        return tuple(int(c) if c.isdigit() else self.dims[c] for c in letters)
+
+    def array(self, obj, shape: tuple, path: str) -> list:
+        """The rationals of a nested array of ``shape``, in row-major order."""
+        level = [obj]
+        for axis, size in enumerate(shape):
+            for i, node in enumerate(level):
+                if type(node) is not list or len(node) != size:
+                    _expect_list(node, size, path + _index(i, shape[:axis]))
+            level = list(chain.from_iterable(level))
+        try:
+            return list(map(_parse_rational, level))
+        except (TypeError, ValueError):
+            for i, value in enumerate(level):
+                _rat(value, path + _index(i, shape))
+            raise
+
+    def keyed(self, obj, degree: int, shape: tuple, path: str) -> list:
+        """(tuple, array) per index key of ``degree`` in layout order; a missing key is refused first."""
+        data = _expect_dict(obj, path)
+        keys = {}
+        for om_tuple in product(range(self.omega.size), repeat=degree):
+            key = ",".join(map(str, om_tuple))
+            if key not in data:
+                raise ParseError(f"missing key {key!r}", path)
+            keys[key] = om_tuple
+        if len(keys) != len(data):
+            raise ParseError(f"unknown index key {next(k for k in data if k not in keys)!r}", path)
+        return [(t, self.array(data[key], shape, f"{path}[{key!r}]")) for key, t in keys.items()]
+
+    def dim(self, obj, path: str, letter: str) -> int:
+        """A dimension (a jet order "k" is at least 1), bound to its letter."""
+        value = self.dims[letter] = _expect_int(obj, path, 1 if letter == "k" else 0)
+        return value
+
+    def family(self, obj, path: str, letters: str) -> dict:
+        shape = self.shape(letters)
+        return {om_tuple[0]: Mat(*shape, flat) for om_tuple, flat in self.keyed(obj, 1, shape, path)}
+
+    def pairs(self, obj, path: str, letters: str) -> dict:
+        shape = self.shape(letters)
+        return {om_tuple: _nest(flat, shape) for om_tuple, flat in self.keyed(obj, 2, shape, path)}
+
+    def cochain(self, obj, path: str, letters: str, extra: tuple = ()) -> Cochain:
+        """The cochain of a node holding ``value`` (degree 0) or ``values``, an
+        optional ``degree`` that must equal the shape's, and ``extra`` keys."""
+        degree, dim_in, dim_out = self.shape(letters)
+        data = _expect_dict(obj, path)
+        _refuse_unknown(data, ("degree", "value" if degree == 0 else "values", *extra), path)
+        found = data.get("degree", degree)
+        if type(found) is not int or found != degree:
+            raise ParseError(f"expected degree {degree}, found {found}", path)
+        if degree == 0:
+            blocks = [((), self.array(_need(data, "value", path), (dim_out,), f"{path}.value"))]
+        else:
+            values_path = f"{path}.values"
+            values = _expect_dict(_need(data, "values", path), values_path)
+            if 2 * degree - 1 > max(map(len, values), default=0):
+                raise ParseError(f"no index key has {degree} elements", values_path)
+            blocks = self.keyed(values, degree, (dim_in,) * degree + (dim_out,), values_path)
+        return Cochain(degree, self.omega.size, dim_in, dim_out, [v for _, flat in blocks for v in flat])
+
+    def cochains(self, obj, path: str, letters: str) -> list:
+        items = _expect_list(obj, self.dims[letters[0]], path)
+        return [self.cochain(x, f"{path}[{i}]", letters[1:]) for i, x in enumerate(items)]
 
 
-def _tensor3(obj, d1: int, d2: int, d3: int, path: str) -> list:
-    outer = _expect_list(obj, d1, path)
-    out = []
-    for i, plane in enumerate(outer):
-        rows = _expect_list(plane, d2, f"{path}[{i}]")
-        out.append([_vector(row, d3, f"{path}[{i}][{j}]") for j, row in enumerate(rows)])
-    return out
-
-
-def _pair_tensors(obj, omega: Monoid, d1: int, d2: int, d3: int, path: str) -> dict:
-    data = _expect_dict(obj, path)
-    keys = {(x, y): f"{x},{y}" for x, y in omega.tuples(2)}
-    _require_keys(data, list(keys.values()), path)
-    return {xy: _tensor3(data[key], d1, d2, d3, f"{path}[{key!r}]") for xy, key in keys.items()}
-
-
-def _parse_monoid(obj, path: str) -> Monoid:
+def _parse_monoid(obj, path: str) -> tuple:
+    """The monoid and its optional element names."""
     data = _expect_dict(obj, path)
     _refuse_unknown(data, ("size", "unit", "table", "names"), path)
     size = _expect_int(_need(data, "size", path), f"{path}.size", 1)
     unit = _expect_int(_need(data, "unit", path), f"{path}.unit", 0)
-    table_raw = _expect_list(_need(data, "table", path), size, f"{path}.table")
-    table = []
-    for i, row in enumerate(table_raw):
-        entries = _expect_list(row, size, f"{path}.table[{i}]")
-        for j, v in enumerate(entries):
+    table = _expect_list(_need(data, "table", path), size, f"{path}.table")
+    for i, row in enumerate(table):
+        for j, v in enumerate(_expect_list(row, size, f"{path}.table[{i}]")):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size:
                 raise ParseError("table entry out of range", f"{path}.table[{i}][{j}]")
-        table.append(tuple(entries))
     if unit >= size:
         raise ParseError("unit out of range", f"{path}.unit")
-    return Monoid(size, unit, tuple(table))
+    names = list(_expect_list(data["names"], size, f"{path}.names")) if "names" in data else None
+    for i, name in enumerate(names or ()):
+        if not isinstance(name, str):
+            raise ParseError("names must be strings", f"{path}.names[{i}]")
+    return Monoid(size, unit, tuple(map(tuple, table))), names
 
 
-def _parse_cochain_values(
-    obj, omega: Monoid, degree: int, dim_in: int, dim_out: int, path: str, extra: tuple = ()
-) -> Cochain:
-    """The cochain of a node holding ``value`` (degree 0) or ``values``, an
-    optional ``degree`` that must match, and the caller's ``extra`` keys."""
-    f = Cochain.zero(degree, omega.size, dim_in, dim_out)
-    data = _expect_dict(obj, path)
-    _refuse_unknown(data, ("degree", "value" if degree == 0 else "values", *extra), path)
-    if "degree" in data and data["degree"] != degree:
-        raise ParseError(f"expected degree {degree}, found {data['degree']}", path)
-    if degree == 0:
-        vec = _vector(_need(data, "value", path), dim_out, f"{path}.value")
-        f.coords[:] = vec
-        return f
-    values = _expect_dict(_need(data, "values", path), f"{path}.values")
-    keys = {om_tuple: ",".join(map(str, om_tuple)) for om_tuple in omega.tuples(degree)}
-    _require_keys(values, list(keys.values()), f"{path}.values")
-    for om_tuple, key in keys.items():
-        node = values[key]
-        node_path = f"{path}.values[{key!r}]"
-        for args in iproduct(range(dim_in), repeat=degree):
-            sub = node
-            sub_path = node_path
-            for idx in args:
-                sub = _expect_list(sub, dim_in, sub_path)[idx]
-                sub_path += f"[{idx}]"
-            vec = _vector(sub, dim_out, sub_path)
-            base = f.block_base(om_tuple) + _tuple_rank(args, dim_in) * dim_out
-            for k in range(dim_out):
-                f.coords[base + k] = vec[k]
-    return f
+def _fmt_family(maps: dict) -> dict:
+    return {str(x): [list(map(format_rational, m.row(i))) for i in range(m.rows)] for x, m in maps.items()}
+
+
+def _fmt_pairs(tensors: dict) -> dict:
+    return {
+        f"{x},{y}": [[[format_rational(v) for v in vec] for vec in plane] for plane in t]
+        for (x, y), t in tensors.items()
+    }
+
+
+def _fmt_cochain(f: Cochain) -> dict:
+    coords = list(map(format_rational, f.coords))
+    if f.degree == 0:
+        return {"degree": 0, "value": coords}
+    tuples = list(product(range(f.omega_size), repeat=f.degree))
+    blocks = _nest(coords, (len(tuples),) + (f.dim_in,) * f.degree + (f.dim_out,))
+    return {"degree": f.degree, "values": {",".join(map(str, t)): b for t, b in zip(tuples, blocks)}}
+
+
+class _Kind(NamedTuple):
+    read: Callable  # a _Reader method: (reader, node, path, shape letters) -> value
+    fmt: Callable  # value -> JSON node
+
+
+class _Field(NamedTuple):
+    key: str
+    kind: _Kind
+    shape: str
+    attr: str  # the dotted WorkbenchFile attribute it is formatted from
+    required: bool = True
+
+
+class _Block(NamedTuple):
+    requires: tuple  # (phrase, WorkbenchFile attribute, ...) per requirement
+    build: Callable | None  # (wf, *field values) -> {WorkbenchFile attribute: object}
+    fields: tuple
+
+
+_DIM = _Kind(_Reader.dim, int)
+_RATIONAL = _Kind(lambda reader, obj, path, _: _rat(obj, path), format_rational)
+_FAMILY = _Kind(_Reader.family, _fmt_family)
+_PAIRS = _Kind(_Reader.pairs, _fmt_pairs)
+_COCHAIN = _Kind(_Reader.cochain, _fmt_cochain)
+_COCHAINS = _Kind(_Reader.cochains, lambda fs: [_fmt_cochain(f) for f in fs])
+
+
+def _extension(wf, n, product, p, q, t, *maps) -> dict:
+    """The extension block's object; ``maps`` are incl, proj, sect and retr."""
+    b, rb = wf.bimodule, wf.rota_baxter
+    total, total_rb = OmegaAlgebra(wf.monoid, n, product, p, q), RotaBaxterFamily(rb.weight, t)
+    modules = (b.dim_m, dict(b.pmap), dict(b.qmap), dict(b.tmap))
+    return {"extension": ExtensionPresentation(wf.algebra, rb, *modules, total, total_rb, *maps)}
+
+
+_ALGEBRA = (("an algebra", "algebra"),)
+_EXTENSION_NEEDS = (
+    ("algebra, rota_baxter, and bimodule", "algebra", "rota_baxter", "bimodule"),
+    ("the bimodule tmap", "bimodule.tmap"),
+)
+# One row per optional block, in parse order.  Shape letters name dimensions read
+# earlier: d = dim A, m = dim M, n = an extension's total dim, k = jet order and
+# c = a cochain block's degree; a digit is a fixed cochain degree.
+_BLOCKS = {
+    "algebra": _Block((), lambda wf, *v: {"algebra": OmegaAlgebra(wf.monoid, *v)}, (
+        _Field("dim", _DIM, "d", "algebra.dim"),
+        _Field("product", _PAIRS, "ddd", "algebra.product"),
+        _Field("p", _FAMILY, "dd", "algebra.pmap"),
+        _Field("q", _FAMILY, "dd", "algebra.qmap"),
+    )),
+    "rota_baxter": _Block(_ALGEBRA, lambda wf, *v: {"rota_baxter": RotaBaxterFamily(*v)}, (
+        _Field("weight", _RATIONAL, "", "rota_baxter.weight"),
+        _Field("r", _FAMILY, "dd", "rota_baxter.maps"),
+    )),
+    "bimodule": _Block(_ALGEBRA, lambda wf, *v: {"bimodule": OmegaBimodule(wf.algebra, *v)}, (
+        _Field("dim", _DIM, "m", "bimodule.dim_m"),
+        _Field("left", _PAIRS, "dmm", "bimodule.left"),
+        _Field("right", _PAIRS, "mdm", "bimodule.right"),
+        _Field("p", _FAMILY, "mm", "bimodule.pmap"),
+        _Field("q", _FAMILY, "mm", "bimodule.qmap"),
+        _Field("t", _FAMILY, "mm", "bimodule.tmap", required=False),
+    )),
+    "twist": _Block(_ALGEBRA, lambda wf, p, q: {"twist_p": p, "twist_q": q}, (
+        _Field("p", _FAMILY, "dd", "twist_p"),
+        _Field("q", _FAMILY, "dd", "twist_q"),
+    )),
+    "nijenhuis": _Block(_ALGEBRA, lambda wf, n: {"nijenhuis": n}, (_Field("n", _FAMILY, "dd", "nijenhuis"),)),
+    "cochain": _Block(_ALGEBRA, None, ()),  # keys depend on the degree: see _parse_cochain_block
+    "jet": _Block(_ALGEBRA, lambda wf, *v: {"jet": DeformationJet(*v)}, (
+        _Field("order", _DIM, "k", "jet.order"),
+        _Field("product_orders", _COCHAINS, "k2dd", "jet.mu_orders"),
+        _Field("operator_orders", _COCHAINS, "k1dd", "jet.r_orders"),
+    )),
+    "cocycle_pair": _Block((("a bimodule", "bimodule"),), lambda wf, *v: {"cocycle_pair": CocyclePair(*v)}, (
+        _Field("psi", _COCHAIN, "2dm", "cocycle_pair.psi"),
+        _Field("chi", _COCHAIN, "1dm", "cocycle_pair.chi"),
+    )),
+    "extension": _Block(_EXTENSION_NEEDS, _extension, (
+        _Field("total_dim", _DIM, "n", "extension.total.dim"),
+        _Field("total_product", _PAIRS, "nnn", "extension.total.product"),
+        _Field("total_p", _FAMILY, "nn", "extension.total.pmap"),
+        _Field("total_q", _FAMILY, "nn", "extension.total.qmap"),
+        _Field("total_t", _FAMILY, "nn", "extension.total_rb.maps"),
+        _Field("incl", _FAMILY, "nm", "extension.incl"),
+        _Field("proj", _FAMILY, "dn", "extension.proj"),
+        _Field("sect", _FAMILY, "nd", "extension.sect"),
+        _Field("retr", _FAMILY, "mn", "extension.retr"),
+    )),
+}
+
+
+@lru_cache(maxsize=None)
+def _getter(attr: str) -> Callable:
+    """A reader of the dotted WorkbenchFile attribute ``attr``, giving None when the object holding it is."""
+    holder, get = attrgetter(attr.partition(".")[0]), attrgetter(attr)
+    return lambda wf: None if holder(wf) is None else get(wf)
+
+
+def _parse_cochain_block(reader: _Reader, wf: WorkbenchFile, node, path: str):
+    node = _expect_dict(node, path)
+    reader.dim(_need(node, "degree", path), f"{path}.degree", "c")
+    target = _need(node, "target", path)
+    if target not in ("module", "algebra"):
+        raise ParseError("target must be 'module' or 'algebra'", f"{path}.target")
+    if wf.bimodule is None and target == "module":
+        raise ParseError("module-valued cochain requires a bimodule", path)
+    wf.cochain = reader.cochain(node, path, "cdm" if target == "module" else "cdd", ("target",))
+    wf.cochain_target = target
 
 
 def parse_workbench(text: str) -> WorkbenchFile:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", "$") from None
     data = _expect_dict(data, "$")
     _refuse_unknown(data, ("schema", "monoid", *_BLOCKS), "$")
     schema = _need(data, "schema", "$")
     if schema != SCHEMA:
         raise ParseError(f"unsupported schema {schema!r}", "$.schema")
-    monoid = _parse_monoid(_need(data, "monoid", "$"), "$.monoid")
-    wf = WorkbenchFile(monoid)
-    if "names" in data["monoid"]:
-        names = _expect_list(data["monoid"]["names"], monoid.size, "$.monoid.names")
-        for i, name in enumerate(names):
-            if not isinstance(name, str):
-                raise ParseError("names must be strings", f"$.monoid.names[{i}]")
-        wf.monoid_names = list(names)
-    if "algebra" in data:
-        node = _block(data, "algebra")
-        dim = _expect_int(_need(node, "dim", "$.algebra"), "$.algebra.dim", 0)
-        product = _pair_tensors(
-            _need(node, "product", "$.algebra"), monoid, dim, dim, dim, "$.algebra.product"
-        )
-        pmap = _map_family(_need(node, "p", "$.algebra"), monoid, dim, dim, "$.algebra.p")
-        qmap = _map_family(_need(node, "q", "$.algebra"), monoid, dim, dim, "$.algebra.q")
-        wf.algebra = OmegaAlgebra(monoid, dim, product, pmap, qmap)
-    if "rota_baxter" in data:
-        if wf.algebra is None:
-            raise ParseError("rota_baxter block requires an algebra", "$.rota_baxter")
-        node = _block(data, "rota_baxter")
-        weight = _rat(_need(node, "weight", "$.rota_baxter"), "$.rota_baxter.weight")
-        maps = _map_family(
-            _need(node, "r", "$.rota_baxter"), monoid, wf.algebra.dim, wf.algebra.dim, "$.rota_baxter.r"
-        )
-        wf.rota_baxter = RotaBaxterFamily(weight, maps)
-    if "bimodule" in data:
-        if wf.algebra is None:
-            raise ParseError("bimodule block requires an algebra", "$.bimodule")
-        node = _block(data, "bimodule")
-        dm = _expect_int(_need(node, "dim", "$.bimodule"), "$.bimodule.dim", 0)
-        d = wf.algebra.dim
-        left = _pair_tensors(_need(node, "left", "$.bimodule"), monoid, d, dm, dm, "$.bimodule.left")
-        right = _pair_tensors(
-            _need(node, "right", "$.bimodule"), monoid, dm, d, dm, "$.bimodule.right"
-        )
-        pmap = _map_family(_need(node, "p", "$.bimodule"), monoid, dm, dm, "$.bimodule.p")
-        qmap = _map_family(_need(node, "q", "$.bimodule"), monoid, dm, dm, "$.bimodule.q")
-        tmap = None
-        if "t" in node:
-            tmap = _map_family(node["t"], monoid, dm, dm, "$.bimodule.t")
-        wf.bimodule = OmegaBimodule(wf.algebra, dm, left, right, pmap, qmap, tmap)
-    if "twist" in data:
-        if wf.algebra is None:
-            raise ParseError("twist block requires an algebra", "$.twist")
-        node = _block(data, "twist")
-        d = wf.algebra.dim
-        wf.twist_p = _map_family(_need(node, "p", "$.twist"), monoid, d, d, "$.twist.p")
-        wf.twist_q = _map_family(_need(node, "q", "$.twist"), monoid, d, d, "$.twist.q")
-    if "nijenhuis" in data:
-        if wf.algebra is None:
-            raise ParseError("nijenhuis block requires an algebra", "$.nijenhuis")
-        node = _block(data, "nijenhuis")
-        d = wf.algebra.dim
-        wf.nijenhuis = _map_family(_need(node, "n", "$.nijenhuis"), monoid, d, d, "$.nijenhuis.n")
-    if "cochain" in data:
-        if wf.algebra is None:
-            raise ParseError("cochain block requires an algebra", "$.cochain")
-        node = _expect_dict(data["cochain"], "$.cochain")
-        degree = _expect_int(_need(node, "degree", "$.cochain"), "$.cochain.degree", 0)
-        target = _need(node, "target", "$.cochain")
-        if target not in ("module", "algebra"):
-            raise ParseError("target must be 'module' or 'algebra'", "$.cochain.target")
-        if target == "module":
-            if wf.bimodule is None:
-                raise ParseError("module-valued cochain requires a bimodule", "$.cochain")
-            dim_out = wf.bimodule.dim_m
-        else:
-            dim_out = wf.algebra.dim
-        wf.cochain = _parse_cochain_values(
-            node, monoid, degree, wf.algebra.dim, dim_out, "$.cochain", ("target",)
-        )
-        wf.cochain_target = target
-    if "jet" in data:
-        if wf.algebra is None:
-            raise ParseError("jet block requires an algebra", "$.jet")
-        node = _block(data, "jet")
-        order = _expect_int(_need(node, "order", "$.jet"), "$.jet.order", 1)
-        d = wf.algebra.dim
-        mu_raw = _expect_list(_need(node, "product_orders", "$.jet"), order, "$.jet.product_orders")
-        r_raw = _expect_list(_need(node, "operator_orders", "$.jet"), order, "$.jet.operator_orders")
-        mu_orders = [
-            _parse_cochain_values(
-                _expect_dict(x, f"$.jet.product_orders[{i}]"),
-                monoid, 2, d, d, f"$.jet.product_orders[{i}]",
-            )
-            for i, x in enumerate(mu_raw)
-        ]
-        r_orders = [
-            _parse_cochain_values(
-                _expect_dict(x, f"$.jet.operator_orders[{i}]"),
-                monoid, 1, d, d, f"$.jet.operator_orders[{i}]",
-            )
-            for i, x in enumerate(r_raw)
-        ]
-        wf.jet = DeformationJet(order, mu_orders, r_orders)
-    if "cocycle_pair" in data:
-        if wf.bimodule is None:
-            raise ParseError("cocycle_pair block requires a bimodule", "$.cocycle_pair")
-        node = _block(data, "cocycle_pair")
-        d, dm = wf.algebra.dim, wf.bimodule.dim_m
-        psi = _parse_cochain_values(
-            _expect_dict(_need(node, "psi", "$.cocycle_pair"), "$.cocycle_pair.psi"),
-            monoid, 2, d, dm, "$.cocycle_pair.psi",
-        )
-        chi = _parse_cochain_values(
-            _expect_dict(_need(node, "chi", "$.cocycle_pair"), "$.cocycle_pair.chi"),
-            monoid, 1, d, dm, "$.cocycle_pair.chi",
-        )
-        wf.cocycle_pair = CocyclePair(psi, chi)
-    if "extension" in data:
-        if wf.algebra is None or wf.rota_baxter is None or wf.bimodule is None:
-            raise ParseError(
-                "extension block requires algebra, rota_baxter, and bimodule", "$.extension"
-            )
-        if wf.bimodule.tmap is None:
-            raise ParseError("extension block requires the bimodule tmap", "$.extension")
-        node = _block(data, "extension")
-        d, dm = wf.algebra.dim, wf.bimodule.dim_m
-        n = _expect_int(_need(node, "total_dim", "$.extension"), "$.extension.total_dim", 0)
-        product = _pair_tensors(
-            _need(node, "total_product", "$.extension"), monoid, n, n, n, "$.extension.total_product"
-        )
-        pmap = _map_family(_need(node, "total_p", "$.extension"), monoid, n, n, "$.extension.total_p")
-        qmap = _map_family(_need(node, "total_q", "$.extension"), monoid, n, n, "$.extension.total_q")
-        tmap = _map_family(_need(node, "total_t", "$.extension"), monoid, n, n, "$.extension.total_t")
-        total = OmegaAlgebra(monoid, n, product, pmap, qmap)
-        total_rb = RotaBaxterFamily(wf.rota_baxter.weight, tmap)
-        incl = _map_family(_need(node, "incl", "$.extension"), monoid, n, dm, "$.extension.incl")
-        proj = _map_family(_need(node, "proj", "$.extension"), monoid, d, n, "$.extension.proj")
-        sect = _map_family(_need(node, "sect", "$.extension"), monoid, n, d, "$.extension.sect")
-        retr = _map_family(_need(node, "retr", "$.extension"), monoid, dm, n, "$.extension.retr")
-        wf.extension = ExtensionPresentation(
-            wf.algebra, wf.rota_baxter, dm,
-            dict(wf.bimodule.pmap), dict(wf.bimodule.qmap), dict(wf.bimodule.tmap),
-            total, total_rb, incl, proj, sect, retr,
-        )
+    wf = WorkbenchFile(*_parse_monoid(_need(data, "monoid", "$"), "$.monoid"))
+    reader = _Reader(wf.monoid)
+    for name, block in _BLOCKS.items():
+        if name not in data:
+            continue
+        path = f"$.{name}"
+        for phrase, *attrs in block.requires:
+            if any(_getter(attr)(wf) is None for attr in attrs):
+                raise ParseError(f"{name} block requires {phrase}", path)
+        if not block.fields:
+            _parse_cochain_block(reader, wf, data[name], path)
+            continue
+        node = _expect_dict(data[name], path)
+        _refuse_unknown(node, [f.key for f in block.fields], path)
+        values = []
+        for key, kind, shape, _, required in block.fields:
+            read = required or key in node
+            values.append(kind.read(reader, _need(node, key, path), f"{path}.{key}", shape) if read else None)
+        for attr, obj in block.build(wf, *values).items():
+            setattr(wf, attr, obj)
     return wf
 
 
-# -- serialization ----------------------------------------------------------
-
-
-def _fmt_matrix(m: Mat) -> list:
-    return [[format_rational(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
-
-
-def _fmt_family(maps: dict) -> dict:
-    return {str(x): _fmt_matrix(m) for x, m in maps.items()}
-
-
-def _fmt_tensor3(t) -> list:
-    return [[[format_rational(v) for v in row] for row in plane] for plane in t]
-
-
-def _fmt_pair_tensors(tensors: dict) -> dict:
-    return {f"{x},{y}": _fmt_tensor3(t) for (x, y), t in tensors.items()}
-
-
-def _fmt_cochain(f: Cochain, omega: Monoid) -> dict:
-    if f.degree == 0:
-        return {"degree": 0, "value": [format_rational(v) for v in f.coords]}
-
-    def nest(om_tuple, prefix_args):
-        if len(prefix_args) == f.degree:
-            return [format_rational(v) for v in f.value(om_tuple, prefix_args)]
-        return [nest(om_tuple, prefix_args + (i,)) for i in range(f.dim_in)]
-
-    values = {}
-    for om_tuple in omega.tuples(f.degree):
-        key = ",".join(str(x) for x in om_tuple)
-        values[key] = nest(om_tuple, ())
-    return {"degree": f.degree, "values": values}
-
-
 def workbench_to_json(wf: WorkbenchFile) -> dict:
-    out = {
-        "schema": SCHEMA,
-        "monoid": {
-            "size": wf.monoid.size,
-            "unit": wf.monoid.unit,
-            "table": [list(row) for row in wf.monoid.table],
-        },
-    }
+    monoid = {"size": wf.monoid.size, "unit": wf.monoid.unit, "table": [list(row) for row in wf.monoid.table]}
     if wf.monoid_names is not None:
-        out["monoid"]["names"] = list(wf.monoid_names)
-    if wf.algebra is not None:
-        out["algebra"] = {
-            "dim": wf.algebra.dim,
-            "product": _fmt_pair_tensors(wf.algebra.product),
-            "p": _fmt_family(wf.algebra.pmap),
-            "q": _fmt_family(wf.algebra.qmap),
-        }
-    if wf.rota_baxter is not None:
-        out["rota_baxter"] = {
-            "weight": format_rational(wf.rota_baxter.weight),
-            "r": _fmt_family(wf.rota_baxter.maps),
-        }
-    if wf.bimodule is not None:
-        node = {
-            "dim": wf.bimodule.dim_m,
-            "left": _fmt_pair_tensors(wf.bimodule.left),
-            "right": _fmt_pair_tensors(wf.bimodule.right),
-            "p": _fmt_family(wf.bimodule.pmap),
-            "q": _fmt_family(wf.bimodule.qmap),
-        }
-        if wf.bimodule.tmap is not None:
-            node["t"] = _fmt_family(wf.bimodule.tmap)
-        out["bimodule"] = node
-    if wf.twist_p is not None:
-        out["twist"] = {"p": _fmt_family(wf.twist_p), "q": _fmt_family(wf.twist_q)}
-    if wf.nijenhuis is not None:
-        out["nijenhuis"] = {"n": _fmt_family(wf.nijenhuis)}
+        monoid["names"] = list(wf.monoid_names)
+    out = {"schema": SCHEMA, "monoid": monoid}
+    for name, block in _BLOCKS.items():  # present when its first, required, field is
+        if block.fields and _getter(block.fields[0].attr)(wf) is not None:
+            values = [(f.key, f.kind, _getter(f.attr)(wf)) for f in block.fields]
+            out[name] = {key: kind.fmt(value) for key, kind, value in values if value is not None}
     if wf.cochain is not None:
-        node = _fmt_cochain(wf.cochain, wf.monoid)
-        node["target"] = wf.cochain_target
-        out["cochain"] = node
-    if wf.jet is not None:
-        out["jet"] = {
-            "order": wf.jet.order,
-            "product_orders": [_fmt_cochain(f, wf.monoid) for f in wf.jet.mu_orders],
-            "operator_orders": [_fmt_cochain(f, wf.monoid) for f in wf.jet.r_orders],
-        }
-    if wf.cocycle_pair is not None:
-        out["cocycle_pair"] = {
-            "psi": _fmt_cochain(wf.cocycle_pair.psi, wf.monoid),
-            "chi": _fmt_cochain(wf.cocycle_pair.chi, wf.monoid),
-        }
-    if wf.extension is not None:
-        e = wf.extension
-        out["extension"] = {
-            "total_dim": e.total.dim,
-            "total_product": _fmt_pair_tensors(e.total.product),
-            "total_p": _fmt_family(e.total.pmap),
-            "total_q": _fmt_family(e.total.qmap),
-            "total_t": _fmt_family(e.total_rb.maps),
-            "incl": _fmt_family(e.incl),
-            "proj": _fmt_family(e.proj),
-            "sect": _fmt_family(e.sect),
-            "retr": _fmt_family(e.retr),
-        }
+        out["cochain"] = dict(_fmt_cochain(wf.cochain), target=wf.cochain_target)
     return out
 
 

@@ -244,3 +244,29 @@ def test_random_twisted_algebras_validate():
     for _ in range(15):
         a = random_valid_algebra(rng)
         assert validate_algebra(a) is None
+
+
+def test_map_family_shape_messages(e1, e1_ctx):
+    """Each check of a map family names the map and the shape it needs, also
+    when the family misses an element."""
+    from bihomega.bimodule import OmegaBimodule, validate_bimodule
+    from bihomega.deformation import NijenhuisFamily, check_nijenhuis, deformed_mu
+
+    wrong, ident = {0: Mat.identity(3)}, {0: Mat.identity(2)}
+    diag = samples.build_diag(2)
+    b = e1_ctx.bimodule
+    bad_t = OmegaBimodule(b.base, b.dim_m, b.left, b.right, b.pmap, b.qmap, wrong)
+    cases = [
+        (lambda: validate_algebra(OmegaAlgebra(e1.omega, 2, e1.product, wrong, e1.qmap)), "pmap[0] is not 2x2"),
+        (lambda: validate_algebra(OmegaAlgebra(e1.omega, 2, e1.product, e1.pmap, {})), "qmap[0] is not 2x2"),
+        (lambda: check_rota_baxter(e1, RotaBaxterFamily(ZERO, {})), "Rota-Baxter map[0] is not 2x2"),
+        (lambda: is_homomorphism(wrong, e1, e1), "map[0] is not 2x2"),
+        (lambda: yau_twist(diag, zero_rb(diag), ident, wrong), "twist qmap[0] is not 2x2"),
+        (lambda: validate_bimodule(bad_t), "bimodule tmap[0] is not 2x2"),
+        (lambda: check_nijenhuis(e1, NijenhuisFamily({})), "Nijenhuis map[0] is not 2x2"),
+        (lambda: deformed_mu(e1, wrong), "Nijenhuis map[0] is not 2x2"),
+    ]
+    for call, message in cases:
+        with pytest.raises(MalformedInputError) as info:
+            call()
+        assert str(info.value) == message

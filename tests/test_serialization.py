@@ -11,6 +11,8 @@ from bihomega.serialization import parse_workbench, serialize_workbench
 WORKBENCH_FIXTURES = sorted(
     p.name for p in FIXTURES.glob("*.json") if '"schema"' in p.read_text(encoding="utf-8")
 )
+# The optional blocks of a workbench file.
+BLOCKS = ("algebra", "rota_baxter", "bimodule", "twist", "nijenhuis", "cochain", "jet", "cocycle_pair", "extension")
 
 
 @pytest.mark.parametrize("name", WORKBENCH_FIXTURES)
@@ -79,22 +81,100 @@ def test_rejects_wrong_matrix_shape():
         parse_workbench(json.dumps(data))
 
 
+def _random_family(rng, omega, rows, cols):
+    from bihomega.linalg import Mat
+    from bihomega.rationals import Rat
+
+    return {
+        x: Mat(rows, cols, [Rat(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(rows * cols)])
+        for x in omega.elements()
+    }
+
+
+def _random_workbench(rng, a, b, rb=None, ctx=None):
+    """A workbench file on (a, b) with every optional block drawn at random:
+    names, a cochain of degree 0-3 with either target, a jet of order 1-3,
+    twist and Nijenhuis families, a cocycle pair and, given a context, the
+    extension it builds.  Each optional block is left out a third of the time."""
+    from bihomega.bimodule import regular_bimodule
+    from bihomega.cochain import random_equivariant
+    from bihomega.deformation import DeformationJet
+    from bihomega.extension import CocyclePair, build_extension
+    from bihomega.serialization import WorkbenchFile
+
+    om, d = a.omega, a.dim
+    reg = regular_bimodule(a)
+    wf = WorkbenchFile(om, algebra=a, rota_baxter=rb, bimodule=b)
+    draw = lambda: rng.random() < 2 / 3  # noqa: E731
+    if draw():
+        wf.monoid_names = [rng.choice(("e", "g", "x", "\u03c9")) + str(x) for x in om.elements()]
+    if draw():
+        wf.cochain_target = rng.choice(("module", "algebra"))
+        wf.cochain = random_equivariant(b if wf.cochain_target == "module" else reg, rng.randint(0, 3), rng)
+    if draw():
+        order = rng.randint(1, 3)
+        mu = [random_equivariant(reg, 2, rng) for _ in range(order)]
+        wf.jet = DeformationJet(order, mu, [random_equivariant(reg, 1, rng) for _ in range(order)])
+    if draw():
+        wf.twist_p, wf.twist_q = _random_family(rng, om, d, d), _random_family(rng, om, d, d)
+    if draw():
+        wf.nijenhuis = _random_family(rng, om, d, d)
+    if draw():
+        wf.cocycle_pair = CocyclePair(random_equivariant(b, 2, rng), random_equivariant(b, 1, rng))
+        if ctx is not None and draw():
+            wf.extension = build_extension(ctx, wf.cocycle_pair).presentation
+    return wf
+
+
+def _objects(wf):
+    """The objects of a workbench file as comparable values."""
+    alg = lambda a: a and (a.omega, a.dim, a.product, a.pmap, a.qmap)  # noqa: E731
+    rbf = lambda r: r and (r.weight, r.maps)  # noqa: E731
+    b, jet, e = wf.bimodule, wf.jet, wf.extension
+    return (
+        wf.monoid,
+        wf.monoid_names,
+        alg(wf.algebra),
+        rbf(wf.rota_baxter),
+        b and (alg(b.base), b.dim_m, b.left, b.right, b.pmap, b.qmap, b.tmap),
+        wf.twist_p,
+        wf.twist_q,
+        wf.nijenhuis,
+        wf.cochain,
+        wf.cochain_target,
+        jet and (jet.order, jet.mu_orders, jet.r_orders),
+        wf.cocycle_pair,
+        e and (alg(e.base), rbf(e.rb), e.dim_m, e.pmap_m, e.qmap_m, e.tmap_m, alg(e.total), rbf(e.total_rb)),
+        e and (e.incl, e.proj, e.sect, e.retr),
+    )
+
+
 def test_random_structures_survive_serialization():
+    """parse . serialize is the identity on seeded random workbench files:
+    random valid (algebra, bimodule) pairs and the four named contexts, each
+    with random optional blocks."""
     import random
 
     from generators import random_valid_pair
-    from oracles import algebra_equal, bimodule_equal
-    from bihomega.serialization import WorkbenchFile
+
+    from bihomega import samples
 
     rng = random.Random(2718)
-    for _ in range(10):
-        a, b = random_valid_pair(rng)
-        wf = WorkbenchFile(a.omega, algebra=a, bimodule=b)
+    files = [_random_workbench(rng, *random_valid_pair(rng)) for _ in range(10)]
+    for make in (samples.e0_rbf_context, samples.e1_rbf_context, samples.zero1_rbf_context, samples.c2_rbf_context):
+        ctx = make()
+        files += [_random_workbench(rng, ctx.algebra, ctx.bimodule, ctx.rb, ctx) for _ in range(4)]
+    blocks, cochains = set(), set()
+    for wf in files:
         text = serialize_workbench(wf)
         back = parse_workbench(text)
-        assert algebra_equal(back.algebra, a)
-        assert bimodule_equal(back.bimodule, b)
+        assert _objects(back) == _objects(wf)
         assert serialize_workbench(back) == text
+        blocks |= set(json.loads(text))
+        if wf.cochain is not None:
+            cochains.add((wf.cochain.degree, wf.cochain_target))
+    assert blocks == {"schema", "monoid", *BLOCKS}
+    assert cochains == {(n, target) for n in range(4) for target in ("module", "algebra")}
 
 
 def test_optional_monoid_names_round_trip():
@@ -304,3 +384,79 @@ def test_invalid_json_message():
     assert str(info.value) == (
         "$: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
     )
+
+
+def _cochain_file(name, degree, values):
+    data = json.loads(fixture_text(name))
+    data["cochain"] = {"degree": degree, "target": "algebra", "values": values}
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize(
+    "name, degree, values",
+    [
+        ("c2.json", 40, {}),
+        ("c2.json", 40, {",".join(["0"] * 40): []}),  # the walk stops at the second key
+        ("e1.json", 10**9, {}),
+    ],
+)
+def test_huge_degree_cochain_is_an_input_error(tmp_path, name, degree, values):
+    """A cochain degree whose coordinates could not fit in memory used to
+    crash ``validate`` (MemoryError or OverflowError, exit 1) before any
+    value was read; the file is now refused at its ``values`` node."""
+    from bihomega.cli import EXIT_ERROR, run_command
+
+    path = tmp_path / "cochain.json"
+    path.write_text(_cochain_file(name, degree, values), encoding="utf-8")
+    report, code = run_command(["--no-timing", "validate", str(path)])
+    assert code == EXIT_ERROR
+    assert report["error_kind"] == "input"
+    assert report["error"].startswith("parse error: $.cochain.values: ")
+
+
+def test_refusing_a_high_degree_cochain_takes_memory_bounded_by_the_file():
+    """Coordinates are appended as they are read, so a refusal allocates
+    nothing of size |Omega|^n d^n (about 68 MB for c2 at degree 11)."""
+    import tracemalloc
+
+    texts = [
+        _cochain_file("c2.json", 11, {}),
+        _cochain_file("c2.json", 11, {",".join(["0"] * 11): []}),
+    ]
+    for text in texts:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=re.escape("$.cochain.values: ")):
+                parse_workbench(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("e1_rbf_jet.json", ("jet", "operator_orders", 0)),
+        ("e1_rbf_pair.json", ("cocycle_pair", "chi")),
+    ],
+)
+def test_nested_degree_must_be_an_integer(name, path, value):
+    """A nested cochain's degree used to accept true and 1.0 as 1."""
+    data = json.loads(fixture_text(name))
+    node = data
+    for part in path:
+        node = node[part]
+    node["degree"] = value
+    where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+    with pytest.raises(ParseError) as info:
+        parse_workbench(json.dumps(data))
+    assert str(info.value) == f"{where}: expected degree 1, found {value}"
+
+
+def test_deeply_nested_json_is_an_input_error():
+    """JSON nested past the decoder's recursion limit used to escape as a
+    RecursionError."""
+    with pytest.raises(ParseError, match=re.escape("$: invalid JSON: maximum recursion depth exceeded")):
+        parse_workbench("[" * 100_000)
