@@ -1,19 +1,23 @@
 """Canonical JSON file format for every workbench object.
 
-One file carries a monoid plus the optional blocks of the table ``_BLOCKS``;
-parsing, formatting and the refusal of unknown keys (with their path) walk
-that table.  Scalars use the canonical rational text form, and serialization
-sorts keys and indents by two, so files are byte-stable under round trips.
-Index keys are comma-joined monoid element lists ("0,1"); tensors are nested
-arrays whose innermost lists are coefficient vectors.  Parsing holds no more
-than the file does: index keys are made one at a time, up to the first
-missing one.
+One file carries a monoid plus the optional blocks of the table ``_BLOCKS``:
+each row names the blocks it requires, how its object is built and its fields
+(key, kind, whether required, shape, the attribute it is formatted from).
+Parsing, formatting and the refusal of unknown keys (with their path) walk
+that table.  A cochain holds ``value`` at degree 0 and ``values``, keyed by
+index keys, above it; a nested cochain may also state its ``degree``.  Scalars
+use the canonical rational text form, and serialization sorts keys and
+indents by two, so files are byte-stable under round trips.  Index keys are
+comma-joined monoid element lists ("0,1"); tensors are nested arrays whose
+innermost lists are coefficient vectors.  Parsing holds no more than the file
+does: coordinates are appended as they are read, and index keys are made one
+at a time, up to the first missing one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import prod
@@ -77,7 +81,7 @@ def _expect_list(obj, length: int, path: str) -> list:
     return obj
 
 
-def _expect_int(obj, path: str, minimum: int = 0) -> int:
+def _expect_int(obj, path: str, minimum: int) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool) or obj < minimum:
         raise ParseError(f"expected an integer >= {minimum}", path)
     return obj
@@ -110,14 +114,15 @@ def _nest(flat: list, shape) -> list:
 
 # Each distinct string is parsed once; _Reader.array names a refused one's path.
 _parse_rational = lru_cache(maxsize=1024)(parse_rational)
+_attrgetter = lru_cache(maxsize=None)(attrgetter)  # one getter per dotted attribute of the table
 
 
-@dataclass
 class _Reader:
     """Parse state of one file: its monoid and the dimensions read so far, by shape letter."""
 
-    omega: Monoid
-    dims: dict = field(default_factory=dict)
+    def __init__(self, omega: Monoid):
+        self.omega = omega
+        self.dims = {}
 
     def shape(self, letters: str) -> tuple:
         return tuple(int(c) if c.isdigit() else self.dims[c] for c in letters)
@@ -241,7 +246,7 @@ class _Field(NamedTuple):
 
 
 class _Block(NamedTuple):
-    requires: tuple  # (phrase, WorkbenchFile attribute, ...) per requirement
+    requires: tuple  # (phrase, WorkbenchFile attribute, ...) per requirement, checked in order
     build: Callable | None  # (wf, *field values) -> {WorkbenchFile attribute: object}
     fields: tuple
 
@@ -318,13 +323,6 @@ _BLOCKS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _getter(attr: str) -> Callable:
-    """A reader of the dotted WorkbenchFile attribute ``attr``, giving None when the object holding it is."""
-    holder, get = attrgetter(attr.partition(".")[0]), attrgetter(attr)
-    return lambda wf: None if holder(wf) is None else get(wf)
-
-
 def _parse_cochain_block(reader: _Reader, wf: WorkbenchFile, node, path: str):
     node = _expect_dict(node, path)
     reader.dim(_need(node, "degree", path), f"{path}.degree", "c")
@@ -354,7 +352,7 @@ def parse_workbench(text: str) -> WorkbenchFile:
             continue
         path = f"$.{name}"
         for phrase, *attrs in block.requires:
-            if any(_getter(attr)(wf) is None for attr in attrs):
+            if any(_attrgetter(attr)(wf) is None for attr in attrs):
                 raise ParseError(f"{name} block requires {phrase}", path)
         if not block.fields:
             _parse_cochain_block(reader, wf, data[name], path)
@@ -375,9 +373,9 @@ def workbench_to_json(wf: WorkbenchFile) -> dict:
     if wf.monoid_names is not None:
         monoid["names"] = list(wf.monoid_names)
     out = {"schema": SCHEMA, "monoid": monoid}
-    for name, block in _BLOCKS.items():  # present when its first, required, field is
-        if block.fields and _getter(block.fields[0].attr)(wf) is not None:
-            values = [(f.key, f.kind, _getter(f.attr)(wf)) for f in block.fields]
+    for name, block in _BLOCKS.items():  # present when the object holding its first field is
+        if block.fields and getattr(wf, block.fields[0].attr.partition(".")[0]) is not None:
+            values = [(f.key, f.kind, _attrgetter(f.attr)(wf)) for f in block.fields]
             out[name] = {key: kind.fmt(value) for key, kind, value in values if value is not None}
     if wf.cochain is not None:
         out["cochain"] = dict(_fmt_cochain(wf.cochain), target=wf.cochain_target)
