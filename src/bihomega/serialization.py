@@ -122,10 +122,10 @@ class _Reader:
 
     def __init__(self, omega: Monoid):
         self.omega = omega
-        self.dims = {}
+        self.dims = {"1": 1, "2": 2}  # the fixed cochain degrees stand for themselves
 
     def shape(self, letters: str) -> tuple:
-        return tuple(int(c) if c.isdigit() else self.dims[c] for c in letters)
+        return tuple(map(self.dims.__getitem__, letters))
 
     def array(self, obj, shape: tuple, path: str) -> list:
         """The rationals of a nested array of ``shape``, in row-major order."""
@@ -142,11 +142,11 @@ class _Reader:
                 _rat(value, path + _index(i, shape))
             raise
 
-    def keyed(self, obj, degree: int, shape: tuple, path: str) -> list:
-        """(tuple, array) per index key of ``degree`` in layout order; a missing key is refused first."""
+    def keyed(self, obj, tuples, shape: tuple, path: str) -> list:
+        """(tuple, array) per key of the index ``tuples``, in their order; a missing key is refused first."""
         data = _expect_dict(obj, path)
         keys = {}
-        for om_tuple in product(range(self.omega.size), repeat=degree):
+        for om_tuple in tuples:
             key = ",".join(map(str, om_tuple))
             if key not in data:
                 raise ParseError(f"missing key {key!r}", path)
@@ -162,11 +162,13 @@ class _Reader:
 
     def family(self, obj, path: str, letters: str) -> dict:
         shape = self.shape(letters)
-        return {om_tuple[0]: Mat(*shape, flat) for om_tuple, flat in self.keyed(obj, 1, shape, path)}
+        blocks = self.keyed(obj, self.omega.tuples(1), shape, path)
+        return {om_tuple[0]: Mat(*shape, flat) for om_tuple, flat in blocks}
 
     def pairs(self, obj, path: str, letters: str) -> dict:
         shape = self.shape(letters)
-        return {om_tuple: _nest(flat, shape) for om_tuple, flat in self.keyed(obj, 2, shape, path)}
+        blocks = self.keyed(obj, self.omega.tuples(2), shape, path)
+        return {om_tuple: _nest(flat, shape) for om_tuple, flat in blocks}
 
     def cochain(self, obj, path: str, letters: str, extra: tuple = ()) -> Cochain:
         """The cochain of a node holding ``value`` (degree 0) or ``values``, an
@@ -184,7 +186,8 @@ class _Reader:
             values = _expect_dict(_need(data, "values", path), values_path)
             if 2 * degree - 1 > max(map(len, values), default=0):
                 raise ParseError(f"no index key has {degree} elements", values_path)
-            blocks = self.keyed(values, degree, (dim_in,) * degree + (dim_out,), values_path)
+            tuples = product(range(self.omega.size), repeat=degree)  # lazy: stops at the first missing key
+            blocks = self.keyed(values, tuples, (dim_in,) * degree + (dim_out,), values_path)
         return Cochain(degree, self.omega.size, dim_in, dim_out, [v for _, flat in blocks for v in flat])
 
     def cochains(self, obj, path: str, letters: str) -> list:
