@@ -39,7 +39,7 @@ of the contract; ``fixtures/witnesses.json`` pins them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import MalformedInputError, PreconditionError
 from .linalg import Mat, rank
@@ -47,8 +47,7 @@ from .monoid import Monoid, ensure_monoid
 from .rationals import ONE, ZERO, Rat, format_rational
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """First counterexample found by a validator: lhs != rhs at these indices."""
 
     equation: str
@@ -200,14 +199,18 @@ def _weighted_scan(
     return None
 
 
-@dataclass(eq=False)
 class OmegaAlgebra:
-    omega: Monoid
-    dim: int
-    product: dict  # (a, b) -> d x d x d structure tensor
-    pmap: dict  # a -> d x d Mat
-    qmap: dict  # a -> d x d Mat
-    _cache: dict = field(default_factory=dict, repr=False)
+    """``product[(a, b)]`` is a d x d x d structure tensor, ``pmap[a]``, ``qmap[a]`` d x d Mats."""
+
+    __slots__ = ("omega", "dim", "product", "pmap", "qmap", "_cache")
+
+    def __init__(self, omega: Monoid, dim: int, product: dict, pmap: dict, qmap: dict):
+        self.omega = omega
+        self.dim = dim
+        self.product = product
+        self.pmap = pmap
+        self.qmap = qmap
+        self._cache = {}
 
     def mul_basis(self, key, i: int, j: int) -> list:
         return self.product[key][i][j]
@@ -236,10 +239,14 @@ def _cached_power(cache: dict, tag: str, maps: dict, w: int, k: int) -> Mat:
     return hit
 
 
-@dataclass(eq=False)
 class RotaBaxterFamily:
-    weight: Rat
-    maps: dict  # a -> d x d Mat
+    """Weight and operators ``maps[a]``, d x d Mats."""
+
+    __slots__ = ("weight", "maps")
+
+    def __init__(self, weight: Rat, maps: dict):
+        self.weight = weight
+        self.maps = maps
 
 
 def tensor_zeros(d1: int, d2: int, d3: int) -> list:
@@ -389,8 +396,7 @@ def yau_twist(
     return out, RotaBaxterFamily(rb.weight, dict(rb.maps))
 
 
-@dataclass(frozen=True)
-class ExampleParams:
+class ExampleParams(NamedTuple):
     """Parameters of the built-in two-dimensional example family.
 
     ``c`` maps monoid pairs to scalars, ``rmap``/``lmap`` map elements to

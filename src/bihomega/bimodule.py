@@ -23,7 +23,7 @@ validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .algebra import (
     OmegaAlgebra,
@@ -48,16 +48,24 @@ from .linalg import Mat
 from .rationals import ZERO
 
 
-@dataclass(eq=False)
 class OmegaBimodule:
-    base: OmegaAlgebra
-    dim_m: int
-    left: dict  # (a, b) -> d x dim_m x dim_m tensor
-    right: dict  # (a, b) -> dim_m x d x dim_m tensor
-    pmap: dict  # a -> dim_m x dim_m Mat
-    qmap: dict  # a -> dim_m x dim_m Mat
-    tmap: dict | None = None  # a -> dim_m x dim_m Mat
-    _cache: dict = field(default_factory=dict, repr=False)
+    """Action tensors ``left[(a, b)]`` (d x dim_m x dim_m) and ``right[(a, b)]`` (dim_m x d x dim_m);
+    ``pmap[a]``, ``qmap[a]`` and the optional ``tmap[a]`` are dim_m x dim_m Mats."""
+
+    __slots__ = ("base", "dim_m", "left", "right", "pmap", "qmap", "tmap", "_cache")
+
+    def __init__(
+        self, base: OmegaAlgebra, dim_m: int, left: dict, right: dict,
+        pmap: dict, qmap: dict, tmap: dict | None = None,
+    ):
+        self.base = base
+        self.dim_m = dim_m
+        self.left = left
+        self.right = right
+        self.pmap = pmap
+        self.qmap = qmap
+        self.tmap = tmap
+        self._cache = {}
 
     def act_left(self, key, x_vec, m_vec) -> list:
         return bilinear(self.left[key], x_vec, m_vec, self.dim_m)
@@ -189,8 +197,7 @@ def _block_diag(top: Mat, bottom: Mat) -> Mat:
     return out
 
 
-@dataclass(frozen=True)
-class BimoduleAlgebraData:
+class BimoduleAlgebraData(NamedTuple):
     bullet: dict  # (a, b) -> dim_m x dim_m x dim_m tensor
 
 

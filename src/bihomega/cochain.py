@@ -70,9 +70,9 @@ valid inputs one is not, and the table is refused.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, mul, sub
+from typing import NamedTuple
 
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
@@ -89,15 +89,17 @@ def _tuple_rank(t, size: int) -> int:
     return r
 
 
-@dataclass(eq=False)
 class Cochain:
     """Dense coordinate vector of one cochain; see module docstring for layout."""
 
-    degree: int
-    omega_size: int
-    dim_in: int
-    dim_out: int
-    coords: list
+    __slots__ = ("degree", "omega_size", "dim_in", "dim_out", "coords")
+
+    def __init__(self, degree: int, omega_size: int, dim_in: int, dim_out: int, coords: list):
+        self.degree = degree
+        self.omega_size = omega_size
+        self.dim_in = dim_in
+        self.dim_out = dim_out
+        self.coords = coords
 
     @classmethod
     def zero(cls, degree: int, omega_size: int, dim_in: int, dim_out: int) -> "Cochain":
@@ -274,24 +276,30 @@ def _twist_signature(b: OmegaBimodule, om_tuple) -> tuple:
     return tuple(sig)
 
 
-@dataclass(eq=False)
 class EquivariantBasis:
     """Deterministic basis of C^n, block per monoid tuple.
 
-    ``vectors[t]`` holds sparse block-local basis columns for tuple number t,
-    ``frees[t]`` the free columns the kernel convention assigned them to.
+    ``vectors[t]`` holds sparse block-local basis columns (dicts) for tuple
+    number t, ``frees[t]`` the free columns the kernel convention assigned
+    them to, ``offsets[t]`` the global index of its first basis element.
     Coordinates of a member cochain are read off at the free columns and
     verified exactly against the reconstruction.
     """
 
-    degree: int
-    omega_size: int
-    dim_in: int
-    dim_out: int
-    block_size: int
-    vectors: list  # per tuple: list of sparse dicts (block-local)
-    frees: list  # per tuple: list of free column indices
-    offsets: list  # per tuple: global basis index offset
+    __slots__ = ("degree", "omega_size", "dim_in", "dim_out", "block_size", "vectors", "frees", "offsets")
+
+    def __init__(
+        self, degree: int, omega_size: int, dim_in: int, dim_out: int, block_size: int,
+        vectors: list, frees: list, offsets: list,
+    ):
+        self.degree = degree
+        self.omega_size = omega_size
+        self.dim_in = dim_in
+        self.dim_out = dim_out
+        self.block_size = block_size
+        self.vectors = vectors
+        self.frees = frees
+        self.offsets = offsets
 
     @property
     def raw_dim(self) -> int:
@@ -645,8 +653,7 @@ def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
     return result
 
 
-@dataclass
-class DegreeRow:
+class DegreeRow(NamedTuple):
     degree: int
     dim_cochains: int
     dim_cocycles: int
@@ -663,8 +670,7 @@ class DegreeRow:
         }
 
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     rows: list
     degree0_intersected: bool = False
 

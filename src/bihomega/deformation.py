@@ -26,7 +26,7 @@ test oracles, in ``tests/oracles.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import (
     OmegaAlgebra, Witness, _commute_scan, _star_entry, ensure_family, is_homomorphism, validate_algebra,
@@ -39,8 +39,7 @@ from .rationals import ONE, ZERO
 from .rbf import CombinedCochain, RbfContext, d_combined, phi, rbfa_cohomology_dims
 
 
-@dataclass(frozen=True)
-class LinearDeformationReport:
+class LinearDeformationReport(NamedTuple):
     equivariant: bool
     cocycle: bool
     self_associative: bool
@@ -66,9 +65,13 @@ def check_linear_deformation(a: OmegaAlgebra, mu1: Cochain) -> LinearDeformation
     return LinearDeformationReport(equivariant, cocycle, self_associative)
 
 
-@dataclass(eq=False)
 class NijenhuisFamily:
-    maps: dict  # a -> d x d Mat
+    """Operators ``maps[a]``, d x d Mats."""
+
+    __slots__ = ("maps",)
+
+    def __init__(self, maps: dict):
+        self.maps = maps
 
 
 def check_nijenhuis(a: OmegaAlgebra, nf: NijenhuisFamily) -> Witness | None:
@@ -115,8 +118,7 @@ def deformed_product(
     return deformed, hom_witness
 
 
-@dataclass(frozen=True)
-class PsiReport:
+class PsiReport(NamedTuple):
     psi_zero: bool
     nijenhuis_ok: bool
     deformed_valid: bool
@@ -162,35 +164,35 @@ def psi_of_checked(
 # -- formal deformation jets ----------------------------------------------
 
 
-@dataclass(eq=False)
 class DeformationJet:
-    """Order components of a formal deformation of (product, operator family)."""
+    """Order components of a formal deformation of (product, operator family):
+    ``mu_orders`` the degree-2 and ``r_orders`` the degree-1 cochains of
+    orders 1..K, K = ``order``."""
 
-    order: int
-    mu_orders: list  # degree-2 cochains, orders 1..K
-    r_orders: list  # degree-1 cochains, orders 1..K
+    __slots__ = ("order", "mu_orders", "r_orders")
 
-    def __post_init__(self):
-        if self.order < 1:
+    def __init__(self, order: int, mu_orders: list, r_orders: list):
+        if order < 1:
             raise MalformedInputError("jet order must be >= 1")
-        if len(self.mu_orders) != self.order or len(self.r_orders) != self.order:
+        if len(mu_orders) != order or len(r_orders) != order:
             raise MalformedInputError("jet component count does not match order")
-        if any(f.degree != 2 for f in self.mu_orders) or any(f.degree != 1 for f in self.r_orders):
+        if any(f.degree != 2 for f in mu_orders) or any(f.degree != 1 for f in r_orders):
             raise MalformedInputError("jet components need degree 2 (product) and 1 (operator)")
-        components = [*self.mu_orders, *self.r_orders]
+        components = [*mu_orders, *r_orders]
         if len({(f.omega_size, f.dim_in, f.dim_out) for f in components}) > 1:
             raise MalformedInputError("jet components differ in shape")
+        self.order = order
+        self.mu_orders = mu_orders
+        self.r_orders = r_orders
 
 
-@dataclass(frozen=True)
-class JetOrderReport:
+class JetOrderReport(NamedTuple):
     order: int
     associativity: bool
     operator_identity: bool
 
 
-@dataclass(frozen=True)
-class JetReport:
+class JetReport(NamedTuple):
     equivariant: bool
     orders: tuple
 
@@ -264,8 +266,7 @@ def equivalence_shift(ctx: RbfContext, psi1: Cochain) -> CombinedCochain:
     )
 
 
-@dataclass(frozen=True)
-class RigidityReport:
+class RigidityReport(NamedTuple):
     h2_dim: int
     rigid: bool
 

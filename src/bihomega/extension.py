@@ -19,8 +19,6 @@ scans of :mod:`bihomega.algebra` on A (+) M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (
     OmegaAlgebra,
     RotaBaxterFamily,
@@ -37,13 +35,15 @@ from .rationals import ONE, ZERO
 from .rbf import CombinedCochain, RbfContext, d_combined, solve_combined
 
 
-@dataclass(eq=False)
 class CocyclePair:
     """Degree-2 algebra cochain plus degree-1 operator cochain, both with
     coefficients in the module."""
 
-    psi: Cochain
-    chi: Cochain
+    __slots__ = ("psi", "chi")
+
+    def __init__(self, psi: Cochain, chi: Cochain):
+        self.psi = psi
+        self.chi = chi
 
     def combined(self) -> CombinedCochain:
         return CombinedCochain(self.psi, self.chi)
@@ -52,28 +52,44 @@ class CocyclePair:
         return isinstance(other, CocyclePair) and self.psi == other.psi and self.chi == other.chi
 
 
-@dataclass(eq=False)
 class ExtensionPresentation:
-    base: OmegaAlgebra
-    rb: RotaBaxterFamily
-    dim_m: int
-    pmap_m: dict
-    qmap_m: dict
-    tmap_m: dict
-    total: OmegaAlgebra
-    total_rb: RotaBaxterFamily
-    incl: dict  # w -> dimE x dimM
-    proj: dict  # w -> dimA x dimE
-    sect: dict  # w -> dimE x dimA
-    retr: dict  # w -> dimM x dimE
+    """Base, module maps and total, with the maps of the split sequence per
+    monoid element w: ``incl[w]`` dimE x dimM, ``proj[w]`` dimA x dimE,
+    ``sect[w]`` dimE x dimA and ``retr[w]`` dimM x dimE."""
+
+    __slots__ = (
+        "base", "rb", "dim_m", "pmap_m", "qmap_m", "tmap_m", "total", "total_rb", "incl", "proj", "sect", "retr"
+    )
+
+    def __init__(
+        self, base: OmegaAlgebra, rb: RotaBaxterFamily, dim_m: int, pmap_m: dict, qmap_m: dict, tmap_m: dict,
+        total: OmegaAlgebra, total_rb: RotaBaxterFamily, incl: dict, proj: dict, sect: dict, retr: dict,
+    ):
+        self.base = base
+        self.rb = rb
+        self.dim_m = dim_m
+        self.pmap_m = pmap_m
+        self.qmap_m = qmap_m
+        self.tmap_m = tmap_m
+        self.total = total
+        self.total_rb = total_rb
+        self.incl = incl
+        self.proj = proj
+        self.sect = sect
+        self.retr = retr
 
 
-@dataclass(eq=False)
 class ExtensionBuild:
-    presentation: ExtensionPresentation
-    algebra_witness: Witness | None
-    rb_witness: Witness | None
-    is_cocycle: bool
+    __slots__ = ("presentation", "algebra_witness", "rb_witness", "is_cocycle")
+
+    def __init__(
+        self, presentation: ExtensionPresentation, algebra_witness: Witness | None, rb_witness: Witness | None,
+        is_cocycle: bool,
+    ):
+        self.presentation = presentation
+        self.algebra_witness = algebra_witness
+        self.rb_witness = rb_witness
+        self.is_cocycle = is_cocycle
 
     def valid(self) -> bool:
         return self.algebra_witness is None and self.rb_witness is None
@@ -294,10 +310,14 @@ def extract_cocycle(
     return pair, bim
 
 
-@dataclass(eq=False)
 class CompareReport:
-    cohomologous: bool
-    iso: dict | None  # w -> Mat on the total space, when constructed
+    """``iso[w]`` is a Mat on the total space when one was constructed, else ``iso`` is None."""
+
+    __slots__ = ("cohomologous", "iso")
+
+    def __init__(self, cohomologous: bool, iso: dict | None):
+        self.cohomologous = cohomologous
+        self.iso = iso
 
 
 def compare_extensions(e1: ExtensionPresentation, e2: ExtensionPresentation) -> CompareReport:

@@ -7,18 +7,30 @@ monoid, and degree-0 differentials use its unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .errors import MalformedInputError
 
 
-@dataclass(frozen=True)
 class Monoid:
-    size: int
-    unit: int
-    table: tuple  # tuple of tuples of element indices
+    """``table`` is a tuple of tuples of element indices; equal and hashed by value."""
+
+    __slots__ = ("size", "unit", "table")
+
+    def __init__(self, size: int, unit: int, table: tuple):
+        self.size = size
+        self.unit = unit
+        self.table = table
+
+    def __eq__(self, other):
+        return isinstance(other, Monoid) and (
+            (self.size, self.unit, self.table) == (other.size, other.unit, other.table)
+        )
+
+    def __hash__(self):
+        return hash((self.size, self.unit, self.table))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -39,8 +51,7 @@ def _tuples(size: int, n: int) -> tuple:
     return tuple(product(range(size), repeat=n))
 
 
-@dataclass(frozen=True)
-class MonoidViolation:
+class MonoidViolation(NamedTuple):
     kind: str  # "associativity" | "unit"
     triple: tuple
 

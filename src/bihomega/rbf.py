@@ -35,8 +35,6 @@ built.  Membership of images is still checked where the theory promises it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import OmegaAlgebra, RotaBaxterFamily, Witness, check_rota_baxter, star_product, validate_algebra
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induced_module_star
 from .cochain import (
@@ -59,19 +57,19 @@ from .linalg import Mat, _supports, sparse_kernel, sparse_rank, sparse_rows, spa
 from .rationals import ONE, ZERO
 
 
-@dataclass(eq=False)
 class RbfContext:
     """Validated bundle (algebra, Rota-Baxter family, bimodule with tmap)."""
 
-    algebra: OmegaAlgebra
-    rb: RotaBaxterFamily
-    bimodule: OmegaBimodule
-    _cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("algebra", "rb", "bimodule", "_cache")
 
-    def __post_init__(self):
-        if self.bimodule.tmap is None:
+    def __init__(self, algebra: OmegaAlgebra, rb: RotaBaxterFamily, bimodule: OmegaBimodule):
+        self.algebra = algebra
+        self.rb = rb
+        self.bimodule = bimodule
+        self._cache = {}
+        if bimodule.tmap is None:
             raise PreconditionError("context bimodule needs a tmap family")
-        base, a = self.bimodule.base, self.algebra
+        base, a = bimodule.base, algebra
         if base is not a and (base.omega, base.dim, base.product, base.pmap, base.qmap) != (
             a.omega, a.dim, a.product, a.pmap, a.qmap
         ):
@@ -207,7 +205,6 @@ def phi(ctx: RbfContext, f: Cochain) -> Cochain:
     return Cochain(f.degree, f.omega_size, f.dim_in, f.dim_out, coords)
 
 
-@dataclass(eq=False)
 class CombinedCochain:
     """Element of the combined complex: algebra part plus operator part.
 
@@ -215,8 +212,11 @@ class CombinedCochain:
     operator cochain; degree 0 is a bare coefficient vector (rbf None).
     """
 
-    alg: Cochain
-    rbf: Cochain | None
+    __slots__ = ("alg", "rbf")
+
+    def __init__(self, alg: Cochain, rbf: Cochain | None):
+        self.alg = alg
+        self.rbf = rbf
 
     @property
     def degree(self) -> int:

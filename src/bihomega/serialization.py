@@ -17,7 +17,6 @@ at a time, up to the first missing one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from math import prod
@@ -37,21 +36,35 @@ from .rationals import Rat, format_rational, parse_rational
 SCHEMA = "bihomega/1"
 
 
-@dataclass
 class WorkbenchFile:
-    monoid: Monoid
-    monoid_names: list | None = None  # optional display names per element
-    algebra: OmegaAlgebra | None = None
-    rota_baxter: RotaBaxterFamily | None = None
-    bimodule: OmegaBimodule | None = None
-    twist_p: dict | None = None
-    twist_q: dict | None = None
-    nijenhuis: dict | None = None
-    cochain: Cochain | None = None
-    cochain_target: str | None = None  # "module" | "algebra"
-    jet: DeformationJet | None = None
-    cocycle_pair: CocyclePair | None = None
-    extension: ExtensionPresentation | None = None
+    """The monoid and the optional blocks of one file, None when absent; ``monoid_names``
+    are display names per element, ``cochain_target`` is "module" or "algebra"."""
+
+    __slots__ = (
+        "monoid", "monoid_names", "algebra", "rota_baxter", "bimodule", "twist_p", "twist_q", "nijenhuis",
+        "cochain", "cochain_target", "jet", "cocycle_pair", "extension",
+    )
+
+    def __init__(
+        self, monoid: Monoid, monoid_names: list | None = None, algebra: OmegaAlgebra | None = None,
+        rota_baxter: RotaBaxterFamily | None = None, bimodule: OmegaBimodule | None = None,
+        twist_p: dict | None = None, twist_q: dict | None = None, nijenhuis: dict | None = None,
+        cochain: Cochain | None = None, cochain_target: str | None = None, jet: DeformationJet | None = None,
+        cocycle_pair: CocyclePair | None = None, extension: ExtensionPresentation | None = None,
+    ):
+        self.monoid = monoid
+        self.monoid_names = monoid_names
+        self.algebra = algebra
+        self.rota_baxter = rota_baxter
+        self.bimodule = bimodule
+        self.twist_p = twist_p
+        self.twist_q = twist_q
+        self.nijenhuis = nijenhuis
+        self.cochain = cochain
+        self.cochain_target = cochain_target
+        self.jet = jet
+        self.cocycle_pair = cocycle_pair
+        self.extension = extension
 
 
 def _refuse_unknown(obj: dict, known, path: str):

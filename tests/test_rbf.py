@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -17,8 +16,8 @@ from oracles import (
 )
 
 from bihomega import rbf, samples
-from bihomega.algebra import RotaBaxterFamily, Witness, zero_rb
-from bihomega.bimodule import regular_bimodule, zero_bimodule
+from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, Witness, zero_rb
+from bihomega.bimodule import OmegaBimodule, regular_bimodule, zero_bimodule
 from bihomega.cochain import (
     Cochain,
     SparseOp,
@@ -163,7 +162,7 @@ def test_phi_all_r_when_tmap_zero_weight_zero(e1):
 @pytest.mark.parametrize("field", ["product", "pmap", "qmap", "dim", "omega"])
 def test_context_refuses_bimodule_over_another_base(e1_ctx, field):
     a = e1_ctx.algebra
-    other = replace(a, _cache={})
+    other = OmegaAlgebra(a.omega, a.dim, a.product, a.pmap, a.qmap)
     if field == "product":
         other.product = {(0, 0): [[[v + 1 for v in col] for col in plane] for plane in a.product[(0, 0)]]}
     elif field == "dim":
@@ -174,7 +173,8 @@ def test_context_refuses_bimodule_over_another_base(e1_ctx, field):
         setattr(other, field, {0: Mat.scalar(2, 3)})
     with pytest.raises(MalformedInputError, match="bimodule base differs"):
         RbfContext(other, e1_ctx.rb, e1_ctx.bimodule)
-    assert RbfContext(replace(a, _cache={}), e1_ctx.rb, e1_ctx.bimodule).algebra.dim == a.dim
+    fresh = OmegaAlgebra(a.omega, a.dim, a.product, a.pmap, a.qmap)
+    assert RbfContext(fresh, e1_ctx.rb, e1_ctx.bimodule).algebra.dim == a.dim
 
 
 def test_validated_checks_the_family_on_a_distinct_base(e1_ctx):
@@ -567,7 +567,8 @@ def test_chain_map_witness_matches_dense_comparison(e1_ctx, c2_ctx):
         entries[entry] += 1
         tmap = dict(b.tmap)
         tmap[x] = Mat(t.rows, t.cols, entries)
-        broken = RbfContext(ctx.algebra, ctx.rb, replace(b, tmap=tmap, _cache={}))
+        fresh = OmegaBimodule(b.base, b.dim_m, b.left, b.right, b.pmap, b.qmap, tmap)
+        broken = RbfContext(ctx.algebra, ctx.rb, fresh)
         witness = chain_map_check(broken, 2)
         assert witness is not None
         assert witness == _dense_chain_map_witness(broken, 2)

@@ -1,4 +1,4 @@
-from ab_pairs import quartiles, summarize
+from ab_pairs import has_bytecode, main, quartiles, summarize
 
 
 def test_ab_summary_counts_wins_and_needs_a_gap_beyond_the_parent_iqr():
@@ -14,3 +14,15 @@ def test_ab_summary_counts_wins_and_needs_a_gap_beyond_the_parent_iqr():
     assert s["wall_s"]["gain"] and s["hits"]["gain"] and s["wall_s"]["change_wins"] == 10
     assert s["wall_s"]["relative_change"] == -5 / 12
     assert quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
+
+
+def test_ab_pairs_refuses_when_only_one_checkout_holds_bytecode(tmp_path, capsys):
+    cached, bare = tmp_path / "cached", tmp_path / "bare"
+    (cached / "src" / "bihomega" / "__pycache__").mkdir(parents=True)
+    (bare / "src" / "bihomega").mkdir(parents=True)
+    assert has_bytecode(cached) and not has_bytecode(bare)
+    common = ["--workload", "fixtures", "--seed", "1", "--pairs", "1"]
+    assert main(["--parent", str(cached), "--change", str(bare), *common]) == 2
+    assert f"only the parent checkout {cached} holds src/bihomega/__pycache__" in capsys.readouterr().err
+    assert main(["--parent", str(bare), "--change", str(cached), *common]) == 2
+    assert f"only the change checkout {cached} holds src/bihomega/__pycache__" in capsys.readouterr().err

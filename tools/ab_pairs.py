@@ -12,14 +12,22 @@ both sides' median and quartiles (inclusive), the parent's interquartile
 range and the number of pairs the change wins (ties count for neither).  A
 gain holds when the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's interquartile range.  ``--json``
-writes every run and the summary.  A run whose outputs were wrong
-(``correct`` false) is printed and ends the comparison with exit code 1.
+writes every run, with the ``env`` stamp the benchmark printed, each side's
+bytecode state and the summary.  A run whose outputs were wrong (``correct``
+false) is printed and ends the comparison with exit code 1.
+
+Both sides run with ``PYTHONDONTWRITEBYTECODE=1``, so no run writes bytecode
+that a later run could load.  A checkout that holds ``src/bihomega/__pycache__``
+skips compiling the package in every process, which lowers ``setup_s`` and
+``peak_rss_mb`` for reasons unrelated to the code; when exactly one of the two
+holds it, the comparison is refused with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -29,10 +37,11 @@ from pathlib import Path
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run in ``checkout``: its metric values, plus
-    ``correct`` and the unscaled ``wall_s`` and pass count it prints."""
+    ``correct``, the ``env`` stamp and the unscaled ``wall_s`` and pass count it prints."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
-        cmd + ["--seconds", str(seconds)], cwd=checkout, capture_output=True, text=True, check=False
+        cmd + ["--seconds", str(seconds)], cwd=checkout, env=env, capture_output=True, text=True, check=False
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -40,11 +49,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     run = {name: m["value"] for name, m in result["metrics"].items()}
     run["correct"] = result["correct"]
+    run["env"] = json.loads(next(line for line in lines if line.startswith("env "))[len("env "):])
     wall = next((line for line in lines if line.startswith("wall_s ")), "")
     match = re.search(r"(\d+) passes \(unscaled ([\d.]+) s", wall)
     if match:
         run["passes"], run["wall_s_unscaled"] = int(match.group(1)), float(match.group(2))
     return run
+
+
+def has_bytecode(checkout: Path) -> bool:
+    """Whether ``checkout`` holds compiled bytecode of the package."""
+    return (checkout / "src" / "bihomega" / "__pycache__").is_dir()
 
 
 def quartiles(values: list) -> dict:
@@ -85,6 +100,15 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
+    bytecode = {side: has_bytecode(getattr(args, side)) for side in ("parent", "change")}
+    if bytecode["parent"] != bytecode["change"]:
+        side = "parent" if bytecode["parent"] else "change"
+        print(
+            f"error: only the {side} checkout {getattr(args, side)} holds src/bihomega/__pycache__;"
+            " remove it so that both sides compile the package alike",
+            file=sys.stderr,
+        )
+        return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     runs = {"parent": [], "change": []}
@@ -108,7 +132,13 @@ def main(argv=None) -> int:
             f"  {'gain' if s['gain'] else 'no gain'}"
         )
     if args.json:
-        method = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs}
+        method = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "pairs": args.pairs,
+            "bytecode": bytecode,
+        }
         args.json.write_text(json.dumps({"method": method, "runs": runs, "summary": summary}, indent=1) + "\n")
     return 0
 
