@@ -33,8 +33,9 @@ families is an instance of one of four scans, shared with
   :func:`star_product` builds, so "R is Rota-Baxter" reads R(x)R(y) = R(x * y).
 
 A validator chains its scans in a fixed order and returns the first
-witness.  The equation name, indices and both sides of each witness are part
-of the contract; ``fixtures/witnesses.json`` pins them.
+witness; a scan whose arguments repeat those of one that passed is skipped
+(:func:`_chain`).  The equation name, indices and both sides of each
+witness are part of the contract; ``fixtures/witnesses.json`` pins them.
 """
 
 from __future__ import annotations
@@ -72,6 +73,13 @@ class Witness(NamedTuple):
             "lhs": [format_rational(x) for x in self.lhs],
             "rhs": [format_rational(x) for x in self.rhs],
         }
+
+
+def _refuse_witness(witness: Witness | None, what: str, error=PreconditionError):
+    """Raise ``error`` (by default PreconditionError: the input breaks a
+    precondition) naming ``witness``, if a validator found one."""
+    if witness is not None:
+        raise error(f"{what}: {witness.describe()}")
 
 
 def bilinear(tensor, x, y, dim_out: int) -> list:
@@ -119,16 +127,34 @@ def _commute_scan(om: Monoid, t: dict, checks) -> Witness | None:
     )
 
 
-def _intertwining_scan(om: Monoid, checks) -> Witness | None:
+def _chain(*scans) -> Witness | None:
+    """The first witness of ``scans``, triples (scan, name, args) run in order.
+
+    A scan whose function and arguments equal, entry for entry, those of a
+    scan that already passed in this chain is skipped.  That is exact: a scan
+    is a pure function of its arguments (the name only labels its witness),
+    so it would pass again.
+    """
+    passed = []
+    for scan, name, args in scans:
+        if (scan, args) not in passed:
+            witness = scan(name, *args)
+            if witness is not None:
+                return witness
+            passed.append((scan, args))
+    return None
+
+
+def _intertwining_scan(names: tuple, om: Monoid, checks) -> Witness | None:
     """g[ab] B(e_i, e_j) = B'(f[a] e_i, h[b] e_j).
 
-    ``checks`` lists (name, g, B, B', f, h); the checks are interleaved
-    inside each (a, b), and each scans (i, j) lexicographically.
+    ``checks`` lists (g, B, B', f, h), named by ``names``; the checks are
+    interleaved inside each (a, b), and each scans (i, j) lexicographically.
     """
     for x in om.elements():
         for y in om.elements():
             key, xy = (x, y), om.mul(x, y)
-            for name, g, tensor, tensor_out, f, h in checks:
+            for name, (g, tensor, tensor_out, f, h) in zip(names, checks):
                 gxy, fx, hy, t, t_out = g[xy], f[x], h[y], tensor[key], tensor_out[key]
                 for i in range(len(t)):
                     fi = fx.col(i)
@@ -292,7 +318,7 @@ def validate_algebra(a: OmegaAlgebra) -> Witness | None:
             for y in om.elements()
         )
         or _intertwining_scan(
-            om, (("multiplicativity-p", p, mu, mu, p, p), ("multiplicativity-q", q, mu, mu, q, q))
+            ("multiplicativity-p", "multiplicativity-q"), om, ((p, mu, mu, p, p), (q, mu, mu, q, q))
         )
         or _assoc_scan("bihom-associativity", om, (a.dim,) * 4, mu, mu, mu, mu, p, q)
     )
@@ -312,12 +338,8 @@ def check_rota_baxter(a: OmegaAlgebra, rb: RotaBaxterFamily) -> Witness | None:
 def star_product(a: OmegaAlgebra, rb: RotaBaxterFamily, check: bool = True) -> OmegaAlgebra:
     """Derived product x*R(y) + R(x)*y + w*x*y on the same carrier and maps."""
     if check:
-        witness = validate_algebra(a)
-        if witness is not None:
-            raise PreconditionError(f"algebra invalid: {witness.describe()}")
-        witness = check_rota_baxter(a, rb)
-        if witness is not None:
-            raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
+        _refuse_witness(validate_algebra(a), "algebra invalid")
+        _refuse_witness(check_rota_baxter(a, rb), "Rota-Baxter family invalid")
     d, w = a.dim, rb.weight
     star = {}
     for (x, y), t in a.product.items():
@@ -342,7 +364,7 @@ def is_homomorphism(f: dict, src: OmegaAlgebra, dst: OmegaAlgebra) -> Witness | 
         _column_witness(name, (x,), dmap[x].mul(f[x]), f[x].mul(smap[x]))
         for x in om.elements()
         for name, smap, dmap in (("hom-p", src.pmap, dst.pmap), ("hom-q", src.qmap, dst.qmap))
-    ) or _intertwining_scan(om, (("hom-multiplicative", f, src.product, dst.product, f, f),))
+    ) or _intertwining_scan(("hom-multiplicative",), om, ((f, src.product, dst.product, f, f),))
 
 
 def yau_twist(
@@ -362,12 +384,8 @@ def yau_twist(
     for x in om.elements():
         if not a.pmap[x].is_identity() or not a.qmap[x].is_identity():
             raise PreconditionError("input algebra must have identity structure maps")
-    witness = validate_algebra(a)
-    if witness is not None:
-        raise PreconditionError(f"input algebra invalid: {witness.describe()}")
-    witness = check_rota_baxter(a, rb)
-    if witness is not None:
-        raise PreconditionError(f"input Rota-Baxter family invalid: {witness.describe()}")
+    _refuse_witness(validate_algebra(a), "input algebra invalid")
+    _refuse_witness(check_rota_baxter(a, rb), "input Rota-Baxter family invalid")
     for name, maps in (("pmap", pmap), ("qmap", qmap)):
         ensure_family(maps, om, a.dim, a.dim, f"twist {name}")
         for x in om.elements():

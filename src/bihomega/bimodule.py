@@ -30,11 +30,13 @@ from .algebra import (
     RotaBaxterFamily,
     Witness,
     _assoc_scan,
+    _chain,
     _column_witness,
     _commute_scan,
     _first,
     _star_entry,
     _intertwining_scan,
+    _refuse_witness,
     _weighted_scan,
     bilinear,
     check_rota_baxter,
@@ -101,27 +103,27 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
     Scan order: module pq-commutation, then the identities in the order
     left-p/left-q (interleaved inside each monoid pair), left-assoc,
     right-p/right-q, right-assoc, mixed; inside each, lexicographic over
-    monoid then basis indices.
+    monoid then basis indices.  A scan that coincides with an earlier one
+    that passed runs once (:func:`bihomega.algebra._chain`): on a regular
+    bimodule the right pair repeats the left pair, and the right and mixed
+    associativity scans repeat the left one.
     """
     ensure_bimodule_shapes(b)
     a = b.base
     om, d, dm = a.omega, a.dim, b.dim_m
     ap, aq, mp, mq, mu, lt, rt = a.pmap, a.qmap, b.pmap, b.qmap, a.product, b.left, b.right
-    return (
-        _first(
-            _column_witness("module-pq-commute", (x, y), mp[x].mul(mq[y]), mq[y].mul(mp[x]))
-            for x in om.elements()
-            for y in om.elements()
-        )
-        or _intertwining_scan(
-            om, (("left-module-p", mp, lt, lt, ap, mp), ("left-module-q", mq, lt, lt, aq, mq))
-        )
-        or _assoc_scan("left-module-assoc", om, (d, d, dm, dm), lt, lt, lt, mu, ap, mq)
-        or _intertwining_scan(
-            om, (("right-module-p", mp, rt, rt, mp, ap), ("right-module-q", mq, rt, rt, mq, aq))
-        )
-        or _assoc_scan("right-module-assoc", om, (dm, d, d, dm), rt, mu, rt, rt, mp, aq)
-        or _assoc_scan("bimodule-mixed", om, (d, dm, d, dm), lt, rt, rt, lt, ap, aq)
+    left_pq = ((mp, lt, lt, ap, mp), (mq, lt, lt, aq, mq))  # (g, B, B', f, h) of each intertwining
+    right_pq = ((mp, rt, rt, mp, ap), (mq, rt, rt, mq, aq))
+    return _first(
+        _column_witness("module-pq-commute", (x, y), mp[x].mul(mq[y]), mq[y].mul(mp[x]))
+        for x in om.elements()
+        for y in om.elements()
+    ) or _chain(
+        (_intertwining_scan, ("left-module-p", "left-module-q"), (om, left_pq)),
+        (_assoc_scan, "left-module-assoc", (om, (d, d, dm, dm), lt, lt, lt, mu, ap, mq)),
+        (_intertwining_scan, ("right-module-p", "right-module-q"), (om, right_pq)),
+        (_assoc_scan, "right-module-assoc", (om, (dm, d, d, dm), rt, mu, rt, rt, mp, aq)),
+        (_assoc_scan, "bimodule-mixed", (om, (d, dm, d, dm), lt, rt, rt, lt, ap, aq)),
     )
 
 
@@ -155,9 +157,7 @@ def zero_bimodule(
 def semidirect_product(b: OmegaBimodule, check: bool = True) -> OmegaAlgebra:
     """Algebra on A (+) M: (x,m)(y,n) = (xy, x|>n + m<|y), block structure maps."""
     if check:
-        witness = validate_bimodule(b)
-        if witness is not None:
-            raise PreconditionError(f"bimodule invalid: {witness.describe()}")
+        _refuse_witness(validate_bimodule(b), "bimodule invalid")
     return _semidirect_algebra(b, bullet=None)
 
 
@@ -210,9 +210,7 @@ def validate_bimodule_algebra(b: OmegaBimodule, extra: BimoduleAlgebraData) -> W
     product.  Both must agree on success; the first component witness is
     returned otherwise.
     """
-    base_witness = validate_algebra(b.base)
-    if base_witness is not None:
-        raise PreconditionError(f"base algebra invalid: {base_witness.describe()}")
+    _refuse_witness(validate_algebra(b.base), "base algebra invalid")
     a = b.base
     om, d, dm = a.omega, a.dim, b.dim_m
     ap, aq, mp, mq, lt, rt, bt = a.pmap, a.qmap, b.pmap, b.qmap, b.left, b.right, extra.bullet
@@ -243,9 +241,7 @@ def validate_rbf_bimodule(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | N
     callers that have established the preconditions already.
     """
     _require_bimodule(b)
-    witness = check_rota_baxter(b.base, rb)
-    if witness is not None:
-        raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
+    _refuse_witness(check_rota_baxter(b.base, rb), "Rota-Baxter family invalid")
     return _rbf_action_scan(b, rb)
 
 
@@ -254,20 +250,19 @@ def _require_bimodule(b: OmegaBimodule):
     one that fails :func:`validate_bimodule`."""
     if b.tmap is None:
         raise PreconditionError("bimodule has no tmap family")
-    witness = validate_bimodule(b)
-    if witness is not None:
-        raise PreconditionError(f"bimodule invalid: {witness.describe()}")
+    _refuse_witness(validate_bimodule(b), "bimodule invalid")
 
 
 def _rbf_action_scan(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | None:
     """The weighted action identities of a valid bimodule with a tmap family
     over a valid family: commutation of T with the module maps, then the
-    left and right weighted scans."""
-    om, t, r = b.base.omega, b.tmap, rb.maps
-    return (
-        _commute_scan(om, t, (("t-p-commute", b.pmap), ("t-q-commute", b.qmap)))
-        or _weighted_scan("rbf-bimodule-left", om, b.left, r, t, t, rb.weight, b.dim_m)
-        or _weighted_scan("rbf-bimodule-right", om, b.right, t, r, t, rb.weight, b.dim_m)
+    left and right weighted scans.  The right scan is skipped when it
+    coincides with the left one, which passed (:func:`bihomega.algebra._chain`),
+    as on the regular bimodule with T = R."""
+    om, t, r, w, dm = b.base.omega, b.tmap, rb.maps, rb.weight, b.dim_m
+    return _commute_scan(om, t, (("t-p-commute", b.pmap), ("t-q-commute", b.qmap))) or _chain(
+        (_weighted_scan, "rbf-bimodule-left", (om, b.left, r, t, t, w, dm)),
+        (_weighted_scan, "rbf-bimodule-right", (om, b.right, t, r, t, w, dm)),
     )
 
 
@@ -292,9 +287,7 @@ def induced_module_star(b: OmegaBimodule, rb: RotaBaxterFamily, check: bool = Tr
     to the action tensor's own entry.
     """
     if check:
-        witness = validate_rbf_bimodule(b, rb)
-        if witness is not None:
-            raise PreconditionError(f"not a Rota-Baxter family bimodule: {witness.describe()}")
+        _refuse_witness(validate_rbf_bimodule(b, rb), "not a Rota-Baxter family bimodule")
     a = b.base
     d, dm = a.dim, b.dim_m
     star = star_product(a, rb, check=False)

@@ -20,12 +20,13 @@ product and entries, so they are cached per twist signature
 of rows and one kernel.  That kernel is the basis of C^n
 (:func:`equivariant_basis`), and applying the rows to a raw vector is the
 one membership test (:func:`_in_subspace`), behind :func:`is_equivariant`
-and every check that a coboundary image lies in C^{n+1}.  A map pair that
-is the identity at the product and at every entry builds no rows (its
-constraint reads f = f), and the rows are kept sorted by their largest
-column, descending, so that the kernel's elimination, which pivots at the
-smallest column, meets the rows that reach the free columns first; the
-RREF is unique, so the order changes the work, never the basis.
+and every check that a coboundary image lies in C^{n+1}.  A bimodule with
+the same structure maps may share all of it (:func:`_share_equivariance`).
+A map pair that is the identity at the product and at every entry builds
+no rows (its constraint reads f = f), and the rows are kept sorted by their
+largest column, descending, so that the kernel's elimination, which pivots
+at the smallest column, meets the rows that reach the free columns first;
+the RREF is unique, so the order changes the work, never the basis.
 
 The coboundary has one implementation for n >= 1: the blocks of
 :mod:`bihomega.blocks`, one per *pair key* (the structure classes of the
@@ -74,6 +75,7 @@ from itertools import repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
+from .algebra import _refuse_witness
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .blocks import coboundary_plan, structure_classes
@@ -220,9 +222,10 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
     for idx, v in vec.items():
         blocks.setdefault(idx // size, {})[idx % size] = v
     # the columns of each tuple are resolved once per degree, not per vector
-    table = b._cache.get(("block_columns", n))
+    cache = _equivariance(b)
+    table = cache.get(("block_columns", n))
     if table is None:
-        table = b._cache[("block_columns", n)] = [None] * b.base.omega.size**n
+        table = cache[("block_columns", n)] = [None] * b.base.omega.size**n
     for t, local in blocks.items():
         by_col = table[t]
         if by_col is None:
@@ -249,14 +252,14 @@ def _constraint_columns(b: OmegaBimodule, om_tuple) -> dict:
 
     Cached per twist signature, like the rows.
     """
-    cache_key = ("constraint_columns", _twist_signature(b, om_tuple))
-    hit = b._cache.get(cache_key)
+    cache, cache_key = _equivariance(b), ("constraint_columns", _twist_signature(b, om_tuple))
+    hit = cache.get(cache_key)
     if hit is None:
         hit = {}
         for i, row in enumerate(_constraint_rows(b, om_tuple)):
             for c, v in row.items():
                 hit.setdefault(c, []).append((i, v))
-        b._cache[cache_key] = hit
+        cache[cache_key] = hit
     return hit
 
 
@@ -274,6 +277,27 @@ def _twist_signature(b: OmegaBimodule, om_tuple) -> tuple:
     for x in om_tuple:
         sig += (p_cls[x], q_cls[x])
     return tuple(sig)
+
+
+def _equivariance(b: OmegaBimodule) -> dict:
+    """The cache that holds b's equivariance data: its own, or the one
+    :func:`_share_equivariance` gave it."""
+    return b._cache.get("equivariance", b._cache)
+
+
+def _share_equivariance(source: OmegaBimodule, target: OmegaBimodule):
+    """Let ``target`` read and extend ``source``'s equivariance data: bases and
+    block columns per degree, constraint rows and columns and end columns per
+    twist signature.  It depends only on the monoid, the dimensions and the
+    structure maps of A and M in their key order (which numbers the
+    signatures); InternalCheckError refuses any difference."""
+    def key(b):
+        a = b.base
+        return a.omega, a.dim, b.dim_m, [list(f.items()) for f in (a.pmap, a.qmap, b.pmap, b.qmap)]
+
+    if key(source) != key(target):
+        raise InternalCheckError("bimodules with different structure maps cannot share equivariance data")
+    target._cache["equivariance"] = _equivariance(source)
 
 
 class EquivariantBasis:
@@ -372,8 +396,8 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     """Kernel of the stacked equivariance constraints, blockwise per tuple."""
     if n < 0:
         raise MalformedInputError("negative degree")
-    cache_key = ("equivariant_basis", n)
-    hit = b._cache.get(cache_key)
+    cache, cache_key = _equivariance(b), ("equivariant_basis", n)
+    hit = cache.get(cache_key)
     if hit is not None:
         return hit
     a = b.base
@@ -399,7 +423,7 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
             frees.append(free)
             offsets.append(offsets[-1] + len(basis))
     result = EquivariantBasis(n, om.size, d, m, block, vectors, frees, offsets)
-    b._cache[cache_key] = result
+    cache[cache_key] = result
     return result
 
 
@@ -415,8 +439,8 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     descending (see the module docstring), caching those end columns.
     """
     sig = _twist_signature(b, om_tuple)
-    cache_key = ("constraint_rows", sig)
-    hit = b._cache.get(cache_key)
+    cache, cache_key = _equivariance(b), ("constraint_rows", sig)
+    hit = cache.get(cache_key)
     if hit is not None:
         return hit
     a = b.base
@@ -440,9 +464,9 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
                     else:
                         row.pop(col, None)
             rows.extend(r for r in row_of if r)
-    ends = b._cache[("end_columns", sig)] = set()  # filled by the sort key: one max per row
+    ends = cache[("end_columns", sig)] = set()  # filled by the sort key: one max per row
     rows.sort(key=lambda row: ends.add(end := max(row)) or end, reverse=True)
-    b._cache[cache_key] = rows
+    cache[cache_key] = rows
     return rows
 
 
@@ -617,7 +641,7 @@ def _violations(b: OmegaBimodule, plan, beta, key: int, sig, products: list) -> 
     hit = plan.failures.get((out_sig, key, sig))
     if hit is None:
         by_col = _constraint_columns(b, beta)
-        ends = b._cache[("end_columns", out_sig)]
+        ends = _equivariance(b)[("end_columns", out_sig)]
         projected = [{} for _ in products]
         bad = frozenset(k for k, vec in enumerate(products) if _violates(by_col, vec, ends, projected[k]))
         hit = plan.failures[(out_sig, key, sig)] = bad, projected
@@ -743,9 +767,7 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int, check: bool = True) -> Co
     """
     if max_degree < 0:
         raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
-    witness = validate_bimodule(b) if check else None
-    if witness is not None:
-        raise PreconditionError(f"bimodule invalid: {witness.describe()}")
+    _refuse_witness(validate_bimodule(b) if check else None, "bimodule invalid")
     dims_c = [equivariant_basis(b, k).dim() for k in range(max_degree + 1)]
     ys, intersected = _degree0_domain(b)
     op0, op1 = delta_op(b, 0), delta_op(b, 1)

@@ -29,7 +29,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import (
-    OmegaAlgebra, Witness, _commute_scan, _star_entry, ensure_family, is_homomorphism, validate_algebra,
+    OmegaAlgebra, Witness, _commute_scan, _refuse_witness, _star_entry, ensure_family, is_homomorphism,
+    validate_algebra,
 )
 from .bimodule import regular_bimodule
 from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equivariant
@@ -110,9 +111,7 @@ def deformed_product(
     """The deformed algebra and the homomorphism check of the family into
     the original product."""
     if check:
-        witness = check_nijenhuis(a, nf)
-        if witness is not None:
-            raise PreconditionError(f"not a Nijenhuis family: {witness.describe()}")
+        _refuse_witness(check_nijenhuis(a, nf), "not a Nijenhuis family")
     deformed = algebra_with_product(a, deformed_mu(a, nf.maps))
     hom_witness = is_homomorphism(nf.maps, deformed, a)
     return deformed, hom_witness

@@ -23,6 +23,7 @@ from .algebra import (
     OmegaAlgebra,
     RotaBaxterFamily,
     Witness,
+    _refuse_witness,
     check_rota_baxter,
     is_homomorphism,
     validate_algebra,
@@ -270,9 +271,7 @@ def extract_cocycle(
             right[key] = rt
     bim = OmegaBimodule(a, dm, left, right, dict(e.pmap_m), dict(e.qmap_m), dict(e.tmap_m))
     _require_bimodule(bim)
-    witness = _rbf_action_scan(bim, e.rb)
-    if witness is not None:
-        raise InternalCheckError(f"induced bimodule failed validation: {witness.describe()}")
+    _refuse_witness(_rbf_action_scan(bim, e.rb), "induced bimodule failed validation", InternalCheckError)
     psi = Cochain.zero(2, om.size, d, dm)
     for x in om.elements():
         for y in om.elements():
@@ -360,8 +359,7 @@ def compare_extensions(e1: ExtensionPresentation, e2: ExtensionPresentation) -> 
 
 def _verify_iso(e1: ExtensionPresentation, e2: ExtensionPresentation, iso: dict):
     witness = is_homomorphism(iso, e1.total, e2.total)
-    if witness is not None:
-        raise InternalCheckError(f"constructed map is not a homomorphism: {witness.describe()}")
+    _refuse_witness(witness, "constructed map is not a homomorphism", InternalCheckError)
     om = e1.base.omega
     for x in om.elements():
         if iso[x].mul(e1.total_rb.maps[x]) != e2.total_rb.maps[x].mul(iso[x]):

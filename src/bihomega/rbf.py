@@ -7,8 +7,10 @@ bimodule over it.  Three complexes live here:
 * the operator complex: the same cochain spaces, with differential equal to
   the coboundary taken over the derived (star) algebra and its induced
   bimodule.  :func:`partial` is exactly that: the compiled coboundary of the
-  star bimodule.  The expanded sum in the original structures is kept only
-  as a test oracle (``tests/oracles.py``);
+  star bimodule.  It has the bimodule's structure maps, so it reads the
+  bimodule's bases and constraint systems instead of building its own
+  (:meth:`RbfContext.star_bimodule`).  The expanded sum in the original
+  structures is kept only as a test oracle (``tests/oracles.py``);
 * the combined complex mixing a degree-n algebra cochain with a degree-(n-1)
   operator cochain,  d(f, g) = (delta f, -partial g - phi f), and
   d(m) = (delta m, -m) at degree 0.
@@ -35,7 +37,9 @@ built.  Membership of images is still checked where the theory promises it.
 
 from __future__ import annotations
 
-from .algebra import OmegaAlgebra, RotaBaxterFamily, Witness, check_rota_baxter, star_product, validate_algebra
+from .algebra import (
+    OmegaAlgebra, RotaBaxterFamily, Witness, _refuse_witness, check_rota_baxter, star_product, validate_algebra,
+)
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induced_module_star
 from .cochain import (
     Cochain,
@@ -47,6 +51,7 @@ from .cochain import (
     _degree0_domain,
     _raw_size,
     _require_shape,
+    _share_equivariance,
     apply_delta,
     cohomology_dims,
     delta_op,
@@ -58,7 +63,8 @@ from .rationals import ONE, ZERO
 
 
 class RbfContext:
-    """Validated bundle (algebra, Rota-Baxter family, bimodule with tmap)."""
+    """Validated bundle (algebra, Rota-Baxter family, bimodule with tmap).  Its
+    star bimodule shares the bimodule's bases and constraint systems."""
 
     __slots__ = ("algebra", "rb", "bimodule", "_cache")
 
@@ -77,20 +83,12 @@ class RbfContext:
 
     @classmethod
     def validated(cls, algebra, rb, bimodule) -> "RbfContext":
-        witness = validate_algebra(algebra)
-        if witness is not None:
-            raise PreconditionError(f"algebra invalid: {witness.describe()}")
-        witness = check_rota_baxter(algebra, rb)
-        if witness is not None:
-            raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
+        _refuse_witness(validate_algebra(algebra), "algebra invalid")
+        _refuse_witness(check_rota_baxter(algebra, rb), "Rota-Baxter family invalid")
         _require_bimodule(bimodule)
         if bimodule.base is not algebra:  # a distinct base object gets its own check of the family
-            witness = check_rota_baxter(bimodule.base, rb)
-            if witness is not None:
-                raise PreconditionError(f"Rota-Baxter family invalid: {witness.describe()}")
-        witness = _rbf_action_scan(bimodule, rb)
-        if witness is not None:
-            raise PreconditionError(f"bimodule invalid for the family: {witness.describe()}")
+            _refuse_witness(check_rota_baxter(bimodule.base, rb), "Rota-Baxter family invalid")
+        _refuse_witness(_rbf_action_scan(bimodule, rb), "bimodule invalid for the family")
         return cls(algebra, rb, bimodule)
 
     def star_algebra(self) -> OmegaAlgebra:
@@ -104,14 +102,13 @@ class RbfContext:
         hit = self._cache.get("star_bimodule")
         if hit is None:
             hit = induced_module_star(self.bimodule, self.rb, check=False)
+            _share_equivariance(self.bimodule, hit)
             self._cache["star_bimodule"] = hit
         return hit
 
     def basis(self, n: int) -> EquivariantBasis:
-        """Shared equivariant basis; both complexes use identical constraints."""
-        bas = equivariant_basis(self.bimodule, n)
-        self.star_bimodule()._cache.setdefault(("equivariant_basis", n), bas)
-        return bas
+        """The equivariant basis of C^n, which the star bimodule shares."""
+        return equivariant_basis(self.bimodule, n)
 
     def dims(self):
         a, b = self.algebra, self.bimodule
@@ -308,7 +305,6 @@ def _combined_images(ctx: RbfContext, n: int) -> list:
         image.update((shift + i, -v) for i, v in to_rbf.image(basis.cochain_sparse(j)).items())
         images.append(image)
     if n >= 1:
-        ctx.basis(n - 1)  # the star bimodule shares the algebra bimodule's basis
         for image in _basis_images(ctx.star_bimodule(), n - 1, verify=False):
             images.append({shift + i: -v for i, v in image.items()})
     ctx._cache[("combined_images", n)] = images

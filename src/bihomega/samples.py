@@ -22,7 +22,7 @@ from .linalg import Mat
 from .monoid import Monoid, cyclic_monoid, trivial_monoid
 from .rationals import ONE, ZERO, Rat
 from .rbf import RbfContext
-from .search import first_nonscalar, search_rbf
+from .search import first_nonscalar, iter_rbf
 
 
 def build_e0() -> OmegaAlgebra:
@@ -80,9 +80,9 @@ def build_e1_semidirect() -> OmegaAlgebra:
 
 
 def searched_rb(a: OmegaAlgebra, weight=Rat(-1), bound: int = 1) -> RotaBaxterFamily:
-    """First non-scalar hit of the bounded search, in scan order."""
-    hits = search_rbf(a, bound, weight)
-    hit = first_nonscalar(hits)
+    """First non-scalar hit of the bounded search, in scan order; no later
+    candidate is checked (33 of the 81 on e1 at weight -1, 2625 of 6561 on c2)."""
+    hit = first_nonscalar(iter_rbf(a, bound, weight))
     if hit is None:
         raise InternalCheckError(f"no non-scalar family found at weight {weight}")
     return hit

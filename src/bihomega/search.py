@@ -50,36 +50,30 @@ def iter_map_families(a: OmegaAlgebra, bound: int):
         yield maps
 
 
-def search_rbf(
-    a: OmegaAlgebra, bound: int, weight, cap: int = DEFAULT_CAP
-) -> list[RotaBaxterFamily]:
-    """All weight-``weight`` families within the bound, in scan order."""
+def iter_rbf(a: OmegaAlgebra, bound: int, weight, cap: int = DEFAULT_CAP):
+    """The weight-``weight`` families within the bound, lazily in scan order;
+    the bound and cap are checked when the first one is asked for."""
     _require_enumerable(a, bound, cap)
     weight = Rat(weight)
-    hits = []
     for maps in iter_map_families(a, bound):
         rb = RotaBaxterFamily(weight, maps)
         if check_rota_baxter(a, rb) is None:
-            hits.append(rb)
-    return hits
+            yield rb
+
+
+def search_rbf(a: OmegaAlgebra, bound: int, weight, cap: int = DEFAULT_CAP) -> list[RotaBaxterFamily]:
+    """All weight-``weight`` families within the bound, in scan order."""
+    return list(iter_rbf(a, bound, weight, cap))
 
 
 def is_scalar_family(maps: dict, dim: int) -> bool:
     """Every map a scalar multiple of the identity."""
-    for m in maps.values():
-        diag = m.at(0, 0) if dim else None
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    if m.at(i, j) != diag:
-                        return False
-                elif m.at(i, j):
-                    return False
-    return True
+    return not dim or all(m == Mat.scalar(dim, m.at(0, 0)) for m in maps.values())
 
 
-def first_nonscalar(families: list):
-    """First family (any object with ``maps``) that is not scalar."""
+def first_nonscalar(families):
+    """First family (any object with ``maps``) that is not scalar; reads an
+    iterator only up to it."""
     for fam in families:
         dim = next(iter(fam.maps.values())).rows if fam.maps else 0
         if not is_scalar_family(fam.maps, dim):

@@ -48,6 +48,12 @@ or factored evaluation that production uses:
   order (production: the signed ``circ_i`` sums of ``deformation``, one
   per order of the jet equation and one each for mu^N and its defect).
 
+* :func:`validate_bimodule_oracle` and :func:`rbf_action_scan_oracle` --
+  the scan chains of the bimodule validators with every scan run, also one
+  that repeats an earlier scan's arguments (production:
+  ``bimodule.validate_bimodule`` and ``bimodule._rbf_action_scan``, which
+  skip such a scan through ``algebra._chain``).
+
 Structural helpers that only tests need close the module:
 :func:`commutes` multiplies two matrices both ways, :func:`algebra_equal` and
 :func:`bimodule_equal` compare structures field by field, and :func:`section_shift` moves the section of an extension
@@ -57,6 +63,8 @@ presentation by an equivariant degree-1 cochain.
 from fractions import Fraction
 from itertools import combinations, product
 
+from bihomega.algebra import _assoc_scan, _column_witness, _commute_scan, _intertwining_scan, _weighted_scan
+from bihomega.bimodule import ensure_bimodule_shapes
 from bihomega.cochain import Cochain, _tuple_rank, maps_from_cochain
 from bihomega.deformation import deformed_mu
 from bihomega.errors import MalformedInputError, PreconditionError
@@ -893,6 +901,40 @@ def trivial_deformation_check(a, nf):
         "family_absorbs_square": tri5,
         "polynomial_intertwiner": intertwines,
     }
+
+
+# -- validator scan chains ------------------------------------------------
+
+
+def validate_bimodule_oracle(b):
+    """``bimodule.validate_bimodule`` with every scan of its chain run, in
+    order, including those that repeat an earlier scan's arguments."""
+    ensure_bimodule_shapes(b)
+    a = b.base
+    om, d, dm = a.omega, a.dim, b.dim_m
+    ap, aq, mp, mq, mu, lt, rt = a.pmap, a.qmap, b.pmap, b.qmap, a.product, b.left, b.right
+    for x in om.elements():
+        for y in om.elements():
+            witness = _column_witness("module-pq-commute", (x, y), mp[x].mul(mq[y]), mq[y].mul(mp[x]))
+            if witness is not None:
+                return witness
+    return (
+        _intertwining_scan(("left-module-p", "left-module-q"), om, ((mp, lt, lt, ap, mp), (mq, lt, lt, aq, mq)))
+        or _assoc_scan("left-module-assoc", om, (d, d, dm, dm), lt, lt, lt, mu, ap, mq)
+        or _intertwining_scan(("right-module-p", "right-module-q"), om, ((mp, rt, rt, mp, ap), (mq, rt, rt, mq, aq)))
+        or _assoc_scan("right-module-assoc", om, (dm, d, d, dm), rt, mu, rt, rt, mp, aq)
+        or _assoc_scan("bimodule-mixed", om, (d, dm, d, dm), lt, rt, rt, lt, ap, aq)
+    )
+
+
+def rbf_action_scan_oracle(b, rb):
+    """``bimodule._rbf_action_scan`` with both weighted scans always run."""
+    om, t, r = b.base.omega, b.tmap, rb.maps
+    return (
+        _commute_scan(om, t, (("t-p-commute", b.pmap), ("t-q-commute", b.qmap)))
+        or _weighted_scan("rbf-bimodule-left", om, b.left, r, t, t, rb.weight, b.dim_m)
+        or _weighted_scan("rbf-bimodule-right", om, b.right, t, r, t, rb.weight, b.dim_m)
+    )
 
 
 # -- structural helpers for tests ----------------------------------------

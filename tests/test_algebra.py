@@ -20,7 +20,7 @@ from bihomega.algebra import (
     zero_algebra,
     zero_rb,
 )
-from bihomega.errors import MalformedInputError, PreconditionError
+from bihomega.errors import InternalCheckError, MalformedInputError, PreconditionError
 from bihomega.linalg import Mat
 from bihomega.monoid import cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, ZERO, Rat
@@ -270,3 +270,44 @@ def test_map_family_shape_messages(e1, e1_ctx):
         with pytest.raises(MalformedInputError) as info:
             call()
         assert str(info.value) == message
+
+
+# -- the sample search stops at its first non-scalar hit -----------------------
+
+
+def test_searched_rb_is_the_first_nonscalar_family_of_the_full_search(e1):
+    c2 = samples.build_c2_example(0)
+    for a in (e1, c2):
+        for w in (Rat(-1), Rat(0), Rat(1)):
+            want = first_nonscalar(search_rbf(a, 1, w))
+            if want is None:
+                with pytest.raises(InternalCheckError, match=f"no non-scalar family found at weight {w}"):
+                    samples.searched_rb(a, w)
+            else:
+                got = samples.searched_rb(a, w)
+                assert (got.weight, got.maps) == (want.weight, want.maps)
+    assert first_nonscalar(search_rbf(e1, 1, Rat(0))) is None  # the refusal above was reached
+
+
+def test_searched_rb_refuses_past_the_cap_as_the_full_search_does():
+    c2 = samples.build_c2_example(0)
+    with pytest.raises(PreconditionError) as full:
+        search_rbf(c2, 2, Rat(-1))
+    with pytest.raises(PreconditionError) as first:
+        samples.searched_rb(c2, Rat(-1), bound=2)
+    assert str(first.value) == str(full.value) == "enumeration size 390625 exceeds cap 200000; use a smaller bound"
+
+
+def test_searched_rb_stops_at_the_hit(monkeypatch, e1):
+    from bihomega import search
+
+    checked = []
+    original = search.check_rota_baxter
+    monkeypatch.setattr(search, "check_rota_baxter", lambda a, rb: checked.append(rb) or original(a, rb))
+    for a, want, total in ((e1, 33, 81), (samples.build_c2_example(0), 2625, 6561)):
+        checked.clear()
+        hit = samples.searched_rb(a, Rat(-1))
+        assert len(checked) == want and checked[-1] is hit
+        checked.clear()
+        search_rbf(a, 1, Rat(-1))
+        assert len(checked) == total

@@ -1,13 +1,18 @@
+import json
 import random
+from collections import Counter
 
 import pytest
-from oracles import bimodule_equal
+from conftest import FIXTURES, fixture_path, fixture_text
+from generators import random_valid_algebra, random_valid_pair
+from oracles import bimodule_equal, rbf_action_scan_oracle, validate_bimodule_oracle
 
 from bihomega import samples
-from bihomega.algebra import validate_algebra, zero_rb
+from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, validate_algebra, zero_rb
 from bihomega.bimodule import (
     BimoduleAlgebraData,
     OmegaBimodule,
+    _rbf_action_scan,
     induced_module_star,
     rbf_semidirect,
     regular_bimodule,
@@ -21,6 +26,7 @@ from bihomega.errors import PreconditionError
 from bihomega.linalg import Mat
 from bihomega.monoid import trivial_monoid
 from bihomega.rationals import ONE, ZERO, Rat
+from bihomega.serialization import parse_workbench
 
 
 def copy_actions(b):
@@ -204,3 +210,120 @@ def test_induced_module_on_random_rbf_instances(e1_ctx, c2_ctx, e0_ctx):
 
 def test_bimodule_equal_helper(e1_regular):
     assert bimodule_equal(e1_regular, e1_regular)
+
+
+# -- scans that coincide run once ---------------------------------------------
+
+
+def _copied(b, tmap=None):
+    """A bimodule with fresh copies of b's actions and maps (equal, not identical)."""
+    def mats(fam):
+        return None if fam is None else {k: Mat(m.rows, m.cols, list(m.entries)) for k, m in fam.items()}
+
+    left, right = copy_actions(b)
+    return OmegaBimodule(b.base, b.dim_m, left, right, mats(b.pmap), mats(b.qmap), mats(tmap or b.tmap))
+
+
+def _perturbed(rng, b, field):
+    """A copy of b with one entry of ``field`` (left, right, pmap, qmap or tmap) raised by one."""
+    out = _copied(b)
+    fam = getattr(out, field)
+    key = rng.choice(sorted(fam))
+    if field in ("left", "right"):
+        t = fam[key]
+        i = rng.randrange(len(t))
+        j = rng.randrange(len(t[i]))
+        t[i][j][rng.randrange(len(t[i][j]))] += ONE
+    else:
+        fam[key].entries[rng.randrange(len(fam[key].entries))] += ONE
+    return out
+
+
+def _assert_scans_match_oracles(b, rb=None):
+    assert validate_bimodule(b) == validate_bimodule_oracle(b)
+    if rb is not None and b.tmap is not None:
+        assert _rbf_action_scan(b, rb) == rbf_action_scan_oracle(b, rb)
+
+
+def _fixture_bimodules():
+    """(name, bimodule, family or None) of every fixture with a bimodule block."""
+    out = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        if "schema" not in json.loads(path.read_text(encoding="utf-8")):
+            continue
+        wf = parse_workbench(path.read_text(encoding="utf-8"))
+        if wf.bimodule is not None:
+            out.append((path.name, wf.bimodule, wf.rota_baxter))
+    return out
+
+
+def test_deduplicated_scans_match_the_full_chains_on_every_fixture_bimodule():
+    cases = _fixture_bimodules()
+    assert len(cases) == 9
+    regular = 0
+    for name, b, rb in cases:
+        _assert_scans_match_oracles(b, rb)
+        _assert_scans_match_oracles(_copied(b), rb)
+        regular += b.left == b.right == b.base.product and rb is not None and b.tmap == rb.maps
+    assert regular == 8  # M = A with T = R: the repeated scans are skipped
+
+
+def test_deduplicated_scans_match_the_full_chains_on_random_bimodules():
+    for seed in range(12):
+        rng = random.Random(seed)
+        a, b = random_valid_pair(rng)
+        t = {x: Mat.zeros(b.dim_m, b.dim_m) for x in a.omega.elements()}
+        _assert_scans_match_oracles(_copied(b, tmap=t), zero_rb(a, Rat(rng.choice((-1, 0, 1)))))
+
+
+def test_deduplicated_scans_match_the_full_chains_on_perturbed_regular_bimodules():
+    """Regular bimodules of seeded random algebras with T = R (R zero or
+    -weight times the identity, both Rota-Baxter on any algebra), then every
+    single-entry perturbation kind of their actions and maps, and of the
+    algebra's own product (shared by both actions, so the left scans fail)."""
+    checked = 0
+    for seed in range(10):
+        rng = random.Random(100 + seed)
+        a = random_valid_algebra(rng)
+        w = Rat(rng.choice((-1, 1, 2)))
+        constant = RotaBaxterFamily(w, {x: Mat.scalar(a.dim, -w) for x in a.omega.elements()})
+        rb = rng.choice((zero_rb(a, w), constant))
+        b = regular_bimodule(a, rb)
+        assert validate_bimodule(b) is None and _rbf_action_scan(b, rb) is None
+        _assert_scans_match_oracles(b, rb)
+        for field in ("left", "right", "pmap", "qmap", "tmap"):
+            for _ in range(3):
+                _assert_scans_match_oracles(_perturbed(rng, b, field), rb)
+                checked += 1
+        product = {k: [[list(col) for col in plane] for plane in t] for k, t in a.product.items()}
+        key = rng.choice(sorted(product))
+        product[key][rng.randrange(a.dim)][rng.randrange(a.dim)][rng.randrange(a.dim)] += ONE
+        broken = OmegaAlgebra(a.omega, a.dim, product, a.pmap, a.qmap)
+        _assert_scans_match_oracles(regular_bimodule(broken, rb), rb)
+    assert checked == 150
+
+
+def test_validate_runs_one_scan_per_kind_on_a_regular_bimodule(monkeypatch):
+    """On e1_rbf.json (M = A, T = R) a bimodule check runs one twisted
+    associativity scan, one intertwining scan and one weighted scan; the
+    full chains run three, two and two."""
+    import oracles
+
+    from bihomega import bimodule, cli
+
+    counts = Counter()
+    for module in (bimodule, oracles):
+        for name in ("_assoc_scan", "_intertwining_scan", "_weighted_scan"):
+            original = getattr(module, name)
+            tag = (module.__name__.split(".")[-1], name)
+            monkeypatch.setattr(module, name, lambda *a, _f=original, _t=tag: counts.update([_t]) or _f(*a))
+    report, code = cli.run_command(["--no-timing", "validate", fixture_path("e1_rbf.json")])
+    assert code == 0 and report["checks"]["bimodule"] == report["checks"]["rbf_bimodule"] == "ok"
+    assert counts == {("bimodule", "_assoc_scan"): 1, ("bimodule", "_intertwining_scan"): 1,
+                      ("bimodule", "_weighted_scan"): 1}
+    counts.clear()
+    wf = parse_workbench(fixture_text("e1_rbf.json"))
+    assert validate_bimodule_oracle(wf.bimodule) is None
+    assert rbf_action_scan_oracle(wf.bimodule, wf.rota_baxter) is None
+    assert counts == {("oracles", "_assoc_scan"): 3, ("oracles", "_intertwining_scan"): 2,
+                      ("oracles", "_weighted_scan"): 2}

@@ -15,7 +15,7 @@ from oracles import (
     solve_oracle,
 )
 
-from bihomega import rbf, samples
+from bihomega import cochain, rbf, samples
 from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, Witness, zero_rb
 from bihomega.bimodule import OmegaBimodule, regular_bimodule, zero_bimodule
 from bihomega.cochain import (
@@ -24,6 +24,7 @@ from bihomega.cochain import (
     apply_delta,
     cohomology_dims,
     delta_op,
+    equivariant_basis,
     is_equivariant,
     random_equivariant,
 )
@@ -572,3 +573,108 @@ def test_chain_map_witness_matches_dense_comparison(e1_ctx, c2_ctx):
         witness = chain_map_check(broken, 2)
         assert witness is not None
         assert witness == _dense_chain_map_witness(broken, 2)
+
+
+# -- one equivariance system per context ------------------------------------
+
+
+def _fresh(ctx):
+    """The context's algebra and family over a new regular bimodule, with empty caches."""
+    return RbfContext(ctx.algebra, ctx.rb, regular_bimodule(ctx.algebra, ctx.rb))
+
+
+def _context_results(ctx, rng):
+    """The three tables to degree 3, the chain map check, the combined kernels
+    and solves of the combined coboundaries of random cochains."""
+    tables = {name: rep.to_json() for name, rep in rbfa_cohomology_dims(ctx, 3).items()}
+    kernels = [combined_kernel(ctx, n) for n in range(4)]
+    solves = []
+    for n in (1, 2):
+        x = combined_from_coords(ctx, n, [Rat(rng.randint(-2, 2)) for _ in range(combined_dim(ctx, n))])
+        solves.append(solve_combined(ctx, n, d_combined(ctx, x, check=False)))
+    return tables, chain_map_check(ctx, 3), kernels, solves
+
+
+def test_star_bimodule_reads_the_context_bimodules_equivariance_data(e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
+    for ctx in (e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
+        b, sb = ctx.bimodule, ctx.star_bimodule()
+        assert cochain._equivariance(sb) is cochain._equivariance(b) is b._cache
+        for n in range(4):
+            assert equivariant_basis(sb, n) is equivariant_basis(b, n) is ctx.basis(n)
+        for n in range(1, 4):
+            for om_tuple in b.base.omega.tuples(n):
+                assert cochain._constraint_rows(sb, om_tuple) is cochain._constraint_rows(b, om_tuple)
+                assert cochain._constraint_columns(sb, om_tuple) is cochain._constraint_columns(b, om_tuple)
+
+
+def test_context_basis_does_not_build_the_star_bimodule(e1_ctx):
+    ctx = _fresh(e1_ctx)
+    ctx.basis(2)
+    assert "star_bimodule" not in ctx._cache
+
+
+def test_each_twist_signature_is_built_once_per_context(monkeypatch, c2_ctx):
+    """The tables, chain map check and kernels of both bimodules of a
+    context build each constraint system once; a star bimodule that did
+    not share would build each of them a second time."""
+    original = cochain._constraint_rows
+
+    def count(sharing):
+        built = []
+
+        def counting(bb, om_tuple):
+            sig = cochain._twist_signature(bb, om_tuple)
+            if ("constraint_rows", sig) not in cochain._equivariance(bb):
+                built.append(sig)
+            return original(bb, om_tuple)
+
+        with monkeypatch.context() as m:
+            m.setattr(cochain, "_constraint_rows", counting)
+            if not sharing:
+                m.setattr(rbf, "_share_equivariance", lambda source, target: None)
+            ctx = _fresh(c2_ctx)
+            rbfa_cohomology_dims(ctx, 3)
+            assert chain_map_check(ctx, 3) is None
+            combined_kernel(ctx, 2)
+        return built
+
+    shared, alone = count(True), count(False)
+    assert shared and len(shared) == len(set(shared))
+    assert sorted(alone) == sorted(shared * 2)
+
+
+def test_sharing_leaves_tables_chain_map_kernels_and_solves_unchanged(
+    monkeypatch, e0_ctx, e1_ctx, zero1_ctx, c2_ctx
+):
+    for ctx in (e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
+        with monkeypatch.context() as m:
+            m.setattr(rbf, "_share_equivariance", lambda source, target: None)
+            alone = _fresh(ctx)
+            want = _context_results(alone, random.Random(5))
+            assert alone.star_bimodule()._cache.get(("equivariant_basis", 1)) is not alone.basis(1)
+        shared = _fresh(ctx)
+        assert _context_results(shared, random.Random(5)) == want
+        assert cochain._equivariance(shared.star_bimodule()) is shared.bimodule._cache
+
+
+def test_star_bimodule_with_other_structure_maps_is_refused(monkeypatch, e1_ctx, c2_ctx):
+    real = rbf.induced_module_star
+
+    def skewed(b, rb, check=True):
+        sb = real(b, rb, check=check)
+        sb.qmap = {x: m.scale(2) for x, m in sb.qmap.items()}
+        return sb
+
+    monkeypatch.setattr(rbf, "induced_module_star", skewed)
+    ctx = _fresh(e1_ctx)
+    with pytest.raises(InternalCheckError, match="different structure maps"):
+        ctx.star_bimodule()
+    assert "star_bimodule" not in ctx._cache
+    b = regular_bimodule(c2_ctx.algebra)
+    reordered = OmegaBimodule(b.base, b.dim_m, b.left, b.right, dict(reversed(b.pmap.items())), b.qmap)
+    assert reordered.pmap == b.pmap
+    with pytest.raises(InternalCheckError, match="different structure maps"):
+        cochain._share_equivariance(b, reordered)
+    same = OmegaBimodule(b.base, b.dim_m, b.left, b.right, dict(b.pmap), dict(b.qmap))
+    cochain._share_equivariance(b, same)
+    assert cochain._equivariance(same) is b._cache

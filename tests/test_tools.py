@@ -26,3 +26,67 @@ def test_ab_pairs_refuses_when_only_one_checkout_holds_bytecode(tmp_path, capsys
     assert f"only the parent checkout {cached} holds src/bihomega/__pycache__" in capsys.readouterr().err
     assert main(["--parent", str(bare), "--change", str(cached), *common]) == 2
     assert f"only the change checkout {cached} holds src/bihomega/__pycache__" in capsys.readouterr().err
+
+
+def test_ab_pairs_prints_and_records_one_verdict_block_per_workload(tmp_path, capsys, monkeypatch):
+    """Several --workload values run in one invocation: the pairs alternate
+    sides within each workload, and each workload gets its own summary."""
+    import json
+
+    import ab_pairs
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        (side / "src" / "bihomega").mkdir(parents=True)
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    base = {"fixtures": 1.0, "ladder": 2.0}
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        k = sum(1 for c in calls if c == (checkout.name, workload))
+        wall = base[workload] * (0.9 if checkout == change and workload == "fixtures" else 1.0) + k / 1000
+        return {"wall_s": wall, "peak_rss_mb": 20.0, "correct": True, "env": {"python": "3"}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run_once)
+    out = tmp_path / "ab.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "fixtures", "--workload", "ladder",
+            "--seed", "3", "--pairs", "4", "--json", str(out)]
+    assert ab_pairs.main(argv) == 0
+    assert calls[:4] == [
+        ("parent", "fixtures"), ("change", "fixtures"), ("change", "fixtures"), ("parent", "fixtures")
+    ]
+    assert [w for _, w in calls] == ["fixtures"] * 8 + ["ladder"] * 8
+    text = capsys.readouterr().out
+    fixtures_block = text[text.index("== fixtures"):text.index("== ladder")]
+    ladder_block = text[text.index("== ladder"):]
+    assert "wall_s" in fixtures_block and "change wins 4/4" in fixtures_block and " gain" in fixtures_block
+    assert "change wins 0/4" in ladder_block and "no gain" in ladder_block
+    record = json.loads(out.read_text())
+    assert record["method"]["workloads"] == ["fixtures", "ladder"]
+    assert record["method"]["bytecode"] == {"parent": False, "change": False}
+    assert set(record["workloads"]) == {"fixtures", "ladder"}
+    fixtures = record["workloads"]["fixtures"]
+    assert [r["pair"] for r in fixtures["runs"]["change"]] == [1, 2, 3, 4]
+    assert fixtures["summary"]["wall_s"]["gain"] and fixtures["summary"]["wall_s"]["change_wins"] == 4
+    assert not record["workloads"]["ladder"]["summary"]["wall_s"]["gain"]
+    assert record["workloads"]["ladder"]["summary"]["peak_rss_mb"]["change_wins"] == 0  # ties count for neither
+
+
+def test_ab_pairs_stops_at_a_run_with_wrong_outputs(tmp_path, capsys, monkeypatch):
+    import json
+
+    import ab_pairs
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        side.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    monkeypatch.setattr(
+        ab_pairs, "run_once", lambda checkout, workload, *rest: {"wall_s": 1.0, "correct": workload != "ladder"}
+    )
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "fixtures", "--workload", "ladder",
+            "--seed", "3", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 1
+    assert "ladder pair 1: the parent run reported wrong outputs" in capsys.readouterr().err

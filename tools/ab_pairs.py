@@ -1,20 +1,24 @@
 """Alternate benchmark runs of two checkouts and compare their end-to-end metrics.
 
-    python3 tools/ab_pairs.py --parent PARENT_DIR --change . --workload brackets \\
-        --seed 7 --seconds 15 --pairs 10 [--json ab.json]
+    python3 tools/ab_pairs.py --parent PARENT_DIR --change . --workload fixtures \\
+        [--workload ladder ...] --seed 7 --seconds 15 --pairs 10 [--json ab.json]
 
 PARENT_DIR and the change are two checkouts of the repository, for example
 the parent commit unpacked by ``git archive`` and the working tree.  Each
 pair runs ``perfbench/run.py`` once in each checkout, the parent first in
-odd pairs and the change first in even ones, one run at a time.  For each
-end-to-end metric that the change's ``BENCHMARK.json`` declares, it prints
-both sides' median and quartiles (inclusive), the parent's interquartile
-range and the number of pairs the change wins (ties count for neither).  A
-gain holds when the change wins at least nine tenths of the pairs and the
-medians differ by more than the parent's interquartile range.  ``--json``
-writes every run, with the ``env`` stamp the benchmark printed, each side's
-bytecode state and the summary.  A run whose outputs were wrong (``correct``
-false) is printed and ends the comparison with exit code 1.
+odd pairs and the change first in even ones, one run at a time; the
+workloads named by ``--workload`` run one after another, ``--pairs`` pairs
+each.  For each workload and each end-to-end metric that the change's
+``BENCHMARK.json`` declares, it prints both sides' median and quartiles
+(inclusive), the parent's interquartile range and the number of pairs the
+change wins (ties count for neither), one block per workload, so that a
+claimed gain and the check that no other workload got worse come from one
+invocation.  A gain holds when the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's interquartile range.
+``--json`` writes, per workload, every run, with the ``env`` stamp the
+benchmark printed, and the summary, beside each side's bytecode state.  A
+run whose outputs were wrong (``correct`` false) is printed and ends the
+comparison with exit code 1.
 
 Both sides run with ``PYTHONDONTWRITEBYTECODE=1``, so no run writes bytecode
 that a later run could load.  A checkout that holds ``src/bihomega/__pycache__``
@@ -90,11 +94,29 @@ def summarize(parent: list, change: list, better: dict) -> dict:
     return out
 
 
+def run_pairs(args, workload: str, better: dict) -> dict | None:
+    """``args.pairs`` alternating pairs on one workload: both sides' runs, or
+    None when a run reported wrong outputs."""
+    runs = {"parent": [], "change": []}
+    for pair in range(1, args.pairs + 1):
+        order = ("parent", "change") if pair % 2 else ("change", "parent")
+        for side in order:
+            run = run_once(getattr(args, side), workload, args.seed, args.seconds)
+            run["pair"] = pair
+            runs[side].append(run)
+            values = " ".join(f"{k}={run[k]:.6g}" for k in better)
+            print(f"{workload} pair {pair} {side:6} {values}", flush=True)
+            if not run["correct"]:
+                print(f"{workload} pair {pair}: the {side} run reported wrong outputs", file=sys.stderr)
+                return None
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, default=Path("."))
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several workloads")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--pairs", type=int, default=10)
@@ -111,35 +133,31 @@ def main(argv=None) -> int:
         return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    runs = {"parent": [], "change": []}
-    for pair in range(1, args.pairs + 1):
-        order = ("parent", "change") if pair % 2 else ("change", "parent")
-        for side in order:
-            run = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
-            run["pair"] = pair
-            runs[side].append(run)
-            print(f"pair {pair} {side:6} " + " ".join(f"{k}={run[k]:.6g}" for k in better), flush=True)
-            if not run["correct"]:
-                print(f"pair {pair}: the {side} run reported wrong outputs", file=sys.stderr)
-                return 1
-    summary = summarize(runs["parent"], runs["change"], better)
-    for name, s in summary.items():
-        p, c = s["parent"], s["change"]
-        print(
-            f"{name:12} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
-            f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
-            f"  change wins {s['change_wins']}/{s['pairs']}  parent IQR {s['parent_iqr']:.3g}"
-            f"  {'gain' if s['gain'] else 'no gain'}"
-        )
+    results = {}
+    for workload in args.workload:
+        runs = run_pairs(args, workload, better)
+        if runs is None:
+            return 1
+        results[workload] = {"runs": runs, "summary": summarize(runs["parent"], runs["change"], better)}
+    for workload, result in results.items():
+        print(f"== {workload}")
+        for name, s in result["summary"].items():
+            p, c = s["parent"], s["change"]
+            print(
+                f"{name:12} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+                f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+                f"  change wins {s['change_wins']}/{s['pairs']}  parent IQR {s['parent_iqr']:.3g}"
+                f"  {'gain' if s['gain'] else 'no gain'}"
+            )
     if args.json:
         method = {
-            "workload": args.workload,
+            "workloads": args.workload,
             "seed": args.seed,
             "seconds": args.seconds,
             "pairs": args.pairs,
             "bytecode": bytecode,
         }
-        args.json.write_text(json.dumps({"method": method, "runs": runs, "summary": summary}, indent=1) + "\n")
+        args.json.write_text(json.dumps({"method": method, "workloads": results}, indent=1) + "\n")
     return 0
 
 
