@@ -40,6 +40,8 @@ witness are part of the contract; ``fixtures/witnesses.json`` pins them.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import NamedTuple
 
 from .errors import MalformedInputError, PreconditionError
@@ -118,24 +120,27 @@ def _column_witness(name: str, idx: tuple, lhs: Mat, rhs: Mat) -> Witness | None
     return None
 
 
-def _commute_scan(om: Monoid, t: dict, checks) -> Witness | None:
-    """m[a] t[a] = t[a] m[a] for each (name, m) in checks, over a."""
+def _commute_scan(names: tuple, om: Monoid, t: dict, maps: tuple) -> Witness | None:
+    """m[a] t[a] = t[a] m[a] for each m in ``maps``, named by ``names``, over a."""
     return _first(
         _column_witness(name, (x,), m[x].mul(t[x]), t[x].mul(m[x]))
         for x in om.elements()
-        for name, m in checks
+        for name, m in zip(names, maps)
     )
+
+
+_PASSED: ContextVar = ContextVar("passed_scans")  # the scans that passed in the running validation
 
 
 def _chain(*scans) -> Witness | None:
     """The first witness of ``scans``, triples (scan, name, args) run in order.
 
     A scan whose function and arguments equal, entry for entry, those of a
-    scan that already passed in this chain is skipped.  That is exact: a scan
-    is a pure function of its arguments (the name only labels its witness),
-    so it would pass again.
+    scan that passed in this chain or an earlier one of the validation
+    (:func:`_one_validation`) is skipped.  That is exact: a scan is a pure
+    function of its arguments (the name only labels it), so it would pass.
     """
-    passed = []
+    passed = _PASSED.get([])
     for scan, name, args in scans:
         if (scan, args) not in passed:
             witness = scan(name, *args)
@@ -143,6 +148,17 @@ def _chain(*scans) -> Witness | None:
                 return witness
             passed.append((scan, args))
     return None
+
+
+@contextmanager
+def _one_validation():
+    """The chains run inside the block are one validation and share the scans
+    that passed (on a regular bimodule with T = R, its scans repeat the algebra's)."""
+    token = _PASSED.set([])
+    try:
+        yield
+    finally:
+        _PASSED.reset(token)
 
 
 def _intertwining_scan(names: tuple, om: Monoid, checks) -> Witness | None:
@@ -311,16 +327,14 @@ def validate_algebra(a: OmegaAlgebra) -> Witness | None:
     """
     ensure_algebra_shapes(a)
     om, p, q, mu = a.omega, a.pmap, a.qmap, a.product
-    return (
-        _first(
-            _column_witness("pq-commute", (x, y), p[x].mul(q[y]), q[y].mul(p[x]))
-            for x in om.elements()
-            for y in om.elements()
-        )
-        or _intertwining_scan(
-            ("multiplicativity-p", "multiplicativity-q"), om, ((p, mu, mu, p, p), (q, mu, mu, q, q))
-        )
-        or _assoc_scan("bihom-associativity", om, (a.dim,) * 4, mu, mu, mu, mu, p, q)
+    return _first(
+        _column_witness("pq-commute", (x, y), p[x].mul(q[y]), q[y].mul(p[x]))
+        for x in om.elements()
+        for y in om.elements()
+    ) or _chain(
+        (_intertwining_scan, ("multiplicativity-p", "multiplicativity-q"),
+         (om, ((p, mu, mu, p, p), (q, mu, mu, q, q)))),
+        (_assoc_scan, "bihom-associativity", (om, (a.dim,) * 4, mu, mu, mu, mu, p, q)),
     )
 
 
@@ -329,9 +343,9 @@ def check_rota_baxter(a: OmegaAlgebra, rb: RotaBaxterFamily) -> Witness | None:
     with * the star product of :func:`star_product`."""
     ensure_family(rb.maps, a.omega, a.dim, a.dim, "Rota-Baxter map")
     r = rb.maps
-    return (
-        _commute_scan(a.omega, r, (("rb-p-commute", a.pmap), ("rb-q-commute", a.qmap)))
-        or _weighted_scan("rota-baxter", a.omega, a.product, r, r, r, rb.weight, a.dim)
+    return _chain(
+        (_commute_scan, ("rb-p-commute", "rb-q-commute"), (a.omega, r, (a.pmap, a.qmap))),
+        (_weighted_scan, "rota-baxter", (a.omega, a.product, r, r, r, rb.weight, a.dim)),
     )
 
 

@@ -260,7 +260,8 @@ def _rbf_action_scan(b: OmegaBimodule, rb: RotaBaxterFamily) -> Witness | None:
     coincides with the left one, which passed (:func:`bihomega.algebra._chain`),
     as on the regular bimodule with T = R."""
     om, t, r, w, dm = b.base.omega, b.tmap, rb.maps, rb.weight, b.dim_m
-    return _commute_scan(om, t, (("t-p-commute", b.pmap), ("t-q-commute", b.qmap))) or _chain(
+    return _chain(
+        (_commute_scan, ("t-p-commute", "t-q-commute"), (om, t, (b.pmap, b.qmap))),
         (_weighted_scan, "rbf-bimodule-left", (om, b.left, r, t, t, w, dm)),
         (_weighted_scan, "rbf-bimodule-right", (om, b.right, t, r, t, w, dm)),
     )

@@ -25,7 +25,7 @@ from collections import Counter
 from itertools import chain
 
 from .bimodule import OmegaBimodule
-from .linalg import Mat, _kron, _supports
+from .linalg import _kron, _supports
 from .rationals import ONE, ZERO
 
 
@@ -41,26 +41,26 @@ def structure_classes(b: OmegaBimodule) -> tuple:
     if hit is None:
         a = b.base
 
-        def intern(family: dict, flat) -> dict:
-            ids: dict = {}
-            return {key: ids.setdefault(flat(v), len(ids)) for key, v in family.items()}
-
-        def matrix(mat: Mat) -> tuple:
-            return tuple(mat.entries)
-
         def tensor(t) -> tuple:
             return tuple(map(tuple, chain.from_iterable(t)))
 
         hit = b._cache["structure_classes"] = (
-            intern(a.pmap, matrix),
-            intern(a.qmap, matrix),
+            intern(a.pmap),
+            intern(a.qmap),
             intern(a.product, tensor),
             intern(b.left, tensor),
             intern(b.right, tensor),
-            intern(b.pmap, matrix),
-            intern(b.qmap, matrix),
+            intern(b.pmap),
+            intern(b.qmap),
         )
     return hit
+
+
+def intern(family: dict, flat=lambda mat: tuple(mat.entries)) -> dict:
+    """Class ids of a family's values, by default matrices: two keys share an
+    id when ``flat`` of their values agree (entry for entry)."""
+    ids: dict = {}
+    return {key: ids.setdefault(flat(v), len(ids)) for key, v in family.items()}
 
 
 def coboundary_plan(b: OmegaBimodule, n: int) -> "CoboundaryPlan":

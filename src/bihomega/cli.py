@@ -25,6 +25,7 @@ import sys
 import time
 
 from .algebra import (
+    _one_validation,
     _refuse_witness,
     check_rota_baxter,
     is_homomorphism,
@@ -94,18 +95,19 @@ def cmd_validate(args) -> tuple[dict, int]:
         return {"checks": {"monoid": violation.describe()}}, EXIT_WITNESS
     checks["monoid"] = "ok"
     witness = None
-    if wf.algebra is not None:
-        witness = validate_algebra(wf.algebra)
-        checks["algebra"] = "ok" if witness is None else "witness"
-    if witness is None and wf.algebra is not None and wf.rota_baxter is not None:
-        witness = check_rota_baxter(wf.algebra, wf.rota_baxter)
-        checks["rota_baxter"] = "ok" if witness is None else "witness"
-    if witness is None and wf.bimodule is not None:
-        witness = validate_bimodule(wf.bimodule)
-        checks["bimodule"] = "ok" if witness is None else "witness"
-        if witness is None and wf.bimodule.tmap is not None and wf.rota_baxter is not None:
-            witness = _rbf_action_scan(wf.bimodule, wf.rota_baxter)  # its preconditions passed above
-            checks["rbf_bimodule"] = "ok" if witness is None else "witness"
+    with _one_validation():  # a stage skips the scans that an earlier one passed
+        if wf.algebra is not None:
+            witness = validate_algebra(wf.algebra)
+            checks["algebra"] = "ok" if witness is None else "witness"
+        if witness is None and wf.algebra is not None and wf.rota_baxter is not None:
+            witness = check_rota_baxter(wf.algebra, wf.rota_baxter)
+            checks["rota_baxter"] = "ok" if witness is None else "witness"
+        if witness is None and wf.bimodule is not None:
+            witness = validate_bimodule(wf.bimodule)
+            checks["bimodule"] = "ok" if witness is None else "witness"
+            if witness is None and wf.bimodule.tmap is not None and wf.rota_baxter is not None:
+                witness = _rbf_action_scan(wf.bimodule, wf.rota_baxter)  # its preconditions passed above
+                checks["rbf_bimodule"] = "ok" if witness is None else "witness"
     out = {"checks": checks}
     if witness is not None:
         out["witness"] = witness.to_json()

@@ -486,11 +486,6 @@ class SparseOp:
         self.ncols = ncols
         self.cols = cols
 
-    @classmethod
-    def from_dicts(cls, nrows: int, ncols: int, colmaps: list) -> "SparseOp":
-        """From one {row: coeff} dict per column; zero coefficients are dropped."""
-        return cls(nrows, ncols, [[(row, v) for row, v in cm.items() if v] for cm in colmaps])
-
     def apply_dense(self, vec) -> list:
         out = [ZERO] * self.nrows
         for col, v in enumerate(vec):
@@ -519,7 +514,7 @@ def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
 
     For n >= 1 each pair (output tuple, source tuple) of
     :func:`bihomega.blocks.coboundary_plan` places its pair key's shared
-    block at the pair's offsets.
+    block at the pair's offsets (:func:`_place_blocks`).
     """
     cache_key = ("delta_op", n)
     hit = b._cache.get(cache_key)
@@ -529,33 +524,33 @@ def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
     d, m = a.dim, b.dim_m
     ncols, nrows = _raw_size(b, n), _raw_size(b, n + 1)
     if n == 0:
-        # (a |> m at (x, unit)) - (m <| a at (unit, x))
-        unit = a.omega.unit
-        colmaps = [dict() for _ in range(ncols)]
+        # (a |> m at (x, unit)) - (m <| a at (unit, x)), one block per output tuple x
+        unit, rows = a.omega.unit, [(j, k) for j in range(d) for k in range(m)]
+        placed = []
         for x in a.omega.elements():
-            lt = b.left[(x, unit)]
-            rt = b.right[(unit, x)]
-            for j in range(d):
-                for k in range(m):
-                    row = (x * d + j) * m + k
-                    for l in range(m):
-                        cm = colmaps[l]
-                        cm[row] = cm.get(row, ZERO) + lt[j][l][k] - rt[l][j][k]
-        op = SparseOp.from_dicts(nrows, ncols, colmaps)
+            lt, rt = b.left[(x, unit)], b.right[(unit, x)]
+            block = [[(j * m + k, c) for j, k in rows if (c := ZERO + lt[j][l][k] - rt[l][j][k])]
+                     for l in range(m)]
+            placed.append((0, x, block))
     else:
         plan = coboundary_plan(b, n)
-        in_width, out_width = d**n * m, d ** (n + 1) * m
-        cols = [[] for _ in range(ncols)]
-        for s, faces in enumerate(plan.faces):
-            col0 = s * in_width
-            for t, key in faces:
-                row0 = t * out_width
-                for c, entries in enumerate(plan.block(b, key), start=col0):
-                    if entries:
-                        cols[c] += [(row0 + r, v) for r, v in entries] if row0 else entries
-        op = SparseOp(nrows, ncols, cols)
+        placed = ((s, t, plan.block(b, key)) for s, faces in enumerate(plan.faces) for t, key in faces)
+    op = _place_blocks(nrows, ncols, d**n * m, d ** (n + 1) * m, placed)
     b._cache[cache_key] = op
     return op
+
+
+def _place_blocks(nrows: int, ncols: int, in_width: int, out_width: int, placed) -> SparseOp:
+    """The SparseOp of shared blocks, ``placed`` yielding (source block s,
+    output block t, block): local column c of the block, [(local row r,
+    coeff)], lands in column s * in_width + c, rows t * out_width + r."""
+    cols = [[] for _ in range(ncols)]
+    for s, t, block in placed:
+        row0 = t * out_width
+        for c, entries in enumerate(block, start=s * in_width):
+            if entries:
+                cols[c] += [(row0 + r, v) for r, v in entries] if row0 else entries
+    return SparseOp(nrows, ncols, cols)
 
 
 def _require_shape(b: OmegaBimodule, f: Cochain):

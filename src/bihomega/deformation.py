@@ -79,7 +79,7 @@ def check_nijenhuis(a: OmegaAlgebra, nf: NijenhuisFamily) -> Witness | None:
     """Structure-map commutation, then the deformed-product identity."""
     om, d, n = a.omega, a.dim, nf.maps
     ensure_family(n, om, d, d, "Nijenhuis map")
-    witness = _commute_scan(om, n, (("nijenhuis-p-commute", a.pmap), ("nijenhuis-q-commute", a.qmap)))
+    witness = _commute_scan(("nijenhuis-p-commute", "nijenhuis-q-commute"), om, n, (a.pmap, a.qmap))
     if witness is not None:
         return witness
     for x in om.elements():

@@ -21,7 +21,7 @@ slots, weight^(n - 1 - |S|) times the bimodule operator T at the tuple
 product applied after inserting R at exactly the slots in S.  Like the
 coboundary it is compiled once per (context, degree) into a cached sparse
 matrix, :func:`phi_op`, whose columns come from the subset sum in Horner
-form (R and R + weight I once per slot, as sparse tensor products); the
+form, one block per class of (R at each slot, T at the product); the
 literal subset enumeration is kept as the oracle in ``tests/oracles.py``.
 
 The combined complex runs on sparse images.  For each degree the images of
@@ -38,9 +38,11 @@ built.  Membership of images is still checked where the theory promises it.
 from __future__ import annotations
 
 from .algebra import (
-    OmegaAlgebra, RotaBaxterFamily, Witness, _refuse_witness, check_rota_baxter, star_product, validate_algebra,
+    OmegaAlgebra, RotaBaxterFamily, Witness, _one_validation, _refuse_witness, check_rota_baxter,
+    star_product, validate_algebra,
 )
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induced_module_star
+from .blocks import intern
 from .cochain import (
     Cochain,
     CohomologyReport,
@@ -49,6 +51,7 @@ from .cochain import (
     SparseOp,
     _basis_images,
     _degree0_domain,
+    _place_blocks,
     _raw_size,
     _require_shape,
     _share_equivariance,
@@ -83,12 +86,13 @@ class RbfContext:
 
     @classmethod
     def validated(cls, algebra, rb, bimodule) -> "RbfContext":
-        _refuse_witness(validate_algebra(algebra), "algebra invalid")
-        _refuse_witness(check_rota_baxter(algebra, rb), "Rota-Baxter family invalid")
-        _require_bimodule(bimodule)
-        if bimodule.base is not algebra:  # a distinct base object gets its own check of the family
-            _refuse_witness(check_rota_baxter(bimodule.base, rb), "Rota-Baxter family invalid")
-        _refuse_witness(_rbf_action_scan(bimodule, rb), "bimodule invalid for the family")
+        with _one_validation():  # a stage skips the scans that an earlier one passed
+            _refuse_witness(validate_algebra(algebra), "algebra invalid")
+            _refuse_witness(check_rota_baxter(algebra, rb), "Rota-Baxter family invalid")
+            _require_bimodule(bimodule)
+            if bimodule.base is not algebra:  # a distinct base object gets its own check of the family
+                _refuse_witness(check_rota_baxter(bimodule.base, rb), "Rota-Baxter family invalid")
+            _refuse_witness(_rbf_action_scan(bimodule, rb), "bimodule invalid for the family")
         return cls(algebra, rb, bimodule)
 
     def star_algebra(self) -> OmegaAlgebra:
@@ -124,10 +128,35 @@ def partial(ctx: RbfContext, f: Cochain, check: bool = True) -> Cochain:
 def phi_op(ctx: RbfContext, n: int) -> SparseOp:
     """The comparison map compiled on raw degree-n coordinates (cached).
 
-    Degree 0 is the identity.  For n >= 1 the map is blockwise, and the
-    column of the raw basis cochain (alpha, j_1..j_n, l) is the subset sum
-    of :func:`phi` in Horner form, as sparse tensor products over the
-    slots: from A = 1 and P = 0, slot by slot,
+    Degree 0 is the identity.  For n >= 1 the map is block diagonal, and the
+    block of a monoid tuple alpha reads only R_{alpha_1}, ..., R_{alpha_n}
+    and T_{prod alpha}: one block is built per class of those maps (exact
+    entries, :func:`bihomega.blocks.intern`) by :func:`_phi_block`, and
+    placed at each tuple's offsets as δ's pair-key blocks are.
+    """
+    hit = ctx._cache.get(("phi_op", n))
+    if hit is not None:
+        return hit
+    om, d, m = ctx.dims()
+    size = _raw_size(ctx.bimodule, n)
+    if n == 0:
+        op = SparseOp(size, size, [[(l, ONE)] for l in range(m)])
+    else:
+        r_cls, t_cls, blocks, placed = intern(ctx.rb.maps), intern(ctx.bimodule.tmap), {}, []
+        for t, alpha in enumerate(om.tuples(n)):
+            key = (tuple([r_cls[x] for x in alpha]), t_cls[om.product_of(alpha)])
+            if key not in blocks:
+                blocks[key] = _phi_block(ctx, alpha)
+            placed.append((t, t, blocks[key]))
+        op = _place_blocks(size, size, d**n * m, d**n * m, placed)
+    ctx._cache[("phi_op", n)] = op
+    return op
+
+
+def _phi_block(ctx: RbfContext, alpha: tuple) -> list:
+    """The block of :func:`phi_op` at tuple alpha, as local columns [(local
+    row, coeff)]: column (j_1..j_n, l) is the subset sum of :func:`phi` in
+    Horner form, from A = 1 and P = 0, slot by slot,
 
         P <- P (x) row_{j_s}(R_{alpha_s} + weight I)  +  A (x) e_{j_s},
         A <- A (x) row_{j_s}(R_{alpha_s}),
@@ -136,39 +165,21 @@ def phi_op(ctx: RbfContext, n: int) -> SparseOp:
     subsets, and the column is A (x) e_l - P (x) T_{prod alpha} e_l.
     Columns that share a prefix j_1..j_s share its (A, P); no division.
     """
-    hit = ctx._cache.get(("phi_op", n))
-    if hit is not None:
-        return hit
     om, d, m = ctx.dims()
-    size = _raw_size(ctx.bimodule, n)
-    if n == 0:
-        colmaps = [{l: ONE} for l in range(m)]
-    else:
-        shifted = Mat.scalar(d, ctx.rb.weight)
-        rows_r = {x: _supports(r) for x, r in ctx.rb.maps.items()}
-        rows_rw = {x: _supports(r.add(shifted)) for x, r in ctx.rb.maps.items()}
-        colmaps = []
-        for t, alpha in enumerate(om.tuples(n)):
-            prefixes = [({0: ONE}, {})]
-            for x in alpha:
-                prefixes = [
-                    _horner_step(lifted, corr, rows_r[x][j], rows_rw[x][j], j, d)
-                    for lifted, corr in prefixes
-                    for j in range(d)
-                ]
-            t_cols = _supports(ctx.bimodule.tmap[om.product_of(alpha)], by_col=True)
-            base = t * d**n
-            for lifted, corr in prefixes:
-                for l in range(m):
-                    col = {(base + i) * m + l: c for i, c in lifted.items()}
-                    for i, c in corr.items():
-                        for k, v in t_cols[l]:
-                            row = (base + i) * m + k
-                            col[row] = col.get(row, 0) - c * v
-                    colmaps.append(col)
-    op = SparseOp.from_dicts(size, size, colmaps)
-    ctx._cache[("phi_op", n)] = op
-    return op
+    shifted, prefixes = Mat.scalar(d, ctx.rb.weight), [({0: ONE}, {})]
+    for x in alpha:
+        r_rows, rw_rows = _supports(ctx.rb.maps[x]), _supports(ctx.rb.maps[x].add(shifted))
+        prefixes = [_horner_step(a, p, r_rows[j], rw_rows[j], j, d) for a, p in prefixes for j in range(d)]
+    t_cols = _supports(ctx.bimodule.tmap[om.product_of(alpha)], by_col=True)
+    block = []
+    for lifted, corr in prefixes:
+        for l in range(m):
+            col = {i * m + l: c for i, c in lifted.items()}
+            for i, c in corr.items():
+                for k, v in t_cols[l]:
+                    col[i * m + k] = col.get(i * m + k, 0) - c * v
+            block.append([(r, v) for r, v in col.items() if v])
+    return block
 
 
 def _horner_step(lifted: dict, corr: dict, r_row: list, rw_row: list, j: int, d: int) -> tuple:
@@ -219,34 +230,26 @@ class CombinedCochain:
     def degree(self) -> int:
         return self.alg.degree
 
-    def add(self, other: "CombinedCochain") -> "CombinedCochain":
+    def _parts(self, op, other: "CombinedCochain") -> "CombinedCochain":
+        """``op`` (``Cochain.add`` or ``Cochain.sub``) on both parts."""
         if (self.rbf is None) != (other.rbf is None):
             raise MalformedInputError("combined cochain shape mismatch")
-        return CombinedCochain(
-            self.alg.add(other.alg), None if self.rbf is None else self.rbf.add(other.rbf)
-        )
+        return CombinedCochain(op(self.alg, other.alg), None if self.rbf is None else op(self.rbf, other.rbf))
+
+    def add(self, other: "CombinedCochain") -> "CombinedCochain":
+        return self._parts(Cochain.add, other)
 
     def sub(self, other: "CombinedCochain") -> "CombinedCochain":
-        if (self.rbf is None) != (other.rbf is None):
-            raise MalformedInputError("combined cochain shape mismatch")
-        return CombinedCochain(
-            self.alg.sub(other.alg), None if self.rbf is None else self.rbf.sub(other.rbf)
-        )
+        return self._parts(Cochain.sub, other)
 
     def scale(self, factor) -> "CombinedCochain":
-        return CombinedCochain(
-            self.alg.scale(factor), None if self.rbf is None else self.rbf.scale(factor)
-        )
+        return CombinedCochain(self.alg.scale(factor), None if self.rbf is None else self.rbf.scale(factor))
 
     def is_zero(self) -> bool:
         return self.alg.is_zero() and (self.rbf is None or self.rbf.is_zero())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CombinedCochain)
-            and self.alg == other.alg
-            and self.rbf == other.rbf
-        )
+        return isinstance(other, CombinedCochain) and (self.alg, self.rbf) == (other.alg, other.rbf)
 
 
 def d_combined(ctx: RbfContext, x: CombinedCochain, check: bool = True) -> CombinedCochain:

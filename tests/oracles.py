@@ -931,7 +931,7 @@ def rbf_action_scan_oracle(b, rb):
     """``bimodule._rbf_action_scan`` with both weighted scans always run."""
     om, t, r = b.base.omega, b.tmap, rb.maps
     return (
-        _commute_scan(om, t, (("t-p-commute", b.pmap), ("t-q-commute", b.qmap)))
+        _commute_scan(("t-p-commute", "t-q-commute"), om, t, (b.pmap, b.qmap))
         or _weighted_scan("rbf-bimodule-left", om, b.left, r, t, t, rb.weight, b.dim_m)
         or _weighted_scan("rbf-bimodule-right", om, b.right, t, r, t, rb.weight, b.dim_m)
     )

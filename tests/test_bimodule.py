@@ -327,3 +327,92 @@ def test_validate_runs_one_scan_per_kind_on_a_regular_bimodule(monkeypatch):
     assert rbf_action_scan_oracle(wf.bimodule, wf.rota_baxter) is None
     assert counts == {("oracles", "_assoc_scan"): 3, ("oracles", "_intertwining_scan"): 2,
                       ("oracles", "_weighted_scan"): 2}
+
+
+def test_validation_stages_share_the_scans_that_passed(monkeypatch):
+    """``validate`` and ``RbfContext.validated`` on the rbf fixtures (M = A,
+    T = R): the bimodule's left intertwining and associativity scans and its
+    T-commute and weighted scans repeat the algebra's and the family's, so
+    each kind runs once; run stage by stage, each kind runs twice."""
+    from contextlib import nullcontext
+
+    from bihomega import algebra, bimodule, cli, rbf
+
+    counts = Counter()
+    for name in ("_assoc_scan", "_intertwining_scan", "_weighted_scan", "_commute_scan"):
+        counting = (lambda f, tag: lambda *a: counts.update([tag]) or f(*a))(getattr(algebra, name), name)
+        for module in (algebra, bimodule):  # one wrapper object, so the chains still see equal scans
+            monkeypatch.setattr(module, name, counting)
+
+    def runs(name: str) -> tuple:
+        counts.clear()
+        assert cli.run_command(["--no-timing", "validate", fixture_path(name)])[1] == 0
+        by_command = dict(counts)
+        counts.clear()
+        wf = parse_workbench(fixture_text(name))
+        rbf.RbfContext.validated(wf.algebra, wf.rota_baxter, wf.bimodule)
+        return by_command, dict(counts)
+
+    names = ("e0_rbf.json", "e1_rbf.json", "zero1_rbf.json", "c2_rbf.json")
+    kinds = ("_assoc_scan", "_intertwining_scan", "_weighted_scan", "_commute_scan")
+    for name in names:
+        assert runs(name) == (dict.fromkeys(kinds, 1),) * 2, name
+    for module in (cli, rbf):
+        monkeypatch.setattr(module, "_one_validation", nullcontext)
+    for name in names:
+        assert runs(name) == (dict.fromkeys(kinds, 2),) * 2, name
+
+
+def _validation_outcomes(wf, path: str) -> tuple:
+    """The ``validate`` report and exit code of ``path``, and what
+    ``RbfContext.validated`` raises on its blocks (None when it accepts or
+    a block is missing)."""
+    from bihomega.cli import run_command
+    from bihomega.errors import WorkbenchError
+    from bihomega.rbf import RbfContext
+
+    refusal = None
+    try:
+        if None not in (wf.algebra, wf.rota_baxter, wf.bimodule):
+            RbfContext.validated(wf.algebra, wf.rota_baxter, wf.bimodule)
+    except WorkbenchError as exc:
+        refusal = (type(exc).__name__, str(exc))
+    return run_command(["--no-timing", "validate", path]), refusal
+
+
+def test_shared_validation_reports_match_stage_by_stage(monkeypatch, tmp_path):
+    """Every fixture, and each rbf fixture with one entry of its actions, its
+    module maps, T or R raised by one: ``validate``'s checks, witness and
+    exit code and ``RbfContext.validated``'s message are those of the stages
+    run one by one, without sharing scans."""
+    from contextlib import nullcontext
+
+    from bihomega import cli, rbf
+    from bihomega.serialization import WorkbenchFile, serialize_workbench
+
+    cases = [(parse_workbench(path.read_text(encoding="utf-8")), str(path))
+             for path in sorted(FIXTURES.glob("*.json"))
+             if "schema" in json.loads(path.read_text(encoding="utf-8"))]
+    rng = random.Random(61)
+    for name, b, rb in _fixture_bimodules():
+        if rb is None or b.tmap is None:
+            continue
+        wf = parse_workbench(fixture_text(name))
+        variants = [(rb, _perturbed(rng, b, field)) for field in ("left", "right", "pmap", "qmap", "tmap")]
+        maps = {x: Mat(m.rows, m.cols, list(m.entries)) for x, m in rb.maps.items()}
+        maps[0].entries[rng.randrange(len(maps[0].entries))] += ONE
+        variants.append((RotaBaxterFamily(rb.weight, maps), b))
+        for i, (family, bim) in enumerate(variants):
+            path = tmp_path / f"{i}_{name}"
+            variant = WorkbenchFile(wf.monoid, wf.monoid_names, wf.algebra, family, bim)
+            path.write_text(serialize_workbench(variant), encoding="utf-8")
+            cases.append((parse_workbench(path.read_text(encoding="utf-8")), str(path)))
+    shared = [_validation_outcomes(wf, path) for wf, path in cases]
+    for module in (cli, rbf):
+        monkeypatch.setattr(module, "_one_validation", nullcontext)
+    alone = [_validation_outcomes(wf, path) for wf, path in cases]
+    assert shared == alone
+    failed = Counter(next(k for k, v in report["checks"].items() if v == "witness")
+                     for (report, code), _ in shared if code == 1)
+    assert set(failed) == {"algebra", "rota_baxter", "bimodule", "rbf_bimodule"}
+    assert sum(failed.values()) >= 40 and sum(refusal is not None for _, refusal in shared) >= 40

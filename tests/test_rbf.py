@@ -265,6 +265,69 @@ def test_phi_matches_subset_oracle_on_raw_rational_cochains(e1_ctx, c2_ctx):
             assert phi(ctx, f) == phi_subset_oracle(ctx, f)
 
 
+def _c2_phi_context(r_differ: bool, t_differ: bool) -> RbfContext:
+    """Unvalidated context on the c2 algebra, weight 1/2, with a zero
+    bimodule of dimension 3: R_0 != R_1 when ``r_differ`` and T_0 != T_1 when
+    ``t_differ``, otherwise equal entries in distinct objects."""
+    a = samples.build_c2_example(0)
+    r_rows, t_rows = [[1, 2], [0, -1]], [[1, 0, 2], [0, -1, 1], [1, 1, 0]]
+    r1 = [[0, 1], [3, 1]] if r_differ else r_rows
+    t1 = [[0, 1, 0], [2, 0, -1], [0, 0, 1]] if t_differ else t_rows
+    rb = RotaBaxterFamily(Rat(1, 2), {0: Mat.from_rows(r_rows), 1: Mat.from_rows(r1)})
+    tmap = {0: Mat.from_rows(t_rows), 1: Mat.from_rows(t1)}
+    return RbfContext(a, rb, zero_bimodule(a, 3, tmap=tmap))
+
+
+def _phi_classes(ctx: RbfContext, n: int) -> int:
+    """Distinct (R entries at each slot, T entries at the product) over the degree-n tuples."""
+    om, r, t = ctx.algebra.omega, ctx.rb.maps, ctx.bimodule.tmap
+    return len({
+        (tuple(tuple(r[x].entries) for x in alpha), tuple(t[om.product_of(alpha)].entries))
+        for alpha in om.tuples(n)
+    })
+
+
+def test_phi_matches_subset_oracle_with_several_classes():
+    """φ on the c2 monoid where the tuples of a degree fall into several
+    classes: R_0 != R_1 (every tuple its own class), T_0 != T_1 only (one
+    class per product), or both; raw cochains with entries in (1/3)Z."""
+    rng = random.Random(47)
+    for r_differ, t_differ in ((True, True), (False, True), (True, False)):
+        ctx = _c2_phi_context(r_differ, t_differ)
+        om, d, m = ctx.dims()
+        for n in range(1, 5):
+            size = om.size**n * d**n * m
+            f = Cochain(n, om.size, d, m, [Rat(rng.randint(-4, 4), 3) for _ in range(size)])
+            image = phi(ctx, f)
+            assert image == phi_subset_oracle(ctx, f), (r_differ, t_differ, n)
+            assert not image.is_zero()
+
+
+def test_phi_op_builds_one_block_per_class(monkeypatch, c2_ctx):
+    """One Horner block per class of (R at each slot, T at the product):
+    1 per degree on c2_rbf (R_0 = R_1, T = R), where the 2^n tuples share it."""
+    built, original = [], rbf._phi_block
+
+    def counting(ctx, alpha):
+        built.append(alpha)
+        return original(ctx, alpha)
+
+    monkeypatch.setattr(rbf, "_phi_block", counting)
+    cases = (
+        (RbfContext(c2_ctx.algebra, c2_ctx.rb, c2_ctx.bimodule), lambda n: 1),  # fresh cache
+        (_c2_phi_context(False, True), lambda n: 2),
+        (_c2_phi_context(True, False), lambda n: 2**n),
+        (_c2_phi_context(True, True), lambda n: 2**n),
+    )
+    for ctx, expected in cases:
+        for n in range(1, 5):
+            built.clear()
+            rbf.phi_op(ctx, n)
+            assert len(built) == _phi_classes(ctx, n) == expected(n), n
+            rbf.phi_op(ctx, n)  # cached
+            assert len(built) == expected(n)
+
+
 def test_d_combined_zero_and_square(e1_ctx):
     z = CombinedCochain(Cochain.zero(2, 1, 2, 2), Cochain.zero(1, 1, 2, 2))
     assert d_combined(e1_ctx, z, check=False).is_zero()

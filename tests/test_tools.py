@@ -90,3 +90,18 @@ def test_ab_pairs_stops_at_a_run_with_wrong_outputs(tmp_path, capsys, monkeypatc
             "--seed", "3", "--pairs", "2"]
     assert ab_pairs.main(argv) == 1
     assert "ladder pair 1: the parent run reported wrong outputs" in capsys.readouterr().err
+
+
+def test_stage_tool_rbfa_case_counts_phi_blocks_exactly():
+    """tools/cohomology_stages.py's rbfa case on fixtures/c2_rbf.json to
+    degree 3: one Horner block of φ per degree k >= 1 (every tuple has
+    R_0 = R_1 and T = R, so all 2^k tuples share one class), none at k = 0,
+    the same on every run; the seconds are reported as ``phi_s``."""
+    from cohomology_stages import RBFA_FIXTURE, RBFA_MAX_DEGREE, median_table, rbfa_pass
+
+    runs = [rbfa_pass(RBFA_FIXTURE, RBFA_MAX_DEGREE) for _ in range(2)]
+    for run in runs:
+        assert [(row["degree"], row["phi_blocks"]) for row in run] == [(0, 0), (1, 1), (2, 1), (3, 1)]
+    table = median_table(runs, RBFA_MAX_DEGREE, ("phi",), ("phi",))
+    assert [sorted(row) for row in table] == [["degree", "phi_blocks", "phi_s"]] * 4
+    assert all(row["phi_s"] >= 0 for row in table)

@@ -50,6 +50,14 @@ then times per degree the stages of the combined table:
   part lies in C^0 = M, which has no constraint);
 * ``rank``   -- one forward elimination on those images.
 
+For the rbfa tables of ``fixtures/c2_rbf.json`` (degrees 0-3), each repeat
+parses the file and validates its context, then times per degree:
+
+* ``phi`` -- compiling the comparison map on C^k (``rbf.phi_op``), beside
+  the exact count ``phi_blocks`` of the Horner blocks it built
+  (``rbf._phi_block`` calls: one per class of R at each slot and T at the
+  product, 0 at k = 0, where φ is the identity).
+
 Each figure is the median over the repeats, in unscaled seconds.
 """
 
@@ -66,7 +74,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bihomega import blocks, linalg, samples
+from bihomega import blocks, linalg, rbf, samples
 from bihomega.bimodule import regular_bimodule
 from bihomega.blocks import coboundary_plan
 from bihomega.cochain import (
@@ -82,6 +90,7 @@ from bihomega.cochain import (
 )
 from bihomega.rationals import RAT_BACKEND
 from bihomega.rbf import RbfContext, _combined_images, phi_op
+from bihomega.serialization import parse_workbench
 
 CASES = (
     ("c2_variant0", lambda: samples.build_c2_example(0), 4),
@@ -90,8 +99,9 @@ CASES = (
 STAGES = ("basis", "plan", "blocks", "products", "verify", "assemble", "rank")
 COMBINED_STAGES = ("phi_op", "images", "rank")
 COMBINED_MAX_DEGREE = 5
+RBFA_FIXTURE, RBFA_MAX_DEGREE = ROOT / "fixtures" / "c2_rbf.json", 3
 COUNTS = ("degree", "dim", "rank", "inside", "constraint_rows", "kernel_eliminations", "face_terms",
-          "projected_nonzeros", "echelon_nonzeros")
+          "projected_nonzeros", "echelon_nonzeros", "phi_blocks")
 
 
 def degree_zero(b, clock) -> tuple:
@@ -203,6 +213,20 @@ def combined_pass(a, rb, max_degree: int) -> tuple:
     return single, rows
 
 
+def rbfa_pass(path: Path, max_degree: int) -> list:
+    """Per degree of the context in ``path``: the seconds compiling φ takes
+    and the number of blocks it builds."""
+    wf = parse_workbench(path.read_text(encoding="utf-8"))
+    ctx = RbfContext.validated(wf.algebra, wf.rota_baxter, wf.bimodule)
+    clock = time.perf_counter
+    rows = []
+    for k in range(max_degree + 1):
+        t0 = clock()
+        _, phi_blocks = counting_calls(rbf, "_phi_block", lambda: phi_op(ctx, k))
+        rows.append({"degree": k, "phi_blocks": phi_blocks, "phi": clock() - t0})
+    return rows
+
+
 def median_table(runs: list, max_degree: int, stages: tuple, keys: tuple) -> list:
     table = []
     for k in range(max_degree + 1):
@@ -230,6 +254,8 @@ def main() -> int:
         "degrees": median_table([rows for _, rows in passes], COMBINED_MAX_DEGREE, COMBINED_STAGES,
                                 ("phi_op", "images", "rank_s")),
     }
+    runs = [rbfa_pass(RBFA_FIXTURE, RBFA_MAX_DEGREE) for _ in range(max(1, args.repeats))]
+    out["cases"]["c2_rbf_rbfa"] = median_table(runs, RBFA_MAX_DEGREE, ("phi",), ("phi",))
     print(json.dumps(out, indent=2))
     return 0
 
