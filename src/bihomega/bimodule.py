@@ -129,10 +129,8 @@ def validate_bimodule(b: OmegaBimodule) -> Witness | None:
 
 def regular_bimodule(a: OmegaAlgebra, rb: RotaBaxterFamily | None = None) -> OmegaBimodule:
     """The algebra acting on itself; with rb, its maps become the tmap."""
-    left = {key: t for key, t in a.product.items()}
-    right = {key: t for key, t in a.product.items()}
     tmap = dict(rb.maps) if rb is not None else None
-    return OmegaBimodule(a, a.dim, left, right, dict(a.pmap), dict(a.qmap), tmap)
+    return OmegaBimodule(a, a.dim, dict(a.product), dict(a.product), dict(a.pmap), dict(a.qmap), tmap)
 
 
 def zero_bimodule(

@@ -52,8 +52,10 @@ a member vanishing off the end columns meets, at its smallest nonzero end
 column, a row ending there with one nonzero term.  So the projected images,
 streamed into one fraction-free integer rank per degree k >= 1 (degree 0
 ranks raw images), give the rank of δ_k, and no matrix of δ_k and no basis
-or kernel of C^{max_degree+1} is built.  :func:`delta_matrix` (via
-``coords_of``), :func:`is_coboundary` and the combined complex keep the raw
+or kernel of C^{max_degree+1} is built.  The combined table ranks the
+same projected images, beside φ, in its one elimination per degree
+(``rbf.rbfa_cohomology_dims``).  :func:`delta_matrix` (via ``coords_of``),
+:func:`is_coboundary` and the combined kernels and solves keep the raw
 products: a preimage is one ``sparse_solve`` of the raw images, transposed
 into rows by ``linalg.sparse_rows``, against the raw target.
 
@@ -132,27 +134,18 @@ class Cochain:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
+    def _shape(self) -> tuple:
+        return self.degree, self.omega_size, self.dim_in, self.dim_out
+
     def _like(self, coords: list) -> "Cochain":
-        return Cochain(self.degree, self.omega_size, self.dim_in, self.dim_out, coords)
+        return Cochain(*self._shape(), coords)
 
     def _compatible(self, other: "Cochain"):
-        if (
-            self.degree != other.degree
-            or self.omega_size != other.omega_size
-            or self.dim_in != other.dim_in
-            or self.dim_out != other.dim_out
-        ):
+        if self._shape() != other._shape():
             raise MalformedInputError("cochain shape mismatch")
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.degree == other.degree
-            and self.omega_size == other.omega_size
-            and self.dim_in == other.dim_in
-            and self.dim_out == other.dim_out
-            and self.coords == other.coords
-        )
+        return isinstance(other, Cochain) and self._shape() == other._shape() and self.coords == other.coords
 
 
 def cochain_from_tensors(omega: Monoid, degree: int, dim_in: int, dim_out: int, tensors) -> Cochain:
@@ -680,13 +673,7 @@ class DegreeRow(NamedTuple):
     dim_cohomology: int
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "cochains": self.dim_cochains,
-            "cocycles": self.dim_cocycles,
-            "coboundaries": self.dim_coboundaries,
-            "cohomology": self.dim_cohomology,
-        }
+        return dict(zip(("degree", "cochains", "cocycles", "coboundaries", "cohomology"), self))
 
 
 class CohomologyReport(NamedTuple):
@@ -744,26 +731,33 @@ def _degree0_domain(b: OmegaBimodule) -> tuple:
     return hit
 
 
-def cohomology_dims(b: OmegaBimodule, max_degree: int, check: bool = True) -> CohomologyReport:
+def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
     """Cocycle/coboundary/cohomology dimensions for degrees 0..max_degree.
 
-    rank(δ_k on C^k) is taken once per degree on the images of the C^k
-    basis, streamed from :func:`_basis_images`, each verified to satisfy the
-    degree-(k+1) constraints and, for k >= 1, projected off their end
-    columns (see the module docstring).  B^1 is the rank of the images
-    δ_0 y over :func:`_degree0_domain`, each checked, before any rank, to
-    lie in C^1 and to be a 1-cocycle.
+    rank(δ_k) is taken once per degree on the images of the C^k basis,
+    streamed from :func:`_basis_images`: raw at k = 0, verified in C^{k+1}
+    and projected off its end columns for k >= 1 (see the module
+    docstring).  B^1 and the degree-0 checks come first, from
+    :func:`_degree0_checks`.
 
-    Raises InternalCheckError when one is not (possible for valid inputs;
-    see the module docstring): reporting a quotient by a space that is not
-    inside the cocycles would be wrong.  Raises MalformedInputError for a
-    negative ``max_degree``; ``check`` False skips validating a bimodule
-    the caller has validated.
+    Raises InternalCheckError when a check fails (possible for valid
+    inputs; see the module docstring), rather than report a quotient by a
+    space outside the cocycles; MalformedInputError for a negative
+    ``max_degree`` and PreconditionError for an invalid bimodule.
     """
+    b1_dim, intersected = _degree0_checks(b, max_degree)
+    ranks = [sparse_rank(_basis_images(b, k, verify=False, project=True)) for k in range(max_degree + 1)]
+    return _report([equivariant_basis(b, k).dim() for k in range(max_degree + 1)], ranks, b1_dim, intersected)
+
+
+def _degree0_checks(b: OmegaBimodule, max_degree: int, check: bool = True) -> tuple:
+    """(dim B^1 = rank of the images δ_0 y over :func:`_degree0_domain`,
+    intersected), after the checks each table of b makes before any rank:
+    ``max_degree`` >= 0, b valid (unless ``check`` is False), each δ_0 y a
+    1-cocycle in C^1."""
     if max_degree < 0:
         raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
     _refuse_witness(validate_bimodule(b) if check else None, "bimodule invalid")
-    dims_c = [equivariant_basis(b, k).dim() for k in range(max_degree + 1)]
     ys, intersected = _degree0_domain(b)
     op0, op1 = delta_op(b, 0), delta_op(b, 1)
     images = [op0.image(y) for y in ys]
@@ -775,19 +769,19 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int, check: bool = True) -> Co
                 "degree-0 coboundary generator is not a 1-cocycle; "
                 "the complex is inconsistent on this input"
             )
-    b1_dim = sparse_rank(images)
-    # C^0 = M: δ_0 is ranked on the unit vectors, which ys are unless intersected
-    ranks = [sparse_rank(op0.image({l: ONE}) for l in range(b.dim_m)) if intersected else b1_dim]
-    ranks += [sparse_rank(_basis_images(b, k, project=True)) for k in range(1, max_degree + 1)]
+    return sparse_rank(images), intersected
+
+
+def _report(dims: list, ranks, b1_dim: int | None, intersected: bool) -> CohomologyReport:
+    """The table from the cochain dimensions, the rank of the differential on
+    each degree and dim B^1; a coboundary space larger than Z^k is refused."""
     rows = []
-    for k in range(max_degree + 1):
-        z = dims_c[k] - ranks[k]
+    for k, (dim, rank_k) in enumerate(zip(dims, ranks)):
+        z = dim - rank_k
         bdim = 0 if k == 0 else b1_dim if k == 1 else ranks[k - 1]
         if bdim > z:
-            raise InternalCheckError(
-                f"degree-{k} coboundary space is larger than the cocycle space"
-            )
-        rows.append(DegreeRow(k, dims_c[k], z, bdim, z - bdim))
+            raise InternalCheckError(f"degree-{k} coboundary space is larger than the cocycle space")
+        rows.append(DegreeRow(k, dim, z, bdim, z - bdim))
     return CohomologyReport(rows, intersected)
 
 

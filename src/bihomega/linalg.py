@@ -246,7 +246,7 @@ def sparse_rank(rows) -> int:
     return len(_integer_echelon(rows))
 
 
-def _integer_echelon(rows) -> dict:
+def _integer_echelon(rows, pivots: dict | None = None) -> dict:
     """Fraction-free forward elimination into {pivot_col: primitive int row}.
 
     A row of ints is copied once; any other row is scaled to integers by the
@@ -255,9 +255,10 @@ def _integer_echelon(rows) -> dict:
     that pivot has more nonzeros: then the row takes the pivot's place and
     the displaced pivot is reduced instead, so the echelon keeps the sparser
     row of the two.  A row that is stored is divided by its content, sign
-    included, so its lead is positive.
+    included, so its lead is positive.  Given ``pivots``, an echelon this
+    function returned, the elimination resumes from it, in place.
     """
-    pivots: dict = {}
+    pivots = {} if pivots is None else pivots
     for r in rows:
         if all(type(v) is int for v in r.values()):
             row = {c: v for c, v in r.items() if v}

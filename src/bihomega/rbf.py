@@ -24,15 +24,14 @@ matrix, :func:`phi_op`, whose columns come from the subset sum in Horner
 form, one block per class of (R at each slot, T at the product); the
 literal subset enumeration is kept as the oracle in ``tests/oracles.py``.
 
-The combined complex runs on sparse images.  For each degree the images of
-the combined basis under d are cached as sparse dicts over the raw target
-coordinates (source in equivariant bases), which stays well-defined even
-when a degree-0 image leaves the equivariant subspace.  Their delta and
-partial parts are assembled from the block products that the single
-tables of the two bimodules cached, so no coboundary is applied twice.
-Cohomology tables take one forward elimination on them per degree, and
-kernels and solves transpose them into sparse rows; no dense matrix is
-built.  Membership of images is still checked where the theory promises it.
+The combined complex is the mapping cone of φ (Weibel 1994, §1.5), so one
+fraction-free elimination per degree n ranks all three tables
+(:func:`_cone_ranks`): fed the raw images (0, -∂e) of the C^{n-1} basis it
+counts rank ∂_{n-1}, then fed (δe, -φe) for the C^n basis, δe projected as
+the algebra table projects it, rank δ_n and rank d_n.  The δ and ∂ parts
+come from the block products the two bimodules cache, verified where the
+theory promises membership, and no image is kept.  Kernels and solves
+transpose the raw images (cached per degree) into sparse rows.
 """
 
 from __future__ import annotations
@@ -45,23 +44,22 @@ from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induce
 from .blocks import intern
 from .cochain import (
     Cochain,
-    CohomologyReport,
-    DegreeRow,
     EquivariantBasis,
     SparseOp,
     _basis_images,
     _degree0_domain,
+    _degree0_checks,
     _place_blocks,
     _raw_size,
+    _report,
     _require_shape,
     _share_equivariance,
     apply_delta,
-    cohomology_dims,
     delta_op,
     equivariant_basis,
 )
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, _supports, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
+from .linalg import Mat, _integer_echelon, _supports, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
 from .rationals import ONE, ZERO
 
 
@@ -287,76 +285,85 @@ def combined_from_coords(ctx: RbfContext, n: int, coords) -> CombinedCochain:
     )
 
 
-def _combined_images(ctx: RbfContext, n: int) -> list:
-    """Raw images of the combined basis at degree n, as sparse dicts (cached).
-
-    Target coordinates: the raw C^{n+1}, then the raw C^n shifted by its
-    length.  Sources: (delta e, -phi e) for each basis cochain e of C^n
-    (C^0 = M), then (0, -partial e) for each basis cochain e of C^{n-1}.
-    The delta and partial parts are the unverified basis images of the
-    algebra and star bimodules (:func:`bihomega.cochain._basis_images`), so
-    the block products their tables cached are reused, not recomputed.
-    """
-    hit = ctx._cache.get(("combined_images", n))
-    if hit is not None:
-        return hit
-    to_rbf = phi_op(ctx, n)
-    shift = _raw_size(ctx.bimodule, n + 1)
-    basis = ctx.basis(n)
-    images = []
-    for j, image in enumerate(_basis_images(ctx.bimodule, n, verify=False)):
+def _algebra_images(ctx: RbfContext, n: int, project: bool = False):
+    """The images (δe, -φe) of the C^n basis (C^0 = M) under d, as fresh
+    sparse dicts over the raw C^{n+1}, then the raw C^n shifted by its length;
+    ``project`` verifies the δ parts and drops their end columns (n >= 1,
+    :func:`bihomega.cochain._basis_images`)."""
+    to_rbf, shift, basis = phi_op(ctx, n), _raw_size(ctx.bimodule, n + 1), ctx.basis(n)
+    for j, image in enumerate(_basis_images(ctx.bimodule, n, verify=False, project=project)):
         image.update((shift + i, -v) for i, v in to_rbf.image(basis.cochain_sparse(j)).items())
-        images.append(image)
+        yield image
+
+
+def _operator_images(ctx: RbfContext, n: int, verify: bool = False):
+    """The raw images (0, -∂e) of the C^{n-1} basis (none at n = 0), in the
+    coordinates of :func:`_algebra_images`; ``verify`` checks them in C^n
+    for n >= 2."""
     if n >= 1:
-        for image in _basis_images(ctx.star_bimodule(), n - 1, verify=False):
-            images.append({shift + i: -v for i, v in image.items()})
-    ctx._cache[("combined_images", n)] = images
-    return images
+        shift = _raw_size(ctx.bimodule, n + 1)
+        for image in _basis_images(ctx.star_bimodule(), n - 1, verify=verify and n >= 2):
+            yield {shift + i: -v for i, v in image.items()}
+
+
+def _combined_images(ctx: RbfContext, n: int) -> list:
+    """The raw images of the combined basis at degree n, in basis order (cached)."""
+    hit = ctx._cache.get(("combined_images", n))
+    if hit is None:
+        hit = ctx._cache[("combined_images", n)] = [*_algebra_images(ctx, n), *_operator_images(ctx, n)]
+    return hit
 
 
 def _combined_rows(ctx: RbfContext, n: int) -> list:
-    """The degree-n combined differential as sparse rows, one per raw target
-    coordinate, over the combined basis coordinates."""
-    b = ctx.bimodule
-    return sparse_rows(_combined_images(ctx, n), _raw_size(b, n + 1) + _raw_size(b, n))
+    """The degree-n combined differential as sparse rows, one per raw target coordinate."""
+    return sparse_rows(_combined_images(ctx, n), _raw_size(ctx.bimodule, n + 1) + _raw_size(ctx.bimodule, n))
+
+
+def _cone_ranks(ctx: RbfContext, n: int) -> tuple:
+    """(rank ∂_{n-1}, rank δ_n, rank d_n) from one elimination: phase 1 ranks
+    the verified :func:`_operator_images`, phase 2 resumes with the projected
+    :func:`_algebra_images`.  Pivot columns are those of the unique RREF;
+    phase-1 rows are zero on the C^{n+1} columns, which come first, and the
+    projection is injective on C^{n+1}, so the pivots there count rank δ_n."""
+    pivots = _integer_echelon(_operator_images(ctx, n, verify=True))
+    partial_rank = len(pivots)
+    _integer_echelon(_algebra_images(ctx, n, project=True), pivots)
+    shift = _raw_size(ctx.bimodule, n + 1)
+    return partial_rank, sum(c < shift for c in pivots), len(pivots)
 
 
 def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     """Reports for all three complexes, degrees 0..max_degree.
 
-    Each combined rank is one forward elimination on that degree's cached
-    sparse images.  Combined degree-0 coboundaries are the images
-    d(y) = (δ_0 y, -y) of the vectors y of ``cochain._degree0_domain``: the
-    operator part C^0_rbf = M is unconstrained, and y -> (δ_0 y, -y) is
-    injective, so b^1 is the rank of the ys, and the report is flagged
-    when the algebra table's is.  d(d(y)) = (δ_1 δ_0 y, ∂_0 y - φ_1 δ_0 y);
-    the algebra table has checked the first half, and the second is
-    checked here, before the ranks.  A negative ``max_degree`` is refused
-    by the first :func:`cohomology_dims` call, which skips the context's
-    bimodule, validated with the context, but not the star one.
+    One elimination per degree n, :func:`_cone_ranks`, gives rank ∂_{n-1},
+    rank δ_n and rank d_n, and one on the projected ∂ images of C^max_degree
+    the operator table's top rank.  First come ``cochain._degree0_checks`` on
+    both bimodules (validating the star one) and, for max_degree >= 1, the
+    combined check: degree-0 coboundaries are d(y) = (δ_0 y, -y) for the ys
+    of ``cochain._degree0_domain``, so b^1 = rank(ys), the report is flagged
+    when the algebra table's is, and ∂_0 y = φ_1 δ_0 y must hold.
     """
-    b = ctx.bimodule
-    alg_report = cohomology_dims(b, max_degree, check=False)
-    rbf_report = cohomology_dims(ctx.star_bimodule(), max_degree)
+    b, sb = ctx.bimodule, ctx.star_bimodule()
+    alg_b1, alg_intersected = _degree0_checks(b, max_degree, check=False)
+    rbf_b1, rbf_intersected = _degree0_checks(sb, max_degree)
     intersected, b1_dim = False, None
     if max_degree >= 1:
         ys, intersected = _degree0_domain(b)
-        op0, star0, phi1 = delta_op(b, 0), delta_op(ctx.star_bimodule(), 0), phi_op(ctx, 1)
+        op0, star0, phi1 = delta_op(b, 0), delta_op(sb, 0), phi_op(ctx, 1)
         if any(star0.image(y) != phi1.image(op0.image(y)) for y in ys):
             raise InternalCheckError(
                 "combined degree-0 coboundaries are not 2-cocycles; "
                 "the complex is inconsistent on this input"
             )
         b1_dim = sparse_rank(ys)
-    ranks = [sparse_rank(_combined_images(ctx, k)) for k in range(max_degree + 1)]
-    rows = []
-    for k in range(max_degree + 1):
-        dim = combined_dim(ctx, k)
-        z = dim - ranks[k]
-        bdim = 0 if k == 0 else b1_dim if k == 1 else ranks[k - 1]
-        rows.append(DegreeRow(k, dim, z, bdim, z - bdim))
-    combined_report = CohomologyReport(rows, intersected)
-    return {"alg": alg_report, "rbf": rbf_report, "rbfa": combined_report}
+    partial_ranks, delta_ranks, ranks = zip(*(_cone_ranks(ctx, n) for n in range(max_degree + 1)))
+    top = sparse_rank(_basis_images(sb, max_degree, verify=False, project=True))
+    dims = [ctx.basis(k).dim() for k in range(max_degree + 1)]
+    return {
+        "alg": _report(dims, delta_ranks, alg_b1, alg_intersected),
+        "rbf": _report(dims, partial_ranks[1:] + (top,), rbf_b1, rbf_intersected),
+        "rbfa": _report([combined_dim(ctx, k) for k in range(max_degree + 1)], ranks, b1_dim, intersected),
+    }
 
 
 def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text
 from oracles import (
     combined_raw_matrix_oracle,
     delta_direct_oracle,
@@ -32,6 +32,7 @@ from bihomega.errors import InternalCheckError, MalformedInputError, Preconditio
 from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat
 from bihomega.rationals import ONE, ZERO, Rat
+from bihomega.serialization import parse_workbench
 from bihomega.rbf import (
     CombinedCochain,
     RbfContext,
@@ -419,10 +420,99 @@ def test_combined_degree0_check_refuses_a_non_chain_map(build, monkeypatch):
         op = original(c, n)
         return SparseOp(op.nrows, op.ncols, [col + [(j, 1)] for j, col in enumerate(op.cols)]) if n == 1 else op
 
+    eliminations, echelon = [], rbf._integer_echelon
+
+    def spy(rows, pivots=None):
+        eliminations.append(pivots)
+        return echelon(rows, pivots)
+
     monkeypatch.setattr(rbf, "phi_op", shifted)
+    monkeypatch.setattr(rbf, "_integer_echelon", spy)
     with pytest.raises(InternalCheckError, match="combined degree-0 coboundaries are not 2-cocycles"):
         rbfa_cohomology_dims(ctx, 1)
-    assert ("combined_images", 0) not in ctx._cache
+    assert eliminations == []  # the engine never ran
+    monkeypatch.setattr(rbf, "phi_op", original)
+    rbfa_cohomology_dims(ctx, 1)
+    # the spy does see the engine: two phases per degree, the second resuming
+    assert [pivots is None for pivots in eliminations] == [True, False, True, False]
+
+
+def _named_contexts() -> list:
+    """(name, a function making a fresh context) for every fixture with a
+    Rota-Baxter family and a bimodule with a tmap, the four sample contexts
+    and the several-φ-class contexts of
+    :func:`test_phi_matches_subset_oracle_with_several_classes`."""
+    named = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        if '"schema"' not in text:
+            continue
+        wf = parse_workbench(text)
+        if wf.rota_baxter is not None and wf.bimodule is not None and wf.bimodule.tmap is not None:
+            named.append((path.name, lambda wf=wf: RbfContext.validated(wf.algebra, wf.rota_baxter,
+                                                                        wf.bimodule)))
+    named += [(f"{name}_sample", getattr(samples, f"{name}_rbf_context"))
+              for name in ("e0", "e1", "zero1", "c2")]
+    named += [(f"phi_classes_{r}_{t}", lambda r=r, t=t: _c2_phi_context(r, t))
+              for r, t in ((True, True), (False, True), (True, False))]
+    return named
+
+
+def _outcome(compute):
+    """compute(), or the refusal it raised as "Type: message"."""
+    try:
+        return compute()
+    except InternalCheckError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_cone_engine_tables_equal_the_single_tables():
+    """At max degree 0-4 on every named context, the algebra and operator
+    reports of the one-elimination engine equal ``cohomology_dims`` on the
+    context and star bimodules of a fresh context, ``degree0_intersected``
+    included; a refusal is one of theirs (the star bimodule of a context
+    with R_0 != R_1 sends a ∂_1 image out of C^2).  The combined report is
+    never flagged at max degree 0."""
+    refused = set()
+    for name, build in _named_contexts():
+        for n in range(5):
+            reports = _outcome(lambda: rbfa_cohomology_dims(build(), n))
+            fresh = build()
+            alg = _outcome(lambda: cohomology_dims(fresh.bimodule, n))
+            star = _outcome(lambda: cohomology_dims(fresh.star_bimodule(), n))
+            if isinstance(reports, str):
+                assert reports in (alg, star), (name, n)
+                refused.add(name)
+                continue
+            assert reports["alg"] == alg, (name, n)
+            assert reports["rbf"] == star, (name, n)
+            if n == 0:
+                assert not reports["rbfa"].degree0_intersected, name
+    assert refused == {"phi_classes_True_True", "phi_classes_True_False"}
+
+
+def _rank_column(report) -> list:
+    """Rank of the differential leaving each degree: cochains - cocycles."""
+    return [row.dim_cochains - row.dim_cocycles for row in report.rows]
+
+
+def test_phi_star_ranks_lie_between_zero_and_both_cohomologies():
+    """r_n = rank d_n - rank δ_n - rank ∂_{n-1} (rank ∂_{-1} = 0), read off
+    the three public reports, is the rank of the map φ induces from H^n_alg
+    to H^n_rbf: 0 <= r_n <= min(h^n_alg, h^n_rbf) to degree 3 on every named
+    context with tables."""
+    named, tested = _named_contexts(), 0
+    for name, build in named:
+        reports = _outcome(lambda: rbfa_cohomology_dims(build(), 3))
+        if isinstance(reports, str):
+            continue  # refused, as test_cone_engine_tables_equal_the_single_tables pins
+        tested += 1
+        alg, star, cone = (_rank_column(reports[k]) for k in ("alg", "rbf", "rbfa"))
+        h_alg, h_rbf = reports["alg"].dims(), reports["rbf"].dims()
+        for n in range(4):
+            r = cone[n] - alg[n] - (star[n - 1] if n else 0)
+            assert 0 <= r <= min(h_alg[n], h_rbf[n]), (name, n, r)
+    assert tested == len(named) - 2
 
 
 def test_rbfa_dims_dim_m_zero(e1):

@@ -105,3 +105,23 @@ def test_stage_tool_rbfa_case_counts_phi_blocks_exactly():
     table = median_table(runs, RBFA_MAX_DEGREE, ("phi",), ("phi",))
     assert [sorted(row) for row in table] == [["degree", "phi_blocks", "phi_s"]] * 4
     assert all(row["phi_s"] >= 0 for row in table)
+
+
+def test_stage_tool_combined_case_pivot_counts_match_the_tables():
+    """tools/cohomology_stages.py's combined case on the c2 context to
+    degree 3: phase 1 counts rank ∂_{k-1}, the pivots in the C^{k+1} columns
+    rank δ_k and all pivots rank d_k, as the three reports of
+    ``rbfa_cohomology_dims`` read them (cochains - cocycles)."""
+    from cohomology_stages import combined_pass
+
+    from bihomega import samples
+    from bihomega.rbf import rbfa_cohomology_dims
+
+    ctx = samples.c2_rbf_context()
+    fixed, rows = combined_pass(ctx.algebra, ctx.rb, 3)
+    assert sorted(fixed) == ["checks", "top"]
+    counts = [(row["rank_partial"], row["rank_delta"], row["rank"]) for row in rows]
+    assert counts == [(0, 2, 2), (1, 3, 4), (4, 9, 13), (12, 39, 51)]
+    ranks = {name: [row.dim_cochains - row.dim_cocycles for row in report.rows]
+             for name, report in rbfa_cohomology_dims(samples.c2_rbf_context(), 3).items()}
+    assert counts == list(zip([0] + ranks["rbf"][:-1], ranks["alg"], ranks["rbfa"]))

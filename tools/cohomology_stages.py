@@ -39,16 +39,22 @@ the face terms during the stages of δ_k, which adds one call per count to
 their seconds.
 
 For the combined complex of ``samples.c2_rbf_context()`` (degrees 0-5),
-each repeat starts from a fresh context, runs the two single complexes as
-``rbf.rbfa_cohomology_dims`` does first (``single_s``, once per repeat), and
-then times per degree the stages of the combined table:
+each repeat starts from a fresh context and runs the engine of
+``rbf.rbfa_cohomology_dims``: first the degree-0 checks of the context and
+star bimodules, the star one validated (``checks_s``, once per repeat),
+then per degree k its one elimination, timed in stages:
 
 * ``phi_op`` -- compiling the comparison map on C^k;
-* ``images`` -- building the sparse combined images of degree k from the
-  block products the single tables cached, with the membership test of
-  the δ_0 part of each degree-0 image in C^1 (``inside``; its operator
-  part lies in C^0 = M, which has no constraint);
-* ``rank``   -- one forward elimination on those images.
+* ``phase1`` -- building the raw images (0, -∂e) of the C^{k-1} basis,
+  verified in C^k for k >= 2, and eliminating them;
+* ``phase2`` -- building the images (δe, -φe) of the C^k basis, δe
+  projected off the end columns for k >= 1, and resuming the elimination;
+
+beside its three pivot counts: ``rank_partial`` (phase 1, rank ∂_{k-1}),
+``rank_delta`` (the pivots in the C^{k+1} columns, rank δ_k) and ``rank``
+(all of them, rank d_k); ``inside`` says, at k = 0 only, whether every δ_0
+image lies in C^1.  Last, ``top_s`` is the one more elimination, of the
+projected ∂ images of C^5, that the operator table's top rank takes.
 
 For the rbfa tables of ``fixtures/c2_rbf.json`` (degrees 0-3), each repeat
 parses the file and validates its context, then times per degree:
@@ -80,16 +86,16 @@ from bihomega.blocks import coboundary_plan
 from bihomega.cochain import (
     _basis_images,
     _constraint_rows,
+    _degree0_checks,
     _in_subspace,
     _raw_size,
     _twist_signature,
     _violations,
-    cohomology_dims,
     delta_op,
     equivariant_basis,
 )
 from bihomega.rationals import RAT_BACKEND
-from bihomega.rbf import RbfContext, _combined_images, phi_op
+from bihomega.rbf import RbfContext, _algebra_images, _operator_images, combined_dim, phi_op
 from bihomega.serialization import parse_workbench
 
 CASES = (
@@ -97,11 +103,11 @@ CASES = (
     ("semidirect", samples.build_e1_semidirect, 5),
 )
 STAGES = ("basis", "plan", "blocks", "products", "verify", "assemble", "rank")
-COMBINED_STAGES = ("phi_op", "images", "rank")
+COMBINED_STAGES = ("phi_op", "phase1", "phase2")
 COMBINED_MAX_DEGREE = 5
 RBFA_FIXTURE, RBFA_MAX_DEGREE = ROOT / "fixtures" / "c2_rbf.json", 3
-COUNTS = ("degree", "dim", "rank", "inside", "constraint_rows", "kernel_eliminations", "face_terms",
-          "projected_nonzeros", "echelon_nonzeros", "phi_blocks")
+COUNTS = ("degree", "dim", "rank", "rank_delta", "rank_partial", "inside", "constraint_rows",
+          "kernel_eliminations", "face_terms", "projected_nonzeros", "echelon_nonzeros", "phi_blocks")
 
 
 def degree_zero(b, clock) -> tuple:
@@ -190,27 +196,32 @@ def one_pass(a, max_degree: int) -> list:
 
 
 def combined_pass(a, rb, max_degree: int) -> tuple:
+    """({"checks": s, "top": s}, one row per degree) of the engine's stages."""
     ctx = RbfContext(a, rb, regular_bimodule(a, rb))
-    clock = time.perf_counter
+    b, clock = ctx.bimodule, time.perf_counter
     t0 = clock()
-    cohomology_dims(ctx.bimodule, max_degree)
-    cohomology_dims(ctx.star_bimodule(), max_degree)
-    single = clock() - t0
+    _degree0_checks(b, max_degree, check=False)
+    _degree0_checks(ctx.star_bimodule(), max_degree)
+    fixed = {"checks": clock() - t0}
     rows = []
     for k in range(max_degree + 1):
         t0 = clock()
         phi_op(ctx, k)
         t1 = clock()
-        images = _combined_images(ctx, k)
-        shift = _raw_size(ctx.bimodule, 1)  # where the operator part starts
-        inside = all(_in_subspace(ctx.bimodule, 1, {i: v for i, v in img.items() if i < shift})
-                     for img in images) if k == 0 else None
+        pivots = linalg._integer_echelon(_operator_images(ctx, k, verify=True))
+        rank_partial = len(pivots)
         t2 = clock()
-        r = linalg.sparse_rank(images)
+        linalg._integer_echelon(_algebra_images(ctx, k, project=True), pivots)
         t3 = clock()
-        rows.append({"degree": k, "dim": len(images), "rank": r, "inside": inside,
-                     "phi_op": t1 - t0, "images": t2 - t1, "rank_s": t3 - t2})
-    return single, rows
+        shift = _raw_size(b, k + 1)  # where the C^k columns start
+        inside = all(_in_subspace(b, 1, img) for img in _basis_images(b, 0, verify=False)) if k == 0 else None
+        rows.append({"degree": k, "dim": combined_dim(ctx, k), "rank": len(pivots),
+                     "rank_delta": sum(c < shift for c in pivots), "rank_partial": rank_partial,
+                     "inside": inside, "phi_op": t1 - t0, "phase1": t2 - t1, "phase2": t3 - t2})
+    t0 = clock()
+    linalg.sparse_rank(_basis_images(ctx.star_bimodule(), max_degree, verify=False, project=True))
+    fixed["top"] = clock() - t0
+    return fixed, rows
 
 
 def rbfa_pass(path: Path, max_degree: int) -> list:
@@ -250,9 +261,10 @@ def main() -> int:
     ctx = samples.c2_rbf_context()
     passes = [combined_pass(ctx.algebra, ctx.rb, COMBINED_MAX_DEGREE) for _ in range(max(1, args.repeats))]
     out["cases"]["c2_rbf_combined"] = {
-        "single_s": round(statistics.median(single for single, _ in passes), 6),
+        **{f"{key}_s": round(statistics.median(fixed[key] for fixed, _ in passes), 6)
+           for key in ("checks", "top")},
         "degrees": median_table([rows for _, rows in passes], COMBINED_MAX_DEGREE, COMBINED_STAGES,
-                                ("phi_op", "images", "rank_s")),
+                                COMBINED_STAGES),
     }
     runs = [rbfa_pass(RBFA_FIXTURE, RBFA_MAX_DEGREE) for _ in range(max(1, args.repeats))]
     out["cases"]["c2_rbf_rbfa"] = median_table(runs, RBFA_MAX_DEGREE, ("phi",), ("phi",))
