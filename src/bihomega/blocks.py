@@ -15,8 +15,9 @@ terms (on c2 at degree 4, 24 keys hold 60 terms, 12 of them distinct), so
 :func:`compile_blocks` compiles each distinct term once per degree, as
 sparse Kronecker products of the rows of the structure maps that visit
 only nonzeros, and sums each key's block from its terms.  The operator
-``cochain.delta_op`` and the basis images of the cohomology tables
-(``cochain._basis_images``) are both built from these blocks.
+``cochain.delta_op`` holds the plan's faces and blocks themselves, and the
+basis images of the cohomology tables (``cochain._basis_images``) multiply
+the same blocks, so δ_n is compiled once, by one route.
 """
 
 from __future__ import annotations
@@ -126,21 +127,21 @@ class CoboundaryPlan:
                     numbers[key] = len(numbers)
                 self.faces[s].append((t, numbers[key]))
 
-    def block(self, b: OmegaBimodule, key: int) -> list:
-        """The block of pair key number ``key``: local columns [(local row, coeff)].
+    def compiled(self, b: OmegaBimodule) -> list:
+        """The blocks by pair key number: local columns [(local row, coeff)].
 
         The first call compiles the blocks of all keys of the degree, one per key.
         """
         if self.blocks is None:
             self.blocks = compile_blocks(b, self.n, self.reps)
-        return self.blocks[key]
+        return self.blocks
 
     def product(self, b: OmegaBimodule, key: int, sig, vectors: list) -> list:
         """The block of key number ``key`` applied to the kernel ``vectors``
         of source signature ``sig``: one local sparse dict per vector."""
         hit = self.products.get((key, sig))
         if hit is None:
-            block = self.block(b, key)
+            block = self.compiled(b)[key]
             hit = []
             for vec in vectors:
                 out: dict = {}

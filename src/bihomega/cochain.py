@@ -31,9 +31,10 @@ the RREF is unique, so the order changes the work, never the basis.
 The coboundary has one implementation for n >= 1: the blocks of
 :mod:`bihomega.blocks`, one per *pair key* (the structure classes of the
 face terms that send a source tuple block to an output tuple block, so
-that equal keys have equal blocks).  :func:`delta_op` places each pair's
-block at its offsets, once per (bimodule, degree), and :func:`apply_delta`
-and every operator caller go through it; degree 0 keeps its own formula.
+that equal keys have equal blocks).  :func:`delta_op` is a
+:class:`BlockOp` that holds the plan's faces and those blocks, read in
+place, once per (bimodule, degree), and :func:`apply_delta` and every
+operator caller go through it; degree 0 keeps its own formula.
 The blocks and the constraint rows are built as sparse Kronecker products
 of rows and columns of the structure maps (``linalg._kron``), visiting only
 nonzeros.  Independent term-by-term transcriptions of the sum live only in
@@ -466,33 +467,47 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
 # -- the coboundary -------------------------------------------------------
 
 
-class SparseOp:
-    """Sparse linear map on raw cochain coordinates, stored column-wise.
+class BlockOp:
+    """Linear map on raw cochain coordinates made of shared blocks.
 
-    ``cols[c]`` lists the (row, nonzero coefficient) pairs of column c.
+    The columns of source block s are s * in_width + c, the rows of output
+    block t are t * out_width + r.  ``faces[s]`` lists the pairs (output
+    block t, block number k) through which source block s reaches t, and
+    ``blocks[k]`` holds local columns [(local row r, coeff)].  A block that
+    several pairs share is stored once and read in place.
     """
 
-    __slots__ = ("nrows", "ncols", "cols")
+    __slots__ = ("nrows", "ncols", "in_width", "out_width", "faces", "blocks")
 
-    def __init__(self, nrows: int, ncols: int, cols: list):
+    def __init__(self, nrows: int, ncols: int, in_width: int, out_width: int, faces: list, blocks: list):
         self.nrows = nrows
         self.ncols = ncols
-        self.cols = cols
+        self.in_width = in_width
+        self.out_width = out_width
+        self.faces = faces
+        self.blocks = blocks
 
     def apply_dense(self, vec) -> list:
-        out = [ZERO] * self.nrows
-        for col, v in enumerate(vec):
+        w, out = self.in_width, [ZERO] * self.nrows
+        for idx, v in enumerate(vec):
             if v:
-                for row, c in self.cols[col]:
-                    out[row] += c * v
+                s, c = divmod(idx, w)
+                for t, k in self.faces[s]:
+                    row0 = t * self.out_width
+                    for r, x in self.blocks[k][c]:
+                        out[row0 + r] += x * v
         return out
 
     def image(self, vec: dict) -> dict:
         """Image of a sparse vector as a sparse dict (no zero entries)."""
-        out: dict = {}
-        for col, v in vec.items():
-            for row, c in self.cols[col]:
-                out[row] = out.get(row, 0) + c * v
+        w, out = self.in_width, {}
+        get = out.get
+        for idx, v in vec.items():
+            s, c = divmod(idx, w)
+            for t, k in self.faces[s]:
+                row0 = t * self.out_width
+                for r, x in self.blocks[k][c]:
+                    out[row0 + r] = get(row0 + r, 0) + x * v
         return {row: x for row, x in out.items() if x}
 
 
@@ -502,12 +517,12 @@ def _raw_size(b: OmegaBimodule, n: int) -> int:
     return a.omega.size**n * a.dim**n * b.dim_m
 
 
-def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
+def delta_op(b: OmegaBimodule, n: int) -> BlockOp:
     """Compiled coboundary on raw coordinates, degree n -> n+1 (cached).
 
-    For n >= 1 each pair (output tuple, source tuple) of
-    :func:`bihomega.blocks.coboundary_plan` places its pair key's shared
-    block at the pair's offsets (:func:`_place_blocks`).
+    For n >= 1 the operator holds the faces and the pair-key blocks of
+    :func:`bihomega.blocks.coboundary_plan` themselves; degree 0 has one
+    block per output tuple.
     """
     cache_key = ("delta_op", n)
     hit = b._cache.get(cache_key)
@@ -515,35 +530,20 @@ def delta_op(b: OmegaBimodule, n: int) -> SparseOp:
         return hit
     a = b.base
     d, m = a.dim, b.dim_m
-    ncols, nrows = _raw_size(b, n), _raw_size(b, n + 1)
     if n == 0:
         # (a |> m at (x, unit)) - (m <| a at (unit, x)), one block per output tuple x
         unit, rows = a.omega.unit, [(j, k) for j in range(d) for k in range(m)]
-        placed = []
+        faces, blocks = [[(x, x) for x in a.omega.elements()]], []
         for x in a.omega.elements():
             lt, rt = b.left[(x, unit)], b.right[(unit, x)]
-            block = [[(j * m + k, c) for j, k in rows if (c := ZERO + lt[j][l][k] - rt[l][j][k])]
-                     for l in range(m)]
-            placed.append((0, x, block))
+            blocks.append([[(j * m + k, c) for j, k in rows if (c := ZERO + lt[j][l][k] - rt[l][j][k])]
+                           for l in range(m)])
     else:
         plan = coboundary_plan(b, n)
-        placed = ((s, t, plan.block(b, key)) for s, faces in enumerate(plan.faces) for t, key in faces)
-    op = _place_blocks(nrows, ncols, d**n * m, d ** (n + 1) * m, placed)
+        faces, blocks = plan.faces, plan.compiled(b)
+    op = BlockOp(_raw_size(b, n + 1), _raw_size(b, n), d**n * m, d ** (n + 1) * m, faces, blocks)
     b._cache[cache_key] = op
     return op
-
-
-def _place_blocks(nrows: int, ncols: int, in_width: int, out_width: int, placed) -> SparseOp:
-    """The SparseOp of shared blocks, ``placed`` yielding (source block s,
-    output block t, block): local column c of the block, [(local row r,
-    coeff)], lands in column s * in_width + c, rows t * out_width + r."""
-    cols = [[] for _ in range(ncols)]
-    for s, t, block in placed:
-        row0 = t * out_width
-        for c, entries in enumerate(block, start=s * in_width):
-            if entries:
-                cols[c] += [(row0 + r, v) for r, v in entries] if row0 else entries
-    return SparseOp(nrows, ncols, cols)
 
 
 def _require_shape(b: OmegaBimodule, f: Cochain):

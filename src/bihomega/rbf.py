@@ -19,10 +19,11 @@ bimodule over it.  Three complexes live here:
 all-R-twisted arguments and subtracts, for every proper subset S of the
 slots, weight^(n - 1 - |S|) times the bimodule operator T at the tuple
 product applied after inserting R at exactly the slots in S.  Like the
-coboundary it is compiled once per (context, degree) into a cached sparse
-matrix, :func:`phi_op`, whose columns come from the subset sum in Horner
-form, one block per class of (R at each slot, T at the product); the
-literal subset enumeration is kept as the oracle in ``tests/oracles.py``.
+coboundary it is compiled once per (context, degree) into a cached
+block-diagonal ``cochain.BlockOp``, :func:`phi_op`, whose columns come from
+the subset sum in Horner form, one block per class of (R at each slot, T at
+the product); the literal subset enumeration is kept as the oracle in
+``tests/oracles.py``.
 
 The combined complex is the mapping cone of φ (Weibel 1994, §1.5), so one
 fraction-free elimination per degree n ranks all three tables
@@ -31,7 +32,7 @@ counts rank ∂_{n-1}, then fed (δe, -φe) for the C^n basis, δe projected as
 the algebra table projects it, rank δ_n and rank d_n.  The δ and ∂ parts
 come from the block products the two bimodules cache, verified where the
 theory promises membership, and no image is kept.  Kernels and solves
-transpose the raw images (cached per degree) into sparse rows.
+transpose the raw images, built once per call, into sparse rows.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ from .algebra import (
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induced_module_star
 from .blocks import intern
 from .cochain import (
+    BlockOp,
     Cochain,
     EquivariantBasis,
-    SparseOp,
     _basis_images,
     _degree0_domain,
     _degree0_checks,
-    _place_blocks,
     _raw_size,
     _report,
     _require_shape,
@@ -123,31 +123,31 @@ def partial(ctx: RbfContext, f: Cochain, check: bool = True) -> Cochain:
     return apply_delta(ctx.star_bimodule(), f, check=check)
 
 
-def phi_op(ctx: RbfContext, n: int) -> SparseOp:
+def phi_op(ctx: RbfContext, n: int) -> BlockOp:
     """The comparison map compiled on raw degree-n coordinates (cached).
 
-    Degree 0 is the identity.  For n >= 1 the map is block diagonal, and the
-    block of a monoid tuple alpha reads only R_{alpha_1}, ..., R_{alpha_n}
-    and T_{prod alpha}: one block is built per class of those maps (exact
+    Block diagonal: degree 0 is one identity block.  For n >= 1 the block
+    of a monoid tuple alpha reads only R_{alpha_1}, ..., R_{alpha_n} and
+    T_{prod alpha}: one block is built per class of those maps (exact
     entries, :func:`bihomega.blocks.intern`) by :func:`_phi_block`, and
-    placed at each tuple's offsets as δ's pair-key blocks are.
+    every tuple of the class reads it in place.
     """
     hit = ctx._cache.get(("phi_op", n))
     if hit is not None:
         return hit
     om, d, m = ctx.dims()
-    size = _raw_size(ctx.bimodule, n)
     if n == 0:
-        op = SparseOp(size, size, [[(l, ONE)] for l in range(m)])
+        faces, blocks = [[(0, 0)]], [[[(l, ONE)] for l in range(m)]]
     else:
-        r_cls, t_cls, blocks, placed = intern(ctx.rb.maps), intern(ctx.bimodule.tmap), {}, []
+        r_cls, t_cls, numbers, faces, blocks = intern(ctx.rb.maps), intern(ctx.bimodule.tmap), {}, [], []
         for t, alpha in enumerate(om.tuples(n)):
             key = (tuple([r_cls[x] for x in alpha]), t_cls[om.product_of(alpha)])
-            if key not in blocks:
-                blocks[key] = _phi_block(ctx, alpha)
-            placed.append((t, t, blocks[key]))
-        op = _place_blocks(size, size, d**n * m, d**n * m, placed)
-    ctx._cache[("phi_op", n)] = op
+            if key not in numbers:
+                numbers[key] = len(blocks)
+                blocks.append(_phi_block(ctx, alpha))
+            faces.append([(t, numbers[key])])
+    size = _raw_size(ctx.bimodule, n)
+    op = ctx._cache[("phi_op", n)] = BlockOp(size, size, d**n * m, d**n * m, faces, blocks)
     return op
 
 
@@ -307,11 +307,8 @@ def _operator_images(ctx: RbfContext, n: int, verify: bool = False):
 
 
 def _combined_images(ctx: RbfContext, n: int) -> list:
-    """The raw images of the combined basis at degree n, in basis order (cached)."""
-    hit = ctx._cache.get(("combined_images", n))
-    if hit is None:
-        hit = ctx._cache[("combined_images", n)] = [*_algebra_images(ctx, n), *_operator_images(ctx, n)]
-    return hit
+    """The raw images of the combined basis at degree n, in basis order."""
+    return [*_algebra_images(ctx, n), *_operator_images(ctx, n)]
 
 
 def _combined_rows(ctx: RbfContext, n: int) -> list:

@@ -492,7 +492,7 @@ def test_cohomology_dims_still_verifies_coboundary_images():
 
     outside = next(r for r in range(width) if not is_equivariant(b, unit(r)))
     column = basis.frees[sources[0]][0]  # nonzero in one kernel vector of the source only
-    block = plan.block(b, key)
+    block = plan.compiled(b)[key]
     entries = dict(block[column])
     entries[outside] = entries.get(outside, 0) + 1
     block[column] = list(entries.items())
@@ -583,6 +583,13 @@ class _Formal(dict):
         return -self + other
 
 
+def _delta_columns(b, n) -> list:
+    """Every column of delta_op at degree n, as {row: coeff} dicts: the
+    image of each raw unit vector."""
+    op = delta_op(b, n)
+    return [op.image({c: ONE}) for c in range(op.ncols)]
+
+
 def _oracle_columns(b, n) -> list:
     """Every column of delta_direct_oracle at degree n, as {row: coeff}
     dicts, from one formal call."""
@@ -660,7 +667,7 @@ def test_delta_op_and_equivariance_match_oracles_on_twisted_carriers(case):
     b, raw = case
     om, d, m = b.base.omega, b.base.dim, b.dim_m
     for n in range(4 if (d, m) == (2, 1) else 3):
-        assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
+        assert _delta_columns(b, n) == _oracle_columns(b, n)
     if m == d:
         assert is_equivariant(b, identity_cochain(b.base)) and is_equivariant_oracle(b, identity_cochain(b.base))
     for n, coords in enumerate(raw, start=1):
@@ -958,7 +965,7 @@ def test_membership_verdicts_are_per_output_signature():
     for n in (1, 2, 3):
         _assert_verdicts_match_is_equivariant(b, n)
         _assert_basis_images_match_delta_op(b, n)
-        assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
+        assert _delta_columns(b, n) == _oracle_columns(b, n)
     verdicts: dict = {}
     for (_, key, sig), (bad, _) in blocks.coboundary_plan(b, 2).failures.items():
         verdicts.setdefault((key, sig), set()).add(frozenset(bad))
@@ -981,7 +988,7 @@ def test_coboundary_blocks_match_oracles_on_pooled_carriers(case):
     verdicts match is_equivariant image by image."""
     b = case[0]
     for n in range(1, 4 if b.base.dim * b.dim_m <= 2 else 3):
-        assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
+        assert _delta_columns(b, n) == _oracle_columns(b, n)
         _assert_basis_images_match_delta_op(b, n)
 
 
@@ -1056,7 +1063,7 @@ def test_coboundary_blocks_match_oracles_on_named_inputs():
     cases += [regular_bimodule(samples.build_e1_semidirect()), samples.c2_rbf_context().star_bimodule()]
     for b in cases:
         for n in (1, 2):
-            assert [dict(col) for col in delta_op(b, n).cols] == _oracle_columns(b, n)
+            assert _delta_columns(b, n) == _oracle_columns(b, n)
         for n in range(1, 5):
             _assert_basis_images_match_delta_op(b, n)
 
@@ -1091,6 +1098,22 @@ def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
     assert compiled == [24]
     assert sum(map(len, plan.reps)) == 60
     assert len(terms) == len(set(terms)) == len({term for key in plan.reps for term in key}) == 12
+
+
+def test_delta_op_reads_the_plan_blocks_in_place():
+    """For n >= 1 delta_op holds the faces and the block list of the
+    coboundary plan themselves, so no block is copied per pair; degree 0
+    holds one block per output tuple, reached from the one source block."""
+    cases = [regular_bimodule(samples.build_c2_example(0)), regular_bimodule(samples.build_e1_semidirect())]
+    cases.append(samples.c2_rbf_context().star_bimodule())
+    for b in cases:
+        size = b.base.omega.size
+        op = delta_op(b, 0)
+        assert op.faces == [[(x, x) for x in range(size)]] and len(op.blocks) == size
+        for n in range(1, 5):
+            op, plan = delta_op(b, n), blocks.coboundary_plan(b, n)
+            assert op.faces is plan.faces and op.blocks is plan.blocks
+            assert len(op.blocks) == len(plan.reps)
 
 
 def test_cochain_sparse_matches_per_tuple_expansion():

@@ -19,8 +19,8 @@ from bihomega import cochain, rbf, samples
 from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, Witness, zero_rb
 from bihomega.bimodule import OmegaBimodule, regular_bimodule, zero_bimodule
 from bihomega.cochain import (
+    BlockOp,
     Cochain,
-    SparseOp,
     apply_delta,
     cohomology_dims,
     delta_op,
@@ -306,7 +306,9 @@ def test_phi_matches_subset_oracle_with_several_classes():
 
 def test_phi_op_builds_one_block_per_class(monkeypatch, c2_ctx):
     """One Horner block per class of (R at each slot, T at the product):
-    1 per degree on c2_rbf (R_0 = R_1, T = R), where the 2^n tuples share it."""
+    1 per degree on c2_rbf (R_0 = R_1, T = R), where the 2^n tuples share it.
+    The operator stores exactly those blocks, each tuple reading its class's
+    block on the diagonal, and degree 0 is one identity block."""
     built, original = [], rbf._phi_block
 
     def counting(ctx, alpha):
@@ -323,10 +325,13 @@ def test_phi_op_builds_one_block_per_class(monkeypatch, c2_ctx):
     for ctx, expected in cases:
         for n in range(1, 5):
             built.clear()
-            rbf.phi_op(ctx, n)
-            assert len(built) == _phi_classes(ctx, n) == expected(n), n
-            rbf.phi_op(ctx, n)  # cached
+            op = rbf.phi_op(ctx, n)
+            assert len(built) == len(op.blocks) == _phi_classes(ctx, n) == expected(n), n
+            assert [[t for t, _ in faces] for faces in op.faces] == [[t] for t in range(len(op.faces))]
+            assert rbf.phi_op(ctx, n) is op  # cached
             assert len(built) == expected(n)
+        m = ctx.bimodule.dim_m
+        assert rbf.phi_op(ctx, 0).blocks == [[[(l, ONE)] for l in range(m)]]
 
 
 def test_d_combined_zero_and_square(e1_ctx):
@@ -418,7 +423,11 @@ def test_combined_degree0_check_refuses_a_non_chain_map(build, monkeypatch):
 
     def shifted(c, n):
         op = original(c, n)
-        return SparseOp(op.nrows, op.ncols, [col + [(j, 1)] for j, col in enumerate(op.cols)]) if n == 1 else op
+        if n != 1:
+            return op
+        ident = [[(col, 1)] for col in range(op.in_width)]  # one extra identity block on every tuple
+        faces = [f + [(s, len(op.blocks))] for s, f in enumerate(op.faces)]
+        return BlockOp(op.nrows, op.ncols, op.in_width, op.out_width, faces, op.blocks + [ident])
 
     eliminations, echelon = [], rbf._integer_echelon
 

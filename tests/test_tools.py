@@ -125,3 +125,29 @@ def test_stage_tool_combined_case_pivot_counts_match_the_tables():
     ranks = {name: [row.dim_cochains - row.dim_cocycles for row in report.rows]
              for name, report in rbfa_cohomology_dims(samples.c2_rbf_context(), 3).items()}
     assert counts == list(zip([0] + ranks["rbf"][:-1], ranks["alg"], ranks["rbfa"]))
+
+
+def test_gen_fixtures_regenerates_every_committed_fixture_byte_for_byte(monkeypatch):
+    """``tools/gen_fixtures.py`` writes exactly the files under fixtures/,
+    each identical to the committed one.  The witness table is taken from
+    the committed golden (``test_witnesses.py`` checks it against the
+    validators), so this pins every other fixture."""
+    import json
+
+    import gen_fixtures
+    from conftest import FIXTURES
+
+    written = {}
+
+    def capture(name, text):
+        assert name not in written, name
+        written[name] = text
+
+    golden = json.loads((FIXTURES / "witnesses.json").read_text(encoding="utf-8"))
+    monkeypatch.setattr(gen_fixtures, "write", capture)
+    monkeypatch.setattr(gen_fixtures, "witness_table", lambda: golden)
+    gen_fixtures.main()
+    committed = sorted(p.name for p in FIXTURES.iterdir())
+    assert sorted(written) == committed and len(committed) == 27
+    for name in committed:
+        assert written[name] == (FIXTURES / name).read_text(encoding="utf-8"), name

@@ -129,8 +129,7 @@ def degree_k(b, k: int, basis, clock) -> tuple:
     t0 = clock()
     plan = coboundary_plan(b, k)
     t1 = clock()
-    for key in range(len(plan.reps)):  # the first call compiles every block
-        plan.block(b, key)
+    plan.compiled(b)
     t2 = clock()
     work = []
     for s, faces in enumerate(plan.faces):
