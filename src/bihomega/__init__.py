@@ -66,7 +66,7 @@ from .extension import (
     compare_extensions,
     extract_cocycle,
 )
-from .gerstenhaber import bracket, circ_i, delta_via_bracket, mc_residual
+from .gerstenhaber import bracket, circ_i, mc_residual
 from .linalg import Mat, rank
 from .monoid import Monoid, product_word, validate_monoid
 from .rationals import Rat, format_rational, parse_rational

@@ -8,16 +8,16 @@ around the merged slot (the BiHom conventions of Graziani, Makhlouf, Menini
 and Panaite, SIGMA 11 (2015), 086).  Those data are interned by exact
 entries (:func:`structure_classes`), and the *pair key* of (beta, alpha) is
 the ordered tuple of the keys of the face terms that send alpha to beta.
-Equal pair keys have equal blocks, so :class:`CoboundaryPlan` compiles one
-block per key, and keeps each block's product with the kernel of a source
-twist signature once per (pair key, source signature).  Keys share face
-terms (on c2 at degree 4, 24 keys hold 60 terms, 12 of them distinct), so
-:func:`compile_blocks` compiles each distinct term once per degree, as
-sparse Kronecker products of the rows of the structure maps that visit
-only nonzeros, and sums each key's block from its terms.  The operator
-``cochain.delta_op`` holds the plan's faces and blocks themselves, and the
-basis images of the cohomology tables (``cochain._basis_images``) multiply
-the same blocks, so δ_n is compiled once, by one route.
+Equal pair keys have equal blocks, so :func:`pair_keys` numbers the keys
+of a degree and :func:`compile_blocks` compiles one block per key.  Keys
+share face terms (on c2 at degree 4, 24 keys hold 60 terms, 12 of them
+distinct), so each distinct term is compiled once per degree, as sparse
+Kronecker products of the rows of the structure maps that visit only
+nonzeros, and each key's block is summed from its terms.  Both are pure
+functions: ``cochain.delta_op`` is the one holder of δ_n's faces and
+blocks, and the basis images of the cohomology tables
+(``cochain._basis_images``) multiply its blocks, so δ_n is compiled once,
+by one route.
 """
 
 from __future__ import annotations
@@ -64,16 +64,8 @@ def intern(family: dict, flat=lambda mat: tuple(mat.entries)) -> dict:
     return {key: ids.setdefault(flat(v), len(ids)) for key, v in family.items()}
 
 
-def coboundary_plan(b: OmegaBimodule, n: int) -> "CoboundaryPlan":
-    """The :class:`CoboundaryPlan` of δ_n, n >= 1 (cached per degree)."""
-    hit = b._cache.get(("coboundary_plan", n))
-    if hit is None:
-        hit = b._cache[("coboundary_plan", n)] = CoboundaryPlan(b, n)
-    return hit
-
-
-class CoboundaryPlan:
-    """δ_n for n >= 1 as blocks shared by pair key.
+def pair_keys(b: OmegaBimodule, n: int) -> tuple:
+    """(faces, reps): the pair keys of δ_n, n >= 1.
 
     Face term i sends the block of a source tuple to the block of output
     tuple beta: term 0 to the tail beta[1:], term n+1 to the head beta[:-1],
@@ -85,72 +77,33 @@ class CoboundaryPlan:
 
     ``faces[s]`` lists the pairs (output tuple number, pair key number) of
     source tuple number s, and ``reps`` maps each pair key, in the order of
-    its number, to an output tuple where it occurs; caches are keyed by the
-    numbers, not by the nested key tuples.  Blocks are kept per pair key,
-    their products with the kernel of a source twist signature per (pair
-    key, source signature), and ``failures`` keeps, per (output signature,
-    pair key, source signature), the indices of the products that violate
-    the constraints of an output block (``cochain`` fills it).  The
-    bimodule is passed to each method rather than kept, so that the plan,
-    cached in the bimodule, does not refer back to it.
+    its number, to an output tuple where it occurs (what
+    :func:`compile_blocks` reads); caches are keyed by the numbers, not by
+    the nested key tuples.
     """
-
-    def __init__(self, b: OmegaBimodule, n: int):
-        om = b.base.omega
-        self.n = n
-        self.blocks: list | None = None  # per key number
-        self.products: dict = {}
-        self.failures: dict = {}
-        if om.size == 1:  # one tuple per degree: one pair holds all n + 2 terms
-            self.faces = [[(0, 0)]]
-            self.reps = {tuple((i,) for i in range(n + 2)): om.tuples(n + 1)[0]}
-            return
-        p_cls, q_cls, mu_cls, left_cls, right_cls, _, _ = structure_classes(b)
-        in_rank = {t: i for i, t in enumerate(om.tuples(n))}
-        numbers: dict = {}
-        self.faces = [[] for _ in in_rank]
-        self.reps = {}
-        for t, beta in enumerate(om.tuples(n + 1)):
-            head, tail = beta[:-1], beta[1:]
-            ps, qs = tuple([p_cls[x] for x in beta]), tuple([q_cls[x] for x in beta])
-            terms = {in_rank[tail]: [(0, ps[0], left_cls[(beta[0], om.product_of(tail))])]}
-            for i in range(1, n + 1):
-                merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
-                key = (i, ps[: i - 1], mu_cls[(beta[i - 1], beta[i])], qs[i + 1 :])
-                terms.setdefault(in_rank[merged], []).append(key)
-            last = (n + 1, qs[-1], right_cls[(om.product_of(head), beta[-1])])
-            terms.setdefault(in_rank[head], []).append(last)
-            for s, keys in terms.items():
-                key = tuple(keys)
-                if key not in self.reps:
-                    self.reps[key] = beta
-                    numbers[key] = len(numbers)
-                self.faces[s].append((t, numbers[key]))
-
-    def compiled(self, b: OmegaBimodule) -> list:
-        """The blocks by pair key number: local columns [(local row, coeff)].
-
-        The first call compiles the blocks of all keys of the degree, one per key.
-        """
-        if self.blocks is None:
-            self.blocks = compile_blocks(b, self.n, self.reps)
-        return self.blocks
-
-    def product(self, b: OmegaBimodule, key: int, sig, vectors: list) -> list:
-        """The block of key number ``key`` applied to the kernel ``vectors``
-        of source signature ``sig``: one local sparse dict per vector."""
-        hit = self.products.get((key, sig))
-        if hit is None:
-            block = self.compiled(b)[key]
-            hit = []
-            for vec in vectors:
-                out: dict = {}
-                for c, x in vec.items():
-                    for r, v in block[c]:
-                        out[r] = out.get(r, 0) + v * x
-                hit.append({r: v for r, v in out.items() if v})
-            self.products[(key, sig)] = hit
-        return hit
+    om = b.base.omega
+    p_cls, q_cls, mu_cls, left_cls, right_cls, _, _ = structure_classes(b)
+    in_rank = {t: i for i, t in enumerate(om.tuples(n))}
+    numbers: dict = {}
+    faces: list = [[] for _ in in_rank]
+    reps: dict = {}
+    for t, beta in enumerate(om.tuples(n + 1)):
+        head, tail = beta[:-1], beta[1:]
+        ps, qs = tuple([p_cls[x] for x in beta]), tuple([q_cls[x] for x in beta])
+        terms = {in_rank[tail]: [(0, ps[0], left_cls[(beta[0], om.product_of(tail))])]}
+        for i in range(1, n + 1):
+            merged = beta[: i - 1] + (om.mul(beta[i - 1], beta[i]),) + beta[i + 1 :]
+            key = (i, ps[: i - 1], mu_cls[(beta[i - 1], beta[i])], qs[i + 1 :])
+            terms.setdefault(in_rank[merged], []).append(key)
+        last = (n + 1, qs[-1], right_cls[(om.product_of(head), beta[-1])])
+        terms.setdefault(in_rank[head], []).append(last)
+        for s, keys in terms.items():
+            key = tuple(keys)
+            if key not in reps:
+                reps[key] = beta
+                numbers[key] = len(numbers)
+            faces[s].append((t, numbers[key]))
+    return faces, reps
 
 
 def compile_blocks(b: OmegaBimodule, n: int, reps: dict) -> list:

@@ -32,29 +32,31 @@ The coboundary has one implementation for n >= 1: the blocks of
 :mod:`bihomega.blocks`, one per *pair key* (the structure classes of the
 face terms that send a source tuple block to an output tuple block, so
 that equal keys have equal blocks).  :func:`delta_op` is a
-:class:`BlockOp` that holds the plan's faces and those blocks, read in
-place, once per (bimodule, degree), and :func:`apply_delta` and every
-operator caller go through it; degree 0 keeps its own formula.
+:class:`BlockOp`, the one holder of δ_n's faces and those blocks, read in
+place, once per (bimodule, degree); :func:`apply_delta`, the tables and
+every operator caller go through it; degree 0 keeps its own formula.
 The blocks and the constraint rows are built as sparse Kronecker products
 of rows and columns of the structure maps (``linalg._kron``), visiting only
 nonzeros.  Independent term-by-term transcriptions of the sum live only in
 the test oracles (``tests/oracles.py``).
 
 Cohomology tables never assemble δ for n >= 1: :func:`_basis_images`
-forms each block times the kernel of a source twist signature once per
-(pair key, source signature), and verifies that product against the
-constraint columns of the output block once per (output signature, pair
-key, source signature).  An image lies in C^{n+1} exactly when each of its
-output blocks meets that block's constraints, and each output block of a
-basis image is one such product, so every image is still verified.  The
-same pass drops the *end columns* of the output block (the largest column
-of each constraint row) from each product.  That is injective on C^{k+1}:
-a member vanishing off the end columns meets, at its smallest nonzero end
-column, a row ending there with one nonzero term.  So the projected images,
-streamed into one fraction-free integer rank per degree k >= 1 (degree 0
-ranks raw images), give the rank of δ_k, and no matrix of δ_k and no basis
-or kernel of C^{max_degree+1} is built.  The combined table ranks the
-same projected images, beside φ, in its one elimination per degree
+forms each block of :func:`delta_op` times the kernel of a source twist
+signature once per (pair key, source signature), and verifies that
+product against the constraint columns of the output block once per
+(output signature, pair key, source signature), both kept in per-degree
+entries of the bimodule's cache beside :func:`delta_op`'s own.  An image
+lies in C^{n+1} exactly when each of its output blocks meets that block's
+constraints, and each output block of a basis image is one such product,
+so every image is still verified.  The same pass drops the *end columns*
+of the output block (the largest column of each constraint row) from each
+product.  That is injective on C^{k+1}: a member vanishing off the end
+columns meets, at its smallest nonzero end column, a row ending there
+with one nonzero term.  So the projected images, streamed into one
+fraction-free integer rank per degree k >= 1 (degree 0 ranks raw images),
+give the rank of δ_k, and no matrix of δ_k and no basis or kernel of
+C^{max_degree+1} is built.  The combined table ranks the same projected
+images, beside φ, in its one elimination per degree
 (``rbf.rbfa_cohomology_dims``).  :func:`delta_matrix` (via ``coords_of``),
 :func:`is_coboundary` and the combined kernels and solves keep the raw
 products: a preimage is one ``sparse_solve`` of the raw images, transposed
@@ -81,7 +83,7 @@ from typing import NamedTuple
 from .algebra import _refuse_witness
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .blocks import coboundary_plan, structure_classes
+from .blocks import compile_blocks, pair_keys, structure_classes
 from .linalg import Mat, _kron, _supports, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
 from .monoid import Monoid
 from .rationals import ONE, ZERO, Rat
@@ -520,14 +522,17 @@ def _raw_size(b: OmegaBimodule, n: int) -> int:
 def delta_op(b: OmegaBimodule, n: int) -> BlockOp:
     """Compiled coboundary on raw coordinates, degree n -> n+1 (cached).
 
-    For n >= 1 the operator holds the faces and the pair-key blocks of
-    :func:`bihomega.blocks.coboundary_plan` themselves; degree 0 has one
-    block per output tuple.
+    For n >= 1 the operator is the one holder of δ_n's faces and pair-key
+    blocks (:func:`bihomega.blocks.pair_keys` and
+    :func:`bihomega.blocks.compile_blocks`); degree 0 has one block per
+    output tuple.
     """
     cache_key = ("delta_op", n)
     hit = b._cache.get(cache_key)
     if hit is not None:
         return hit
+    if n < 0:
+        raise MalformedInputError("negative degree")
     a = b.base
     d, m = a.dim, b.dim_m
     if n == 0:
@@ -539,8 +544,8 @@ def delta_op(b: OmegaBimodule, n: int) -> BlockOp:
             blocks.append([[(j * m + k, c) for j, k in rows if (c := ZERO + lt[j][l][k] - rt[l][j][k])]
                            for l in range(m)])
     else:
-        plan = coboundary_plan(b, n)
-        faces, blocks = plan.faces, plan.compiled(b)
+        faces, reps = pair_keys(b, n)
+        blocks = compile_blocks(b, n, reps)
     op = BlockOp(_raw_size(b, n + 1), _raw_size(b, n), d**n * m, d ** (n + 1) * m, faces, blocks)
     b._cache[cache_key] = op
     return op
@@ -572,8 +577,9 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
 
     Degree 0 applies :func:`delta_op`.  For n >= 1 the image of basis element
     (source tuple s, kernel vector k) is, on each output block of s, the
-    product of that pair's block with vector k
-    (:class:`bihomega.blocks.CoboundaryPlan`); δ is never assembled.  With
+    product of that pair's block of :func:`delta_op` with vector k
+    (:func:`_block_product`, kept per (pair key, source signature) in a
+    per-degree entry of b's cache); δ is never assembled.  With
     ``verify`` every image is checked against the degree-(n+1) constraints,
     block by block, before it is yielded (each output block of an image is
     one product, so its verdict is shared, :func:`_violations`), and
@@ -590,23 +596,26 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
                 raise _left_subspace(n, j)
             yield image
         return
-    plan = coboundary_plan(b, n)
+    op = delta_op(b, n)
+    products_of = b._cache.setdefault(("block_products", n), {})
+    verdicts = b._cache.setdefault(("verdicts", n), {})
     om = b.base.omega
     sources, outputs = om.tuples(n), om.tuples(n + 1)
-    out_width = b.base.dim ** (n + 1) * b.dim_m
-    for s, faces in enumerate(plan.faces):
+    for s, faces in enumerate(op.faces):
         vectors = basis.vectors[s]
         if not vectors:
             continue
         sig = _twist_signature(b, sources[s])
         parts, bad = [], set()
         for t, key in faces:
-            products = plan.product(b, key, sig, vectors)
+            products = products_of.get((key, sig))
+            if products is None:
+                products = products_of[(key, sig)] = _block_product(op.blocks[key], vectors)
             if verify or project:
-                failing, projected = _violations(b, plan, outputs[t], key, sig, products)
+                failing, projected = _violations(b, verdicts, outputs[t], key, sig, products)
                 bad |= failing
                 products = projected if project else products
-            parts.append((t * out_width, products))
+            parts.append((t * op.out_width, products))
         for k in range(len(vectors)):
             if k in bad:
                 raise _left_subspace(n, basis.offsets[s] + k)
@@ -617,22 +626,35 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
             yield image
 
 
-def _violations(b: OmegaBimodule, plan, beta, key: int, sig, products: list) -> tuple:
+def _block_product(block: list, vectors: list) -> list:
+    """A block of :func:`delta_op` applied to the kernel ``vectors`` of a
+    source twist signature: one local sparse dict per vector."""
+    products = []
+    for vec in vectors:
+        out: dict = {}
+        for c, x in vec.items():
+            for r, v in block[c]:
+                out[r] = out.get(r, 0) + v * x
+        products.append({r: v for r, v in out.items() if v})
+    return products
+
+
+def _violations(b: OmegaBimodule, verdicts: dict, beta, key: int, sig, products: list) -> tuple:
     """(Indices of ``products`` (pair key number ``key``, source signature
     ``sig``) that violate the constraints of output block ``beta``, the
     products without the end columns of those constraints), kept in
-    ``plan.failures`` per (output signature, key, source signature).  Zero
+    ``verdicts`` per (output signature, key, source signature).  Zero
     products satisfy every constraint, so when all are zero none is built."""
     if not any(products):
         return frozenset(), products
     out_sig = _twist_signature(b, beta)
-    hit = plan.failures.get((out_sig, key, sig))
+    hit = verdicts.get((out_sig, key, sig))
     if hit is None:
         by_col = _constraint_columns(b, beta)
         ends = _equivariance(b)[("end_columns", out_sig)]
         projected = [{} for _ in products]
         bad = frozenset(k for k, vec in enumerate(products) if _violates(by_col, vec, ends, projected[k]))
-        hit = plan.failures[(out_sig, key, sig)] = bad, projected
+        hit = verdicts[(out_sig, key, sig)] = bad, projected
     return hit
 
 
@@ -783,18 +805,6 @@ def _report(dims: list, ranks, b1_dim: int | None, intersected: bool) -> Cohomol
             raise InternalCheckError(f"degree-{k} coboundary space is larger than the cocycle space")
         rows.append(DegreeRow(k, dim, z, bdim, z - bdim))
     return CohomologyReport(rows, intersected)
-
-
-def degree0_sound(b: OmegaBimodule) -> bool:
-    """Does the degree-0 differential compose to zero into the complex?
-
-    True when δ_1 kills δ_0 y for every y of :func:`_degree0_domain`: every
-    degree-0 coboundary that lies in C^1.  Valid inputs exist for which
-    this fails; see the module docstring.
-    """
-    ys, _ = _degree0_domain(b)
-    op0, op1 = delta_op(b, 0), delta_op(b, 1)
-    return not any(op1.image(op0.image(y)) for y in ys)
 
 
 def dd_zero_witness(b: OmegaBimodule, degrees) -> tuple | None:

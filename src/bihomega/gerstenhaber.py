@@ -9,7 +9,8 @@ index, arguments after by the same power of qmap, and the slot's monoid
 indices merge through the monoid product.  The bracket is the graded
 commutator of the induced pre-Lie sums; a product family is exactly a
 bracket-square-zero (Maurer-Cartan) degree-2 element, and the graded
-commutator with the product family reproduces the coboundary up to sign.
+commutator with the product family reproduces the coboundary up to sign
+(the test oracle ``delta_via_bracket`` in ``tests/oracles.py``).
 
 Every sum of insertions sum_k c_k (f_k oc_ik g_k) is one call of
 :func:`insertion_sum`: ``circ_i`` is its one-term case, ``bracket`` and
@@ -245,14 +246,6 @@ def mc_residual(a: OmegaAlgebra, candidate: Cochain, check: bool = True) -> Coch
     if candidate.degree != 2:
         raise MalformedInputError("expected a degree-2 cochain")
     return bracket(a, candidate, candidate, check=check)
-
-
-def delta_via_bracket(a: OmegaAlgebra, f: Cochain, check: bool = True) -> Cochain:
-    """(-1)^(arity-1) [product, f]; coincides with the coboundary."""
-    if f.degree < 1:
-        raise MalformedInputError("bracket route needs arity >= 1")
-    out = bracket(a, mu_cochain(a), f, check=check)
-    return out.scale(-ONE) if (f.degree - 1) % 2 else out
 
 
 def algebra_with_product(a: OmegaAlgebra, candidate: Cochain) -> OmegaAlgebra:

@@ -64,7 +64,9 @@ from .rationals import ONE, ZERO
 
 
 class RbfContext:
-    """Validated bundle (algebra, Rota-Baxter family, bimodule with tmap).  Its
+    """Bundle (algebra, Rota-Baxter family, bimodule with tmap).  Only
+    :meth:`validated` validates it; the plain constructor checks the tmap
+    and the base alone, and the tables trust the context it builds.  Its
     star bimodule shares the bimodule's bases and constraint systems."""
 
     __slots__ = ("algebra", "rb", "bimodule", "_cache")
@@ -135,6 +137,8 @@ def phi_op(ctx: RbfContext, n: int) -> BlockOp:
     hit = ctx._cache.get(("phi_op", n))
     if hit is not None:
         return hit
+    if n < 0:
+        raise MalformedInputError("negative degree")
     om, d, m = ctx.dims()
     if n == 0:
         faces, blocks = [[(0, 0)]], [[[(l, ONE)] for l in range(m)]]
@@ -373,6 +377,8 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
     cochain, the first raw index where they differ and both values there
     (zero where an image has no entry).
     """
+    if max_degree < 0:
+        raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
     sb = ctx.star_bimodule()
     for n in range(max_degree + 1):
         basis = ctx.basis(n)

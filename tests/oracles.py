@@ -8,6 +8,10 @@ or factored evaluation that production uses:
   pointwise: it composes cochains with ``gerstenhaber.circ_i``);
 * :func:`delta_direct_oracle` -- the coboundary as the alternating sum,
   term by term (production: the compiled ``cochain.delta_op``);
+* :func:`delta_via_bracket` -- the coboundary of the regular bimodule as
+  (-1)^(n-1) [mu, f], the bracket route (production: ``cochain.delta_op``);
+* :func:`degree0_sound` -- does δ_1 kill every degree-0 coboundary that
+  lies in C^1 (production: the tables' ``cochain._degree0_checks``)?
 * :func:`partial_expanded_oracle` -- the operator-complex differential as
   the expanded sum in the original structures (production: ``rbf.partial``,
   the compiled coboundary of the star bimodule);
@@ -65,10 +69,10 @@ from itertools import combinations, product
 
 from bihomega.algebra import _assoc_scan, _column_witness, _commute_scan, _intertwining_scan, _weighted_scan
 from bihomega.bimodule import ensure_bimodule_shapes
-from bihomega.cochain import Cochain, _tuple_rank, maps_from_cochain
+from bihomega.cochain import Cochain, _degree0_domain, _tuple_rank, delta_op, maps_from_cochain
 from bihomega.deformation import deformed_mu
 from bihomega.errors import MalformedInputError, PreconditionError
-from bihomega.gerstenhaber import algebra_with_product
+from bihomega.gerstenhaber import algebra_with_product, bracket, mu_cochain
 from bihomega.linalg import Mat
 from bihomega.rationals import ONE, ZERO, Rat
 
@@ -145,6 +149,26 @@ def delta_direct_oracle(b, f):
             for k in range(m):
                 out.coords[base + k] = acc[k]
     return out
+
+
+def delta_via_bracket(a, f, check=True):
+    """(-1)^(arity-1) [product, f]; coincides with the coboundary."""
+    if f.degree < 1:
+        raise MalformedInputError("bracket route needs arity >= 1")
+    out = bracket(a, mu_cochain(a), f, check=check)
+    return out.scale(-ONE) if (f.degree - 1) % 2 else out
+
+
+def degree0_sound(b):
+    """Does the degree-0 differential compose to zero into the complex?
+
+    True when δ_1 kills δ_0 y for every y of ``cochain._degree0_domain``:
+    every degree-0 coboundary that lies in C^1.  Valid inputs exist for
+    which this fails; see the ``cochain`` module docstring.
+    """
+    ys, _ = _degree0_domain(b)
+    op0, op1 = delta_op(b, 0), delta_op(b, 1)
+    return not any(op1.image(op0.image(y)) for y in ys)
 
 
 def partial_expanded_oracle(ctx, f):

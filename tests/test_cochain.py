@@ -372,7 +372,7 @@ def test_dim_m_zero_everywhere_trivial(e1):
 
 
 def test_degree_zero_soundness_predicate(e0, e1_regular):
-    from bihomega.cochain import degree0_sound
+    from oracles import degree0_sound
 
     assert degree0_sound(regular_bimodule(e0))
     assert degree0_sound(e1_regular)  # defect present but defined part killed
@@ -385,7 +385,7 @@ def test_degree_zero_composite_can_fail_on_valid_input():
     of a module element is a genuine 1-cochain that is NOT a 1-cocycle.
     The dimension report refuses to quotient by non-cocycles.
     """
-    from bihomega.cochain import degree0_sound
+    from oracles import degree0_sound
 
     a = samples.build_c2_example(2)
     b = regular_bimodule(a)
@@ -470,20 +470,20 @@ def test_cohomology_dims_still_verifies_coboundary_images():
     """A shared block of δ_2 corrupted so that some images leave C^3 is
     refused, and the message names the degree and the lowest basis element
     whose image leaves, found here by scanning the basis through delta_op,
-    which is assembled from the same corrupted block."""
+    which holds the same corrupted block."""
     a = samples.build_c2_example(0)
     b = regular_bimodule(a)
     n = 2
     basis = equivariant_basis(b, n)
-    plan = blocks.coboundary_plan(b, n)
+    op = delta_op(b, n)
     owners: dict = {}  # pair key -> source tuples, in order
-    for s, faces in enumerate(plan.faces):
+    for s, faces in enumerate(op.faces):
         for _, key in faces:
             owners.setdefault(key, []).append(s)
     # a key shared by several pairs whose first source is not tuple 0
     key, sources = next((k, v) for k, v in owners.items() if len(v) > 1 and v[0] > 0)
     width = a.dim ** (n + 1) * b.dim_m
-    t = a.omega.tuples(n + 1).index(list(plan.reps.values())[key])
+    t = a.omega.tuples(n + 1).index(list(blocks.pair_keys(b, n)[1].values())[key])
 
     def unit(r):
         f = Cochain.zero(n + 1, a.omega.size, a.dim, b.dim_m)
@@ -492,11 +492,10 @@ def test_cohomology_dims_still_verifies_coboundary_images():
 
     outside = next(r for r in range(width) if not is_equivariant(b, unit(r)))
     column = basis.frees[sources[0]][0]  # nonzero in one kernel vector of the source only
-    block = plan.compiled(b)[key]
+    block = op.blocks[key]
     entries = dict(block[column])
     entries[outside] = entries.get(outside, 0) + 1
     block[column] = list(entries.items())
-    op = delta_op(b, n)
     leaving = [j for j in range(basis.dim())
                if not is_equivariant(b, Cochain(n + 1, a.omega.size, a.dim, b.dim_m,
                                                 op.apply_dense(basis.cochain(j).coords)))]
@@ -919,19 +918,21 @@ def _assert_basis_images_match_delta_op(b, n):
 
 
 def _assert_verdicts_match_is_equivariant(b, n):
-    """Each membership verdict of the degree-n plan, shared per (output
-    signature, pair key, source signature), equals is_equivariant on the
-    product placed at that face's own output block, face by face."""
+    """Each membership verdict of δ_n, shared per (output signature, pair
+    key, source signature) in the degree's verdict dict, equals
+    is_equivariant on the product placed at that face's own output block,
+    face by face."""
     om, d, m = b.base.omega, b.base.dim, b.dim_m
-    basis, plan = equivariant_basis(b, n), blocks.coboundary_plan(b, n)
+    basis, op = equivariant_basis(b, n), delta_op(b, n)
+    verdicts = b._cache.setdefault(("verdicts", n), {})
     width = d ** (n + 1) * m
-    for s, faces in enumerate(plan.faces):
+    for s, faces in enumerate(op.faces):
         vectors = basis.vectors[s]
         if not vectors:
             continue
         sig = cochain._twist_signature(b, om.tuples(n)[s])
         for t, key in faces:
-            products = plan.product(b, key, sig, vectors)
+            products = cochain._block_product(op.blocks[key], vectors)
             want = set()
             for k, product in enumerate(products):
                 f = Cochain.zero(n + 1, om.size, d, m)
@@ -939,7 +940,7 @@ def _assert_verdicts_match_is_equivariant(b, n):
                     f.coords[t * width + r] = v
                 if not is_equivariant(b, f):
                     want.add(k)
-            assert cochain._violations(b, plan, om.tuples(n + 1)[t], key, sig, products)[0] == want, (n, s, t)
+            assert cochain._violations(b, verdicts, om.tuples(n + 1)[t], key, sig, products)[0] == want, (n, s, t)
 
 
 def _sign_carrier():
@@ -967,7 +968,7 @@ def test_membership_verdicts_are_per_output_signature():
         _assert_basis_images_match_delta_op(b, n)
         assert _delta_columns(b, n) == _oracle_columns(b, n)
     verdicts: dict = {}
-    for (_, key, sig), (bad, _) in blocks.coboundary_plan(b, 2).failures.items():
+    for (_, key, sig), (bad, _) in b._cache[("verdicts", 2)].items():
         verdicts.setdefault((key, sig), set()).add(frozenset(bad))
     assert any(len(v) > 1 for v in verdicts.values())
 
@@ -1087,23 +1088,48 @@ def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
             terms.append(term)
         return original_term(cols, bb, n, term, beta, rows)
 
-    monkeypatch.setattr(blocks, "compile_blocks", counting)
+    monkeypatch.setattr(cochain, "compile_blocks", counting)
     monkeypatch.setattr(blocks, "_face_term", counting_term)
     cohomology_dims(b, 4)
     delta_op(b, 4)
-    plan = blocks.coboundary_plan(b, 4)
-    numbers = [key for faces in plan.faces for _, key in faces]
+    faces, reps = blocks.pair_keys(b, 4)
+    numbers = [key for pairs in faces for _, key in pairs]
     assert len(numbers) == 111
-    assert len(set(numbers)) == len(plan.reps) == 24
+    assert len(set(numbers)) == len(reps) == 24
     assert compiled == [24]
-    assert sum(map(len, plan.reps)) == 60
-    assert len(terms) == len(set(terms)) == len({term for key in plan.reps for term in key}) == 12
+    assert sum(map(len, reps)) == 60
+    assert len(terms) == len(set(terms)) == len({term for key in reps for term in key}) == 12
 
 
-def test_delta_op_reads_the_plan_blocks_in_place():
-    """For n >= 1 delta_op holds the faces and the block list of the
-    coboundary plan themselves, so no block is copied per pair; degree 0
-    holds one block per output tuple, reached from the one source block."""
+def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch):
+    """On c2 variant 0 (one twist signature per degree) the tables multiply
+    a block of delta_op by a source kernel once per pair key: 7, 13, 18 and
+    24 products at degrees 1-4, where degree 4 has 111 faces.  Raw basis
+    images of degrees 1-4 taken afterwards reuse them and multiply none."""
+    b = regular_bimodule(samples.build_c2_example(0))
+    calls, original = [], cochain._block_product
+
+    def counting(block, vectors):
+        calls.append(block)
+        return original(block, vectors)
+
+    monkeypatch.setattr(cochain, "_block_product", counting)
+    cohomology_dims(b, 4)
+    per_degree = [sum(any(block is own for own in delta_op(b, n).blocks) for block in calls) for n in range(1, 5)]
+    assert per_degree == [7, 13, 18, 24] and len(calls) == 62
+    assert sum(map(len, delta_op(b, 4).faces)) == 111
+    calls.clear()
+    for n in range(1, 5):
+        list(cochain._basis_images(b, n))
+    assert calls == []
+
+
+def test_table_images_read_the_delta_op_blocks():
+    """For n >= 1 delta_op holds one block per pair key of blocks.pair_keys,
+    and the basis images of the tables multiply that very block list: with
+    every block of delta_op doubled in place before the first image, the
+    images equal twice those of the intact operator.  Degree 0 holds one
+    block per output tuple, reached from the one source block."""
     cases = [regular_bimodule(samples.build_c2_example(0)), regular_bimodule(samples.build_e1_semidirect())]
     cases.append(samples.c2_rbf_context().star_bimodule())
     for b in cases:
@@ -1111,9 +1137,14 @@ def test_delta_op_reads_the_plan_blocks_in_place():
         op = delta_op(b, 0)
         assert op.faces == [[(x, x) for x in range(size)]] and len(op.blocks) == size
         for n in range(1, 5):
-            op, plan = delta_op(b, n), blocks.coboundary_plan(b, n)
-            assert op.faces is plan.faces and op.blocks is plan.blocks
-            assert len(op.blocks) == len(plan.reps)
+            faces, reps = blocks.pair_keys(b, n)
+            op = delta_op(b, n)
+            assert op.faces == faces and len(op.blocks) == len(reps)
+            basis = equivariant_basis(b, n)
+            intact = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
+            op.blocks[:] = [[[(r, 2 * v) for r, v in col] for col in block] for block in op.blocks]
+            doubled = [{i: 2 * v for i, v in image.items()} for image in intact]
+            assert any(intact) and list(cochain._basis_images(b, n)) == doubled
 
 
 def test_cochain_sparse_matches_per_tuple_expansion():

@@ -15,7 +15,6 @@ from bihomega.gerstenhaber import (
     algebra_with_product,
     bracket,
     circ_i,
-    delta_via_bracket,
     insertion_sum,
     mc_residual,
     mu_cochain,
@@ -28,6 +27,7 @@ from oracles import (
     bracket_oracle,
     circ_full_oracle,
     circ_i_oracle,
+    delta_via_bracket,
     evaluate_oracle,
     identity_cochain,
     is_equivariant_oracle,

@@ -132,6 +132,22 @@ def test_phi_and_partial_refuse_cochains_of_another_shape(e1_ctx, c2_ctx):
     assert len(phi(c2_ctx, good).coords) == len(good.coords)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda ctx: delta_op(ctx.bimodule, -1), "negative degree"),
+        (lambda ctx: rbf.phi_op(ctx, -1), "negative degree"),
+        (lambda ctx: chain_map_check(ctx, -1), "max_degree must be >= 0, got -1"),
+    ],
+    ids=["delta_op", "phi_op", "chain_map_check"],
+)
+def test_operators_refuse_a_negative_degree(c2_ctx, call, message):
+    """A negative degree is a malformed request for the compiled operators
+    and the chain-map check, not a type error or a silent pass."""
+    with pytest.raises(MalformedInputError, match=message):
+        call(c2_ctx)
+
+
 def test_phi_degree_low_cases(e1_ctx):
     m = e1_ctx.bimodule.dim_m
     f = Cochain.zero(0, 1, 2, m)

@@ -8,11 +8,13 @@ semidirect product (degrees 0-5), each repeat starts from a fresh bimodule
 and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 
 * ``basis``    -- ``equivariant_basis`` of C^k;
-* ``plan``     -- the pair keys of δ_k (``blocks.coboundary_plan``);
-* ``blocks``   -- compiling one block per distinct pair key (at k = 0,
-  compiling ``delta_op``, which keeps its own formula there);
-* ``products`` -- each block times the kernel of each source twist
-  signature, once per (pair key, source signature);
+* ``plan``     -- the pair keys of δ_k (``blocks.pair_keys``, timed inside
+  ``delta_op``);
+* ``blocks``   -- the rest of ``delta_op``: compiling one block per distinct
+  pair key (at k = 0, its own formula);
+* ``products`` -- each block of ``delta_op`` times the kernel of each
+  source twist signature, once per (pair key, source signature), kept where
+  ``cochain._basis_images`` reads them;
 * ``verify``   -- the membership verdict of each product in its output
   block, once per (output signature, pair key, source signature), with the
   product's projection off the end columns of that block's constraint rows
@@ -80,11 +82,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from bihomega import blocks, linalg, rbf, samples
+from bihomega import blocks, cochain, linalg, rbf, samples
 from bihomega.bimodule import regular_bimodule
-from bihomega.blocks import coboundary_plan
 from bihomega.cochain import (
     _basis_images,
+    _block_product,
     _constraint_rows,
     _degree0_checks,
     _in_subspace,
@@ -127,22 +129,25 @@ def degree_k(b, k: int, basis, clock) -> tuple:
     """(seconds per stage, images, inside) of degree k >= 1, stage by stage."""
     tuples_in, tuples_out = b.base.omega.tuples(k), b.base.omega.tuples(k + 1)
     t0 = clock()
-    plan = coboundary_plan(b, k)
+    op, plan_s = seconds_in(cochain, "pair_keys", lambda: delta_op(b, k), clock)
     t1 = clock()
-    plan.compiled(b)
-    t2 = clock()
+    shared = b._cache.setdefault(("block_products", k), {})
+    verdicts = b._cache.setdefault(("verdicts", k), {})
     work = []
-    for s, faces in enumerate(plan.faces):
+    for s, faces in enumerate(op.faces):
         if basis.vectors[s]:
             sig = _twist_signature(b, tuples_in[s])
-            work += [(t, key, sig, plan.product(b, key, sig, basis.vectors[s])) for t, key in faces]
+            for t, key in faces:
+                if (key, sig) not in shared:
+                    shared[(key, sig)] = _block_product(op.blocks[key], basis.vectors[s])
+                work.append((t, key, sig, shared[(key, sig)]))
+    t2 = clock()
+    inside = not any([_violations(b, verdicts, tuples_out[t], key, sig, prods)[0] for t, key, sig, prods in work])
     t3 = clock()
-    inside = not any([_violations(b, plan, tuples_out[t], key, sig, prods)[0] for t, key, sig, prods in work])
+    images = list(_basis_images(b, k, project=True))  # products, verdicts and projections were taken above
     t4 = clock()
-    images = list(_basis_images(b, k, project=True))  # verdicts and projections were taken above
-    t5 = clock()
-    return {"plan": t1 - t0, "blocks": t2 - t1, "products": t3 - t2, "verify": t4 - t3,
-            "assemble": t5 - t4}, images, inside
+    return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": t2 - t1, "verify": t3 - t2,
+            "assemble": t4 - t3}, images, inside
 
 
 def counting_calls(module, name: str, build) -> tuple:
@@ -158,6 +163,26 @@ def counting_calls(module, name: str, build) -> tuple:
     setattr(module, name, counting)
     try:
         return build(), calls
+    finally:
+        setattr(module, name, original)
+
+
+def seconds_in(module, name: str, build, clock) -> tuple:
+    """(build(), the seconds its calls to ``module.name`` took)."""
+    seconds = 0.0
+    original = getattr(module, name)
+
+    def timing(*args):
+        nonlocal seconds
+        t0 = clock()
+        try:
+            return original(*args)
+        finally:
+            seconds += clock() - t0
+
+    setattr(module, name, timing)
+    try:
+        return build(), seconds
     finally:
         setattr(module, name, original)
 
