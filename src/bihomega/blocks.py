@@ -9,11 +9,13 @@ and Panaite, SIGMA 11 (2015), 086).  Those data are interned by exact
 entries (:func:`structure_classes`), and the *pair key* of (beta, alpha) is
 the ordered tuple of the keys of the face terms that send alpha to beta.
 Equal pair keys have equal blocks, so :func:`pair_keys` numbers the keys
-of a degree and :func:`compile_blocks` compiles one block per key.  Keys
-share face terms (on c2 at degree 4, 24 keys hold 60 terms, 12 of them
-distinct), so each distinct term is compiled once per degree, as sparse
-Kronecker products of the rows of the structure maps that visit only
-nonzeros, and each key's block is summed from its terms.  Both are pure
+of a degree and :func:`compile_blocks` compiles one block per key.  The
+middle terms of a key, P (x) ... (x) mu (x) Q (x) ... (x) id_M, are summed
+at the argument level, without id_M, by one slot recursion that shares
+its P prefixes and Q suffixes, and keys with equal middle terms share that
+sum (on c2 variant 0 at degree 4, 24 keys hold 12 distinct middle sums,
+built in 27 slot steps); each block is then expanded by id_M once and the
+two action terms are added.  Only nonzeros are visited.  Both are pure
 functions: ``cochain.delta_op`` is the one holder of δ_n's faces and
 blocks, and the basis images of the cohomology tables
 (``cochain._basis_images``) multiply its blocks, so δ_n is compiled once,
@@ -22,7 +24,6 @@ by one route.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
 
 from .bimodule import OmegaBimodule
@@ -110,100 +111,113 @@ def compile_blocks(b: OmegaBimodule, n: int, reps: dict) -> list:
     """The block of each pair key of ``reps`` ({pair key: an output tuple
     beta where it occurs}), in order: the sum of the key's face terms from
     one source block to output block beta, as local columns [(local row,
-    coeff)], zeros dropped.
-
-    Each distinct face term of the degree is compiled once, by
-    :func:`_face_term`: a term that one key holds (every term, on a
-    one-element monoid) straight into that key's accumulator, a term that
-    several keys hold into its own, which each of them then adds into
-    theirs.  The sparse rows of the structure maps are read once.
+    coeff)], zeros dropped.  Its middle terms are summed by
+    :func:`_middle_part`, once per distinct tuple of them, each column of
+    that sum is expanded by the identity of M, and the first and last terms
+    (:func:`_outer_term`) are added.
     """
     a = b.base
-    d = a.dim
-    width = d**n * b.dim_m
-    pairs = [(j, jj) for j in range(d) for jj in range(d)]
-    rows = (
-        {x: _supports(a.pmap[x]) for x in a.omega.elements()},
-        {x: _supports(a.qmap[x]) for x in a.omega.elements()},
-        {  # per merged argument r: [(j * d + jj, mu[j][jj][r])]
-            key: [[(j * d + jj, mu[j][jj][r]) for j, jj in pairs if mu[j][jj][r]] for r in range(d)]
-            for key, mu in a.product.items()
-        },
+    d, m = a.dim, b.dim_m
+    p_cls, q_cls, mu_cls, _, _, _, _ = structure_classes(b)
+    rows = (  # sparse rows of p, q and mu per class id; mu's per merged argument r
+        {c: _supports(a.pmap[x]) for x, c in p_cls.items()},
+        {c: _supports(a.qmap[x]) for x, c in q_cls.items()},
+        {c: [[(j * d + jj, mu[j][jj][r]) for j in range(d) for jj in range(d) if mu[j][jj][r]] for r in range(d)]
+         for key, c in mu_cls.items() for mu in (a.product[key],)},
     )
-    uses = Counter(chain.from_iterable(reps))
-    shared: dict = {}
-    blocks = []
+    middles, steps, outers, blocks = {(): [[]] * d**n}, {}, {}, []  # no middle term: zero columns
     for key, beta in reps.items():
-        cols = [{} for _ in range(width)]
-        for term in key:
-            if uses[term] == 1:
-                _face_term(cols, b, n, term, beta, rows)
+        middle = tuple([term for term in key if 0 < term[0] <= n])
+        part = middles.get(middle)
+        if part is None:
+            part = middles[middle] = _middle_part(middle, n, d, rows, steps)
+        outer = [outers.get(t) or outers.setdefault(t, _outer_term(b, n, t[0], beta)) for t in key if not 0 < t[0] <= n]
+        cols = []
+        for c, col in enumerate(part):
+            if not outer:
+                cols += [[(r * m + l, v) for r, v in col] for l in range(m)]
                 continue
-            hit = shared.get(term)
-            if hit is None:
-                hit = shared[term] = _face_term([{} for _ in range(width)], b, n, term, beta, rows)
-            for acc, col in zip(cols, hit):
-                for r, v in col.items():
-                    acc[r] = acc.get(r, ZERO) + v
-        blocks.append([[(r, v) for r, v in cm.items() if v] for cm in cols])
+            for l in range(m):
+                acc, cancelled = {r * m + l: v for r, v in col}, False
+                for stride, entries in outer:
+                    for r, v in entries[l]:
+                        r += c * stride
+                        acc[r] = v = acc.get(r, ZERO) + v
+                        cancelled = cancelled or not v
+                cols.append([(r, v) for r, v in acc.items() if v] if cancelled else list(acc.items()))
+        blocks.append(cols)
     return blocks
 
 
-def _face_term(cols: list, b: OmegaBimodule, n: int, term: tuple, beta: tuple, rows: tuple) -> list:
-    """Add face term ``term`` (key ``(i, ...)``) of δ_n, signed, from one
-    source block to output block ``beta`` into the local columns ``cols``
-    ({local row: coeff} each), and return them.
+def _middle_part(middle: tuple, n: int, d: int, rows: tuple, steps: dict) -> list:
+    """The sum of the middle face terms ``middle`` of δ_n (keys (i, p classes
+    before slot i-1, mu class, q classes after slot i), i increasing) at the
+    argument level: per source argument, [(output argument, coeff)].
 
-    The first and last terms are one m x m action matrix per outer argument,
-    repeated at d^n offsets.  Middle term i is P_{beta_0} (x) ... (x)
-    mu_{beta_{i-1},beta_i} (x) Q_{beta_{i+1}} (x) ... (x) I_m, built from the
-    sparse ``rows`` (p, q and mu per monoid key) by ``linalg._kron``.
+    It is S_n of one slot recursion, from S = 0 before the first term:
+    S_i = S_{i-1} (x) Q_{beta_i}, plus (-1)^i P_{beta_0} (x) ... (x)
+    P_{beta_{i-2}} (x) mu_{beta_{i-1},beta_i} when term i is in ``middle``.
+    Each S_i (:func:`_slot_step`) is kept in ``steps`` by S_{i-1} and the
+    classes that step reads, so the middle sums of a degree share their
+    common prefixes, and a Q suffix costs one product per step.
+    """
+    p_rows, q_rows, mu_rows = rows
+    terms = {term[0]: term for term in middle}
+    first, qs = middle[0][0], middle[0][3]
+    node = part = None
+    for i in range(first, n + 1):
+        q = None if part is None else qs[i - first - 1]
+        term = terms.get(i)
+        hit = steps.get(step := (node, q, term and term[1:3]))
+        if hit is None:
+            pre = mu = None
+            if term is not None:
+                pre = _kron([(d, p_rows[c]) for c in term[1]])
+                mu = [[(r, v if i % 2 == 0 else -v) for r, v in col] for col in mu_rows[term[2]]]
+            hit = steps[step] = len(steps), _slot_step(part, None if q is None else q_rows[q], pre, mu, d)
+        node, part = hit
+    return part
+
+
+def _slot_step(part, q, pre, mu, d: int) -> list:
+    """S_i of :func:`_middle_part` from S_{i-1} = ``part`` (None: zero), the
+    sparse rows ``q`` of Q_{beta_i} and, when term i is summed, P_{beta_0}
+    (x) ... (x) P_{beta_{i-2}} = ``pre`` and the signed rows ``mu`` of mu."""
+    if mu is None:
+        return _kron([(d, q)], part)
+    if part is None:
+        return _kron([(d * d, mu)], pre)
+    out = []
+    for col, pcol in zip(part, pre):
+        for qj, mj in zip(q, mu):
+            acc = {r * d + s: v * w for r, v in col for s, w in qj}
+            for r, v in pcol:
+                for s, w in mj:
+                    s += r * d * d
+                    acc[s] = acc.get(s, ZERO) + v * w
+            out.append([(r, v) for r, v in acc.items() if v])
+    return out
+
+
+def _outer_term(b: OmegaBimodule, n: int, i: int, beta: tuple) -> tuple:
+    """Face term i = 0 or n + 1 of δ_n to output block ``beta``, as (stride,
+    per source index l of M the entries [(row offset, coeff)]): from the
+    source column of argument c and index l it reaches row offset + c *
+    stride.  Term 0 is p^{n-1}(a_1) acting on the value at the tail, term
+    n + 1 the value at the head acted on by q^{n-1}(a_{n+1}), signed.
     """
     a = b.base
-    om = a.omega
-    d, m = a.dim, b.dim_m
-    dn = d**n
-    i = term[0]
-    sign = ONE if i % 2 == 0 else -ONE
-    slots = [(l, k) for l in range(m) for k in range(m)]
-
-    def repeat(act, row_start: int, row_stride: int):
-        # act = [(l, k, coeff)] at each of the dn offsets of the other arguments
-        for r in range(dn):
-            row0, col0 = row_start + r * row_stride, r * m
-            for l, k, v in act:
-                cm = cols[col0 + l]
-                cm[row0 + k] = cm.get(row0 + k, ZERO) + v
-
-    if i == 0:
-        # p^{n-1}(a_1) acting on the value at the tail
-        lt = b.left[(beta[0], om.product_of(beta[1:]))]
-        p_pow = a.p_power(beta[0], n - 1)
-        for j in range(d):
-            u = p_pow.col(j)
-            act = [(l, k, c) for l, k in slots
-                   if (c := sum(ui * lt[s][l][k] for s, ui in enumerate(u)))]
-            repeat(act, j * dn * m, m)
-    elif i == n + 1:
-        # the value at the head acted on by q^{n-1}(a_{n+1})
-        rt = b.right[(om.product_of(beta[:-1]), beta[-1])]
-        q_pow = a.q_power(beta[-1], n - 1)
-        for j in range(d):
-            v = q_pow.col(j)
-            act = [(l, k, sign * c) for l, k in slots
-                   if (c := sum(vi * rt[l][s][k] for s, vi in enumerate(v)))]
-            repeat(act, j * m, d * m)
+    om, d, m = a.omega, a.dim, b.dim_m
+    if i == 0:  # acts[s][l][k]: basis argument s sends index l of M to index k
+        mat, sign, stride, lead = a.p_power(beta[0], n - 1), ONE, m, d**n * m
+        acts = b.left[(beta[0], om.product_of(beta[1:]))]
     else:
-        # slot i of the output is merged through the product
-        p_rows, q_rows, mu_rows = rows
-        tables = [(d, p_rows[x]) for x in beta[: i - 1]]
-        tables.append((d * d, mu_rows[(beta[i - 1], beta[i])]))
-        tables += [(d, q_rows[x]) for x in beta[i + 1 :]]
-        for r_rank, terms in enumerate(_kron(tables)):
-            terms = [(r * m, sign * c) for r, c in terms]
-            col0 = r_rank * m
-            for k in range(m):
-                cm = cols[col0 + k]
-                for row0, c in terms:
-                    cm[row0 + k] = cm.get(row0 + k, ZERO) + c
-    return cols
+        rt = b.right[(om.product_of(beta[:-1]), beta[-1])]
+        mat, sign, stride, lead = a.q_power(beta[-1], n - 1), ONE if i % 2 == 0 else -ONE, d * m, m
+        acts = [[rt[l][s] for l in range(m)] for s in range(d)]
+    out = [[] for _ in range(m)]
+    for j in range(d):
+        u = [(us, acts[s]) for s, us in enumerate(mat.col(j)) if us]
+        for l, entries in enumerate(out):
+            entries += [(j * lead + k, sign * c) for k in range(m) if (c := sum([us * act[l][k] for us, act in u]))]
+    return stride, out

@@ -35,10 +35,11 @@ that equal keys have equal blocks).  :func:`delta_op` is a
 :class:`BlockOp`, the one holder of δ_n's faces and those blocks, read in
 place, once per (bimodule, degree); :func:`apply_delta`, the tables and
 every operator caller go through it; degree 0 keeps its own formula.
-The blocks and the constraint rows are built as sparse Kronecker products
-of rows and columns of the structure maps (``linalg._kron``), visiting only
-nonzeros.  Independent term-by-term transcriptions of the sum live only in
-the test oracles (``tests/oracles.py``).
+The blocks (their middle face terms summed slot by slot at the argument
+level, then expanded by the identity of M) and the constraint rows are
+sparse Kronecker products of rows and columns of the structure maps
+(``linalg._kron``), visiting only nonzeros.  Independent term-by-term
+transcriptions of the sum live only in the test oracles (``tests/oracles.py``).
 
 Cohomology tables never assemble δ for n >= 1: :func:`_basis_images`
 forms each block of :func:`delta_op` times the kernel of a source twist

@@ -223,15 +223,16 @@ def rank(m: Mat) -> int:
     return sparse_rank(map(dict, _supports(m)))
 
 
-def _kron(tables) -> list:
+def _kron(tables, prods=([(0, ONE)],)) -> list:
     """Sparse Kronecker products, one per index tuple (j_1..j_k) in lex order.
 
     ``tables[s] = (width, entries)``: ``entries[j]`` is the sparse vector
     [(position, coeff)] that index j selects at slot s.  A product is
     [(mixed-radix rank of the positions, coeff)]; tuples that share a prefix
-    share its partial product, and only nonzeros are visited.
+    share its partial product, and only nonzeros are visited.  Given
+    ``prods``, products already taken over earlier slots, they continue
+    from those.
     """
-    prods = [[(0, ONE)]]
     for width, entries in tables:
         prods = [[(r * width + p, c * v) for r, c in prod for p, v in entry]
                  for prod in prods for entry in entries]

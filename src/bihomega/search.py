@@ -66,29 +66,10 @@ def search_rbf(a: OmegaAlgebra, bound: int, weight, cap: int = DEFAULT_CAP) -> l
     return list(iter_rbf(a, bound, weight, cap))
 
 
-def is_scalar_family(maps: dict, dim: int) -> bool:
-    """Every map a scalar multiple of the identity."""
-    return not dim or all(m == Mat.scalar(dim, m.at(0, 0)) for m in maps.values())
-
-
 def first_nonscalar(families):
-    """First family (any object with ``maps``) that is not scalar; reads an
-    iterator only up to it."""
+    """First family (any object with ``maps``) with a map that is not a
+    scalar multiple of the identity; reads an iterator only up to it."""
     for fam in families:
-        dim = next(iter(fam.maps.values())).rows if fam.maps else 0
-        if not is_scalar_family(fam.maps, dim):
+        if any(m != Mat.scalar(m.rows, m.at(0, 0)) for m in fam.maps.values() if m.rows):
             return fam
     return None
-
-
-def search_nijenhuis(a: OmegaAlgebra, bound: int, cap: int = DEFAULT_CAP) -> list:
-    """All Nijenhuis families within the bound, in scan order."""
-    from .deformation import NijenhuisFamily, check_nijenhuis
-
-    _require_enumerable(a, bound, cap)
-    hits = []
-    for maps in iter_map_families(a, bound):
-        nf = NijenhuisFamily(maps)
-        if check_nijenhuis(a, nf) is None:
-            hits.append(nf)
-    return hits

@@ -1,17 +1,30 @@
 """Seeded random generation of valid structures, for tests.
 
 Every generator returns a structure that validates: it re-draws until its
-candidate passes, deterministically for a fixed seed.  Random algebras come
+candidate passes, deterministically for a fixed seed, and raises
+InternalCheckError when 40 draws do not converge.  Random algebras come
 from constructions that are valid by design: zero products with commuting
 diagonal structure maps, the two-dimensional scaled example family, twists
 of associative cores (diagonal algebras, truncated polynomial algebras) by
 automorphism families, and semidirect products.
+
+:func:`random_wide_pair` widens those draws, with integer entries: its
+algebra's structure maps are invertible and not diagonal, p differs from q,
+they are not both the identity at the unit, and they may differ element by
+element (:func:`random_twisted_algebra`, moved to a random basis by
+:func:`_transport`, which keeps validity); its bimodule is the regular
+one, a zero one with invertible non-diagonal maps, or the bimodule induced
+by a Rota-Baxter family found by search.
+:func:`random_valid_context` draws Rota-Baxter family contexts.
 """
 
 from bihomega.algebra import (
     ExampleParams,
     OmegaAlgebra,
+    RotaBaxterFamily,
+    bilinear,
     build_example_algebra,
+    tensor_zeros,
     validate_algebra,
     yau_twist,
     zero_algebra,
@@ -19,6 +32,7 @@ from bihomega.algebra import (
 )
 from bihomega.bimodule import (
     OmegaBimodule,
+    induced_module_star,
     regular_bimodule,
     semidirect_product,
     validate_bimodule,
@@ -28,19 +42,30 @@ from bihomega.errors import InternalCheckError
 from bihomega.linalg import Mat
 from bihomega.monoid import Monoid, boolean_monoid, cyclic_monoid, trivial_monoid
 from bihomega.rationals import ONE, Rat
-from bihomega.samples import build_diag, build_e1, build_truncated_poly, c2_params, module_bimodule, unit_params
+from bihomega.rbf import RbfContext
+from bihomega.samples import (
+    build_diag,
+    build_e1,
+    build_truncated_poly,
+    c2_params,
+    module_bimodule,
+    searched_rb,
+    unit_params,
+)
 
 
 _MONOIDS = (trivial_monoid(), cyclic_monoid(2), boolean_monoid())
 _SCALARS = (Rat(1), Rat(2), Rat(-1), Rat(1, 2), Rat(3))
+_WEIGHTS = (Rat(1), Rat(-1), Rat(1, 2), Rat(2))
+_INT_UNITS = (Rat(1), Rat(2), Rat(-1), Rat(3))
 
 
-def _random_diag_family(rng, omega: Monoid, dim: int, invertible: bool = False) -> dict:
+def _random_diag_family(rng, omega: Monoid, dim: int, invertible: bool = False, scalars: tuple = _SCALARS) -> dict:
     out = {}
     for x in omega.elements():
         entries = []
         for _ in range(dim):
-            v = rng.choice(_SCALARS) if invertible else Rat(rng.randint(-2, 2))
+            v = rng.choice(scalars) if invertible else Rat(rng.randint(-2, 2))
             entries.append(v)
         m = Mat.zeros(dim, dim)
         for i, v in enumerate(entries):
@@ -162,3 +187,164 @@ def random_valid_pair(rng, max_dim: int = 3, max_dim_m: int = 2):
     a = random_valid_algebra(rng, max_dim)
     b = random_valid_bimodule(rng, a, max_dim_m)
     return a, b
+
+
+def _shears(rng, dim: int) -> tuple:
+    """(S, S^-1) for a random invertible integer matrix S, a product of
+    ``dim`` shears I + c E_ij (i != j); the identity when dim < 2."""
+    s, inv = Mat.identity(dim), Mat.identity(dim)
+    for _ in range(dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((1, -1, 2))
+        e, e_inv = Mat.identity(dim), Mat.identity(dim)
+        e.entries[i * dim + j], e_inv.entries[i * dim + j] = Rat(c), Rat(-c)
+        s, inv = s.mul(e), e_inv.mul(inv)
+    return s, inv
+
+
+def _conjugate(maps: dict, s: tuple) -> dict:
+    """S f S^-1 for every map f of the family, ``s`` = (S, S^-1)."""
+    return {x: s[0].mul(f).mul(s[1]) for x, f in maps.items()}
+
+
+def _transport(a: OmegaAlgebra, s: tuple) -> OmegaAlgebra:
+    """The algebra moved to a new basis, x -> S x (``s`` = (S, S^-1)): the
+    products and structure maps are conjugated, so the result is isomorphic
+    to ``a`` and validates exactly when it does."""
+    sm, si = s
+    cols = [si.col(i) for i in range(a.dim)]
+    product = {
+        key: [[sm.matvec(bilinear(mu, x, y, a.dim)) for y in cols] for x in cols] for key, mu in a.product.items()
+    }
+    return OmegaAlgebra(a.omega, a.dim, product, _conjugate(a.pmap, s), _conjugate(a.qmap, s))
+
+
+def _off_diagonal(maps) -> bool:
+    """Whether some matrix of ``maps`` has a nonzero entry off its diagonal."""
+    return any(f.at(i, j) for f in maps for i in range(f.rows) for j in range(f.cols) if i != j)
+
+
+def _automorphism(rng, kind: str, dim: int) -> Mat:
+    """An algebra automorphism of build_diag(dim) (a permutation of its
+    idempotents, not the identity) or of build_truncated_poly(dim)
+    (x -> u x + v x^2), with integer entries."""
+    phi = Mat.zeros(dim, dim)
+    if kind == "diag":
+        perm = list(range(dim))
+        while perm == sorted(perm):
+            rng.shuffle(perm)
+        for j, i in enumerate(perm):
+            phi.entries[i * dim + j] = ONE
+        return phi
+    u, v = rng.choice((Rat(2), Rat(-1), Rat(3))), rng.choice((Rat(0), Rat(1), Rat(-1)))
+    for k in range(dim):  # x^k -> (u x + v x^2)^k, truncated at x^dim
+        col = [ONE] + [Rat(0)] * (dim - 1)
+        for _ in range(k):
+            col = [Rat(0)] + [u * col[i - 1] + (v * col[i - 2] if i >= 2 else 0) for i in range(1, dim)]
+        for i in range(dim):
+            phi.entries[i * dim + k] = col[i]
+    return phi
+
+
+def _after_one(f: Mat) -> Mat:
+    """The block-diagonal matrix 1 (+) f."""
+    n = f.rows + 1
+    out = Mat.zeros(n, n)
+    out.entries[0] = ONE
+    for i in range(f.rows):
+        out.entries[(i + 1) * n + 1 : (i + 2) * n] = f.entries[i * f.cols : (i + 1) * f.cols]
+    return out
+
+
+def random_twisted_algebra(rng, max_dim: int = 2) -> OmegaAlgebra:
+    """A validated algebra with integer entries, 2 <= dim <= max_dim, monoid
+    size <= 2, whose structure maps are invertible and not all diagonal,
+    with p != q and not both the identity at the unit.  A diagonal or
+    truncated polynomial core is twisted by two distinct nonzero powers of
+    an automorphism, or the field k e_0 sits beside a zero algebra whose
+    invertible diagonal maps vary element by element; over the cyclic
+    monoid its products and maps are then scaled by the parameters of
+    ``samples.c2_params`` (so p and q may differ element by element),
+    elsewhere its products by a 2-cocycle; last it is moved to a random
+    basis."""
+    for _ in range(40):
+        omega, dim, kind = rng.choice(_MONOIDS), rng.randint(2, max_dim), rng.choice(("diag", "poly", "sum"))
+        elements = omega.elements()
+        if kind == "sum":  # k e_0 (e_0 e_0 = e_0) beside a zero algebra whose maps vary element by element
+            p, q = (_random_diag_family(rng, omega, dim - 1, invertible=True, scalars=_INT_UNITS) for _ in range(2))
+            e0 = tensor_zeros(dim, dim, dim)
+            e0[0][0][0] = ONE
+            a = OmegaAlgebra(omega, dim, {(x, y): e0 for x in elements for y in elements},
+                             {x: _after_one(p[x]) for x in elements}, {x: _after_one(q[x]) for x in elements})
+        else:
+            core = (build_diag if kind == "diag" else build_truncated_poly)(dim, omega)
+            phi, (jp, jq) = _automorphism(rng, kind, dim), rng.sample((1, 2, 3), 2)
+            a, _ = yau_twist(core, zero_rb(core), {x: phi.power(jp) for x in elements}, {x: phi.power(jq) for x in elements})
+        if omega.table == _MONOIDS[1].table:
+            c, r, l = c2_params(rng.randint(0, 2), rng.choice((Rat(2), Rat(-1), Rat(3))))[1]
+        else:
+            s, t = rng.choice((ONE, Rat(2), Rat(-1))), rng.choice((ONE, Rat(2), Rat(-1)))
+            c, r, l = {(x, y): s * t ** (x * y) for x in elements for y in elements}, None, None
+        a = _scale_product(a, c)
+        if r is not None:
+            a = OmegaAlgebra(omega, dim, a.product, {x: f.scale(r[x]) for x, f in a.pmap.items()},
+                             {x: f.scale(l[x]) for x, f in a.qmap.items()})
+        a = _transport(a, _shears(rng, dim))
+        unit = omega.unit
+        if (
+            _off_diagonal(list(a.pmap.values()) + list(a.qmap.values()))
+            and a.pmap != a.qmap
+            and not (a.pmap[unit].is_identity() and a.qmap[unit].is_identity())
+            and validate_algebra(a) is None
+        ):
+            return a
+    raise InternalCheckError("twisted algebra generation failed to converge")
+
+
+def random_wide_pair(rng, max_dim: int = 2, max_dim_m: int = 2):
+    """(algebra, validated bimodule) over :func:`random_twisted_algebra`:
+    the regular bimodule, a zero bimodule whose maps are invertible and not
+    diagonal, or the bimodule induced over the star algebra by a non-scalar
+    Rota-Baxter family (``samples.searched_rb``; then the algebra is that
+    star algebra, whose maps are the twisted algebra's)."""
+    for _ in range(40):
+        a = random_twisted_algebra(rng, max_dim)
+        kind = rng.choice(("regular", "zero", "induced") if a.dim <= max_dim_m else ("zero",))
+        if kind == "regular":
+            b = regular_bimodule(a)
+        elif kind == "zero":
+            m = rng.randint(1, max_dim_m)
+            t = _shears(rng, m)
+            p, q = (_conjugate(_random_diag_family(rng, a.omega, m, invertible=True, scalars=_INT_UNITS), t)
+                    for _ in range(2))
+            b = zero_bimodule(a, m, p, q)
+        else:
+            try:
+                rb = searched_rb(a, rng.choice((Rat(1), Rat(-1), Rat(2))))
+            except InternalCheckError:  # no non-scalar family within bound 1
+                continue
+            b = induced_module_star(regular_bimodule(a, rb), rb)
+        if validate_bimodule(b) is None:
+            return b.base, b
+    raise InternalCheckError("wide pair generation failed to converge")
+
+
+def random_valid_context(rng, max_dim: int = 2) -> RbfContext:
+    """A validated Rota-Baxter family context with the regular bimodule and
+    T = R, on an algebra of dimension at most ``max_dim``.  The family is
+    R = -weight * id or R = 0 (Rota-Baxter of that weight on any algebra)
+    at a weight in {1, -1, 1/2, 2}, or, for half the draws, the first
+    non-scalar family of that weight that ``samples.searched_rb`` finds, on
+    a random valid algebra drawn again while the search finds none."""
+    weight, kind = rng.choice(_WEIGHTS), rng.choice(("scalar", "zero", "searched", "searched"))
+    for _ in range(40):
+        a = random_valid_algebra(rng, max_dim)
+        if kind != "searched":
+            rb = RotaBaxterFamily(weight, {x: Mat.scalar(a.dim, -weight if kind == "scalar" else 0) for x in a.omega.elements()})
+        else:
+            try:
+                rb = searched_rb(a, weight)
+            except InternalCheckError:  # no non-scalar family within bound 1
+                continue
+        return RbfContext.validated(a, rb, regular_bimodule(a, rb))
+    raise InternalCheckError("random context generation failed to converge")

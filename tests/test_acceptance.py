@@ -12,6 +12,7 @@ import time
 from contextlib import contextmanager
 
 from conftest import FIXTURES, ROOT, fixture_path
+from gen_fixtures import search_nijenhuis
 from generators import random_valid_algebra, random_valid_pair
 from oracles import (
     delta_direct_oracle,
@@ -56,7 +57,7 @@ from bihomega.rbf import (
     partial,
     solve_combined,
 )
-from bihomega.search import first_nonscalar, search_nijenhuis
+from bihomega.search import first_nonscalar
 
 
 @contextmanager

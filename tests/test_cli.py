@@ -3,10 +3,11 @@ import time
 
 import pytest
 from conftest import fixture_path
+from gen_fixtures import search_nijenhuis
 
 from bihomega.cli import render_report, run_command
 from bihomega.errors import MalformedInputError
-from bihomega.search import search_nijenhuis, search_rbf
+from bihomega.search import search_rbf
 
 
 def run(args):

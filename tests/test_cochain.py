@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
-from generators import random_valid_pair
+from generators import random_valid_pair, random_wide_pair
 from oracles import (
     circ_full_oracle,
     circ_i_oracle,
@@ -567,7 +567,9 @@ class _Formal(dict):
 
     __radd__ = __add__
 
-    def __mul__(self, c):
+    def __mul__(self, c):  # combinations are never changed in place, so c = 1 may return self
+        if c == 1:
+            return self
         return _Formal({j: c * v for j, v in self.items()}) if c else _Formal()
 
     __rmul__ = __mul__
@@ -1069,27 +1071,62 @@ def test_coboundary_blocks_match_oracles_on_named_inputs():
             _assert_basis_images_match_delta_op(b, n)
 
 
+def test_delta_op_matches_the_direct_oracle_on_wide_draws():
+    """delta_op(b, n).apply_dense equals delta_direct_oracle for n = 1-4, on
+    every basis cochain of C^n and on three seeded raw vectors (24 random
+    coordinates each) per degree, over 40 wide draws (invertible,
+    non-diagonal structure maps with p != q, not the identity at the unit;
+    regular, zero and induced bimodules), the named inputs and the star
+    bimodule of the c2 Rota-Baxter context.  A wrong P prefix or Q suffix in
+    a compiled block shows on the wide draws whose maps differ element by
+    element, and not by a scalar.  The oracle's matrix is read from one
+    formal call per degree (_oracle_columns)."""
+    rng = random.Random(2929)
+    cases = [random_wide_pair(rng)[1] for _ in range(40)]
+    cases += [regular_bimodule(a) for a in (samples.build_e0(), samples.build_zero1(), samples.build_e1())]
+    cases += [regular_bimodule(samples.build_c2_example(v)) for v in range(3)]
+    cases += [regular_bimodule(samples.build_e1_semidirect()), samples.build_e1_bimodule()]
+    cases.append(samples.c2_rbf_context().star_bimodule())
+    for b in cases:
+        for n in range(1, 5):
+            op, columns, basis = delta_op(b, n), _oracle_columns(b, n), equivariant_basis(b, n)
+            vectors = [basis.cochain_sparse(j) for j in range(basis.dim())]
+            vectors += [{c: rng.choice((-2, -1, 1, 3)) for c in rng.sample(range(op.ncols), min(op.ncols, 24))}
+                        for _ in range(3)]
+            for vec in vectors:
+                want, coords = [ZERO] * op.nrows, [ZERO] * op.ncols
+                for c, x in vec.items():
+                    coords[c] = x
+                    for i, v in columns[c].items():
+                        want[i] += v * x
+                assert op.apply_dense(coords) == want
+
+
 def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
     """On c2 variant 0 at degree 4, δ has 111 pairs (output tuple, source
-    tuple) but 24 distinct pair keys, and 12 distinct face terms stand
-    behind those keys; the tables and delta_op together compile one block
-    per key, in one pass, and each face term once."""
+    tuple) but 24 distinct pair keys, holding 60 face terms; 5 keys hold no
+    middle term and the other 19 hold 12 distinct tuples of middle terms.
+    The tables and delta_op together compile one block per key, in one
+    pass, and sum each distinct tuple of middle terms once, in 27 slot
+    steps shared between the tuples."""
+    from cohomology_stages import counting_calls
+
     b = regular_bimodule(samples.build_c2_example(0))
-    compiled, terms = [], []
-    original, original_term = blocks.compile_blocks, blocks._face_term
+    compiled, middles = [], []
+    original, original_middle = blocks.compile_blocks, blocks._middle_part
 
     def counting(bb, n, reps):
         if n == 4:
             compiled.append(len(reps))
         return original(bb, n, reps)
 
-    def counting_term(cols, bb, n, term, beta, rows):
+    def counting_middle(middle, n, *args):
         if n == 4:
-            terms.append(term)
-        return original_term(cols, bb, n, term, beta, rows)
+            middles.append(middle)
+        return original_middle(middle, n, *args)
 
     monkeypatch.setattr(cochain, "compile_blocks", counting)
-    monkeypatch.setattr(blocks, "_face_term", counting_term)
+    monkeypatch.setattr(blocks, "_middle_part", counting_middle)
     cohomology_dims(b, 4)
     delta_op(b, 4)
     faces, reps = blocks.pair_keys(b, 4)
@@ -1098,7 +1135,11 @@ def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
     assert len(set(numbers)) == len(reps) == 24
     assert compiled == [24]
     assert sum(map(len, reps)) == 60
-    assert len(terms) == len(set(terms)) == len({term for key in reps for term in key}) == 12
+    parts = [tuple(term for term in key if 0 < term[0] <= 4) for key in reps]
+    assert parts.count(()) == 5
+    assert len(middles) == len(set(middles)) == len(set(parts) - {()}) == 12
+    _, steps = counting_calls(blocks, "_slot_step", lambda: delta_op(regular_bimodule(b.base), 4))
+    assert steps == 27
 
 
 def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch):
@@ -1242,8 +1283,9 @@ def test_kernel_eliminations_stay_under_a_fifth_of_build_order():
 
 def test_stage_tool_reports_exact_work_counts():
     """tools/cohomology_stages.py reports per degree the constraint rows of
-    C^k, the row eliminations of its kernel, the face terms of δ_k compiled
-    (k + 2 on a one-element monoid), the nonzeros of the projected images
+    C^k, the row eliminations of its kernel, the middle parts of δ_k summed
+    and the steps of their slot recursion (one part of k steps on a
+    one-element monoid), the nonzeros of the projected images
     the rank takes (raw at degree 0) and of the echelon it leaves: exact
     counts, equal on every run, so the work of the equivariance, coboundary
     and elimination layers is checked without timing noise."""
@@ -1254,7 +1296,8 @@ def test_stage_tool_reports_exact_work_counts():
     for run in runs:
         assert [row["constraint_rows"] for row in run] == [0, 7, 23, 73, 227]
         assert [row["kernel_eliminations"] for row in run] == [0, 3, 13, 51, 181]
-        assert [row["face_terms"] for row in run] == [0, 3, 4, 5, 6]
+        assert [row["middle_parts"] for row in run] == [0, 1, 1, 1, 1]
+        assert [row["slot_steps"] for row in run] == [0, 1, 2, 3, 4]
         assert [row["projected_nonzeros"] for row in run] == [4, 11, 43, 144, 503]
         assert [row["echelon_nonzeros"] for row in run] == [4, 7, 19, 72, 234]
         assert [row["dim"] for row in run] == [r[0] for r in LADDER_TABLES["semidirect"][:5]]

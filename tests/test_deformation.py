@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from gen_fixtures import search_nijenhuis
 from oracles import TPoly, trivial_deformation_check, truncated_algebra_check, truncated_rb_check
 
 from bihomega import samples
@@ -24,7 +25,7 @@ from bihomega.gerstenhaber import mu_cochain
 from bihomega.linalg import Mat
 from bihomega.rationals import ONE, Rat
 from bihomega.rbf import CombinedCochain, RbfContext, combined_kernel, d_combined
-from bihomega.search import first_nonscalar, search_nijenhuis
+from bihomega.search import first_nonscalar
 
 
 def test_tpoly_arithmetic():

@@ -5,6 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from conftest import FIXTURES, fixture_text
+from generators import random_valid_context
 from oracles import (
     combined_raw_matrix_oracle,
     delta_direct_oracle,
@@ -23,6 +24,7 @@ from bihomega.cochain import (
     Cochain,
     apply_delta,
     cohomology_dims,
+    dd_zero_witness,
     delta_op,
     equivariant_basis,
     is_equivariant,
@@ -856,3 +858,46 @@ def test_star_bimodule_with_other_structure_maps_is_refused(monkeypatch, e1_ctx,
     same = OmegaBimodule(b.base, b.dim_m, b.left, b.right, dict(b.pmap), dict(b.qmap))
     cochain._share_equivariance(b, same)
     assert cochain._equivariance(same) is b._cache
+
+
+def _combined_square_vanishes(ctx, n) -> bool:
+    """Whether d_{n+1} d_n vanishes on the combined basis of degree n: d_n
+    read from the raw images of the table engine, d_{n+1} applied to them
+    on raw coordinates, (u, w) -> (δu, -(∂w + φu))."""
+    shift = cochain._raw_size(ctx.bimodule, n + 1)
+    alg, star, to_rbf = delta_op(ctx.bimodule, n + 1), delta_op(ctx.star_bimodule(), n), rbf.phi_op(ctx, n + 1)
+    for image in _combined_images(ctx, n):
+        u = {i: v for i, v in image.items() if i < shift}
+        rest = star.image({i - shift: v for i, v in image.items() if i >= shift})
+        for i, v in to_rbf.image(u).items():
+            rest[i] = rest.get(i, ZERO) + v
+        if alg.image(u) or any(rest.values()):
+            return False
+    return True
+
+
+def test_random_valid_contexts_keep_the_chain_map_and_the_combined_square():
+    """24 seeded contexts of generators.random_valid_context (scalar, zero
+    and searched Rota-Baxter families, the regular bimodule with T = R), all
+    built by RbfContext.validated: on each, chain_map_check(ctx, 3) is None
+    and the combined d∘d vanishes on degrees 2 and 3.  On degrees 0 and 1 it
+    vanishes exactly where δ1∘δ0 does on the context bimodule and on the
+    star bimodule: the degree-0 differential's defect (ROADMAP item 1)
+    shows on 2 contexts, at degree 0, each with a structure map at the unit
+    that is not the identity.  9 contexts have more than one φ class at
+    degree 2 (a searched family with R_0 != R_1)."""
+    rng = random.Random(2029)
+    contexts = [random_valid_context(rng) for _ in range(24)]
+    fails, several_classes = [], 0
+    for k, ctx in enumerate(contexts):
+        assert chain_map_check(ctx, 3) is None
+        for n, b in enumerate((ctx.bimodule, ctx.star_bimodule(), None, None)):
+            sound = b is None or dd_zero_witness(b, [0]) is None
+            assert _combined_square_vanishes(ctx, n) == sound
+            if not sound:
+                unit = ctx.algebra.omega.unit
+                assert not all(f[unit].is_identity() for f in (ctx.algebra.pmap, ctx.algebra.qmap))
+                fails.append((k, n))
+        several_classes += len(rbf.phi_op(ctx, 2).blocks) > 1
+    assert len(fails) == len({k for k, _ in fails}) == 2 and {n for _, n in fails} == {0}
+    assert several_classes == 9

@@ -28,17 +28,18 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 * ``rank``     -- one forward elimination on those images, the rank the
   tables take.
 
-Beside the seconds, each degree row of these two cases carries five exact
+Beside the seconds, each degree row of these two cases carries six exact
 counts that read the same on every run: ``constraint_rows``, the
 equivariance rows of C^k (one system per twist signature);
 ``kernel_eliminations``, the row eliminations (``linalg._cross_eliminate``
-calls) that solving them for the basis of C^k takes; ``face_terms``, the
-face terms of δ_k compiled (``blocks._face_term`` calls; 0 at k = 0);
-``projected_nonzeros``, the nonzero entries of the images the rank takes;
-and ``echelon_nonzeros``, the nonzero entries of the integer echelon that
-the rank leaves.  The eliminations are counted during the ``basis`` stage and
-the face terms during the stages of δ_k, which adds one call per count to
-their seconds.
+calls) that solving them for the basis of C^k takes; ``middle_parts``, the
+distinct sums of middle face terms of δ_k compiled (``blocks._middle_part``
+calls; 0 at k = 0); ``slot_steps``, the steps of their slot recursion
+(``blocks._slot_step`` calls); ``projected_nonzeros``, the nonzero entries
+of the images the rank takes; and ``echelon_nonzeros``, the nonzero entries
+of the integer echelon that the rank leaves.  The eliminations are counted
+during the ``basis`` stage and the middle parts and slot steps during the
+stages of δ_k, which adds one call per count to their seconds.
 
 For the combined complex of ``samples.c2_rbf_context()`` (degrees 0-5),
 each repeat starts from a fresh context and runs the engine of
@@ -109,7 +110,7 @@ COMBINED_STAGES = ("phi_op", "phase1", "phase2")
 COMBINED_MAX_DEGREE = 5
 RBFA_FIXTURE, RBFA_MAX_DEGREE = ROOT / "fixtures" / "c2_rbf.json", 3
 COUNTS = ("degree", "dim", "rank", "rank_delta", "rank_partial", "inside", "constraint_rows",
-          "kernel_eliminations", "face_terms", "projected_nonzeros", "echelon_nonzeros", "phi_blocks")
+          "kernel_eliminations", "middle_parts", "slot_steps", "projected_nonzeros", "echelon_nonzeros", "phi_blocks")
 
 
 def degree_zero(b, clock) -> tuple:
@@ -207,13 +208,14 @@ def one_pass(a, max_degree: int) -> list:
         basis, eliminations = counting_eliminations(lambda: equivariant_basis(b, k))
         t1 = clock()
         build = (lambda: degree_zero(b, clock)) if k == 0 else (lambda: degree_k(b, k, basis, clock))
-        (stages, images, inside), face_terms = counting_calls(blocks, "_face_term", build)
+        ((stages, images, inside), slot_steps), middle_parts = counting_calls(
+            blocks, "_middle_part", lambda: counting_calls(blocks, "_slot_step", build))
         t2 = clock()
         echelon = linalg._integer_echelon(images)  # what sparse_rank counts the pivots of
         t3 = clock()
         rows.append({"degree": k, "dim": basis.dim(), "rank": len(echelon), "inside": inside,
                      "constraint_rows": constraint_row_count(b, k), "kernel_eliminations": eliminations,
-                     "face_terms": face_terms, "projected_nonzeros": sum(map(len, images)),
+                     "middle_parts": middle_parts, "slot_steps": slot_steps, "projected_nonzeros": sum(map(len, images)),
                      "echelon_nonzeros": sum(map(len, echelon.values())),
                      "basis": t1 - t0, **stages, "rank_s": t3 - t2})
     return rows

@@ -41,10 +41,22 @@ from bihomega.linalg import Mat
 from bihomega.monoid import cyclic_monoid, trivial_monoid
 from bihomega.rationals import Rat, format_rational
 from bihomega.rbf import CombinedCochain, combined_kernel, d_combined, rbfa_cohomology_dims
-from bihomega.search import first_nonscalar, search_nijenhuis
+from bihomega.search import DEFAULT_CAP, _require_enumerable, first_nonscalar, iter_map_families
 from bihomega.serialization import WorkbenchFile, parse_workbench, serialize_workbench, workbench_to_json
 
 FIXTURES = ROOT / "fixtures"
+
+
+def search_nijenhuis(a, bound: int, cap: int = DEFAULT_CAP) -> list:
+    """All Nijenhuis families within the bound, in the scan order of
+    ``search.iter_map_families``; the bound and cap are checked first."""
+    _require_enumerable(a, bound, cap)
+    hits = []
+    for maps in iter_map_families(a, bound):
+        nf = NijenhuisFamily(maps)
+        if check_nijenhuis(a, nf) is None:
+            hits.append(nf)
+    return hits
 
 
 def write(name: str, text: str):
