@@ -224,28 +224,6 @@ def _off_diagonal(maps) -> bool:
     return any(f.at(i, j) for f in maps for i in range(f.rows) for j in range(f.cols) if i != j)
 
 
-def _automorphism(rng, kind: str, dim: int) -> Mat:
-    """An algebra automorphism of build_diag(dim) (a permutation of its
-    idempotents, not the identity) or of build_truncated_poly(dim)
-    (x -> u x + v x^2), with integer entries."""
-    phi = Mat.zeros(dim, dim)
-    if kind == "diag":
-        perm = list(range(dim))
-        while perm == sorted(perm):
-            rng.shuffle(perm)
-        for j, i in enumerate(perm):
-            phi.entries[i * dim + j] = ONE
-        return phi
-    u, v = rng.choice((Rat(2), Rat(-1), Rat(3))), rng.choice((Rat(0), Rat(1), Rat(-1)))
-    for k in range(dim):  # x^k -> (u x + v x^2)^k, truncated at x^dim
-        col = [ONE] + [Rat(0)] * (dim - 1)
-        for _ in range(k):
-            col = [Rat(0)] + [u * col[i - 1] + (v * col[i - 2] if i >= 2 else 0) for i in range(1, dim)]
-        for i in range(dim):
-            phi.entries[i * dim + k] = col[i]
-    return phi
-
-
 def _after_one(f: Mat) -> Mat:
     """The block-diagonal matrix 1 (+) f."""
     n = f.rows + 1
@@ -256,29 +234,31 @@ def _after_one(f: Mat) -> Mat:
     return out
 
 
-def random_twisted_algebra(rng, max_dim: int = 2) -> OmegaAlgebra:
-    """A validated algebra with integer entries, 2 <= dim <= max_dim, monoid
-    size <= 2, whose structure maps are invertible and not all diagonal,
-    with p != q and not both the identity at the unit.  A diagonal or
-    truncated polynomial core is twisted by two distinct nonzero powers of
-    an automorphism, or the field k e_0 sits beside a zero algebra whose
-    invertible diagonal maps vary element by element; over the cyclic
+def random_twisted_algebra(rng) -> OmegaAlgebra:
+    """A validated two-dimensional algebra with integer entries, monoid size
+    <= 2, whose structure maps are invertible and not all diagonal, with
+    p != q and not both the identity at the unit.  The diagonal algebra k^2
+    or k[x]/(x^2) is twisted by two distinct nonzero powers of an
+    automorphism (the swap, or x -> u x), or k e_0 sits beside a zero
+    algebra whose invertible maps vary element by element; over the cyclic
     monoid its products and maps are then scaled by the parameters of
     ``samples.c2_params`` (so p and q may differ element by element),
     elsewhere its products by a 2-cocycle; last it is moved to a random
     basis."""
     for _ in range(40):
-        omega, dim, kind = rng.choice(_MONOIDS), rng.randint(2, max_dim), rng.choice(("diag", "poly", "sum"))
+        omega, kind = rng.choice(_MONOIDS), rng.choice(("diag", "poly", "sum"))
         elements = omega.elements()
         if kind == "sum":  # k e_0 (e_0 e_0 = e_0) beside a zero algebra whose maps vary element by element
-            p, q = (_random_diag_family(rng, omega, dim - 1, invertible=True, scalars=_INT_UNITS) for _ in range(2))
-            e0 = tensor_zeros(dim, dim, dim)
+            p, q = (_random_diag_family(rng, omega, 1, invertible=True, scalars=_INT_UNITS) for _ in range(2))
+            e0 = tensor_zeros(2, 2, 2)
             e0[0][0][0] = ONE
-            a = OmegaAlgebra(omega, dim, {(x, y): e0 for x in elements for y in elements},
+            a = OmegaAlgebra(omega, 2, {(x, y): e0 for x in elements for y in elements},
                              {x: _after_one(p[x]) for x in elements}, {x: _after_one(q[x]) for x in elements})
         else:
-            core = (build_diag if kind == "diag" else build_truncated_poly)(dim, omega)
-            phi, (jp, jq) = _automorphism(rng, kind, dim), rng.sample((1, 2, 3), 2)
+            core = (build_diag if kind == "diag" else build_truncated_poly)(2, omega)
+            u = rng.choice((Rat(2), Rat(-1), Rat(3)))
+            phi = Mat.from_rows([[0, 1], [1, 0]] if kind == "diag" else [[1, 0], [0, u]])
+            jp, jq = rng.sample((1, 2, 3), 2)
             a, _ = yau_twist(core, zero_rb(core), {x: phi.power(jp) for x in elements}, {x: phi.power(jq) for x in elements})
         if omega.table == _MONOIDS[1].table:
             c, r, l = c2_params(rng.randint(0, 2), rng.choice((Rat(2), Rat(-1), Rat(3))))[1]
@@ -287,9 +267,9 @@ def random_twisted_algebra(rng, max_dim: int = 2) -> OmegaAlgebra:
             c, r, l = {(x, y): s * t ** (x * y) for x in elements for y in elements}, None, None
         a = _scale_product(a, c)
         if r is not None:
-            a = OmegaAlgebra(omega, dim, a.product, {x: f.scale(r[x]) for x, f in a.pmap.items()},
+            a = OmegaAlgebra(omega, 2, a.product, {x: f.scale(r[x]) for x, f in a.pmap.items()},
                              {x: f.scale(l[x]) for x, f in a.qmap.items()})
-        a = _transport(a, _shears(rng, dim))
+        a = _transport(a, _shears(rng, 2))
         unit = omega.unit
         if (
             _off_diagonal(list(a.pmap.values()) + list(a.qmap.values()))
@@ -301,19 +281,20 @@ def random_twisted_algebra(rng, max_dim: int = 2) -> OmegaAlgebra:
     raise InternalCheckError("twisted algebra generation failed to converge")
 
 
-def random_wide_pair(rng, max_dim: int = 2, max_dim_m: int = 2):
+def random_wide_pair(rng):
     """(algebra, validated bimodule) over :func:`random_twisted_algebra`:
-    the regular bimodule, a zero bimodule whose maps are invertible and not
-    diagonal, or the bimodule induced over the star algebra by a non-scalar
-    Rota-Baxter family (``samples.searched_rb``; then the algebra is that
-    star algebra, whose maps are the twisted algebra's)."""
+    the regular bimodule, a zero bimodule of dimension 1 or 2 whose maps are
+    invertible and not diagonal, or the bimodule induced over the star
+    algebra by a non-scalar Rota-Baxter family (``samples.searched_rb``;
+    then the algebra is that star algebra, whose maps are the twisted
+    algebra's)."""
     for _ in range(40):
-        a = random_twisted_algebra(rng, max_dim)
-        kind = rng.choice(("regular", "zero", "induced") if a.dim <= max_dim_m else ("zero",))
+        a = random_twisted_algebra(rng)
+        kind = rng.choice(("regular", "zero", "induced"))
         if kind == "regular":
             b = regular_bimodule(a)
         elif kind == "zero":
-            m = rng.randint(1, max_dim_m)
+            m = rng.randint(1, 2)
             t = _shears(rng, m)
             p, q = (_conjugate(_random_diag_family(rng, a.omega, m, invertible=True, scalars=_INT_UNITS), t)
                     for _ in range(2))
@@ -329,16 +310,16 @@ def random_wide_pair(rng, max_dim: int = 2, max_dim_m: int = 2):
     raise InternalCheckError("wide pair generation failed to converge")
 
 
-def random_valid_context(rng, max_dim: int = 2) -> RbfContext:
+def random_valid_context(rng) -> RbfContext:
     """A validated Rota-Baxter family context with the regular bimodule and
-    T = R, on an algebra of dimension at most ``max_dim``.  The family is
+    T = R, on an algebra of dimension at most 2.  The family is
     R = -weight * id or R = 0 (Rota-Baxter of that weight on any algebra)
     at a weight in {1, -1, 1/2, 2}, or, for half the draws, the first
     non-scalar family of that weight that ``samples.searched_rb`` finds, on
     a random valid algebra drawn again while the search finds none."""
     weight, kind = rng.choice(_WEIGHTS), rng.choice(("scalar", "zero", "searched", "searched"))
     for _ in range(40):
-        a = random_valid_algebra(rng, max_dim)
+        a = random_valid_algebra(rng, 2)
         if kind != "searched":
             rb = RotaBaxterFamily(weight, {x: Mat.scalar(a.dim, -weight if kind == "scalar" else 0) for x in a.omega.elements()})
         else:
