@@ -31,15 +31,14 @@ the RREF is unique, so the order changes the work, never the basis.
 The coboundary has one implementation for n >= 1: the blocks of
 :mod:`bihomega.blocks`, one per *pair key* (the structure classes of the
 face terms that send a source tuple block to an output tuple block, so
-that equal keys have equal blocks).  :func:`delta_op` is a
-:class:`BlockOp`, the one holder of δ_n's faces and those blocks, read in
-place, once per (bimodule, degree); :func:`apply_delta`, the tables and
-every operator caller go through it; degree 0 keeps its own formula.
-The blocks (their middle face terms summed slot by slot at the argument
-level, then expanded by the identity of M) and the constraint rows are
-sparse Kronecker products of rows and columns of the structure maps
-(``linalg._kron``), visiting only nonzeros.  Independent term-by-term
-transcriptions of the sum live only in the test oracles (``tests/oracles.py``).
+that equal keys have equal blocks), each kept factored: its middle terms
+summed at the argument level, tensor id_M, plus its action terms.
+:func:`delta_op` is a :class:`BlockOp`, the one holder of δ_n's faces and
+those blocks, read in place, once per (bimodule, degree); :func:`apply_delta`,
+the tables and every operator caller go through it; degree 0 keeps its own
+formula.  The blocks and the constraint rows are sparse Kronecker products
+of structure maps (``linalg._kron``); term-by-term transcriptions of the
+sum live only in the test oracles (``tests/oracles.py``).
 
 Cohomology tables never assemble δ for n >= 1: :func:`_basis_images`
 forms each block of :func:`delta_op` times the kernel of a source twist
@@ -475,42 +474,52 @@ class BlockOp:
 
     The columns of source block s are s * in_width + c, the rows of output
     block t are t * out_width + r.  ``faces[s]`` lists the pairs (output
-    block t, block number k) through which source block s reaches t, and
-    ``blocks[k]`` holds local columns [(local row r, coeff)].  A block that
-    several pairs share is stored once and read in place.
+    block t, block number k) through which source block s reaches t.  Block
+    k is (part, actions): local column c = a * id_width + l has the entries
+    (r + l, coeff) for (r, coeff) in part[a] and (r + a * stride, coeff) for
+    (r, coeff) in entries[l] of each action term (stride, entries); δ_0 and
+    φ have id_width 1 and no action terms.  Shared parts are read in place.
     """
 
-    __slots__ = ("nrows", "ncols", "in_width", "out_width", "faces", "blocks")
+    __slots__ = ("nrows", "ncols", "in_width", "out_width", "id_width", "faces", "blocks")
 
-    def __init__(self, nrows: int, ncols: int, in_width: int, out_width: int, faces: list, blocks: list):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.in_width = in_width
-        self.out_width = out_width
-        self.faces = faces
-        self.blocks = blocks
+    def __init__(self, nrows: int, ncols: int, in_width: int, out_width: int, id_width: int, faces, blocks):
+        self.nrows, self.ncols, self.in_width, self.out_width = nrows, ncols, in_width, out_width
+        self.id_width, self.faces, self.blocks = id_width, faces, blocks
 
     def apply_dense(self, vec) -> list:
-        w, out = self.in_width, [ZERO] * self.nrows
+        w, m, out = self.in_width, self.id_width, [ZERO] * self.nrows
         for idx, v in enumerate(vec):
             if v:
                 s, c = divmod(idx, w)
+                a, l = divmod(c, m)
                 for t, k in self.faces[s]:
-                    row0 = t * self.out_width
-                    for r, x in self.blocks[k][c]:
-                        out[row0 + r] += x * v
+                    (part, actions), row0 = self.blocks[k], t * self.out_width
+                    at = row0 + l
+                    for r, x in part[a]:
+                        out[at + r] += x * v
+                    for stride, entries in actions:
+                        at = row0 + a * stride
+                        for r, x in entries[l]:
+                            out[at + r] += x * v
         return out
 
     def image(self, vec: dict) -> dict:
         """Image of a sparse vector as a sparse dict (no zero entries)."""
-        w, out = self.in_width, {}
+        w, m, out = self.in_width, self.id_width, {}
         get = out.get
         for idx, v in vec.items():
             s, c = divmod(idx, w)
+            a, l = divmod(c, m)
             for t, k in self.faces[s]:
-                row0 = t * self.out_width
-                for r, x in self.blocks[k][c]:
-                    out[row0 + r] = get(row0 + r, 0) + x * v
+                (part, actions), row0 = self.blocks[k], t * self.out_width
+                at = row0 + l
+                for r, x in part[a]:
+                    out[at + r] = get(at + r, 0) + x * v
+                for stride, entries in actions:
+                    at = row0 + a * stride
+                    for r, x in entries[l]:
+                        out[at + r] = get(at + r, 0) + x * v
         return {row: x for row, x in out.items() if x}
 
 
@@ -542,12 +551,12 @@ def delta_op(b: OmegaBimodule, n: int) -> BlockOp:
         faces, blocks = [[(x, x) for x in a.omega.elements()]], []
         for x in a.omega.elements():
             lt, rt = b.left[(x, unit)], b.right[(unit, x)]
-            blocks.append([[(j * m + k, c) for j, k in rows if (c := ZERO + lt[j][l][k] - rt[l][j][k])]
-                           for l in range(m)])
+            blocks.append(([[(j * m + k, c) for j, k in rows if (c := ZERO + lt[j][l][k] - rt[l][j][k])]
+                            for l in range(m)], ()))
     else:
         faces, reps = pair_keys(b, n)
         blocks = compile_blocks(b, n, reps)
-    op = BlockOp(_raw_size(b, n + 1), _raw_size(b, n), d**n * m, d ** (n + 1) * m, faces, blocks)
+    op = BlockOp(_raw_size(b, n + 1), _raw_size(b, n), d**n * m, d ** (n + 1) * m, m if n else 1, faces, blocks)
     b._cache[cache_key] = op
     return op
 
@@ -611,7 +620,7 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
         for t, key in faces:
             products = products_of.get((key, sig))
             if products is None:
-                products = products_of[(key, sig)] = _block_product(op.blocks[key], vectors)
+                products = products_of[(key, sig)] = _block_product(op.blocks[key], op.id_width, vectors)
             if verify or project:
                 failing, projected = _violations(b, verdicts, outputs[t], key, sig, products)
                 bad |= failing
@@ -627,15 +636,21 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
             yield image
 
 
-def _block_product(block: list, vectors: list) -> list:
-    """A block of :func:`delta_op` applied to the kernel ``vectors`` of a
-    source twist signature: one local sparse dict per vector."""
-    products = []
+def _block_product(block: tuple, id_width: int, vectors: list) -> list:
+    """A block of :func:`delta_op` (:class:`BlockOp`) applied to the kernel
+    ``vectors`` of a source twist signature: one local sparse dict per vector."""
+    (part, actions), products = block, []
     for vec in vectors:
         out: dict = {}
+        get = out.get
         for c, x in vec.items():
-            for r, v in block[c]:
-                out[r] = out.get(r, 0) + v * x
+            a, l = divmod(c, id_width)
+            for r, v in part[a]:
+                out[r + l] = get(r + l, 0) + v * x
+            for stride, entries in actions:
+                at = a * stride
+                for r, v in entries[l]:
+                    out[at + r] = get(at + r, 0) + v * x
         products.append({r: v for r, v in out.items() if v})
     return products
 

@@ -65,9 +65,10 @@ from .rationals import ONE, ZERO
 
 class RbfContext:
     """Bundle (algebra, Rota-Baxter family, bimodule with tmap).  Only
-    :meth:`validated` validates it; the plain constructor checks the tmap
-    and the base alone, and the tables trust the context it builds.  Its
-    star bimodule shares the bimodule's bases and constraint systems."""
+    :meth:`validated` validates it, recording so in ``_cache``; the plain
+    constructor checks the tmap and the base alone, and the tables check the
+    family of a context without the record.  Its star bimodule shares the
+    bimodule's bases and constraint systems."""
 
     __slots__ = ("algebra", "rb", "bimodule", "_cache")
 
@@ -93,7 +94,8 @@ class RbfContext:
             if bimodule.base is not algebra:  # a distinct base object gets its own check of the family
                 _refuse_witness(check_rota_baxter(bimodule.base, rb), "Rota-Baxter family invalid")
             _refuse_witness(_rbf_action_scan(bimodule, rb), "bimodule invalid for the family")
-        return cls(algebra, rb, bimodule)
+        (ctx := cls(algebra, rb, bimodule))._cache["validated"] = True
+        return ctx
 
     def star_algebra(self) -> OmegaAlgebra:
         hit = self._cache.get("star_algebra")
@@ -119,6 +121,13 @@ class RbfContext:
         return a.omega, a.dim, b.dim_m
 
 
+def _require_family(ctx: RbfContext):
+    """Refuse an unvalidated context whose family fails the Rota-Baxter or action scans."""
+    if "validated" not in ctx._cache:
+        _refuse_witness(check_rota_baxter(ctx.algebra, ctx.rb), "Rota-Baxter family invalid")
+        _refuse_witness(_rbf_action_scan(ctx.bimodule, ctx.rb), "bimodule invalid for the family")
+
+
 def partial(ctx: RbfContext, f: Cochain, check: bool = True) -> Cochain:
     """Operator-complex differential: the coboundary over the star algebra
     with the induced bimodule (same errors as :func:`apply_delta`)."""
@@ -141,17 +150,17 @@ def phi_op(ctx: RbfContext, n: int) -> BlockOp:
         raise MalformedInputError("negative degree")
     om, d, m = ctx.dims()
     if n == 0:
-        faces, blocks = [[(0, 0)]], [[[(l, ONE)] for l in range(m)]]
+        faces, blocks = [[(0, 0)]], [([[(l, ONE)] for l in range(m)], ())]
     else:
         r_cls, t_cls, numbers, faces, blocks = intern(ctx.rb.maps), intern(ctx.bimodule.tmap), {}, [], []
         for t, alpha in enumerate(om.tuples(n)):
             key = (tuple([r_cls[x] for x in alpha]), t_cls[om.product_of(alpha)])
             if key not in numbers:
                 numbers[key] = len(blocks)
-                blocks.append(_phi_block(ctx, alpha))
+                blocks.append((_phi_block(ctx, alpha), ()))
             faces.append([(t, numbers[key])])
     size = _raw_size(ctx.bimodule, n)
-    op = ctx._cache[("phi_op", n)] = BlockOp(size, size, d**n * m, d**n * m, faces, blocks)
+    op = ctx._cache[("phi_op", n)] = BlockOp(size, size, d**n * m, d**n * m, 1, faces, blocks)
     return op
 
 
@@ -344,6 +353,7 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     of ``cochain._degree0_domain``, so b^1 = rank(ys), the report is flagged
     when the algebra table's is, and ∂_0 y = φ_1 δ_0 y must hold.
     """
+    _require_family(ctx)
     b, sb = ctx.bimodule, ctx.star_bimodule()
     alg_b1, alg_intersected = _degree0_checks(b, max_degree, check=False)
     rbf_b1, rbf_intersected = _degree0_checks(sb, max_degree)
@@ -379,6 +389,7 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
     """
     if max_degree < 0:
         raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
+    _require_family(ctx)
     sb = ctx.star_bimodule()
     for n in range(max_degree + 1):
         basis = ctx.basis(n)

@@ -15,8 +15,12 @@ element (:func:`random_twisted_algebra`, moved to a random basis by
 :func:`_transport`, which keeps validity); its bimodule is the regular
 one, a zero one with invertible non-diagonal maps, or the bimodule induced
 by a Rota-Baxter family found by search.
-:func:`random_valid_context` draws Rota-Baxter family contexts.
+:func:`random_valid_context` draws Rota-Baxter family contexts, among them the
+splitting family R = -weight * pi_1 of a splitting of A into two subalgebras
+that every structure map keeps.
 """
+
+from itertools import combinations
 
 from bihomega.algebra import (
     ExampleParams,
@@ -310,17 +314,26 @@ def random_wide_pair(rng):
     raise InternalCheckError("wide pair generation failed to converge")
 
 
-def random_valid_context(rng) -> RbfContext:
+def random_valid_context(rng, kind: str | None = None) -> RbfContext:
     """A validated Rota-Baxter family context with the regular bimodule and
-    T = R, on an algebra of dimension at most 2.  The family is
-    R = -weight * id or R = 0 (Rota-Baxter of that weight on any algebra)
-    at a weight in {1, -1, 1/2, 2}, or, for half the draws, the first
-    non-scalar family of that weight that ``samples.searched_rb`` finds, on
-    a random valid algebra drawn again while the search finds none."""
-    weight, kind = rng.choice(_WEIGHTS), rng.choice(("scalar", "zero", "searched", "searched"))
+    T = R, on an algebra of dimension at most 2.  The family, at a weight
+    in {1, -1, 1/2, 2}, is of ``kind``: "scalar" R = -weight * id or "zero"
+    R = 0 (Rota-Baxter of that weight on any algebra), "searched", the
+    first non-scalar family of that weight that ``samples.searched_rb``
+    finds, or "split", R_w = -weight * pi_1 for every w, where pi_1 projects
+    A = A_1 (+) A_2 onto A_1 along A_2 (:func:`_split_family`).  A kind
+    of None draws "scalar", "zero" or, for half the draws, "searched".  The
+    algebra is drawn again while the search or the splitting finds none."""
+    weight = rng.choice(_WEIGHTS)
+    kind = kind or rng.choice(("scalar", "zero", "searched", "searched"))
     for _ in range(40):
         a = random_valid_algebra(rng, 2)
-        if kind != "searched":
+        if kind == "split":
+            split = _split_family(rng, a, weight)
+            if split is None:
+                continue
+            a, rb = split
+        elif kind != "searched":
             rb = RotaBaxterFamily(weight, {x: Mat.scalar(a.dim, -weight if kind == "scalar" else 0) for x in a.omega.elements()})
         else:
             try:
@@ -329,3 +342,30 @@ def random_valid_context(rng) -> RbfContext:
                 continue
         return RbfContext.validated(a, rb, regular_bimodule(a, rb))
     raise InternalCheckError("random context generation failed to converge")
+
+
+def _split_family(rng, a: OmegaAlgebra, weight) -> tuple | None:
+    """(the algebra moved to a random basis, R_w = -weight * pi_1 for every
+    w) for a random splitting A = A_1 (+) A_2, both nonzero, into spans of
+    basis vectors that are subalgebras under every product and stable under
+    every p_w and q_w; None when ``a`` has no such splitting.  Then R is
+    Rota-Baxter of that weight: writing x = x_1 + x_2, R(x)R(y) =
+    weight^2 x_1 y_1 = R(R(x) y + x R(y) + weight x y), as x_2 y_2 lies in
+    A_2, and pi_1 commutes with every p_w and q_w."""
+    d, maps = a.dim, list(a.pmap.values()) + list(a.qmap.values())
+
+    def closed(part: set) -> bool:
+        inside = [(i, j) for i in part for j in part]
+        return all(not mu[i][j][k] for mu in a.product.values() for i, j in inside for k in range(d) if k not in part) \
+            and all(not f.at(i, j) for f in maps for j in part for i in range(d) if i not in part)
+
+    splits = [set(s) for size in range(1, d) for s in combinations(range(d), size)
+              if closed(set(s)) and closed(set(range(d)) - set(s))]
+    if not splits:
+        return None
+    first = rng.choice(splits)
+    pi = Mat.zeros(d, d)
+    for i in first:
+        pi.entries[i * d + i] = -weight
+    s = _shears(rng, d)
+    return _transport(a, s), RotaBaxterFamily(weight, _conjugate({x: pi for x in a.omega.elements()}, s))

@@ -8,6 +8,9 @@ or factored evaluation that production uses:
   pointwise: it composes cochains with ``gerstenhaber.circ_i``);
 * :func:`delta_direct_oracle` -- the coboundary as the alternating sum,
   term by term (production: the compiled ``cochain.delta_op``);
+* :func:`block_columns_oracle` -- a factored block of a
+  ``cochain.BlockOp`` written out as local columns, one (argument, index l)
+  pair at a time (production reads the factors in place, never expanded);
 * :func:`delta_via_bracket` -- the coboundary of the regular bimodule as
   (-1)^(n-1) [mu, f], the bracket route (production: ``cochain.delta_op``);
 * :func:`degree0_sound` -- does δ_1 kill every degree-0 coboundary that
@@ -149,6 +152,27 @@ def delta_direct_oracle(b, f):
             for k in range(m):
                 out.coords[base + k] = acc[k]
     return out
+
+
+def block_columns_oracle(op, k):
+    """Block ``k`` of the BlockOp ``op`` as local columns {local row: coeff}
+    without zeros: column (argument a, index l) of a block (part, actions)
+    with identity factor width m = ``op.id_width`` is part[a] (x) e_l, with
+    every row of part[a] shifted by l, plus, for each action term (stride,
+    entries), entries[l] shifted by a * stride."""
+    part, actions = op.blocks[k]
+    m = op.id_width
+    columns = []
+    for a in range(len(part)):
+        for l in range(m):
+            col = {}
+            terms = [(l, part[a])] + [(a * stride, entries[l]) for stride, entries in actions]
+            for shift, entries in terms:
+                for r, v in entries:
+                    col[shift + r] = col.get(shift + r, 0) + v
+            columns.append({r: v for r, v in col.items() if v})
+    assert len(columns) == op.in_width
+    return columns
 
 
 def delta_via_bracket(a, f, check=True):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import fixture_text
 from generators import random_valid_pair, random_wide_pair
 from oracles import (
+    block_columns_oracle,
     circ_full_oracle,
     circ_i_oracle,
     delta_direct_oracle,
@@ -470,10 +471,14 @@ def test_cohomology_dims_still_verifies_coboundary_images():
     """A shared block of δ_2 corrupted so that some images leave C^3 is
     refused, and the message names the degree and the lowest basis element
     whose image leaves, found here by scanning the basis through delta_op,
-    which holds the same corrupted block."""
+    which holds the same corrupted block.  The block is factored, so the
+    corruption is one argument-level entry of its part: column (argument,
+    index l of M) of one source argument gains a one at row ``row + l``,
+    where ``row`` is the argument row of ``outside``, and every other column
+    is unchanged."""
     a = samples.build_c2_example(0)
     b = regular_bimodule(a)
-    n = 2
+    n, m = 2, b.dim_m
     basis = equivariant_basis(b, n)
     op = delta_op(b, n)
     owners: dict = {}  # pair key -> source tuples, in order
@@ -492,10 +497,20 @@ def test_cohomology_dims_still_verifies_coboundary_images():
 
     outside = next(r for r in range(width) if not is_equivariant(b, unit(r)))
     column = basis.frees[sources[0]][0]  # nonzero in one kernel vector of the source only
-    block = op.blocks[key]
-    entries = dict(block[column])
-    entries[outside] = entries.get(outside, 0) + 1
-    block[column] = list(entries.items())
+    intact = block_columns_oracle(op, key)
+    part, actions = op.blocks[key]
+    part = list(part)  # the part may be shared with other keys, which stay intact
+    arg = column // m
+    row = outside - outside % m
+    part[arg] = part[arg] + [(row, 1)]
+    op.blocks[key] = (part, actions)
+    corrupted = block_columns_oracle(op, key)
+    changed = [c for c in range(len(intact)) if corrupted[c] != intact[c]]
+    assert changed == [arg * m + l for l in range(m)] and column in changed
+    for l in range(m):
+        want = dict(intact[arg * m + l])
+        want[row + l] = want.get(row + l, 0) + 1
+        assert corrupted[arg * m + l] == {r: v for r, v in want.items() if v}
     leaving = [j for j in range(basis.dim())
                if not is_equivariant(b, Cochain(n + 1, a.omega.size, a.dim, b.dim_m,
                                                 op.apply_dense(basis.cochain(j).coords)))]
@@ -934,7 +949,15 @@ def _assert_verdicts_match_is_equivariant(b, n):
             continue
         sig = cochain._twist_signature(b, om.tuples(n)[s])
         for t, key in faces:
-            products = cochain._block_product(op.blocks[key], vectors)
+            columns = block_columns_oracle(op, key)
+            products = []
+            for vec in vectors:
+                out: dict = {}
+                for c, x in vec.items():
+                    for r, v in columns[c].items():
+                        out[r] = out.get(r, 0) + v * x
+                products.append({r: v for r, v in out.items() if v})
+            assert cochain._block_product(op.blocks[key], op.id_width, vectors) == products
             want = set()
             for k, product in enumerate(products):
                 f = Cochain.zero(n + 1, om.size, d, m)
@@ -1072,27 +1095,33 @@ def test_coboundary_blocks_match_oracles_on_named_inputs():
 
 
 def test_delta_op_matches_the_direct_oracle_on_wide_draws():
-    """delta_op(b, n).apply_dense equals delta_direct_oracle for n = 1-4, on
-    every basis cochain of C^n and on three seeded raw vectors (24 random
-    coordinates each) per degree, over 40 wide draws (invertible,
-    non-diagonal structure maps with p != q, not the identity at the unit;
-    regular, zero and induced bimodules), the named inputs and the star
-    bimodule of the c2 Rota-Baxter context.  A wrong P prefix or Q suffix in
-    a compiled block shows on the wide draws whose maps differ element by
-    element, and not by a scalar.  The oracle's matrix is read from one
-    formal call per degree (_oracle_columns)."""
+    """delta_op(b, n).apply_dense and .image equal delta_direct_oracle for
+    n = 1-4, on every basis cochain of C^n and on three seeded raw vectors
+    (24 random coordinates each) per degree, and the basis images of the
+    tables (cochain._basis_images, unverified) equal it on the basis, over
+    40 wide draws (invertible, non-diagonal structure maps with p != q, not
+    the identity at the unit; regular, zero and induced bimodules), zero
+    bimodules of dimension 0 over two of their algebras, the named inputs
+    (dim M = 1 on e0, zero1 and the e1 bimodule) and the star bimodule of
+    the c2 Rota-Baxter context.  A wrong P prefix or Q suffix in a compiled
+    block shows on the wide draws whose maps differ element by element, and
+    not by a scalar.  The oracle's matrix is read from one formal call per
+    degree (_oracle_columns)."""
     rng = random.Random(2929)
     cases = [random_wide_pair(rng)[1] for _ in range(40)]
+    cases += [zero_bimodule(b.base, 0) for b in cases[:2]]
     cases += [regular_bimodule(a) for a in (samples.build_e0(), samples.build_zero1(), samples.build_e1())]
     cases += [regular_bimodule(samples.build_c2_example(v)) for v in range(3)]
     cases += [regular_bimodule(samples.build_e1_semidirect()), samples.build_e1_bimodule()]
     cases.append(samples.c2_rbf_context().star_bimodule())
+    assert {0, 1} <= {b.dim_m for b in cases}
     for b in cases:
         for n in range(1, 5):
             op, columns, basis = delta_op(b, n), _oracle_columns(b, n), equivariant_basis(b, n)
             vectors = [basis.cochain_sparse(j) for j in range(basis.dim())]
             vectors += [{c: rng.choice((-2, -1, 1, 3)) for c in rng.sample(range(op.ncols), min(op.ncols, 24))}
                         for _ in range(3)]
+            images = []
             for vec in vectors:
                 want, coords = [ZERO] * op.nrows, [ZERO] * op.ncols
                 for c, x in vec.items():
@@ -1100,6 +1129,40 @@ def test_delta_op_matches_the_direct_oracle_on_wide_draws():
                     for i, v in columns[c].items():
                         want[i] += v * x
                 assert op.apply_dense(coords) == want
+                images.append({i: v for i, v in enumerate(want) if v})
+                assert op.image(vec) == images[-1]
+            assert list(cochain._basis_images(b, n, verify=False)) == images[: basis.dim()]
+
+
+def test_factored_blocks_share_one_part_per_tuple_of_middle_terms():
+    """delta_op keeps each block of δ_n factored, (part, action terms),
+    never expanded: pair keys with equal middle terms hold one part object
+    and keys with different ones different objects, every part has d^n
+    columns (one per source argument), and a block holds one action term
+    per first or last face term of its key, one object per distinct term.
+    On c2 variant 0 at degree 4 the 24 keys hold 13 parts: the 12 middle
+    sums and the empty part of the 5 keys without a middle term."""
+    rng = random.Random(3030)
+    cases = [regular_bimodule(samples.build_c2_example(v)) for v in range(3)]
+    cases += [regular_bimodule(samples.build_e1_semidirect()), samples.c2_rbf_context().star_bimodule()]
+    cases += [random_wide_pair(rng)[1] for _ in range(6)]
+    for b in cases:
+        d = b.base.dim
+        for n in range(1, 5):
+            op, (_, reps) = delta_op(b, n), blocks.pair_keys(b, n)
+            assert len(op.blocks) == len(reps) and op.id_width == b.dim_m
+            parts, actions_of = {}, {}
+            for key, (part, actions) in zip(reps, op.blocks):
+                assert parts.setdefault(tuple(t for t in key if 0 < t[0] <= n), part) is part
+                assert len(part) == d**n
+                ends = [t for t in key if not 0 < t[0] <= n]
+                assert len(actions) == len(ends)
+                for term, action in zip(ends, actions):
+                    assert actions_of.setdefault(term, action) is action
+            assert len({id(part) for part in parts.values()}) == len(parts)
+            assert len({id(action) for action in actions_of.values()}) == len(actions_of)
+            if b is cases[0] and n == 4:
+                assert len(reps) == 24 and len(parts) == 13 and sum(not middle for middle in parts) == 1
 
 
 def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
@@ -1150,9 +1213,9 @@ def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch
     b = regular_bimodule(samples.build_c2_example(0))
     calls, original = [], cochain._block_product
 
-    def counting(block, vectors):
+    def counting(block, id_width, vectors):
         calls.append(block)
-        return original(block, vectors)
+        return original(block, id_width, vectors)
 
     monkeypatch.setattr(cochain, "_block_product", counting)
     cohomology_dims(b, 4)
@@ -1168,8 +1231,10 @@ def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch
 def test_table_images_read_the_delta_op_blocks():
     """For n >= 1 delta_op holds one block per pair key of blocks.pair_keys,
     and the basis images of the tables multiply that very block list: with
-    every block of delta_op doubled in place before the first image, the
-    images equal twice those of the intact operator.  Degree 0 holds one
+    every block of delta_op doubled in place before the first image (its
+    part and its action terms, so that each column, written out by
+    block_columns_oracle, doubles), the images equal twice those of the
+    intact operator.  Degree 0 holds one
     block per output tuple, reached from the one source block."""
     cases = [regular_bimodule(samples.build_c2_example(0)), regular_bimodule(samples.build_e1_semidirect())]
     cases.append(samples.c2_rbf_context().star_bimodule())
@@ -1183,7 +1248,13 @@ def test_table_images_read_the_delta_op_blocks():
             assert op.faces == faces and len(op.blocks) == len(reps)
             basis = equivariant_basis(b, n)
             intact = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
-            op.blocks[:] = [[[(r, 2 * v) for r, v in col] for col in block] for block in op.blocks]
+            columns = [block_columns_oracle(op, k) for k in range(len(op.blocks))]
+            op.blocks[:] = [([[(r, 2 * v) for r, v in col] for col in part],
+                             tuple([(stride, [[(r, 2 * v) for r, v in e] for e in entries])
+                                    for stride, entries in actions]))
+                            for part, actions in op.blocks]
+            assert [block_columns_oracle(op, k) for k in range(len(op.blocks))] == [
+                [{r: 2 * v for r, v in col.items()} for col in block] for block in columns]
             doubled = [{i: 2 * v for i, v in image.items()} for image in intact]
             assert any(intact) and list(cochain._basis_images(b, n)) == doubled
 
@@ -1285,7 +1356,8 @@ def test_stage_tool_reports_exact_work_counts():
     """tools/cohomology_stages.py reports per degree the constraint rows of
     C^k, the row eliminations of its kernel, the middle parts of δ_k summed
     and the steps of their slot recursion (one part of k steps on a
-    one-element monoid), the nonzeros of the projected images
+    one-element monoid), the entries the factored blocks of δ_k store
+    (each part and action term once), the nonzeros of the projected images
     the rank takes (raw at degree 0) and of the echelon it leaves: exact
     counts, equal on every run, so the work of the equivariance, coboundary
     and elimination layers is checked without timing noise."""
@@ -1298,9 +1370,12 @@ def test_stage_tool_reports_exact_work_counts():
         assert [row["kernel_eliminations"] for row in run] == [0, 3, 13, 51, 181]
         assert [row["middle_parts"] for row in run] == [0, 1, 1, 1, 1]
         assert [row["slot_steps"] for row in run] == [0, 1, 2, 3, 4]
+        assert [row["block_entries"] for row in run] == [4, 24, 40, 112, 352]
         assert [row["projected_nonzeros"] for row in run] == [4, 11, 43, 144, 503]
         assert [row["echelon_nonzeros"] for row in run] == [4, 7, 19, 72, 234]
         assert [row["dim"] for row in run] == [r[0] for r in LADDER_TABLES["semidirect"][:5]]
+    # several keys share parts and action terms on c2 variant 0
+    assert [row["block_entries"] for row in one_pass(samples.build_c2_example(0), 4)] == [8, 24, 56, 152, 456]
 
 
 def test_stage_tool_combined_pass_pins_dims_ranks_and_degree0_membership():

@@ -7,6 +7,7 @@ import pytest
 from conftest import FIXTURES, fixture_text
 from generators import random_valid_context
 from oracles import (
+    block_columns_oracle,
     combined_raw_matrix_oracle,
     delta_direct_oracle,
     evaluate_oracle,
@@ -17,7 +18,7 @@ from oracles import (
 )
 
 from bihomega import cochain, rbf, samples
-from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, Witness, zero_rb
+from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, Witness, check_rota_baxter, zero_rb
 from bihomega.bimodule import OmegaBimodule, regular_bimodule, zero_bimodule
 from bihomega.cochain import (
     BlockOp,
@@ -297,6 +298,15 @@ def _c2_phi_context(r_differ: bool, t_differ: bool) -> RbfContext:
     return RbfContext(a, rb, zero_bimodule(a, 3, tmap=tmap))
 
 
+def _trusted(ctx: RbfContext) -> RbfContext:
+    """``ctx`` with the record that RbfContext.validated leaves, so that the
+    tables and the chain-map check run on it without checking its family:
+    for tests of their linear algebra on contexts that are not Rota-Baxter,
+    which they refuse otherwise."""
+    ctx._cache["validated"] = True
+    return ctx
+
+
 def _phi_classes(ctx: RbfContext, n: int) -> int:
     """Distinct (R entries at each slot, T entries at the product) over the degree-n tuples."""
     om, r, t = ctx.algebra.omega, ctx.rb.maps, ctx.bimodule.tmap
@@ -349,7 +359,8 @@ def test_phi_op_builds_one_block_per_class(monkeypatch, c2_ctx):
             assert rbf.phi_op(ctx, n) is op  # cached
             assert len(built) == expected(n)
         m = ctx.bimodule.dim_m
-        assert rbf.phi_op(ctx, 0).blocks == [[[(l, ONE)] for l in range(m)]]
+        op = rbf.phi_op(ctx, 0)
+        assert len(op.blocks) == 1 and block_columns_oracle(op, 0) == [{l: ONE} for l in range(m)]
 
 
 def test_d_combined_zero_and_square(e1_ctx):
@@ -443,9 +454,10 @@ def test_combined_degree0_check_refuses_a_non_chain_map(build, monkeypatch):
         op = original(c, n)
         if n != 1:
             return op
-        ident = [[(col, 1)] for col in range(op.in_width)]  # one extra identity block on every tuple
+        assert op.id_width == 1  # whole local columns, as the extra block's
+        ident = ([[(col, 1)] for col in range(op.in_width)], ())  # one extra identity block on every tuple
         faces = [f + [(s, len(op.blocks))] for s, f in enumerate(op.faces)]
-        return BlockOp(op.nrows, op.ncols, op.in_width, op.out_width, faces, op.blocks + [ident])
+        return BlockOp(op.nrows, op.ncols, op.in_width, op.out_width, 1, faces, op.blocks + [ident])
 
     eliminations, echelon = [], rbf._integer_echelon
 
@@ -468,7 +480,8 @@ def _named_contexts() -> list:
     """(name, a function making a fresh context) for every fixture with a
     Rota-Baxter family and a bimodule with a tmap, the four sample contexts
     and the several-φ-class contexts of
-    :func:`test_phi_matches_subset_oracle_with_several_classes`."""
+    :func:`test_phi_matches_subset_oracle_with_several_classes`, whose
+    families are not Rota-Baxter, marked trusted (:func:`_trusted`)."""
     named = []
     for path in sorted(FIXTURES.glob("*.json")):
         text = path.read_text(encoding="utf-8")
@@ -480,7 +493,7 @@ def _named_contexts() -> list:
                                                                         wf.bimodule)))
     named += [(f"{name}_sample", getattr(samples, f"{name}_rbf_context"))
               for name in ("e0", "e1", "zero1", "c2")]
-    named += [(f"phi_classes_{r}_{t}", lambda r=r, t=t: _c2_phi_context(r, t))
+    named += [(f"phi_classes_{r}_{t}", lambda r=r, t=t: _trusted(_c2_phi_context(r, t)))
               for r, t in ((True, True), (False, True), (True, False))]
     return named
 
@@ -738,9 +751,10 @@ def _dense_chain_map_witness(ctx, max_degree):
 
 
 def test_chain_map_witness_matches_dense_comparison(e1_ctx, c2_ctx):
-    """An unvalidated context with one tmap entry altered breaks the square;
-    the witness (degree, basis cochain, first raw index, both values) is the
-    one a dense comparison finds first."""
+    """An unvalidated context with one tmap entry altered breaks the square:
+    the check refuses it, since T no longer meets the weighted action
+    identities, and once trusted the witness (degree, basis cochain, first
+    raw index, both values) is the one a dense comparison finds first."""
     for ctx, x, entry in ((e1_ctx, 0, 2), (c2_ctx, 1, 1)):
         b = ctx.bimodule
         t = b.tmap[x]
@@ -750,6 +764,9 @@ def test_chain_map_witness_matches_dense_comparison(e1_ctx, c2_ctx):
         tmap[x] = Mat(t.rows, t.cols, entries)
         fresh = OmegaBimodule(b.base, b.dim_m, b.left, b.right, b.pmap, b.qmap, tmap)
         broken = RbfContext(ctx.algebra, ctx.rb, fresh)
+        with pytest.raises(PreconditionError, match="bimodule invalid for the family"):
+            chain_map_check(broken, 2)
+        broken = _trusted(broken)
         witness = chain_map_check(broken, 2)
         assert witness is not None
         assert witness == _dense_chain_map_witness(broken, 2)
@@ -901,3 +918,35 @@ def test_random_valid_contexts_keep_the_chain_map_and_the_combined_square():
         several_classes += len(rbf.phi_op(ctx, 2).blocks) > 1
     assert len(fails) == len({k for k, _ in fails}) == 2 and {n for _, n in fails} == {0}
     assert several_classes == 9
+
+
+def test_tables_refuse_an_unvalidated_context_whose_family_is_not_rota_baxter(monkeypatch, c2_ctx):
+    """A plain RbfContext(...) skips validation, so the tables and the
+    chain-map check run check_rota_baxter and the weighted action scan
+    themselves: on _c2_phi_context(False, True) and the other two
+    several-φ-class contexts, whose families are not Rota-Baxter, both
+    refuse with PreconditionError naming the witness.  A
+    plain context of a valid family gets the tables of the validated one,
+    and a context that RbfContext.validated built runs neither scan again."""
+    for r_differ, t_differ in ((False, True), (True, False), (True, True)):
+        bad = _c2_phi_context(r_differ, t_differ)
+        witness = check_rota_baxter(bad.algebra, bad.rb)
+        assert witness is not None
+        message = f"Rota-Baxter family invalid: {witness.describe()}"
+        with pytest.raises(PreconditionError) as refused:
+            rbfa_cohomology_dims(bad, 2)
+        assert str(refused.value) == message
+        with pytest.raises(PreconditionError) as refused:
+            chain_map_check(bad, 1)
+        assert str(refused.value) == message
+    plain = RbfContext(c2_ctx.algebra, c2_ctx.rb, c2_ctx.bimodule)
+    want = {k: r.to_json() for k, r in rbfa_cohomology_dims(samples.c2_rbf_context(), 2).items()}
+    assert {k: r.to_json() for k, r in rbfa_cohomology_dims(plain, 2).items()} == want
+    assert chain_map_check(plain, 2) is None
+    validated, calls = samples.c2_rbf_context(), []
+    for name in ("check_rota_baxter", "_rbf_action_scan"):
+        monkeypatch.setattr(rbf, name, lambda *args, name=name: calls.append(name))
+    assert {k: r.to_json() for k, r in rbfa_cohomology_dims(validated, 2).items()} == want
+    assert chain_map_check(validated, 2) is None and calls == []
+    rbfa_cohomology_dims(RbfContext(c2_ctx.algebra, c2_ctx.rb, c2_ctx.bimodule), 2)
+    assert calls == ["check_rota_baxter", "_rbf_action_scan"]

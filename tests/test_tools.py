@@ -16,6 +16,31 @@ def test_ab_summary_counts_wins_and_needs_a_gap_beyond_the_parent_iqr():
     assert quartiles([3.0]) == {"q1": 3.0, "median": 3.0, "q3": 3.0}
 
 
+def test_ab_summary_verdict_reads_the_relative_bound():
+    """With a relative bound of 0.1: a change worse than the parent's median
+    by more than 10% is "worse" (also when the parent's runs spread widely),
+    a parent IQR wider than 10% of its median leaves a change within the
+    bound "unresolved", and inside both the verdict is the gain rule's; a
+    metric without a bound gets only "gain" or "no gain"."""
+    better, bounds = {"wall_s": "lower", "hits": "higher"}, {"wall_s": 0.1, "hits": 0.1}
+    tight = [{"wall_s": v, "hits": v} for v in (99, 100, 100, 100, 101)]  # median 100, IQR 0
+    wide = [{"wall_s": v, "hits": v} for v in (80, 90, 100, 110, 120)]  # median 100, IQR 20
+
+    def verdicts(parent, change, bounds=bounds):
+        s = summarize(parent, change, better, bounds)
+        return s["wall_s"]["verdict"], s["hits"]["verdict"]
+
+    shifted = lambda runs, k: [{"wall_s": r["wall_s"] + k, "hits": r["hits"] - k} for r in runs]
+    assert verdicts(tight, shifted(tight, 11)) == ("worse", "worse")  # 11% worse both ways
+    assert verdicts(tight, shifted(tight, 10)) == ("no gain", "no gain")  # exactly at the bound
+    assert verdicts(wide, shifted(wide, 11)) == ("worse", "worse")
+    assert verdicts(wide, shifted(wide, 5)) == ("unresolved", "unresolved")
+    assert verdicts(wide, shifted(wide, -30)) == ("unresolved", "unresolved")  # a gain the spread hides
+    assert verdicts(tight, shifted(tight, -5)) == ("gain", "gain")
+    assert verdicts(tight, tight) == ("no gain", "no gain")
+    assert verdicts(wide, shifted(wide, 11), {}) == ("no gain", "no gain")
+
+
 def test_ab_pairs_refuses_when_only_one_checkout_holds_bytecode(tmp_path, capsys):
     cached, bare = tmp_path / "cached", tmp_path / "bare"
     (cached / "src" / "bihomega" / "__pycache__").mkdir(parents=True)
@@ -38,7 +63,8 @@ def test_ab_pairs_prints_and_records_one_verdict_block_per_workload(tmp_path, ca
     parent, change = tmp_path / "parent", tmp_path / "change"
     for side in (parent, change):
         (side / "src" / "bihomega").mkdir(parents=True)
-    spec = {"end_to_end": [{"name": "wall_s", "better": "lower"}, {"name": "peak_rss_mb", "better": "lower"}]}
+    spec = {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.05},
+                           {"name": "peak_rss_mb", "better": "lower"}]}
     (change / "BENCHMARK.json").write_text(json.dumps(spec))
     base = {"fixtures": 1.0, "ladder": 2.0}
     calls = []
@@ -72,6 +98,9 @@ def test_ab_pairs_prints_and_records_one_verdict_block_per_workload(tmp_path, ca
     assert fixtures["summary"]["wall_s"]["gain"] and fixtures["summary"]["wall_s"]["change_wins"] == 4
     assert not record["workloads"]["ladder"]["summary"]["wall_s"]["gain"]
     assert record["workloads"]["ladder"]["summary"]["peak_rss_mb"]["change_wins"] == 0  # ties count for neither
+    assert fixtures["summary"]["wall_s"]["verdict"] == "gain"
+    assert record["workloads"]["ladder"]["summary"]["wall_s"]["verdict"] == "no gain"
+    assert record["workloads"]["ladder"]["summary"]["peak_rss_mb"]["verdict"] == "no gain"  # no bound
 
 
 def test_ab_pairs_stops_at_a_run_with_wrong_outputs(tmp_path, capsys, monkeypatch):

@@ -15,6 +15,11 @@ change wins (ties count for neither), one block per workload, so that a
 claimed gain and the check that no other workload got worse come from one
 invocation.  A gain holds when the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile range.
+Each metric with a relative ``bound`` in ``BENCHMARK.json`` also gets a
+verdict: ``worse`` when the change's median is worse than the parent's by
+more than the bound, ``unresolved`` when the parent's interquartile range is
+wider than the bound (the runs spread too widely to tell), and otherwise
+``gain`` or ``no gain``; it is printed at the end of the metric's line.
 ``--json`` writes, per workload, every run, with the ``env`` stamp the
 benchmark printed, and the summary, beside each side's bytecode state.  A
 run whose outputs were wrong (``correct`` false) is printed and ends the
@@ -71,9 +76,14 @@ def quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(parent: list, change: list, better: dict) -> dict:
+def summarize(parent: list, change: list, better: dict, bounds: dict | None = None) -> dict:
     """Per metric (``better``: name -> "lower" or "higher"), both sides'
-    quartiles, the change's wins over paired runs and whether it is a gain."""
+    quartiles, the change's wins over paired runs, whether it is a gain and
+    a verdict.  With a relative bound (``bounds``: name -> bound, e.g. 0.25)
+    the verdict is "worse" when the change's median is worse than the
+    parent's by more than bound * parent median, else "unresolved" when the
+    parent's interquartile range is wider than that, else "gain" or "no
+    gain"; a metric without a bound gets only the last two."""
     out = {}
     for name, direction in better.items():
         p, c = [r[name] for r in parent], [r[name] for r in change]
@@ -91,6 +101,14 @@ def summarize(parent: list, change: list, better: dict) -> dict:
             "pairs": len(p),
             "gain": wins * 10 >= 9 * len(p) and gap > iqr,
         }
+        bound = (bounds or {}).get(name)
+        allowed = None if bound is None else bound * abs(ps["median"])
+        if allowed is not None and -gap > allowed:
+            out[name]["verdict"] = "worse"
+        elif allowed is not None and iqr > allowed:
+            out[name]["verdict"] = "unresolved"
+        else:
+            out[name]["verdict"] = "gain" if out[name]["gain"] else "no gain"
     return out
 
 
@@ -133,12 +151,13 @@ def main(argv=None) -> int:
         return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"] if "bound" in m}
     results = {}
     for workload in args.workload:
         runs = run_pairs(args, workload, better)
         if runs is None:
             return 1
-        results[workload] = {"runs": runs, "summary": summarize(runs["parent"], runs["change"], better)}
+        results[workload] = {"runs": runs, "summary": summarize(runs["parent"], runs["change"], better, bounds)}
     for workload, result in results.items():
         print(f"== {workload}")
         for name, s in result["summary"].items():
@@ -147,7 +166,7 @@ def main(argv=None) -> int:
                 f"{name:12} parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
                 f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
                 f"  change wins {s['change_wins']}/{s['pairs']}  parent IQR {s['parent_iqr']:.3g}"
-                f"  {'gain' if s['gain'] else 'no gain'}"
+                f"  {s['verdict']}"
             )
     if args.json:
         method = {

@@ -28,7 +28,7 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 * ``rank``     -- one forward elimination on those images, the rank the
   tables take.
 
-Beside the seconds, each degree row of these two cases carries six exact
+Beside the seconds, each degree row of these two cases carries seven exact
 counts that read the same on every run: ``constraint_rows``, the
 equivariance rows of C^k (one system per twist signature);
 ``kernel_eliminations``, the row eliminations (``linalg._cross_eliminate``
@@ -39,7 +39,10 @@ calls; 0 at k = 0); ``slot_steps``, the steps of their slot recursion
 of the images the rank takes; and ``echelon_nonzeros``, the nonzero entries
 of the integer echelon that the rank leaves.  The eliminations are counted
 during the ``basis`` stage and the middle parts and slot steps during the
-stages of δ_k, which adds one call per count to their seconds.
+stages of δ_k, which adds one call per count to their seconds.  A seventh,
+``block_entries``, is the number of entries the blocks of δ_k store
+(``cochain.BlockOp``): each part and each action term counted once, however
+many pair keys share it (at k = 0, δ_0's own blocks).
 
 For the combined complex of ``samples.c2_rbf_context()`` (degrees 0-5),
 each repeat starts from a fresh context and runs the engine of
@@ -110,7 +113,8 @@ COMBINED_STAGES = ("phi_op", "phase1", "phase2")
 COMBINED_MAX_DEGREE = 5
 RBFA_FIXTURE, RBFA_MAX_DEGREE = ROOT / "fixtures" / "c2_rbf.json", 3
 COUNTS = ("degree", "dim", "rank", "rank_delta", "rank_partial", "inside", "constraint_rows",
-          "kernel_eliminations", "middle_parts", "slot_steps", "projected_nonzeros", "echelon_nonzeros", "phi_blocks")
+          "kernel_eliminations", "middle_parts", "slot_steps", "block_entries", "projected_nonzeros",
+          "echelon_nonzeros", "phi_blocks")
 
 
 def degree_zero(b, clock) -> tuple:
@@ -140,7 +144,7 @@ def degree_k(b, k: int, basis, clock) -> tuple:
             sig = _twist_signature(b, tuples_in[s])
             for t, key in faces:
                 if (key, sig) not in shared:
-                    shared[(key, sig)] = _block_product(op.blocks[key], basis.vectors[s])
+                    shared[(key, sig)] = _block_product(op.blocks[key], op.id_width, basis.vectors[s])
                 work.append((t, key, sig, shared[(key, sig)]))
     t2 = clock()
     inside = not any([_violations(b, verdicts, tuples_out[t], key, sig, prods)[0] for t, key, sig, prods in work])
@@ -193,6 +197,16 @@ def counting_eliminations(build) -> tuple:
     return counting_calls(linalg, "_cross_eliminate", build)
 
 
+def block_entries(op) -> int:
+    """Entries stored by the blocks of ``op``, each part and action term once."""
+    stored = {}
+    for part, actions in op.blocks:
+        stored[id(part)] = sum(map(len, part))
+        for action in actions:
+            stored[id(action)] = sum(map(len, action[1]))
+    return sum(stored.values())
+
+
 def constraint_row_count(b, k: int) -> int:
     """Equivariance rows of C^k, counted once per twist signature (cached)."""
     firsts = {_twist_signature(b, t): t for t in b.base.omega.tuples(k)} if k else {}
@@ -215,7 +229,8 @@ def one_pass(a, max_degree: int) -> list:
         t3 = clock()
         rows.append({"degree": k, "dim": basis.dim(), "rank": len(echelon), "inside": inside,
                      "constraint_rows": constraint_row_count(b, k), "kernel_eliminations": eliminations,
-                     "middle_parts": middle_parts, "slot_steps": slot_steps, "projected_nonzeros": sum(map(len, images)),
+                     "middle_parts": middle_parts, "slot_steps": slot_steps,
+                     "block_entries": block_entries(delta_op(b, k)), "projected_nonzeros": sum(map(len, images)),
                      "echelon_nonzeros": sum(map(len, echelon.values())),
                      "basis": t1 - t0, **stages, "rank_s": t3 - t2})
     return rows
