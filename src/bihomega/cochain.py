@@ -40,27 +40,26 @@ formula.  The blocks and the constraint rows are sparse Kronecker products
 of structure maps (``linalg._kron``); term-by-term transcriptions of the
 sum live only in the test oracles (``tests/oracles.py``).
 
-Cohomology tables never assemble δ for n >= 1: :func:`_basis_images`
-forms each block of :func:`delta_op` times the kernel of a source twist
-signature once per (pair key, source signature), and verifies that
-product against the constraint columns of the output block once per
-(output signature, pair key, source signature), both kept in per-degree
-entries of the bimodule's cache beside :func:`delta_op`'s own.  An image
-lies in C^{n+1} exactly when each of its output blocks meets that block's
-constraints, and each output block of a basis image is one such product,
-so every image is still verified.  The same pass drops the *end columns*
-of the output block (the largest column of each constraint row) from each
-product.  That is injective on C^{k+1}: a member vanishing off the end
-columns meets, at its smallest nonzero end column, a row ending there
-with one nonzero term.  So the projected images, streamed into one
-fraction-free integer rank per degree k >= 1 (degree 0 ranks raw images),
-give the rank of δ_k, and no matrix of δ_k and no basis or kernel of
-C^{max_degree+1} is built.  The combined table ranks the same projected
-images, beside φ, in its one elimination per degree
-(``rbf.rbfa_cohomology_dims``).  :func:`delta_matrix` (via ``coords_of``),
-:func:`is_coboundary` and the combined kernels and solves keep the raw
-products: a preimage is one ``sparse_solve`` of the raw images, transposed
-into rows by ``linalg.sparse_rows``, against the raw target.
+Cohomology tables never assemble δ for n >= 1: one call of
+:func:`_basis_images` forms each block of :func:`delta_op` times the kernel
+of a source twist signature once per (pair key, source signature), and
+verifies that product against the constraint columns of the output block
+once per (output signature, pair key, source signature), both kept for
+that call only: a bimodule's cache holds compiled structure, never a
+per-degree result.  An image lies in C^{n+1} exactly when each of its
+output blocks meets that block's constraints, and each output block of a
+basis image is one such product, so every image is still verified.  The
+same pass drops the *end columns* of the output block (the largest column
+of each constraint row) from each product.  That is injective on C^{k+1}:
+a member vanishing off the end columns meets, at its smallest nonzero end
+column, a row ending there with one nonzero term.  So the projected
+images, streamed into one fraction-free integer rank per degree k >= 1
+(degree 0 ranks raw images), give the rank of δ_k, and no matrix of δ_k
+and no basis or kernel of C^{max_degree+1} is built; the combined table
+ranks them beside φ (``rbf.rbfa_cohomology_dims``).  :func:`delta_matrix`,
+:func:`is_coboundary`, the chain-map check and the combined kernels and
+solves take raw images from calls of their own: a preimage is one
+``sparse_solve`` of them, transposed into rows, against the raw target.
 
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
@@ -588,8 +587,8 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
     Degree 0 applies :func:`delta_op`.  For n >= 1 the image of basis element
     (source tuple s, kernel vector k) is, on each output block of s, the
     product of that pair's block of :func:`delta_op` with vector k
-    (:func:`_block_product`, kept per (pair key, source signature) in a
-    per-degree entry of b's cache); δ is never assembled.  With
+    (:func:`_block_product`, formed once per (pair key, source signature)
+    and dropped with this call); δ is never assembled.  With
     ``verify`` every image is checked against the degree-(n+1) constraints,
     block by block, before it is yielded (each output block of an image is
     one product, so its verdict is shared, :func:`_violations`), and
@@ -607,8 +606,7 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
             yield image
         return
     op = delta_op(b, n)
-    products_of = b._cache.setdefault(("block_products", n), {})
-    verdicts = b._cache.setdefault(("verdicts", n), {})
+    products_of, verdicts = {}, {}
     om = b.base.omega
     sources, outputs = om.tuples(n), om.tuples(n + 1)
     for s, faces in enumerate(op.faces):
@@ -683,7 +681,8 @@ def _left_subspace(n: int, j: int) -> InternalCheckError:
 
 
 def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
-    """Coboundary in equivariant-basis coordinates, C^n -> C^{n+1}.
+    """Coboundary in equivariant-basis coordinates, C^n -> C^{n+1}, built
+    afresh from the raw basis images of one :func:`_basis_images` call.
 
     No table, solve or command reads it: ``tools/gen_fixtures.py`` writes
     it into the ``*_delta1.json`` fixtures, and
@@ -692,15 +691,9 @@ def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
     subspace (possible at n = 0 when unit-index structure maps are not the
     identity).
     """
-    cache_key = ("delta_matrix", n)
-    hit = b._cache.get(cache_key)
-    if hit is not None:
-        return hit
     dst = equivariant_basis(b, n + 1)
     cols = [dst.coords_of(image) for image in _basis_images(b, n)]
-    result = Mat.from_cols(cols, nrows=dst.dim()) if cols else Mat.zeros(dst.dim(), 0)
-    b._cache[cache_key] = result
-    return result
+    return Mat.from_cols(cols, nrows=dst.dim()) if cols else Mat.zeros(dst.dim(), 0)
 
 
 class DegreeRow(NamedTuple):

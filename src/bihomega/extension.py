@@ -337,6 +337,7 @@ def compare_extensions(e1: ExtensionPresentation, e2: ExtensionPresentation) -> 
     if b1.left != b2.left or b1.right != b2.right:
         raise MalformedInputError("extensions induce different bimodule actions")
     ctx = RbfContext(e1.base, e1.rb, b1)
+    ctx._cache["validated"] = True  # extract_cocycle checked the family (via the total's) and b1's actions
     diff = pair1.combined().sub(pair2.combined())
     sol = solve_combined(ctx, 1, diff)
     if sol is None:

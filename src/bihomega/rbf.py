@@ -30,9 +30,9 @@ fraction-free elimination per degree n ranks all three tables
 (:func:`_cone_ranks`): fed the raw images (0, -∂e) of the C^{n-1} basis it
 counts rank ∂_{n-1}, then fed (δe, -φe) for the C^n basis, δe projected as
 the algebra table projects it, rank δ_n and rank d_n.  The δ and ∂ parts
-come from the block products the two bimodules cache, verified where the
-theory promises membership, and no image is kept.  Kernels and solves
-transpose the raw images, built once per call, into sparse rows.
+stream from the block products of one ``cochain._basis_images`` call each,
+verified where the theory promises membership, and no image is kept; the
+chain-map check, kernels and solves build raw images in calls of their own.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ from .rationals import ONE, ZERO
 class RbfContext:
     """Bundle (algebra, Rota-Baxter family, bimodule with tmap).  Only
     :meth:`validated` validates it, recording so in ``_cache``; the plain
-    constructor checks the tmap and the base alone, and the tables check the
-    family of a context without the record.  Its star bimodule shares the
+    constructor checks the tmap and the base alone, and the tables, checks,
+    kernels and solves check the family of a context without the record
+    (:func:`_require_family`).  Its star bimodule shares the
     bimodule's bases and constraint systems."""
 
     __slots__ = ("algebra", "rb", "bimodule", "_cache")
@@ -382,10 +383,10 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
 
     Both compositions are compared as sparse raw images (equality as linear
     maps on C^n), degree by degree from 0 to max_degree; delta^n e is the
-    basis image of :func:`bihomega.cochain._basis_images`, from the block
-    products the tables share.  The witness names the degree, the basis
-    cochain, the first raw index where they differ and both values there
-    (zero where an image has no entry).
+    raw basis image of :func:`bihomega.cochain._basis_images`, whose block
+    products this check forms for itself.  The witness names the degree,
+    the basis cochain, the first raw index where they differ and both
+    values there (zero where an image has no entry).
     """
     if max_degree < 0:
         raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
@@ -406,6 +407,7 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
 
 def combined_kernel(ctx: RbfContext, n: int) -> list:
     """Basis of ker(d^n) as CombinedCochains (deterministic kernel order)."""
+    _require_family(ctx)
     width = combined_dim(ctx, n)
     out = []
     for vec in sparse_kernel(_combined_rows(ctx, n), width):
@@ -424,6 +426,7 @@ def solve_combined(ctx: RbfContext, n: int, target: CombinedCochain):
         raise MalformedInputError("operator part must have degree one less")
     for part in (target.alg, target.rbf):
         _require_shape(ctx.bimodule, part)
+    _require_family(ctx)
     rhs = list(target.alg.coords) + list(target.rbf.coords)
     x = sparse_solve(_combined_rows(ctx, n), rhs, combined_dim(ctx, n))
     if x is None:

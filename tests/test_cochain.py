@@ -23,7 +23,7 @@ from oracles import (
     solve_oracle,
 )
 
-from bihomega import blocks, cochain, samples
+from bihomega import blocks, cochain, rbf, samples
 from bihomega.algebra import OmegaAlgebra, zero_algebra
 from bihomega.bimodule import OmegaBimodule, regular_bimodule, validate_bimodule, zero_bimodule
 from bihomega.cochain import (
@@ -934,14 +934,14 @@ def _assert_basis_images_match_delta_op(b, n):
             assert list(cochain._basis_images(b, n)) == want
 
 
-def _assert_verdicts_match_is_equivariant(b, n):
+def _assert_verdicts_match_is_equivariant(b, n) -> dict:
     """Each membership verdict of δ_n, shared per (output signature, pair
-    key, source signature) in the degree's verdict dict, equals
-    is_equivariant on the product placed at that face's own output block,
-    face by face."""
+    key, source signature) in one verdict dict, as in one call of
+    ``cochain._basis_images``, equals is_equivariant on the product placed
+    at that face's own output block, face by face.  Returns that dict."""
     om, d, m = b.base.omega, b.base.dim, b.dim_m
     basis, op = equivariant_basis(b, n), delta_op(b, n)
-    verdicts = b._cache.setdefault(("verdicts", n), {})
+    verdicts: dict = {}
     width = d ** (n + 1) * m
     for s, faces in enumerate(op.faces):
         vectors = basis.vectors[s]
@@ -966,6 +966,7 @@ def _assert_verdicts_match_is_equivariant(b, n):
                 if not is_equivariant(b, f):
                     want.add(k)
             assert cochain._violations(b, verdicts, om.tuples(n + 1)[t], key, sig, products)[0] == want, (n, s, t)
+    return verdicts
 
 
 def _sign_carrier():
@@ -987,13 +988,13 @@ def test_membership_verdicts_are_per_output_signature():
     blocks of different signatures with different verdicts; every verdict
     matches is_equivariant, and the images are refused at the lowest basis
     element that leaves C^{n+1}."""
-    b = _sign_carrier()
+    b, kept = _sign_carrier(), {}
     for n in (1, 2, 3):
-        _assert_verdicts_match_is_equivariant(b, n)
+        kept[n] = _assert_verdicts_match_is_equivariant(b, n)
         _assert_basis_images_match_delta_op(b, n)
         assert _delta_columns(b, n) == _oracle_columns(b, n)
     verdicts: dict = {}
-    for (_, key, sig), (bad, _) in b._cache[("verdicts", 2)].items():
+    for (_, key, sig), (bad, _) in kept[2].items():
         verdicts.setdefault((key, sig), set()).add(frozenset(bad))
     assert any(len(v) > 1 for v in verdicts.values())
 
@@ -1208,8 +1209,10 @@ def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
 def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch):
     """On c2 variant 0 (one twist signature per degree) the tables multiply
     a block of delta_op by a source kernel once per pair key: 7, 13, 18 and
-    24 products at degrees 1-4, where degree 4 has 111 faces.  Raw basis
-    images of degrees 1-4 taken afterwards reuse them and multiply none."""
+    24 products at degrees 1-4, where degree 4 has 111 faces.  Products and
+    verdicts live for one call, so a second table takes the same 62
+    products again, and no public call leaves a per-degree result (block
+    products, verdicts, a δ matrix) in either bimodule's cache."""
     b = regular_bimodule(samples.build_c2_example(0))
     calls, original = [], cochain._block_product
 
@@ -1222,10 +1225,29 @@ def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch
     per_degree = [sum(any(block is own for own in delta_op(b, n).blocks) for block in calls) for n in range(1, 5)]
     assert per_degree == [7, 13, 18, 24] and len(calls) == 62
     assert sum(map(len, delta_op(b, 4).faces)) == 111
+    first = calls[:]
     calls.clear()
-    for n in range(1, 5):
-        list(cochain._basis_images(b, n))
-    assert calls == []
+    cohomology_dims(b, 4)
+    assert len(calls) == 62 and all(again is block for again, block in zip(calls, first))
+
+    def per_degree_results(*bimodules):
+        kinds = ("block_products", "verdicts", "delta_matrix")
+        return [key for c in bimodules for key in c._cache if isinstance(key, tuple) and key[0] in kinds]
+
+    assert per_degree_results(b) == []
+    ctx = samples.c2_rbf_context()
+    c, star = ctx.bimodule, ctx.star_bimodule()
+    f = apply_delta(c, random_equivariant(c, 2, random.Random(5)))
+    zero = rbf.combined_from_coords(ctx, 2, [ZERO] * rbf.combined_dim(ctx, 2))
+    public = (
+        lambda: cohomology_dims(c, 3), lambda: cohomology_dims(star, 3), lambda: rbf.rbfa_cohomology_dims(ctx, 3),
+        lambda: rbf.chain_map_check(ctx, 3) is None, lambda: rbf.combined_kernel(ctx, 2),
+        lambda: rbf.solve_combined(ctx, 1, zero) is not None, lambda: is_coboundary(c, f) is not None,
+        lambda: delta_matrix(c, 2), lambda: delta_matrix(star, 1),
+    )
+    for k, call in enumerate(public):
+        assert call(), k
+        assert per_degree_results(c, star) == [], k
 
 
 def test_table_images_read_the_delta_op_blocks():

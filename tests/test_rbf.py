@@ -921,11 +921,11 @@ def test_random_valid_contexts_keep_the_chain_map_and_the_combined_square():
 
 
 def test_tables_refuse_an_unvalidated_context_whose_family_is_not_rota_baxter(monkeypatch, c2_ctx):
-    """A plain RbfContext(...) skips validation, so the tables and the
-    chain-map check run check_rota_baxter and the weighted action scan
-    themselves: on _c2_phi_context(False, True) and the other two
-    several-φ-class contexts, whose families are not Rota-Baxter, both
-    refuse with PreconditionError naming the witness.  A
+    """A plain RbfContext(...) skips validation, so the tables, the
+    chain-map check and the combined kernel and solve run check_rota_baxter
+    and the weighted action scan themselves: on _c2_phi_context(False, True)
+    and the other two several-φ-class contexts, whose families are not
+    Rota-Baxter, all four refuse with PreconditionError naming the witness.  A
     plain context of a valid family gets the tables of the validated one,
     and a context that RbfContext.validated built runs neither scan again."""
     for r_differ, t_differ in ((False, True), (True, False), (True, True)):
@@ -936,9 +936,12 @@ def test_tables_refuse_an_unvalidated_context_whose_family_is_not_rota_baxter(mo
         with pytest.raises(PreconditionError) as refused:
             rbfa_cohomology_dims(bad, 2)
         assert str(refused.value) == message
-        with pytest.raises(PreconditionError) as refused:
-            chain_map_check(bad, 1)
-        assert str(refused.value) == message
+        zero = combined_from_coords(bad, 2, [ZERO] * combined_dim(bad, 2))
+        for call in (lambda: chain_map_check(bad, 1), lambda: combined_kernel(bad, 2),
+                     lambda: solve_combined(bad, 1, zero)):
+            with pytest.raises(PreconditionError) as refused:
+                call()
+            assert str(refused.value) == message
     plain = RbfContext(c2_ctx.algebra, c2_ctx.rb, c2_ctx.bimodule)
     want = {k: r.to_json() for k, r in rbfa_cohomology_dims(samples.c2_rbf_context(), 2).items()}
     assert {k: r.to_json() for k, r in rbfa_cohomology_dims(plain, 2).items()} == want

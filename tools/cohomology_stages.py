@@ -13,18 +13,20 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 * ``blocks``   -- the rest of ``delta_op``: compiling one block per distinct
   pair key (at k = 0, its own formula);
 * ``products`` -- each block of ``delta_op`` times the kernel of each
-  source twist signature, once per (pair key, source signature), kept where
-  ``cochain._basis_images`` reads them;
+  source twist signature, once per (pair key, source signature): the time
+  inside ``cochain._block_product`` during one
+  ``_basis_images(b, k, project=True)`` call;
 * ``verify``   -- the membership verdict of each product in its output
   block, once per (output signature, pair key, source signature), with the
   product's projection off the end columns of that block's constraint rows
-  taken in the same pass; it includes building the degree-(k+1) constraint
-  rows (the basis of C^{k+1} then reuses them, so ``basis`` is only the
-  kernel for k >= 1); at k = 0, the membership test of every image in C^1;
-* ``assemble`` -- the projected basis images from the cached projections
-  (the tables stream them into the rank; here they are kept to time the
-  rank alone); at k = 0, applying ``delta_op`` to the C^0 basis, whose
-  images the tables rank raw;
+  taken in the same pass (the time inside ``cochain._violations`` during
+  that call); it includes building the degree-(k+1) constraint rows (the
+  basis of C^{k+1} then reuses them, so ``basis`` is only the kernel for
+  k >= 1); at k = 0, the membership test of every image in C^1;
+* ``assemble`` -- the rest of that call: placing the projected products
+  into basis images (the tables stream them into the rank; here they are
+  kept to time the rank alone); at k = 0, applying ``delta_op`` to the C^0
+  basis, whose images the tables rank raw;
 * ``rank``     -- one forward elimination on those images, the rank the
   tables take.
 
@@ -90,13 +92,11 @@ from bihomega import blocks, cochain, linalg, rbf, samples
 from bihomega.bimodule import regular_bimodule
 from bihomega.cochain import (
     _basis_images,
-    _block_product,
     _constraint_rows,
     _degree0_checks,
     _in_subspace,
     _raw_size,
     _twist_signature,
-    _violations,
     delta_op,
     equivariant_basis,
 )
@@ -130,29 +130,17 @@ def degree_zero(b, clock) -> tuple:
     return stages, images, inside
 
 
-def degree_k(b, k: int, basis, clock) -> tuple:
-    """(seconds per stage, images, inside) of degree k >= 1, stage by stage."""
-    tuples_in, tuples_out = b.base.omega.tuples(k), b.base.omega.tuples(k + 1)
+def degree_k(b, k: int, clock) -> tuple:
+    """(seconds per stage, images, inside) of degree k >= 1, from one real
+    ``_basis_images`` call; images that leave C^{k+1} are refused there."""
     t0 = clock()
     op, plan_s = seconds_in(cochain, "pair_keys", lambda: delta_op(b, k), clock)
     t1 = clock()
-    shared = b._cache.setdefault(("block_products", k), {})
-    verdicts = b._cache.setdefault(("verdicts", k), {})
-    work = []
-    for s, faces in enumerate(op.faces):
-        if basis.vectors[s]:
-            sig = _twist_signature(b, tuples_in[s])
-            for t, key in faces:
-                if (key, sig) not in shared:
-                    shared[(key, sig)] = _block_product(op.blocks[key], op.id_width, basis.vectors[s])
-                work.append((t, key, sig, shared[(key, sig)]))
+    (images, verify_s), products_s = seconds_in(cochain, "_block_product", lambda: seconds_in(
+        cochain, "_violations", lambda: list(_basis_images(b, k, project=True)), clock), clock)
     t2 = clock()
-    inside = not any([_violations(b, verdicts, tuples_out[t], key, sig, prods)[0] for t, key, sig, prods in work])
-    t3 = clock()
-    images = list(_basis_images(b, k, project=True))  # products, verdicts and projections were taken above
-    t4 = clock()
-    return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": t2 - t1, "verify": t3 - t2,
-            "assemble": t4 - t3}, images, inside
+    return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": products_s, "verify": verify_s,
+            "assemble": t2 - t1 - products_s - verify_s}, images, True
 
 
 def counting_calls(module, name: str, build) -> tuple:
@@ -221,7 +209,7 @@ def one_pass(a, max_degree: int) -> list:
         t0 = clock()
         basis, eliminations = counting_eliminations(lambda: equivariant_basis(b, k))
         t1 = clock()
-        build = (lambda: degree_zero(b, clock)) if k == 0 else (lambda: degree_k(b, k, basis, clock))
+        build = (lambda: degree_zero(b, clock)) if k == 0 else (lambda: degree_k(b, k, clock))
         ((stages, images, inside), slot_steps), middle_parts = counting_calls(
             blocks, "_middle_part", lambda: counting_calls(blocks, "_slot_step", build))
         t2 = clock()
