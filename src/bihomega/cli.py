@@ -25,6 +25,7 @@ import sys
 import time
 
 from .algebra import (
+    Witness,
     _one_validation,
     _refuse_witness,
     check_rota_baxter,
@@ -87,6 +88,14 @@ def _context_from(wf: WorkbenchFile) -> RbfContext:
     return RbfContext.validated(a, wf.rota_baxter, bim)
 
 
+def _witness_exit(out: dict, witness: Witness | None) -> tuple[dict, int]:
+    """The report ``out`` and EXIT_OK, or, given a witness, ``out`` with it and EXIT_WITNESS."""
+    if witness is None:
+        return out, EXIT_OK
+    out["witness"] = witness.to_json()
+    return out, EXIT_WITNESS
+
+
 def cmd_validate(args) -> tuple[dict, int]:
     wf = _load(args.file)
     checks = {}
@@ -108,11 +117,7 @@ def cmd_validate(args) -> tuple[dict, int]:
             if witness is None and wf.bimodule.tmap is not None and wf.rota_baxter is not None:
                 witness = _rbf_action_scan(wf.bimodule, wf.rota_baxter)  # its preconditions passed above
                 checks["rbf_bimodule"] = "ok" if witness is None else "witness"
-    out = {"checks": checks}
-    if witness is not None:
-        out["witness"] = witness.to_json()
-        return out, EXIT_WITNESS
-    return out, EXIT_OK
+    return _witness_exit({"checks": checks}, witness)
 
 
 def cmd_cohomology(args) -> tuple[dict, int]:
@@ -141,11 +146,7 @@ def cmd_mc_check(args) -> tuple[dict, int]:
     is_zero = residual.is_zero()
     if is_zero != (witness is None):
         raise InternalCheckError("bracket square and validator disagree")
-    out = {"residual_zero": is_zero}
-    if witness is not None:
-        out["witness"] = witness.to_json()
-        return out, EXIT_WITNESS
-    return out, EXIT_OK
+    return _witness_exit({"residual_zero": is_zero}, witness)
 
 
 def cmd_star(args) -> tuple[dict, int]:
@@ -169,11 +170,7 @@ def cmd_yau_twist(args) -> tuple[dict, int]:
     witness = validate_algebra(twisted)
     rb_witness = check_rota_baxter(twisted, rb_out) if witness is None else None
     out_wf = WorkbenchFile(wf.monoid, algebra=twisted, rota_baxter=rb_out)
-    out = {"output": workbench_to_json(out_wf)}
-    if witness is not None or rb_witness is not None:
-        out["witness"] = (witness or rb_witness).to_json()
-        return out, EXIT_WITNESS
-    return out, EXIT_OK
+    return _witness_exit({"output": workbench_to_json(out_wf)}, witness or rb_witness)
 
 
 def cmd_nijenhuis(args) -> tuple[dict, int]:
@@ -238,11 +235,7 @@ def cmd_extend(args) -> tuple[dict, int]:
         "is_cocycle": build.is_cocycle,
         "output": workbench_to_json(out_wf),
     }
-    if not build.valid():
-        witness = build.algebra_witness or build.rb_witness
-        out["witness"] = witness.to_json()
-        return out, EXIT_WITNESS
-    return out, EXIT_OK
+    return _witness_exit(out, build.algebra_witness or build.rb_witness)
 
 
 def cmd_extract_cocycle(args) -> tuple[dict, int]:

@@ -18,10 +18,12 @@ The equivariance constraints of each monoid-tuple block are sparse rows
 product and entries, so they are cached per twist signature
 (:func:`_twist_signature`): tuples whose structure maps agree share one set
 of rows and one kernel.  That kernel is the basis of C^n
-(:func:`equivariant_basis`), and applying the rows to a raw vector is the
-one membership test (:func:`_in_subspace`), behind :func:`is_equivariant`
-and every check that a coboundary image lies in C^{n+1}.  A bimodule with
-the same structure maps may share all of it (:func:`_share_equivariance`).
+(:func:`equivariant_basis`), whose coordinates are read at each vector's
+largest key, its free column by the kernel convention of ``linalg``.
+Applying the rows to a raw vector is the one membership test
+(:func:`_in_subspace`), behind :func:`is_equivariant` and every check that
+a coboundary image lies in C^{n+1}.  A bimodule with the same structure
+maps may share all of it (:func:`_share_equivariance`).
 A map pair that is the identity at the product and at every entry builds
 no rows (its constraint reads f = f), and the rows are kept sorted by their
 largest column, descending, so that the kernel's elimination, which pivots
@@ -299,17 +301,17 @@ class EquivariantBasis:
     """Deterministic basis of C^n, block per monoid tuple.
 
     ``vectors[t]`` holds sparse block-local basis columns (dicts) for tuple
-    number t, ``frees[t]`` the free columns the kernel convention assigned
-    them to, ``offsets[t]`` the global index of its first basis element.
-    Coordinates of a member cochain are read off at the free columns and
-    verified exactly against the reconstruction.
+    number t, ``offsets[t]`` the global index of its first basis element.
+    Coordinates of a member cochain are read off at the free columns, each
+    vector's largest key by the kernel convention, and verified exactly
+    against the reconstruction.
     """
 
-    __slots__ = ("degree", "omega_size", "dim_in", "dim_out", "block_size", "vectors", "frees", "offsets")
+    __slots__ = ("degree", "omega_size", "dim_in", "dim_out", "block_size", "vectors", "offsets")
 
     def __init__(
         self, degree: int, omega_size: int, dim_in: int, dim_out: int, block_size: int,
-        vectors: list, frees: list, offsets: list,
+        vectors: list, offsets: list,
     ):
         self.degree = degree
         self.omega_size = omega_size
@@ -317,7 +319,6 @@ class EquivariantBasis:
         self.dim_out = dim_out
         self.block_size = block_size
         self.vectors = vectors
-        self.frees = frees
         self.offsets = offsets
 
     @property
@@ -359,7 +360,7 @@ class EquivariantBasis:
         for t in range(self._block_count()):
             base = t * self.block_size
             block = dense[base : base + self.block_size]
-            local_coords = [block[c] for c in self.frees[t]]
+            local_coords = [block[max(vec)] for vec in self.vectors[t]]
             recon = [ZERO] * self.block_size
             for coeff, vec in zip(local_coords, self.vectors[t]):
                 if coeff:
@@ -399,25 +400,19 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     om = a.omega
     d, m = a.dim, b.dim_m
     block = d**n * m
-    vectors, frees, offsets = [], [], [0]
+    vectors, offsets = [], [0]
     if n == 0:
         vectors.append([{k: ONE} for k in range(m)])
-        frees.append(list(range(m)))
         offsets.append(m)
     else:
         kernels: dict = {}  # one kernel per twist signature, shared by its tuples
         for om_tuple in om.tuples(n):
             sig = _twist_signature(b, om_tuple)
             if sig not in kernels:
-                # one vector per free column, and that column is the vector's
-                # largest key: an RREF row has nonzeros only right of its pivot
-                basis = sparse_kernel(_constraint_rows(b, om_tuple), block)
-                kernels[sig] = basis, [max(vec) for vec in basis]
-            basis, free = kernels[sig]
-            vectors.append(basis)
-            frees.append(free)
-            offsets.append(offsets[-1] + len(basis))
-    result = EquivariantBasis(n, om.size, d, m, block, vectors, frees, offsets)
+                kernels[sig] = sparse_kernel(_constraint_rows(b, om_tuple), block)
+            vectors.append(kernels[sig])
+            offsets.append(offsets[-1] + len(vectors[-1]))
+    result = EquivariantBasis(n, om.size, d, m, block, vectors, offsets)
     cache[cache_key] = result
     return result
 

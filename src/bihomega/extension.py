@@ -15,6 +15,12 @@ total is a valid Rota-Baxter family algebra exactly when the pair is a
 combined 2-cocycle; both sides of that equivalence are computed and compared
 on every build, the validity side by the twisted-associativity and weighted
 scans of :mod:`bihomega.algebra` on A (+) M.
+
+Extracting reads everything through the section s and one step,
+:func:`_module_part`: check that a vector of the total projects to 0, then
+retract it into M.  The actions are the module parts of s(a) m and m s(a);
+psi(a, b) is that of s(a) s(b) - s(ab) and chi(a) that of T s(a) - s(R a),
+laid out as cochains by ``cochain_from_tensors`` and ``cochain_from_maps``.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from .algebra import (
     validate_algebra,
 )
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, rbf_semidirect
-from .cochain import Cochain, apply_delta, is_equivariant, maps_from_cochain
+from .cochain import Cochain, apply_delta, cochain_from_maps, cochain_from_tensors, is_equivariant, maps_from_cochain
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .linalg import Mat
-from .rationals import ONE, ZERO
+from .rationals import ONE
 from .rbf import CombinedCochain, RbfContext, d_combined, solve_combined
 
 
@@ -230,6 +236,13 @@ def _section_ok(e: ExtensionPresentation, sect: dict) -> bool:
     return True
 
 
+def _module_part(e: ExtensionPresentation, w, u: list, what: str) -> list:
+    """``retr[w] u``, after checking that ``proj[w] u`` is 0."""
+    if any(e.proj[w].matvec(u)):
+        raise InternalCheckError(f"{what} left the kernel")
+    return e.retr[w].matvec(u)
+
+
 def extract_cocycle(
     e: ExtensionPresentation, section: dict | None = None
 ) -> tuple[CocyclePair, OmegaBimodule]:
@@ -247,62 +260,40 @@ def extract_cocycle(
     a = e.base
     om = a.omega
     d, dm = a.dim, e.dim_m
+    elements = om.elements()
+    lift = {x: [sect[x].col(i) for i in range(d)] for x in elements}
+    kern = {x: [e.incl[x].col(l) for l in range(dm)] for x in elements}
     left, right = {}, {}
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            lt = [[[ZERO] * dm for _ in range(dm)] for _ in range(d)]
-            rt = [[[ZERO] * dm for _ in range(d)] for _ in range(dm)]
-            for i in range(d):
-                si = sect[x].col(i)
-                for l in range(dm):
-                    u = e.total.mul_vec(key, si, e.incl[y].col(l))
-                    if any(e.proj[om.mul(x, y)].matvec(u)):
-                        raise InternalCheckError("left action left the kernel")
-                    lt[i][l] = e.retr[om.mul(x, y)].matvec(u)
-            for l in range(dm):
-                il = e.incl[x].col(l)
-                for j in range(d):
-                    u = e.total.mul_vec(key, il, sect[y].col(j))
-                    if any(e.proj[om.mul(x, y)].matvec(u)):
-                        raise InternalCheckError("right action left the kernel")
-                    rt[l][j] = e.retr[om.mul(x, y)].matvec(u)
-            left[key] = lt
-            right[key] = rt
+    for x in elements:
+        for y in elements:
+            key, xy = (x, y), om.mul(x, y)
+            left[key] = [[_module_part(e, xy, e.total.mul_vec(key, s, k), "left action") for k in kern[y]]
+                         for s in lift[x]]
+            right[key] = [[_module_part(e, xy, e.total.mul_vec(key, k, s), "right action") for s in lift[y]]
+                          for k in kern[x]]
     bim = OmegaBimodule(a, dm, left, right, dict(e.pmap_m), dict(e.qmap_m), dict(e.tmap_m))
     _require_bimodule(bim)
     _refuse_witness(_rbf_action_scan(bim, e.rb), "induced bimodule failed validation", InternalCheckError)
-    psi = Cochain.zero(2, om.size, d, dm)
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            xy = om.mul(x, y)
-            base = psi.block_base(key)
-            for i in range(d):
-                si = sect[x].col(i)
-                for j in range(d):
-                    u = e.total.mul_vec(key, si, sect[y].col(j))
-                    sv = sect[xy].matvec(a.mul_basis(key, i, j))
-                    diff = [p - q for p, q in zip(u, sv)]
-                    if any(e.proj[xy].matvec(diff)):
-                        raise InternalCheckError("product defect left the kernel")
-                    mv = e.retr[xy].matvec(diff)
-                    off = base + (i * d + j) * dm
-                    for k in range(dm):
-                        psi.coords[off + k] = mv[k]
-    chi = Cochain.zero(1, om.size, d, dm)
-    for x in om.elements():
-        base = chi.block_base((x,))
-        for j in range(d):
-            u = e.total_rb.maps[x].matvec(sect[x].col(j))
-            sv = sect[x].matvec(e.rb.maps[x].col(j))
-            diff = [p - q for p, q in zip(u, sv)]
-            if any(e.proj[x].matvec(diff)):
-                raise InternalCheckError("operator defect left the kernel")
-            mv = e.retr[x].matvec(diff)
-            for k in range(dm):
-                chi.coords[base + j * dm + k] = mv[k]
-    pair = CocyclePair(psi, chi)
+
+    def defect(w, u: list, v: list, what: str) -> list:
+        """The module part of u - sect[w] v: how far the section is from carrying v to u."""
+        return _module_part(e, w, [p - q for p, q in zip(u, sect[w].matvec(v))], what)
+
+    tensors = {}
+    for x in elements:
+        for y in elements:
+            key, xy = (x, y), om.mul(x, y)
+            tensors[key] = [
+                [defect(xy, e.total.mul_vec(key, si, sj), a.mul_basis(key, i, j), "product defect")
+                 for j, sj in enumerate(lift[y])]
+                for i, si in enumerate(lift[x])
+            ]
+    maps = {
+        x: Mat.from_cols([defect(x, e.total_rb.maps[x].matvec(s), e.rb.maps[x].col(j), "operator defect")
+                          for j, s in enumerate(lift[x])], dm)
+        for x in elements
+    }
+    pair = CocyclePair(cochain_from_tensors(om, 2, d, dm, tensors), cochain_from_maps(om, maps, d, dm))
     ctx = RbfContext(a, e.rb, bim)
     if not d_combined(ctx, pair.combined(), check=True).is_zero():
         raise InternalCheckError("extracted pair is not a combined 2-cocycle")

@@ -22,17 +22,18 @@ kernel and solve, do not.
 rational.
 :func:`sparse_rref` back-substitutes it the same way, in integers, and
 divides each row by its pivot once at the end, the one rational division of
-the RREF that :func:`sparse_kernel` and :func:`sparse_solve` read off;
-integral entries stay ``int`` (see ``rationals``).  This is the one
-elimination algorithm of the package; a rational elimination with pivots
-normalized as rows arrive is kept only as a test oracle
-(``tests/oracles.py``).
+the RREF that :func:`sparse_kernel` reads off; :func:`sparse_solve` reads
+that kernel, so the RREF is read one way.  Integral entries stay ``int``
+(see ``rationals``).  This is the one elimination algorithm of the
+package; a rational elimination with pivots normalized as rows arrive is
+kept only as a test oracle (``tests/oracles.py``).
 
 Conventions that downstream determinism depends on:
 
 * the RREF is the (unique) reduced echelon form, pivots normalized to 1;
 * :func:`sparse_kernel` assigns one basis vector per free column, taken in
-  increasing column order, with the free coordinate set to 1;
+  increasing column order, with the free coordinate set to 1, which is
+  the vector's largest key (an RREF row is 0 left of its pivot);
 * :func:`sparse_solve` returns the solution whose free coordinates are all 0.
 """
 
@@ -343,15 +344,15 @@ def sparse_kernel(rows: list, ncols: int) -> list:
 def sparse_solve(rows: list, rhs, ncols: int) -> list | None:
     """One exact solution of the sparse system ``rows x = rhs`` or None.
 
-    ``rhs`` has one entry per row; the solution is a dense list over columns
-    ``0..ncols-1`` whose free coordinates are 0.
+    ``rhs`` has one entry per row.  With ``rhs`` appended at column ``ncols``,
+    the system is solvable exactly when that column is free, and its kernel
+    vector, the last, is (-x, 1): x is dense over ``0..ncols-1`` and 0 at
+    every free column.
     """
     if len(rhs) != len(rows):
         raise MalformedInputError("right-hand side length mismatch")
     aug = [{**row, ncols: Rat(v)} if v else row for row, v in zip(rows, rhs)]
-    x = [ZERO] * ncols
-    for pc, row in sparse_rref(aug, ncols + 1):
-        if pc == ncols:
-            return None
-        x[pc] = row.get(ncols, ZERO)
-    return x
+    kernel = sparse_kernel(aug, ncols + 1)
+    if not kernel or ncols not in kernel[-1]:
+        return None
+    return [-kernel[-1].get(c, ZERO) for c in range(ncols)]

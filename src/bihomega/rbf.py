@@ -38,8 +38,7 @@ chain-map check, kernels and solves build raw images in calls of their own.
 from __future__ import annotations
 
 from .algebra import (
-    OmegaAlgebra, RotaBaxterFamily, Witness, _one_validation, _refuse_witness, check_rota_baxter,
-    star_product, validate_algebra,
+    OmegaAlgebra, RotaBaxterFamily, Witness, _one_validation, _refuse_witness, check_rota_baxter, validate_algebra,
 )
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induced_module_star
 from .blocks import intern
@@ -68,8 +67,8 @@ class RbfContext:
     :meth:`validated` validates it, recording so in ``_cache``; the plain
     constructor checks the tmap and the base alone, and the tables, checks,
     kernels and solves check the family of a context without the record
-    (:func:`_require_family`).  Its star bimodule shares the
-    bimodule's bases and constraint systems."""
+    (:func:`_require_family`).  Its star bimodule, over the star algebra,
+    shares the bimodule's bases and constraint systems."""
 
     __slots__ = ("algebra", "rb", "bimodule", "_cache")
 
@@ -97,13 +96,6 @@ class RbfContext:
             _refuse_witness(_rbf_action_scan(bimodule, rb), "bimodule invalid for the family")
         (ctx := cls(algebra, rb, bimodule))._cache["validated"] = True
         return ctx
-
-    def star_algebra(self) -> OmegaAlgebra:
-        hit = self._cache.get("star_algebra")
-        if hit is None:
-            hit = star_product(self.algebra, self.rb, check=False)
-            self._cache["star_algebra"] = hit
-        return hit
 
     def star_bimodule(self) -> OmegaBimodule:
         hit = self._cache.get("star_bimodule")

@@ -376,9 +376,10 @@ def is_equivariant_oracle(b, f):
 def equivariant_basis_oracle(b, n):
     """Per-tuple kernels of the degree-n equivariance constraints, n >= 1.
 
-    Returns ``(vectors, frees)`` indexed by tuple rank, in the layout of
-    ``cochain.EquivariantBasis``: one sparse block-local vector per free
-    column, in increasing order, with free coordinate 1.  Every tuple's rows
+    Returns ``(vectors, frees)`` indexed by tuple rank, ``vectors`` in the
+    layout of ``cochain.EquivariantBasis.vectors``: one sparse block-local
+    vector per free column, in increasing order, with free coordinate 1;
+    ``frees`` lists those columns, read off the pivots.  Every tuple's rows
     are built from scratch: for each argument tuple and output index k,
     (M's map at the product applied to the value) minus (the value on the
     slotwise images of the arguments), once for p and once for q.

@@ -23,7 +23,7 @@ from oracles import (
 )
 
 from bihomega import samples
-from bihomega.algebra import validate_algebra
+from bihomega.algebra import star_product, validate_algebra
 from bihomega.bimodule import regular_bimodule, validate_bimodule
 from bihomega.cli import render_report, run_command
 from bihomega.cochain import (
@@ -252,7 +252,7 @@ def test_criterion_05_chain_map_and_dual_route():
 def test_criterion_06_star_and_induced_structures():
     with criterion(6, "derived algebra, projection homomorphism, induced bimodule"):
         for name, ctx in _rbf_contexts().items():
-            star = ctx.star_algebra()
+            star = star_product(ctx.algebra, ctx.rb)
             assert validate_algebra(star) is None, name
             from bihomega.algebra import is_homomorphism
 

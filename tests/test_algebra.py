@@ -132,7 +132,7 @@ def test_star_product_special_cases(e1):
 
 
 def test_star_of_searched_family_validates(e1_ctx):
-    star = e1_ctx.star_algebra()
+    star = e1_ctx.star_bimodule().base
     assert validate_algebra(star) is None
 
 
@@ -149,7 +149,7 @@ def test_homomorphism_identity_and_star_projection(e1, e1_ctx):
     zero_maps = {0: Mat.zeros(2, 2)}
     assert is_homomorphism(zero_maps, star0, e1) is None
     # searched family from its derived product back to the original algebra
-    assert is_homomorphism(e1_ctx.rb.maps, e1_ctx.star_algebra(), e1) is None
+    assert is_homomorphism(e1_ctx.rb.maps, e1_ctx.star_bimodule().base, e1) is None
 
 
 def test_yau_twist_identity_maps_is_noop():

@@ -8,7 +8,7 @@ from generators import random_valid_algebra, random_valid_pair
 from oracles import bimodule_equal, rbf_action_scan_oracle, validate_bimodule_oracle
 
 from bihomega import samples
-from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, validate_algebra, zero_rb
+from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily, star_product, validate_algebra, zero_rb
 from bihomega.bimodule import (
     BimoduleAlgebraData,
     OmegaBimodule,
@@ -160,7 +160,7 @@ def test_rbf_semidirect_iff(e1_ctx):
 
 
 def test_induced_module_star_validates(e1_ctx):
-    star = e1_ctx.star_algebra()
+    star = star_product(e1_ctx.algebra, e1_ctx.rb)
     induced = e1_ctx.star_bimodule()
     assert validate_bimodule(induced) is None
     assert induced.base.product == star.product

@@ -257,6 +257,38 @@ def test_extract_cocycle_refuses_a_corrupted_base_family(e1_ctx, c2_ctx):
         assert extract_cocycle(pres)[0] == zero_pair(ctx)
 
 
+def test_extract_cocycle_names_each_leak_into_the_base(e1_ctx, monkeypatch):
+    """With the presentation laws unchecked, a total whose structure leaks
+    into A is refused by the step that reads it, with its exact message:
+    s(a) m, m s(a), s(a) s(b) and T s(a) each given an A component."""
+    from bihomega import extension
+    from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily
+
+    monkeypatch.setattr(extension, "validate_extension", lambda e: None)
+    pres = build_extension(e1_ctx, zero_pair(e1_ctx)).presentation
+    d, n = pres.base.dim, pres.total.dim
+
+    def leak_product(i, j):
+        product = {key: [[list(col) for col in plane] for plane in t] for key, t in pres.total.product.items()}
+        product[(0, 0)][i][j][0] += 1
+        total = OmegaAlgebra(pres.total.omega, n, product, dict(pres.total.pmap), dict(pres.total.qmap))
+        return _rebuild(pres, total=total)
+
+    maps = dict(pres.total_rb.maps)
+    maps[0] = maps[0].add(Mat.from_rows([[int(r == c == 0) for c in range(n)] for r in range(n)]))
+    cases = [
+        (leak_product(0, d), "left action left the kernel"),
+        (leak_product(d, 0), "right action left the kernel"),
+        (leak_product(0, 0), "product defect left the kernel"),
+        (_rebuild(pres, total_rb=RotaBaxterFamily(pres.total_rb.weight, maps)), "operator defect left the kernel"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(InternalCheckError) as info:
+            extract_cocycle(bad)
+        assert str(info.value) == message
+    assert extract_cocycle(pres)[0] == zero_pair(e1_ctx)
+
+
 def test_split_family_contexts_round_trip_their_extensions():
     """20 seeded contexts of generators.random_valid_context of kind
     "split" (R_w = -weight * pi_1 for a splitting of A into two subalgebras

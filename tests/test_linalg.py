@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -266,14 +267,27 @@ def _random_systems(rng):
         yield [[Rat(x) for x in r] for r in rows], ncols
 
 
+# Solve edge cases after the seeded systems: a column that no row touches,
+# and no columns at all, with and without rows.
+_EDGE_SYSTEMS = (
+    ([[1, 0, 2], [0, 0, 3], [2, 0, 7]], 3),
+    ([[0, Rat(1, 2)], [0, 1]], 2),
+    ([[], []], 0),
+    ([], 0),
+)
+
+
 def test_elimination_matches_dense_gauss_jordan_oracle():
     rng = random.Random(61)
-    seen = {"rational": False, "deficient": False, "zero_row": False, "inconsistent": False}
-    for rows, ncols in _random_systems(rng):
+    seen = {"rational": False, "deficient": False, "zero_row": False, "inconsistent": False,
+            "zero_rhs": False, "untouched_column": False, "no_columns": False}
+    for rows, ncols in chain(_random_systems(rng), _EDGE_SYSTEMS):
         reduced, pivots = gauss_jordan_oracle(rows, ncols)
         seen["rational"] |= any(v.denominator != 1 for r in reduced for v in r)
         seen["deficient"] |= len(pivots) < min(len(rows), ncols)
         seen["zero_row"] |= any(not any(r) for r in rows)
+        seen["untouched_column"] |= any(not any(r[c] for r in rows) for c in range(ncols))
+        seen["no_columns"] |= ncols == 0
         sparse = _sparse(rows)
         got = sparse_rref(sparse, ncols)
         assert [c for c, _ in got] == pivots
@@ -285,9 +299,10 @@ def test_elimination_matches_dense_gauss_jordan_oracle():
         assert rank(m) == len(pivots)
         assert sparse_kernel(sparse, ncols) == _sparse(kernel_oracle(m))
         x0 = [Rat(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(ncols)]
-        for rhs in (m.matvec(x0), [Rat(rng.randint(-3, 3)) for _ in range(len(rows))]):
+        for rhs in (m.matvec(x0), [Rat(rng.randint(-3, 3)) for _ in range(len(rows))], [0] * len(rows)):
             x = sparse_solve(sparse, rhs, ncols)
             assert x == solve_oracle(m, rhs)
+            seen["zero_rhs"] |= not any(rhs)
             if x is None:
                 seen["inconsistent"] = True
                 continue
