@@ -25,7 +25,12 @@ Applying the rows to a raw vector is the one membership test
 a coboundary image lies in C^{n+1}.  A bimodule with the same structure
 maps may share all of it (:func:`_share_equivariance`).
 A map pair that is the identity at the product and at every entry builds
-no rows (its constraint reads f = f), and the rows are kept sorted by their
+no rows (its constraint reads f = f).  At a zero row k of M's map at the
+product, the row of argument a is minus column a of the slot product,
+placed at output index k, so arguments with equal columns share one row:
+it is built once per distinct column, and the rows it would repeat are
+never built (the row space, and so the kernel, every membership verdict
+and the end columns, is unchanged).  The rows are kept sorted by their
 largest column, descending, so that the kernel's elimination, which pivots
 at the smallest column, meets the rows that reach the free columns first;
 the RREF is unique, so the order changes the work, never the basis.
@@ -425,7 +430,9 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
     :func:`_in_subspace` apply them and tuples with equal signatures share
     them.  Per argument tuple, in lex order, the slot-map part is the
     Kronecker product of the slot maps' columns at the arguments.  Identity
-    map pairs build no rows, and the rows are sorted by largest column,
+    map pairs build no rows; at a zero row of the module map, whose rows
+    are minus a slot column, each distinct column builds its row once (see
+    the module docstring).  The rows are sorted by largest column,
     descending (see the module docstring), caching those end columns.
     """
     sig = _twist_signature(b, om_tuple)
@@ -442,18 +449,23 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
         if big.is_identity() and all(amaps[x].is_identity() for x in om_tuple):
             continue
         big_rows = _supports(big)
+        live = [k for k in range(m) if big_rows[k]]  # a zero row k reads -(slot column) at k
         tables = [(a.dim, _supports(amaps[x], by_col=True)) for x in om_tuple]
+        seen = set()
         for arg_rank, slot_part in enumerate(_kron(tables)):
-            row_of = [{arg_rank * m + l: v for l, v in big_rows[k]} for k in range(m)]
+            column = tuple(slot_part)
+            ks = live if column in seen else range(m)
+            seen.add(column)
+            row_of = {k: {arg_rank * m + l: v for l, v in big_rows[k]} for k in ks}
             for i_rank, coeff in slot_part:
-                for k, row in enumerate(row_of):
+                for k, row in row_of.items():
                     col = i_rank * m + k
                     new = row.get(col, ZERO) - coeff
                     if new:
                         row[col] = new
                     else:
                         row.pop(col, None)
-            rows.extend(r for r in row_of if r)
+            rows.extend(r for r in row_of.values() if r)
     ends = cache[("end_columns", sig)] = set()  # filled by the sort key: one max per row
     rows.sort(key=lambda row: ends.add(end := max(row)) or end, reverse=True)
     cache[cache_key] = rows

@@ -13,7 +13,8 @@ Elimination reduces one row at a time against a {pivot_col: row} echelon,
 so the cost follows the nonzeros, not the shape.  It is fraction-free, in
 the spirit of Bareiss 1968: rows scaled to integers are reduced by
 row <- (p/g) row - (r/g) pivot with g = gcd(p, r), and stored divided by
-their content.  Pivot rule: a row that meets a pivot with more nonzeros at
+their content; a row of ints is copied once, and only a row with a rational
+is scaled.  Pivot rule: a row that meets a pivot with more nonzeros at
 its leading column takes its place and the displaced pivot is reduced
 instead, so the echelon fills in less.  The echelon then depends on the
 order of the rows; its pivot columns and the RREF, and so every rank,
@@ -262,8 +263,9 @@ def _integer_echelon(rows, pivots: dict | None = None) -> dict:
     """
     pivots = {} if pivots is None else pivots
     for r in rows:
-        if all(type(v) is int for v in r.values()):
-            row = {c: v for c, v in r.items() if v}
+        vals = r.values()
+        if set(map(type, vals)) <= {int}:
+            row = {c: v for c, v in r.items() if v} if 0 in vals else dict(r)
         else:
             den = lcm(*(v.denominator for v in r.values() if type(v) is not int))
             row = {c: v.numerator * (den // v.denominator) for c, v in r.items() if v}

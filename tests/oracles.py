@@ -373,6 +373,32 @@ def is_equivariant_oracle(b, f):
     return True
 
 
+def constraint_rows_oracle(b, om_tuple):
+    """Every equivariance row of a tuple block, dense and block-local, built
+    from scratch: for each argument tuple and output index k, (M's map at
+    the product applied to the value) minus (the value on the slotwise
+    images of the arguments), once for p and once for q.  Zero rows and
+    repeated rows are kept."""
+    a = b.base
+    d, m, n = a.dim, b.dim_m, len(om_tuple)
+    width = d**n * m
+    prod = a.omega.product_of(om_tuple)
+    rows = []
+    for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)):
+        for args in product(range(d), repeat=n):
+            for k in range(m):
+                row = [ZERO] * width
+                for l in range(m):
+                    row[_tuple_rank(args, d) * m + l] += mmaps[prod].at(k, l)
+                for args_in in product(range(d), repeat=n):
+                    coeff = ONE
+                    for t in range(n):
+                        coeff *= amaps[om_tuple[t]].at(args_in[t], args[t])
+                    row[_tuple_rank(args_in, d) * m + k] -= coeff
+                rows.append(row)
+    return rows
+
+
 def equivariant_basis_oracle(b, n):
     """Per-tuple kernels of the degree-n equivariance constraints, n >= 1.
 
@@ -380,30 +406,12 @@ def equivariant_basis_oracle(b, n):
     layout of ``cochain.EquivariantBasis.vectors``: one sparse block-local
     vector per free column, in increasing order, with free coordinate 1;
     ``frees`` lists those columns, read off the pivots.  Every tuple's rows
-    are built from scratch: for each argument tuple and output index k,
-    (M's map at the product applied to the value) minus (the value on the
-    slotwise images of the arguments), once for p and once for q.
+    are built from scratch by :func:`constraint_rows_oracle`.
     """
-    a = b.base
-    d, m = a.dim, b.dim_m
-    width = d**n * m
+    width = b.base.dim**n * b.dim_m
     vectors, frees = [], []
-    for om_tuple in a.omega.tuples(n):
-        prod = a.omega.product_of(om_tuple)
-        rows = []
-        for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)):
-            for args in product(range(d), repeat=n):
-                for k in range(m):
-                    row = [ZERO] * width
-                    for l in range(m):
-                        row[_tuple_rank(args, d) * m + l] += mmaps[prod].at(k, l)
-                    for args_in in product(range(d), repeat=n):
-                        coeff = ONE
-                        for t in range(n):
-                            coeff *= amaps[om_tuple[t]].at(args_in[t], args[t])
-                        row[_tuple_rank(args_in, d) * m + k] -= coeff
-                    rows.append(row)
-        reduced, pivots = gauss_jordan_oracle(rows, width)
+    for om_tuple in b.base.omega.tuples(n):
+        reduced, pivots = gauss_jordan_oracle(constraint_rows_oracle(b, om_tuple), width)
         free_cols = [c for c in range(width) if c not in pivots]
         basis = []
         for free in free_cols:

@@ -13,6 +13,7 @@ from oracles import (
     block_columns_oracle,
     circ_full_oracle,
     circ_i_oracle,
+    constraint_rows_oracle,
     delta_direct_oracle,
     equivariant_basis_oracle,
     evaluate_oracle,
@@ -887,6 +888,59 @@ def test_constraint_rows_built_once_per_twist_signature(monkeypatch):
     assert len(built) == 1
 
 
+def _has_zero_row(b) -> bool:
+    """Does some structure map of M have a zero row?"""
+    return any(not any(mat.row(k)) for maps in (b.pmap, b.qmap) for mat in maps.values()
+               for k in range(mat.rows))
+
+
+def test_zero_row_constraints_are_built_once_and_keep_the_row_space():
+    """At a zero row k of M's map at the product, the constraint row of an
+    argument is minus its slot column at k, so arguments with equal columns
+    share one row, built once.  On inputs whose module map has a zero row
+    (c2 variants 0-2, the e1 semidirect product, e1, and the seeded random
+    valid pairs whose module map has one, which the draw is checked to
+    contain) at degrees 1-3 (1-2 when a degree-3 block has more than 54
+    columns): the cached rows of every tuple are the distinct nonzero rows
+    of the from-scratch oracle, fewer in all than it builds; the basis
+    equals equivariant_basis_oracle; is_equivariant equals
+    is_equivariant_oracle on every basis element and on seeded raw vectors,
+    before and after a member is perturbed; and the cached end columns are
+    the largest columns of the oracle's full row set."""
+    named = [regular_bimodule(samples.build_c2_example(v)) for v in (0, 1, 2)]
+    named += [regular_bimodule(samples.build_e1_semidirect()), regular_bimodule(samples.build_e1())]
+    rng = random.Random(3301)
+    drawn = [random_valid_pair(rng)[1] for _ in range(8)]
+    singular = [b for b in drawn if _has_zero_row(b)]
+    assert all(map(_has_zero_row, named)) and len(singular) >= 2
+    built = oracle_built = 0
+    verdicts = set()
+    for b in named + singular:
+        om, d, m = b.base.omega, b.base.dim, b.dim_m
+        for n in range(1, 4 if d**3 * m <= 54 else 3):
+            for om_tuple in om.tuples(n):
+                rows = cochain._constraint_rows(b, om_tuple)
+                full = [r for row in constraint_rows_oracle(b, om_tuple)
+                        if (r := {c: v for c, v in enumerate(row) if v})]
+                assert {frozenset(r.items()) for r in rows} == {frozenset(r.items()) for r in full}
+                ends = cochain._equivariance(b)[("end_columns", cochain._twist_signature(b, om_tuple))]
+                assert ends == {max(r) for r in full}
+                built, oracle_built = built + len(rows), oracle_built + len(full)
+            basis = equivariant_basis(b, n)
+            assert (basis.vectors, _frees(basis)) == equivariant_basis_oracle(b, n)
+            for j in range(basis.dim()):
+                f = basis.cochain(j)
+                assert is_equivariant(b, f) and is_equivariant_oracle(b, f), (n, j)
+            g = basis.combine([Rat(rng.randint(-2, 2)) for _ in range(basis.dim())])
+            raws = [Cochain(n, om.size, d, m, [Rat(rng.randint(-1, 1)) for _ in g.coords]) for _ in range(3)]
+            g.coords[rng.randrange(len(g.coords))] += ONE
+            for f in raws + [g]:
+                verdict = is_equivariant(b, f)
+                assert verdict == is_equivariant_oracle(b, f), n
+                verdicts.add(verdict)
+    assert built < oracle_built and verdicts == {True, False}
+
+
 @settings(derandomize=True, max_examples=15, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(0, 2**32 - 1))
@@ -1393,8 +1447,8 @@ def test_stage_tool_reports_exact_work_counts():
     a = samples.build_e1_semidirect()
     runs = [one_pass(a, 4) for _ in range(2)]
     for run in runs:
-        assert [row["constraint_rows"] for row in run] == [0, 7, 23, 73, 227]
-        assert [row["kernel_eliminations"] for row in run] == [0, 3, 13, 51, 181]
+        assert [row["constraint_rows"] for row in run] == [0, 6, 18, 54, 162]
+        assert [row["kernel_eliminations"] for row in run] == [0, 2, 8, 32, 116]
         assert [row["middle_parts"] for row in run] == [0, 1, 1, 1, 1]
         assert [row["slot_steps"] for row in run] == [0, 1, 2, 3, 4]
         assert [row["block_entries"] for row in run] == [4, 24, 40, 112, 352]

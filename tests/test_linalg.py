@@ -369,6 +369,50 @@ def test_integer_rref_matches_rational_oracle_on_mixed_denominators():
     assert seen_rational
 
 
+def _spellings(row: list) -> tuple:
+    """Three sparse spellings of one dense row: every column kept, zeros
+    included; every value a ``Fraction``, zeros included; and ints and
+    ``Fraction``s alternating over the nonzero entries, with the zeros
+    kept as ints."""
+    every = dict(enumerate(row))
+    fractions = {c: Fraction(v) for c, v in every.items()}
+    mixed = {c: v if (c % 2 or not v) else Fraction(v) for c, v in every.items()}
+    return every, fractions, mixed
+
+
+def test_integer_echelon_takes_zeros_fractions_and_mixed_rows_and_leaves_them_alone():
+    """Rows that keep explicit zeros, rows of ``Fraction``s (integral ones
+    included) and rows that mix the two give the rank and RREF of the
+    oracles, and the caller's rows are neither mutated nor stored: the
+    cached constraint rows are inputs of the elimination."""
+    rng = random.Random(131)
+    seen = {"int_with_zeros": False, "rational": False, "mixed": False}
+    for rows, ncols in _random_systems(rng):
+        want_rank = len(gauss_jordan_oracle(rows, ncols)[1])
+        want_rref = sparse_rref_oracle(_sparse(rows), ncols)
+        for spelled in zip(*map(_spellings, rows)):
+            spelled = list(spelled)
+            before = [dict(r) for r in spelled]
+            for r in spelled:
+                types = {type(v) for v in r.values()}
+                seen["int_with_zeros"] |= types == {int} and 0 in r.values()
+                seen["rational"] |= any(v.denominator != 1 for v in r.values())
+                seen["mixed"] |= types == {int, Fraction}
+            assert sparse_rank(spelled) == want_rank
+            assert sparse_rref(spelled, ncols) == want_rref
+            echelon = linalg._integer_echelon(spelled)
+            assert all(row is not r for row in echelon.values() for r in spelled)
+            assert spelled == before
+    assert all(seen.values()), seen
+    # an int row with no zero is copied too: resuming from its echelon
+    # displaces and reduces that copy, never the caller's row
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 1, 2: 1}]
+    pivots = linalg._integer_echelon(rows[:1])
+    linalg._integer_echelon(rows[1:], pivots)
+    assert rows == [{0: 1, 1: 2, 2: 3}, {0: 1, 2: 1}]
+    assert pivots == {0: {0: 1, 2: 1}, 1: {1: 1, 2: 1}}
+
+
 def test_integer_echelon_rows_are_primitive_with_positive_leads():
     """Each stored pivot row is divided by its content, sign included, on a
     system whose rows share large factors."""
