@@ -161,22 +161,27 @@ def _one_validation():
         _PASSED.reset(token)
 
 
+def _columns(maps: dict) -> dict:  # the columns of each matrix of a family, read once for a scan
+    return {x: [m.col(j) for j in range(m.cols)] for x, m in maps.items()}
+
+
 def _intertwining_scan(names: tuple, om: Monoid, checks) -> Witness | None:
     """g[ab] B(e_i, e_j) = B'(f[a] e_i, h[b] e_j).
 
     ``checks`` lists (g, B, B', f, h), named by ``names``; the checks are
     interleaved inside each (a, b), and each scans (i, j) lexicographically.
     """
+    cols = [(_columns(f), _columns(h)) for _, _, _, f, h in checks]
     for x in om.elements():
         for y in om.elements():
             key, xy = (x, y), om.mul(x, y)
-            for name, (g, tensor, tensor_out, f, h) in zip(names, checks):
-                gxy, fx, hy, t, t_out = g[xy], f[x], h[y], tensor[key], tensor_out[key]
+            for name, (g, tensor, tensor_out, _, _), (f_cols, h_cols) in zip(names, checks, cols):
+                gxy, fx, hy, t, t_out = g[xy], f_cols[x], h_cols[y], tensor[key], tensor_out[key]
                 for i in range(len(t)):
-                    fi = fx.col(i)
+                    fi = fx[i]
                     for j in range(len(t[i])):
                         lhs = gxy.matvec(t[i][j])
-                        rhs = bilinear(t_out, fi, hy.col(j), gxy.rows)
+                        rhs = bilinear(t_out, fi, hy[j], gxy.rows)
                         if lhs != rhs:
                             return Witness(name, key, (i, j), tuple(lhs), tuple(rhs))
     return None
@@ -190,18 +195,19 @@ def _assoc_scan(name: str, om: Monoid, dims: tuple, lo, li, ro, ri, p: dict, q: 
     i, j, k), lexicographic.
     """
     n1, n2, n3, n_out = dims
+    p_cols, q_cols = _columns(p), _columns(q)
     for x in om.elements():
         for y in om.elements():
             xy, rin = om.mul(x, y), ri[(x, y)]
             for z in om.elements():
                 yz = om.mul(y, z)
-                lout, lin, rout, px, qz = lo[(x, yz)], li[(y, z)], ro[(xy, z)], p[x], q[z]
+                lout, lin, rout, px, qz = lo[(x, yz)], li[(y, z)], ro[(xy, z)], p_cols[x], q_cols[z]
                 for i in range(n1):
-                    pi = px.col(i)
+                    pi = px[i]
                     for j in range(n2):
                         for k in range(n3):
                             lhs = bilinear(lout, pi, lin[j][k], n_out)
-                            rhs = bilinear(rout, rin[i][j], qz.col(k), n_out)
+                            rhs = bilinear(rout, rin[i][j], qz[k], n_out)
                             if lhs != rhs:
                                 return Witness(name, (x, y, z), (i, j, k), tuple(lhs), tuple(rhs))
     return None
@@ -227,13 +233,14 @@ def _weighted_scan(
     x * y = B(s[a] x, y) + B(x, u[b] y) + weight B(x, y) is the star sum of
     :func:`_star_entry`.  Scan order (a, b, i, j), lexicographic.
     """
+    s_cols, u_cols = _columns(s), _columns(u)
     for x in om.elements():
         for y in om.elements():
-            key, t, vxy, sx, uy = (x, y), tensors[(x, y)], v[om.mul(x, y)], s[x], u[y]
+            key, t, vxy, sx, uy = (x, y), tensors[(x, y)], v[om.mul(x, y)], s_cols[x], u_cols[y]
             for i in range(len(t)):
-                sxi = sx.col(i)
+                sxi = sx[i]
                 for j in range(len(t[i])):
-                    uyj = uy.col(j)
+                    uyj = uy[j]
                     lhs = bilinear(t, sxi, uyj, n)
                     rhs = vxy.matvec(_star_entry(t, sxi, uyj, i, j, weight, n))
                     if lhs != rhs:

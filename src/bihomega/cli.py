@@ -125,10 +125,11 @@ def cmd_cohomology(args) -> tuple[dict, int]:
     a = _need_algebra(wf)
     if args.complex == "alg":
         bim = wf.bimodule if wf.bimodule is not None else regular_bimodule(a)
-        witness = validate_algebra(a)
-        if witness is not None:
-            return {"witness": witness.to_json()}, EXIT_WITNESS
-        report = cohomology_dims(bim, args.max_degree)
+        with _one_validation():  # the bimodule's validation skips the scans the algebra's passed
+            witness = validate_algebra(a)
+            if witness is not None:
+                return {"witness": witness.to_json()}, EXIT_WITNESS
+            report = cohomology_dims(bim, args.max_degree)
         return {"tables": {"alg": report.to_json()}}, EXIT_OK
     ctx = _context_from(wf)
     reports = rbfa_cohomology_dims(ctx, args.max_degree)

@@ -63,8 +63,9 @@ column, a row ending there with one nonzero term.  So the projected
 images, streamed into one fraction-free integer rank per degree k >= 1
 (degree 0 ranks raw images), give the rank of δ_k, and no matrix of δ_k
 and no basis or kernel of C^{max_degree+1} is built; the combined table
-ranks them beside φ (``rbf.rbfa_cohomology_dims``).  :func:`delta_matrix`,
-:func:`is_coboundary`, the chain-map check and the combined kernels and
+ranks them beside φ (``rbf.rbfa_cohomology_dims``).  The chain-map check
+forms :func:`_block_product` products of its own, once per class of faces.
+:func:`delta_matrix`, :func:`is_coboundary` and the combined kernels and
 solves take raw images from calls of their own: a preimage is one
 ``sparse_solve`` of them, transposed into rows, against the raw target.
 

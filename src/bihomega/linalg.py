@@ -117,7 +117,7 @@ class Mat:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> list:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return self.entries[j :: self.cols]
 
     # -- arithmetic ------------------------------------------------------
 

@@ -31,8 +31,9 @@ fraction-free elimination per degree n ranks all three tables
 counts rank ∂_{n-1}, then fed (δe, -φe) for the C^n basis, δe projected as
 the algebra table projects it, rank δ_n and rank d_n.  The δ and ∂ parts
 stream from the block products of one ``cochain._basis_images`` call each,
-verified where the theory promises membership, and no image is kept; the
-chain-map check, kernels and solves build raw images in calls of their own.
+verified where the theory promises membership, the φ parts from products of
+φ's blocks, and no image is kept; :func:`chain_map_check` compares ∂φ = φδ
+on such products, kernels and solves build raw images in calls of their own.
 """
 
 from __future__ import annotations
@@ -47,12 +48,14 @@ from .cochain import (
     Cochain,
     EquivariantBasis,
     _basis_images,
+    _block_product,
     _degree0_domain,
     _degree0_checks,
     _raw_size,
     _report,
     _require_shape,
     _share_equivariance,
+    _twist_signature,
     apply_delta,
     delta_op,
     equivariant_basis,
@@ -295,11 +298,23 @@ def _algebra_images(ctx: RbfContext, n: int, project: bool = False):
     """The images (δe, -φe) of the C^n basis (C^0 = M) under d, as fresh
     sparse dicts over the raw C^{n+1}, then the raw C^n shifted by its length;
     ``project`` verifies the δ parts and drops their end columns (n >= 1,
-    :func:`bihomega.cochain._basis_images`)."""
-    to_rbf, shift, basis = phi_op(ctx, n), _raw_size(ctx.bimodule, n + 1), ctx.basis(n)
-    for j, image in enumerate(_basis_images(ctx.bimodule, n, verify=False, project=project)):
-        image.update((shift + i, -v) for i, v in to_rbf.image(basis.cochain_sparse(j)).items())
-        yield image
+    :func:`bihomega.cochain._basis_images`); the φ parts from :func:`_phi_products`."""
+    shift, width = _raw_size(ctx.bimodule, n + 1), phi_op(ctx, n).out_width
+    images = _basis_images(ctx.bimodule, n, verify=False, project=project)
+    for s, _, _, lifted in _phi_products(ctx, n):
+        for product, image in zip(lifted, images):  # lifted first: an exhausted zip reads no further image
+            image.update((shift + s * width + r, -v) for r, v in product.items())
+            yield image
+
+
+def _phi_products(ctx: RbfContext, n: int):
+    """(s, (φ block f at s, twist signature of s), kernel vectors K of s, φ_s K) for
+    each tuple s of C^n with a kernel, in order; φ_s K is formed once per (f, signature)."""
+    op, basis, tuples, lifted = phi_op(ctx, n), ctx.basis(n), ctx.algebra.omega.tuples(n), {}
+    for s, (((_, f),), vectors) in enumerate(zip(op.faces, basis.vectors)):
+        if vectors:
+            key = (f, _twist_signature(ctx.bimodule, tuples[s]) if n else ())
+            yield s, key, vectors, lifted.get(key) or lifted.setdefault(key, _block_product(op.blocks[f], 1, vectors))
 
 
 def _operator_images(ctx: RbfContext, n: int, verify: bool = False):
@@ -371,29 +386,34 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
 
 
 def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
-    """partial^n o phi^n = phi^{n+1} o delta^n on every basis cochain.
+    """partial^n o phi^n = phi^{n+1} o delta^n on C^n, for n = 0..max_degree.
 
-    Both compositions are compared as sparse raw images (equality as linear
-    maps on C^n), degree by degree from 0 to max_degree; delta^n e is the
-    raw basis image of :func:`bihomega.cochain._basis_images`, whose block
-    products this check forms for itself.  The witness names the degree,
-    the basis cochain, the first raw index where they differ and both
-    values there (zero where an image has no entry).
+    For a source tuple s with kernel vectors K and each face (output tuple t,
+    δ key k, ∂ key k'; δ_n and ∂_n list the same outputs in the same order),
+    ∂_{k'}(φ_s K) is compared with φ_t(δ_k K) on block products, once per class
+    (k, k', φ block at s, φ block at t, source signature), for this call only.
+    The witness: the degree, the lowest differing basis cochain, its lowest
+    differing raw index and both values there (zero where a side has none).
     """
     if max_degree < 0:
         raise MalformedInputError(f"max_degree must be >= 0, got {max_degree}")
     _require_family(ctx)
-    sb = ctx.star_bimodule()
     for n in range(max_degree + 1):
-        basis = ctx.basis(n)
-        star_op = delta_op(sb, n)
-        phi_n, phi_next = phi_op(ctx, n), phi_op(ctx, n + 1)
-        for j, image in enumerate(_basis_images(ctx.bimodule, n, verify=False)):
-            lhs = star_op.image(phi_n.image(basis.cochain_sparse(j)))
-            rhs = phi_next.image(image)
-            if lhs != rhs:
-                idx = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i, ZERO) != rhs.get(i, ZERO))
-                return Witness("chain-map", (n,), (j, idx), (lhs.get(idx, ZERO),), (rhs.get(idx, ZERO),))
+        op, star, to_rbf, compared = delta_op(ctx.bimodule, n), delta_op(ctx.star_bimodule(), n), phi_op(ctx, n + 1), {}
+        for s, phi_key, vectors, lifted in _phi_products(ctx, n):
+            hits = []  # (vector, raw index, lhs, rhs) of each difference
+            for (t, k), (_, k_star) in zip(op.faces[s], star.faces[s]):
+                key = (k, k_star, to_rbf.faces[t][0][1], *phi_key)
+                if key not in compared:
+                    lhs = _block_product(star.blocks[k_star], star.id_width, lifted)
+                    rhs = _block_product(to_rbf.blocks[key[2]], 1, _block_product(op.blocks[k], op.id_width, vectors))
+                    compared[key] = [(i, *min((r, u.get(r, ZERO), v.get(r, ZERO)) for r in u.keys() | v.keys()
+                                              if u.get(r, ZERO) != v.get(r, ZERO)))
+                                     for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v]
+                hits += [(i, t * op.out_width + r, u, v) for i, r, u, v in compared[key]]
+            if hits:
+                i, idx, u, v = min(hits)
+                return Witness("chain-map", (n,), (ctx.basis(n).offsets[s] + i, idx), (u,), (v,))
     return None
 
 

@@ -20,6 +20,9 @@ or factored evaluation that production uses:
   the compiled coboundary of the star bimodule);
 * :func:`phi_subset_oracle` -- the comparison map by enumerating subsets of
   slots (production: the compiled ``rbf.phi_op``);
+* :func:`chain_map_witness_oracle` -- the chain-map square composed per
+  basis cochain, three sparse images each (production: ``rbf.chain_map_check``,
+  one comparison of block products per class of faces);
 * :func:`combined_raw_matrix_oracle` -- the dense matrix of the combined
   differential, built from the two oracles above (production: the cached
   sparse images in ``rbf``);
@@ -70,7 +73,9 @@ presentation by an equivariant degree-1 cochain.
 from fractions import Fraction
 from itertools import combinations, product
 
-from bihomega.algebra import _assoc_scan, _column_witness, _commute_scan, _intertwining_scan, _weighted_scan
+from bihomega.algebra import (
+    Witness, _assoc_scan, _column_witness, _commute_scan, _intertwining_scan, _weighted_scan,
+)
 from bihomega.bimodule import ensure_bimodule_shapes
 from bihomega.cochain import Cochain, _degree0_domain, _tuple_rank, delta_op, maps_from_cochain
 from bihomega.deformation import deformed_mu
@@ -78,6 +83,7 @@ from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import algebra_with_product, bracket, mu_cochain
 from bihomega.linalg import Mat
 from bihomega.rationals import ONE, ZERO, Rat
+from bihomega.rbf import phi_op
 
 
 def evaluate_oracle(f, om_tuple, vectors):
@@ -320,6 +326,24 @@ def phi_subset_oracle(ctx, f):
             for k in range(m):
                 out.coords[base + k] = acc[k]
     return out
+
+
+def chain_map_witness_oracle(ctx, max_degree):
+    """The witness of ``rbf.chain_map_check`` from the per-cochain route: for
+    each basis cochain e of C^n in order, ∂_n(φ_n e) against φ_{n+1}(δ_n e),
+    each a sparse image of the compiled operators, and the first raw index
+    where they differ, with both values (zero where an image has no entry)."""
+    b, sb = ctx.bimodule, ctx.star_bimodule()
+    for n in range(max_degree + 1):
+        basis = ctx.basis(n)
+        op, star_op, phi_n, phi_next = delta_op(b, n), delta_op(sb, n), phi_op(ctx, n), phi_op(ctx, n + 1)
+        for j in range(basis.dim()):
+            e = basis.cochain_sparse(j)
+            lhs, rhs = star_op.image(phi_n.image(e)), phi_next.image(op.image(e))
+            if lhs != rhs:
+                idx = min(i for i in lhs.keys() | rhs.keys() if lhs.get(i, ZERO) != rhs.get(i, ZERO))
+                return Witness("chain-map", (n,), (j, idx), (lhs.get(idx, ZERO),), (rhs.get(idx, ZERO),))
+    return None
 
 
 def combined_raw_matrix_oracle(ctx, n):

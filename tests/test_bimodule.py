@@ -363,6 +363,24 @@ def test_validation_stages_share_the_scans_that_passed(monkeypatch):
         assert runs(name) == (dict.fromkeys(kinds, 2),) * 2, name
 
 
+def test_cohomology_alg_validates_once(monkeypatch):
+    """``cohomology --complex alg`` validates the algebra and then, in the
+    table, its regular bimodule, as one validation: on e1.json and c2.json
+    each intertwining and associativity scan runs once, as in ``validate``."""
+    from bihomega import algebra, bimodule, cli
+
+    counts = Counter()
+    for name in ("_assoc_scan", "_intertwining_scan"):
+        counting = (lambda f, tag: lambda *a: counts.update([tag]) or f(*a))(getattr(algebra, name), name)
+        for module in (algebra, bimodule):  # one wrapper object, so the chains still see equal scans
+            monkeypatch.setattr(module, name, counting)
+    for name in ("e1.json", "c2.json"):
+        for command in (["validate"], ["cohomology", "--complex", "alg", "--max-degree", "2"]):
+            counts.clear()
+            assert cli.run_command(["--no-timing", *command, fixture_path(name)])[1] == 0
+            assert counts == {"_assoc_scan": 1, "_intertwining_scan": 1}, (name, command)
+
+
 def _validation_outcomes(wf, path: str) -> tuple:
     """The ``validate`` report and exit code of ``path``, and what
     ``RbfContext.validated`` raises on its blocks (None when it accepts or

@@ -8,6 +8,7 @@ from conftest import FIXTURES, fixture_text
 from generators import random_valid_context
 from oracles import (
     block_columns_oracle,
+    chain_map_witness_oracle,
     combined_raw_matrix_oracle,
     delta_direct_oracle,
     evaluate_oracle,
@@ -772,6 +773,109 @@ def test_chain_map_witness_matches_dense_comparison(e1_ctx, c2_ctx):
         assert witness == _dense_chain_map_witness(broken, 2)
 
 
+def test_chain_map_witness_matches_the_per_cochain_oracle(e1_ctx, c2_ctx):
+    """With one tmap entry altered, as in the dense comparison above, the
+    witness to degree 3 is also the one of chain_map_witness_oracle."""
+    for ctx, x, entry in ((e1_ctx, 0, 2), (c2_ctx, 1, 1), (c2_ctx, 0, 3)):
+        b = ctx.bimodule
+        tmap = dict(b.tmap)
+        tmap[x] = Mat(b.tmap[x].rows, b.tmap[x].cols, [v + (k == entry) for k, v in enumerate(b.tmap[x].entries)])
+        fresh = OmegaBimodule(b.base, b.dim_m, b.left, b.right, b.pmap, b.qmap, tmap)
+        broken = _trusted(RbfContext(ctx.algebra, ctx.rb, fresh))
+        witness = chain_map_check(broken, 3)
+        assert witness is not None and witness == chain_map_witness_oracle(broken, 3)
+
+
+@pytest.fixture(scope="module")
+def several_phi_ctx():
+    """Draw 15 of random_valid_context(random.Random(2029)): a searched
+    family with R_0 != R_1, so φ_2 has 4 blocks, and φ_2 nonzero on C^2 (on
+    the c2 context φ vanishes on C^n for n >= 1, so a fault in ∂ does not
+    show there)."""
+    rng = random.Random(2029)
+    return [random_valid_context(rng) for _ in range(15)][-1]
+
+
+@pytest.mark.parametrize("context, which, degree", [
+    ("c2", "delta", 2), ("c2", "phi_n", 1), ("c2", "phi_next", 2), ("draw", "star_delta", 2), ("draw", "delta", 2),
+])
+def test_chain_map_check_finds_faults_planted_in_shared_blocks(several_phi_ctx, context, which, degree):
+    """Each block of an operator of the degree-2 square (∂_2, δ_2, φ_2 or
+    φ_3) that several source tuples read gets an extra entry in every column
+    of its part, in place in the operator's block list, one block at a time:
+    the check, which compares each class of faces once, then names the
+    witness of chain_map_witness_oracle, which composes the images of every
+    basis cochain, at ``degree`` (φ_2 is also φ_{n+1} at degree 1)."""
+    ctx = samples.c2_rbf_context() if context == "c2" else several_phi_ctx
+    op = {
+        "star_delta": lambda: delta_op(ctx.star_bimodule(), 2), "delta": lambda: delta_op(ctx.bimodule, 2),
+        "phi_n": lambda: rbf.phi_op(ctx, 2), "phi_next": lambda: rbf.phi_op(ctx, 3),
+    }[which]()
+    assert chain_map_check(ctx, 3) is None
+    readers: dict = {}
+    for s, faces in enumerate(op.faces):
+        for _, k in faces:
+            readers.setdefault(k, set()).add(s)
+    shared = [k for k, sources in sorted(readers.items()) if len(sources) > 1]
+    assert shared
+    for k in shared:
+        part, actions = original = op.blocks[k]
+        op.blocks[k] = ([[*col, (0, ONE)] for col in part], actions)
+        try:
+            witness = chain_map_check(ctx, 3)
+            assert witness is not None and witness.omega_indices == (degree,)
+            assert witness == chain_map_witness_oracle(ctx, 3)
+        finally:
+            op.blocks[k] = original
+
+
+def test_chain_map_check_finds_a_fault_in_the_phi_block_of_one_tuple():
+    """On the c2 context every tuple of a degree reads one φ block.  Giving
+    one tuple of degree n = 1, 2 or 3 its own copy of that block, with an
+    extra entry in every column, breaks the square at degree n - 1 or n
+    for that tuple only, so classes that differ only in their φ block no
+    longer agree: the witness is chain_map_witness_oracle's each time."""
+    ctx = samples.c2_rbf_context()
+    found = []
+    for n in (1, 2, 3):
+        op = rbf.phi_op(ctx, n)
+        for s, [(t, k)] in enumerate(list(op.faces)):
+            part, actions = op.blocks[k]
+            op.blocks.append(([[*col, (0, ONE)] for col in part], actions))
+            op.faces[s] = [(t, len(op.blocks) - 1)]
+            try:
+                witness = chain_map_check(ctx, 3)
+                assert witness == chain_map_witness_oracle(ctx, 3), (n, s)
+                found.append(witness is not None)
+            finally:
+                op.faces[s] = [(t, k)]
+                op.blocks.pop()
+    assert found == [True] * 14
+
+
+def test_chain_map_check_compares_once_per_class(monkeypatch):
+    """On c2 the faces of δ_n (source tuple, output tuple) number 2, 7, 19
+    and 47 at degrees 0-3, and fall into 2, 7, 13 and 18 classes (δ key, ∂
+    key, φ block at the source, φ block at the output, source signature):
+    the check multiplies a block of ∂_n once per class, and a second call
+    takes the same products again, since nothing is kept between calls."""
+    ctx = samples.c2_rbf_context()
+    star = ctx.star_bimodule()
+    calls, original = [], rbf._block_product
+
+    def counting(block, id_width, vectors):
+        calls.append(block)
+        return original(block, id_width, vectors)
+
+    monkeypatch.setattr(rbf, "_block_product", counting)
+    for _ in range(2):
+        calls.clear()
+        assert chain_map_check(ctx, 3) is None
+        classes = [sum(any(block is own for own in delta_op(star, n).blocks) for block in calls) for n in range(4)]
+        assert classes == [2, 7, 13, 18]
+    assert [sum(map(len, delta_op(ctx.bimodule, n).faces)) for n in range(4)] == [2, 7, 19, 47]
+
+
 # -- one equivariance system per context ------------------------------------
 
 
@@ -915,7 +1019,9 @@ def test_random_valid_contexts_keep_the_chain_map_and_the_combined_square():
                 unit = ctx.algebra.omega.unit
                 assert not all(f[unit].is_identity() for f in (ctx.algebra.pmap, ctx.algebra.qmap))
                 fails.append((k, n))
-        several_classes += len(rbf.phi_op(ctx, 2).blocks) > 1
+        if len(rbf.phi_op(ctx, 2).blocks) > 1:
+            several_classes += 1
+            assert chain_map_witness_oracle(ctx, 3) is None
     assert len(fails) == len({k for k, _ in fails}) == 2 and {n for _, n in fails} == {0}
     assert several_classes == 9
 
