@@ -13,27 +13,33 @@ multi-index, output index), flattened as
 
 Degree 0 carries no constraint: C^0 = M.
 
-The equivariance constraints of each monoid-tuple block are sparse rows
-(:func:`_constraint_rows`).  They depend only on the twists at the tuple's
-product and entries, so they are cached per twist signature
-(:func:`_twist_signature`): tuples whose structure maps agree share one set
-of rows and one kernel.  That kernel is the basis of C^n
-(:func:`equivariant_basis`), whose coordinates are read at each vector's
-largest key, its free column by the kernel convention of ``linalg``.
-Applying the rows to a raw vector is the one membership test
-(:func:`_in_subspace`), behind :func:`is_equivariant` and every check that
-a coboundary image lies in C^{n+1}.  A bimodule with the same structure
-maps may share all of it (:func:`_share_equivariance`).
-A map pair that is the identity at the product and at every entry builds
-no rows (its constraint reads f = f).  At a zero row k of M's map at the
-product, the row of argument a is minus column a of the slot product,
-placed at output index k, so arguments with equal columns share one row:
-it is built once per distinct column, and the rows it would repeat are
-never built (the row space, and so the kernel, every membership verdict
-and the end columns, is unchanged).  The rows are kept sorted by their
-largest column, descending, so that the kernel's elimination, which pivots
-at the smallest column, meets the rows that reach the free columns first;
-the RREF is unique, so the order changes the work, never the basis.
+The equivariance constraints of each monoid-tuple block are sparse rows.
+They depend only on the twists at the tuple's product and entries, so they
+are cached per twist signature (:func:`_twist_signature`, read from one
+table per degree, :func:`_signatures`): tuples whose structure maps agree
+share one constraint system (:func:`_constraint_system`: the rows, their
+column index and their end columns, one record) and one kernel.  That
+kernel is the basis of C^n (:func:`equivariant_basis`), whose coordinates
+are read at each vector's largest key, its free column by the kernel
+convention of ``linalg``.  Applying the rows, through their column index,
+to a raw vector is the one membership test (:func:`_in_subspace`), behind
+:func:`is_equivariant` and every check that a coboundary image lies in
+C^{n+1}.  A bimodule with the same structure maps may share all of it
+(:func:`_share_equivariance`).
+A system is built at the cost of its entries: each row is created once,
+from M's map at the product, and the slot product's entries are merged
+into it in place; one sort orders the rows, and one more pass indexes
+them by column.  A map pair that is the identity at the product and at
+every entry builds no rows (its constraint reads f = f).  At a zero row k
+of M's map at the product, the row of argument a is minus column a of the
+slot product, placed at output index k, so arguments with equal columns
+share one row: it is built once per distinct column, and the rows it
+would repeat are never built (the row space, and so the kernel, every
+membership verdict and the end columns, is unchanged).  The rows are kept
+sorted by their largest column, descending (stably), so that the kernel's
+elimination, which pivots at the smallest column, meets the rows that
+reach the free columns first; the RREF is unique, so the order changes
+the work, never the basis.
 
 The coboundary has one implementation for n >= 1: the blocks of
 :mod:`bihomega.blocks`, one per *pair key* (the structure classes of the
@@ -224,18 +230,7 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
     blocks: dict = {}
     for idx, v in vec.items():
         blocks.setdefault(idx // size, {})[idx % size] = v
-    # the columns of each tuple are resolved once per degree, not per vector
-    cache = _equivariance(b)
-    table = cache.get(("block_columns", n))
-    if table is None:
-        table = cache[("block_columns", n)] = [None] * b.base.omega.size**n
-    for t, local in blocks.items():
-        by_col = table[t]
-        if by_col is None:
-            by_col = table[t] = _constraint_columns(b, b.base.omega.tuples(n)[t])
-        if _violates(by_col, local):
-            return False
-    return True
+    return not any(_violates(_constraint_system(b, n, t)[1], local) for t, local in blocks.items())
 
 
 def _violates(by_col: dict, local: dict, ends=(), kept: dict | None = None) -> bool:
@@ -248,22 +243,6 @@ def _violates(by_col: dict, local: dict, ends=(), kept: dict | None = None) -> b
         if kept is not None and c not in ends:
             kept[c] = x
     return any(residual.values())
-
-
-def _constraint_columns(b: OmegaBimodule, om_tuple) -> dict:
-    """The tuple's :func:`_constraint_rows` indexed by column: {col: [(row, coeff)]}.
-
-    Cached per twist signature, like the rows.
-    """
-    cache, cache_key = _equivariance(b), ("constraint_columns", _twist_signature(b, om_tuple))
-    hit = cache.get(cache_key)
-    if hit is None:
-        hit = {}
-        for i, row in enumerate(_constraint_rows(b, om_tuple)):
-            for c, v in row.items():
-                hit.setdefault(c, []).append((i, v))
-        cache[cache_key] = hit
-    return hit
 
 
 def _twist_signature(b: OmegaBimodule, om_tuple) -> tuple:
@@ -282,6 +261,15 @@ def _twist_signature(b: OmegaBimodule, om_tuple) -> tuple:
     return tuple(sig)
 
 
+def _signatures(b: OmegaBimodule, n: int) -> list:
+    """The :func:`_twist_signature` of each degree-n tuple, by tuple number (cached)."""
+    cache = _equivariance(b)
+    hit = cache.get(("signatures", n))
+    if hit is None:
+        hit = cache[("signatures", n)] = [_twist_signature(b, t) for t in b.base.omega.tuples(n)]
+    return hit
+
+
 def _equivariance(b: OmegaBimodule) -> dict:
     """The cache that holds b's equivariance data: its own, or the one
     :func:`_share_equivariance` gave it."""
@@ -290,10 +278,10 @@ def _equivariance(b: OmegaBimodule) -> dict:
 
 def _share_equivariance(source: OmegaBimodule, target: OmegaBimodule):
     """Let ``target`` read and extend ``source``'s equivariance data: bases and
-    block columns per degree, constraint rows and columns and end columns per
-    twist signature.  It depends only on the monoid, the dimensions and the
-    structure maps of A and M in their key order (which numbers the
-    signatures); InternalCheckError refuses any difference."""
+    twist signatures per degree, constraint systems per twist signature.  It
+    depends only on the monoid, the dimensions and the structure maps of A
+    and M in their key order (which numbers the signatures);
+    InternalCheckError refuses any difference."""
     def key(b):
         a = b.base
         return a.omega, a.dim, b.dim_m, [list(f.items()) for f in (a.pmap, a.qmap, b.pmap, b.qmap)]
@@ -412,10 +400,9 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
         offsets.append(m)
     else:
         kernels: dict = {}  # one kernel per twist signature, shared by its tuples
-        for om_tuple in om.tuples(n):
-            sig = _twist_signature(b, om_tuple)
+        for t, sig in enumerate(_signatures(b, n)):
             if sig not in kernels:
-                kernels[sig] = sparse_kernel(_constraint_rows(b, om_tuple), block)
+                kernels[sig] = sparse_kernel(_constraint_system(b, n, t)[0], block)
             vectors.append(kernels[sig])
             offsets.append(offsets[-1] + len(vectors[-1]))
     result = EquivariantBasis(n, om.size, d, m, block, vectors, offsets)
@@ -423,26 +410,32 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     return result
 
 
-def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
-    """Sparse rows of (module map) o f - f o (slotwise maps) for pmap and qmap.
+def _constraint_system(b: OmegaBimodule, n: int, t: int) -> tuple:
+    """(rows, columns, ends) of the equivariance constraints of degree-n tuple
+    number t: sparse rows of (module map) o f - f o (slotwise maps) for pmap
+    and qmap, the same rows indexed by column, {col: [(row, coeff)]}, and the
+    set of their largest columns.
 
-    Block-local columns of the tuple's block; cached per twist signature
-    (:func:`_twist_signature`), since both the basis and the membership test
-    :func:`_in_subspace` apply them and tuples with equal signatures share
-    them.  Per argument tuple, in lex order, the slot-map part is the
-    Kronecker product of the slot maps' columns at the arguments.  Identity
-    map pairs build no rows; at a zero row of the module map, whose rows
-    are minus a slot column, each distinct column builds its row once (see
-    the module docstring).  The rows are sorted by largest column,
-    descending (see the module docstring), caching those end columns.
+    Block-local columns; cached per twist signature (:func:`_signatures`),
+    since the basis, the membership test :func:`_in_subspace` and the
+    verdicts of :func:`_violations` read them and tuples with equal
+    signatures share them.  One pass builds the rows, each row once per
+    (argument tuple, output index): the slot-map part of an argument tuple,
+    in lex order, is the Kronecker product of the slot maps' columns at the
+    arguments, merged in place into the module map's row.  Identity map
+    pairs build no rows; at a zero row of the module map, whose rows are
+    minus a slot column, each distinct column builds its row once (see the
+    module docstring).  The rows are sorted by largest column, descending
+    (see the module docstring); a second pass indexes them by column.
     """
-    sig = _twist_signature(b, om_tuple)
-    cache, cache_key = _equivariance(b), ("constraint_rows", sig)
+    sig = _signatures(b, n)[t]
+    cache, cache_key = _equivariance(b), ("constraints", sig)
     hit = cache.get(cache_key)
     if hit is not None:
         return hit
     a = b.base
     m = b.dim_m
+    om_tuple = a.omega.tuples(n)[t]
     prod = a.omega.product_of(om_tuple)
     rows = []
     for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)):
@@ -451,26 +444,33 @@ def _constraint_rows(b: OmegaBimodule, om_tuple) -> list:
             continue
         big_rows = _supports(big)
         live = [k for k in range(m) if big_rows[k]]  # a zero row k reads -(slot column) at k
-        tables = [(a.dim, _supports(amaps[x], by_col=True)) for x in om_tuple]
-        seen = set()
+        tables, seen = [(a.dim, _supports(amaps[x], by_col=True)) for x in om_tuple], set()
         for arg_rank, slot_part in enumerate(_kron(tables)):
-            column = tuple(slot_part)
-            ks = live if column in seen else range(m)
-            seen.add(column)
-            row_of = {k: {arg_rank * m + l: v for l, v in big_rows[k]} for k in ks}
-            for i_rank, coeff in slot_part:
-                for k, row in row_of.items():
+            column, base = tuple(slot_part), arg_rank * m
+            for k in live if column in seen else range(m):
+                row = {base + l: v for l, v in big_rows[k]}
+                for i_rank, coeff in slot_part:
                     col = i_rank * m + k
-                    new = row.get(col, ZERO) - coeff
+                    new = row.get(col, 0) - coeff
                     if new:
                         row[col] = new
                     else:
-                        row.pop(col, None)
-            rows.extend(r for r in row_of.values() if r)
-    ends = cache[("end_columns", sig)] = set()  # filled by the sort key: one max per row
-    rows.sort(key=lambda row: ends.add(end := max(row)) or end, reverse=True)
-    cache[cache_key] = rows
-    return rows
+                        del row[col]
+                if row:
+                    rows.append(row)
+            seen.add(column)
+    ends = list(map(max, rows))
+    rows = [rows[i] for i in sorted(range(len(rows)), key=ends.__getitem__, reverse=True)]
+    columns: dict = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            entries = columns.get(c)
+            if entries is None:
+                columns[c] = [(i, v)]
+            else:
+                entries.append((i, v))
+    hit = cache[cache_key] = rows, columns, set(ends)
+    return hit
 
 
 # -- the coboundary -------------------------------------------------------
@@ -615,20 +615,17 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
         return
     op = delta_op(b, n)
     products_of, verdicts = {}, {}
-    om = b.base.omega
-    sources, outputs = om.tuples(n), om.tuples(n + 1)
-    for s, faces in enumerate(op.faces):
+    for s, (faces, sig) in enumerate(zip(op.faces, _signatures(b, n))):
         vectors = basis.vectors[s]
         if not vectors:
             continue
-        sig = _twist_signature(b, sources[s])
         parts, bad = [], set()
         for t, key in faces:
             products = products_of.get((key, sig))
             if products is None:
                 products = products_of[(key, sig)] = _block_product(op.blocks[key], op.id_width, vectors)
             if verify or project:
-                failing, projected = _violations(b, verdicts, outputs[t], key, sig, products)
+                failing, projected = _violations(b, verdicts, n + 1, t, key, sig, products)
                 bad |= failing
                 products = projected if project else products
             parts.append((t * op.out_width, products))
@@ -661,19 +658,18 @@ def _block_product(block: tuple, id_width: int, vectors: list) -> list:
     return products
 
 
-def _violations(b: OmegaBimodule, verdicts: dict, beta, key: int, sig, products: list) -> tuple:
+def _violations(b: OmegaBimodule, verdicts: dict, n: int, t: int, key: int, sig, products: list) -> tuple:
     """(Indices of ``products`` (pair key number ``key``, source signature
-    ``sig``) that violate the constraints of output block ``beta``, the
+    ``sig``) that violate the constraints of degree-n output block t, the
     products without the end columns of those constraints), kept in
     ``verdicts`` per (output signature, key, source signature).  Zero
     products satisfy every constraint, so when all are zero none is built."""
     if not any(products):
         return frozenset(), products
-    out_sig = _twist_signature(b, beta)
+    out_sig = _signatures(b, n)[t]
     hit = verdicts.get((out_sig, key, sig))
     if hit is None:
-        by_col = _constraint_columns(b, beta)
-        ends = _equivariance(b)[("end_columns", out_sig)]
+        _, by_col, ends = _constraint_system(b, n, t)
         projected = [{} for _ in products]
         bad = frozenset(k for k, vec in enumerate(products) if _violates(by_col, vec, ends, projected[k]))
         hit = verdicts[(out_sig, key, sig)] = bad, projected

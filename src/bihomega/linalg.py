@@ -13,10 +13,11 @@ Elimination reduces one row at a time against a {pivot_col: row} echelon,
 so the cost follows the nonzeros, not the shape.  It is fraction-free, in
 the spirit of Bareiss 1968: rows scaled to integers are reduced by
 row <- (p/g) row - (r/g) pivot with g = gcd(p, r), and stored divided by
-their content; a row of ints is copied once, and only a row with a rational
-is scaled.  Pivot rule: a row that meets a pivot with more nonzeros at
-its leading column takes its place and the displaced pivot is reduced
-instead, so the echelon fills in less.  The echelon then depends on the
+their content; a row of ints (``math.gcd`` of its entries succeeds) is
+copied once, and only a row with a rational is scaled.  Pivot rule: a row
+that meets a pivot with more nonzeros at its leading column takes its
+place and the displaced pivot is reduced instead, so the echelon fills in
+less.  The echelon then depends on the
 order of the rows; its pivot columns and the RREF, and so every rank,
 kernel and solve, do not.
 :func:`sparse_rank` counts the pivots of that echelon and builds no
@@ -252,8 +253,10 @@ def sparse_rank(rows) -> int:
 def _integer_echelon(rows, pivots: dict | None = None) -> dict:
     """Fraction-free forward elimination into {pivot_col: primitive int row}.
 
-    A row of ints is copied once; any other row is scaled to integers by the
-    lcm of its denominators, which keeps its span.  The row is reduced by
+    A row of ints, which ``gcd`` of its entries tells from one with a
+    rational in a single C call, is copied once (its zeros dropped); any
+    other row is scaled to integers by the lcm of its denominators, which
+    keeps its span.  The row is reduced by
     :func:`_cross_eliminate` against the pivot at its leading column, unless
     that pivot has more nonzeros: then the row takes the pivot's place and
     the displaced pivot is reduced instead, so the echelon keeps the sparser
@@ -264,11 +267,13 @@ def _integer_echelon(rows, pivots: dict | None = None) -> dict:
     pivots = {} if pivots is None else pivots
     for r in rows:
         vals = r.values()
-        if set(map(type, vals)) <= {int}:
-            row = {c: v for c, v in r.items() if v} if 0 in vals else dict(r)
-        else:
-            den = lcm(*(v.denominator for v in r.values() if type(v) is not int))
+        try:
+            gcd(*vals)  # the integer test: a rational raises TypeError
+        except TypeError:
+            den = lcm(*(v.denominator for v in vals if type(v) is not int))
             row = {c: v.numerator * (den // v.denominator) for c, v in r.items() if v}
+        else:
+            row = dict(r) if all(vals) else {c: v for c, v in r.items() if v}
         while row:
             col = min(row)
             pivot = pivots.get(col)

@@ -55,7 +55,7 @@ from .cochain import (
     _report,
     _require_shape,
     _share_equivariance,
-    _twist_signature,
+    _signatures,
     apply_delta,
     delta_op,
     equivariant_basis,
@@ -310,10 +310,11 @@ def _algebra_images(ctx: RbfContext, n: int, project: bool = False):
 def _phi_products(ctx: RbfContext, n: int):
     """(s, (φ block f at s, twist signature of s), kernel vectors K of s, φ_s K) for
     each tuple s of C^n with a kernel, in order; φ_s K is formed once per (f, signature)."""
-    op, basis, tuples, lifted = phi_op(ctx, n), ctx.basis(n), ctx.algebra.omega.tuples(n), {}
+    op, basis, lifted = phi_op(ctx, n), ctx.basis(n), {}
+    sigs = _signatures(ctx.bimodule, n) if n else [()]
     for s, (((_, f),), vectors) in enumerate(zip(op.faces, basis.vectors)):
         if vectors:
-            key = (f, _twist_signature(ctx.bimodule, tuples[s]) if n else ())
+            key = (f, sigs[s])
             yield s, key, vectors, lifted.get(key) or lifted.setdefault(key, _block_product(op.blocks[f], 1, vectors))
 
 

@@ -111,8 +111,11 @@ def evaluate_oracle(f, om_tuple, vectors):
     return block
 
 
-def delta_direct_oracle(b, f):
-    """Term-by-term transcription of the alternating sum, any bimodule."""
+def delta_direct_oracle(b, f, evaluate=evaluate_oracle):
+    """Term-by-term transcription of the alternating sum, any bimodule.
+
+    ``evaluate`` evaluates ``f`` on the merged tuple of a middle term, as
+    :func:`evaluate_oracle` does (a caller may memoize it)."""
     a = b.base
     om = a.omega
     n = f.degree
@@ -141,7 +144,7 @@ def delta_direct_oracle(b, f):
                 vectors = [a.pmap[beta[t]].col(args[t]) for t in range(i - 1)]
                 vectors.append(a.mul_basis((beta[i - 1], beta[i]), args[i - 1], args[i]))
                 vectors.extend(a.qmap[beta[t]].col(args[t]) for t in range(i + 1, n + 1))
-                term = evaluate_oracle(f, merged, vectors)
+                term = evaluate(f, merged, vectors)
                 for k in range(m):
                     acc[k] += sign * term[k]
             sign = ONE if (n + 1) % 2 == 0 else -ONE

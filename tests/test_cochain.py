@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -614,12 +615,23 @@ def _delta_columns(b, n) -> list:
 
 def _oracle_columns(b, n) -> list:
     """Every column of delta_direct_oracle at degree n, as {row: coeff}
-    dicts, from one formal call."""
+    dicts, from one formal call, which evaluates the generic cochain once
+    per distinct (merged tuple, argument vectors) of its middle terms
+    (formal combinations are never changed in place, so they may be shared)."""
     om, d, m = b.base.omega, b.base.dim, b.dim_m
     ncols = om.size**n * d**n * m
     generic = Cochain(n, om.size, d, m, [_Formal({j: 1}) for j in range(ncols)])
+    memo: dict = {}
+
+    def evaluate(f, om_tuple, vectors):
+        key = (om_tuple, *map(tuple, vectors))
+        hit = memo.get(key)
+        if hit is None:
+            hit = memo[key] = evaluate_oracle(f, om_tuple, vectors)
+        return hit
+
     columns = [{} for _ in range(ncols)]
-    for i, entry in enumerate(delta_direct_oracle(b, generic).coords):
+    for i, entry in enumerate(delta_direct_oracle(b, generic, evaluate).coords):
         assert isinstance(entry, _Formal) or entry == 0
         for j, v in (entry.items() if entry else ()):
             columns[j][i] = v
@@ -871,14 +883,14 @@ def test_constraint_rows_built_once_per_twist_signature(monkeypatch):
     and every tuple reuses one kernel."""
     b = regular_bimodule(samples.build_c2_example(0))
     built = []
-    original = cochain._constraint_rows
+    original = cochain._constraint_system
 
-    def counting(bb, om_tuple):
-        if ("constraint_rows", cochain._twist_signature(bb, om_tuple)) not in bb._cache:
-            built.append(om_tuple)
-        return original(bb, om_tuple)
+    def counting(bb, n, t):
+        if ("constraints", cochain._signatures(bb, n)[t]) not in bb._cache:
+            built.append((n, t))
+        return original(bb, n, t)
 
-    monkeypatch.setattr(cochain, "_constraint_rows", counting)
+    monkeypatch.setattr(cochain, "_constraint_system", counting)
     basis = equivariant_basis(b, 4)
     assert len(basis.vectors) == 16 and all(v is basis.vectors[0] for v in basis.vectors)
     f = random_equivariant(b, 4, random.Random(11))
@@ -894,19 +906,70 @@ def _has_zero_row(b) -> bool:
                for k in range(mat.rows))
 
 
+def _oracle_system(b, om_tuple) -> list:
+    """The rows a tuple's constraint system keeps, from constraint_rows_oracle:
+    its nonzero rows in its order (map pair, argument tuple, output index k),
+    less each row at a zero row k of M's map at the product that repeats an
+    earlier row of the same map pair at k, stably sorted by largest column,
+    descending."""
+    a, m = b.base, b.dim_m
+    width, prod = a.dim ** len(om_tuple) * m, a.omega.product_of(om_tuple)
+    kept, seen = [], set()
+    for i, row in enumerate(constraint_rows_oracle(b, om_tuple)):
+        pair, k = i // width, i % m
+        r = {c: v for c, v in enumerate(row) if v}
+        key = (pair, k, frozenset(r.items()))
+        if r and not (key in seen and not any((b.pmap, b.qmap)[pair][prod].row(k))):
+            kept.append(r)
+        seen.add(key)
+    return sorted(kept, key=max, reverse=True)
+
+
+def _assert_constraint_systems_match_oracle(b, n) -> tuple:
+    """Each degree-n tuple's (rows, columns, ends): the rows are
+    :func:`_oracle_system`'s, in its order, with the oracle's distinct
+    nonzero rows as their set; the columns are exactly their transpose
+    (each column's (row, coeff) pairs in row order); the ends are their
+    largest columns.  Returns (rows built, rows the oracle builds, whether
+    every tuple's rows are pairwise distinct)."""
+    built = oracle_built = 0
+    distinct = True
+    for t, om_tuple in enumerate(b.base.omega.tuples(n)):
+        rows, columns, ends = cochain._constraint_system(b, n, t)
+        full = [r for row in constraint_rows_oracle(b, om_tuple) if (r := {c: v for c, v in enumerate(row) if v})]
+        assert rows == _oracle_system(b, om_tuple), (n, om_tuple)
+        assert {frozenset(r.items()) for r in rows} == {frozenset(r.items()) for r in full}
+        distinct &= len({frozenset(r.items()) for r in rows}) == len(rows)
+        transpose: dict = {}
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                transpose.setdefault(c, []).append((i, v))
+        assert columns == transpose, (n, om_tuple)
+        assert ends == {max(r) for r in rows} == {max(r) for r in full}, (n, om_tuple)
+        built, oracle_built = built + len(rows), oracle_built + len(full)
+    return built, oracle_built, distinct
+
+
+def _system_degrees(b) -> range:
+    """Degrees 1-3, or 1-2 when a degree-3 block has more than 54 columns."""
+    return range(1, 4 if b.base.dim**3 * b.dim_m <= 54 else 3)
+
+
 def test_zero_row_constraints_are_built_once_and_keep_the_row_space():
     """At a zero row k of M's map at the product, the constraint row of an
     argument is minus its slot column at k, so arguments with equal columns
-    share one row, built once.  On inputs whose module map has a zero row
-    (c2 variants 0-2, the e1 semidirect product, e1, and the seeded random
-    valid pairs whose module map has one, which the draw is checked to
-    contain) at degrees 1-3 (1-2 when a degree-3 block has more than 54
-    columns): the cached rows of every tuple are the distinct nonzero rows
-    of the from-scratch oracle, fewer in all than it builds; the basis
-    equals equivariant_basis_oracle; is_equivariant equals
-    is_equivariant_oracle on every basis element and on seeded raw vectors,
-    before and after a member is perturbed; and the cached end columns are
-    the largest columns of the oracle's full row set."""
+    share one row, built once.  On c2 variants 0-2, the e1 semidirect
+    product, e1 and eight seeded random valid pairs (at least two of which
+    have a zero row in a module map, which the draw is checked to contain)
+    at :func:`_system_degrees`, every tuple's system matches the oracle
+    (:func:`_assert_constraint_systems_match_oracle`); on the named inputs
+    its rows are the oracle's distinct nonzero rows in order, while one
+    draw repeats a q row of its p rows at a live output index, which is
+    kept.  On the named inputs and the draws with a zero row, fewer rows are
+    built in all than the oracle builds; the basis equals
+    equivariant_basis_oracle; is_equivariant equals is_equivariant_oracle
+    on every basis element and on seeded raw vectors, before and after a
+    member is perturbed."""
     named = [regular_bimodule(samples.build_c2_example(v)) for v in (0, 1, 2)]
     named += [regular_bimodule(samples.build_e1_semidirect()), regular_bimodule(samples.build_e1())]
     rng = random.Random(3301)
@@ -917,15 +980,10 @@ def test_zero_row_constraints_are_built_once_and_keep_the_row_space():
     verdicts = set()
     for b in named + singular:
         om, d, m = b.base.omega, b.base.dim, b.dim_m
-        for n in range(1, 4 if d**3 * m <= 54 else 3):
-            for om_tuple in om.tuples(n):
-                rows = cochain._constraint_rows(b, om_tuple)
-                full = [r for row in constraint_rows_oracle(b, om_tuple)
-                        if (r := {c: v for c, v in enumerate(row) if v})]
-                assert {frozenset(r.items()) for r in rows} == {frozenset(r.items()) for r in full}
-                ends = cochain._equivariance(b)[("end_columns", cochain._twist_signature(b, om_tuple))]
-                assert ends == {max(r) for r in full}
-                built, oracle_built = built + len(rows), oracle_built + len(full)
+        for n in _system_degrees(b):
+            rows, full, distinct = _assert_constraint_systems_match_oracle(b, n)
+            assert distinct or b not in named, n
+            built, oracle_built = built + rows, oracle_built + full
             basis = equivariant_basis(b, n)
             assert (basis.vectors, _frees(basis)) == equivariant_basis_oracle(b, n)
             for j in range(basis.dim()):
@@ -939,6 +997,8 @@ def test_zero_row_constraints_are_built_once_and_keep_the_row_space():
                 assert verdict == is_equivariant_oracle(b, f), n
                 verdicts.add(verdict)
     assert built < oracle_built and verdicts == {True, False}
+    repeats = [b for b in drawn if not all(_assert_constraint_systems_match_oracle(b, n)[2] for n in _system_degrees(b))]
+    assert len(repeats) == 1
 
 
 @settings(derandomize=True, max_examples=15, database=None, deadline=None,
@@ -966,8 +1026,8 @@ def test_is_equivariant_refuses_a_cochain_of_another_shape(e1_regular):
 def _end_columns(b, n) -> set:
     """Raw indices of the largest column of every degree-n constraint row."""
     width = b.base.dim**n * b.dim_m
-    return {t * width + max(row) for t, om_tuple in enumerate(b.base.omega.tuples(n))
-            for row in cochain._constraint_rows(b, om_tuple)}
+    return {t * width + max(row) for t in range(b.base.omega.size**n)
+            for row in cochain._constraint_system(b, n, t)[0]}
 
 
 def _assert_basis_images_match_delta_op(b, n):
@@ -1006,7 +1066,7 @@ def _assert_verdicts_match_is_equivariant(b, n) -> dict:
         vectors = basis.vectors[s]
         if not vectors:
             continue
-        sig = cochain._twist_signature(b, om.tuples(n)[s])
+        sig = cochain._signatures(b, n)[s]
         for t, key in faces:
             columns = block_columns_oracle(op, key)
             products = []
@@ -1024,7 +1084,7 @@ def _assert_verdicts_match_is_equivariant(b, n) -> dict:
                     f.coords[t * width + r] = v
                 if not is_equivariant(b, f):
                     want.add(k)
-            assert cochain._violations(b, verdicts, om.tuples(n + 1)[t], key, sig, products)[0] == want, (n, s, t)
+            assert cochain._violations(b, verdicts, n + 1, t, key, sig, products)[0] == want, (n, s, t)
     return verdicts
 
 
@@ -1166,7 +1226,8 @@ def test_delta_op_matches_the_direct_oracle_on_wide_draws():
     the c2 Rota-Baxter context.  A wrong P prefix or Q suffix in a compiled
     block shows on the wide draws whose maps differ element by element, and
     not by a scalar.  The oracle's matrix is read from one formal call per
-    degree (_oracle_columns)."""
+    degree (_oracle_columns), and each vector's oracle image is summed
+    from its columns sparsely, in integers."""
     rng = random.Random(2929)
     cases = [random_wide_pair(rng)[1] for _ in range(40)]
     cases += [zero_bimodule(b.base, 0) for b in cases[:2]]
@@ -1183,13 +1244,18 @@ def test_delta_op_matches_the_direct_oracle_on_wide_draws():
                         for _ in range(3)]
             images = []
             for vec in vectors:
-                want, coords = [ZERO] * op.nrows, [ZERO] * op.ncols
+                # the oracle's image, summed sparsely in integers: vec scaled by the lcm of its denominators
+                scale, sums, coords = lcm(*(x.denominator for x in vec.values())), {}, [ZERO] * op.ncols
                 for c, x in vec.items():
                     coords[c] = x
+                    x = int(x * scale)
                     for i, v in columns[c].items():
-                        want[i] += v * x
+                        sums[i] = sums.get(i, 0) + v * x
+                images.append({i: Rat(v, scale) for i, v in sums.items() if v})
+                want = [ZERO] * op.nrows
+                for i, v in images[-1].items():
+                    want[i] = v
                 assert op.apply_dense(coords) == want
-                images.append({i: v for i, v in enumerate(want) if v})
                 assert op.image(vec) == images[-1]
             assert list(cochain._basis_images(b, n, verify=False)) == images[: basis.dim()]
 
@@ -1381,8 +1447,8 @@ def test_constraint_rows_kept_when_only_an_algebra_map_moves():
     om, d, m = b.base.omega, b.base.dim, b.dim_m
     verdicts = set()
     for n in (1, 2, 3):
-        for om_tuple in om.tuples(n):
-            assert (cochain._constraint_rows(b, om_tuple) == []) == (set(om_tuple) == {0}), om_tuple
+        for t, om_tuple in enumerate(om.tuples(n)):
+            assert (cochain._constraint_system(b, n, t)[0] == []) == (set(om_tuple) == {0}), om_tuple
         basis = equivariant_basis(b, n)
         assert (basis.vectors, _frees(basis)) == equivariant_basis_oracle(b, n)
         f = basis.combine([Rat(1 + j % 3, 3) for j in range(basis.dim())])
@@ -1409,14 +1475,13 @@ def test_kernel_of_shuffled_constraint_rows_is_the_cached_basis():
         for n in (1, 2, 3):
             basis = equivariant_basis(b, n)
             seen = set()
-            for t, om_tuple in enumerate(b.base.omega.tuples(n)):
-                sig = cochain._twist_signature(b, om_tuple)
+            for t, sig in enumerate(cochain._signatures(b, n)):
                 if sig in seen:
                     continue
                 seen.add(sig)
-                rows = list(cochain._constraint_rows(b, om_tuple))
+                rows = list(cochain._constraint_system(b, n, t)[0])
                 rng.shuffle(rows)
-                assert sparse_kernel(rows, basis.block_size) == basis.vectors[t], (n, om_tuple)
+                assert sparse_kernel(rows, basis.block_size) == basis.vectors[t], (n, t)
 
 
 def test_kernel_eliminations_stay_under_a_fifth_of_build_order():
@@ -1441,12 +1506,15 @@ def test_stage_tool_reports_exact_work_counts():
     (each part and action term once), the nonzeros of the projected images
     the rank takes (raw at degree 0) and of the echelon it leaves: exact
     counts, equal on every run, so the work of the equivariance, coboundary
-    and elimination layers is checked without timing noise."""
-    from cohomology_stages import one_pass
+    and elimination layers is checked without timing noise.  Each degree
+    also carries the seconds of every stage, building the degree-(k+1)
+    constraint systems (``rows``) apart from the verdicts (``verify``)."""
+    from cohomology_stages import STAGES, one_pass
 
     a = samples.build_e1_semidirect()
     runs = [one_pass(a, 4) for _ in range(2)]
     for run in runs:
+        assert all(set(STAGES[:-1]) | {"rank_s"} <= set(row) for row in run)
         assert [row["constraint_rows"] for row in run] == [0, 6, 18, 54, 162]
         assert [row["kernel_eliminations"] for row in run] == [0, 2, 8, 32, 116]
         assert [row["middle_parts"] for row in run] == [0, 1, 1, 1, 1]

@@ -383,8 +383,14 @@ def test_checked_brackets_build_the_constraint_rows_once(monkeypatch):
     bad.coords[0] += Rat(1, 3)
     assert not is_equivariant_oracle(regular_bimodule(a), bad)
     built = []
-    original = cochain._constraint_rows
-    monkeypatch.setattr(cochain, "_constraint_rows", lambda b, t: built.append(t) or original(b, t))
+    original = cochain._constraint_system
+
+    def counting(b, n, t):
+        if ("constraints", cochain._signatures(b, n)[t]) not in cochain._equivariance(b):
+            built.append((n, t))
+        return original(b, n, t)
+
+    monkeypatch.setattr(cochain, "_constraint_system", counting)
     first = bracket(a, f, g)
     assert built and first == bracket(a, f, g, check=False)
     count = len(built)

@@ -277,11 +277,45 @@ _EDGE_SYSTEMS = (
 )
 
 
+def _constraint_shaped_systems(rng):
+    """Seeded systems shaped like the equivariance constraints, dense: rows
+    of one to three entries with coefficients in {±1, ±2, 1/3}; the e1
+    semidirect product's C^3 and C^4 constraint rows; and systems whose
+    rows are all multiples of one short row, so that every row but one is
+    dependent (a random right-hand side is then unsolvable)."""
+    coeffs = (1, -1, 2, -2, Rat(1, 3))
+
+    def short_row(ncols):
+        row = [0] * ncols
+        for c in rng.sample(range(ncols), rng.randint(1, min(3, ncols))):
+            row[c] = rng.choice(coeffs)
+        return row
+
+    for _ in range(40):
+        ncols = rng.randint(2, 9)
+        yield [short_row(ncols) for _ in range(rng.randint(2, 12))], ncols
+    semidirect = regular_bimodule(samples.build_e1_semidirect())
+    for n in (3, 4):
+        width = cochain._raw_size(semidirect, n)
+        yield [_dense(row, width) for row in cochain._constraint_system(semidirect, n, 0)[0]], width
+    for _ in range(6):
+        ncols = rng.randint(2, 6)
+        row = short_row(ncols)
+        scalars = [rng.choice(coeffs) for _ in range(rng.randint(3, 6))]
+        yield [[f * x for x in row] for f in scalars], ncols
+
+
 def test_elimination_matches_dense_gauss_jordan_oracle():
+    """Every reading of the elimination equals the dense Gauss-Jordan
+    oracle's on seeded random systems and edge cases, then on the
+    constraint-shaped systems of :func:`_constraint_shaped_systems` (chained
+    last, so the earlier draws are unchanged): the RREF, rank, kernel and
+    solves against a consistent, a random and a zero right-hand side."""
     rng = random.Random(61)
     seen = {"rational": False, "deficient": False, "zero_row": False, "inconsistent": False,
-            "zero_rhs": False, "untouched_column": False, "no_columns": False}
-    for rows, ncols in chain(_random_systems(rng), _EDGE_SYSTEMS):
+            "zero_rhs": False, "untouched_column": False, "no_columns": False, "short_rows": False,
+            "all_dependent": False, "short_unsolvable": False}
+    for rows, ncols in chain(_random_systems(rng), _EDGE_SYSTEMS, _constraint_shaped_systems(random.Random(67))):
         reduced, pivots = gauss_jordan_oracle(rows, ncols)
         seen["rational"] |= any(v.denominator != 1 for r in reduced for v in r)
         seen["deficient"] |= len(pivots) < min(len(rows), ncols)
@@ -289,6 +323,9 @@ def test_elimination_matches_dense_gauss_jordan_oracle():
         seen["untouched_column"] |= any(not any(r[c] for r in rows) for c in range(ncols))
         seen["no_columns"] |= ncols == 0
         sparse = _sparse(rows)
+        short = len(sparse) > 1 and all(1 <= len(r) <= 3 for r in sparse)
+        seen["short_rows"] |= short and len(pivots) > 1
+        seen["all_dependent"] |= short and len(pivots) == 1
         got = sparse_rref(sparse, ncols)
         assert [c for c, _ in got] == pivots
         assert [row for _, row in got] == _sparse(reduced)
@@ -305,6 +342,7 @@ def test_elimination_matches_dense_gauss_jordan_oracle():
             seen["zero_rhs"] |= not any(rhs)
             if x is None:
                 seen["inconsistent"] = True
+                seen["short_unsolvable"] |= short
                 continue
             _assert_exact(x)
     assert all(seen.values()), seen
@@ -455,7 +493,7 @@ def test_row_order_moves_the_echelon_but_not_rank_rref_or_kernel():
     semidirect = regular_bimodule(samples.build_e1_semidirect())
     row_sets = [
         (list(cochain._basis_images(c2, 3)), cochain._raw_size(c2, 4)),
-        (list(cochain._constraint_rows(semidirect, (0,) * 5)), cochain._raw_size(semidirect, 5)),
+        (list(cochain._constraint_system(semidirect, 5, 0)[0]), cochain._raw_size(semidirect, 5)),
     ]
     rng = random.Random(2031)
     echelon_moved = False

@@ -796,17 +796,38 @@ def several_phi_ctx():
     return [random_valid_context(rng) for _ in range(15)][-1]
 
 
+@pytest.fixture(scope="module")
+def constant_t_ctx():
+    """c2 variant 0 with its searched family R (weight λ = -1) on the
+    regular bimodule with T = -λ·id instead of R: the weighted action
+    identities hold for any family of weight λ != 0, so the context
+    validates, and T != R, so φ does not vanish on C^n for n >= 1 as it
+    does on the c2 context."""
+    a = samples.build_c2_example(0)
+    rb = samples.searched_rb(a)
+    tmap = {x: Mat.scalar(a.dim, -rb.weight) for x in a.omega.elements()}
+    bimodule = OmegaBimodule(a, a.dim, dict(a.product), dict(a.product), dict(a.pmap), dict(a.qmap), tmap)
+    ctx = RbfContext.validated(a, rb, bimodule)
+    assert all(tmap[x] != rb.maps[x] for x in a.omega.elements())
+    return ctx
+
+
 @pytest.mark.parametrize("context, which, degree", [
     ("c2", "delta", 2), ("c2", "phi_n", 1), ("c2", "phi_next", 2), ("draw", "star_delta", 2), ("draw", "delta", 2),
+    ("constant_t", "star_delta", 2), ("constant_t", "delta", 2), ("constant_t", "phi_n", 1),
+    ("constant_t", "phi_next", 2),
 ])
-def test_chain_map_check_finds_faults_planted_in_shared_blocks(several_phi_ctx, context, which, degree):
+def test_chain_map_check_finds_faults_planted_in_shared_blocks(several_phi_ctx, constant_t_ctx, context, which, degree):
     """Each block of an operator of the degree-2 square (∂_2, δ_2, φ_2 or
     φ_3) that several source tuples read gets an extra entry in every column
     of its part, in place in the operator's block list, one block at a time:
     the check, which compares each class of faces once, then names the
     witness of chain_map_witness_oracle, which composes the images of every
-    basis cochain, at ``degree`` (φ_2 is also φ_{n+1} at degree 1)."""
-    ctx = samples.c2_rbf_context() if context == "c2" else several_phi_ctx
+    basis cochain, at ``degree`` (φ_2 is also φ_{n+1} at degree 1).  The
+    contexts: the c2 context, a draw whose φ_2 has several blocks, and the
+    c2 algebra and family with T = -λ·id (:func:`constant_t_ctx`)."""
+    ctx = {"c2": samples.c2_rbf_context, "draw": lambda: several_phi_ctx,
+           "constant_t": lambda: constant_t_ctx}[context]()
     op = {
         "star_delta": lambda: delta_op(ctx.star_bimodule(), 2), "delta": lambda: delta_op(ctx.bimodule, 2),
         "phi_n": lambda: rbf.phi_op(ctx, 2), "phi_next": lambda: rbf.phi_op(ctx, 3),
@@ -903,9 +924,8 @@ def test_star_bimodule_reads_the_context_bimodules_equivariance_data(e0_ctx, e1_
         for n in range(4):
             assert equivariant_basis(sb, n) is equivariant_basis(b, n) is ctx.basis(n)
         for n in range(1, 4):
-            for om_tuple in b.base.omega.tuples(n):
-                assert cochain._constraint_rows(sb, om_tuple) is cochain._constraint_rows(b, om_tuple)
-                assert cochain._constraint_columns(sb, om_tuple) is cochain._constraint_columns(b, om_tuple)
+            for t in range(b.base.omega.size**n):
+                assert cochain._constraint_system(sb, n, t) is cochain._constraint_system(b, n, t)
 
 
 def test_context_basis_does_not_build_the_star_bimodule(e1_ctx):
@@ -918,19 +938,19 @@ def test_each_twist_signature_is_built_once_per_context(monkeypatch, c2_ctx):
     """The tables, chain map check and kernels of both bimodules of a
     context build each constraint system once; a star bimodule that did
     not share would build each of them a second time."""
-    original = cochain._constraint_rows
+    original = cochain._constraint_system
 
     def count(sharing):
         built = []
 
-        def counting(bb, om_tuple):
-            sig = cochain._twist_signature(bb, om_tuple)
-            if ("constraint_rows", sig) not in cochain._equivariance(bb):
+        def counting(bb, n, t):
+            sig = cochain._signatures(bb, n)[t]
+            if ("constraints", sig) not in cochain._equivariance(bb):
                 built.append(sig)
-            return original(bb, om_tuple)
+            return original(bb, n, t)
 
         with monkeypatch.context() as m:
-            m.setattr(cochain, "_constraint_rows", counting)
+            m.setattr(cochain, "_constraint_system", counting)
             if not sharing:
                 m.setattr(rbf, "_share_equivariance", lambda source, target: None)
             ctx = _fresh(c2_ctx)

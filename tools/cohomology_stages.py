@@ -16,13 +16,18 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
   source twist signature, once per (pair key, source signature): the time
   inside ``cochain._block_product`` during one
   ``_basis_images(b, k, project=True)`` call;
-* ``verify``   -- the membership verdict of each product in its output
-  block, once per (output signature, pair key, source signature), with the
-  product's projection off the end columns of that block's constraint rows
-  taken in the same pass (the time inside ``cochain._violations`` during
-  that call); it includes building the degree-(k+1) constraint rows (the
-  basis of C^{k+1} then reuses them, so ``basis`` is only the kernel for
-  k >= 1); at k = 0, the membership test of every image in C^1;
+* ``rows``     -- building the degree-(k+1) constraint systems (rows,
+  column index and end columns, once per twist signature, the time inside
+  ``cochain._constraint_system``) that the verdicts below read; the basis
+  of C^{k+1} then reuses them, so ``basis`` is mostly the kernel for
+  k >= 1; at k = 0, those that the membership test of the images in C^1
+  reads;
+* ``verify``   -- the rest of the membership verdict of each product in its
+  output block, once per (output signature, pair key, source signature),
+  with the product's projection off the end columns of that block's
+  constraint rows taken in the same pass (the time inside
+  ``cochain._violations`` during that call, less ``rows``); at k = 0, the
+  rest of the membership test of every image in C^1;
 * ``assemble`` -- the rest of that call: placing the projected products
   into basis images (the tables stream them into the rank; here they are
   kept to time the rank alone); at k = 0, applying ``delta_op`` to the C^0
@@ -92,11 +97,11 @@ from bihomega import blocks, cochain, linalg, rbf, samples
 from bihomega.bimodule import regular_bimodule
 from bihomega.cochain import (
     _basis_images,
-    _constraint_rows,
+    _constraint_system,
     _degree0_checks,
     _in_subspace,
     _raw_size,
-    _twist_signature,
+    _signatures,
     delta_op,
     equivariant_basis,
 )
@@ -108,7 +113,7 @@ CASES = (
     ("c2_variant0", lambda: samples.build_c2_example(0), 4),
     ("semidirect", samples.build_e1_semidirect, 5),
 )
-STAGES = ("basis", "plan", "blocks", "products", "verify", "assemble", "rank")
+STAGES = ("basis", "plan", "blocks", "products", "rows", "verify", "assemble", "rank")
 COMBINED_STAGES = ("phi_op", "phase1", "phase2")
 COMBINED_MAX_DEGREE = 5
 RBFA_FIXTURE, RBFA_MAX_DEGREE = ROOT / "fixtures" / "c2_rbf.json", 3
@@ -124,9 +129,11 @@ def degree_zero(b, clock) -> tuple:
     t1 = clock()
     images = [op.image({l: 1}) for l in range(b.dim_m)]
     t2 = clock()
-    inside = all(_in_subspace(b, 1, img) for img in images)
+    inside, rows_s = seconds_in(cochain, "_constraint_system",
+                                lambda: all(_in_subspace(b, 1, img) for img in images), clock)
     t3 = clock()
-    stages = {"plan": 0.0, "blocks": t1 - t0, "products": 0.0, "verify": t3 - t2, "assemble": t2 - t1}
+    stages = {"plan": 0.0, "blocks": t1 - t0, "products": 0.0, "rows": rows_s, "verify": t3 - t2 - rows_s,
+              "assemble": t2 - t1}
     return stages, images, inside
 
 
@@ -136,11 +143,12 @@ def degree_k(b, k: int, clock) -> tuple:
     t0 = clock()
     op, plan_s = seconds_in(cochain, "pair_keys", lambda: delta_op(b, k), clock)
     t1 = clock()
-    (images, verify_s), products_s = seconds_in(cochain, "_block_product", lambda: seconds_in(
-        cochain, "_violations", lambda: list(_basis_images(b, k, project=True)), clock), clock)
+    ((images, rows_s), verify_s), products_s = seconds_in(cochain, "_block_product", lambda: seconds_in(
+        cochain, "_violations", lambda: seconds_in(
+            cochain, "_constraint_system", lambda: list(_basis_images(b, k, project=True)), clock), clock), clock)
     t2 = clock()
-    return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": products_s, "verify": verify_s,
-            "assemble": t2 - t1 - products_s - verify_s}, images, True
+    return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": products_s, "rows": rows_s,
+            "verify": verify_s - rows_s, "assemble": t2 - t1 - products_s - verify_s}, images, True
 
 
 def counting_calls(module, name: str, build) -> tuple:
@@ -197,8 +205,8 @@ def block_entries(op) -> int:
 
 def constraint_row_count(b, k: int) -> int:
     """Equivariance rows of C^k, counted once per twist signature (cached)."""
-    firsts = {_twist_signature(b, t): t for t in b.base.omega.tuples(k)} if k else {}
-    return sum(len(_constraint_rows(b, t)) for t in firsts.values())
+    firsts = {sig: t for t, sig in enumerate(_signatures(b, k))} if k else {}
+    return sum(len(_constraint_system(b, k, t)[0]) for t in firsts.values())
 
 
 def one_pass(a, max_degree: int) -> list:
