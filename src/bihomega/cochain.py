@@ -11,7 +11,7 @@ multi-index, output index), flattened as
 
     ((tuple_rank * d^n) + arg_rank) * dim_m + output_index.
 
-Degree 0 carries no constraint: C^0 = M.
+Degree 0 is the n = 0 case throughout and carries no constraint: C^0 = M.
 
 The equivariance constraints of each monoid-tuple block are sparse rows.
 They depend only on the twists at the tuple's product and entries, so they
@@ -48,12 +48,12 @@ that equal keys have equal blocks), each kept factored: its middle terms
 summed at the argument level, tensor id_M, plus its action terms.
 :func:`delta_op` is a :class:`BlockOp`, the one holder of δ_n's faces and
 those blocks, read in place, once per (bimodule, degree); :func:`apply_delta`,
-the tables and every operator caller go through it; degree 0 keeps its own
+the tables and every operator caller go through it; δ_0 keeps its own
 formula.  The blocks and the constraint rows are sparse Kronecker products
 of structure maps (``linalg._kron``); term-by-term transcriptions of the
 sum live only in the test oracles (``tests/oracles.py``).
 
-Cohomology tables never assemble δ for n >= 1: one call of
+Cohomology tables never assemble δ: one call of
 :func:`_basis_images` forms each block of :func:`delta_op` times the kernel
 of a source twist signature once per (pair key, source signature), and
 verifies that product against the constraint columns of the output block
@@ -66,8 +66,8 @@ same pass drops the *end columns* of the output block (the largest column
 of each constraint row) from each product.  That is injective on C^{k+1}:
 a member vanishing off the end columns meets, at its smallest nonzero end
 column, a row ending there with one nonzero term.  So the projected
-images, streamed into one fraction-free integer rank per degree k >= 1
-(degree 0 ranks raw images), give the rank of δ_k, and no matrix of δ_k
+images (raw at k = 0, see below), streamed into one fraction-free
+integer rank per degree k, give the rank of δ_k, and no matrix of δ_k
 and no basis or kernel of C^{max_degree+1} is built; the combined table
 ranks them beside φ (``rbf.rbfa_cohomology_dims``).  The chain-map check
 forms :func:`_block_product` products of its own, once per class of faces.
@@ -78,12 +78,14 @@ solves take raw images from calls of their own: a preimage is one
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
 equivariant subspace.  ``delta_matrix(b, 0)`` then raises
-InternalCheckError (never forcing the image into C^1).  The tables take
-degree 0 from one place, :func:`_degree0_domain`: vectors spanning
-{y in M : δ_0 y in C^1}, the unit vectors of M when every image lies in
-C^1 and otherwise :func:`degree0_preimages`, which flags the report.  B^1
-is the rank of their images, each of which must be a 1-cocycle; on some
-valid inputs one is not, and the table is refused.
+InternalCheckError (never forcing the image into C^1), and the tables rank
+them raw: ``project`` skips n = 0, the one degree-0 guard of
+:func:`_basis_images`, until δ_0 is sound.  The tables take degree 0 from
+one place, :func:`_degree0_domain`: vectors spanning {y in M : δ_0 y in
+C^1}, the unit vectors of M when every image lies in C^1 and otherwise
+:func:`degree0_preimages`, which flags the report.  B^1 is the rank of
+their images, each of which must be a 1-cocycle; on some valid inputs one
+is not, and the table is refused.
 """
 
 from __future__ import annotations
@@ -224,8 +226,6 @@ def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
     touches, column by column over the vector's entries; exact, never a
     projection.
     """
-    if n == 0:
-        return True
     size = b.base.dim**n * b.dim_m
     blocks: dict = {}
     for idx, v in vec.items():
@@ -249,9 +249,9 @@ def _twist_signature(b: OmegaBimodule, om_tuple) -> tuple:
     """What the equivariance constraints of a tuple block depend on.
 
     The classes (:func:`bihomega.blocks.structure_classes`) of M's pmap and
-    qmap at the tuple's product, then of A's pmap and qmap at each entry.
-    Tuples with equal signatures have the same block-local constraint rows
-    and the same kernel.
+    qmap at the tuple's product (the unit for the empty tuple), then of A's
+    pmap and qmap at each entry.  Tuples with equal signatures have the same
+    block-local constraint rows and the same kernel.
     """
     p_cls, q_cls, _, _, _, mp_cls, mq_cls = structure_classes(b)
     prod = b.base.omega.product_of(om_tuple)
@@ -395,16 +395,12 @@ def equivariant_basis(b: OmegaBimodule, n: int) -> EquivariantBasis:
     d, m = a.dim, b.dim_m
     block = d**n * m
     vectors, offsets = [], [0]
-    if n == 0:
-        vectors.append([{k: ONE} for k in range(m)])
-        offsets.append(m)
-    else:
-        kernels: dict = {}  # one kernel per twist signature, shared by its tuples
-        for t, sig in enumerate(_signatures(b, n)):
-            if sig not in kernels:
-                kernels[sig] = sparse_kernel(_constraint_system(b, n, t)[0], block)
-            vectors.append(kernels[sig])
-            offsets.append(offsets[-1] + len(vectors[-1]))
+    kernels: dict = {}  # one kernel per twist signature, shared by its tuples
+    for t, sig in enumerate(_signatures(b, n)):
+        if sig not in kernels:
+            kernels[sig] = sparse_kernel(_constraint_system(b, n, t)[0], block)
+        vectors.append(kernels[sig])
+        offsets.append(offsets[-1] + len(vectors[-1]))
     result = EquivariantBasis(n, om.size, d, m, block, vectors, offsets)
     cache[cache_key] = result
     return result
@@ -438,7 +434,7 @@ def _constraint_system(b: OmegaBimodule, n: int, t: int) -> tuple:
     om_tuple = a.omega.tuples(n)[t]
     prod = a.omega.product_of(om_tuple)
     rows = []
-    for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)):
+    for mmaps, amaps in ((b.pmap, a.pmap), (b.qmap, a.qmap)) if n else ():  # C^0 = M: no constraint
         big = mmaps[prod]
         if big.is_identity() and all(amaps[x].is_identity() for x in om_tuple):
             continue
@@ -592,9 +588,9 @@ def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
 def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool = False):
     """Images of the C^n basis under δ, in basis order, as fresh sparse dicts.
 
-    Degree 0 applies :func:`delta_op`.  For n >= 1 the image of basis element
-    (source tuple s, kernel vector k) is, on each output block of s, the
-    product of that pair's block of :func:`delta_op` with vector k
+    The image of basis element (source tuple s, kernel vector k) is, on
+    each output block of s, the product of that pair's block of
+    :func:`delta_op` with vector k
     (:func:`_block_product`, formed once per (pair key, source signature)
     and dropped with this call); δ is never assembled.  With
     ``verify`` every image is checked against the degree-(n+1) constraints,
@@ -605,16 +601,9 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
     verifies and drops the end columns of C^{n+1} (n >= 1), keeping the rank.
     """
     basis = equivariant_basis(b, n)
-    if n == 0:
-        op = delta_op(b, 0)
-        for j in range(basis.dim()):
-            image = op.image(basis.cochain_sparse(j))
-            if verify and not _in_subspace(b, 1, image):
-                raise _left_subspace(n, j)
-            yield image
-        return
     op = delta_op(b, n)
     products_of, verdicts = {}, {}
+    project = project and n > 0
     for s, (faces, sig) in enumerate(zip(op.faces, _signatures(b, n))):
         vectors = basis.vectors[s]
         if not vectors:

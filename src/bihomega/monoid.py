@@ -2,7 +2,7 @@
 
 Elements are dense integer indices 0..size-1; the multiplication table is
 ``table[a][b] = a*b``.  Every structure in the workbench is indexed by such a
-monoid, and degree-0 differentials use its unit.
+monoid, and degree 0 reads its unit, the product of the empty word.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class Monoid:
         return _tuples(self.size, n)
 
     def product_of(self, word) -> int:
-        return product_word(self, word)
+        """Product of a word of element indices; the empty word's is the unit."""
+        return product_word(self, word) if len(word) else self.unit
 
 
 @lru_cache(maxsize=None)

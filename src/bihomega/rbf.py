@@ -133,11 +133,11 @@ def partial(ctx: RbfContext, f: Cochain, check: bool = True) -> Cochain:
 def phi_op(ctx: RbfContext, n: int) -> BlockOp:
     """The comparison map compiled on raw degree-n coordinates (cached).
 
-    Block diagonal: degree 0 is one identity block.  For n >= 1 the block
-    of a monoid tuple alpha reads only R_{alpha_1}, ..., R_{alpha_n} and
-    T_{prod alpha}: one block is built per class of those maps (exact
-    entries, :func:`bihomega.blocks.intern`) by :func:`_phi_block`, and
-    every tuple of the class reads it in place.
+    Block diagonal: the block of a monoid tuple alpha reads only
+    R_{alpha_1}, ..., R_{alpha_n} and T_{prod alpha}: one block is built per
+    class of those maps (exact entries, :func:`bihomega.blocks.intern`) by
+    :func:`_phi_block`, and every tuple of the class reads it in place.
+    Degree 0 is one identity block, built on the empty tuple.
     """
     hit = ctx._cache.get(("phi_op", n))
     if hit is not None:
@@ -145,16 +145,13 @@ def phi_op(ctx: RbfContext, n: int) -> BlockOp:
     if n < 0:
         raise MalformedInputError("negative degree")
     om, d, m = ctx.dims()
-    if n == 0:
-        faces, blocks = [[(0, 0)]], [([[(l, ONE)] for l in range(m)], ())]
-    else:
-        r_cls, t_cls, numbers, faces, blocks = intern(ctx.rb.maps), intern(ctx.bimodule.tmap), {}, [], []
-        for t, alpha in enumerate(om.tuples(n)):
-            key = (tuple([r_cls[x] for x in alpha]), t_cls[om.product_of(alpha)])
-            if key not in numbers:
-                numbers[key] = len(blocks)
-                blocks.append((_phi_block(ctx, alpha), ()))
-            faces.append([(t, numbers[key])])
+    r_cls, t_cls, numbers, faces, blocks = intern(ctx.rb.maps), intern(ctx.bimodule.tmap), {}, [], []
+    for t, alpha in enumerate(om.tuples(n)):
+        key = (tuple([r_cls[x] for x in alpha]), t_cls[om.product_of(alpha)])
+        if key not in numbers:
+            numbers[key] = len(blocks)
+            blocks.append((_phi_block(ctx, alpha), ()))
+        faces.append([(t, numbers[key])])
     size = _raw_size(ctx.bimodule, n)
     op = ctx._cache[("phi_op", n)] = BlockOp(size, size, d**n * m, d**n * m, 1, faces, blocks)
     return op
@@ -275,23 +272,16 @@ def d_combined(ctx: RbfContext, x: CombinedCochain, check: bool = True) -> Combi
 
 
 def combined_dim(ctx: RbfContext, n: int) -> int:
-    if n == 0:
-        return ctx.bimodule.dim_m
-    return ctx.basis(n).dim() + ctx.basis(n - 1).dim()
+    return ctx.basis(n).dim() + (ctx.basis(n - 1).dim() if n >= 1 else 0)
 
 
 def combined_from_coords(ctx: RbfContext, n: int, coords) -> CombinedCochain:
     """Element with the given coordinates in the (alg block, rbf block) basis."""
     if len(coords) != combined_dim(ctx, n):
         raise MalformedInputError("combined coordinate length mismatch")
-    if n == 0:
-        om, d, m = ctx.dims()
-        return CombinedCochain(Cochain(0, om.size, d, m, list(coords)), None)
     b_alg = ctx.basis(n)
-    b_rbf = ctx.basis(n - 1)
-    return CombinedCochain(
-        b_alg.combine(coords[: b_alg.dim()]), b_rbf.combine(coords[b_alg.dim() :])
-    )
+    alg, rest = b_alg.combine(coords[: b_alg.dim()]), coords[b_alg.dim() :]
+    return CombinedCochain(alg, ctx.basis(n - 1).combine(rest) if n >= 1 else None)
 
 
 def _algebra_images(ctx: RbfContext, n: int, project: bool = False):
@@ -311,7 +301,7 @@ def _phi_products(ctx: RbfContext, n: int):
     """(s, (φ block f at s, twist signature of s), kernel vectors K of s, φ_s K) for
     each tuple s of C^n with a kernel, in order; φ_s K is formed once per (f, signature)."""
     op, basis, lifted = phi_op(ctx, n), ctx.basis(n), {}
-    sigs = _signatures(ctx.bimodule, n) if n else [()]
+    sigs = _signatures(ctx.bimodule, n)
     for s, (((_, f),), vectors) in enumerate(zip(op.faces, basis.vectors)):
         if vectors:
             key = (f, sigs[s])

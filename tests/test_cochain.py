@@ -1030,15 +1030,19 @@ def _end_columns(b, n) -> set:
             for row in cochain._constraint_system(b, n, t)[0]}
 
 
-def _assert_basis_images_match_delta_op(b, n):
+def _assert_basis_images_match_delta_op(b, n) -> list:
     """The basis images of the tables equal delta_op on every basis cochain
-    of C^n, and projected, those images without the end columns of C^{n+1}.
+    of C^n, and projected, those images without the end columns of C^{n+1}
+    (n >= 1; degree-0 images stay raw, also unverified with ``project``).
     Verified or projected, they are refused exactly when some image leaves
-    C^{n+1} (is_equivariant on the dense image), naming the lowest one."""
+    C^{n+1} (is_equivariant on the dense image), naming the lowest one.
+    Returns the basis elements whose images leave."""
     om, d, m = b.base.omega, b.base.dim, b.dim_m
     basis, op = equivariant_basis(b, n), delta_op(b, n)
     want = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
     assert list(cochain._basis_images(b, n, verify=False)) == want
+    if n == 0:
+        assert list(cochain._basis_images(b, n, verify=False, project=True)) == want
     leaving = [j for j in range(basis.dim())
                if not is_equivariant(b, Cochain(n + 1, om.size, d, m, op.apply_dense(basis.cochain(j).coords)))]
     for project in (False, True):
@@ -1046,11 +1050,64 @@ def _assert_basis_images_match_delta_op(b, n):
             with pytest.raises(InternalCheckError, match=f"degree-{n} basis element {leaving[0]} left"):
                 list(cochain._basis_images(b, n, project=project))
         elif project:
-            ends = _end_columns(b, n + 1)
+            ends = _end_columns(b, n + 1) if n else set()
             projected = [{i: v for i, v in image.items() if i not in ends} for image in want]
             assert list(cochain._basis_images(b, n, project=True)) == projected
         else:
             assert list(cochain._basis_images(b, n)) == want
+    return leaving
+
+
+def _degree_zero_cases() -> list:
+    """Regular bimodules of c2 variants 0-2, e0, e1, zero1 and the e1
+    semidirect product, the e1 bimodule and the c2 star bimodule."""
+    cases = [regular_bimodule(samples.build_c2_example(v)) for v in range(3)]
+    cases += [regular_bimodule(build()) for build in (
+        samples.build_e0, samples.build_e1, samples.build_zero1, samples.build_e1_semidirect)]
+    return cases + [samples.build_e1_bimodule(), samples.c2_rbf_context().star_bimodule()]
+
+
+def test_degree_zero_has_one_twist_signature_and_no_constraint_rows():
+    """C^0 has one tuple, the empty one, whose product is the unit: its
+    twist signature is M's pmap and qmap classes at the unit, and its
+    constraint system has no rows (C^0 = M), also where M's maps at the
+    unit are not the identity (the c2 variants, e1, the semidirect product
+    and the star bimodule)."""
+    twisted = 0
+    for b in _degree_zero_cases():
+        unit, classes = b.base.omega.unit, blocks.structure_classes(b)
+        assert cochain._signatures(b, 0) == [(classes[5][unit], classes[6][unit])]
+        assert cochain._constraint_system(b, 0, 0) == ([], {}, set())
+        twisted += not (b.pmap[unit].is_identity() and b.qmap[unit].is_identity())
+    assert twisted == 6
+
+
+def test_degree_zero_basis_is_m_on_wide_draws():
+    """On wide draws, whose maps are not the identity at the unit, the basis
+    of C^0 is the unit vectors of M, and every degree-0 cochain, with
+    integer or rational coordinates, is equivariant: nothing constrains C^0."""
+    rng = random.Random(4141)
+    for _ in range(12):
+        a, b = random_wide_pair(rng)
+        om, unit, m = a.omega, a.omega.unit, b.dim_m
+        assert not (b.pmap[unit].is_identity() and b.qmap[unit].is_identity())
+        basis = equivariant_basis(b, 0)
+        assert basis.vectors == [[{k: ONE} for k in range(m)]] and basis.offsets == [0, m]
+        for _ in range(3):
+            f = Cochain(0, om.size, a.dim, m, [Rat(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(m)])
+            assert is_equivariant(b, f) and basis.coords_of(f.coords) == f.coords
+
+
+def test_degree_zero_basis_images_are_raw_and_refused_where_they_leave_c1():
+    """The degree-0 images of the tables are block products of δ_0's blocks
+    and equal delta_op's on the basis of C^0 = M, raw with or without
+    ``project``; verified, they are refused naming the lowest basis element
+    whose image leaves C^1, as delta_matrix(b, 0) refuses it.  On the e1
+    semidirect product and the c2 context's bimodule, element 1 leaves."""
+    for b in (regular_bimodule(samples.build_e1_semidirect()), samples.c2_rbf_context().bimodule):
+        assert _assert_basis_images_match_delta_op(b, 0) == [1]
+        with pytest.raises(InternalCheckError, match="degree-0 basis element 1 left the equivariant subspace"):
+            delta_matrix(b, 0)
 
 
 def _assert_verdicts_match_is_equivariant(b, n) -> dict:
@@ -1204,13 +1261,13 @@ def test_projected_table_ranks_match_the_delta_matrix_route(e0, zero1):
 def test_coboundary_blocks_match_oracles_on_named_inputs():
     """c2 variants 0-2, the e1 semidirect product and the star bimodule of
     the c2 Rota-Baxter context: delta_op equals delta_direct_oracle column by
-    column to degree 2, and the basis images equal delta_op to degree 4."""
+    column to degree 2, and the basis images equal delta_op at degrees 0-4."""
     cases = [regular_bimodule(samples.build_c2_example(v)) for v in range(3)]
     cases += [regular_bimodule(samples.build_e1_semidirect()), samples.c2_rbf_context().star_bimodule()]
     for b in cases:
         for n in (1, 2):
             assert _delta_columns(b, n) == _oracle_columns(b, n)
-        for n in range(1, 5):
+        for n in range(5):
             _assert_basis_images_match_delta_op(b, n)
 
 
@@ -1334,10 +1391,11 @@ def test_coboundary_blocks_compiled_once_per_pair_key(monkeypatch):
 def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch):
     """On c2 variant 0 (one twist signature per degree) the tables multiply
     a block of delta_op by a source kernel once per pair key: 7, 13, 18 and
-    24 products at degrees 1-4, where degree 4 has 111 faces.  Products and
-    verdicts live for one call, so a second table takes the same 62
-    products again, and no public call leaves a per-degree result (block
-    products, verdicts, a δ matrix) in either bimodule's cache."""
+    24 products at degrees 1-4, where degree 4 has 111 faces, and 2 at
+    degree 0, one per block of δ_0.  Products and verdicts live for one
+    call, so a second table takes the same 64 products again, and no public
+    call leaves a per-degree result (block products, verdicts, a δ matrix)
+    in either bimodule's cache."""
     b = regular_bimodule(samples.build_c2_example(0))
     calls, original = [], cochain._block_product
 
@@ -1348,12 +1406,12 @@ def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch
     monkeypatch.setattr(cochain, "_block_product", counting)
     cohomology_dims(b, 4)
     per_degree = [sum(any(block is own for own in delta_op(b, n).blocks) for block in calls) for n in range(1, 5)]
-    assert per_degree == [7, 13, 18, 24] and len(calls) == 62
+    assert per_degree == [7, 13, 18, 24] and len(calls) == 64
     assert sum(map(len, delta_op(b, 4).faces)) == 111
     first = calls[:]
     calls.clear()
     cohomology_dims(b, 4)
-    assert len(calls) == 62 and all(again is block for again, block in zip(calls, first))
+    assert len(calls) == 64 and all(again is block for again, block in zip(calls, first))
 
     def per_degree_results(*bimodules):
         kinds = ("block_products", "verdicts", "delta_matrix")

@@ -66,6 +66,19 @@ def test_product_word_empty_rejected():
         product_word(cyclic_monoid(2), [])
 
 
+def test_product_of_the_empty_word_is_the_unit():
+    """Degree 0 reads the product of the empty tuple: the unit, on every
+    named monoid (one with unit 1 included), where the free function
+    product_word still refuses an empty word."""
+    logical_and = Monoid(2, 1, ((0, 0), (0, 1)))
+    assert validate_monoid(logical_and) is None
+    for m in (trivial_monoid(), cyclic_monoid(2), cyclic_monoid(3), boolean_monoid(), logical_and):
+        assert m.product_of(()) == m.unit
+        assert m.product_of((m.unit,)) == m.unit
+        with pytest.raises(MalformedInputError, match="empty word"):
+            product_word(m, [])
+
+
 def test_rebracketing_invariance():
     rng = random.Random(9)
     for m in (cyclic_monoid(2), cyclic_monoid(3), boolean_monoid()):

@@ -364,6 +364,28 @@ def test_phi_op_builds_one_block_per_class(monkeypatch, c2_ctx):
         assert len(op.blocks) == 1 and block_columns_oracle(op, 0) == [{l: ONE} for l in range(m)]
 
 
+def test_phi_op_degree_zero_is_one_identity_block_built_on_the_empty_tuple(monkeypatch, e0_ctx, e1_ctx, zero1_ctx):
+    """φ_0 comes from the Horner builder like every degree: its one tuple,
+    the empty one, builds one block, the identity on M, which its one face
+    reads, on e0, e1, zero1, c2 and seeded random contexts (fresh caches)."""
+    built, original = [], rbf._phi_block
+
+    def counting(ctx, alpha):
+        built.append(alpha)
+        return original(ctx, alpha)
+
+    monkeypatch.setattr(rbf, "_phi_block", counting)
+    rng = random.Random(3607)
+    contexts = [samples.c2_rbf_context(), *(random_valid_context(rng) for _ in range(8))]
+    contexts += [RbfContext(c.algebra, c.rb, c.bimodule) for c in (e0_ctx, e1_ctx, zero1_ctx)]
+    for ctx in contexts:
+        built.clear()
+        op, m = rbf.phi_op(ctx, 0), ctx.bimodule.dim_m
+        assert built == [()]
+        assert op.faces == [[(0, 0)]] and op.blocks == [([[(l, ONE)] for l in range(m)], ())]
+        assert (op.nrows, op.ncols, op.id_width) == (m, m, 1)
+
+
 def test_d_combined_zero_and_square(e1_ctx):
     z = CombinedCochain(Cochain.zero(2, 1, 2, 2), Cochain.zero(1, 1, 2, 2))
     assert d_combined(e1_ctx, z, check=False).is_zero()

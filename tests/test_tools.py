@@ -121,16 +121,48 @@ def test_ab_pairs_stops_at_a_run_with_wrong_outputs(tmp_path, capsys, monkeypatc
     assert "ladder pair 1: the parent run reported wrong outputs" in capsys.readouterr().err
 
 
+def test_same_reports_names_each_differing_command_and_exits_one(tmp_path, capsys, monkeypatch):
+    """tools/same_reports.py compares the collected reports and exit codes
+    of two checkouts command by command: equal collections exit 0; a planted
+    difference in a report, in an exit code or in the commands run exits 1
+    and names each differing command, and no other."""
+    import same_reports
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    base = {"validate fixtures/e1.json": ["{}\n", 0], "cohomology fixtures/c2.json --complex alg": ["{\"a\": 1}\n", 0]}
+    planted = {}
+    monkeypatch.setattr(same_reports, "collect", lambda checkout: base if checkout == parent else planted)
+    planted.update(base)
+    assert same_reports.main([str(parent), str(change)]) == 0
+    assert "0 of 2 commands differ" in capsys.readouterr().out
+    planted["cohomology fixtures/c2.json --complex alg"] = ["{\"a\": 2}\n", 0]
+    planted["validate fixtures/e1.json"] = ["{}\n", 1]
+    planted["star fixtures/e1_rbf.json"] = ["{}\n", 0]
+    assert same_reports.main([str(parent), str(change)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "differs: cohomology fixtures/c2.json --complex alg",
+        "differs: star fixtures/e1_rbf.json",
+        "differs: validate fixtures/e1.json",
+        "3 of 3 commands differ",
+    ]
+    del planted["validate fixtures/e1.json"], planted["star fixtures/e1_rbf.json"]
+    planted["cohomology fixtures/c2.json --complex alg"] = base["cohomology fixtures/c2.json --complex alg"]
+    assert same_reports.main([str(parent), str(change)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "differs: validate fixtures/e1.json"
+
+
 def test_stage_tool_rbfa_case_counts_phi_blocks_exactly():
     """tools/cohomology_stages.py's rbfa case on fixtures/c2_rbf.json to
-    degree 3: one Horner block of φ per degree k >= 1 (every tuple has
-    R_0 = R_1 and T = R, so all 2^k tuples share one class), none at k = 0,
-    the same on every run; the seconds are reported as ``phi_s``."""
+    degree 3: one Horner block of φ per degree (every tuple has R_0 = R_1
+    and T = R, so all 2^k tuples share one class; at k = 0 the identity,
+    built on the empty tuple), the same on every run; the seconds are
+    reported as ``phi_s``."""
     from cohomology_stages import RBFA_FIXTURE, RBFA_MAX_DEGREE, median_table, rbfa_pass
 
     runs = [rbfa_pass(RBFA_FIXTURE, RBFA_MAX_DEGREE) for _ in range(2)]
     for run in runs:
-        assert [(row["degree"], row["phi_blocks"]) for row in run] == [(0, 0), (1, 1), (2, 1), (3, 1)]
+        assert [(row["degree"], row["phi_blocks"]) for row in run] == [(0, 1), (1, 1), (2, 1), (3, 1)]
     table = median_table(runs, RBFA_MAX_DEGREE, ("phi",), ("phi",))
     assert [sorted(row) for row in table] == [["degree", "phi_blocks", "phi_s"]] * 4
     assert all(row["phi_s"] >= 0 for row in table)

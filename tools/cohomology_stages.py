@@ -15,7 +15,8 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 * ``products`` -- each block of ``delta_op`` times the kernel of each
   source twist signature, once per (pair key, source signature): the time
   inside ``cochain._block_product`` during one
-  ``_basis_images(b, k, project=True)`` call;
+  ``_basis_images(b, k, verify=False, project=True)`` call, k = 0 included
+  (δ_0's blocks, one per output tuple);
 * ``rows``     -- building the degree-(k+1) constraint systems (rows,
   column index and end columns, once per twist signature, the time inside
   ``cochain._constraint_system``) that the verdicts below read; the basis
@@ -26,12 +27,12 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
   output block, once per (output signature, pair key, source signature),
   with the product's projection off the end columns of that block's
   constraint rows taken in the same pass (the time inside
-  ``cochain._violations`` during that call, less ``rows``); at k = 0, the
-  rest of the membership test of every image in C^1;
-* ``assemble`` -- the rest of that call: placing the projected products
-  into basis images (the tables stream them into the rank; here they are
-  kept to time the rank alone); at k = 0, applying ``delta_op`` to the C^0
-  basis, whose images the tables rank raw;
+  ``cochain._violations`` during that call, less ``rows``); at k = 0, where
+  the call neither verifies nor projects (δ_0 images may leave C^1), the
+  rest of the membership test of every image in C^1, read as ``inside``;
+* ``assemble`` -- the rest of that call: placing the products, projected
+  for k >= 1 and raw at k = 0, into basis images (the tables stream them
+  into the rank; here they are kept to time the rank alone);
 * ``rank``     -- one forward elimination on those images, the rank the
   tables take.
 
@@ -75,7 +76,7 @@ parses the file and validates its context, then times per degree:
 * ``phi`` -- compiling the comparison map on C^k (``rbf.phi_op``), beside
   the exact count ``phi_blocks`` of the Horner blocks it built
   (``rbf._phi_block`` calls: one per class of R at each slot and T at the
-  product, 0 at k = 0, where φ is the identity).
+  product; at k = 0 the one identity block, built on the empty tuple).
 
 Each figure is the median over the repeats, in unscaled seconds.
 """
@@ -122,33 +123,24 @@ COUNTS = ("degree", "dim", "rank", "rank_delta", "rank_partial", "inside", "cons
           "echelon_nonzeros", "phi_blocks")
 
 
-def degree_zero(b, clock) -> tuple:
-    """(seconds per stage, images, inside) of degree 0, where δ keeps its own formula."""
-    t0 = clock()
-    op = delta_op(b, 0)
-    t1 = clock()
-    images = [op.image({l: 1}) for l in range(b.dim_m)]
-    t2 = clock()
-    inside, rows_s = seconds_in(cochain, "_constraint_system",
-                                lambda: all(_in_subspace(b, 1, img) for img in images), clock)
-    t3 = clock()
-    stages = {"plan": 0.0, "blocks": t1 - t0, "products": 0.0, "rows": rows_s, "verify": t3 - t2 - rows_s,
-              "assemble": t2 - t1}
-    return stages, images, inside
-
-
 def degree_k(b, k: int, clock) -> tuple:
-    """(seconds per stage, images, inside) of degree k >= 1, from one real
-    ``_basis_images`` call; images that leave C^{k+1} are refused there."""
+    """(seconds per stage, images, inside) of degree k, from one real
+    ``_basis_images`` call, as the tables make it: for k >= 1 an image that
+    leaves C^{k+1} is refused there; the k = 0 images are read unverified,
+    since δ_0 images may leave C^1, and ``inside`` tests each of them."""
     t0 = clock()
     op, plan_s = seconds_in(cochain, "pair_keys", lambda: delta_op(b, k), clock)
     t1 = clock()
     ((images, rows_s), verify_s), products_s = seconds_in(cochain, "_block_product", lambda: seconds_in(
-        cochain, "_violations", lambda: seconds_in(
-            cochain, "_constraint_system", lambda: list(_basis_images(b, k, project=True)), clock), clock), clock)
+        cochain, "_violations", lambda: seconds_in(cochain, "_constraint_system", lambda: list(
+            _basis_images(b, k, verify=False, project=True)), clock), clock), clock)
     t2 = clock()
-    return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": products_s, "rows": rows_s,
-            "verify": verify_s - rows_s, "assemble": t2 - t1 - products_s - verify_s}, images, True
+    inside, test_rows_s = seconds_in(cochain, "_constraint_system",
+                                     lambda: k > 0 or all(_in_subspace(b, 1, image) for image in images), clock)
+    t3 = clock()
+    return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": products_s, "rows": rows_s + test_rows_s,
+            "verify": verify_s - rows_s + t3 - t2 - test_rows_s,
+            "assemble": t2 - t1 - products_s - verify_s}, images, inside
 
 
 def counting_calls(module, name: str, build) -> tuple:
@@ -205,7 +197,7 @@ def block_entries(op) -> int:
 
 def constraint_row_count(b, k: int) -> int:
     """Equivariance rows of C^k, counted once per twist signature (cached)."""
-    firsts = {sig: t for t, sig in enumerate(_signatures(b, k))} if k else {}
+    firsts = {sig: t for t, sig in enumerate(_signatures(b, k))}
     return sum(len(_constraint_system(b, k, t)[0]) for t in firsts.values())
 
 
@@ -217,9 +209,8 @@ def one_pass(a, max_degree: int) -> list:
         t0 = clock()
         basis, eliminations = counting_eliminations(lambda: equivariant_basis(b, k))
         t1 = clock()
-        build = (lambda: degree_zero(b, clock)) if k == 0 else (lambda: degree_k(b, k, clock))
         ((stages, images, inside), slot_steps), middle_parts = counting_calls(
-            blocks, "_middle_part", lambda: counting_calls(blocks, "_slot_step", build))
+            blocks, "_middle_part", lambda: counting_calls(blocks, "_slot_step", lambda: degree_k(b, k, clock)))
         t2 = clock()
         echelon = linalg._integer_echelon(images)  # what sparse_rank counts the pivots of
         t3 = clock()
