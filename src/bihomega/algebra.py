@@ -18,14 +18,15 @@ the structure maps at equal indices and satisfying
 
 Validators return None for success or the first failing :class:`Witness` in
 lexicographic scan order (monoid indices before basis indices), so failures
-are reproducible.  Every identity of the algebras, bimodules and operator
-families is an instance of one of four scans, shared with
-:mod:`bihomega.bimodule` and :mod:`bihomega.deformation`:
+are reproducible.  Every identity of the algebras, bimodules, operator
+families and extension presentations is spelled once, as an instance of one
+of four scans, shared with :mod:`bihomega.bimodule`,
+:mod:`bihomega.deformation` and :mod:`bihomega.extension`:
 
 * column: two matrices compared column by column (commutation of the
-  structure maps with each other and with an operator family);
+  structure maps with each other and with an operator family, extension laws);
 * intertwining: g[ab] B(e_i, e_j) = B'(f[a] e_i, h[b] e_j) (multiplicativity,
-  equivariance of the actions, homomorphisms);
+  equivariance of the actions, homomorphisms, an extension's projection);
 * twisted associativity: B1(p[a] e_i, B2(e_j, e_k)) = B3(B4(e_i, e_j), q[c] e_k)
   with the products at (a, bc), (b, c), (ab, c) and (a, b);
 * weighted: B(S[a] x, U[b] y) = V[ab](x * y), where

@@ -69,23 +69,23 @@ def _load(path: str) -> WorkbenchFile:
     return parse_workbench(text)
 
 
-def _need_algebra(wf: WorkbenchFile):
-    if wf.algebra is None:
-        raise MalformedInputError("file has no algebra block")
-    return wf.algebra
+def _need(wf: WorkbenchFile, field: str, block: str | None = None):
+    """``wf``'s ``field``, refused when the file has no such block (``block``, by default ``field``)."""
+    value = getattr(wf, field)
+    if value is None:
+        raise MalformedInputError(f"file has no {block or field} block")
+    return value
 
 
 def _context_from(wf: WorkbenchFile) -> RbfContext:
-    a = _need_algebra(wf)
-    if wf.rota_baxter is None:
-        raise MalformedInputError("file has no rota_baxter block")
+    a, rb = _need(wf, "algebra"), _need(wf, "rota_baxter")
     if wf.bimodule is not None:
         bim = wf.bimodule
         if bim.tmap is None:
             raise MalformedInputError("bimodule block lacks the t family")
     else:
-        bim = regular_bimodule(a, wf.rota_baxter)
-    return RbfContext.validated(a, wf.rota_baxter, bim)
+        bim = regular_bimodule(a, rb)
+    return RbfContext.validated(a, rb, bim)
 
 
 def _witness_exit(out: dict, witness: Witness | None) -> tuple[dict, int]:
@@ -122,7 +122,7 @@ def cmd_validate(args) -> tuple[dict, int]:
 
 def cmd_cohomology(args) -> tuple[dict, int]:
     wf = _load(args.file)
-    a = _need_algebra(wf)
+    a = _need(wf, "algebra")
     if args.complex == "alg":
         bim = wf.bimodule if wf.bimodule is not None else regular_bimodule(a)
         with _one_validation():  # the bimodule's validation skips the scans the algebra's passed
@@ -140,7 +140,7 @@ def cmd_cohomology(args) -> tuple[dict, int]:
 
 def cmd_mc_check(args) -> tuple[dict, int]:
     wf = _load(args.file)
-    a = _need_algebra(wf)
+    a = _need(wf, "algebra")
     candidate = mu_cochain(a)
     residual = mc_residual(a, candidate, check=False)
     witness = validate_algebra(a)
@@ -152,22 +152,18 @@ def cmd_mc_check(args) -> tuple[dict, int]:
 
 def cmd_star(args) -> tuple[dict, int]:
     wf = _load(args.file)
-    a = _need_algebra(wf)
-    if wf.rota_baxter is None:
-        raise MalformedInputError("file has no rota_baxter block")
-    star = star_product(a, wf.rota_baxter)
+    a, rb = _need(wf, "algebra"), _need(wf, "rota_baxter")
+    star = star_product(a, rb)
     _refuse_witness(validate_algebra(star), "derived product failed validation", InternalCheckError)
-    out_wf = WorkbenchFile(wf.monoid, algebra=star, rota_baxter=wf.rota_baxter)
+    out_wf = WorkbenchFile(wf.monoid, algebra=star, rota_baxter=rb)
     return {"output": workbench_to_json(out_wf)}, EXIT_OK
 
 
 def cmd_yau_twist(args) -> tuple[dict, int]:
     wf = _load(args.file)
-    a = _need_algebra(wf)
-    if wf.twist_p is None:
-        raise MalformedInputError("file has no twist block")
+    a, twist_p = _need(wf, "algebra"), _need(wf, "twist_p", "twist")
     rb = wf.rota_baxter if wf.rota_baxter is not None else zero_rb(a)
-    twisted, rb_out = yau_twist(a, rb, wf.twist_p, wf.twist_q)
+    twisted, rb_out = yau_twist(a, rb, twist_p, wf.twist_q)
     witness = validate_algebra(twisted)
     rb_witness = check_rota_baxter(twisted, rb_out) if witness is None else None
     out_wf = WorkbenchFile(wf.monoid, algebra=twisted, rota_baxter=rb_out)
@@ -176,10 +172,8 @@ def cmd_yau_twist(args) -> tuple[dict, int]:
 
 def cmd_nijenhuis(args) -> tuple[dict, int]:
     wf = _load(args.file)
-    a = _need_algebra(wf)
-    if wf.nijenhuis is None:
-        raise MalformedInputError("file has no nijenhuis block")
-    nf = NijenhuisFamily(wf.nijenhuis)
+    a = _need(wf, "algebra")
+    nf = NijenhuisFamily(_need(wf, "nijenhuis"))
     witness = check_nijenhuis(a, nf)
     if witness is not None:
         return {"nijenhuis": "witness", "witness": witness.to_json()}, EXIT_WITNESS
@@ -199,9 +193,7 @@ def cmd_nijenhuis(args) -> tuple[dict, int]:
 def cmd_deform_check(args) -> tuple[dict, int]:
     wf = _load(args.file)
     ctx = _context_from(wf)
-    if wf.jet is None:
-        raise MalformedInputError("file has no jet block")
-    jet = wf.jet
+    jet = _need(wf, "jet")
     if args.order is not None:
         if args.order > jet.order:
             raise MalformedInputError("requested order exceeds the jet's order")
@@ -221,9 +213,7 @@ def cmd_deform_check(args) -> tuple[dict, int]:
 def cmd_extend(args) -> tuple[dict, int]:
     wf = _load(args.file)
     ctx = _context_from(wf)
-    if wf.cocycle_pair is None:
-        raise MalformedInputError("file has no cocycle_pair block")
-    build = build_extension(ctx, wf.cocycle_pair)
+    build = build_extension(ctx, _need(wf, "cocycle_pair"))
     out_wf = WorkbenchFile(
         wf.monoid,
         algebra=wf.algebra,
@@ -241,9 +231,7 @@ def cmd_extend(args) -> tuple[dict, int]:
 
 def cmd_extract_cocycle(args) -> tuple[dict, int]:
     wf = _load(args.file)
-    if wf.extension is None:
-        raise MalformedInputError("file has no extension block")
-    pair, bim = extract_cocycle(wf.extension)
+    pair, bim = extract_cocycle(_need(wf, "extension"))
     out_wf = WorkbenchFile(
         wf.monoid,
         algebra=wf.algebra,
@@ -274,7 +262,7 @@ def cmd_search_rbf(args) -> tuple[dict, int]:
     except (ValueError, ZeroDivisionError):
         raise MalformedInputError(f"--weight is not a rational number: {args.weight!r}") from None
     wf = _load(args.file)
-    a = _need_algebra(wf)
+    a = _need(wf, "algebra")
     witness = validate_algebra(a)
     if witness is not None:
         return {"witness": witness.to_json()}, EXIT_WITNESS

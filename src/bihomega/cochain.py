@@ -91,11 +91,11 @@ is not, and the table is refused.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul, sub
 from typing import NamedTuple
 
-from .algebra import _refuse_witness
+from .algebra import _refuse_witness, ensure_family
 from .bimodule import OmegaBimodule, validate_bimodule
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .blocks import compile_blocks, pair_keys, structure_classes
@@ -167,47 +167,29 @@ class Cochain:
 
 
 def cochain_from_tensors(omega: Monoid, degree: int, dim_in: int, dim_out: int, tensors) -> Cochain:
-    """Degree-2 helper: tensors[(a, b)][i][j][k] -> cochain coordinates."""
+    """Degree-2 helper: the tensors[(a, b)][i][j][k], read in (a, b, i, j, k) order, are the coordinates."""
     if degree != 2:
         raise MalformedInputError("cochain_from_tensors is a degree-2 helper")
-    f = Cochain.zero(2, omega.size, dim_in, dim_out)
-    for x in omega.elements():
-        for y in omega.elements():
-            t = tensors[(x, y)]
-            base = f.block_base((x, y))
-            for i in range(dim_in):
-                for j in range(dim_in):
-                    off = base + (i * dim_in + j) * dim_out
-                    for k in range(dim_out):
-                        f.coords[off + k] = t[i][j][k]
-    return f
+    blocks = [tensors.get((x, y)) for x in omega.elements() for y in omega.elements()]
+    if any(t is None or [[len(v) for v in ti] for ti in t] != [[dim_out] * dim_in] * dim_in for t in blocks):
+        raise MalformedInputError(f"tensors are not {dim_in}x{dim_in}x{dim_out} at every monoid pair")
+    return Cochain(2, omega.size, dim_in, dim_out, [v for t in blocks for ti in t for tij in ti for v in tij])
 
 
 def cochain_from_maps(omega: Monoid, maps: dict, dim_in: int, dim_out: int) -> Cochain:
-    """Degree-1 helper: maps[a] a dim_out x dim_in Mat."""
-    f = Cochain.zero(1, omega.size, dim_in, dim_out)
-    for x in omega.elements():
-        mat = maps[x]
-        base = f.block_base((x,))
-        for j in range(dim_in):
-            for k in range(dim_out):
-                f.coords[base + j * dim_out + k] = mat.at(k, j)
-    return f
+    """Degree-1 helper: the maps[a], dim_out x dim_in Mats read column by column, are the coordinates."""
+    ensure_family(maps, omega, dim_out, dim_in, "cochain map")
+    coords = [v for x in omega.elements() for j in range(dim_in) for v in maps[x].col(j)]
+    return Cochain(1, omega.size, dim_in, dim_out, coords)
 
 
 def maps_from_cochain(f: Cochain, omega: Monoid) -> dict:
     """Inverse of :func:`cochain_from_maps` for degree-1 cochains."""
     if f.degree != 1:
         raise MalformedInputError("expected a degree-1 cochain")
-    out = {}
-    for x in omega.elements():
-        m = Mat.zeros(f.dim_out, f.dim_in)
-        for j in range(f.dim_in):
-            v = f.value((x,), (j,))
-            for k in range(f.dim_out):
-                m.entries[k * f.dim_in + j] = v[k]
-        out[x] = m
-    return out
+    coords = iter(f.coords)
+    return {x: Mat.from_cols([list(islice(coords, f.dim_out)) for _ in range(f.dim_in)], f.dim_out)
+            for x in omega.elements()}
 
 
 # -- equivariance --------------------------------------------------------

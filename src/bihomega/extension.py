@@ -4,7 +4,11 @@ and deciding cohomology classes.
 An extension presentation is a split short exact sequence in matrix form:
 inclusion and retraction for the kernel M, projection and section for the
 quotient A, all commuting with the structure maps and the operator
-families, with M multiplying trivially inside the total algebra.
+families, with M multiplying trivially inside the total algebra.  Each law
+is spelled once, on the scans of :mod:`bihomega.algebra`: the column scan
+reads the twelve of :func:`_laws` at each index (a supplied section, the
+three section laws among them), and one intertwining scan the projection's
+multiplicativity and the abelian kernel, incl[ab] 0 = incl[a] e_l incl[b] e_l2.
 
 Building from a pair (psi, chi): the total starts as the semidirect product
 :func:`bihomega.bimodule.rbf_semidirect`; psi is written into the module
@@ -20,7 +24,7 @@ Extracting reads everything through the section s and one step,
 :func:`_module_part`: check that a vector of the total projects to 0, then
 retract it into M.  The actions are the module parts of s(a) m and m s(a);
 psi(a, b) is that of s(a) s(b) - s(ab) and chi(a) that of T s(a) - s(R a),
-laid out as cochains by ``cochain_from_tensors`` and ``cochain_from_maps``.
+flattened into cochains by ``cochain_from_tensors`` and ``cochain_from_maps``.
 """
 
 from __future__ import annotations
@@ -29,9 +33,13 @@ from .algebra import (
     OmegaAlgebra,
     RotaBaxterFamily,
     Witness,
+    _column_witness,
+    _first,
+    _intertwining_scan,
     _refuse_witness,
     check_rota_baxter,
     is_homomorphism,
+    tensor_zeros,
     validate_algebra,
 )
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, rbf_semidirect
@@ -159,6 +167,24 @@ def _partial_identity(rows: int, cols: int, shift: int) -> Mat:
     return out
 
 
+def _laws(e: ExtensionPresentation, x, sect: dict):
+    """The twelve laws at monoid element x as (name, lhs, rhs), in scan order, each formed when reached."""
+    d, dm, n = e.base.dim, e.dim_m, e.total.dim
+    incl, proj, retr, s, tp, tq = e.incl[x], e.proj[x], e.retr[x], sect[x], e.total.pmap[x], e.total.qmap[x]
+    yield "projection-section identity", proj.mul(s), Mat.identity(d)
+    yield "retraction-inclusion identity", retr.mul(incl), Mat.identity(dm)
+    yield "retraction-section vanishing", retr.mul(s), Mat.zeros(dm, d)
+    yield "splitting resolution of the identity", incl.mul(retr).add(s.mul(proj)), Mat.identity(n)
+    yield "inclusion p-intertwining", tp.mul(incl), incl.mul(e.pmap_m[x])
+    yield "inclusion q-intertwining", tq.mul(incl), incl.mul(e.qmap_m[x])
+    yield "projection p-intertwining", proj.mul(tp), e.base.pmap[x].mul(proj)
+    yield "projection q-intertwining", proj.mul(tq), e.base.qmap[x].mul(proj)
+    yield "section p-intertwining", tp.mul(s), s.mul(e.base.pmap[x])
+    yield "section q-intertwining", tq.mul(s), s.mul(e.base.qmap[x])
+    yield "inclusion operator square", e.total_rb.maps[x].mul(incl), incl.mul(e.tmap_m[x])
+    yield "projection operator square", proj.mul(e.total_rb.maps[x]), e.rb.maps[x].mul(proj)
+
+
 def validate_extension(e: ExtensionPresentation):
     """Raise MalformedInputError naming the first violated presentation law."""
     om = e.base.omega
@@ -167,51 +193,18 @@ def validate_extension(e: ExtensionPresentation):
         raise MalformedInputError("total dimension is not base + module")
     if e.total_rb.weight != e.rb.weight:
         raise MalformedInputError("total and base operator families have different weights")
-
-    def bad(name, x):
-        raise MalformedInputError(f"extension law violated: {name} at index {x}")
-
     for x in om.elements():
-        if e.proj[x].mul(e.sect[x]) != Mat.identity(d):
-            bad("projection-section identity", x)
-        if e.retr[x].mul(e.incl[x]) != Mat.identity(dm):
-            bad("retraction-inclusion identity", x)
-        if not e.retr[x].mul(e.sect[x]).is_zero():
-            bad("retraction-section vanishing", x)
-        recomposed = e.incl[x].mul(e.retr[x]).add(e.sect[x].mul(e.proj[x]))
-        if recomposed != Mat.identity(n):
-            bad("splitting resolution of the identity", x)
-        if e.total.pmap[x].mul(e.incl[x]) != e.incl[x].mul(e.pmap_m[x]):
-            bad("inclusion p-intertwining", x)
-        if e.total.qmap[x].mul(e.incl[x]) != e.incl[x].mul(e.qmap_m[x]):
-            bad("inclusion q-intertwining", x)
-        if e.proj[x].mul(e.total.pmap[x]) != e.base.pmap[x].mul(e.proj[x]):
-            bad("projection p-intertwining", x)
-        if e.proj[x].mul(e.total.qmap[x]) != e.base.qmap[x].mul(e.proj[x]):
-            bad("projection q-intertwining", x)
-        if e.total.pmap[x].mul(e.sect[x]) != e.sect[x].mul(e.base.pmap[x]):
-            bad("section p-intertwining", x)
-        if e.total.qmap[x].mul(e.sect[x]) != e.sect[x].mul(e.base.qmap[x]):
-            bad("section q-intertwining", x)
-        if e.total_rb.maps[x].mul(e.incl[x]) != e.incl[x].mul(e.tmap_m[x]):
-            bad("inclusion operator square", x)
-        if e.proj[x].mul(e.total_rb.maps[x]) != e.rb.maps[x].mul(e.proj[x]):
-            bad("projection operator square", x)
-    for x in om.elements():
-        for y in om.elements():
-            key = (x, y)
-            pxy = e.proj[om.mul(x, y)]
-            for i in range(n):
-                for j in range(n):
-                    lhs = pxy.matvec(e.total.mul_basis(key, i, j))
-                    rhs = e.base.mul_vec(key, e.proj[x].col(i), e.proj[y].col(j))
-                    if lhs != rhs:
-                        bad("projection multiplicativity", (x, y, i, j))
-            for l in range(dm):
-                for l2 in range(dm):
-                    prodv = e.total.mul_vec(key, e.incl[x].col(l), e.incl[y].col(l2))
-                    if any(prodv):
-                        bad("abelian kernel", (x, y, l, l2))
+        witness = _first(_column_witness(name, (x,), lhs, rhs) for name, lhs, rhs in _laws(e, x, e.sect))
+        if witness is not None:
+            raise MalformedInputError(f"extension law violated: {witness.equation} at index {x}")
+    zero = {key: tensor_zeros(dm, dm, dm) for key in e.total.product}
+    witness = _intertwining_scan(("projection multiplicativity", "abelian kernel"), om, (
+        (e.proj, e.total.product, e.base.product, e.proj, e.proj),
+        (e.incl, zero, e.total.product, e.incl, e.incl),
+    ))
+    if witness is not None:
+        at = witness.omega_indices + witness.basis_indices
+        raise MalformedInputError(f"extension law violated: {witness.equation} at index {at}")
     witness = validate_algebra(e.total)
     if witness is not None:
         raise MalformedInputError(f"total algebra invalid: {witness.describe()}")
@@ -221,19 +214,11 @@ def validate_extension(e: ExtensionPresentation):
 
 
 def _section_ok(e: ExtensionPresentation, sect: dict) -> bool:
-    om = e.base.omega
-    d = e.base.dim
-    for x in om.elements():
-        s = sect.get(x)
-        if s is None or s.rows != e.total.dim or s.cols != d:
-            return False
-        if e.proj[x].mul(s) != Mat.identity(d):
-            return False
-        if e.total.pmap[x].mul(s) != s.mul(e.base.pmap[x]):
-            return False
-        if e.total.qmap[x].mul(s) != s.mul(e.base.qmap[x]):
-            return False
-    return True
+    elements = e.base.omega.elements()
+    if any(sect.get(x) is None or (sect[x].rows, sect[x].cols) != (e.total.dim, e.base.dim) for x in elements):
+        return False
+    laws = ("projection-section identity", "section p-intertwining", "section q-intertwining")
+    return all(lhs == rhs for x in elements for name, lhs, rhs in _laws(e, x, sect) if name in laws)
 
 
 def _module_part(e: ExtensionPresentation, w, u: list, what: str) -> list:

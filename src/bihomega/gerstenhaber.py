@@ -60,8 +60,10 @@ def _require_cochains(a: OmegaAlgebra, check: bool, *cochains):
         shape = (f.omega_size, f.dim_in, f.dim_out, len(f.coords))
         if shape != (size, d, d, (size * d) ** f.degree * d):
             raise MalformedInputError("cochain does not match the algebra")
-    if check:  # one regular bimodule per algebra, so its constraint rows are built once
-        b = a._cache.setdefault("checking_bimodule", regular_bimodule(a))
+    if check:  # one regular bimodule per algebra, built on the first check, so its constraint rows are built once
+        b = a._cache.get("checking_bimodule")
+        if b is None:
+            b = a._cache["checking_bimodule"] = regular_bimodule(a)
         if not all(is_equivariant(b, f) for f in {id(f): f for f in cochains}.values()):
             raise PreconditionError("cochain is not equivariant")
 

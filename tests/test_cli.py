@@ -408,3 +408,33 @@ def test_every_shipped_fixture_revalidates():
             assert code == 1, path.name
         else:
             assert code == 0, (path.name, report)
+
+
+@pytest.mark.parametrize(
+    "argv, block",
+    [
+        (["mc-check", "MONOID_ONLY"], "algebra"),
+        (["deform-check", "e1.json"], "rota_baxter"),
+        (["star", "e1.json"], "rota_baxter"),
+        (["yau-twist", "e1.json"], "twist"),
+        (["nijenhuis", "e1.json"], "nijenhuis"),
+        (["deform-check", "e1_rbf.json"], "jet"),
+        (["extend", "e1_rbf.json"], "cocycle_pair"),
+        (["extract-cocycle", "e1.json"], "extension"),
+    ],
+)
+def test_missing_block_is_refused_with_its_message(tmp_path, argv, block):
+    """Each command refuses a file without a block it reads: exit 2, an input
+    error, and the message naming the block.  The algebra case reads a file
+    holding only the monoid."""
+    import json
+
+    data = json.loads(open(fixture_path("e1.json"), encoding="utf-8").read())
+    monoid_only = tmp_path / "monoid_only.json"
+    monoid_only.write_text(json.dumps({"monoid": data["monoid"], "schema": data["schema"]}), encoding="utf-8")
+    command, name = argv
+    path = str(monoid_only) if name == "MONOID_ONLY" else fixture_path(name)
+    report, code = run(["--no-timing", command, path])
+    assert code == 2
+    assert report["error_kind"] == "input"
+    assert report["error"] == f"file has no {block} block"

@@ -26,12 +26,13 @@ from oracles import (
 )
 
 from bihomega import blocks, cochain, rbf, samples
-from bihomega.algebra import OmegaAlgebra, zero_algebra
+from bihomega.algebra import OmegaAlgebra, tensor_zeros, zero_algebra
 from bihomega.bimodule import OmegaBimodule, regular_bimodule, validate_bimodule, zero_bimodule
 from bihomega.cochain import (
     Cochain,
     apply_delta,
     cochain_from_maps,
+    cochain_from_tensors,
     cohomology_dims,
     dd_zero_witness,
     delta_matrix,
@@ -40,6 +41,7 @@ from bihomega.cochain import (
     is_coboundary,
     is_cocycle,
     is_equivariant,
+    maps_from_cochain,
     random_equivariant,
 )
 from bihomega.errors import InternalCheckError, MalformedInputError, PreconditionError
@@ -1595,3 +1597,55 @@ def test_stage_tool_combined_pass_pins_dims_ranks_and_degree0_membership():
     ctx = samples.c2_rbf_context()
     _, rows = combined_pass(ctx.algebra, ctx.rb, 2)
     assert [(row["dim"], row["rank"], row["inside"]) for row in rows] == [(2, 2, False), (6, 4, None), (20, 13, None)]
+
+
+def test_converters_flatten_the_layout_and_round_trip():
+    """cochain_from_tensors lays tensors out as Cochain.value reads them,
+    cochain_from_maps lays maps out column by column, and maps_from_cochain
+    inverts it: on monoids of sizes 1 and 2, with dim A = 0 and dim M = 0
+    among the shapes (dim A = 2 and dim M = 0 on the trivial monoid is the
+    shape of test_rbf's _dim_m_zero_context)."""
+    rng = random.Random(41)
+    for om in (trivial_monoid(), cyclic_monoid(2), boolean_monoid()):
+        for d, m in ((2, 2), (2, 3), (3, 1), (0, 2), (2, 0), (0, 0)):
+            pairs = [(x, y) for x in om.elements() for y in om.elements()]
+            tensors = {key: [[[Rat(rng.randint(-3, 3)) for _ in range(m)] for _ in range(d)] for _ in range(d)]
+                       for key in pairs}
+            f = cochain_from_tensors(om, 2, d, m, tensors)
+            assert len(f.coords) == (om.size * d) ** 2 * m
+            assert all(f.value(key, (i, j)) == tensors[key][i][j] for key in pairs for i in range(d) for j in range(d))
+            maps = {x: Mat(m, d, [Rat(rng.randint(-3, 3)) for _ in range(m * d)]) for x in om.elements()}
+            g = cochain_from_maps(om, maps, d, m)
+            assert len(g.coords) == om.size * d * m
+            assert all(g.value((x,), (j,)) == maps[x].col(j) for x in om.elements() for j in range(d))
+            assert maps_from_cochain(g, om) == maps
+
+
+def test_converters_refuse_families_and_tensors_of_the_wrong_shape():
+    """A map family missing an index or holding a map of the wrong shape, and
+    tensors missing a pair or ragged at any level, are refused as malformed
+    input instead of being read partially or failing on an index."""
+    om = cyclic_monoid(2)
+    maps = {x: Mat.zeros(2, 3) for x in om.elements()}
+    assert cochain_from_maps(om, maps, 3, 2).is_zero()
+    for bad in ({0: maps[0]}, {**maps, 1: Mat.zeros(3, 2)}, {**maps, 1: Mat.zeros(2, 2)}, {**maps, 1: Mat.zeros(2, 4)}):
+        with pytest.raises(MalformedInputError, match="is not 2x3"):
+            cochain_from_maps(om, bad, 3, 2)
+    pairs = [(x, y) for x in om.elements() for y in om.elements()]
+    assert cochain_from_tensors(om, 2, 3, 2, {key: tensor_zeros(3, 3, 2) for key in pairs}).is_zero()
+
+    def ragged(key, reshape):
+        tensors = {k: tensor_zeros(3, 3, 2) for k in pairs}
+        tensors[key] = reshape(tensors[key])
+        return tensors
+
+    bads = [
+        {key: tensor_zeros(3, 3, 2) for key in pairs[:-1]},
+        ragged((0, 1), lambda t: t[:2]),
+        ragged((1, 0), lambda t: [t[0], t[1][:2], t[2]]),
+        ragged((1, 1), lambda t: [t[0], t[1], [t[2][0], [ZERO] * 3, t[2][2]]]),
+        ragged((0, 0), lambda t: [t[0], t[1], t[2] + [[ZERO] * 2]]),
+    ]
+    for bad in bads:
+        with pytest.raises(MalformedInputError, match="tensors are not 3x3x2 at every monoid pair"):
+            cochain_from_tensors(om, 2, 3, 2, bad)

@@ -203,6 +203,14 @@ def _rebuild(pres, **overrides):
     return type(pres)(**fields)
 
 
+def _bumped(family: dict, x, r: int, c: int) -> dict:
+    """A copy of a map family with entry (r, c) of the map at x raised by 1."""
+    m = family[x]
+    entries = list(m.entries)
+    entries[r * m.cols + c] += 1
+    return {**family, x: Mat(m.rows, m.cols, entries)}
+
+
 def test_validate_extension_names_each_broken_law(e1_ctx):
     from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily
 
@@ -233,6 +241,94 @@ def test_validate_extension_names_each_broken_law(e1_ctx):
     )
     with pytest.raises(MalformedInputError, match="abelian kernel"):
         validate_extension(_rebuild(pres, total=bad_total))
+    # Inputs that break two or more laws (the later ones named in the
+    # comments): the refusal names the earliest in the scan order, which is
+    # projection-section, retraction-inclusion, retraction-section,
+    # splitting, inclusion p/q, projection p/q, section p/q, inclusion and
+    # projection operator squares at each index, then projection
+    # multiplicativity and the abelian kernel, interleaved per monoid pair.
+    total = pres.total
+
+    def with_total(pmap=total.pmap, qmap=total.qmap, product=total.product):
+        return _rebuild(pres, total=OmegaAlgebra(total.omega, total.dim, product, pmap, qmap))
+
+    leaky = {key: [[list(col) for col in plane] for plane in t] for key, t in total.product.items()}
+    leaky[(0, 0)][d][d][0] += 1
+    cases = [
+        # splitting, section q-intertwining
+        (_rebuild(pres, sect=_bumped(pres.sect, 0, 0, 0)), "projection-section identity at index 0"),
+        # splitting
+        (_rebuild(pres, retr=_bumped(pres.retr, 0, 0, 2)), "retraction-inclusion identity at index 0"),
+        # splitting, section q-intertwining
+        (_rebuild(pres, sect=_bumped(pres.sect, 0, 2, 0)), "retraction-section vanishing at index 0"),
+        # inclusion q-intertwining, inclusion operator square
+        (_rebuild(pres, incl=_bumped(pres.incl, 0, 0, 0)), "splitting resolution of the identity at index 0"),
+        # projection p-intertwining
+        (with_total(pmap=_bumped(total.pmap, 0, 0, 2)), "inclusion p-intertwining at index 0"),
+        # projection q-intertwining
+        (with_total(qmap=_bumped(total.qmap, 0, 0, 2)), "inclusion q-intertwining at index 0"),
+        # section p-intertwining
+        (with_total(pmap=_bumped(total.pmap, 0, 0, 0)), "projection p-intertwining at index 0"),
+        # section q-intertwining
+        (with_total(qmap=_bumped(total.qmap, 0, 0, 0)), "projection q-intertwining at index 0"),
+        # projection operator square
+        (_rebuild(pres, total_rb=RotaBaxterFamily(pres.total_rb.weight, _bumped(pres.total_rb.maps, 0, 0, 2))),
+         "inclusion operator square at index 0"),
+        # abelian kernel, at the same monoid pair
+        (with_total(product=leaky), f"projection multiplicativity at index (0, 0, {d}, {d})"),
+    ]
+    for bad, law in cases:
+        with pytest.raises(MalformedInputError) as info:
+            validate_extension(bad)
+        assert str(info.value) == f"extension law violated: {law}"
+
+
+def test_extract_cocycle_refuses_a_section_that_breaks_a_section_law():
+    """A supplied section is checked against exactly the three section laws
+    (projection-section identity, section p- and q-intertwining) and its
+    shape.  On a seeded context whose total p is not the identity, each
+    law, read here by hand, is broken alone by one section, and each of
+    those, and sections of the wrong shape or missing an index, is refused.
+    A section shifted by incl E for a p- and q-equivariant E keeps the three
+    laws but not retraction-section vanishing, which a section need not
+    meet, and is accepted."""
+    from bihomega.errors import PreconditionError
+
+    ctx = random_valid_context(random.Random(18))
+    pres = build_extension(ctx, zero_pair(ctx)).presentation
+    d, dm, elements = pres.base.dim, pres.dim_m, list(ctx.algebra.omega.elements())
+
+    def shifted(x, r, c):
+        e = Mat.zeros(dm, d)
+        e.entries[r * d + c] = Rat(1)
+        return {**pres.sect, x: pres.sect[x].add(pres.incl[x].mul(e))}
+
+    def laws(sect):
+        return tuple(
+            all(law(x, sect[x]) for x in elements)
+            for law in (
+                lambda x, s: pres.proj[x].mul(s) == Mat.identity(d),
+                lambda x, s: pres.total.pmap[x].mul(s) == s.mul(pres.base.pmap[x]),
+                lambda x, s: pres.total.qmap[x].mul(s) == s.mul(pres.base.qmap[x]),
+            )
+        )
+
+    kept = shifted(0, 0, 0)
+    assert laws(kept) == (True, True, True) and not all(pres.retr[x].mul(kept[x]).is_zero() for x in elements)
+    extract_cocycle(pres, section=kept)
+    broken = [
+        ({x: s.scale(2) for x, s in pres.sect.items()}, (False, True, True)),
+        (shifted(0, 0, 1), (True, False, True)),
+        (shifted(1, 0, 1), (True, True, False)),
+    ]
+    for sect, expected in broken:
+        assert laws(sect) == expected
+    wrong_shape = {**pres.sect, 1: Mat.zeros(pres.total.dim, d + 1)}
+    missing = {0: pres.sect[0]}
+    for sect in [s for s, _ in broken] + [wrong_shape, missing]:
+        with pytest.raises(PreconditionError) as info:
+            extract_cocycle(pres, section=sect)
+        assert str(info.value) == "supplied section violates the section laws"
 
 
 def test_extract_cocycle_refuses_a_corrupted_base_family(e1_ctx, c2_ctx):

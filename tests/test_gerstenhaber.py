@@ -586,3 +586,23 @@ def test_dimension_one_carriers_gather_through_tuple(e0, zero1):
                 assert {gather for entry in plan for gather, _ in entry[1]} == {tuple}
             assert bracket(a, f, g, check=False) == bracket_oracle(a, f, g)
     assert any(coeffs for entry in gerstenhaber._insertion_plan(twisted, 2, 2, 1) for _, coeffs in entry[1])
+
+
+def test_checked_insertions_build_the_checking_bimodule_once(monkeypatch):
+    """The regular bimodule that checks equivariance is built on the first
+    checked call on an algebra and read from its cache after that: two
+    checked circ_i calls on one algebra build it once."""
+    from bihomega import gerstenhaber
+
+    calls = []
+
+    def counting(a, *args):
+        calls.append(a)
+        return regular_bimodule(a, *args)
+
+    monkeypatch.setattr(gerstenhaber, "regular_bimodule", counting)
+    a = samples.build_e1()
+    mu = mu_cochain(a)
+    assert circ_i(a, mu, mu, 1) == circ_i(a, mu, mu, 1, check=False)
+    circ_i(a, mu, mu, 2)
+    assert calls == [a]

@@ -124,8 +124,9 @@ def test_ab_pairs_stops_at_a_run_with_wrong_outputs(tmp_path, capsys, monkeypatc
 def test_same_reports_names_each_differing_command_and_exits_one(tmp_path, capsys, monkeypatch):
     """tools/same_reports.py compares the collected reports and exit codes
     of two checkouts command by command: equal collections exit 0; a planted
-    difference in a report, in an exit code or in the commands run exits 1
-    and names each differing command, and no other."""
+    difference in a report, in an exit code or in the commands run, or in
+    one report of the extension battery, exits 1 and names each differing
+    command, and no other."""
     import same_reports
 
     parent, change = tmp_path / "parent", tmp_path / "change"
@@ -150,6 +151,34 @@ def test_same_reports_names_each_differing_command_and_exits_one(tmp_path, capsy
     planted["cohomology fixtures/c2.json --complex alg"] = base["cohomology fixtures/c2.json --complex alg"]
     assert same_reports.main([str(parent), str(change)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "differs: validate fixtures/e1.json"
+    battery = "extract-cocycle fixtures/e1_rbf_extension.json +1 extension.sect.0.2.0"
+    base = {battery: ["{\"error\": \"retraction-section\"}\n", 2], "validate fixtures/e1.json": ["{}\n", 0]}
+    planted = {**base, battery: ["{\"error\": \"section q\"}\n", 2]}
+    assert same_reports.main([str(parent), str(change)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"differs: {battery}", "1 of 2 commands differ"]
+
+
+def test_same_reports_battery_raises_each_extension_entry_once():
+    """The extension battery of tools/same_reports.py: one perturbed copy per
+    rational entry of the extension block of fixtures/e1_rbf_extension.json,
+    144 in all, keyed by leaf path, each with exactly that entry raised by 1."""
+    import json
+    from fractions import Fraction
+
+    import same_reports
+    from conftest import fixture_text
+
+    data = json.loads(fixture_text("e1_rbf_extension.json"))
+    battery = dict(same_reports.perturbations(data))
+    assert len(battery) == 144 and "extension.sect.0.2.0" in battery
+    for leaf, copy in battery.items():
+        node = copy
+        keys = leaf.split(".")
+        for key in keys[:-1]:
+            node = node[int(key) if isinstance(node, list) else key]
+        last = int(keys[-1]) if isinstance(node, list) else keys[-1]
+        node[last] = str(Fraction(node[last]) - 1)
+        assert copy == data, leaf
 
 
 def test_stage_tool_rbfa_case_counts_phi_blocks_exactly():

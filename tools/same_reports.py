@@ -13,7 +13,12 @@ code of each command of:
   read, never changed);
 * ``cohomology`` for each of the three complexes to degree 4 on every
   fixture;
-* ``validate`` on every fixture.
+* ``validate`` on every fixture;
+* ``extract-cocycle`` on every single-entry +1 perturbation of the
+  ``extension`` block of ``fixtures/e1_rbf_extension.json``, each written to
+  a temporary directory and keyed by its leaf path, for example
+  ``extract-cocycle fixtures/e1_rbf_extension.json +1 extension.sect.0.2.0``.
+  Most are refused, so the battery pins each extension law's refusal.
 
 It prints each command whose report or exit code differs between the two,
 or that only one side ran, and exits 1 when there is any, 0 otherwise.
@@ -25,10 +30,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 COMPLEXES = ("alg", "rbf", "rbfa")
 MAX_DEGREE = "4"
+EXTENSION_FIXTURE = "fixtures/e1_rbf_extension.json"
 
 
 def commands(checkout: Path) -> list:
@@ -43,16 +51,43 @@ def commands(checkout: Path) -> list:
     return list({" ".join(argv): argv for argv in argvs}.values())
 
 
+def perturbations(data: dict):
+    """(leaf path, copy of ``data``) for each rational leaf of its
+    ``extension`` block, that leaf raised by 1, in file order."""
+
+    def leaves(node, path):
+        if isinstance(node, str):
+            yield path
+        elif isinstance(node, (dict, list)):
+            for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+                yield from leaves(child, (*path, key))
+
+    for path in leaves(data["extension"], ("extension",)):
+        copy = json.loads(json.dumps(data))
+        node = copy
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = str(Fraction(node[path[-1]]) + 1)
+        yield ".".join(map(str, path)), copy
+
+
 def collect_here(checkout: Path) -> dict:
     """{command line: [report, exit code]} of every command, run in this process."""
     os.chdir(checkout)
     argvs = commands(checkout)
     from bihomega import cli
 
-    out = {}
-    for argv in argvs:
+    def run(argv):
         report, code = cli.run_command(["--no-timing", *argv])
-        out[" ".join(argv)] = [cli.render_report(report), code]
+        return [cli.render_report(report), code]
+
+    out = {" ".join(argv): run(argv) for argv in argvs}
+    data = json.loads(Path(EXTENSION_FIXTURE).read_text(encoding="utf-8"))
+    with tempfile.TemporaryDirectory() as tmp:
+        perturbed = Path(tmp) / "perturbed.json"
+        for leaf, copy in perturbations(data):
+            perturbed.write_text(json.dumps(copy), encoding="utf-8")
+            out[f"extract-cocycle {EXTENSION_FIXTURE} +1 {leaf}"] = run(["extract-cocycle", str(perturbed)])
     return out
 
 
