@@ -49,7 +49,9 @@ summed at the argument level, tensor id_M, plus its action terms.
 :func:`delta_op` is a :class:`BlockOp`, the one holder of δ_n's faces and
 those blocks, read in place, once per (bimodule, degree); :func:`apply_delta`,
 the tables and every operator caller go through it; δ_0 keeps its own
-formula.  The blocks and the constraint rows are sparse Kronecker products
+formula.  Two loops apply a block: :meth:`BlockOp.apply_dense` on dense
+cochains, and :func:`_block_product` on sparse vectors, read by the tables
+and once per face by :meth:`BlockOp.image`.  The blocks and the constraint rows are sparse Kronecker products
 of structure maps (``linalg._kron``); term-by-term transcriptions of the
 sum live only in the test oracles (``tests/oracles.py``).
 
@@ -166,10 +168,8 @@ class Cochain:
         return isinstance(other, Cochain) and self._shape() == other._shape() and self.coords == other.coords
 
 
-def cochain_from_tensors(omega: Monoid, degree: int, dim_in: int, dim_out: int, tensors) -> Cochain:
+def cochain_from_tensors(omega: Monoid, dim_in: int, dim_out: int, tensors) -> Cochain:
     """Degree-2 helper: the tensors[(a, b)][i][j][k], read in (a, b, i, j, k) order, are the coordinates."""
-    if degree != 2:
-        raise MalformedInputError("cochain_from_tensors is a degree-2 helper")
     blocks = [tensors.get((x, y)) for x in omega.elements() for y in omega.elements()]
     if any(t is None or [[len(v) for v in ti] for ti in t] != [[dim_out] * dim_in] * dim_in for t in blocks):
         raise MalformedInputError(f"tensors are not {dim_in}x{dim_in}x{dim_out} at every monoid pair")
@@ -304,9 +304,6 @@ class EquivariantBasis:
     def dim(self) -> int:
         return self.offsets[-1] if self.offsets else 0
 
-    def _block_count(self) -> int:
-        return self.omega_size**self.degree
-
     def cochain_sparse(self, j: int) -> dict:
         """Global raw coordinates of basis element j, as a sparse dict."""
         if not 0 <= j < self.dim():
@@ -322,40 +319,31 @@ class EquivariantBasis:
         return f
 
     def coords_of(self, raw) -> list:
-        """Coordinates of a raw vector (dense list or sparse dict) in this basis.
-
-        Raises InternalCheckError when the vector is not in the span; the
-        verification is exact reconstruction, never a projection.
-        """
+        """Coordinates of a raw vector (dense list or sparse dict) in this basis,
+        read at the free columns and verified by exact reconstruction
+        (:meth:`combine`): InternalCheckError off the span, MalformedInputError
+        for a length other than raw_dim or a key outside 0..raw_dim - 1."""
         dense = raw
         if isinstance(raw, dict):
+            if not all(0 <= idx < self.raw_dim for idx in raw):
+                raise MalformedInputError(f"raw vector has a key outside 0..{self.raw_dim - 1}")
             dense = [ZERO] * self.raw_dim
             for idx, v in raw.items():
                 dense[idx] = v
-        coords = []
-        for t in range(self._block_count()):
-            base = t * self.block_size
-            block = dense[base : base + self.block_size]
-            local_coords = [block[max(vec)] for vec in self.vectors[t]]
-            recon = [ZERO] * self.block_size
-            for coeff, vec in zip(local_coords, self.vectors[t]):
-                if coeff:
-                    for c, v in vec.items():
-                        recon[c] += coeff * v
-            if recon != block:
-                raise InternalCheckError(
-                    f"vector is not in the degree-{self.degree} equivariant subspace"
-                )
-            coords.extend(local_coords)
+        elif len(raw) != self.raw_dim:
+            raise MalformedInputError(f"raw vector has length {len(raw)}, not {self.raw_dim}")
+        coords = [dense[t * self.block_size + max(vec)] for t, vectors in enumerate(self.vectors) for vec in vectors]
+        if self.combine(coords).coords != dense:
+            raise InternalCheckError(f"vector is not in the degree-{self.degree} equivariant subspace")
         return coords
 
     def combine(self, coords) -> Cochain:
         """Linear combination of basis elements with the given coordinates."""
         f = Cochain.zero(self.degree, self.omega_size, self.dim_in, self.dim_out)
         j = 0
-        for t in range(self._block_count()):
+        for t, vectors in enumerate(self.vectors):
             base = t * self.block_size
-            for vec in self.vectors[t]:
+            for vec in vectors:
                 c = coords[j]
                 j += 1
                 if c:
@@ -490,21 +478,17 @@ class BlockOp:
         return out
 
     def image(self, vec: dict) -> dict:
-        """Image of a sparse vector as a sparse dict (no zero entries)."""
-        w, m, out = self.in_width, self.id_width, {}
-        get = out.get
+        """Image of a sparse vector as a sparse dict (no zero entries): the
+        vector grouped by source block, one :func:`_block_product` per face."""
+        w, by_source, out = self.in_width, {}, {}
         for idx, v in vec.items():
             s, c = divmod(idx, w)
-            a, l = divmod(c, m)
+            by_source.setdefault(s, {})[c] = v
+        for s, local in by_source.items():
             for t, k in self.faces[s]:
-                (part, actions), row0 = self.blocks[k], t * self.out_width
-                at = row0 + l
-                for r, x in part[a]:
-                    out[at + r] = get(at + r, 0) + x * v
-                for stride, entries in actions:
-                    at = row0 + a * stride
-                    for r, x in entries[l]:
-                        out[at + r] = get(at + r, 0) + x * v
+                row0 = t * self.out_width
+                for r, x in _block_product(self.blocks[k], self.id_width, [local])[0].items():
+                    out[row0 + r] = out.get(row0 + r, 0) + x
         return {row: x for row, x in out.items() if x}
 
 
@@ -805,10 +789,7 @@ def dd_zero_witness(b: OmegaBimodule, degrees) -> tuple | None:
 
 
 def is_cocycle(b: OmegaBimodule, f: Cochain) -> bool:
-    if not is_equivariant(b, f):
-        raise PreconditionError("cochain is not equivariant")
-    op = delta_op(b, f.degree)
-    return not any(op.apply_dense(f.coords))
+    return apply_delta(b, f).is_zero()
 
 
 def is_coboundary(b: OmegaBimodule, f: Cochain) -> Cochain | None:

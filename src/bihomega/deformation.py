@@ -33,11 +33,11 @@ from .algebra import (
     validate_algebra,
 )
 from .bimodule import regular_bimodule
-from .cochain import Cochain, apply_delta, cochain_from_maps, delta_op, is_equivariant
+from .cochain import Cochain, cochain_from_maps, delta_op, is_equivariant
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
 from .gerstenhaber import algebra_with_product, circ_i, insertion_sum, mu_cochain
 from .rationals import ONE, ZERO
-from .rbf import CombinedCochain, RbfContext, d_combined, phi, rbfa_cohomology_dims
+from .rbf import CombinedCochain, RbfContext, d_combined, rbfa_cohomology_dims
 
 
 class LinearDeformationReport(NamedTuple):
@@ -252,17 +252,15 @@ def _jet_operator_order(ctx: RbfContext, mu_all, r_all, n: int) -> bool:
 
 
 def equivalence_shift(ctx: RbfContext, psi1: Cochain) -> CombinedCochain:
-    """Image of a degree-1 algebra cochain under the combined differential.
+    """Image of a degree-1 algebra cochain under the combined differential:
+    d of (psi1, 0 in C^0).
 
     Two order-1 jets differing by this pair are equivalent at order 1.
     """
     if psi1.degree != 1:
         raise MalformedInputError("expected a degree-1 cochain")
-    if not is_equivariant(ctx.bimodule, psi1):
-        raise PreconditionError("cochain is not equivariant")
-    return CombinedCochain(
-        apply_delta(ctx.bimodule, psi1, check=False), phi(ctx, psi1).scale(-ONE)
-    )
+    zero = Cochain.zero(0, psi1.omega_size, psi1.dim_in, psi1.dim_out)
+    return d_combined(ctx, CombinedCochain(psi1, zero))
 
 
 class RigidityReport(NamedTuple):

@@ -278,7 +278,7 @@ def extract_cocycle(
                           for j, s in enumerate(lift[x])], dm)
         for x in elements
     }
-    pair = CocyclePair(cochain_from_tensors(om, 2, d, dm, tensors), cochain_from_maps(om, maps, d, dm))
+    pair = CocyclePair(cochain_from_tensors(om, d, dm, tensors), cochain_from_maps(om, maps, d, dm))
     ctx = RbfContext(a, e.rb, bim)
     if not d_combined(ctx, pair.combined(), check=True).is_zero():
         raise InternalCheckError("extracted pair is not a combined 2-cocycle")
@@ -299,8 +299,10 @@ def compare_extensions(e1: ExtensionPresentation, e2: ExtensionPresentation) -> 
     """Decide whether two presentations carry the same cohomology class.
 
     When the difference of the extracted pairs is a combined coboundary, the
-    solving certificate is turned into an isomorphism of the totals fixing M
-    and A, and every isomorphism law is verified before reporting success.
+    solving certificate eta is turned into an isomorphism of the totals
+    fixing M and A, sect2 proj1 + incl2 (retr1 + eta proj1) at each index
+    (in any total bases), and every isomorphism law is verified before
+    reporting success.
     """
     if e1.base.product != e2.base.product or e1.base.pmap != e2.base.pmap or e1.base.qmap != e2.base.qmap:
         raise MalformedInputError("extensions live over different base algebras")
@@ -319,17 +321,10 @@ def compare_extensions(e1: ExtensionPresentation, e2: ExtensionPresentation) -> 
     if sol is None:
         return CompareReport(False, None)
     eta = sol.alg.add(apply_delta(b1, sol.rbf, check=False))
-    mats = maps_from_cochain(eta, e1.base.omega)
-    om = e1.base.omega
-    d, dm = e1.base.dim, e1.dim_m
-    n = d + dm
-    iso = {}
-    for x in om.elements():
-        phi_x = Mat.identity(n)
-        for l in range(dm):
-            for j in range(d):
-                phi_x.entries[(d + l) * n + j] = mats[x].at(l, j)
-        iso[x] = phi_x
+    iso = {
+        x: e2.sect[x].mul(e1.proj[x]).add(e2.incl[x].mul(e1.retr[x].add(eta_x.mul(e1.proj[x]))))
+        for x, eta_x in maps_from_cochain(eta, e1.base.omega).items()
+    }
     _verify_iso(e1, e2, iso)
     return CompareReport(True, iso)
 

@@ -50,7 +50,7 @@ from .rationals import ONE, ZERO
 
 def mu_cochain(a: OmegaAlgebra) -> Cochain:
     """The product family as a degree-2 cochain."""
-    return cochain_from_tensors(a.omega, 2, a.dim, a.dim, a.product)
+    return cochain_from_tensors(a.omega, a.dim, a.dim, a.product)
 
 
 def _require_cochains(a: OmegaAlgebra, check: bool, *cochains):

@@ -70,10 +70,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        m = cls.zeros(n, n)
-        for i in range(n):
-            m.entries[i * n + i] = ONE
-        return m
+        return cls.scalar(n, ONE)
 
     @classmethod
     def from_rows(cls, rows) -> "Mat":

@@ -176,6 +176,23 @@ def test_basis_matrix_and_coordinates_round_trip(e1_regular):
         equivariant_basis(e1_regular, 1).coords_of(outside.coords)
 
 
+def test_coords_of_refuses_a_raw_vector_of_another_length_or_key(e1_regular):
+    """A raw vector that is not one of C^n's raw length (e1's C^1 has 4 raw
+    coordinates) is refused as malformed, not read partially or failing on
+    an index: a list of length 6 or 3, a dict with a key past the end or
+    below 0.  A dict inside the range still reads like the dense list."""
+    basis = equivariant_basis(e1_regular, 1)
+    f = basis.cochain(0)
+    assert basis.raw_dim == 4 and basis.coords_of(f.coords) == [1, 0]
+    assert basis.coords_of({i: v for i, v in enumerate(f.coords) if v}) == [1, 0]
+    for raw in (f.coords + [ZERO, ZERO], f.coords[:3]):
+        with pytest.raises(MalformedInputError, match=f"length {len(raw)}, not 4"):
+            basis.coords_of(raw)
+    for key in (4, 7, -1):
+        with pytest.raises(MalformedInputError, match="key outside 0..3"):
+            basis.coords_of({0: ONE, key: ONE})
+
+
 def test_apply_delta_zero_and_identity(e1, e1_regular):
     z = Cochain.zero(1, 1, 2, 2)
     assert apply_delta(e1_regular, z).is_zero()
@@ -1397,23 +1414,47 @@ def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch
     degree 0, one per block of δ_0.  Products and verdicts live for one
     call, so a second table takes the same 64 products again, and no public
     call leaves a per-degree result (block products, verdicts, a δ matrix)
-    in either bimodule's cache."""
+    in either bimodule's cache.
+
+    BlockOp.image takes one product per face of each source block its vector
+    touches, and the degree-0 checks call it; those products are pinned
+    apart.  Degree 0: the domain test reads δ_0 of M's 2 unit vectors (2
+    faces each, 4), finds an image outside C^1 and solves for the preimages,
+    reading those 2 images again (4), and the checks read δ_0 of the one
+    preimage (2): 10, of which a second table, on the cached domain, takes
+    only the checks' 2.  Degree 1: δ_1 of that image, which touches both
+    source blocks, with 4 and 3 faces: 7."""
     b = regular_bimodule(samples.build_c2_example(0))
-    calls, original = [], cochain._block_product
+    tables, images, original, original_image = [], [], cochain._block_product, cochain.BlockOp.image
+    inside = []
 
     def counting(block, id_width, vectors):
-        calls.append(block)
+        (images if inside else tables).append(block)
         return original(block, id_width, vectors)
 
+    def image(op, vec):
+        inside.append(op)
+        try:
+            return original_image(op, vec)
+        finally:
+            inside.pop()
+
+    def per_degree(calls):
+        return [sum(any(block is own for own in delta_op(b, n).blocks) for block in calls) for n in range(5)]
+
     monkeypatch.setattr(cochain, "_block_product", counting)
+    monkeypatch.setattr(cochain.BlockOp, "image", image)
     cohomology_dims(b, 4)
-    per_degree = [sum(any(block is own for own in delta_op(b, n).blocks) for block in calls) for n in range(1, 5)]
-    assert per_degree == [7, 13, 18, 24] and len(calls) == 64
+    assert per_degree(tables) == [2, 7, 13, 18, 24] and len(tables) == 64
+    assert per_degree(images) == [10, 7, 0, 0, 0] and len(images) == 17
+    assert [len(faces) for faces in delta_op(b, 0).faces + delta_op(b, 1).faces] == [2, 4, 3]
     assert sum(map(len, delta_op(b, 4).faces)) == 111
-    first = calls[:]
-    calls.clear()
+    first = tables[:]
+    tables.clear()
+    images.clear()
     cohomology_dims(b, 4)
-    assert len(calls) == 64 and all(again is block for again, block in zip(calls, first))
+    assert len(tables) == 64 and all(again is block for again, block in zip(tables, first))
+    assert per_degree(images) == [2, 7, 0, 0, 0] and len(images) == 9
 
     def per_degree_results(*bimodules):
         kinds = ("block_products", "verdicts", "delta_matrix")
@@ -1611,7 +1652,7 @@ def test_converters_flatten_the_layout_and_round_trip():
             pairs = [(x, y) for x in om.elements() for y in om.elements()]
             tensors = {key: [[[Rat(rng.randint(-3, 3)) for _ in range(m)] for _ in range(d)] for _ in range(d)]
                        for key in pairs}
-            f = cochain_from_tensors(om, 2, d, m, tensors)
+            f = cochain_from_tensors(om, d, m, tensors)
             assert len(f.coords) == (om.size * d) ** 2 * m
             assert all(f.value(key, (i, j)) == tensors[key][i][j] for key in pairs for i in range(d) for j in range(d))
             maps = {x: Mat(m, d, [Rat(rng.randint(-3, 3)) for _ in range(m * d)]) for x in om.elements()}
@@ -1632,7 +1673,7 @@ def test_converters_refuse_families_and_tensors_of_the_wrong_shape():
         with pytest.raises(MalformedInputError, match="is not 2x3"):
             cochain_from_maps(om, bad, 3, 2)
     pairs = [(x, y) for x in om.elements() for y in om.elements()]
-    assert cochain_from_tensors(om, 2, 3, 2, {key: tensor_zeros(3, 3, 2) for key in pairs}).is_zero()
+    assert cochain_from_tensors(om, 3, 2, {key: tensor_zeros(3, 3, 2) for key in pairs}).is_zero()
 
     def ragged(key, reshape):
         tensors = {k: tensor_zeros(3, 3, 2) for k in pairs}
@@ -1648,4 +1689,4 @@ def test_converters_refuse_families_and_tensors_of_the_wrong_shape():
     ]
     for bad in bads:
         with pytest.raises(MalformedInputError, match="tensors are not 3x3x2 at every monoid pair"):
-            cochain_from_tensors(om, 2, 3, 2, bad)
+            cochain_from_tensors(om, 3, 2, bad)

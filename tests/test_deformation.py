@@ -271,7 +271,7 @@ def _conjugated_jet(a, rb, nmat, order):
                         v = neg[s].matvec(a.mul_vec(key, nb[b].col(i), nb[c].col(j)))
                         t[i][j] = [u + w for u, w in zip(t[i][j], v)]
             tensors[key] = t
-        mu_orders.append(cochain_from_tensors(om, 2, d, d, tensors))
+        mu_orders.append(cochain_from_tensors(om, d, d, tensors))
         maps = {x: neg[k].mul(r).add(neg[k - 1].mul(r).mul(nmat)) for x, r in rb.maps.items()}
         r_orders.append(cochain_from_maps(om, maps, d, d))
     return mu_orders, r_orders

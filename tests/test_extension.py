@@ -2,10 +2,11 @@ import json
 import random
 
 import pytest
-from generators import random_valid_context
+from conftest import fixture_text
+from generators import _conjugate, _transport, random_valid_context
 from oracles import section_shift
 
-from bihomega.algebra import check_rota_baxter, validate_algebra
+from bihomega.algebra import RotaBaxterFamily, check_rota_baxter, validate_algebra
 from bihomega.bimodule import rbf_semidirect, validate_rbf_bimodule
 from bihomega.cochain import Cochain, equivariant_basis, random_equivariant
 from bihomega.errors import InternalCheckError, MalformedInputError
@@ -19,7 +20,7 @@ from bihomega.extension import (
 from bihomega.linalg import Mat
 from bihomega.rationals import Rat
 from bihomega.rbf import CombinedCochain, combined_kernel, d_combined, rbfa_cohomology_dims, solve_combined
-from bihomega.serialization import WorkbenchFile, workbench_to_json
+from bihomega.serialization import WorkbenchFile, parse_workbench, workbench_to_json
 
 
 def zero_pair(ctx):
@@ -185,6 +186,57 @@ def test_compare_detects_independent_class(e1_ctx):
     assert not report.cohomologous and report.iso is None
 
 
+def _sheared(pres, s):
+    """The presentation moved to a new total basis, x -> S x (``s`` = (S,
+    S^-1)): total and total family conjugated, incl and sect multiplied by S
+    on the left, proj and retr by S^-1 on the right."""
+    return _rebuild(
+        pres, total=_transport(pres.total, s),
+        total_rb=RotaBaxterFamily(pres.total_rb.weight, _conjugate(pres.total_rb.maps, s)),
+        incl={x: s[0].mul(m) for x, m in pres.incl.items()}, sect={x: s[0].mul(m) for x, m in pres.sect.items()},
+        proj={x: m.mul(s[1]) for x, m in pres.proj.items()}, retr={x: m.mul(s[1]) for x, m in pres.retr.items()},
+    )
+
+
+def test_compare_accepts_presentations_in_another_total_basis(e1_ctx):
+    """Shearing a kernel-pair extension of e1 by S = I + E_{0,2} keeps a
+    valid presentation of the same extension, so it compares cohomologous,
+    both ways, with the extension itself, with an η-shifted one and with
+    itself; the isomorphism sect2 proj1 + incl2 (retr1 + η proj1) is S, S^-1
+    or the identity on the unsheared pair."""
+    kers = combined_kernel(e1_ctx, 2)
+    pres = build_extension(e1_ctx, CocyclePair(kers[0].alg, kers[0].rbf)).presentation
+    n = pres.total.dim
+    shear = Mat.identity(n)
+    shear.entries[2] = Rat(1)
+    inverse = Mat.identity(n)
+    inverse.entries[2] = Rat(-1)
+    sheared = _sheared(pres, (shear, inverse))
+    validate_extension(sheared)
+    assert compare_extensions(sheared, sheared).cohomologous and compare_extensions(pres, pres).cohomologous
+    assert all(m == shear for m in compare_extensions(pres, sheared).iso.values())
+    assert all(m == inverse for m in compare_extensions(sheared, pres).iso.values())
+    eta1 = random_equivariant(e1_ctx.bimodule, 1, random.Random(83))
+    shifted = build_extension(e1_ctx, eta_shifted_pair(e1_ctx, CocyclePair(kers[0].alg, kers[0].rbf), eta1))
+    for first, second in ((sheared, shifted.presentation), (shifted.presentation, sheared)):
+        report = compare_extensions(first, second)
+        assert report.cohomologous and report.iso is not None
+
+
+def test_compare_iso_on_the_shipped_extension_fixtures_is_identity_plus_eta():
+    """On the four ordered pairs of the two shipped extension fixtures (both
+    in standard coordinates) the isomorphism is the identity plus η in the
+    lower-left block, the map the standard partial identities give."""
+    fixtures = [parse_workbench(fixture_text(name)).extension for name in ("e1_rbf_extension.json", "e1_rbf_extension2.json")]
+    for p1 in fixtures:
+        for p2 in fixtures:
+            report = compare_extensions(p1, p2)
+            assert report.cohomologous
+            d, n = p1.base.dim, p1.total.dim
+            for x, m in report.iso.items():
+                assert all(m.at(i, j) == (i == j) for i in range(n) for j in range(n) if not (i >= d > j))
+
+
 def test_compare_rejects_mismatched_contexts(e1_ctx, c2_ctx):
     b1 = build_extension(e1_ctx, zero_pair(e1_ctx))
     b2 = build_extension(c2_ctx, zero_pair(c2_ctx))
@@ -212,7 +264,7 @@ def _bumped(family: dict, x, r: int, c: int) -> dict:
 
 
 def test_validate_extension_names_each_broken_law(e1_ctx):
-    from bihomega.algebra import OmegaAlgebra, RotaBaxterFamily
+    from bihomega.algebra import OmegaAlgebra
 
     build = build_extension(e1_ctx, zero_pair(e1_ctx))
     pres = build.presentation

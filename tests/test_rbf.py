@@ -386,6 +386,26 @@ def test_phi_op_degree_zero_is_one_identity_block_built_on_the_empty_tuple(monke
         assert (op.nrows, op.ncols, op.id_width) == (m, m, 1)
 
 
+def test_image_matches_apply_dense_on_degree_zero_and_phi(e0_ctx, e1_ctx, c2_ctx, zero1_ctx):
+    """BlockOp applies its blocks by two loops, the sparse image (one
+    _block_product per face) and apply_dense; on δ_0 of each context's
+    bimodule and star bimodule and on phi_op at degrees 0-3, seeded random
+    sparse vectors (entries in -3..3 over 1..3, zeros among them) read the
+    same image both ways, on the named contexts and on seeded random draws.
+    The wide-draw oracle test compares the two for δ_n, n >= 1."""
+    rng = random.Random(4409)
+    contexts = [e0_ctx, e1_ctx, c2_ctx, zero1_ctx, *(random_valid_context(rng) for _ in range(6))]
+    for ctx in contexts:
+        ops = [delta_op(ctx.bimodule, 0), delta_op(ctx.star_bimodule(), 0), *(rbf.phi_op(ctx, n) for n in range(4))]
+        for op in ops:
+            for _ in range(4):
+                vec = {i: Rat(rng.randint(-3, 3), rng.randint(1, 3)) for i in rng.sample(range(op.ncols), min(op.ncols, 3))}
+                dense = [ZERO] * op.ncols
+                for i, v in vec.items():
+                    dense[i] = v
+                assert op.image(vec) == {i: x for i, x in enumerate(op.apply_dense(dense)) if x}
+
+
 def test_d_combined_zero_and_square(e1_ctx):
     z = CombinedCochain(Cochain.zero(2, 1, 2, 2), Cochain.zero(1, 1, 2, 2))
     assert d_combined(e1_ctx, z, check=False).is_zero()

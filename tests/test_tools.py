@@ -181,6 +181,22 @@ def test_same_reports_battery_raises_each_extension_entry_once():
         assert copy == data, leaf
 
 
+def test_same_reports_compares_every_ordered_pair_of_extension_fixtures(monkeypatch):
+    """tools/same_reports.py runs compare-ext on every ordered pair of the
+    fixtures with an extension block, self-comparisons included: the two
+    shipped ones give four commands, the benchmark mix's one direction
+    among them, each listed once."""
+    import sys
+
+    import same_reports
+    from conftest import ROOT
+
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    compares = [argv for argv in same_reports.commands(ROOT) if argv[0] == "compare-ext"]
+    names = ("fixtures/e1_rbf_extension.json", "fixtures/e1_rbf_extension2.json")
+    assert sorted(compares) == [["compare-ext", f, g] for f in names for g in names]
+
+
 def test_stage_tool_rbfa_case_counts_phi_blocks_exactly():
     """tools/cohomology_stages.py's rbfa case on fixtures/c2_rbf.json to
     degree 3: one Horner block of φ per degree (every tuple has R_0 = R_1

@@ -14,6 +14,8 @@ code of each command of:
 * ``cohomology`` for each of the three complexes to degree 4 on every
   fixture;
 * ``validate`` on every fixture;
+* ``compare-ext`` on every ordered pair of fixtures with an ``extension``
+  block, each with itself included;
 * ``extract-cocycle`` on every single-entry +1 perturbation of the
   ``extension`` block of ``fixtures/e1_rbf_extension.json``, each written to
   a temporary directory and keyed by its leaf path, for example
@@ -48,6 +50,8 @@ def commands(checkout: Path) -> list:
     argvs = [list(argv) for argv in COMMANDS]
     argvs += [["cohomology", f, "--complex", c, "--max-degree", MAX_DEGREE] for f in fixtures for c in COMPLEXES]
     argvs += [["validate", f] for f in fixtures]
+    extensions = [f for f in fixtures if "extension" in json.loads((checkout / f).read_text(encoding="utf-8"))]
+    argvs += [["compare-ext", f, g] for f in extensions for g in extensions]
     return list({" ".join(argv): argv for argv in argvs}.values())
 
 
