@@ -22,10 +22,10 @@ column index and their end columns, one record) and one kernel.  That
 kernel is the basis of C^n (:func:`equivariant_basis`), whose coordinates
 are read at each vector's largest key, its free column by the kernel
 convention of ``linalg``.  Applying the rows, through their column index,
-to a raw vector is the one membership test (:func:`_in_subspace`), behind
-:func:`is_equivariant` and every check that a coboundary image lies in
-C^{n+1}.  A bimodule with the same structure maps may share all of it
-(:func:`_share_equivariance`).
+to a raw vector tests its membership and drops its end columns in one pass
+(:func:`_project`, None off C^n), behind :func:`is_equivariant` and every
+check that an image lies in C^k.  A bimodule with the same structure maps
+may share all of it (:func:`_share_equivariance`).
 A system is built at the cost of its entries: each row is created once,
 from M's map at the product, and the slot product's entries are merged
 into it in place; one sort orders the rows, and one more pass indexes
@@ -55,36 +55,35 @@ and once per face by :meth:`BlockOp.image`.  The blocks and the constraint rows 
 of structure maps (``linalg._kron``); term-by-term transcriptions of the
 sum live only in the test oracles (``tests/oracles.py``).
 
-Cohomology tables never assemble δ: one call of
-:func:`_basis_images` forms each block of :func:`delta_op` times the kernel
-of a source twist signature once per (pair key, source signature), and
-verifies that product against the constraint columns of the output block
-once per (output signature, pair key, source signature), both kept for
-that call only: a bimodule's cache holds compiled structure, never a
-per-degree result.  An image lies in C^{n+1} exactly when each of its
-output blocks meets that block's constraints, and each output block of a
-basis image is one such product, so every image is still verified.  The
-same pass drops the *end columns* of the output block (the largest column
-of each constraint row) from each product.  That is injective on C^{k+1}:
-a member vanishing off the end columns meets, at its smallest nonzero end
-column, a row ending there with one nonzero term.  So the projected
-images (raw at k = 0, see below), streamed into one fraction-free
-integer rank per degree k, give the rank of δ_k, and no matrix of δ_k
-and no basis or kernel of C^{max_degree+1} is built; the combined table
-ranks them beside φ (``rbf.rbfa_cohomology_dims``).  The chain-map check
-forms :func:`_block_product` products of its own, once per class of faces.
-:func:`delta_matrix`, :func:`is_coboundary` and the combined kernels and
-solves take raw images from calls of their own: a preimage is one
-``sparse_solve`` of them, transposed into rows, against the raw target.
+Cohomology tables never assemble an operator: one call of :func:`_images`
+forms each block of a :class:`BlockOp` into degree k (δ_n through
+:func:`_basis_images`, and φ_n) times the kernel of a source twist
+signature once per (block, source signature), kept for that call only: a
+bimodule's cache holds compiled structure, never a per-degree result.  It
+is the one place that decides how a vector of C^k is read: for k >= 2 each
+product is verified against the constraint columns of its output block,
+once per (output signature, block, source signature), and its *end
+columns* (the largest column of each constraint row) are dropped; each
+output block of a basis image is one such product, so every image is
+verified.  Dropping them is injective on C^k: a member vanishing off the
+end columns meets, at its smallest nonzero end column, a row ending there
+with one nonzero term.  For k <= 1 images are raw (see below).  So every
+rank, kernel and solve of the three complexes reads one form: a rank
+streams a degree's images into one fraction-free integer elimination,
+building no matrix of δ_k and no basis of C^{max_degree+1}, and a preimage
+is one ``sparse_solve`` of them, transposed into rows, against a target
+read alike (:func:`_read`).  The chain-map check forms
+:func:`_block_product` products of its own, and :func:`delta_matrix`
+reads the raw :meth:`BlockOp.image` of each basis cochain.
 
 Degree-0 caveat: when the unit-index structure maps of M are not the
 identity, images of the degree-0 differential can fall outside the
 equivariant subspace.  ``delta_matrix(b, 0)`` then raises
-InternalCheckError (never forcing the image into C^1), and the tables rank
-them raw: ``project`` skips n = 0, the one degree-0 guard of
-:func:`_basis_images`, until δ_0 is sound.  The tables take degree 0 from
-one place, :func:`_degree0_domain`: vectors spanning {y in M : δ_0 y in
-C^1}, the unit vectors of M when every image lies in C^1 and otherwise
+InternalCheckError (never forcing the image into C^1), and images into
+degree k <= 1 stay raw, the one degree guard of :func:`_images`, until
+δ_0 is sound.  The tables take degree 0 from one place,
+:func:`_degree0_domain`: vectors spanning {y in M : δ_0 y in C^1}, the
+unit vectors of M when every image lies in C^1 and otherwise
 :func:`degree0_preimages`, which flags the report.  B^1 is the rank of
 their images, each of which must be a 1-cocycle; on some valid inputs one
 is not, and the table is refused.
@@ -198,21 +197,25 @@ def maps_from_cochain(f: Cochain, omega: Monoid) -> dict:
 def is_equivariant(b: OmegaBimodule, f: Cochain) -> bool:
     """Do both structure-map constraints hold on every block of ``f``?"""
     _require_shape(b, f)
-    return _in_subspace(b, f.degree, {i: v for i, v in enumerate(f.coords) if v})
+    return _project(b, f.degree, {i: v for i, v in enumerate(f.coords) if v}) is not None
 
 
-def _in_subspace(b: OmegaBimodule, n: int, vec: dict) -> bool:
-    """Does the raw degree-n vector (sparse dict) lie in C^n?
+def _project(b: OmegaBimodule, n: int, vec: dict) -> dict | None:
+    """The raw degree-n vector (sparse dict) without the end columns of C^n,
+    or None when it does not lie in C^n.
 
     Applies the constraint rows of every monoid-tuple block the vector
-    touches, column by column over the vector's entries; exact, never a
-    projection.
+    touches, column by column over the vector's entries; exact.  The zero
+    vector projects to {}, so a membership test reads ``is not None``.
     """
-    size = b.base.dim**n * b.dim_m
-    blocks: dict = {}
+    size, blocks, ends_of = b.base.dim**n * b.dim_m, {}, {}
     for idx, v in vec.items():
         blocks.setdefault(idx // size, {})[idx % size] = v
-    return not any(_violates(_constraint_system(b, n, t)[1], local) for t, local in blocks.items())
+    for t, local in blocks.items():
+        _, by_col, ends_of[t] = _constraint_system(b, n, t)
+        if _violates(by_col, local):
+            return None
+    return {idx: v for idx, v in vec.items() if idx % size not in ends_of[idx // size]}
 
 
 def _violates(by_col: dict, local: dict, ends=(), kept: dict | None = None) -> bool:
@@ -383,7 +386,7 @@ def _constraint_system(b: OmegaBimodule, n: int, t: int) -> tuple:
     set of their largest columns.
 
     Block-local columns; cached per twist signature (:func:`_signatures`),
-    since the basis, the membership test :func:`_in_subspace` and the
+    since the basis, the membership test :func:`_project` and the
     verdicts of :func:`_violations` read them and tuples with equal
     signatures share them.  One pass builds the rows, each row once per
     (argument tuple, output index): the slot-map part of an argument tuple,
@@ -551,25 +554,21 @@ def apply_delta(b: OmegaBimodule, f: Cochain, check: bool = True) -> Cochain:
     return Cochain(n + 1, f.omega_size, f.dim_in, f.dim_out, delta_op(b, n).apply_dense(f.coords))
 
 
-def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool = False):
-    """Images of the C^n basis under δ, in basis order, as fresh sparse dicts.
+def _basis_images(b: OmegaBimodule, n: int):
+    """Images of the C^n basis under δ_n, in the form of :func:`_images`."""
+    return _images(b, n, delta_op(b, n), n + 1)
 
-    The image of basis element (source tuple s, kernel vector k) is, on
-    each output block of s, the product of that pair's block of
-    :func:`delta_op` with vector k
-    (:func:`_block_product`, formed once per (pair key, source signature)
-    and dropped with this call); δ is never assembled.  With
-    ``verify`` every image is checked against the degree-(n+1) constraints,
-    block by block, before it is yielded (each output block of an image is
-    one product, so its verdict is shared, :func:`_violations`), and
+
+def _images(b: OmegaBimodule, n: int, op: BlockOp, k: int):
+    """Images of the C^n basis under ``op``, a :class:`BlockOp` into raw
+    degree-k coordinates, in basis order, as fresh sparse dicts: on each
+    output block, the product of the face's block with the kernel vector
+    (:func:`_block_product`).  For k >= 2 every product is verified in C^k
+    and projected off its end columns (:func:`_violations`), and
     InternalCheckError names the lowest basis element whose image leaves
-    C^{n+1} (possible at n = 0; see the module docstring).  ``project``
-    verifies and drops the end columns of C^{n+1} (n >= 1), keeping the rank.
+    C^k; for k <= 1 the images are raw (see the module docstring).
     """
-    basis = equivariant_basis(b, n)
-    op = delta_op(b, n)
-    products_of, verdicts = {}, {}
-    project = project and n > 0
+    basis, products_of, verdicts = equivariant_basis(b, n), {}, {}
     for s, (faces, sig) in enumerate(zip(op.faces, _signatures(b, n))):
         vectors = basis.vectors[s]
         if not vectors:
@@ -579,24 +578,29 @@ def _basis_images(b: OmegaBimodule, n: int, verify: bool = True, project: bool =
             products = products_of.get((key, sig))
             if products is None:
                 products = products_of[(key, sig)] = _block_product(op.blocks[key], op.id_width, vectors)
-            if verify or project:
-                failing, projected = _violations(b, verdicts, n + 1, t, key, sig, products)
+            if k >= 2:
+                failing, products = _violations(b, verdicts, k, t, key, sig, products)
                 bad |= failing
-                products = projected if project else products
             parts.append((t * op.out_width, products))
-        for k in range(len(vectors)):
-            if k in bad:
-                raise _left_subspace(n, basis.offsets[s] + k)
-            image: dict = {}
-            for row0, products in parts:
-                for r, v in products[k].items():
-                    image[row0 + r] = v
-            yield image
+        for j in range(len(vectors)):
+            if j in bad:
+                raise _left_subspace(n, basis.offsets[s] + j, k)
+            yield {row0 + r: v for row0, products in parts for r, v in products[j].items()}
+
+
+def _read(b: OmegaBimodule, f: Cochain) -> list | None:
+    """The coordinates of ``f`` in the form :func:`_images` gives images of
+    its degree k: for k >= 2 zero at the end columns of C^k (None when ``f``
+    is not in C^k), for k <= 1 raw."""
+    if f.degree < 2:
+        return f.coords
+    kept = _project(b, f.degree, {i: v for i, v in enumerate(f.coords) if v})
+    return None if kept is None else [kept.get(i, ZERO) for i in range(len(f.coords))]
 
 
 def _block_product(block: tuple, id_width: int, vectors: list) -> list:
-    """A block of :func:`delta_op` (:class:`BlockOp`) applied to the kernel
-    ``vectors`` of a source twist signature: one local sparse dict per vector."""
+    """A block of a :class:`BlockOp` applied to the kernel ``vectors`` of a
+    source twist signature: one local sparse dict per vector."""
     (part, actions), products = block, []
     for vec in vectors:
         out: dict = {}
@@ -614,7 +618,7 @@ def _block_product(block: tuple, id_width: int, vectors: list) -> list:
 
 
 def _violations(b: OmegaBimodule, verdicts: dict, n: int, t: int, key: int, sig, products: list) -> tuple:
-    """(Indices of ``products`` (pair key number ``key``, source signature
+    """(Indices of ``products`` (block number ``key``, source signature
     ``sig``) that violate the constraints of degree-n output block t, the
     products without the end columns of those constraints), kept in
     ``verdicts`` per (output signature, key, source signature).  Zero
@@ -631,27 +635,28 @@ def _violations(b: OmegaBimodule, verdicts: dict, n: int, t: int, key: int, sig,
     return hit
 
 
-def _left_subspace(n: int, j: int) -> InternalCheckError:
-    return InternalCheckError(
-        f"coboundary image of degree-{n} basis element {j} left the "
-        f"equivariant subspace: vector is not in the degree-{n + 1} "
-        f"equivariant subspace"
-    )
+def _left_subspace(n: int, j: int, k: int) -> InternalCheckError:
+    return InternalCheckError(f"image of degree-{n} basis element {j} left the equivariant subspace: "
+                              f"vector is not in the degree-{k} equivariant subspace")
 
 
 def delta_matrix(b: OmegaBimodule, n: int) -> Mat:
     """Coboundary in equivariant-basis coordinates, C^n -> C^{n+1}, built
-    afresh from the raw basis images of one :func:`_basis_images` call.
+    afresh from the raw image of each basis cochain under :func:`delta_op`.
 
     No table, solve or command reads it: ``tools/gen_fixtures.py`` writes
     it into the ``*_delta1.json`` fixtures, and
     ``perfbench/record_expected.py`` ranks it as a dense reference for its
-    pins.  Raises InternalCheckError if any image leaves the equivariant
-    subspace (possible at n = 0 when unit-index structure maps are not the
-    identity).
+    pins.  InternalCheckError names the lowest basis element whose image
+    leaves C^{n+1} (possible at n = 0; see the module docstring).
     """
-    dst = equivariant_basis(b, n + 1)
-    cols = [dst.coords_of(image) for image in _basis_images(b, n)]
+    src, dst, op = equivariant_basis(b, n), equivariant_basis(b, n + 1), delta_op(b, n)
+    cols = []
+    for j in range(src.dim()):
+        try:
+            cols.append(dst.coords_of(op.image(src.cochain_sparse(j))))
+        except InternalCheckError:
+            raise _left_subspace(n, j, n + 1) from None
     return Mat.from_cols(cols, nrows=dst.dim()) if cols else Mat.zeros(dst.dim(), 0)
 
 
@@ -713,7 +718,7 @@ def _degree0_domain(b: OmegaBimodule) -> tuple:
     if hit is None:
         op = delta_op(b, 0)
         units = [{l: ONE} for l in range(b.dim_m)]
-        if all(_in_subspace(b, 1, op.image(y)) for y in units):
+        if all(_project(b, 1, op.image(y)) is not None for y in units):
             hit = units, False
         else:
             hit = degree0_preimages(b), True
@@ -726,9 +731,8 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
 
     rank(δ_k) is taken once per degree on the images of the C^k basis,
     streamed from :func:`_basis_images`: raw at k = 0, verified in C^{k+1}
-    and projected off its end columns for k >= 1 (see the module
-    docstring).  B^1 and the degree-0 checks come first, from
-    :func:`_degree0_checks`.
+    and projected off its end columns for k >= 1 (:func:`_images`).  B^1
+    and the degree-0 checks come first, from :func:`_degree0_checks`.
 
     Raises InternalCheckError when a check fails (possible for valid
     inputs; see the module docstring), rather than report a quotient by a
@@ -736,7 +740,7 @@ def cohomology_dims(b: OmegaBimodule, max_degree: int) -> CohomologyReport:
     ``max_degree`` and PreconditionError for an invalid bimodule.
     """
     b1_dim, intersected = _degree0_checks(b, max_degree)
-    ranks = [sparse_rank(_basis_images(b, k, verify=False, project=True)) for k in range(max_degree + 1)]
+    ranks = [sparse_rank(_basis_images(b, k)) for k in range(max_degree + 1)]
     return _report([equivariant_basis(b, k).dim() for k in range(max_degree + 1)], ranks, b1_dim, intersected)
 
 
@@ -752,7 +756,7 @@ def _degree0_checks(b: OmegaBimodule, max_degree: int, check: bool = True) -> tu
     op0, op1 = delta_op(b, 0), delta_op(b, 1)
     images = [op0.image(y) for y in ys]
     for g in images:
-        if not _in_subspace(b, 1, g):
+        if _project(b, 1, g) is None:
             raise InternalCheckError("vector is not in the degree-1 equivariant subspace")
         if op1.image(g):
             raise InternalCheckError(
@@ -793,22 +797,20 @@ def is_cocycle(b: OmegaBimodule, f: Cochain) -> bool:
 
 
 def is_coboundary(b: OmegaBimodule, f: Cochain) -> Cochain | None:
-    """A preimage with free coordinates zero, or None.
-
-    Solves the raw images of the C^{n-1} basis (:func:`_basis_images`)
-    against the raw coordinates of ``f``, as ``rbf.solve_combined`` does;
-    coordinates in the C^n basis are injective on C^n, so the solutions are
-    those of :func:`delta_matrix`.  The images are verified to lie in C^n
-    for n - 1 >= 1; degree-0 images need not lie in C^1, but a preimage of
-    an equivariant target is still meaningful.
+    """A preimage with free coordinates zero, or None: the images of the
+    C^{n-1} basis (:func:`_basis_images`) solved against ``f`` read in their
+    form (:func:`_read`), as ``rbf.solve_combined`` solves; the form is
+    injective where both lie, so the solutions are those of
+    :func:`delta_matrix`.  Degree-0 images need not lie in C^1, but a
+    preimage of an equivariant target is still meaningful.
     """
     if not is_equivariant(b, f):
         raise PreconditionError("cochain is not equivariant")
     n = f.degree
     if n == 0:
         return None
-    images = list(_basis_images(b, n - 1, verify=n >= 2))
-    x = sparse_solve(sparse_rows(images, len(f.coords)), f.coords, len(images))
+    images = list(_basis_images(b, n - 1))
+    x = sparse_solve(sparse_rows(images, len(f.coords)), _read(b, f), len(images))
     return None if x is None else equivariant_basis(b, n - 1).combine(x)
 
 

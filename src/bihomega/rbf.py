@@ -27,13 +27,14 @@ the product); the literal subset enumeration is kept as the oracle in
 
 The combined complex is the mapping cone of φ (Weibel 1994, §1.5), so one
 fraction-free elimination per degree n ranks all three tables
-(:func:`_cone_ranks`): fed the raw images (0, -∂e) of the C^{n-1} basis it
-counts rank ∂_{n-1}, then fed (δe, -φe) for the C^n basis, δe projected as
-the algebra table projects it, rank δ_n and rank d_n.  The δ and ∂ parts
-stream from the block products of one ``cochain._basis_images`` call each,
-verified where the theory promises membership, the φ parts from products of
-φ's blocks, and no image is kept; :func:`chain_map_check` compares ∂φ = φδ
-on such products, kernels and solves build raw images in calls of their own.
+(:func:`_cone_ranks`): fed the images (0, -∂e) of the C^{n-1} basis it
+counts rank ∂_{n-1}, then fed (δe, -φe) for the C^n basis, rank δ_n and
+rank d_n.  Every part streams from ``cochain._images``, which alone
+decides how a vector of each degree is read (the δ and ∂ parts through
+``cochain._basis_images``), and no image is kept; the combined kernels
+and solves read the same stream, their targets read alike
+(``cochain._read``), and :func:`chain_map_check` compares ∂φ = φδ on block
+products of its own.
 """
 
 from __future__ import annotations
@@ -49,9 +50,11 @@ from .cochain import (
     EquivariantBasis,
     _basis_images,
     _block_product,
+    _images,
     _degree0_domain,
     _degree0_checks,
     _raw_size,
+    _read,
     _report,
     _require_shape,
     _share_equivariance,
@@ -284,59 +287,39 @@ def combined_from_coords(ctx: RbfContext, n: int, coords) -> CombinedCochain:
     return CombinedCochain(alg, ctx.basis(n - 1).combine(rest) if n >= 1 else None)
 
 
-def _algebra_images(ctx: RbfContext, n: int, project: bool = False):
+def _algebra_images(ctx: RbfContext, n: int):
     """The images (δe, -φe) of the C^n basis (C^0 = M) under d, as fresh
-    sparse dicts over the raw C^{n+1}, then the raw C^n shifted by its length;
-    ``project`` verifies the δ parts and drops their end columns (n >= 1,
-    :func:`bihomega.cochain._basis_images`); the φ parts from :func:`_phi_products`."""
-    shift, width = _raw_size(ctx.bimodule, n + 1), phi_op(ctx, n).out_width
-    images = _basis_images(ctx.bimodule, n, verify=False, project=project)
-    for s, _, _, lifted in _phi_products(ctx, n):
-        for product, image in zip(lifted, images):  # lifted first: an exhausted zip reads no further image
-            image.update((shift + s * width + r, -v) for r, v in product.items())
-            yield image
+    sparse dicts over C^{n+1}, then C^n shifted by the raw length of C^{n+1};
+    each part in the form ``cochain._images`` gives its degree."""
+    b, shift = ctx.bimodule, _raw_size(ctx.bimodule, n + 1)
+    for image, lifted in zip(_basis_images(b, n), _images(b, n, phi_op(ctx, n), n)):
+        image.update((shift + r, -v) for r, v in lifted.items())
+        yield image
 
 
-def _phi_products(ctx: RbfContext, n: int):
-    """(s, (φ block f at s, twist signature of s), kernel vectors K of s, φ_s K) for
-    each tuple s of C^n with a kernel, in order; φ_s K is formed once per (f, signature)."""
-    op, basis, lifted = phi_op(ctx, n), ctx.basis(n), {}
-    sigs = _signatures(ctx.bimodule, n)
-    for s, (((_, f),), vectors) in enumerate(zip(op.faces, basis.vectors)):
-        if vectors:
-            key = (f, sigs[s])
-            yield s, key, vectors, lifted.get(key) or lifted.setdefault(key, _block_product(op.blocks[f], 1, vectors))
-
-
-def _operator_images(ctx: RbfContext, n: int, verify: bool = False):
-    """The raw images (0, -∂e) of the C^{n-1} basis (none at n = 0), in the
-    coordinates of :func:`_algebra_images`; ``verify`` checks them in C^n
-    for n >= 2."""
+def _operator_images(ctx: RbfContext, n: int):
+    """The images (0, -∂e) of the C^{n-1} basis (none at n = 0), in the
+    coordinates and the form of :func:`_algebra_images`."""
     if n >= 1:
         shift = _raw_size(ctx.bimodule, n + 1)
-        for image in _basis_images(ctx.star_bimodule(), n - 1, verify=verify and n >= 2):
+        for image in _basis_images(ctx.star_bimodule(), n - 1):
             yield {shift + i: -v for i, v in image.items()}
 
 
 def _combined_images(ctx: RbfContext, n: int) -> list:
-    """The raw images of the combined basis at degree n, in basis order."""
+    """The images of the combined basis at degree n, in basis order."""
     return [*_algebra_images(ctx, n), *_operator_images(ctx, n)]
-
-
-def _combined_rows(ctx: RbfContext, n: int) -> list:
-    """The degree-n combined differential as sparse rows, one per raw target coordinate."""
-    return sparse_rows(_combined_images(ctx, n), _raw_size(ctx.bimodule, n + 1) + _raw_size(ctx.bimodule, n))
 
 
 def _cone_ranks(ctx: RbfContext, n: int) -> tuple:
     """(rank ∂_{n-1}, rank δ_n, rank d_n) from one elimination: phase 1 ranks
-    the verified :func:`_operator_images`, phase 2 resumes with the projected
-    :func:`_algebra_images`.  Pivot columns are those of the unique RREF;
-    phase-1 rows are zero on the C^{n+1} columns, which come first, and the
-    projection is injective on C^{n+1}, so the pivots there count rank δ_n."""
-    pivots = _integer_echelon(_operator_images(ctx, n, verify=True))
+    :func:`_operator_images`, phase 2 resumes with :func:`_algebra_images`.
+    Pivot columns are those of the unique RREF; phase-1 rows are zero on the
+    C^{n+1} columns, which come first, and the image form is injective on
+    C^{n+1}, so the pivots there count rank δ_n."""
+    pivots = _integer_echelon(_operator_images(ctx, n))
     partial_rank = len(pivots)
-    _integer_echelon(_algebra_images(ctx, n, project=True), pivots)
+    _integer_echelon(_algebra_images(ctx, n), pivots)
     shift = _raw_size(ctx.bimodule, n + 1)
     return partial_rank, sum(c < shift for c in pivots), len(pivots)
 
@@ -345,8 +328,8 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
     """Reports for all three complexes, degrees 0..max_degree.
 
     One elimination per degree n, :func:`_cone_ranks`, gives rank ∂_{n-1},
-    rank δ_n and rank d_n, and one on the projected ∂ images of C^max_degree
-    the operator table's top rank.  First come ``cochain._degree0_checks`` on
+    rank δ_n and rank d_n, and one on the ∂ images of C^max_degree the
+    operator table's top rank.  First come ``cochain._degree0_checks`` on
     both bimodules (validating the star one) and, for max_degree >= 1, the
     combined check: degree-0 coboundaries are d(y) = (δ_0 y, -y) for the ys
     of ``cochain._degree0_domain``, so b^1 = rank(ys), the report is flagged
@@ -367,7 +350,7 @@ def rbfa_cohomology_dims(ctx: RbfContext, max_degree: int) -> dict:
             )
         b1_dim = sparse_rank(ys)
     partial_ranks, delta_ranks, ranks = zip(*(_cone_ranks(ctx, n) for n in range(max_degree + 1)))
-    top = sparse_rank(_basis_images(sb, max_degree, verify=False, project=True))
+    top = sparse_rank(_basis_images(sb, max_degree))
     dims = [ctx.basis(k).dim() for k in range(max_degree + 1)]
     return {
         "alg": _report(dims, delta_ranks, alg_b1, alg_intersected),
@@ -391,7 +374,14 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
     _require_family(ctx)
     for n in range(max_degree + 1):
         op, star, to_rbf, compared = delta_op(ctx.bimodule, n), delta_op(ctx.star_bimodule(), n), phi_op(ctx, n + 1), {}
-        for s, phi_key, vectors, lifted in _phi_products(ctx, n):
+        phi_n, sigs, lifted_of = phi_op(ctx, n), _signatures(ctx.bimodule, n), {}
+        for s, (((_, f),), vectors) in enumerate(zip(phi_n.faces, ctx.basis(n).vectors)):
+            if not vectors:
+                continue
+            phi_key = (f, sigs[s])  # φ_s K is formed once per (φ block, source signature)
+            lifted = lifted_of.get(phi_key)
+            if lifted is None:
+                lifted = lifted_of[phi_key] = _block_product(phi_n.blocks[f], 1, vectors)
             hits = []  # (vector, raw index, lhs, rhs) of each difference
             for (t, k), (_, k_star) in zip(op.faces[s], star.faces[s]):
                 key = (k, k_star, to_rbf.faces[t][0][1], *phi_key)
@@ -409,20 +399,23 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
 
 
 def combined_kernel(ctx: RbfContext, n: int) -> list:
-    """Basis of ker(d^n) as CombinedCochains (deterministic kernel order)."""
+    """Basis of ker(d^n) as CombinedCochains (deterministic kernel order),
+    from :func:`_combined_images`: the form of each part is injective on the
+    space its images lie in, so the kernel is that of d^n."""
     _require_family(ctx)
-    width = combined_dim(ctx, n)
-    out = []
-    for vec in sparse_kernel(_combined_rows(ctx, n), width):
-        coords = [ZERO] * width
-        for j, v in vec.items():
-            coords[j] = v
-        out.append(combined_from_coords(ctx, n, coords))
-    return out
+    b, width = ctx.bimodule, combined_dim(ctx, n)
+    rows = sparse_rows(_combined_images(ctx, n), _raw_size(b, n + 1) + _raw_size(b, n))
+    return [combined_from_coords(ctx, n, [vec.get(j, ZERO) for j in range(width)])
+            for vec in sparse_kernel(rows, width)]
 
 
 def solve_combined(ctx: RbfContext, n: int, target: CombinedCochain):
-    """Coordinates x with d^n(x) = target, free coordinates zero, or None."""
+    """Coordinates x with d^n(x) = target, free coordinates zero, or None.
+
+    Solves :func:`_combined_images` against the target's parts read in the
+    same form (``cochain._read``); a part that reading finds outside its
+    cochain space has no preimage, as every image there lies in it.
+    """
     if target.degree != n + 1:
         raise MalformedInputError("target degree mismatch")
     if n < 0 or target.rbf is None or target.rbf.degree != n:
@@ -430,8 +423,8 @@ def solve_combined(ctx: RbfContext, n: int, target: CombinedCochain):
     for part in (target.alg, target.rbf):
         _require_shape(ctx.bimodule, part)
     _require_family(ctx)
-    rhs = list(target.alg.coords) + list(target.rbf.coords)
-    x = sparse_solve(_combined_rows(ctx, n), rhs, combined_dim(ctx, n))
-    if x is None:
+    alg, rbf = _read(ctx.bimodule, target.alg), _read(ctx.bimodule, target.rbf)
+    if alg is None or rbf is None:
         return None
-    return combined_from_coords(ctx, n, x)
+    x = sparse_solve(sparse_rows(_combined_images(ctx, n), len(alg) + len(rbf)), alg + rbf, combined_dim(ctx, n))
+    return None if x is None else combined_from_coords(ctx, n, x)

@@ -315,17 +315,21 @@ def random_wide_pair(rng):
 
 
 def random_valid_context(rng, kind: str | None = None) -> RbfContext:
-    """A validated Rota-Baxter family context with the regular bimodule and
-    T = R, on an algebra of dimension at most 2.  The family, at a weight
+    """A validated Rota-Baxter family context on an algebra of dimension at
+    most 2, with the regular bimodule and T = R.  The family, at a weight
     in {1, -1, 1/2, 2}, is of ``kind``: "scalar" R = -weight * id or "zero"
     R = 0 (Rota-Baxter of that weight on any algebra), "searched", the
     first non-scalar family of that weight that ``samples.searched_rb``
     finds, or "split", R_w = -weight * pi_1 for every w, where pi_1 projects
     A = A_1 (+) A_2 onto A_1 along A_2 (:func:`_split_family`).  A kind
-    of None draws "scalar", "zero" or, for half the draws, "searched".  The
-    algebra is drawn again while the search or the splitting finds none."""
+    of None draws "scalar", "zero" or, for half the draws, "searched".
+    The kind "zero-module" draws the family as None does, over a zero
+    bimodule instead (:func:`_zero_module`).  The algebra is drawn again
+    while the search or the splitting finds none."""
     weight = rng.choice(_WEIGHTS)
-    kind = kind or rng.choice(("scalar", "zero", "searched", "searched"))
+    zero_module = kind == "zero-module"
+    if kind in (None, "zero-module"):
+        kind = rng.choice(("scalar", "zero", "searched", "searched"))
     for _ in range(40):
         a = random_valid_algebra(rng, 2)
         if kind == "split":
@@ -340,8 +344,24 @@ def random_valid_context(rng, kind: str | None = None) -> RbfContext:
                 rb = searched_rb(a, weight)
             except InternalCheckError:  # no non-scalar family within bound 1
                 continue
-        return RbfContext.validated(a, rb, regular_bimodule(a, rb))
+        return RbfContext.validated(a, rb, _zero_module(rng, a, rb) if zero_module else regular_bimodule(a, rb))
     raise InternalCheckError("random context generation failed to converge")
+
+
+def _zero_module(rng, a: OmegaAlgebra, rb: RotaBaxterFamily) -> OmegaBimodule:
+    """A zero bimodule over ``a`` of dimension 1 or 2, with P = Q = id and
+    T_w, drawn per element, an integer upper triangular matrix that is not
+    R_w and, where dim M = 2, not a scalar.  With zero actions the weighted
+    action identities hold for any T, which commutes with P and Q, so the
+    context validates; T differs from R."""
+    m = rng.randint(1, 2)
+    tmap = {}
+    for x in a.omega.elements():
+        t = rb.maps[x]
+        while t == rb.maps[x] or (m == 2 and not t.at(0, 1) and t.at(0, 0) == t.at(1, 1)):
+            t = Mat(m, m, [Rat(rng.randint(-2, 3)) if i <= j else Rat(0) for i in range(m) for j in range(m)])
+        tmap[x] = t
+    return zero_bimodule(a, m, tmap=tmap)
 
 
 def _split_family(rng, a: OmegaAlgebra, weight) -> tuple | None:

@@ -26,6 +26,10 @@ or factored evaluation that production uses:
 * :func:`combined_raw_matrix_oracle` -- the dense matrix of the combined
   differential, built from the two oracles above (production: the cached
   sparse images in ``rbf``);
+* :func:`end_columns` -- the largest column of each constraint row of C^n,
+  read from its rows, so that a raw vector can be put in the form of the
+  tables' images by deleting keys (production: ``cochain._project`` and
+  ``cochain._violations``, which drop them in the membership pass);
 * :func:`is_equivariant_oracle` -- both structure-map constraints evaluated
   slot by slot through :func:`evaluate_oracle` (production:
   ``cochain.is_equivariant``, the cached constraint rows);
@@ -77,7 +81,7 @@ from bihomega.algebra import (
     Witness, _assoc_scan, _column_witness, _commute_scan, _intertwining_scan, _weighted_scan,
 )
 from bihomega.bimodule import ensure_bimodule_shapes
-from bihomega.cochain import Cochain, _degree0_domain, _tuple_rank, delta_op, maps_from_cochain
+from bihomega.cochain import Cochain, _constraint_system, _degree0_domain, _tuple_rank, delta_op, maps_from_cochain
 from bihomega.deformation import deformed_mu
 from bihomega.errors import MalformedInputError, PreconditionError
 from bihomega.gerstenhaber import algebra_with_product, bracket, mu_cochain
@@ -374,6 +378,14 @@ def combined_raw_matrix_oracle(ctx, n):
             image = delta_direct_oracle(sb, basis.cochain(j))
             cols.append([ZERO] * alg_rows + [-v for v in image.coords])
     return Mat.from_cols(cols) if cols else Mat.zeros(alg_rows + rbf_rows, 0)
+
+
+def end_columns(b, n) -> set:
+    """Raw indices of the largest column of every degree-n constraint row:
+    the columns that the tables' images of degree n >= 2 leave out."""
+    width = b.base.dim**n * b.dim_m
+    return {t * width + max(row) for t in range(b.base.omega.size**n)
+            for row in _constraint_system(b, n, t)[0]}
 
 
 def is_equivariant_oracle(b, f):

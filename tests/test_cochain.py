@@ -16,6 +16,7 @@ from oracles import (
     circ_i_oracle,
     constraint_rows_oracle,
     delta_direct_oracle,
+    end_columns,
     equivariant_basis_oracle,
     evaluate_oracle,
     gauss_jordan_oracle,
@@ -461,6 +462,31 @@ def test_is_equivariant_matches_slotwise_oracle(e1_regular, c2_ctx):
                 assert verdict == is_equivariant_oracle(b, raw), n
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_project_drops_the_end_columns_of_members_and_refuses_the_rest(e1_regular, c2_ctx):
+    """cochain._project at degrees 0-2 of e1's and the c2 context's
+    bimodules: the zero vector projects to {} (so a membership test reads
+    ``is not None``); a random member of C^n projects to its entries off
+    the end columns of C^n (at degree 0, which has none, to itself); a
+    member plus a unit vector that the slotwise oracle finds outside C^n
+    projects to None."""
+    rng = random.Random(71)
+    refused = 0
+    for b in (e1_regular, c2_ctx.bimodule):
+        om, d, m = b.base.omega.size, b.base.dim, b.dim_m
+        for n in range(3):
+            assert cochain._project(b, n, {}) == {}
+            f = random_equivariant(b, n, rng)
+            vec, ends = {i: v for i, v in enumerate(f.coords) if v}, end_columns(b, n)
+            assert vec and bool(ends) == (n > 0)
+            assert cochain._project(b, n, vec) == {i: v for i, v in vec.items() if i not in ends}
+            for r in range(len(f.coords)):
+                unit = Cochain(n, om, d, m, [ONE if i == r else ZERO for i in range(len(f.coords))])
+                if not is_equivariant_oracle(b, unit):
+                    assert cochain._project(b, n, {**vec, r: vec.get(r, ZERO) + 1}) is None, (n, r)
+                    refused += 1
+    assert refused
 
 
 LADDER_TABLES = {
@@ -1042,38 +1068,28 @@ def test_is_equivariant_refuses_a_cochain_of_another_shape(e1_regular):
             is_equivariant(e1_regular, f)
 
 
-def _end_columns(b, n) -> set:
-    """Raw indices of the largest column of every degree-n constraint row."""
-    width = b.base.dim**n * b.dim_m
-    return {t * width + max(row) for t in range(b.base.omega.size**n)
-            for row in cochain._constraint_system(b, n, t)[0]}
-
-
 def _assert_basis_images_match_delta_op(b, n) -> list:
     """The basis images of the tables equal delta_op on every basis cochain
-    of C^n, and projected, those images without the end columns of C^{n+1}
-    (n >= 1; degree-0 images stay raw, also unverified with ``project``).
-    Verified or projected, they are refused exactly when some image leaves
+    of C^n: raw and unverified at n = 0, and for n >= 1 those images without
+    the end columns of C^{n+1}, which is also what cochain._project makes of
+    them.  For n >= 1 they are refused exactly when some image leaves
     C^{n+1} (is_equivariant on the dense image), naming the lowest one.
     Returns the basis elements whose images leave."""
     om, d, m = b.base.omega, b.base.dim, b.dim_m
     basis, op = equivariant_basis(b, n), delta_op(b, n)
     want = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
-    assert list(cochain._basis_images(b, n, verify=False)) == want
-    if n == 0:
-        assert list(cochain._basis_images(b, n, verify=False, project=True)) == want
     leaving = [j for j in range(basis.dim())
                if not is_equivariant(b, Cochain(n + 1, om.size, d, m, op.apply_dense(basis.cochain(j).coords)))]
-    for project in (False, True):
-        if leaving:
-            with pytest.raises(InternalCheckError, match=f"degree-{n} basis element {leaving[0]} left"):
-                list(cochain._basis_images(b, n, project=project))
-        elif project:
-            ends = _end_columns(b, n + 1) if n else set()
-            projected = [{i: v for i, v in image.items() if i not in ends} for image in want]
-            assert list(cochain._basis_images(b, n, project=True)) == projected
-        else:
-            assert list(cochain._basis_images(b, n)) == want
+    if n == 0:
+        assert list(cochain._basis_images(b, n)) == want
+    elif leaving:
+        with pytest.raises(InternalCheckError, match=f"degree-{n} basis element {leaving[0]} left"):
+            list(cochain._basis_images(b, n))
+    else:
+        ends = end_columns(b, n + 1)
+        projected = [{i: v for i, v in image.items() if i not in ends} for image in want]
+        assert list(cochain._basis_images(b, n)) == projected
+        assert [cochain._project(b, n + 1, image) for image in want] == projected
     return leaving
 
 
@@ -1119,10 +1135,10 @@ def test_degree_zero_basis_is_m_on_wide_draws():
 
 def test_degree_zero_basis_images_are_raw_and_refused_where_they_leave_c1():
     """The degree-0 images of the tables are block products of δ_0's blocks
-    and equal delta_op's on the basis of C^0 = M, raw with or without
-    ``project``; verified, they are refused naming the lowest basis element
-    whose image leaves C^1, as delta_matrix(b, 0) refuses it.  On the e1
-    semidirect product and the c2 context's bimodule, element 1 leaves."""
+    and equal delta_op's on the basis of C^0 = M, raw and unverified, also
+    where one leaves C^1; delta_matrix(b, 0) refuses it, naming the lowest
+    basis element whose image leaves.  On the e1 semidirect product and the
+    c2 context's bimodule, element 1 leaves."""
     for b in (regular_bimodule(samples.build_e1_semidirect()), samples.c2_rbf_context().bimodule):
         assert _assert_basis_images_match_delta_op(b, 0) == [1]
         with pytest.raises(InternalCheckError, match="degree-0 basis element 1 left the equivariant subspace"):
@@ -1227,10 +1243,11 @@ def test_projection_off_end_columns_keeps_rank_on_pooled_carriers(case):
     constraint rows) is injective on C^n: at degrees 1-3 every block of the
     basis keeps full rank without them.  So where the images of δ_n lie in
     C^{n+1}, the projected images the tables rank have the rank of the raw
-    ones; where one leaves, both routes refuse it alike."""
+    ones, delta_op's on each basis cochain; where one leaves, the tables and
+    delta_matrix refuse it alike."""
     b = case[0]
     for n in (1, 2, 3):
-        basis, ends = equivariant_basis(b, n), _end_columns(b, n)
+        basis, ends = equivariant_basis(b, n), end_columns(b, n)
         for t, vectors in enumerate(basis.vectors):
             base = t * basis.block_size
             assert sparse_rank([{c: v for c, v in vec.items() if base + c not in ends} for vec in vectors]) == len(
@@ -1238,12 +1255,14 @@ def test_projection_off_end_columns_keeps_rank_on_pooled_carriers(case):
             ), (n, t)
     for n in (1, 2):
         try:
-            raw = list(cochain._basis_images(b, n))
+            delta_matrix(b, n)
         except InternalCheckError as exc:
             with pytest.raises(InternalCheckError, match=str(exc)):
-                list(cochain._basis_images(b, n, project=True))
+                list(cochain._basis_images(b, n))
             continue
-        assert sparse_rank(cochain._basis_images(b, n, project=True)) == sparse_rank(raw), n
+        basis, op = equivariant_basis(b, n), delta_op(b, n)
+        raw = [op.image(basis.cochain_sparse(j)) for j in range(basis.dim())]
+        assert sparse_rank(cochain._basis_images(b, n)) == sparse_rank(raw), n
 
 
 def test_projected_table_ranks_match_the_delta_matrix_route(e0, zero1):
@@ -1270,7 +1289,7 @@ def test_projected_table_ranks_match_the_delta_matrix_route(e0, zero1):
             assert "degree-0" in str(exc)
             refused, rows = refused + 1, None
         ranks = [rank(delta_matrix(b, k)) for k in range(1, top + 1)]
-        assert [sparse_rank(cochain._basis_images(b, k, project=True)) for k in range(1, top + 1)] == ranks
+        assert [sparse_rank(cochain._basis_images(b, k)) for k in range(1, top + 1)] == ranks
         if rows is not None:
             assert [r.dim_cochains - r.dim_cocycles for r in rows[1:]] == ranks
             assert [r.dim_coboundaries for r in rows[2:]] == ranks[:-1]
@@ -1294,7 +1313,7 @@ def test_delta_op_matches_the_direct_oracle_on_wide_draws():
     """delta_op(b, n).apply_dense and .image equal delta_direct_oracle for
     n = 1-4, on every basis cochain of C^n and on three seeded raw vectors
     (24 random coordinates each) per degree, and the basis images of the
-    tables (cochain._basis_images, unverified) equal it on the basis, over
+    tables (cochain._basis_images) equal it on the basis, projected, over
     40 wide draws (invertible, non-diagonal structure maps with p != q, not
     the identity at the unit; regular, zero and induced bimodules), zero
     bimodules of dimension 0 over two of their algebras, the named inputs
@@ -1333,7 +1352,9 @@ def test_delta_op_matches_the_direct_oracle_on_wide_draws():
                     want[i] = v
                 assert op.apply_dense(coords) == want
                 assert op.image(vec) == images[-1]
-            assert list(cochain._basis_images(b, n, verify=False)) == images[: basis.dim()]
+            ends = end_columns(b, n + 1)
+            assert list(cochain._basis_images(b, n)) == [
+                {i: v for i, v in image.items() if i not in ends} for image in images[: basis.dim()]]
 
 
 def test_factored_blocks_share_one_part_per_tuple_of_middle_terms():
@@ -1503,7 +1524,8 @@ def test_table_images_read_the_delta_op_blocks():
                             for part, actions in op.blocks]
             assert [block_columns_oracle(op, k) for k in range(len(op.blocks))] == [
                 [{r: 2 * v for r, v in col.items()} for col in block] for block in columns]
-            doubled = [{i: 2 * v for i, v in image.items()} for image in intact]
+            ends = end_columns(b, n + 1)
+            doubled = [{i: 2 * v for i, v in image.items() if i not in ends} for image in intact]
             assert any(intact) and list(cochain._basis_images(b, n)) == doubled
 
 

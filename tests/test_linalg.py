@@ -472,13 +472,14 @@ def test_integer_echelon_rows_are_primitive_with_positive_leads():
 def test_echelon_keeps_the_sparser_row_at_each_pivot():
     """A row that meets a pivot with more nonzeros at its leading column takes
     its place, content-normalized, and the displaced pivot is reduced on.
-    Work guard, exact: ranking the 64 degree-4 basis images of c2 variant 0
-    leaves 4840 echelon nonzeros; reducing every row by the pivot already in
-    place left 7588."""
+    Work guard, exact: ranking the 64 raw degree-4 basis images of c2
+    variant 0 (delta_op's on each basis cochain) leaves 4840 echelon
+    nonzeros; reducing every row by the pivot already in place left 7588."""
     pivots = linalg._integer_echelon([{0: 1, 1: 1, 2: 1}, {0: 2, 2: 4}])
     assert pivots == {0: {0: 1, 2: 2}, 1: {1: 1, 2: -1}}
     b = regular_bimodule(samples.build_c2_example(0))
-    pivots = linalg._integer_echelon(list(cochain._basis_images(b, 4)))
+    basis, op = cochain.equivariant_basis(b, 4), cochain.delta_op(b, 4)
+    pivots = linalg._integer_echelon([op.image(basis.cochain_sparse(j)) for j in range(basis.dim())])
     assert len(pivots) == 153
     assert sum(map(len, pivots.values())) == 4840
 

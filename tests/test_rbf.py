@@ -11,6 +11,7 @@ from oracles import (
     chain_map_witness_oracle,
     combined_raw_matrix_oracle,
     delta_direct_oracle,
+    end_columns,
     evaluate_oracle,
     kernel_oracle,
     partial_expanded_oracle,
@@ -681,8 +682,15 @@ def test_combined_kernel_split_characterization(e1_ctx):
     assert len(kernel_oracle(mat)) == len(combined_kernel(ctx, 2))
 
 
-def _sparse(column):
-    return {i: v for i, v in enumerate(column) if v}
+def _image_form(ctx, n, column) -> dict:
+    """A raw column of d^n (the C^{n+1} rows, then the C^n rows) as a sparse
+    dict in the form of the tables' images: a part of degree k >= 2 without
+    the end columns of C^k, a part of degree 0 or 1 raw."""
+    b = ctx.bimodule
+    shift = cochain._raw_size(b, n + 1)
+    ends = end_columns(b, n + 1) if n >= 1 else set()
+    ends |= {shift + i for i in end_columns(b, n)} if n >= 2 else set()
+    return {i: v for i, v in enumerate(column) if v and i not in ends}
 
 
 def _oracle_image(ctx, n, coords):
@@ -701,15 +709,16 @@ def _dim_m_zero_context(e1):
 
 
 def test_combined_images_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx, c2_ctx, e1):
-    """The cached sparse images are the columns of the dense oracle matrix at
-    degrees 0-4.  On c2 at degree 4 (320 columns, about 30 s of oracle
-    work) the check takes seeded single columns and random combinations."""
+    """The sparse images are the columns of the dense oracle matrix at
+    degrees 0-4, each part of degree k >= 2 without the end columns of C^k.
+    On c2 at degree 4 (320 columns, about 30 s of oracle work) the check
+    takes seeded single columns and random combinations."""
     for ctx in (e0_ctx, e1_ctx, zero1_ctx, c2_ctx, _dim_m_zero_context(e1)):
         for n in range(4 if ctx is c2_ctx else 5):
             images = _combined_images(ctx, n)
             mat = combined_raw_matrix_oracle(ctx, n)
             assert len(images) == mat.cols == combined_dim(ctx, n), n
-            assert [_sparse(mat.col(j)) for j in range(mat.cols)] == images, n
+            assert [_image_form(ctx, n, mat.col(j)) for j in range(mat.cols)] == images, n
     images = _combined_images(c2_ctx, 4)
     width = len(images)
     assert width == combined_dim(c2_ctx, 4) == 256 + 64
@@ -717,14 +726,14 @@ def test_combined_images_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx, c2_ctx, 
     for j in (0, rng.randrange(256), 255, rng.randrange(256, width), width - 1):
         unit = [ZERO] * width
         unit[j] = ONE
-        assert _sparse(_oracle_image(c2_ctx, 4, unit)) == images[j], j
+        assert _image_form(c2_ctx, 4, _oracle_image(c2_ctx, 4, unit)) == images[j], j
     for _ in range(2):
         coords = [Rat(rng.randint(-3, 3)) for _ in range(width)]
         total = {}
         for c, image in zip(coords, images):
             for i, v in image.items():
                 total[i] = total.get(i, 0) + c * v
-        assert _sparse(_oracle_image(c2_ctx, 4, coords)) == {i: v for i, v in total.items() if v}
+        assert _image_form(c2_ctx, 4, _oracle_image(c2_ctx, 4, coords)) == {i: v for i, v in total.items() if v}
 
 
 def test_combined_kernel_and_solve_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx, c2_ctx):
@@ -752,6 +761,75 @@ def test_combined_kernel_and_solve_match_oracle_matrix(e0_ctx, e1_ctx, zero1_ctx
                 assert solve_combined(ctx, n, target) == expected, (n, vec)
                 unsolvable += x is None
     assert unsolvable
+
+
+def _outside(b, k):
+    """The first raw index of degree k whose unit vector is not in C^k, or None."""
+    size, shape = cochain._raw_size(b, k), (b.base.omega.size, b.base.dim, b.dim_m)
+    units = (Cochain(k, *shape, [ONE if i == r else ZERO for i in range(size)]) for r in range(size))
+    return next((r for r, unit in enumerate(units) if not is_equivariant(b, unit)), None)
+
+
+def test_combined_kernel_and_solve_read_targets_in_the_form_of_the_images():
+    """combined_kernel and solve_combined against kernel_oracle and
+    solve_oracle on the raw oracle matrix at n = 0-2, on the c2 context and
+    seeded contexts of random_valid_context, regular and "zero-module" (a
+    zero bimodule with T != R).  Targets: images of seeded sources, solved;
+    each with a unit vector outside C^k added to a part of degree k >= 2,
+    which is read as None and has no preimage; and, among the images, some
+    whose degree-1 part leaves C^1 (as δ_0's images do on the c2 context),
+    read raw and solved as the oracle solves them."""
+    rng = random.Random(4243)
+    contexts = [samples.c2_rbf_context(), *(random_valid_context(rng) for _ in range(3))]
+    contexts += [random_valid_context(rng, "zero-module") for _ in range(6)]
+    outside_parts = raw_degree1 = 0
+    for ctx in contexts:
+        b = ctx.bimodule
+        om, d, m = ctx.dims()
+        for n in (0, 1, 2):
+            mat = combined_raw_matrix_oracle(ctx, n)
+            assert combined_kernel(ctx, n) == [combined_from_coords(ctx, n, vec) for vec in kernel_oracle(mat)]
+            cut = cochain._raw_size(b, n + 1)
+            for _ in range(2):
+                vec = mat.matvec([Rat(rng.randint(-2, 2)) for _ in range(mat.cols)])
+                targets = [vec]
+                for k, first in ((n + 1, 0), (n, cut)):  # each part: its degree and its first row
+                    r = _outside(b, k) if k >= 2 else None
+                    if r is not None:
+                        targets.append([v + (i == first + r) for i, v in enumerate(vec)])
+                for target in targets:
+                    parts = Cochain(n + 1, om.size, d, m, target[:cut]), Cochain(n, om.size, d, m, target[cut:])
+                    x = solve_oracle(mat, target)
+                    assert (x is None) == (target is not vec)
+                    got = solve_combined(ctx, n, CombinedCochain(*parts))
+                    assert got == (None if x is None else combined_from_coords(ctx, n, x)), (n, target)
+                    outside_parts += x is None
+                    raw_degree1 += x is not None and any(
+                        part.degree == 1 and not is_equivariant(b, part) for part in parts)
+    assert outside_parts and raw_degree1
+
+
+def test_a_phi_image_outside_c2_is_refused_by_the_tables():
+    """The φ parts of the combined images are read as the δ parts are: for
+    degree n >= 2 verified in C^n and projected.  On the c2 context, the
+    first tuple s of degree 2 with a kernel gets its own copy of φ_2's block,
+    with an entry at a local row outside C^2 added in the column of the free
+    column of its first kernel vector: that basis element's φ image leaves
+    C^2, and rbfa_cohomology_dims refuses the tables, naming it and the
+    degree, where a raw φ part would be ranked silently."""
+    ctx = samples.c2_rbf_context()
+    b, op, basis = ctx.bimodule, rbf.phi_op(ctx, 2), ctx.basis(2)
+    rbfa_cohomology_dims(ctx, 2)  # the intact context is ranked
+    s = next(s for s, vectors in enumerate(basis.vectors) if vectors)
+    column, outside = max(basis.vectors[s][0]), _outside(b, 2) - s * op.out_width
+    assert 0 <= outside < op.out_width
+    [(t, k)] = op.faces[s]
+    part, actions = op.blocks[k]
+    op.blocks.append(([[*col, (outside, ONE)] if c == column else col for c, col in enumerate(part)], actions))
+    op.faces[s] = [(t, len(op.blocks) - 1)]
+    with pytest.raises(InternalCheckError, match=f"image of degree-2 basis element {basis.offsets[s]} left the "
+                                                 "equivariant subspace: vector is not in the degree-2 equivariant"):
+        rbfa_cohomology_dims(ctx, 2)
 
 
 def test_malformed_combined_targets_and_coordinates_are_refused(e1_ctx):
@@ -854,22 +932,37 @@ def constant_t_ctx():
     return ctx
 
 
+@pytest.fixture(scope="module")
+def zero_module_ctx():
+    """c2 variant 0 with its searched family on a zero bimodule of dimension
+    2 with T = [[2, 1], [0, 3]] at every element: P = Q = id, which T
+    commutes with, and zero actions, which meet the weighted action
+    identities for any T, so the context validates; T != R."""
+    a = samples.build_c2_example(0)
+    t = Mat(2, 2, [Rat(2), Rat(1), ZERO, Rat(3)])
+    return RbfContext.validated(a, samples.searched_rb(a), zero_bimodule(a, 2, tmap={x: t for x in a.omega.elements()}))
+
+
 @pytest.mark.parametrize("context, which, degree", [
     ("c2", "delta", 2), ("c2", "phi_n", 1), ("c2", "phi_next", 2), ("draw", "star_delta", 2), ("draw", "delta", 2),
     ("constant_t", "star_delta", 2), ("constant_t", "delta", 2), ("constant_t", "phi_n", 1),
-    ("constant_t", "phi_next", 2),
+    ("constant_t", "phi_next", 2), ("zero_module", "star_delta", 2), ("zero_module", "delta", 2),
+    ("zero_module", "phi_n", 1), ("zero_module", "phi_next", 2),
 ])
-def test_chain_map_check_finds_faults_planted_in_shared_blocks(several_phi_ctx, constant_t_ctx, context, which, degree):
+def test_chain_map_check_finds_faults_planted_in_shared_blocks(
+    several_phi_ctx, constant_t_ctx, zero_module_ctx, context, which, degree
+):
     """Each block of an operator of the degree-2 square (∂_2, δ_2, φ_2 or
     φ_3) that several source tuples read gets an extra entry in every column
     of its part, in place in the operator's block list, one block at a time:
     the check, which compares each class of faces once, then names the
     witness of chain_map_witness_oracle, which composes the images of every
     basis cochain, at ``degree`` (φ_2 is also φ_{n+1} at degree 1).  The
-    contexts: the c2 context, a draw whose φ_2 has several blocks, and the
-    c2 algebra and family with T = -λ·id (:func:`constant_t_ctx`)."""
+    contexts: the c2 context, a draw whose φ_2 has several blocks, the c2
+    algebra and family with T = -λ·id (:func:`constant_t_ctx`) and on a
+    zero bimodule (:func:`zero_module_ctx`)."""
     ctx = {"c2": samples.c2_rbf_context, "draw": lambda: several_phi_ctx,
-           "constant_t": lambda: constant_t_ctx}[context]()
+           "constant_t": lambda: constant_t_ctx, "zero_module": lambda: zero_module_ctx}[context]()
     op = {
         "star_delta": lambda: delta_op(ctx.star_bimodule(), 2), "delta": lambda: delta_op(ctx.bimodule, 2),
         "phi_n": lambda: rbf.phi_op(ctx, 2), "phi_next": lambda: rbf.phi_op(ctx, 3),
@@ -1044,17 +1137,13 @@ def test_star_bimodule_with_other_structure_maps_is_refused(monkeypatch, e1_ctx,
 
 
 def _combined_square_vanishes(ctx, n) -> bool:
-    """Whether d_{n+1} d_n vanishes on the combined basis of degree n: d_n
-    read from the raw images of the table engine, d_{n+1} applied to them
-    on raw coordinates, (u, w) -> (δu, -(∂w + φu))."""
-    shift = cochain._raw_size(ctx.bimodule, n + 1)
-    alg, star, to_rbf = delta_op(ctx.bimodule, n + 1), delta_op(ctx.star_bimodule(), n), rbf.phi_op(ctx, n + 1)
-    for image in _combined_images(ctx, n):
-        u = {i: v for i, v in image.items() if i < shift}
-        rest = star.image({i - shift: v for i, v in image.items() if i >= shift})
-        for i, v in to_rbf.image(u).items():
-            rest[i] = rest.get(i, ZERO) + v
-        if alg.image(u) or any(rest.values()):
+    """Whether d_{n+1} d_n vanishes on the combined basis of degree n, both
+    applied by d_combined on raw coordinates, unchecked (a degree-0 image
+    may leave C^1)."""
+    width = combined_dim(ctx, n)
+    for j in range(width):
+        x = combined_from_coords(ctx, n, [ONE if k == j else ZERO for k in range(width)])
+        if not d_combined(ctx, d_combined(ctx, x, check=False), check=False).is_zero():
             return False
     return True
 
@@ -1086,6 +1175,22 @@ def test_random_valid_contexts_keep_the_chain_map_and_the_combined_square():
             assert chain_map_witness_oracle(ctx, 3) is None
     assert len(fails) == len({k for k, _ in fails}) == 2 and {n for _, n in fails} == {0}
     assert several_classes == 9
+
+
+def test_zero_module_contexts_keep_the_chain_map_and_the_combined_square():
+    """12 seeded contexts of random_valid_context of kind "zero-module" (a
+    zero bimodule of dimension 1 or 2, T integer upper triangular and not R,
+    so neither φ nor the star bimodule is the regular one's): on each,
+    chain_map_check(ctx, 3) is None, as chain_map_witness_oracle finds, and
+    the combined d∘d vanishes on degrees 0-3 (zero actions make δ_0 and ∂_0
+    zero, so the degree-0 defect cannot show)."""
+    rng = random.Random(2029)
+    for ctx in [random_valid_context(rng, "zero-module") for _ in range(12)]:
+        actions = [*ctx.bimodule.left.values(), *ctx.bimodule.right.values()]
+        assert ctx.bimodule.dim_m in (1, 2) and not any(v for t in actions for plane in t for row in plane for v in row)
+        assert all(ctx.bimodule.tmap[x] != ctx.rb.maps[x] for x in ctx.algebra.omega.elements())
+        assert chain_map_check(ctx, 3) is None and chain_map_witness_oracle(ctx, 3) is None
+        assert all(_combined_square_vanishes(ctx, n) for n in range(4))
 
 
 def test_tables_refuse_an_unvalidated_context_whose_family_is_not_rota_baxter(monkeypatch, c2_ctx):

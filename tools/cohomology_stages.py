@@ -15,7 +15,7 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
 * ``products`` -- each block of ``delta_op`` times the kernel of each
   source twist signature, once per (pair key, source signature): the time
   inside ``cochain._block_product`` during one
-  ``_basis_images(b, k, verify=False, project=True)`` call, k = 0 included
+  ``_basis_images(b, k)`` call, k = 0 included
   (δ_0's blocks, one per output tuple);
 * ``rows``     -- building the degree-(k+1) constraint systems (rows,
   column index and end columns, once per twist signature, the time inside
@@ -29,7 +29,8 @@ and times, degree by degree, the stages ``cochain.cohomology_dims`` runs:
   constraint rows taken in the same pass (the time inside
   ``cochain._violations`` during that call, less ``rows``); at k = 0, where
   the call neither verifies nor projects (δ_0 images may leave C^1), the
-  rest of the membership test of every image in C^1, read as ``inside``;
+  rest of the membership test of every image in C^1 (``cochain._project``),
+  read as ``inside``;
 * ``assemble`` -- the rest of that call: placing the products, projected
   for k >= 1 and raw at k = 0, into basis images (the tables stream them
   into the rank; here they are kept to time the rank alone);
@@ -59,16 +60,18 @@ star bimodules, the star one validated (``checks_s``, once per repeat),
 then per degree k its one elimination, timed in stages:
 
 * ``phi_op`` -- compiling the comparison map on C^k;
-* ``phase1`` -- building the raw images (0, -∂e) of the C^{k-1} basis,
-  verified in C^k for k >= 2, and eliminating them;
+* ``phase1`` -- building the images (0, -∂e) of the C^{k-1} basis,
+  verified in C^k and projected off its end columns for k >= 2, and
+  eliminating them;
 * ``phase2`` -- building the images (δe, -φe) of the C^k basis, δe
-  projected off the end columns for k >= 1, and resuming the elimination;
+  verified and projected for k >= 1 and φe for k >= 2, and resuming the
+  elimination;
 
 beside its three pivot counts: ``rank_partial`` (phase 1, rank ∂_{k-1}),
 ``rank_delta`` (the pivots in the C^{k+1} columns, rank δ_k) and ``rank``
 (all of them, rank d_k); ``inside`` says, at k = 0 only, whether every δ_0
 image lies in C^1.  Last, ``top_s`` is the one more elimination, of the
-projected ∂ images of C^5, that the operator table's top rank takes.
+∂ images of C^5, projected, that the operator table's top rank takes.
 
 For the rbfa tables of ``fixtures/c2_rbf.json`` (degrees 0-3), each repeat
 parses the file and validates its context, then times per degree:
@@ -100,7 +103,7 @@ from bihomega.cochain import (
     _basis_images,
     _constraint_system,
     _degree0_checks,
-    _in_subspace,
+    _project,
     _raw_size,
     _signatures,
     delta_op,
@@ -133,10 +136,11 @@ def degree_k(b, k: int, clock) -> tuple:
     t1 = clock()
     ((images, rows_s), verify_s), products_s = seconds_in(cochain, "_block_product", lambda: seconds_in(
         cochain, "_violations", lambda: seconds_in(cochain, "_constraint_system", lambda: list(
-            _basis_images(b, k, verify=False, project=True)), clock), clock), clock)
+            _basis_images(b, k)), clock), clock), clock)
     t2 = clock()
     inside, test_rows_s = seconds_in(cochain, "_constraint_system",
-                                     lambda: k > 0 or all(_in_subspace(b, 1, image) for image in images), clock)
+                                     lambda: k > 0 or all(_project(b, 1, image) is not None for image in images),
+                                     clock)
     t3 = clock()
     return {"plan": plan_s, "blocks": t1 - t0 - plan_s, "products": products_s, "rows": rows_s + test_rows_s,
             "verify": verify_s - rows_s + t3 - t2 - test_rows_s,
@@ -236,18 +240,18 @@ def combined_pass(a, rb, max_degree: int) -> tuple:
         t0 = clock()
         phi_op(ctx, k)
         t1 = clock()
-        pivots = linalg._integer_echelon(_operator_images(ctx, k, verify=True))
+        pivots = linalg._integer_echelon(_operator_images(ctx, k))
         rank_partial = len(pivots)
         t2 = clock()
-        linalg._integer_echelon(_algebra_images(ctx, k, project=True), pivots)
+        linalg._integer_echelon(_algebra_images(ctx, k), pivots)
         t3 = clock()
         shift = _raw_size(b, k + 1)  # where the C^k columns start
-        inside = all(_in_subspace(b, 1, img) for img in _basis_images(b, 0, verify=False)) if k == 0 else None
+        inside = all(_project(b, 1, img) is not None for img in _basis_images(b, 0)) if k == 0 else None
         rows.append({"degree": k, "dim": combined_dim(ctx, k), "rank": len(pivots),
                      "rank_delta": sum(c < shift for c in pivots), "rank_partial": rank_partial,
                      "inside": inside, "phi_op": t1 - t0, "phase1": t2 - t1, "phase2": t3 - t2})
     t0 = clock()
-    linalg.sparse_rank(_basis_images(ctx.star_bimodule(), max_degree, verify=False, project=True))
+    linalg.sparse_rank(_basis_images(ctx.star_bimodule(), max_degree))
     fixed["top"] = clock() - t0
     return fixed, rows
 
