@@ -14,13 +14,15 @@ middle terms of a key, P (x) ... (x) mu (x) Q (x) ... (x) id_M, are summed
 at the argument level, without id_M, by one slot recursion that shares
 its P prefixes and Q suffixes, and keys with equal middle terms share that
 sum (on c2 variant 0 at degree 4, 24 keys hold 12 distinct middle sums,
-built in 27 slot steps).  A block stays factored, never expanded by id_M:
-that sum and the key's 0-2 action terms (1,192 stored entries on the e1
-semidirect product at degree 5, against 5,020 expanded).  Only nonzeros
-are visited.  Both are pure functions: ``cochain.delta_op`` is the one
-holder of δ_n's faces and blocks, and it and the basis images of the
-tables (``cochain._basis_images``) read the factors in place, so δ_n is
-compiled once, by one route.
+built in 27 slot steps).  The same slot step (:func:`_slot_step`) builds
+the Horner sum of the comparison map's blocks (``rbf._phi_block``).  A
+block stays factored, never expanded by id_M: that sum and the key's 0-2
+action terms (1,192 stored entries on the e1 semidirect product at degree
+5, against 5,020 expanded).  Only nonzeros are visited.  Both are pure
+functions: ``cochain.delta_op`` is the one holder of δ_n's faces and
+blocks, and it and the basis images of the tables
+(``cochain._basis_images``) read the factors in place, so δ_n is compiled
+once, by one route.
 """
 
 from __future__ import annotations
@@ -158,26 +160,29 @@ def _middle_part(middle: tuple, n: int, d: int, rows: tuple, steps: dict) -> lis
             if term is not None:
                 pre = _kron([(d, p_rows[c]) for c in term[1]])
                 mu = [[(r, v if i % 2 == 0 else -v) for r, v in col] for col in mu_rows[term[2]]]
-            hit = steps[step] = len(steps), _slot_step(part, None if q is None else q_rows[q], pre, mu, d)
+            hit = steps[step] = len(steps), _slot_step(part, None if q is None else q_rows[q], pre, mu, d, d * d)
         node, part = hit
     return part
 
 
-def _slot_step(part, q, pre, mu, d: int) -> list:
+def _slot_step(part, q, pre, mu, d: int, width: int) -> list:
     """S_i of :func:`_middle_part` from S_{i-1} = ``part`` (None: zero), the
     sparse rows ``q`` of Q_{beta_i} and, when term i is summed, P_{beta_0}
-    (x) ... (x) P_{beta_{i-2}} = ``pre`` and the signed rows ``mu`` of mu."""
+    (x) ... (x) P_{beta_{i-2}} = ``pre`` and the signed rows ``mu`` of mu:
+    column (c, j) is part_c (x) q_j + pre_c (x) mu_j, where the rows of mu
+    span ``width`` (d * d; :func:`bihomega.rbf._phi_block` steps with d unit
+    rows)."""
     if mu is None:
         return _kron([(d, q)], part)
     if part is None:
-        return _kron([(d * d, mu)], pre)
+        return _kron([(width, mu)], pre)
     out = []
     for col, pcol in zip(part, pre):
         for qj, mj in zip(q, mu):
             acc = {r * d + s: v * w for r, v in col for s, w in qj}
             for r, v in pcol:
                 for s, w in mj:
-                    s += r * d * d
+                    s += r * width
                     acc[s] = acc.get(s, ZERO) + v * w
             out.append([(r, v) for r, v in acc.items() if v])
     return out

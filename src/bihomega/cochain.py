@@ -49,11 +49,13 @@ summed at the argument level, tensor id_M, plus its action terms.
 :func:`delta_op` is a :class:`BlockOp`, the one holder of δ_n's faces and
 those blocks, read in place, once per (bimodule, degree); :func:`apply_delta`,
 the tables and every operator caller go through it; δ_0 keeps its own
-formula.  Two loops apply a block: :meth:`BlockOp.apply_dense` on dense
-cochains, and :func:`_block_product` on sparse vectors, read by the tables
-and once per face by :meth:`BlockOp.image`.  The blocks and the constraint rows are sparse Kronecker products
-of structure maps (``linalg._kron``); term-by-term transcriptions of the
-sum live only in the test oracles (``tests/oracles.py``).
+formula.  :meth:`BlockOp.apply_dense` is the one loop that applies an
+operator to one vector (:meth:`BlockOp.image` reads it on sparse ones);
+:func:`_block_product` applies one block to the kernel of a source twist
+signature, for the tables and the chain-map check.  The blocks and the
+constraint rows are sparse Kronecker products of structure maps
+(``linalg._kron``); term-by-term transcriptions of the sum live only in
+the test oracles (``tests/oracles.py``).
 
 Cohomology tables never assemble an operator: one call of :func:`_images`
 forms each block of a :class:`BlockOp` into degree k (δ_n through
@@ -481,18 +483,12 @@ class BlockOp:
         return out
 
     def image(self, vec: dict) -> dict:
-        """Image of a sparse vector as a sparse dict (no zero entries): the
-        vector grouped by source block, one :func:`_block_product` per face."""
-        w, by_source, out = self.in_width, {}, {}
+        """Image of a sparse vector as a sparse dict (no zero entries), through
+        :meth:`apply_dense`."""
+        dense = [ZERO] * self.ncols
         for idx, v in vec.items():
-            s, c = divmod(idx, w)
-            by_source.setdefault(s, {})[c] = v
-        for s, local in by_source.items():
-            for t, k in self.faces[s]:
-                row0 = t * self.out_width
-                for r, x in _block_product(self.blocks[k], self.id_width, [local])[0].items():
-                    out[row0 + r] = out.get(row0 + r, 0) + x
-        return {row: x for row, x in out.items() if x}
+            dense[idx] = v
+        return {row: x for row, x in enumerate(self.apply_dense(dense)) if x}
 
 
 def _raw_size(b: OmegaBimodule, n: int) -> int:

@@ -21,8 +21,9 @@ slots, weight^(n - 1 - |S|) times the bimodule operator T at the tuple
 product applied after inserting R at exactly the slots in S.  Like the
 coboundary it is compiled once per (context, degree) into a cached
 block-diagonal ``cochain.BlockOp``, :func:`phi_op`, whose columns come from
-the subset sum in Horner form, one block per class of (R at each slot, T at
-the product); the literal subset enumeration is kept as the oracle in
+the subset sum in Horner form, built by the slot step of the coboundary's
+blocks (``blocks._slot_step``), one block per class of (R at each slot, T
+at the product); the literal subset enumeration is kept as the oracle in
 ``tests/oracles.py``.
 
 The combined complex is the mapping cone of φ (Weibel 1994, §1.5), so one
@@ -43,7 +44,7 @@ from .algebra import (
     OmegaAlgebra, RotaBaxterFamily, Witness, _one_validation, _refuse_witness, check_rota_baxter, validate_algebra,
 )
 from .bimodule import OmegaBimodule, _rbf_action_scan, _require_bimodule, induced_module_star
-from .blocks import intern
+from .blocks import _slot_step, intern
 from .cochain import (
     BlockOp,
     Cochain,
@@ -64,7 +65,7 @@ from .cochain import (
     equivariant_basis,
 )
 from .errors import InternalCheckError, MalformedInputError, PreconditionError
-from .linalg import Mat, _integer_echelon, _supports, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
+from .linalg import Mat, _integer_echelon, _kron, _supports, sparse_kernel, sparse_rank, sparse_rows, sparse_solve
 from .rationals import ONE, ZERO
 
 
@@ -168,38 +169,29 @@ def _phi_block(ctx: RbfContext, alpha: tuple) -> list:
         P <- P (x) row_{j_s}(R_{alpha_s} + weight I)  +  A (x) e_{j_s},
         A <- A (x) row_{j_s}(R_{alpha_s}),
 
-    so A ends as the all-R term and P as the weighted sum over proper
-    subsets, and the column is A (x) e_l - P (x) T_{prod alpha} e_l.
-    Columns that share a prefix j_1..j_s share its (A, P); no division.
+    that is, P takes the slot step of the coboundary's middle sums
+    (``blocks._slot_step``, Q the rows of R_{alpha_s} + weight I and mu the
+    d unit rows) and A a Kronecker product (``linalg._kron``).  A ends as
+    the all-R term and P as the weighted sum over proper subsets, and the
+    column is A (x) e_l - P (x) T_{prod alpha} e_l.  Columns that share a
+    prefix j_1..j_s share its (A, P); no division.
     """
     om, d, m = ctx.dims()
-    shifted, prefixes = Mat.scalar(d, ctx.rb.weight), [({0: ONE}, {})]
+    shifted, units = Mat.scalar(d, ctx.rb.weight), [[(j, ONE)] for j in range(d)]
+    lifted, corr = [[(0, ONE)]], None
     for x in alpha:
-        r_rows, rw_rows = _supports(ctx.rb.maps[x]), _supports(ctx.rb.maps[x].add(shifted))
-        prefixes = [_horner_step(a, p, r_rows[j], rw_rows[j], j, d) for a, p in prefixes for j in range(d)]
+        corr = _slot_step(corr, _supports(ctx.rb.maps[x].add(shifted)), lifted, units, d, d)
+        lifted = _kron([(d, _supports(ctx.rb.maps[x]))], lifted)
     t_cols = _supports(ctx.bimodule.tmap[om.product_of(alpha)], by_col=True)
     block = []
-    for lifted, corr in prefixes:
+    for a_col, p_col in zip(lifted, corr or [[]]):
         for l in range(m):
-            col = {i * m + l: c for i, c in lifted.items()}
-            for i, c in corr.items():
+            col = {i * m + l: c for i, c in a_col}
+            for i, c in p_col:
                 for k, v in t_cols[l]:
                     col[i * m + k] = col.get(i * m + k, 0) - c * v
             block.append([(r, v) for r, v in col.items() if v])
     return block
-
-
-def _horner_step(lifted: dict, corr: dict, r_row: list, rw_row: list, j: int, d: int) -> tuple:
-    """One slot of the :func:`phi_op` recurrence on sparse tensors:
-    (A (x) r_row,  P (x) rw_row + A (x) e_j)."""
-    new_corr = {i * d + k: c * v for i, c in corr.items() for k, v in rw_row}
-    for i, c in lifted.items():
-        new = new_corr.get(i * d + j, 0) + c
-        if new:
-            new_corr[i * d + j] = new
-        else:
-            new_corr.pop(i * d + j, None)
-    return {i * d + k: c * v for i, c in lifted.items() for k, v in r_row}, new_corr
 
 
 def phi(ctx: RbfContext, f: Cochain) -> Cochain:
@@ -237,20 +229,10 @@ class CombinedCochain:
     def degree(self) -> int:
         return self.alg.degree
 
-    def _parts(self, op, other: "CombinedCochain") -> "CombinedCochain":
-        """``op`` (``Cochain.add`` or ``Cochain.sub``) on both parts."""
+    def sub(self, other: "CombinedCochain") -> "CombinedCochain":
         if (self.rbf is None) != (other.rbf is None):
             raise MalformedInputError("combined cochain shape mismatch")
-        return CombinedCochain(op(self.alg, other.alg), None if self.rbf is None else op(self.rbf, other.rbf))
-
-    def add(self, other: "CombinedCochain") -> "CombinedCochain":
-        return self._parts(Cochain.add, other)
-
-    def sub(self, other: "CombinedCochain") -> "CombinedCochain":
-        return self._parts(Cochain.sub, other)
-
-    def scale(self, factor) -> "CombinedCochain":
-        return CombinedCochain(self.alg.scale(factor), None if self.rbf is None else self.rbf.scale(factor))
+        return CombinedCochain(self.alg.sub(other.alg), None if self.rbf is None else self.rbf.sub(other.rbf))
 
     def is_zero(self) -> bool:
         return self.alg.is_zero() and (self.rbf is None or self.rbf.is_zero())
@@ -365,7 +347,10 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
     For a source tuple s with kernel vectors K and each face (output tuple t,
     δ key k, ∂ key k'; δ_n and ∂_n list the same outputs in the same order),
     ∂_{k'}(φ_s K) is compared with φ_t(δ_k K) on block products, once per class
-    (k, k', φ block at s, φ block at t, source signature), for this call only.
+    (k, φ block at t, φ block at s, source signature), for this call only.
+    The class needs no k': the star product and star actions that k' reads
+    at t are read from A's product and M's actions there (classes in k), R
+    at t's slots and T at t's product (the φ block at t).
     The witness: the degree, the lowest differing basis cochain, its lowest
     differing raw index and both values there (zero where a side has none).
     """
@@ -384,10 +369,10 @@ def chain_map_check(ctx: RbfContext, max_degree: int) -> Witness | None:
                 lifted = lifted_of[phi_key] = _block_product(phi_n.blocks[f], 1, vectors)
             hits = []  # (vector, raw index, lhs, rhs) of each difference
             for (t, k), (_, k_star) in zip(op.faces[s], star.faces[s]):
-                key = (k, k_star, to_rbf.faces[t][0][1], *phi_key)
+                key = (k, to_rbf.faces[t][0][1], *phi_key)
                 if key not in compared:
                     lhs = _block_product(star.blocks[k_star], star.id_width, lifted)
-                    rhs = _block_product(to_rbf.blocks[key[2]], 1, _block_product(op.blocks[k], op.id_width, vectors))
+                    rhs = _block_product(to_rbf.blocks[key[1]], 1, _block_product(op.blocks[k], op.id_width, vectors))
                     compared[key] = [(i, *min((r, u.get(r, ZERO), v.get(r, ZERO)) for r in u.keys() | v.keys()
                                               if u.get(r, ZERO) != v.get(r, ZERO)))
                                      for i, (u, v) in enumerate(zip(lhs, rhs)) if u != v]

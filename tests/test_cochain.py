@@ -1437,17 +1437,16 @@ def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch
     call leaves a per-degree result (block products, verdicts, a δ matrix)
     in either bimodule's cache.
 
-    BlockOp.image takes one product per face of each source block its vector
-    touches, and the degree-0 checks call it; those products are pinned
-    apart.  Degree 0: the domain test reads δ_0 of M's 2 unit vectors (2
-    faces each, 4), finds an image outside C^1 and solves for the preimages,
-    reading those 2 images again (4), and the checks read δ_0 of the one
-    preimage (2): 10, of which a second table, on the cached domain, takes
-    only the checks' 2.  Degree 1: δ_1 of that image, which touches both
-    source blocks, with 4 and 3 faces: 7."""
+    BlockOp.image takes no block product: each call of it makes one
+    apply_dense call, and those made by the degree-0 checks are pinned
+    apart.  Degree 0: the domain test reads δ_0 of M's 2 unit vectors (2),
+    finds an image outside C^1 and solves for the preimages, reading those
+    2 images again (2), and the checks read δ_0 of the one preimage (1): 5,
+    of which a second table, on the cached domain, makes only the checks'
+    1.  Degree 1: δ_1 of that image, 1."""
     b = regular_bimodule(samples.build_c2_example(0))
-    tables, images, original, original_image = [], [], cochain._block_product, cochain.BlockOp.image
-    inside = []
+    tables, images, dense, inside = [], [], [], []
+    original, original_image, original_dense = cochain._block_product, cochain.BlockOp.image, cochain.BlockOp.apply_dense
 
     def counting(block, id_width, vectors):
         (images if inside else tables).append(block)
@@ -1460,22 +1459,33 @@ def test_block_products_taken_once_per_pair_key_and_source_signature(monkeypatch
         finally:
             inside.pop()
 
+    def apply_dense(op, vec):
+        if inside:
+            dense.append(op)
+        return original_dense(op, vec)
+
     def per_degree(calls):
         return [sum(any(block is own for own in delta_op(b, n).blocks) for block in calls) for n in range(5)]
 
+    def per_op(calls):
+        return [sum(op is delta_op(b, n) for op in calls) for n in range(5)]
+
     monkeypatch.setattr(cochain, "_block_product", counting)
     monkeypatch.setattr(cochain.BlockOp, "image", image)
+    monkeypatch.setattr(cochain.BlockOp, "apply_dense", apply_dense)
     cohomology_dims(b, 4)
     assert per_degree(tables) == [2, 7, 13, 18, 24] and len(tables) == 64
-    assert per_degree(images) == [10, 7, 0, 0, 0] and len(images) == 17
+    assert images == []
+    assert per_op(dense) == [5, 1, 0, 0, 0] and len(dense) == 6
     assert [len(faces) for faces in delta_op(b, 0).faces + delta_op(b, 1).faces] == [2, 4, 3]
     assert sum(map(len, delta_op(b, 4).faces)) == 111
     first = tables[:]
     tables.clear()
-    images.clear()
+    dense.clear()
     cohomology_dims(b, 4)
     assert len(tables) == 64 and all(again is block for again, block in zip(tables, first))
-    assert per_degree(images) == [2, 7, 0, 0, 0] and len(images) == 9
+    assert images == []
+    assert per_op(dense) == [1, 1, 0, 0, 0] and len(dense) == 2
 
     def per_degree_results(*bimodules):
         kinds = ("block_products", "verdicts", "delta_matrix")

@@ -387,24 +387,53 @@ def test_phi_op_degree_zero_is_one_identity_block_built_on_the_empty_tuple(monke
         assert (op.nrows, op.ncols, op.id_width) == (m, m, 1)
 
 
-def test_image_matches_apply_dense_on_degree_zero_and_phi(e0_ctx, e1_ctx, c2_ctx, zero1_ctx):
-    """BlockOp applies its blocks by two loops, the sparse image (one
-    _block_product per face) and apply_dense; on δ_0 of each context's
-    bimodule and star bimodule and on phi_op at degrees 0-3, seeded random
-    sparse vectors (entries in -3..3 over 1..3, zeros among them) read the
-    same image both ways, on the named contexts and on seeded random draws.
-    The wide-draw oracle test compares the two for δ_n, n >= 1."""
+def test_image_matches_the_oracles_on_degree_zero_and_phi(e0_ctx, e1_ctx, c2_ctx, zero1_ctx):
+    """BlockOp.image against independent routes: on δ_0 of each context's
+    bimodule and star bimodule the δ_0 formula of delta_direct_oracle, and
+    on phi_op at degrees 0-3 the subset sum of phi_subset_oracle.  Seeded
+    random sparse vectors (entries in -3..3 over 1..3, zeros among them)
+    read the same image both ways, with no zero entry, on the named
+    contexts and on seeded random draws.  The wide-draw oracle test
+    compares the image of δ_n, n >= 1."""
     rng = random.Random(4409)
     contexts = [e0_ctx, e1_ctx, c2_ctx, zero1_ctx, *(random_valid_context(rng) for _ in range(6))]
     for ctx in contexts:
-        ops = [delta_op(ctx.bimodule, 0), delta_op(ctx.star_bimodule(), 0), *(rbf.phi_op(ctx, n) for n in range(4))]
-        for op in ops:
+        (om, d, m), b, sb = ctx.dims(), ctx.bimodule, ctx.star_bimodule()
+        routes = [(0, delta_op(b, 0), lambda f: delta_direct_oracle(b, f)),
+                  (0, delta_op(sb, 0), lambda f: delta_direct_oracle(sb, f))]
+        routes += [(n, rbf.phi_op(ctx, n), lambda f: phi_subset_oracle(ctx, f)) for n in range(4)]
+        for n, op, oracle in routes:
             for _ in range(4):
                 vec = {i: Rat(rng.randint(-3, 3), rng.randint(1, 3)) for i in rng.sample(range(op.ncols), min(op.ncols, 3))}
                 dense = [ZERO] * op.ncols
                 for i, v in vec.items():
                     dense[i] = v
-                assert op.image(vec) == {i: x for i, x in enumerate(op.apply_dense(dense)) if x}
+                want = {i: x for i, x in enumerate(oracle(Cochain(n, om.size, d, m, dense)).coords) if x}
+                assert op.image(vec) == want
+
+
+def test_image_keeps_no_entry_that_cancels():
+    """On the regular bimodule of c2 variant 0, a vector u + δ_n y (u one
+    source column, y a basis cochain of C^n with δ_n y != 0) has under
+    δ_{n+1} the image of u alone: the contributions of δ_n y reach rows of
+    the output and cancel there (δδ = 0), and BlockOp.image keeps none of
+    them."""
+    b, cancelled = regular_bimodule(samples.build_c2_example(0)), 0
+    for n in (1, 2):
+        op, nxt, basis = delta_op(b, n), delta_op(b, n + 1), equivariant_basis(b, n)
+        for j in range(basis.dim()):
+            dy = op.image(basis.cochain_sparse(j))
+            if not dy:
+                continue
+            cancelled += 1
+            assert any(nxt.image({c: ONE}) for c in dy)  # δ_n y reaches rows of the output
+            assert nxt.image(dy) == {}
+            for c in (0, nxt.ncols - 1):
+                vec = dict(dy)
+                vec[c] = vec.get(c, ZERO) + ONE
+                want = nxt.image({c: ONE})
+                assert nxt.image(vec) == want and ZERO not in want.values()
+    assert cancelled
 
 
 def test_d_combined_zero_and_square(e1_ctx):
@@ -1011,8 +1040,8 @@ def test_chain_map_check_finds_a_fault_in_the_phi_block_of_one_tuple():
 
 def test_chain_map_check_compares_once_per_class(monkeypatch):
     """On c2 the faces of δ_n (source tuple, output tuple) number 2, 7, 19
-    and 47 at degrees 0-3, and fall into 2, 7, 13 and 18 classes (δ key, ∂
-    key, φ block at the source, φ block at the output, source signature):
+    and 47 at degrees 0-3, and fall into 2, 7, 13 and 18 classes (δ key, φ
+    block at the output, φ block at the source, source signature):
     the check multiplies a block of ∂_n once per class, and a second call
     takes the same products again, since nothing is kept between calls."""
     ctx = samples.c2_rbf_context()
@@ -1030,6 +1059,29 @@ def test_chain_map_check_compares_once_per_class(monkeypatch):
         classes = [sum(any(block is own for own in delta_op(star, n).blocks) for block in calls) for n in range(4)]
         assert classes == [2, 7, 13, 18]
     assert [sum(map(len, delta_op(ctx.bimodule, n).faces)) for n in range(4)] == [2, 7, 19, 47]
+
+
+def test_partial_key_is_a_function_of_the_delta_key_and_phi_at_the_output():
+    """chain_map_check keys its comparisons with no ∂ key: on every face
+    (source s, output t) of δ_n, n = 0-3, the ∂ key is a function of the δ
+    key and the φ block at t, on the c2 context and on seeded draws of every
+    random_valid_context kind, "zero-module" included.  δ_n and ∂_n list
+    the same outputs in the same order, and pairs recur, so the function is
+    tested, not assumed."""
+    rng = random.Random(4011)
+    kinds = (None, "scalar", "zero", "searched", "split", "zero-module")
+    contexts = [samples.c2_rbf_context(), *(random_valid_context(rng, kind) for kind in kinds for _ in range(3))]
+    recurring = 0
+    for ctx in contexts:
+        for n in range(4):
+            op, star, to_rbf, seen = delta_op(ctx.bimodule, n), delta_op(ctx.star_bimodule(), n), rbf.phi_op(ctx, n + 1), {}
+            for s, (faces, star_faces) in enumerate(zip(op.faces, star.faces)):
+                assert [t for t, _ in faces] == [t for t, _ in star_faces], (n, s)
+                for (t, k), (_, k_star) in zip(faces, star_faces):
+                    key = (k, to_rbf.faces[t][0][1])
+                    recurring += key in seen
+                    assert seen.setdefault(key, k_star) == k_star, (n, s, t)
+    assert recurring
 
 
 # -- one equivariance system per context ------------------------------------

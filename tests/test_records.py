@@ -117,6 +117,10 @@ def test_cochains_and_pairs_compare_by_value():
     assert f == g and f != f.scale(2) and f != Cochain(1, 1, 4, 1, list(f.coords))
     assert CocyclePair(h, f) == CocyclePair(h, g) and CocyclePair(h, f) != CocyclePair(h, f.scale(2))
     assert CombinedCochain(h, f) == CombinedCochain(h, g) and CombinedCochain(f, None) != CombinedCochain(f, g)
+    assert CombinedCochain(h, f).sub(CombinedCochain(h, g)).is_zero()
+    for x, y in ((CombinedCochain(f, None), CombinedCochain(f, g)), (CombinedCochain(f, g), CombinedCochain(f, None))):
+        with pytest.raises(MalformedInputError, match="combined cochain shape mismatch"):
+            x.sub(y)
 
 
 def test_workbench_file_construction(e1):

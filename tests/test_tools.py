@@ -169,7 +169,7 @@ def test_same_reports_battery_raises_each_extension_entry_once():
     from conftest import fixture_text
 
     data = json.loads(fixture_text("e1_rbf_extension.json"))
-    battery = dict(same_reports.perturbations(data))
+    battery = dict(same_reports.perturbations(data, [("extension",)]))
     assert len(battery) == 144 and "extension.sect.0.2.0" in battery
     for leaf, copy in battery.items():
         node = copy

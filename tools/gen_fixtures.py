@@ -43,6 +43,7 @@ from bihomega.rationals import Rat, format_rational
 from bihomega.rbf import CombinedCochain, combined_kernel, d_combined, rbfa_cohomology_dims
 from bihomega.search import DEFAULT_CAP, _require_enumerable, first_nonscalar, iter_map_families
 from bihomega.serialization import WorkbenchFile, parse_workbench, serialize_workbench, workbench_to_json
+from same_reports import perturbations
 
 FIXTURES = ROOT / "fixtures"
 
@@ -252,11 +253,11 @@ def main():
 # digest of the derived star algebra and star bimodule.  A change to any
 # scan, its order or its arithmetic changes the table.
 
-PERTURBED_BLOCKS = (
-    ("algebra", ("product", "p", "q")),
-    ("rota_baxter", ("r",)),
-    ("bimodule", ("left", "right", "p", "q", "t")),
-    ("nijenhuis", ("n",)),
+PERTURBED_ROOTS = (
+    ("algebra", "product"), ("algebra", "p"), ("algebra", "q"),
+    ("rota_baxter", "r"),
+    ("bimodule", "left"), ("bimodule", "right"), ("bimodule", "p"), ("bimodule", "q"), ("bimodule", "t"),
+    ("nijenhuis", "n"),
 )
 
 
@@ -275,30 +276,6 @@ def _searched_doc(a) -> dict:
     """Regular bimodule of ``a`` with the first non-scalar searched families."""
     rb = samples.searched_rb(a)
     return _battery_doc(a, rb, regular_bimodule(a, rb), _nijenhuis_maps(a))
-
-
-def _leaf_paths(node, prefix):
-    if isinstance(node, str):
-        yield prefix
-    elif isinstance(node, dict):
-        for key, child in node.items():
-            yield from _leaf_paths(child, prefix + (key,))
-    else:
-        for i, child in enumerate(node):
-            yield from _leaf_paths(child, prefix + (i,))
-
-
-def _perturbations(doc: dict):
-    """(label, document) for every single-entry +1 perturbation of ``doc``."""
-    for block, fields in PERTURBED_BLOCKS:
-        for name in fields:
-            for path in _leaf_paths(doc[block][name], (block, name)):
-                copy = json.loads(json.dumps(doc))
-                node = copy
-                for key in path[:-1]:
-                    node = node[key]
-                node[path[-1]] = format_rational(Rat(node[path[-1]]) + 1)
-                yield ".".join(str(k) for k in path), copy
 
 
 def _outcome(call):
@@ -425,7 +402,7 @@ def witness_table() -> dict:
         # the product itself is a bimodule-algebra structure on the regular bimodule
         bullet = BimoduleAlgebraData(parse_workbench(json.dumps(doc)).algebra.product)
         table[name] = _witness_row(doc, bullet)
-        for label, perturbed in _perturbations(doc):
+        for label, perturbed in perturbations(doc, PERTURBED_ROOTS):
             table[f"{name} +1 {label}"] = _witness_row(perturbed, bullet)
     for name, (doc, bullet) in _hand_cases().items():
         table[f"hand {name}"] = _witness_row(doc, bullet)

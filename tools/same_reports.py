@@ -55,9 +55,11 @@ def commands(checkout: Path) -> list:
     return list({" ".join(argv): argv for argv in argvs}.values())
 
 
-def perturbations(data: dict):
-    """(leaf path, copy of ``data``) for each rational leaf of its
-    ``extension`` block, that leaf raised by 1, in file order."""
+def perturbations(data: dict, roots):
+    """(leaf path, copy of ``data``) for each rational leaf under each root
+    path of ``roots`` (a list of key tuples into ``data``), that leaf raised
+    by 1, in root order and then in file order; a label joins the path's
+    keys with dots."""
 
     def leaves(node, path):
         if isinstance(node, str):
@@ -66,13 +68,17 @@ def perturbations(data: dict):
             for key, child in node.items() if isinstance(node, dict) else enumerate(node):
                 yield from leaves(child, (*path, key))
 
-    for path in leaves(data["extension"], ("extension",)):
-        copy = json.loads(json.dumps(data))
-        node = copy
-        for key in path[:-1]:
+    def at(node, path):
+        for key in path:
             node = node[key]
-        node[path[-1]] = str(Fraction(node[path[-1]]) + 1)
-        yield ".".join(map(str, path)), copy
+        return node
+
+    for root in roots:
+        for path in leaves(at(data, root), tuple(root)):
+            copy = json.loads(json.dumps(data))
+            parent = at(copy, path[:-1])
+            parent[path[-1]] = str(Fraction(parent[path[-1]]) + 1)
+            yield ".".join(map(str, path)), copy
 
 
 def collect_here(checkout: Path) -> dict:
@@ -89,7 +95,7 @@ def collect_here(checkout: Path) -> dict:
     data = json.loads(Path(EXTENSION_FIXTURE).read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         perturbed = Path(tmp) / "perturbed.json"
-        for leaf, copy in perturbations(data):
+        for leaf, copy in perturbations(data, [("extension",)]):
             perturbed.write_text(json.dumps(copy), encoding="utf-8")
             out[f"extract-cocycle {EXTENSION_FIXTURE} +1 {leaf}"] = run(["extract-cocycle", str(perturbed)])
     return out
